@@ -38,7 +38,7 @@ use threatraptor_storage::{AuditStore, SealPolicy, ShardedStore, StreamingStore}
 /// The current record's schema identifier.
 pub const SCHEMA: &str = "threatraptor-bench/v1";
 /// The PR this trajectory point belongs to.
-pub const PR: u64 = 9;
+pub const PR: u64 = 14;
 
 /// Which execution stack a case drives.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -5,14 +5,22 @@
 //! tables with event table". Path patterns become graph
 //! [`PathQuery`]s — "since it is difficult to perform graph pattern search
 //! using SQL, ThreatRaptor compiles it into a Cypher data query".
+//!
+//! Compilation also assigns **slots**: every entity variable gets a
+//! position in [`CompiledQuery::vars`], every pattern is its own slot
+//! (its declaration index), and `before` pairs and the return clause are
+//! pre-resolved to slot indices. The executor's partial matches are flat
+//! tuples indexed by these slots (the crate's `join` module); names only reappear
+//! when a delivered [`Match`](crate::Match) is materialized.
 
 use crate::error::EngineError;
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
+use threatraptor_audit::entity::EntityId;
 use threatraptor_storage::graphdb::PathQuery;
 use threatraptor_storage::relational::{
     CmpOp as SqlCmp, JoinCond, Predicate, SqlSelect, TableRef, Value,
 };
-use threatraptor_storage::store::{self, AuditStore};
+use threatraptor_storage::store;
 use threatraptor_tbql::analyze::AnalyzedQuery;
 use threatraptor_tbql::ast::{CmpOp, EntityType, Expr, Lit, Pattern, TimeWindow};
 use threatraptor_tbql::lint::{lint, LintReport};
@@ -28,6 +36,10 @@ pub struct CompiledPattern {
     pub subject_var: String,
     /// Object variable.
     pub object_var: String,
+    /// Slot of the subject variable (index into [`CompiledQuery::vars`]).
+    pub subject_slot: usize,
+    /// Slot of the object variable (index into [`CompiledQuery::vars`]).
+    pub object_slot: usize,
     /// Object entity table name.
     pub object_table: &'static str,
     /// Execution shape.
@@ -77,6 +89,13 @@ pub struct CompiledQuery {
     pub before: Vec<(String, String)>,
     /// Return projection `(var, attr)`.
     pub returns: Vec<(String, String)>,
+    /// Entity variables in slot order (sorted by name).
+    pub vars: Vec<String>,
+    /// [`CompiledQuery::before`] resolved to pattern slots (declaration
+    /// indices), pair for pair.
+    pub before_slots: Vec<(usize, usize)>,
+    /// Variable slot of each [`CompiledQuery::returns`] column.
+    pub return_slots: Vec<usize>,
     /// Distinct projection.
     pub distinct: bool,
 }
@@ -143,16 +162,24 @@ fn compile_feasible(aq: &AnalyzedQuery, report: &LintReport) -> Result<CompiledQ
         var_predicates.insert(var.clone(), pred);
         var_tables.insert(var.clone(), table_for(info.ty));
     }
+    // `entities` is a BTreeMap, so slot order is name order.
+    let vars: Vec<String> = aq.entities.keys().cloned().collect();
+    let var_slot = |var: &str| -> Result<usize, EngineError> {
+        vars.binary_search_by(|v| v.as_str().cmp(var))
+            .map_err(|_| EngineError::Execution(format!("untyped variable `{var}`")))
+    };
+    let pattern_slot = |id: &str| -> Result<usize, EngineError> {
+        aq.pattern_index(id)
+            .ok_or_else(|| EngineError::Execution(format!("unknown pattern `{id}`")))
+    };
 
     let mut patterns = Vec::with_capacity(aq.query.patterns.len());
     for (i, pat) in aq.query.patterns.iter().enumerate() {
         let id = aq.pattern_ids[i].clone();
         let subject_var = pat.subject().id.clone();
         let object_var = pat.object().id.clone();
-        let object_table = var_tables
-            .get(&object_var)
-            .copied()
-            .ok_or_else(|| EngineError::Execution(format!("untyped variable `{object_var}`")))?;
+        let (subject_slot, object_slot) = (var_slot(&subject_var)?, var_slot(&object_var)?);
+        let object_table = var_tables[&object_var];
         let (shape, window, max_len) = match pat {
             Pattern::Event(e) => (CompiledShape::Event { ops: e.ops.clone() }, e.window, 1u32),
             Pattern::Path(p) => {
@@ -186,6 +213,8 @@ fn compile_feasible(aq: &AnalyzedQuery, report: &LintReport) -> Result<CompiledQ
             decl_index: i,
             subject_var,
             object_var,
+            subject_slot,
+            object_slot,
             object_table,
             shape,
             window,
@@ -194,12 +223,25 @@ fn compile_feasible(aq: &AnalyzedQuery, report: &LintReport) -> Result<CompiledQ
         });
     }
 
+    let before_slots = aq
+        .before
+        .iter()
+        .map(|(a, b)| Ok((pattern_slot(a)?, pattern_slot(b)?)))
+        .collect::<Result<_, EngineError>>()?;
+    let return_slots = aq
+        .returns
+        .iter()
+        .map(|(var, _)| var_slot(var))
+        .collect::<Result<_, EngineError>>()?;
     Ok(CompiledQuery {
         patterns,
         var_predicates,
         var_tables,
         before: aq.before.clone(),
         returns: aq.returns.clone(),
+        vars,
+        before_slots,
+        return_slots,
         distinct: aq.distinct,
     })
 }
@@ -256,13 +298,14 @@ impl CompiledQuery {
         }
     }
 
-    /// Builds the graph path query for a path pattern; `src`/`dst` come
-    /// from evaluating the endpoint predicates against the entity tables.
+    /// Builds the graph path query for a path pattern over already
+    /// resolved endpoint id sets (the endpoint predicates evaluated
+    /// against the entity tables).
     pub fn path_plan(
         &self,
         pat: &CompiledPattern,
-        store: &AuditStore,
-        extra: &HashMap<String, Predicate>,
+        src: HashSet<EntityId>,
+        dst: HashSet<EntityId>,
     ) -> PathQuery {
         let CompiledShape::Path {
             min_hops,
@@ -272,17 +315,9 @@ impl CompiledQuery {
         else {
             panic!("path_plan on an event pattern");
         };
-        let endpoint = |var: &str| {
-            crate::exec::entity_filter_set_in(
-                store.db.table(self.var_tables[var]),
-                self,
-                var,
-                extra,
-            )
-        };
         PathQuery {
-            src: Some(endpoint(&pat.subject_var)),
-            dst: Some(endpoint(&pat.object_var)),
+            src: Some(src),
+            dst: Some(dst),
             min_hops: *min_hops,
             max_hops: *max_hops,
             last_op: Some(

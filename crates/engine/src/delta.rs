@@ -26,7 +26,7 @@
 //! ```
 //!
 //! where `Pᵢ₋₁` is the retained stable prefix and `fullᵢ` a full-range
-//! (IN-set-filtered) scan that is *skipped entirely* when `Δᵢ₋₁` is
+//! (id-set-filtered) scan that is *skipped entirely* when `Δᵢ₋₁` is
 //! empty — the common steady-state case, which leaves per-poll scan
 //! volume proportional to the epoch delta. The two branches are
 //! disjoint (a combination is produced exactly once, at its first fresh
@@ -50,61 +50,30 @@
 //!
 //! [`StreamFrontier`]: threatraptor_storage::StreamFrontier
 
-use crate::compile::{CompiledPattern, CompiledQuery, CompiledShape};
-use crate::exec::{join_rows, ExecMode};
-use crate::result::{DeltaStats, HuntResult, HuntStats, JoinStats, Match};
+use crate::compile::{CompiledQuery, CompiledShape};
+use crate::exec::ExecMode;
+use crate::join::{join_rows, propagate, Bound, JoinStep, Schedule, Tuples};
+use crate::result::{DeltaStats, HuntResult, HuntStats, JoinStats};
 use crate::sharded::ShardedEngine;
-use std::collections::HashMap;
-use std::collections::HashSet;
 use std::time::Instant;
-use threatraptor_storage::relational::{Predicate, Value};
 
-/// Largest global event position witnessing a match.
-fn max_event_pos(m: &Match) -> usize {
-    m.events.values().flatten().copied().max().unwrap_or(0)
-}
-
-/// Latest start time a future row of `next` could have and still join
-/// partial `m`: the pattern's effective feasible window (`bounds` when
-/// the DBM tightened it, its own `window` otherwise) caps `start ≤ hi`,
-/// and each `next before b` constraint with `b` already bound caps
-/// `end < start_b`, hence `start ≤ start_b − 1`. `u64::MAX` when
-/// nothing bounds it (such partials are never aged).
-fn completion_deadline(cq: &CompiledQuery, next: &CompiledPattern, m: &Match) -> u64 {
+/// Latest start time a future row of the pattern joined at `next` could
+/// have and still join tuple `i` of `partial`: the pattern's effective
+/// feasible window (`bounds` when the DBM tightened it, its own `window`
+/// otherwise) caps `start ≤ hi`, and each `next before b` constraint with
+/// `b` already bound caps `end < start_b`, hence `start ≤ start_b − 1`.
+/// `u64::MAX` when nothing bounds it (such partials are never aged).
+fn completion_deadline(cq: &CompiledQuery, next: &JoinStep, partial: &Tuples, i: usize) -> u64 {
+    let pat = &cq.patterns[next.pat];
     let mut deadline = u64::MAX;
-    if let Some(b) = next.bounds.or(next.window) {
+    if let Some(b) = pat.bounds.or(pat.window) {
         deadline = deadline.min(b.hi);
     }
-    for (a, b) in &cq.before {
-        if a == &next.id {
-            if let Some(&(start_b, _)) = m.times.get(b) {
-                deadline = deadline.min(start_b.saturating_sub(1));
-            }
-        }
+    for b in next.must_precede() {
+        let (start_b, _) = partial.time(i, b);
+        deadline = deadline.min(start_b.saturating_sub(1));
     }
     deadline
-}
-
-/// Builds the propagated IN-set filters a partial set pushes into a
-/// pattern's scan (scheduled mode), recording pushed-down id counts.
-fn in_set_filters(
-    pat: &CompiledPattern,
-    partial: &[Match],
-    propagated: &mut Vec<(String, usize)>,
-) -> HashMap<String, Predicate> {
-    let mut extra = HashMap::new();
-    for var in [&pat.subject_var, &pat.object_var] {
-        let ids: HashSet<Value> = partial
-            .iter()
-            .filter_map(|m| m.bindings.get(var))
-            .map(|e| Value::from(e.0))
-            .collect();
-        if !ids.is_empty() {
-            propagated.push((var.clone(), ids.len()));
-            extra.insert(var.clone(), Predicate::InSet("id".into(), ids));
-        }
-    }
-    extra
 }
 
 /// Elementwise accumulation of per-shard scan counts (a stage can scan
@@ -124,16 +93,15 @@ fn add_shard_counts(total: &mut Vec<usize>, add: &[usize]) {
 /// per-prefix partial bindings themselves.
 #[derive(Debug, Clone)]
 pub struct DeltaState {
-    /// Pattern indices (into `cq.patterns`) in execution order — the
-    /// same `(score desc, decl_index)` key the full executor uses, so
-    /// delta and full polls join in the same order.
-    schedule: Vec<usize>,
+    /// The execution schedule — the same one the full executor derives
+    /// for this mode, so delta and full polls join in the same order.
+    schedule: Schedule,
     /// `partials[i]`: every join of the schedule prefix `0..=i` whose
-    /// witness positions are all below [`DeltaState::stable_events`].
-    /// Only proper prefixes are retained (`len = patterns − 1`): the
-    /// full-length prefix is the match set, delivered and deduplicated
-    /// downstream.
-    partials: Vec<Vec<Match>>,
+    /// witness positions are all below [`DeltaState::stable_events`], as
+    /// flat slot tuples. Only proper prefixes are retained
+    /// (`len = patterns − 1`): the full-length prefix is the match set,
+    /// delivered and deduplicated downstream.
+    partials: Vec<Tuples>,
     /// Global event-position bound of the stable prefix: every position
     /// below it is sealed in every snapshot this state has polled.
     stable_events: usize,
@@ -151,19 +119,12 @@ impl DeltaState {
         {
             return None;
         }
-        let mut schedule: Vec<usize> = (0..cq.patterns.len()).collect();
-        if mode == ExecMode::Scheduled {
-            schedule.sort_by_key(|&i| {
-                (
-                    std::cmp::Reverse(cq.patterns[i].score),
-                    cq.patterns[i].decl_index,
-                )
-            });
-        }
-        let prefixes = schedule.len().saturating_sub(1);
+        let schedule = Schedule::new(cq, mode);
+        let prefixes = schedule.steps.len().saturating_sub(1);
+        let partials = vec![Tuples::new(&schedule.layout); prefixes];
         Some(DeltaState {
             schedule,
-            partials: vec![Vec::new(); prefixes],
+            partials,
             stable_events: 0,
         })
     }
@@ -175,7 +136,7 @@ impl DeltaState {
 
     /// Retained partial bindings across all prefixes.
     pub fn retained(&self) -> usize {
-        self.partials.iter().map(Vec::len).sum()
+        self.partials.iter().map(Tuples::len).sum()
     }
 
     /// Discards all retained state (plan or snapshot discontinuity).
@@ -193,15 +154,10 @@ impl DeltaState {
     /// fresh row can start earlier). Returns the number dropped.
     pub fn age(&mut self, cq: &CompiledQuery, settled: u64) -> usize {
         let mut dropped = 0usize;
-        for i in 0..self.partials.len() {
-            let next = &cq.patterns[self.schedule[i + 1]];
-            self.partials[i].retain(|m| {
-                let keep = completion_deadline(cq, next, m) >= settled;
-                if !keep {
-                    dropped += 1;
-                }
-                keep
-            });
+        for (held, next) in self.partials.iter_mut().zip(&self.schedule.steps[1..]) {
+            let before = held.len();
+            held.retain(|held, i| completion_deadline(cq, next, held, i) >= settled);
+            dropped += before - held.len();
         }
         dropped
     }
@@ -225,7 +181,7 @@ impl DeltaState {
     ) -> HuntResult {
         let t0 = Instant::now();
         let fresh_from = self.stable_events;
-        let prefixes = self.partials.len();
+        let layout = &self.schedule.layout;
         let mut stats = HuntStats::default();
         let mut dstats = DeltaStats {
             fresh_from,
@@ -237,10 +193,10 @@ impl DeltaState {
         // stage; newly stable combinations are staged into `pending` and
         // merged only after the loop — merging mid-poll would let a
         // combination reach a later stage through both branches.
-        let mut delta: Vec<Match> = Vec::new();
-        let mut pending: Vec<Vec<Match>> = vec![Vec::new(); prefixes];
-        for (i, &pi) in self.schedule.iter().enumerate() {
-            let pat = &cq.patterns[pi];
+        let mut delta = Tuples::new(layout);
+        let mut pending: Vec<Tuples> = Vec::with_capacity(self.partials.len());
+        for (i, step) in self.schedule.steps.iter().enumerate() {
+            let pat = &cq.patterns[step.pat];
             let mut fetched = 0usize;
             let mut shard_counts: Vec<usize> = Vec::new();
             let mut pruned = 0usize;
@@ -251,19 +207,19 @@ impl DeltaState {
             // Branch A: fresh rows of this pattern joined against the
             // retained stable prefix (the first stage seeds from its
             // fresh scan alone).
-            let seed = (i > 0).then(|| self.partials[i - 1].as_slice());
-            let mut next: Vec<Match> = Vec::new();
+            let seed = (i > 0).then(|| &self.partials[i - 1]);
+            let mut next = Tuples::new(layout);
             if seed.is_none_or(|p| !p.is_empty()) {
-                let mut extra = HashMap::new();
+                let mut bound: Bound = [None, None];
                 if mode == ExecMode::Scheduled {
                     let t_prop = Instant::now();
                     if let Some(p) = seed {
-                        extra = in_set_filters(pat, p, &mut propagated);
+                        bound = propagate(pat, p, &mut propagated);
                     }
                     stats.propagate_elapsed += t_prop.elapsed();
                 }
                 let t_scan = Instant::now();
-                let (rows, per_shard, pr) = engine.fetch_pattern(cq, pat, &extra, mode, fresh_from);
+                let (rows, per_shard, pr) = engine.fetch_pattern(cq, pat, &bound, mode, fresh_from);
                 scan_elapsed += t_scan.elapsed();
                 fetched += rows.len();
                 dstats.fresh_rows += rows.len();
@@ -271,7 +227,7 @@ impl DeltaState {
                 pruned += pr;
                 candidates += seed.map_or(rows.len(), |p| p.len() * rows.len());
                 let t_join = Instant::now();
-                next = join_rows(cq, seed.map(<[Match]>::to_vec), rows, pat);
+                next = join_rows(layout, seed, &rows, pat, step);
                 stats.join_elapsed += t_join.elapsed();
             }
 
@@ -280,14 +236,14 @@ impl DeltaState {
             // incoming delta is empty — the steady-state case that keeps
             // the poll O(delta).
             if !delta.is_empty() {
-                let mut extra = HashMap::new();
+                let mut bound: Bound = [None, None];
                 if mode == ExecMode::Scheduled {
                     let t_prop = Instant::now();
-                    extra = in_set_filters(pat, &delta, &mut propagated);
+                    bound = propagate(pat, &delta, &mut propagated);
                     stats.propagate_elapsed += t_prop.elapsed();
                 }
                 let t_scan = Instant::now();
-                let (rows, per_shard, pr) = engine.fetch_pattern(cq, pat, &extra, mode, 0);
+                let (rows, per_shard, pr) = engine.fetch_pattern(cq, pat, &bound, mode, 0);
                 scan_elapsed += t_scan.elapsed();
                 fetched += rows.len();
                 dstats.carry_rows += rows.len();
@@ -295,17 +251,12 @@ impl DeltaState {
                 pruned += pr;
                 candidates += delta.len() * rows.len();
                 let t_join = Instant::now();
-                let carried = join_rows(cq, Some(std::mem::take(&mut delta)), rows, pat);
+                next.append(join_rows(layout, Some(&delta), &rows, pat, step));
                 stats.join_elapsed += t_join.elapsed();
-                next.extend(carried);
             }
 
-            if i < prefixes {
-                pending[i].extend(
-                    next.iter()
-                        .filter(|m| max_event_pos(m) < stable_to)
-                        .cloned(),
-                );
+            if i < self.partials.len() {
+                pending.push(next.select((0..next.len()).filter(|&t| next.max_pos(t) < stable_to)));
             }
             delta = next;
             stats.execution_order.push(pat.id.clone());
@@ -324,37 +275,32 @@ impl DeltaState {
         }
 
         for (held, new) in self.partials.iter_mut().zip(pending) {
-            held.extend(new);
+            held.append(new);
         }
         self.stable_events = stable_to;
 
-        // The full executor's nested loop emits matches lexicographically
-        // by per-stage scan-row order, and event-pattern scans sort by
+        // The full executor's join emits matches lexicographically by
+        // per-stage scan-row order, and event-pattern scans sort by
         // first witness position — so sorting by the schedule-ordered
-        // witness-position vectors reproduces its order exactly, making
-        // delta delivery byte-identical to full re-execution.
-        delta.sort_by_cached_key(|m| {
-            self.schedule
-                .iter()
-                .map(|&pi| {
-                    m.events
-                        .get(&cq.patterns[pi].id)
-                        .cloned()
-                        .unwrap_or_default()
-                })
-                .collect::<Vec<_>>()
-        });
+        // witness positions reproduces its order exactly, making delta
+        // delivery byte-identical to full re-execution.
+        let t_join = Instant::now();
+        let mut order: Vec<usize> = (0..delta.len()).collect();
+        order.sort_by(|&a, &b| delta.cmp_by_witness(&self.schedule, a, b));
+        let delta = delta.select(order);
+        let matches = delta.to_matches(cq, layout);
+        stats.join_elapsed += t_join.elapsed();
         dstats.retained_partials = self.retained();
 
         let t_project = Instant::now();
-        let (columns, rows) = engine.project(cq, &delta);
+        let (columns, rows) = engine.project_tuples(cq, &delta);
         stats.project_elapsed = t_project.elapsed();
         stats.delta = Some(dstats);
         stats.elapsed = t0.elapsed();
         HuntResult {
             columns,
             rows,
-            matches: delta,
+            matches,
             stats,
         }
     }
@@ -365,6 +311,7 @@ mod tests {
     use super::*;
     use crate::compile::compile;
     use crate::error::EngineError;
+    use crate::result::Match;
     use threatraptor_audit::sim::scenario::{AttackKind, ScenarioBuilder};
     use threatraptor_storage::{SealPolicy, ShardedStore, StreamingStore};
     use threatraptor_tbql::analyze::analyze;
@@ -372,6 +319,11 @@ mod tests {
 
     fn compiled(tbql: &str) -> CompiledQuery {
         compile(&analyze(&parse_query(tbql).unwrap()).unwrap()).unwrap()
+    }
+
+    /// Largest global event position witnessing a match.
+    fn max_event_pos(m: &Match) -> usize {
+        m.events.values().flatten().copied().max().unwrap_or(0)
     }
 
     fn full(snapshot: &ShardedStore, cq: &CompiledQuery) -> Result<HuntResult, EngineError> {

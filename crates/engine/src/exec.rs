@@ -1,15 +1,28 @@
 //! The executor: scheduling, constraint propagation, cross-pattern
 //! assembly, and the baseline execution modes.
+//!
+//! One pattern's data query runs in two halves. **Resolve**: each
+//! endpoint variable's predicate — narrowed to the ids earlier patterns
+//! bound, when propagation applies — is evaluated once against the
+//! entity table into a dense id set. **Scan**: the event table (or graph)
+//! is searched with those sets, picking the cheapest of the subject,
+//! object and operation indexes by their bucket sizes. The split is what
+//! lets the sharded executor resolve once and hand the same sets to every
+//! shard's scan. Rows then meet the partial matches in the slot-compiled
+//! hash join of the crate's `join` module.
 
 use crate::compile::{compile, CompiledPattern, CompiledQuery, CompiledShape};
 use crate::error::EngineError;
+use crate::idset::IdSet;
+use crate::join::{join_rows, propagate, Bound, PatternRow, Schedule, Tuples, Witness};
 use crate::result::{HuntResult, HuntStats, JoinStats, Match};
 use std::collections::{HashMap, HashSet};
+use std::ops::Deref;
 use std::time::Instant;
 use threatraptor_audit::entity::EntityId;
 use threatraptor_audit::event::{Event, Operation};
-use threatraptor_storage::relational::{Predicate, Value};
-use threatraptor_storage::store::AuditStore;
+use threatraptor_storage::relational::{Index, Predicate, Table, Value};
+use threatraptor_storage::store::{AuditStore, TABLE_EVENT};
 use threatraptor_tbql::analyze::{analyze, AnalyzedQuery};
 use threatraptor_tbql::ast::Query;
 use threatraptor_tbql::parser::parse_query;
@@ -44,19 +57,6 @@ impl ExecMode {
             ExecMode::GraphOnly => "Graph-only (Cypher)",
         }
     }
-}
-
-/// One pattern's data-query output row. Event positions are
-/// store-relative: table rows for a single-store [`Engine`], global
-/// positions for the sharded executor (which translates shard-local rows
-/// before joining).
-#[derive(Debug, Clone)]
-pub(crate) struct PatternRow {
-    pub(crate) subject: EntityId,
-    pub(crate) object: EntityId,
-    pub(crate) events: Vec<usize>,
-    pub(crate) start: u64,
-    pub(crate) end: u64,
 }
 
 /// The query engine over one audit store.
@@ -107,7 +107,11 @@ impl<'s> Engine<'s> {
         let mut result = run_schedule(
             cq,
             mode,
-            &mut |pat, extra| self.run_pattern(cq, pat, extra, mode),
+            &mut |pat, bound| {
+                let (subjects, objects) =
+                    resolve_endpoints(cq, pat, bound, |table| self.store.db.table(table));
+                self.scan_pattern(cq, pat, &subjects, &objects, mode)
+            },
             &|id, attr| self.store.entity(id).attr(attr),
         );
         // Single-store execution is one pseudo-shard.
@@ -120,23 +124,25 @@ impl<'s> Engine<'s> {
         Ok(result)
     }
 
-    /// Runs one pattern's data query.
-    pub(crate) fn run_pattern(
+    /// Scans this store for one pattern's rows, given the resolved id
+    /// sets of its subject and object variables.
+    pub(crate) fn scan_pattern(
         &self,
         cq: &CompiledQuery,
         pat: &CompiledPattern,
-        extra: &HashMap<String, Predicate>,
+        subjects: &IdSet,
+        objects: &IdSet,
         mode: ExecMode,
     ) -> Vec<PatternRow> {
         match (&pat.shape, mode) {
-            (CompiledShape::Event { .. }, ExecMode::GraphOnly) => {
-                self.event_via_graph(cq, pat, extra)
+            (CompiledShape::Event { ops }, ExecMode::GraphOnly) => {
+                self.event_via_graph(pat, ops, subjects, objects)
             }
-            (CompiledShape::Event { .. }, _) => self.event_via_sql(cq, pat, extra),
+            (CompiledShape::Event { ops }, _) => self.event_via_sql(pat, ops, subjects, objects),
             (CompiledShape::Path { .. }, ExecMode::RelationalOnly) => {
-                self.path_via_sql(cq, pat, extra)
+                self.path_via_sql(pat, subjects, objects)
             }
-            (CompiledShape::Path { .. }, _) => self.path_via_graph(cq, pat, extra),
+            (CompiledShape::Path { .. }, _) => self.path_via_graph(cq, pat, subjects, objects),
         }
     }
 
@@ -145,95 +151,79 @@ impl<'s> Engine<'s> {
     /// Access-path selection over the event table's indexes (the paper's
     /// "mature indexing mechanisms"): probe by subject ids, by object
     /// ids, or by operation — whichever is estimated cheapest — then
-    /// filter residual conditions. Entity predicates are evaluated once
-    /// against the (small) entity tables.
+    /// filter residual conditions.
     fn event_via_sql(
         &self,
-        cq: &CompiledQuery,
         pat: &CompiledPattern,
-        extra: &HashMap<String, Predicate>,
+        ops: &[String],
+        subjects: &IdSet,
+        objects: &IdSet,
     ) -> Vec<PatternRow> {
-        let CompiledShape::Event { ops } = &pat.shape else {
-            unreachable!()
-        };
-        let s_ids = self.entity_filter_set(cq, &pat.subject_var, extra);
-        let o_ids = self.entity_filter_set(cq, &pat.object_var, extra);
-        if s_ids.is_empty() || o_ids.is_empty() {
+        if subjects.is_empty() || objects.is_empty() {
             return Vec::new();
         }
-        let events = self
-            .store
-            .db
-            .table(threatraptor_storage::store::TABLE_EVENT);
-        let op_set: HashSet<Operation> = ops
+        let events = self.store.db.table(TABLE_EVENT);
+        let index = |col: &str| {
+            events
+                .index(col)
+                .expect("the event table indexes op, subject and object")
+        };
+        let (by_op, by_subject, by_object) = (index("op"), index("subject"), index("object"));
+        let ops = parse_ops(ops);
+
+        // Estimate each access path by exact index-bucket sizes, which
+        // the indexes lend without copying. An id path costs one probe
+        // per id plus the rows it yields; summing stops as soon as the
+        // path cannot beat the best one so far, so an unselective
+        // variable (every process, say) costs a few probes, not one per
+        // entity.
+        let op_buckets: Vec<&[usize]> = ops
             .iter()
-            .map(|o| o.parse().expect("ops validated"))
+            .map(|o| by_op.get(&Value::str(o.name())))
             .collect();
-
-        // Estimate each access path by exact index-bucket sizes.
-        let probe_cost = |col: &str, ids: &HashSet<EntityId>| -> usize {
-            ids.iter()
-                .map(|id| {
-                    events
-                        .index_lookup(col, &[Value::from(id.0)])
-                        .map(|v| v.len())
-                        .unwrap_or(usize::MAX / 4)
-                })
-                .sum()
+        let id_path_cost = |idx: &dyn Index, ids: &IdSet, budget: usize| -> Option<usize> {
+            let mut cost = ids.len();
+            for id in ids.iter() {
+                if cost > budget {
+                    return None;
+                }
+                cost += idx.get(&Value::from(id.0)).len();
+            }
+            (cost <= budget).then_some(cost)
         };
-        let op_values: Vec<Value> = ops.iter().map(|o| Value::str(o.as_str())).collect();
-        let op_cost = events
-            .index_lookup("op", &op_values)
-            .map(|v| v.len())
-            .unwrap_or(usize::MAX / 4);
-        let s_cost = probe_cost("subject", &s_ids);
-        let o_cost = probe_cost("object", &o_ids);
-
-        let candidates: Vec<usize> = if s_cost <= o_cost && s_cost <= op_cost {
-            s_ids
-                .iter()
-                .flat_map(|id| {
-                    events
-                        .index_lookup("subject", &[Value::from(id.0)])
-                        .unwrap_or_default()
-                })
-                .collect()
-        } else if o_cost <= op_cost {
-            o_ids
-                .iter()
-                .flat_map(|id| {
-                    events
-                        .index_lookup("object", &[Value::from(id.0)])
-                        .unwrap_or_default()
-                })
-                .collect()
+        let op_cost = op_buckets.iter().map(|b| b.len()).sum();
+        let subject_cost = id_path_cost(by_subject, subjects, op_cost);
+        let object_cost = id_path_cost(by_object, objects, subject_cost.unwrap_or(op_cost));
+        let buckets_of = |idx: &'s dyn Index, ids: &IdSet| -> Vec<&'s [usize]> {
+            ids.iter().map(|id| idx.get(&Value::from(id.0))).collect()
+        };
+        let candidates = if object_cost.is_some() {
+            buckets_of(by_object, objects)
+        } else if subject_cost.is_some() {
+            buckets_of(by_subject, subjects)
         } else {
-            events.index_lookup("op", &op_values).unwrap_or_default()
+            op_buckets
         };
 
-        let mut out = Vec::with_capacity(candidates.len() / 4 + 1);
-        for pos in candidates {
+        let mut out = Vec::new();
+        for &pos in candidates.into_iter().flatten() {
             let ev = self.store.event_at(pos);
-            if !op_set.contains(&ev.op)
-                || !s_ids.contains(&ev.subject)
-                || !o_ids.contains(&ev.object)
+            if !ops.contains(&ev.op)
+                || !subjects.contains(ev.subject)
+                || !objects.contains(ev.object)
+                || pat.window.is_some_and(|w| ev.start < w.lo || ev.end > w.hi)
             {
                 continue;
-            }
-            if let Some(w) = pat.window {
-                if ev.start < w.lo || ev.end > w.hi {
-                    continue;
-                }
             }
             out.push(PatternRow {
                 subject: ev.subject,
                 object: ev.object,
-                events: vec![pos],
+                events: Witness::Event(pos),
                 start: ev.start,
                 end: ev.end,
             });
         }
-        out.sort_by_key(|r| r.events[0]);
+        out.sort_unstable_by_key(|r| r.events.first());
         out
     }
 
@@ -242,19 +232,12 @@ impl<'s> Engine<'s> {
     /// baseline cost the paper's hybrid design avoids).
     fn event_via_graph(
         &self,
-        cq: &CompiledQuery,
         pat: &CompiledPattern,
-        extra: &HashMap<String, Predicate>,
+        ops: &[String],
+        subjects: &IdSet,
+        objects: &IdSet,
     ) -> Vec<PatternRow> {
-        let CompiledShape::Event { ops } = &pat.shape else {
-            unreachable!()
-        };
-        let op_set: HashSet<Operation> = ops
-            .iter()
-            .map(|o| o.parse().expect("ops validated"))
-            .collect();
-        let s_ok = self.entity_filter_set(cq, &pat.subject_var, extra);
-        let o_ok = self.entity_filter_set(cq, &pat.object_var, extra);
+        let ops = parse_ops(ops);
         // A graph store has no attribute indexes over edges; it scans.
         // The scan is parallelized across worker threads (crossbeam),
         // as a production graph database would — but only when the edge
@@ -277,14 +260,12 @@ impl<'s> Engine<'s> {
             let mut handles = Vec::new();
             for w in 0..workers {
                 let (lo, hi) = (w * chunk, ((w + 1) * chunk).min(n));
-                let op_set = &op_set;
-                let s_ok = &s_ok;
-                let o_ok = &o_ok;
+                let ops = &ops;
                 handles.push(scope.spawn(move |_| {
                     let mut local = Vec::new();
                     for idx in lo..hi {
                         let edge = self.store.graph.edge(idx);
-                        if !op_set.contains(&edge.op) {
+                        if !ops.contains(&edge.op) {
                             continue;
                         }
                         if let Some(w) = pat.window {
@@ -292,13 +273,13 @@ impl<'s> Engine<'s> {
                                 continue;
                             }
                         }
-                        if !s_ok.contains(&edge.src) || !o_ok.contains(&edge.dst) {
+                        if !subjects.contains(edge.src) || !objects.contains(edge.dst) {
                             continue;
                         }
                         local.push(PatternRow {
                             subject: edge.src,
                             object: edge.dst,
-                            events: vec![edge.event_pos],
+                            events: Witness::Event(edge.event_pos),
                             start: edge.start,
                             end: edge.end,
                         });
@@ -312,7 +293,7 @@ impl<'s> Engine<'s> {
                 .collect()
         })
         .expect("crossbeam scope");
-        out.sort_by_key(|r| r.events[0]);
+        out.sort_unstable_by_key(|r| r.events.first());
         out
     }
 
@@ -321,9 +302,10 @@ impl<'s> Engine<'s> {
         &self,
         cq: &CompiledQuery,
         pat: &CompiledPattern,
-        extra: &HashMap<String, Predicate>,
+        srcs: &IdSet,
+        dsts: &IdSet,
     ) -> Vec<PatternRow> {
-        let pq = cq.path_plan(pat, self.store, extra);
+        let pq = cq.path_plan(pat, srcs.iter().collect(), dsts.iter().collect());
         pq.search(&self.store.graph)
             .into_iter()
             .map(|p| {
@@ -332,11 +314,12 @@ impl<'s> Engine<'s> {
                 PatternRow {
                     subject: first.src,
                     object: last.dst,
-                    events: p
-                        .edges
-                        .iter()
-                        .map(|&e| self.store.graph.edge(e).event_pos)
-                        .collect(),
+                    events: Witness::Path(
+                        p.edges
+                            .iter()
+                            .map(|&e| self.store.graph.edge(e).event_pos)
+                            .collect(),
+                    ),
                     start: first.start,
                     end: last.end,
                 }
@@ -347,70 +330,88 @@ impl<'s> Engine<'s> {
     /// Path pattern through the relational backend: hop-by-hop frontier
     /// expansion with event-table index lookups — the join cascade a pure
     /// SQL backend would execute.
-    fn path_via_sql(
-        &self,
-        cq: &CompiledQuery,
-        pat: &CompiledPattern,
-        extra: &HashMap<String, Predicate>,
-    ) -> Vec<PatternRow> {
-        let srcs = self.entity_filter_set(cq, &pat.subject_var, extra);
-        let dsts = self.entity_filter_set(cq, &pat.object_var, extra);
-        let events_table = self
+    fn path_via_sql(&self, pat: &CompiledPattern, srcs: &IdSet, dsts: &IdSet) -> Vec<PatternRow> {
+        let by_subject = self
             .store
             .db
-            .table(threatraptor_storage::store::TABLE_EVENT);
+            .table(TABLE_EVENT)
+            .index("subject")
+            .expect("the event table indexes subject");
         expand_paths(
             pat,
-            &srcs,
-            &dsts,
-            &|node| {
-                // SELECT * FROM event WHERE subject = node (index probe).
-                events_table
-                    .index_lookup("subject", &[Value::from(node.0)])
-                    .unwrap_or_default()
-            },
-            &|pos| self.store.event_at(pos),
+            srcs,
+            dsts,
+            // SELECT * FROM event WHERE subject = node (index probe).
+            |node| by_subject.get(&Value::from(node.0)),
+            |pos| self.store.event_at(pos),
         )
-    }
-
-    /// Entity ids satisfying a variable's merged predicate.
-    pub(crate) fn entity_filter_set(
-        &self,
-        cq: &CompiledQuery,
-        var: &str,
-        extra: &HashMap<String, Predicate>,
-    ) -> HashSet<EntityId> {
-        entity_filter_set_in(self.store.db.table(cq.var_tables[var]), cq, var, extra)
     }
 }
 
-/// Entity ids in `table` satisfying `var`'s compiled predicate merged
-/// with any propagated extra filter — the one resolution routine behind
-/// every executor's entity filtering. The caller picks the table: the
-/// single-store [`Engine`] and the path planner probe their store's
-/// catalog, the sharded executor the store-level shared entity tables.
-pub(crate) fn entity_filter_set_in(
-    table: &threatraptor_storage::relational::Table,
-    cq: &CompiledQuery,
-    var: &str,
-    extra: &HashMap<String, Predicate>,
-) -> HashSet<EntityId> {
-    let mut legs = vec![cq.var_predicates[var].clone()];
-    if let Some(p) = extra.get(var) {
-        legs.push(p.clone());
-    }
-    let pred = Predicate::and(legs);
-    table
-        .select(&pred)
-        .into_iter()
-        .map(|rid| EntityId(table.cell(rid, "id").as_int().expect("id column") as u32))
+/// The operations an event pattern admits (names validated by analysis).
+fn parse_ops(ops: &[String]) -> Vec<Operation> {
+    ops.iter()
+        .map(|o| o.parse().expect("ops validated"))
         .collect()
 }
 
+/// Resolves a pattern's `(subject, object)` variables to id sets — the
+/// first half of its data query, done once per pattern whatever the
+/// number of shards scanned afterwards. `table` maps an entity table
+/// name to the table to probe: the single-store [`Engine`] passes its
+/// store's catalog, the sharded executor the store-level shared entity
+/// tables.
+pub(crate) fn resolve_endpoints<'t>(
+    cq: &CompiledQuery,
+    pat: &CompiledPattern,
+    bound: &Bound,
+    table: impl Fn(&str) -> &'t Table,
+) -> (IdSet, IdSet) {
+    let resolve = |var: &str, bound: &Option<IdSet>| {
+        resolve_ids(
+            table(cq.var_tables[var]),
+            &cq.var_predicates[var],
+            bound.as_ref(),
+        )
+    };
+    (
+        resolve(&pat.subject_var, &bound[0]),
+        resolve(&pat.object_var, &bound[1]),
+    )
+}
+
+/// Entity ids in `table` satisfying `pred` and, when earlier patterns
+/// already bound the variable, lying among those ids. With `bound` ids
+/// only their rows are examined (through the `id` index); otherwise the
+/// predicate selects over the table.
+fn resolve_ids(table: &Table, pred: &Predicate, bound: Option<&IdSet>) -> IdSet {
+    match bound {
+        Some(ids) => {
+            let by_id = table.index("id").expect("entity tables index id");
+            let pred = pred.bind(table);
+            ids.iter()
+                .filter(|id| {
+                    by_id
+                        .get(&Value::from(id.0))
+                        .iter()
+                        .any(|&rid| pred.eval(table.row(rid)))
+                })
+                .collect()
+        }
+        None => {
+            let id_col = table.col("id");
+            table
+                .select(pred)
+                .into_iter()
+                .map(|rid| EntityId(table.row(rid)[id_col].as_int().expect("id column") as u32))
+                .collect()
+        }
+    }
+}
+
 /// One pattern's data query as seen by the scheduling driver: pattern +
-/// propagated per-variable filters in, rows out.
-pub(crate) type PatternFetch<'a> =
-    dyn FnMut(&CompiledPattern, &HashMap<String, Predicate>) -> Vec<PatternRow> + 'a;
+/// the ids propagation bound to its variables in, rows out.
+pub(crate) type PatternFetch<'a> = dyn FnMut(&CompiledPattern, &Bound) -> Vec<PatternRow> + 'a;
 
 /// The scheduling driver (paper §II-F): pruning-score ordering,
 /// cross-pattern constraint propagation, join, and projection. The store
@@ -427,40 +428,27 @@ pub(crate) fn run_schedule(
 ) -> HuntResult {
     let t0 = Instant::now();
     let mut stats = HuntStats::default();
+    let schedule = Schedule::new(cq, mode);
+    let layout = &schedule.layout;
 
-    // Execution order.
-    let mut order: Vec<&CompiledPattern> = cq.patterns.iter().collect();
-    if mode == ExecMode::Scheduled {
-        order.sort_by_key(|p| (std::cmp::Reverse(p.score), p.decl_index));
-    }
-
-    let mut partial: Option<Vec<Match>> = None;
-    for pat in &order {
+    let mut partial: Option<Tuples> = None;
+    for step in &schedule.steps {
+        let pat = &cq.patterns[step.pat];
         // Constraint propagation (scheduled mode only): bindings from
-        // already-executed patterns become IN-set filters on shared
+        // already-executed patterns become id-set filters on shared
         // variables.
-        let mut extra: HashMap<String, Predicate> = HashMap::new();
+        let mut bound: Bound = [None, None];
         let mut propagated: Vec<(String, usize)> = Vec::new();
         if mode == ExecMode::Scheduled {
             let t_prop = Instant::now();
-            if let Some(ms) = &partial {
-                for var in [&pat.subject_var, &pat.object_var] {
-                    let ids: HashSet<Value> = ms
-                        .iter()
-                        .filter_map(|m| m.bindings.get(var))
-                        .map(|e| Value::from(e.0))
-                        .collect();
-                    if !ids.is_empty() {
-                        propagated.push((var.clone(), ids.len()));
-                        extra.insert(var.clone(), Predicate::InSet("id".into(), ids));
-                    }
-                }
+            if let Some(tuples) = &partial {
+                bound = propagate(pat, tuples, &mut propagated);
             }
             stats.propagate_elapsed += t_prop.elapsed();
         }
 
         let t_fetch = Instant::now();
-        let rows = fetch(pat, &extra);
+        let rows = fetch(pat, &bound);
         stats.execution_order.push(pat.id.clone());
         stats.rows_fetched.push((pat.id.clone(), rows.len()));
         stats.propagated.push((pat.id.clone(), propagated));
@@ -470,29 +458,33 @@ pub(crate) fn run_schedule(
 
         let t_join = Instant::now();
         let candidates = match &partial {
-            Some(ms) => ms.len() * rows.len(),
+            Some(tuples) => tuples.len() * rows.len(),
             None => rows.len(),
         };
-        partial = Some(join_rows(cq, partial, rows, pat));
+        let joined = join_rows(layout, partial.as_ref(), &rows, pat, step);
         stats.join_stats.push((
             pat.id.clone(),
             JoinStats {
                 candidates,
-                outputs: partial.as_ref().map_or(0, Vec::len),
+                outputs: joined.len(),
             },
         ));
         stats.join_elapsed += t_join.elapsed();
-        if partial.as_ref().is_some_and(Vec::is_empty) {
-            // No match can exist; still record remaining patterns as
-            // skipped with zero rows for the stats.
+        let dead = joined.is_empty();
+        partial = Some(joined);
+        if dead {
+            // No match can exist; the remaining patterns are not run.
             break;
         }
     }
 
-    let matches = partial.unwrap_or_default();
+    let tuples = partial.unwrap_or_else(|| Tuples::new(layout));
     let t_project = Instant::now();
-    let (columns, rows) = project_matches(cq, &matches, entity_attr);
+    let (columns, rows) = project_tuples(cq, &tuples, entity_attr);
     stats.project_elapsed = t_project.elapsed();
+    let t_join = Instant::now();
+    let matches = tuples.to_matches(cq, layout);
+    stats.join_elapsed += t_join.elapsed();
     stats.elapsed = t0.elapsed();
     HuntResult {
         columns,
@@ -502,93 +494,50 @@ pub(crate) fn run_schedule(
     }
 }
 
-/// Joins a pattern's rows into the partial match set, enforcing
-/// shared-entity equality and all decidable temporal constraints.
-/// Free function (not a method): the sharded executor joins globally
-/// after gathering rows from every shard, using the same code path.
-pub(crate) fn join_rows(
+/// Projects complete tuples into the result table. The entity lookup is
+/// a closure so the single-store and sharded executors can project
+/// through their respective stores.
+pub(crate) fn project_tuples(
     cq: &CompiledQuery,
-    partial: Option<Vec<Match>>,
-    rows: Vec<PatternRow>,
-    pat: &CompiledPattern,
-) -> Vec<Match> {
-    let same_var = pat.subject_var == pat.object_var;
-    let rows: Vec<PatternRow> = rows
-        .into_iter()
-        .filter(|r| !same_var || r.subject == r.object)
-        .collect();
-
-    let Some(partial) = partial else {
-        return rows
-            .into_iter()
-            .map(|r| {
-                let mut bindings = HashMap::new();
-                bindings.insert(pat.subject_var.clone(), r.subject);
-                bindings.insert(pat.object_var.clone(), r.object);
-                let mut events = HashMap::new();
-                events.insert(pat.id.clone(), r.events);
-                let mut times = HashMap::new();
-                times.insert(pat.id.clone(), (r.start, r.end));
-                Match {
-                    bindings,
-                    events,
-                    times,
-                }
-            })
-            .collect();
-    };
-
-    let mut out = Vec::new();
-    for m in &partial {
-        for r in &rows {
-            // Shared-variable equality.
-            if let Some(&b) = m.bindings.get(&pat.subject_var) {
-                if b != r.subject {
-                    continue;
-                }
-            }
-            if let Some(&b) = m.bindings.get(&pat.object_var) {
-                if b != r.object {
-                    continue;
-                }
-            }
-            // Temporal constraints involving this pattern.
-            let ok = cq.before.iter().all(|(a, b)| {
-                let ta = if a == &pat.id {
-                    Some((r.start, r.end))
-                } else {
-                    m.times.get(a).copied()
-                };
-                let tb = if b == &pat.id {
-                    Some((r.start, r.end))
-                } else {
-                    m.times.get(b).copied()
-                };
-                match (ta, tb) {
-                    (Some(x), Some(y)) => x.1 < y.0,
-                    _ => true, // undecidable yet
-                }
-            });
-            if !ok {
-                continue;
-            }
-            let mut nm = m.clone();
-            nm.bindings.insert(pat.subject_var.clone(), r.subject);
-            nm.bindings.insert(pat.object_var.clone(), r.object);
-            nm.events.insert(pat.id.clone(), r.events.clone());
-            nm.times.insert(pat.id.clone(), (r.start, r.end));
-            out.push(nm);
-        }
-    }
-    out
+    tuples: &Tuples,
+    entity_attr: &dyn Fn(EntityId, &str) -> Option<String>,
+) -> (Vec<String>, Vec<Vec<String>>) {
+    project(
+        cq,
+        tuples.len(),
+        &|i, col| tuples.ent(i, cq.return_slots[col]),
+        entity_attr,
+    )
 }
 
-/// Projects matches into the result table. The entity lookup is a closure
-/// so the single-store and sharded executors can project through their
-/// respective stores.
+/// [`project_tuples`] for materialized matches.
 pub(crate) fn project_matches(
     cq: &CompiledQuery,
     matches: &[Match],
+    entity_attr: &dyn Fn(EntityId, &str) -> Option<String>,
+) -> (Vec<String>, Vec<Vec<String>>) {
+    project(
+        cq,
+        matches.len(),
+        &|i, col| matches[i].bindings[&cq.returns[col].0],
+        entity_attr,
+    )
+}
+
+/// Renders the return clause for `n` matches, `id_at(match, column)`
+/// giving the entity a return column refers to.
+///
+/// A `distinct` query renders each entity's attribute once per column
+/// and interns the strings, then deduplicates matches on their tuples of
+/// interned ids before building any row — a haystack query keeps a few
+/// dozen rows of thousands of matches, and distinct entity ids often
+/// render alike (every `/bin/cat` process), so deduplicating on entity
+/// ids alone would still render most of them. Surviving rows are sorted,
+/// as a `distinct` result always was.
+fn project(
+    cq: &CompiledQuery,
+    n: usize,
+    id_at: &dyn Fn(usize, usize) -> EntityId,
     entity_attr: &dyn Fn(EntityId, &str) -> Option<String>,
 ) -> (Vec<String>, Vec<Vec<String>>) {
     let columns: Vec<String> = cq
@@ -596,21 +545,52 @@ pub(crate) fn project_matches(
         .iter()
         .map(|(var, attr)| format!("{var}.{attr}"))
         .collect();
-    let mut rows: Vec<Vec<String>> = matches
-        .iter()
-        .map(|m| {
-            cq.returns
-                .iter()
-                .map(|(var, attr)| {
-                    entity_attr(m.bindings[var], attr).unwrap_or_else(|| "<none>".into())
-                })
-                .collect()
-        })
-        .collect();
-    if cq.distinct {
-        rows.sort();
-        rows.dedup();
+    let render =
+        |id: EntityId, attr: &str| entity_attr(id, attr).unwrap_or_else(|| "<none>".into());
+    if !cq.distinct {
+        let rows = (0..n)
+            .map(|i| {
+                cq.returns
+                    .iter()
+                    .enumerate()
+                    .map(|(col, (_, attr))| render(id_at(i, col), attr))
+                    .collect()
+            })
+            .collect();
+        return (columns, rows);
     }
+
+    const UNSEEN: u32 = u32::MAX;
+    let width = cq.returns.len();
+    let mut strings: Vec<String> = Vec::new();
+    let mut string_ids: HashMap<String, u32> = HashMap::new();
+    // Per column: entity id → interned id of its rendered attribute.
+    let mut rendered: Vec<Vec<u32>> = vec![Vec::new(); width];
+    let mut keys: Vec<u32> = Vec::with_capacity(n * width);
+    for i in 0..n {
+        for (col, (_, attr)) in cq.returns.iter().enumerate() {
+            let id = id_at(i, col);
+            let memo = &mut rendered[col];
+            if memo.len() <= id.index() {
+                memo.resize(id.index() + 1, UNSEEN);
+            }
+            if memo[id.index()] == UNSEEN {
+                let text = render(id, attr);
+                memo[id.index()] = *string_ids.entry(text).or_insert_with_key(|text| {
+                    strings.push(text.clone());
+                    (strings.len() - 1) as u32
+                });
+            }
+            keys.push(memo[id.index()]);
+        }
+    }
+    let mut seen: HashSet<&[u32]> = HashSet::new();
+    let mut rows: Vec<Vec<String>> = (0..n)
+        .map(|i| &keys[i * width..(i + 1) * width])
+        .filter(|key| seen.insert(key))
+        .map(|key| key.iter().map(|&s| strings[s as usize].clone()).collect())
+        .collect();
+    rows.sort();
     (columns, rows)
 }
 
@@ -627,14 +607,17 @@ pub(crate) const MAX_PATH_MATCHES: usize = 100_000;
 /// this subject" and `event_at` resolves a position. The single-store
 /// executor backs these with one event table; the sharded executor merges
 /// every shard's index probes into global positions — giving identical
-/// path semantics whether the events live in one store or many. Output is
-/// truncated at [`MAX_PATH_MATCHES`], like the graph backend.
-pub(crate) fn expand_paths<'a>(
+/// path semantics whether the events live in one store or many. A probe
+/// *lends* its positions (`P` is a borrowed slice or a shared handle to a
+/// memoized merge), because a hot node is probed once per partial path
+/// reaching it. Output is truncated at [`MAX_PATH_MATCHES`], like the
+/// graph backend.
+pub(crate) fn expand_paths<'a, P: Deref<Target = [usize]>>(
     pat: &CompiledPattern,
-    srcs: &HashSet<EntityId>,
-    dsts: &HashSet<EntityId>,
-    subject_index: &dyn Fn(EntityId) -> Vec<usize>,
-    event_at: &dyn Fn(usize) -> &'a Event,
+    srcs: &IdSet,
+    dsts: &IdSet,
+    subject_index: impl Fn(EntityId) -> P,
+    event_at: impl Fn(usize) -> &'a Event,
 ) -> Vec<PatternRow> {
     let CompiledShape::Path {
         min_hops,
@@ -660,12 +643,10 @@ pub(crate) fn expand_paths<'a>(
         end: u64,
         events: Vec<usize>,
     }
-    // Sorted sources keep the expansion order (and any truncated subset)
-    // deterministic; HashSet iteration order is not.
-    let mut sources: Vec<EntityId> = srcs.iter().copied().collect();
-    sources.sort_unstable_by_key(|e| e.0);
-    let mut frontier: Vec<PartialPath> = sources
-        .into_iter()
+    // Ascending sources (an `IdSet` iterates in id order) keep the
+    // expansion order, and any truncated subset, deterministic.
+    let mut frontier: Vec<PartialPath> = srcs
+        .iter()
         .map(|n| PartialPath {
             node: n,
             start: 0,
@@ -678,7 +659,7 @@ pub(crate) fn expand_paths<'a>(
         let mut next = Vec::new();
         for p in &frontier {
             // SELECT * FROM event WHERE subject = p.node AND start >= p.end
-            for rid in subject_index(p.node) {
+            for &rid in subject_index(p.node).iter() {
                 let ev = event_at(rid);
                 if !p.events.is_empty() && ev.start < p.end {
                     continue; // time-monotone
@@ -698,11 +679,11 @@ pub(crate) fn expand_paths<'a>(
                 np.end = ev.end;
                 np.events.push(rid);
                 np.node = ev.object;
-                if hop >= *min_hops && ev.op == last_op && dsts.contains(&ev.object) {
+                if hop >= *min_hops && ev.op == last_op && dsts.contains(ev.object) {
                     out.push(PatternRow {
                         subject: EntityId(event_at(np.events[0]).subject.0),
                         object: ev.object,
-                        events: np.events.clone(),
+                        events: Witness::Path(np.events.as_slice().into()),
                         start: np.start,
                         end: np.end,
                     });
@@ -722,7 +703,7 @@ pub(crate) fn expand_paths<'a>(
     // (hop-major expansion order would differ from the graph backend's
     // depth-first order; sorted order agrees with neither but is the same
     // for every executor that goes through this function).
-    out.sort_unstable_by(|a, b| a.events.cmp(&b.events));
+    out.sort_unstable_by(|a, b| a.events.positions().cmp(b.events.positions()));
     out
 }
 
@@ -870,6 +851,32 @@ mod tests {
             "proc p[\"%/bin/tar%\"] read file f[\"%/etc/passwd%\"] as e1 window [0, 1] return p";
         let r = engine.hunt(q).unwrap();
         assert!(r.is_empty());
+    }
+
+    #[test]
+    fn distinct_projection_merges_ids_that_render_alike() {
+        let compiled =
+            |tbql: &str| compile(&analyze(&parse_query(tbql).unwrap()).unwrap()).unwrap();
+        // Entities 1 and 2 are two processes running the same binary.
+        let attr = |id: EntityId, _: &str| {
+            Some(match id.0 {
+                1 | 2 => "/bin/cat".to_string(),
+                n => format!("/f{n}"),
+            })
+        };
+        let ids = [[2u32, 11], [1, 10], [2, 10], [1, 10], [1, 11]];
+        let id_at = |i: usize, col: usize| EntityId(ids[i][col]);
+
+        let cq = compiled("proc p read file f return distinct p, f");
+        let (columns, rows) = project(&cq, ids.len(), &id_at, &attr);
+        assert_eq!(columns, ["p.exename", "f.name"]);
+        assert_eq!(rows, [["/bin/cat", "/f10"], ["/bin/cat", "/f11"]]);
+
+        // Without `distinct`, every match keeps its row, in match order.
+        let cq = compiled("proc p read file f return p, f");
+        let (_, rows) = project(&cq, ids.len(), &id_at, &attr);
+        assert_eq!(rows.len(), 5);
+        assert_eq!(rows[0], ["/bin/cat", "/f11"]);
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //!
 //! [`ShardedEngine::explain`] renders the *compiled plan*: the
 //! pruning-score pattern schedule, each pattern's merged entity
-//! filters, backend choice, and predicted shard fan-out.
+//! filters, backend choice, hash-join key, and predicted shard fan-out.
 //! [`ShardedEngine::explain_analyze`] executes the hunt and attaches
 //! *actuals*: per-pattern × per-shard rows scanned (exactly the counts
 //! the engine's `engine_rows_scanned_total` counters export),
@@ -13,9 +13,10 @@
 use std::fmt::Write as _;
 use std::time::Duration;
 
-use crate::compile::{compile, CompiledPattern, CompiledQuery, CompiledShape};
+use crate::compile::{compile, CompiledQuery, CompiledShape};
 use crate::error::EngineError;
 use crate::exec::ExecMode;
+use crate::join::Schedule;
 use crate::result::{HuntResult, HuntStats, JoinStats};
 use crate::sharded::ShardedEngine;
 use threatraptor_tbql::analyze::analyze;
@@ -40,6 +41,10 @@ pub struct ExplainEntry {
     pub filters: Vec<(String, String)>,
     /// Predicted shard fan-out of the data query.
     pub fanout: usize,
+    /// How the pattern's rows meet the partial matches: `seed` for the
+    /// first pattern, `hash(p)` / `hash(p,f)` naming the already-bound
+    /// variables the hash join keys on, `cross` when it shares none.
+    pub join_key: String,
     /// Predicted DBM-clamped feasible time range `(lo, hi)`, present
     /// when the closure tightened the pattern beyond its own window.
     pub bounds: Option<(u64, u64)>,
@@ -160,12 +165,13 @@ impl ExplainReport {
         for (i, e) in self.entries.iter().enumerate() {
             writeln!(
                 out,
-                "  {}. {}  {}  score={}  backend={}  fan-out={} shard{}",
+                "  {}. {}  {}  score={}  backend={}  join-key={}  fan-out={} shard{}",
                 i + 1,
                 e.pattern,
                 e.shape,
                 e.score,
                 e.backend,
+                e.join_key,
                 e.fanout,
                 if e.fanout == 1 { "" } else { "s" }
             )
@@ -208,9 +214,12 @@ impl ExplainReport {
                         .collect::<Vec<_>>()
                         .join(", ")
                 };
+                // Actuals follow execution order, which is the schedule's
+                // (possibly cut short by an empty join).
+                let key = self.entries.get(i).map_or("?", |e| e.join_key.as_str());
                 writeln!(
                     out,
-                    "  {}. {}: rows={} [{}]  pruned={}  propagated={}  join {}→{} ({:.1}%)  {:.3?}",
+                    "  {}. {}: rows={} [{}]  pruned={}  propagated={}  join {}→{} ({:.1}%) {}  {:.3?}",
                     i + 1,
                     p.pattern,
                     p.total_rows(),
@@ -220,6 +229,7 @@ impl ExplainReport {
                     p.join.candidates,
                     p.join.outputs,
                     p.join.selectivity() * 100.0,
+                    key,
                     p.elapsed
                 )
                 .unwrap();
@@ -243,14 +253,14 @@ pub(crate) fn plan_report(
     mode: ExecMode,
     shards: usize,
 ) -> ExplainReport {
-    // Schedule order: what `run_schedule` will do under this mode.
-    let mut order: Vec<&CompiledPattern> = cq.patterns.iter().collect();
-    if mode == ExecMode::Scheduled {
-        order.sort_by_key(|p| (std::cmp::Reverse(p.score), p.decl_index));
-    }
-    let entries = order
+    // The same schedule `run_schedule` derives under this mode.
+    let schedule = Schedule::new(cq, mode);
+    let entries = schedule
+        .steps
         .iter()
-        .map(|pat| {
+        .enumerate()
+        .map(|(i, step)| {
+            let pat = &cq.patterns[step.pat];
             let (shape, backend) = match (&pat.shape, mode) {
                 (CompiledShape::Event { ops }, ExecMode::GraphOnly) => {
                     (format!("event[{}]", ops.join("|")), "graph")
@@ -295,6 +305,7 @@ pub(crate) fn plan_report(
                 backend,
                 filters,
                 fanout: shards,
+                join_key: step.key_label(cq, i == 0),
                 bounds: pat.bounds.map(|b| (b.lo, b.hi)),
             }
         })
@@ -423,6 +434,28 @@ mod tests {
         assert!(text.contains("schedule:"));
         assert!(text.contains("fan-out=4 shards"));
         assert!(!text.contains("actuals:"));
+    }
+
+    #[test]
+    fn explain_names_each_patterns_join_key() {
+        let store = store(2);
+        let engine = ShardedEngine::new(&store);
+        let tbql = "proc p read file f as e1 proc p write file f as e2 \
+                    proc q read file g as e3 with e1 before e2 return p, f, q";
+        let (_, report) = engine.explain_analyze(tbql, ExecMode::Unscheduled).unwrap();
+        let keys: Vec<&str> = report.entries.iter().map(|e| e.join_key.as_str()).collect();
+        assert_eq!(keys, ["seed", "hash(p,f)", "cross"]);
+        let text = report.render();
+        assert!(text.contains("join-key=hash(p,f)"), "{text}");
+        // The actuals line carries the key next to the join counts,
+        // whose candidates stay the logical |partial| × |rows|.
+        let actuals = report.actuals.as_ref().unwrap();
+        let (seed, joined) = (&actuals.patterns[0], &actuals.patterns[1]);
+        assert_eq!(
+            joined.join.candidates,
+            seed.join.outputs * joined.total_rows()
+        );
+        assert!(text.contains("%) hash(p,f)  "), "{text}");
     }
 
     #[test]

@@ -4,12 +4,14 @@
 //! ordering, same constraint propagation, same join — but each pattern's
 //! *data query* fans out across the store's shards:
 //!
-//! * **event patterns** run the per-shard data query (with the same
-//!   propagated filters) on every shard, in parallel on scoped threads;
-//!   shard-local row positions are translated to global positions and the
-//!   gathered rows are merged in deterministic (global position) order —
-//!   which is precisely the order the single-store executor produces,
-//!   since shards are contiguous slices of the same event stream;
+//! * **event patterns** resolve their entity predicates (and propagated
+//!   bindings) to id sets **once**, against the store-level entity
+//!   tables, and hand the same sets to every shard's event scan, in
+//!   parallel on scoped threads; shard-local row positions are translated
+//!   to global positions and the gathered rows are merged in
+//!   deterministic (global position) order — which is precisely the order
+//!   the single-store executor produces, since shards are contiguous
+//!   slices of the same event stream;
 //! * **path patterns** cannot be answered per shard (a multi-hop flow may
 //!   cross a time-window boundary), so they run as hop-by-hop frontier
 //!   expansion where each hop's index probe is the sorted union of every
@@ -30,12 +32,18 @@
 
 use crate::compile::{compile, CompiledPattern, CompiledQuery, CompiledShape};
 use crate::error::EngineError;
-use crate::exec::{expand_paths, project_matches, run_schedule, Engine, ExecMode, PatternRow};
+use crate::exec::{
+    expand_paths, project_matches, project_tuples, resolve_endpoints, run_schedule, Engine,
+    ExecMode,
+};
+use crate::idset::IdSet;
+use crate::join::{Bound, PatternRow, Tuples};
 use crate::result::{HuntResult, Match};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
+use std::rc::Rc;
 use threatraptor_audit::entity::EntityId;
 use threatraptor_obs::Registry;
-use threatraptor_storage::relational::{Predicate, Value};
+use threatraptor_storage::relational::Value;
 use threatraptor_storage::sharded::ShardedStore;
 use threatraptor_storage::store::TABLE_EVENT;
 use threatraptor_tbql::analyze::{analyze, AnalyzedQuery};
@@ -129,8 +137,8 @@ impl<'s> ShardedEngine<'s> {
         let mut result = run_schedule(
             cq,
             mode,
-            &mut |pat, extra| {
-                let (rows, per_shard, pruned) = self.fetch_pattern(cq, pat, extra, mode, 0);
+            &mut |pat, bound| {
+                let (rows, per_shard, pruned) = self.fetch_pattern(cq, pat, bound, mode, 0);
                 shard_rows.borrow_mut().push((pat.id.clone(), per_shard));
                 rows_pruned.borrow_mut().push((pat.id.clone(), pruned));
                 rows
@@ -175,25 +183,14 @@ impl<'s> ShardedEngine<'s> {
         project_matches(cq, matches, &|id, attr| self.store.entity(id).attr(attr))
     }
 
-    /// Entity ids satisfying a variable's merged predicate, resolved
-    /// against the **store-level** entity tables. In a batch store these
-    /// are the same physical tables every shard shares; in a streaming
-    /// snapshot they are the authoritative current tables — sealed shards
-    /// carry only the (sufficient for shard-local residuals, but
-    /// incomplete) entity prefix known when they were frozen, so probing
-    /// shard 0 would miss entities that arrived after the oldest seal.
-    fn global_entity_filter_set(
+    /// [`ShardedEngine::project`] over slot tuples (the delta executor's
+    /// not yet materialized matches).
+    pub(crate) fn project_tuples(
         &self,
         cq: &CompiledQuery,
-        var: &str,
-        extra: &HashMap<String, Predicate>,
-    ) -> HashSet<EntityId> {
-        crate::exec::entity_filter_set_in(
-            self.store.entity_table(cq.var_tables[var]),
-            cq,
-            var,
-            extra,
-        )
+        tuples: &Tuples,
+    ) -> (Vec<String>, Vec<Vec<String>>) {
+        project_tuples(cq, tuples, &|id, attr| self.store.entity(id).attr(attr))
     }
 
     /// Runs one pattern's data query across all shards; the returned rows
@@ -201,6 +198,13 @@ impl<'s> ShardedEngine<'s> {
     /// Also returns the per-shard row counts (index = shard) feeding the
     /// execution profile, and the number of rows the DBM feasible-range
     /// clamp excluded.
+    ///
+    /// Entity predicates are resolved here, once per pattern, against the
+    /// **store-level** entity tables. In a batch store these are the same
+    /// physical tables every shard shares; in a streaming snapshot they
+    /// are the authoritative current tables — sealed shards carry only
+    /// the entity prefix known when they were frozen, so probing shard 0
+    /// would miss entities that arrived after the oldest seal.
     ///
     /// `min_pos` restricts event-pattern scans to rows whose witness
     /// position is at least `min_pos` — the delta executor's epoch-range
@@ -212,23 +216,24 @@ impl<'s> ShardedEngine<'s> {
         &self,
         cq: &CompiledQuery,
         pat: &CompiledPattern,
-        extra: &HashMap<String, Predicate>,
+        bound: &Bound,
         mode: ExecMode,
         min_pos: usize,
     ) -> (Vec<PatternRow>, Vec<usize>, usize) {
+        let (subjects, objects) =
+            resolve_endpoints(cq, pat, bound, |table| self.store.entity_table(table));
+        let shard_of = |r: &PatternRow| self.store.locate(r.events.first()).0;
         let (mut rows, mut per_shard) = match pat.shape {
             CompiledShape::Event { .. } => {
-                self.scatter_event_pattern(cq, pat, extra, mode, min_pos)
+                self.scatter_event_pattern(cq, pat, &subjects, &objects, mode, min_pos)
             }
             CompiledShape::Path { .. } => {
-                let rows = self.path_over_shards(cq, pat, extra);
+                let rows = self.path_over_shards(pat, &subjects, &objects);
                 // Paths expand globally; attribute each row to the shard
                 // holding its first hop so profile totals still add up.
                 let mut per_shard = vec![0usize; self.store.shard_count()];
                 for r in &rows {
-                    if let Some(&pos) = r.events.first() {
-                        per_shard[self.shard_of(pos)] += 1;
-                    }
+                    per_shard[shard_of(r)] += 1;
                 }
                 (rows, per_shard)
             }
@@ -244,9 +249,7 @@ impl<'s> ShardedEngine<'s> {
                 let keep = r.start >= b.lo && r.end <= b.hi;
                 if !keep {
                     pruned += 1;
-                    if let Some(&pos) = r.events.first() {
-                        per_shard[self.shard_of(pos)] -= 1;
-                    }
+                    per_shard[shard_of(r)] -= 1;
                 }
                 keep
             });
@@ -254,51 +257,19 @@ impl<'s> ShardedEngine<'s> {
         (rows, per_shard, pruned)
     }
 
-    /// The shard holding global event position `pos`.
-    fn shard_of(&self, pos: usize) -> usize {
-        let mut shard = 0;
-        for i in 0..self.store.shard_count() {
-            if self.store.offset(i) <= pos {
-                shard = i;
-            } else {
-                break;
-            }
-        }
-        shard
-    }
-
-    /// Event-pattern scatter: each shard evaluates the pattern over its
-    /// own slice of the stream with the single-store executor, then rows
-    /// are translated to global positions and merge-sorted.
-    ///
-    /// Entity predicates are resolved to id sets **once** against the
-    /// store-level entity tables and pushed down as indexed `id IN (…)`
-    /// filters; each shard then probes its id B-tree instead of
-    /// re-running `LIKE` scans over the full entity tables — without
-    /// this, per-shard entity filtering costs `shards ×` the
-    /// single-store price.
+    /// Event-pattern scatter: each shard scans its own slice of the
+    /// stream with the single-store executor, given the already resolved
+    /// id sets, then rows are translated to global positions and
+    /// concatenated in shard order.
     fn scatter_event_pattern(
         &self,
         cq: &CompiledQuery,
         pat: &CompiledPattern,
-        extra: &HashMap<String, Predicate>,
+        subjects: &IdSet,
+        objects: &IdSet,
         mode: ExecMode,
         min_pos: usize,
     ) -> (Vec<PatternRow>, Vec<usize>) {
-        let mut extra = extra.clone();
-        for var in [&pat.subject_var, &pat.object_var] {
-            let ids: HashSet<Value> = self
-                .global_entity_filter_set(cq, var, &extra)
-                .into_iter()
-                .map(|e| Value::from(e.0))
-                .collect();
-            // The set is exactly the ids satisfying the variable's merged
-            // predicate, so per shard the residual evaluation touches only
-            // these rows.
-            extra.insert(var.clone(), Predicate::InSet("id".into(), ids));
-        }
-        let extra = &extra;
-
         let n = self.store.shard_count();
         let run_shard = |i: usize| -> Vec<PatternRow> {
             let offset = self.store.offset(i);
@@ -308,9 +279,9 @@ impl<'s> ShardedEngine<'s> {
                 return Vec::new();
             }
             let engine = Engine::new(self.store.shard(i));
-            let mut rows = engine.run_pattern(cq, pat, extra, mode);
+            let mut rows = engine.scan_pattern(cq, pat, subjects, objects, mode);
             for r in &mut rows {
-                for pos in &mut r.events {
+                for pos in r.events.positions_mut() {
                     *pos += offset;
                 }
             }
@@ -318,7 +289,7 @@ impl<'s> ShardedEngine<'s> {
                 // Boundary shard: keep only rows witnessing the fresh
                 // range (compaction can merge a former seal boundary
                 // into the middle of a shard).
-                rows.retain(|r| r.events.iter().any(|&p| p >= min_pos));
+                rows.retain(|r| r.events.positions().iter().any(|&p| p >= min_pos));
             }
             rows
         };
@@ -343,46 +314,49 @@ impl<'s> ShardedEngine<'s> {
     /// one global event table.
     fn path_over_shards(
         &self,
-        cq: &CompiledQuery,
         pat: &CompiledPattern,
-        extra: &HashMap<String, Predicate>,
+        srcs: &IdSet,
+        dsts: &IdSet,
     ) -> Vec<PatternRow> {
-        // Endpoint sets come from the store-level entity tables (the
-        // authoritative, complete tables in both batch and streaming
-        // stores).
-        let srcs = self.global_entity_filter_set(cq, &pat.subject_var, extra);
-        let dsts = self.global_entity_filter_set(cq, &pat.object_var, extra);
-
         // The expansion probes the same hot nodes repeatedly (a node
         // reached by many partial paths is probed once per path per hop),
         // and each probe here costs shard_count index lookups + a sort.
         // The store is immutable for the duration of the call, so memoize
-        // merged probe results per node.
-        let memo: std::cell::RefCell<HashMap<EntityId, Vec<usize>>> =
+        // merged probe results per node and lend them out by handle.
+        let by_subject: Vec<_> = (0..self.store.shard_count())
+            .map(|i| {
+                self.store
+                    .shard(i)
+                    .db
+                    .table(TABLE_EVENT)
+                    .index("subject")
+                    .expect("the event table indexes subject")
+            })
+            .collect();
+        let memo: std::cell::RefCell<HashMap<EntityId, Rc<[usize]>>> =
             std::cell::RefCell::new(HashMap::new());
         expand_paths(
             pat,
-            &srcs,
-            &dsts,
-            &|node| {
-                if let Some(positions) = memo.borrow().get(&node) {
-                    return positions.clone();
-                }
-                let mut positions: Vec<usize> = (0..self.store.shard_count())
-                    .flat_map(|i| {
-                        let table = self.store.shard(i).db.table(TABLE_EVENT);
-                        table
-                            .index_lookup("subject", &[Value::from(node.0)])
-                            .unwrap_or_default()
-                            .into_iter()
-                            .map(move |local| self.store.offset(i) + local)
-                    })
-                    .collect();
-                positions.sort_unstable();
-                memo.borrow_mut().insert(node, positions.clone());
-                positions
+            srcs,
+            dsts,
+            |node| {
+                let mut memo = memo.borrow_mut();
+                let positions = memo.entry(node).or_insert_with(|| {
+                    let key = Value::from(node.0);
+                    // Shards are contiguous position ranges and every
+                    // bucket ascends, so shard order is sorted order.
+                    by_subject
+                        .iter()
+                        .enumerate()
+                        .flat_map(|(i, idx)| {
+                            let offset = self.store.offset(i);
+                            idx.get(&key).iter().map(move |local| offset + local)
+                        })
+                        .collect()
+                });
+                Rc::clone(positions)
             },
-            &|pos| self.store.event_at(pos),
+            |pos| self.store.event_at(pos),
         )
     }
 }

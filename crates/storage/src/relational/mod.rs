@@ -13,7 +13,7 @@ mod table;
 mod value;
 
 pub use index::{BTreeIndex, HashIndex, Index};
-pub use predicate::{CmpOp, Predicate};
+pub use predicate::{BoundPredicate, CmpOp, Predicate};
 pub use select::{JoinCond, SqlSelect, TableRef};
 pub use table::{Column, Database, Row, RowId, Table};
 pub use value::{like_match, Value};

@@ -103,18 +103,25 @@ impl Predicate {
     ///
     /// Panics if the predicate references a column the table lacks — the
     /// engine validates schemas before execution, so that is a logic bug.
+    /// Resolves column names on every call; to evaluate many rows, bind
+    /// once with [`Predicate::bind`].
     pub fn eval(&self, table: &Table, row: &Row) -> bool {
+        self.bind(table).eval(row)
+    }
+
+    /// Resolves every column name to its position in `table` once, so a
+    /// scan evaluates rows by position instead of hashing a column name
+    /// per leaf per row. Panics on unknown columns, like
+    /// [`Predicate::eval`].
+    pub fn bind<'p>(&'p self, table: &Table) -> BoundPredicate<'p> {
         match self {
-            Predicate::True => true,
-            Predicate::Cmp(col, op, value) => op.eval(&row[table.col(col)], value),
-            Predicate::Like(col, pattern) => match &row[table.col(col)] {
-                Value::Str(s) => like_match(pattern, s),
-                Value::Int(i) => like_match(pattern, &i.to_string()),
-            },
-            Predicate::InSet(col, set) => set.contains(&row[table.col(col)]),
-            Predicate::And(ps) => ps.iter().all(|p| p.eval(table, row)),
-            Predicate::Or(ps) => ps.iter().any(|p| p.eval(table, row)),
-            Predicate::Not(p) => !p.eval(table, row),
+            Predicate::True => BoundPredicate::True,
+            Predicate::Cmp(col, op, value) => BoundPredicate::Cmp(table.col(col), *op, value),
+            Predicate::Like(col, pattern) => BoundPredicate::Like(table.col(col), pattern),
+            Predicate::InSet(col, set) => BoundPredicate::InSet(table.col(col), set),
+            Predicate::And(ps) => BoundPredicate::And(ps.iter().map(|p| p.bind(table)).collect()),
+            Predicate::Or(ps) => BoundPredicate::Or(ps.iter().map(|p| p.bind(table)).collect()),
+            Predicate::Not(p) => BoundPredicate::Not(Box::new(p.bind(table))),
         }
     }
 
@@ -191,6 +198,44 @@ impl Predicate {
                 .collect::<Vec<_>>()
                 .join(" OR "),
             Predicate::Not(p) => format!("NOT ({})", p.to_sql(alias)),
+        }
+    }
+}
+
+/// A [`Predicate`] with its column names resolved to positions of one
+/// table's schema ([`Predicate::bind`]); borrows the predicate's values.
+#[derive(Debug, Clone)]
+pub enum BoundPredicate<'p> {
+    /// Always true.
+    True,
+    /// `row[pos] <op> value`
+    Cmp(usize, CmpOp, &'p Value),
+    /// `row[pos] LIKE pattern`
+    Like(usize, &'p str),
+    /// `row[pos] IN (…)`
+    InSet(usize, &'p HashSet<Value>),
+    /// Conjunction.
+    And(Vec<BoundPredicate<'p>>),
+    /// Disjunction.
+    Or(Vec<BoundPredicate<'p>>),
+    /// Negation.
+    Not(Box<BoundPredicate<'p>>),
+}
+
+impl BoundPredicate<'_> {
+    /// Evaluates against a row of the table this predicate was bound to.
+    pub fn eval(&self, row: &Row) -> bool {
+        match self {
+            BoundPredicate::True => true,
+            BoundPredicate::Cmp(pos, op, value) => op.eval(&row[*pos], value),
+            BoundPredicate::Like(pos, pattern) => match &row[*pos] {
+                Value::Str(s) => like_match(pattern, s),
+                Value::Int(i) => like_match(pattern, &i.to_string()),
+            },
+            BoundPredicate::InSet(pos, set) => set.contains(&row[*pos]),
+            BoundPredicate::And(ps) => ps.iter().all(|p| p.eval(row)),
+            BoundPredicate::Or(ps) => ps.iter().any(|p| p.eval(row)),
+            BoundPredicate::Not(p) => !p.eval(row),
         }
     }
 }

@@ -146,24 +146,26 @@ impl Table {
         self.btree_indexes.insert(col.to_string(), idx);
     }
 
+    /// The best available index on `col` (hash before B-tree), or `None`
+    /// when the column has none. Probes through the handle borrow their
+    /// buckets (`&[RowId]`) straight from the index — cost estimation
+    /// needs only a bucket's length, and a scan can walk it in place.
+    pub fn index(&self, col: &str) -> Option<&dyn Index> {
+        if let Some(idx) = self.hash_indexes.get(col) {
+            return Some(idx);
+        }
+        self.btree_indexes.get(col).map(|idx| idx as &dyn Index)
+    }
+
     /// Returns row ids whose `col` equals any of `values`, via the best
     /// available index; `None` when no index exists on `col`.
     pub fn index_lookup(&self, col: &str, values: &[Value]) -> Option<Vec<RowId>> {
-        if let Some(idx) = self.hash_indexes.get(col) {
-            let mut out = Vec::new();
-            for v in values {
-                out.extend_from_slice(idx.get(v));
-            }
-            return Some(out);
+        let idx = self.index(col)?;
+        let mut out = Vec::new();
+        for v in values {
+            out.extend_from_slice(idx.get(v));
         }
-        if let Some(idx) = self.btree_indexes.get(col) {
-            let mut out = Vec::new();
-            for v in values {
-                out.extend_from_slice(idx.get(v));
-            }
-            return Some(out);
-        }
-        None
+        Some(out)
     }
 
     /// Returns row ids whose `col` lies in `[lo, hi]` via a B-tree index;
@@ -189,18 +191,20 @@ impl Table {
                 pred.pinned_values(col)
                     .and_then(|vals| self.index_lookup(col, &vals))
             });
+        // Column names resolve to positions once per call, not per row.
+        let bound = pred.bind(self);
         match candidate {
             Some(mut rids) => {
                 rids.sort_unstable();
                 rids.dedup();
-                rids.retain(|&rid| pred.eval(self, &self.rows[rid]));
+                rids.retain(|&rid| bound.eval(&self.rows[rid]));
                 rids
             }
             None => self
                 .rows
                 .iter()
                 .enumerate()
-                .filter(|(_, row)| pred.eval(self, row))
+                .filter(|(_, row)| bound.eval(row))
                 .map(|(rid, _)| rid)
                 .collect(),
         }

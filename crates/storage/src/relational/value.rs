@@ -116,35 +116,57 @@ impl From<String> for Value {
 /// as in PostgreSQL.
 ///
 /// Implemented with the classic two-pointer wildcard algorithm — O(n·m)
-/// worst case but linear on typical patterns, with no allocation.
+/// worst case but linear on typical patterns, with no allocation: it
+/// walks the UTF-8 bytes directly. Both wildcards are ASCII, so a
+/// wildcard byte in the pattern is never part of a multi-byte character;
+/// literals compare bytewise (equal byte runs are equal characters), and
+/// `_` and the `%` backtrack step advance the text by one whole
+/// character, so the text cursor only ever rests on a character boundary
+/// when a wildcard is examined.
 pub fn like_match(pattern: &str, text: &str) -> bool {
-    let p: Vec<char> = pattern.chars().collect();
-    let t: Vec<char> = text.chars().collect();
+    let (p, t) = (pattern.as_bytes(), text.as_bytes());
     let (mut pi, mut ti) = (0usize, 0usize);
-    // Backtrack anchors for the most recent `%`.
-    let mut star: Option<usize> = None;
-    let mut star_ti = 0usize;
+    // Backtrack anchors for the most recent `%`: the pattern position
+    // after it and the text position it currently absorbs up to.
+    let mut star: Option<(usize, usize)> = None;
     while ti < t.len() {
-        if pi < p.len() && (p[pi] == '_' || p[pi] == t[ti]) {
-            pi += 1;
-            ti += 1;
-        } else if pi < p.len() && p[pi] == '%' {
-            star = Some(pi);
-            star_ti = ti;
-            pi += 1;
-        } else if let Some(s) = star {
-            // Retry: let the last `%` absorb one more character.
-            pi = s + 1;
-            star_ti += 1;
-            ti = star_ti;
-        } else {
-            return false;
+        match p.get(pi) {
+            Some(b'%') => {
+                pi += 1;
+                star = Some((pi, ti));
+            }
+            Some(b'_') => {
+                pi += 1;
+                ti += utf8_len(t[ti]);
+            }
+            Some(&c) if c == t[ti] => {
+                pi += 1;
+                ti += 1;
+            }
+            _ => {
+                // Retry: let the last `%` absorb one more character.
+                let Some((after, absorbed)) = star else {
+                    return false;
+                };
+                let absorbed = absorbed + utf8_len(t[absorbed]);
+                star = Some((after, absorbed));
+                pi = after;
+                ti = absorbed;
+            }
         }
     }
-    while pi < p.len() && p[pi] == '%' {
-        pi += 1;
+    p[pi..].iter().all(|&c| c == b'%')
+}
+
+/// Byte length of the UTF-8 character whose first byte is `lead`.
+#[inline]
+fn utf8_len(lead: u8) -> usize {
+    match lead {
+        0x00..=0x7F => 1,
+        0x80..=0xDF => 2,
+        0xE0..=0xEF => 3,
+        _ => 4,
     }
-    pi == p.len()
 }
 
 /// A reference `LIKE` implementation via recursion, used by property tests
@@ -199,6 +221,17 @@ mod tests {
     }
 
     #[test]
+    fn like_underscore_consumes_one_char_not_one_byte() {
+        assert!(like_match("_", "é"));
+        assert!(like_match("c_t", "c猫t"));
+        assert!(!like_match("__", "🦀"));
+        assert!(like_match("%猫_", "a猫🦀"));
+        assert!(!like_match("é", "è"));
+        // A literal `%` in the text is ordinary text to the wildcard.
+        assert!(like_match("%a", "%ba"));
+    }
+
+    #[test]
     fn value_ordering() {
         assert!(Value::int(1) < Value::int(2));
         assert!(Value::str("a") < Value::str("b"));
@@ -217,10 +250,13 @@ mod tests {
     }
 
     proptest! {
+        /// Multi-byte text and patterns (2-, 3- and 4-byte characters)
+        /// plus a literal `%` in the text: `_` consumes one `char`, not
+        /// one byte.
         #[test]
         fn like_agrees_with_reference(
-            pattern in "[ab%_]{0,8}",
-            text in "[ab]{0,10}",
+            pattern in "[abé猫🦀%_]{0,8}",
+            text in "[abé猫🦀%]{0,10}",
         ) {
             prop_assert_eq!(
                 like_match(&pattern, &text),
