@@ -101,12 +101,17 @@ impl LogChunk {
 /// Streaming parser with entity interning.
 #[derive(Debug, Default)]
 pub struct Parser {
+    /// Parsed but not yet handed out: [`Parser::take_chunk`] drains it, so
+    /// a parser over an endless log holds one chunk, not the log.
     out: ParsedLog,
     proc_ids: HashMap<(u32, u64), EntityId>,
     file_ids: HashMap<String, EntityId>,
-    net_ids: HashMap<(String, u16, String, u16, String), EntityId>,
-    /// Chunk cursors: how much of `out` earlier [`Parser::take_chunk`]
-    /// calls have already handed out.
+    /// Keyed by the rendered 5-tuple (see [`Parser::intern_network`]).
+    net_ids: HashMap<String, EntityId>,
+    /// Scratch buffer for rendering a `net_ids` key without allocating.
+    net_key: String,
+    /// How many entities and events earlier chunks handed out: the next
+    /// id is this plus what is pending in `out`.
     taken_entities: usize,
     taken_events: usize,
 }
@@ -134,12 +139,12 @@ impl Parser {
 
     /// Events parsed but not yet handed out by [`Parser::take_chunk`].
     pub fn pending_events(&self) -> usize {
-        self.out.events.len() - self.taken_events
+        self.out.events.len()
     }
 
     /// The `i`-th pending event (0 = oldest not yet taken).
     pub fn pending_event(&self, i: usize) -> &Event {
-        &self.out.events[self.taken_events + i]
+        &self.out.events[i]
     }
 
     /// Takes everything parsed since the last chunk: all pending entities
@@ -156,13 +161,18 @@ impl Parser {
     /// append-only id scheme makes harmless.
     pub fn take_chunk_events(&mut self, n: usize) -> LogChunk {
         let n = n.min(self.pending_events());
+        let rest = self.out.events.split_off(n);
         let chunk = LogChunk {
-            new_entities: self.out.entities[self.taken_entities..].to_vec(),
-            events: self.out.events[self.taken_events..self.taken_events + n].to_vec(),
+            new_entities: std::mem::take(&mut self.out.entities),
+            events: std::mem::replace(&mut self.out.events, rest),
         };
-        self.taken_entities = self.out.entities.len();
+        self.taken_entities += chunk.new_entities.len();
         self.taken_events += n;
         chunk
+    }
+
+    fn next_entity_id(&self) -> EntityId {
+        EntityId((self.taken_entities + self.out.entities.len()) as u32)
     }
 
     /// Parses a single line, appending to the accumulated log.
@@ -171,13 +181,12 @@ impl Parser {
             line: lineno,
             message,
         };
-        let fields: Vec<&str> = line.split('\t').collect();
-        if fields.len() != 11 {
+        let Some(fields) = split_exact::<11>(line.split('\t')) else {
             return Err(err(format!(
                 "expected 11 tab-separated fields, got {}",
-                fields.len()
+                line.split('\t').count()
             )));
-        }
+        };
         let start: u64 = fields[0]
             .parse()
             .map_err(|_| err(format!("bad start timestamp `{}`", fields[0])))?;
@@ -209,7 +218,7 @@ impl Parser {
         let subject = self.intern_process(pid, exe, owner, cmdline, pstart);
         let object = self.parse_object(fields[8], op, lineno)?;
 
-        let id = EventId(self.out.events.len() as u32);
+        let id = EventId((self.taken_events + self.out.events.len()) as u32);
         self.out.events.push(Event {
             id,
             subject,
@@ -234,15 +243,14 @@ impl Parser {
             line: lineno,
             message,
         };
-        let mut parts = spec.split('|');
-        let kind = parts.next().unwrap_or("");
-        let rest: Vec<&str> = parts.collect();
+        let mut rest = spec.split('|');
+        let kind = rest.next().unwrap_or("");
         match kind {
             "F" => {
                 if op.object_kind() != crate::entity::EntityKind::File {
                     return Err(err(format!("operation `{op}` cannot target a file")));
                 }
-                let [path] = rest.as_slice() else {
+                let Some([path]) = split_exact(rest) else {
                     return Err(err(format!("bad file objspec `{spec}`")));
                 };
                 Ok(self.intern_file(path))
@@ -251,7 +259,7 @@ impl Parser {
                 if op.object_kind() != crate::entity::EntityKind::Process {
                     return Err(err(format!("operation `{op}` cannot target a process")));
                 }
-                let [pid, exe, owner, pstart, cmdline] = rest.as_slice() else {
+                let Some([pid, exe, owner, pstart, cmdline]) = split_exact(rest) else {
                     return Err(err(format!("bad process objspec `{spec}`")));
                 };
                 let pid: u32 = pid
@@ -266,7 +274,7 @@ impl Parser {
                 if op.object_kind() != crate::entity::EntityKind::Network {
                     return Err(err(format!("operation `{op}` cannot target a connection")));
                 }
-                let [src_ip, src_port, dst_ip, dst_port, proto] = rest.as_slice() else {
+                let Some([src_ip, src_port, dst_ip, dst_port, proto]) = split_exact(rest) else {
                     return Err(err(format!("bad network objspec `{spec}`")));
                 };
                 let src_port: u16 = src_port
@@ -292,7 +300,7 @@ impl Parser {
         if let Some(&id) = self.proc_ids.get(&(pid, start_time)) {
             return id;
         }
-        let id = EntityId(self.out.entities.len() as u32);
+        let id = self.next_entity_id();
         self.out.entities.push(Entity::Process(ProcessEntity {
             id,
             pid,
@@ -309,7 +317,7 @@ impl Parser {
         if let Some(&id) = self.file_ids.get(path) {
             return id;
         }
-        let id = EntityId(self.out.entities.len() as u32);
+        let id = self.next_entity_id();
         self.out.entities.push(Entity::File(FileEntity {
             id,
             name: path.to_string(),
@@ -326,17 +334,21 @@ impl Parser {
         dst_port: u16,
         protocol: &str,
     ) -> EntityId {
-        let key = (
-            src_ip.to_string(),
-            src_port,
-            dst_ip.to_string(),
-            dst_port,
-            protocol.to_string(),
-        );
-        if let Some(&id) = self.net_ids.get(&key) {
+        // The 5-tuple rendered with `|` between its parts is as unique as
+        // the tuple (the parts came out of a split on `|`), and a reused
+        // buffer makes the common case — a known connection — a lookup
+        // by `&str` with no allocation.
+        use fmt::Write;
+        self.net_key.clear();
+        write!(
+            self.net_key,
+            "{src_ip}|{src_port}|{dst_ip}|{dst_port}|{protocol}"
+        )
+        .expect("writing to a String cannot fail");
+        if let Some(&id) = self.net_ids.get(self.net_key.as_str()) {
             return id;
         }
-        let id = EntityId(self.out.entities.len() as u32);
+        let id = self.next_entity_id();
         self.out.entities.push(Entity::Network(NetworkEntity {
             id,
             src_ip: src_ip.to_string(),
@@ -345,9 +357,20 @@ impl Parser {
             dst_port,
             protocol: protocol.to_string(),
         }));
-        self.net_ids.insert(key, id);
+        self.net_ids.insert(self.net_key.clone(), id);
         id
     }
+}
+
+/// The `N` parts of `parts`, or `None` when there are fewer or more.
+fn split_exact<'a, const N: usize>(
+    mut parts: impl Iterator<Item = &'a str>,
+) -> Option<[&'a str; N]> {
+    let mut out = [""; N];
+    for slot in &mut out {
+        *slot = parts.next()?;
+    }
+    parts.next().is_none().then_some(out)
 }
 
 fn parse_tag(field: &str) -> Result<Option<AttackTag>, String> {
@@ -425,6 +448,40 @@ mod tests {
         assert_eq!(log.events[0].object, log.events[1].object);
         assert_ne!(log.events[0].object, log.events[2].object);
         assert_eq!(log.entity_counts(), (2, 1, 0));
+    }
+
+    #[test]
+    fn taken_chunks_are_drained_and_ids_continue() {
+        let lines = |recs: &[RawRecord]| encode_lines(recs);
+        let mut parser = Parser::new();
+        let first = lines(&[
+            file_read(10, "/bin/cat", "/etc/hosts", 1000),
+            file_read(10, "/bin/cat", "/etc/passwd", 2000),
+        ]);
+        for (i, line) in first.lines().enumerate() {
+            parser.parse_line(line, i + 1).unwrap();
+        }
+        let a = parser.take_chunk();
+        assert_eq!((a.new_entities.len(), a.events.len()), (3, 2));
+        // Nothing handed out stays behind: an endless feed holds one
+        // chunk, not the log.
+        assert!(parser.out.entities.is_empty() && parser.out.events.is_empty());
+
+        let second = lines(&[
+            file_read(10, "/bin/cat", "/etc/hosts", 3000),
+            file_read(11, "/bin/ls", "/tmp/a", 4000),
+        ]);
+        for (i, line) in second.lines().enumerate() {
+            parser.parse_line(line, i + 3).unwrap();
+        }
+        let b = parser.take_chunk();
+        // Known entities are still interned; new ones and the events
+        // continue the global id sequences.
+        assert_eq!(b.events[0].subject, a.events[0].subject);
+        assert_eq!(b.events[0].object, a.events[0].object);
+        let ids: Vec<usize> = b.new_entities.iter().map(|e| e.id().index()).collect();
+        assert_eq!(ids, [3, 4]);
+        assert_eq!((b.events[0].id, b.events[1].id), (EventId(2), EventId(3)));
     }
 
     #[test]

@@ -15,12 +15,12 @@
 
 use crate::error::EngineError;
 use std::collections::{HashMap, HashSet};
-use threatraptor_audit::entity::EntityId;
+use threatraptor_audit::entity::{EntityId, EntityKind};
 use threatraptor_storage::graphdb::PathQuery;
 use threatraptor_storage::relational::{
     CmpOp as SqlCmp, JoinCond, Predicate, SqlSelect, TableRef, Value,
 };
-use threatraptor_storage::store;
+use threatraptor_storage::store::{AuditStore, TABLE_EVENT};
 use threatraptor_tbql::analyze::AnalyzedQuery;
 use threatraptor_tbql::ast::{CmpOp, EntityType, Expr, Lit, Pattern, TimeWindow};
 use threatraptor_tbql::lint::{lint, LintReport};
@@ -40,8 +40,8 @@ pub struct CompiledPattern {
     pub subject_slot: usize,
     /// Slot of the object variable (index into [`CompiledQuery::vars`]).
     pub object_slot: usize,
-    /// Object entity table name.
-    pub object_table: &'static str,
+    /// Kind of the object entity.
+    pub object_kind: EntityKind,
     /// Execution shape.
     pub shape: CompiledShape,
     /// Optional time window.
@@ -83,8 +83,8 @@ pub struct CompiledQuery {
     pub patterns: Vec<CompiledPattern>,
     /// Per-variable storage predicate (merged across mentions).
     pub var_predicates: HashMap<String, Predicate>,
-    /// Per-variable entity table.
-    pub var_tables: HashMap<String, &'static str>,
+    /// Per-variable entity kind (which of the catalog's tables holds it).
+    pub var_kinds: HashMap<String, EntityKind>,
     /// Temporal `before` pairs (pattern ids).
     pub before: Vec<(String, String)>,
     /// Return projection `(var, attr)`.
@@ -126,12 +126,12 @@ pub fn expr_to_predicate(expr: &Expr) -> Predicate {
     }
 }
 
-/// Entity table for a TBQL entity type.
-pub fn table_for(ty: EntityType) -> &'static str {
+/// Stored entity kind of a TBQL entity type.
+pub fn kind_for(ty: EntityType) -> EntityKind {
     match ty {
-        EntityType::Proc => store::TABLE_PROCESS,
-        EntityType::File => store::TABLE_FILE,
-        EntityType::Ip => store::TABLE_NETWORK,
+        EntityType::Proc => EntityKind::Process,
+        EntityType::File => EntityKind::File,
+        EntityType::Ip => EntityKind::Network,
     }
 }
 
@@ -156,11 +156,11 @@ pub fn compile_with_lint(aq: &AnalyzedQuery) -> Result<(CompiledQuery, LintRepor
 /// Builds the plan for a query the lint pass accepted.
 fn compile_feasible(aq: &AnalyzedQuery, report: &LintReport) -> Result<CompiledQuery, EngineError> {
     let mut var_predicates = HashMap::new();
-    let mut var_tables = HashMap::new();
+    let mut var_kinds = HashMap::new();
     for (var, info) in &aq.entities {
         let pred = Predicate::and(info.filters.iter().map(expr_to_predicate).collect());
         var_predicates.insert(var.clone(), pred);
-        var_tables.insert(var.clone(), table_for(info.ty));
+        var_kinds.insert(var.clone(), kind_for(info.ty));
     }
     // `entities` is a BTreeMap, so slot order is name order.
     let vars: Vec<String> = aq.entities.keys().cloned().collect();
@@ -179,7 +179,7 @@ fn compile_feasible(aq: &AnalyzedQuery, report: &LintReport) -> Result<CompiledQ
         let subject_var = pat.subject().id.clone();
         let object_var = pat.object().id.clone();
         let (subject_slot, object_slot) = (var_slot(&subject_var)?, var_slot(&object_var)?);
-        let object_table = var_tables[&object_var];
+        let object_kind = var_kinds[&object_var];
         let (shape, window, max_len) = match pat {
             Pattern::Event(e) => (CompiledShape::Event { ops: e.ops.clone() }, e.window, 1u32),
             Pattern::Path(p) => {
@@ -215,7 +215,7 @@ fn compile_feasible(aq: &AnalyzedQuery, report: &LintReport) -> Result<CompiledQ
             object_var,
             subject_slot,
             object_slot,
-            object_table,
+            object_kind,
             shape,
             window,
             bounds,
@@ -236,7 +236,7 @@ fn compile_feasible(aq: &AnalyzedQuery, report: &LintReport) -> Result<CompiledQ
     Ok(CompiledQuery {
         patterns,
         var_predicates,
-        var_tables,
+        var_kinds,
         before: aq.before.clone(),
         returns: aq.returns.clone(),
         vars,
@@ -276,9 +276,12 @@ impl CompiledQuery {
         };
         SqlSelect {
             from: vec![
-                TableRef::new(self.var_tables[&pat.subject_var], "s"),
-                TableRef::new(store::TABLE_EVENT, "e"),
-                TableRef::new(pat.object_table, "o"),
+                TableRef::new(
+                    AuditStore::entity_table(self.var_kinds[&pat.subject_var]),
+                    "s",
+                ),
+                TableRef::new(TABLE_EVENT, "e"),
+                TableRef::new(AuditStore::entity_table(pat.object_kind), "o"),
             ],
             joins: vec![
                 JoinCond::new("s", "id", "e", "subject"),
@@ -300,7 +303,7 @@ impl CompiledQuery {
 
     /// Builds the graph path query for a path pattern over already
     /// resolved endpoint id sets (the endpoint predicates evaluated
-    /// against the entity tables).
+    /// against the entity catalog).
     pub fn path_plan(
         &self,
         pat: &CompiledPattern,
@@ -353,9 +356,9 @@ impl CompiledQuery {
             return format!(
                 "MATCH ({s}:{st})-[e:{ops}]->({o}:{ot}) WHERE {w} RETURN {s}, e, {o};",
                 s = pat.subject_var,
-                st = label(self.var_tables[&pat.subject_var]),
+                st = label(self.var_kinds[&pat.subject_var]),
                 o = pat.object_var,
-                ot = label(pat.object_table),
+                ot = label(pat.object_kind),
                 w = cypher_where(self, pat),
             );
         };
@@ -363,22 +366,21 @@ impl CompiledQuery {
             "MATCH p = ({s}:{st})-[*{min}..{max}]->({o}:{ot}) \
              WHERE {w} AND last(relationships(p)).op = '{last_op}' RETURN p;",
             s = pat.subject_var,
-            st = label(self.var_tables[&pat.subject_var]),
+            st = label(self.var_kinds[&pat.subject_var]),
             min = min_hops,
             max = max_hops,
             o = pat.object_var,
-            ot = label(pat.object_table),
+            ot = label(pat.object_kind),
             w = cypher_where(self, pat),
         )
     }
 }
 
-fn label(table: &str) -> &'static str {
-    match table {
-        store::TABLE_PROCESS => "Process",
-        store::TABLE_FILE => "File",
-        store::TABLE_NETWORK => "Connection",
-        _ => "Entity",
+fn label(kind: EntityKind) -> &'static str {
+    match kind {
+        EntityKind::Process => "Process",
+        EntityKind::File => "File",
+        EntityKind::Network => "Connection",
     }
 }
 

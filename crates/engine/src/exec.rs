@@ -4,7 +4,7 @@
 //! One pattern's data query runs in two halves. **Resolve**: each
 //! endpoint variable's predicate — narrowed to the ids earlier patterns
 //! bound, when propagation applies — is evaluated once against the
-//! entity table into a dense id set. **Scan**: the event table (or graph)
+//! entity catalog into a dense id set. **Scan**: the event table (or graph)
 //! is searched with those sets, picking the cheapest of the subject,
 //! object and operation indexes by their bucket sizes. The split is what
 //! lets the sharded executor resolve once and hand the same sets to every
@@ -19,10 +19,11 @@ use crate::result::{HuntResult, HuntStats, JoinStats, Match};
 use std::collections::{HashMap, HashSet};
 use std::ops::Deref;
 use std::time::Instant;
-use threatraptor_audit::entity::EntityId;
+use threatraptor_audit::entity::{EntityId, EntityKind};
 use threatraptor_audit::event::{Event, Operation};
-use threatraptor_storage::relational::{Index, Predicate, Table, Value};
-use threatraptor_storage::store::{AuditStore, TABLE_EVENT};
+use threatraptor_storage::catalog::EntityCatalog;
+use threatraptor_storage::relational::{Index, Predicate, Value};
+use threatraptor_storage::store::{AuditStore, EventShard};
 use threatraptor_tbql::analyze::{analyze, AnalyzedQuery};
 use threatraptor_tbql::ast::Query;
 use threatraptor_tbql::parser::parse_query;
@@ -108,9 +109,8 @@ impl<'s> Engine<'s> {
             cq,
             mode,
             &mut |pat, bound| {
-                let (subjects, objects) =
-                    resolve_endpoints(cq, pat, bound, |table| self.store.db.table(table));
-                self.scan_pattern(cq, pat, &subjects, &objects, mode)
+                let (subjects, objects) = resolve_endpoints(cq, pat, bound, &self.store.entities);
+                scan_pattern(self.store, cq, pat, &subjects, &objects, mode)
             },
             &|id, attr| self.store.entity(id).attr(attr),
         );
@@ -123,229 +123,229 @@ impl<'s> Engine<'s> {
             .collect();
         Ok(result)
     }
+}
 
-    /// Scans this store for one pattern's rows, given the resolved id
-    /// sets of its subject and object variables.
-    pub(crate) fn scan_pattern(
-        &self,
-        cq: &CompiledQuery,
-        pat: &CompiledPattern,
-        subjects: &IdSet,
-        objects: &IdSet,
-        mode: ExecMode,
-    ) -> Vec<PatternRow> {
-        match (&pat.shape, mode) {
-            (CompiledShape::Event { ops }, ExecMode::GraphOnly) => {
-                self.event_via_graph(pat, ops, subjects, objects)
-            }
-            (CompiledShape::Event { ops }, _) => self.event_via_sql(pat, ops, subjects, objects),
-            (CompiledShape::Path { .. }, ExecMode::RelationalOnly) => {
-                self.path_via_sql(pat, subjects, objects)
-            }
-            (CompiledShape::Path { .. }, _) => self.path_via_graph(cq, pat, subjects, objects),
+/// Scans one shard for one pattern's rows, given the resolved id sets of
+/// its subject and object variables.
+pub(crate) fn scan_pattern(
+    shard: &EventShard,
+    cq: &CompiledQuery,
+    pat: &CompiledPattern,
+    subjects: &IdSet,
+    objects: &IdSet,
+    mode: ExecMode,
+) -> Vec<PatternRow> {
+    match (&pat.shape, mode) {
+        (CompiledShape::Event { ops }, ExecMode::GraphOnly) => {
+            event_via_graph(shard, pat, ops, subjects, objects)
         }
+        (CompiledShape::Event { ops }, _) => event_via_sql(shard, pat, ops, subjects, objects),
+        (CompiledShape::Path { .. }, ExecMode::RelationalOnly) => {
+            path_via_sql(shard, pat, subjects, objects)
+        }
+        (CompiledShape::Path { .. }, _) => path_via_graph(shard, cq, pat, subjects, objects),
     }
+}
 
-    /// Event pattern through the relational backend.
-    ///
-    /// Access-path selection over the event table's indexes (the paper's
-    /// "mature indexing mechanisms"): probe by subject ids, by object
-    /// ids, or by operation — whichever is estimated cheapest — then
-    /// filter residual conditions.
-    fn event_via_sql(
-        &self,
-        pat: &CompiledPattern,
-        ops: &[String],
-        subjects: &IdSet,
-        objects: &IdSet,
-    ) -> Vec<PatternRow> {
-        if subjects.is_empty() || objects.is_empty() {
-            return Vec::new();
-        }
-        let events = self.store.db.table(TABLE_EVENT);
-        let index = |col: &str| {
-            events
-                .index(col)
-                .expect("the event table indexes op, subject and object")
-        };
-        let (by_op, by_subject, by_object) = (index("op"), index("subject"), index("object"));
-        let ops = parse_ops(ops);
-
-        // Estimate each access path by exact index-bucket sizes, which
-        // the indexes lend without copying. An id path costs one probe
-        // per id plus the rows it yields; summing stops as soon as the
-        // path cannot beat the best one so far, so an unselective
-        // variable (every process, say) costs a few probes, not one per
-        // entity.
-        let op_buckets: Vec<&[usize]> = ops
-            .iter()
-            .map(|o| by_op.get(&Value::str(o.name())))
-            .collect();
-        let id_path_cost = |idx: &dyn Index, ids: &IdSet, budget: usize| -> Option<usize> {
-            let mut cost = ids.len();
-            for id in ids.iter() {
-                if cost > budget {
-                    return None;
-                }
-                cost += idx.get(&Value::from(id.0)).len();
-            }
-            (cost <= budget).then_some(cost)
-        };
-        let op_cost = op_buckets.iter().map(|b| b.len()).sum();
-        let subject_cost = id_path_cost(by_subject, subjects, op_cost);
-        let object_cost = id_path_cost(by_object, objects, subject_cost.unwrap_or(op_cost));
-        let buckets_of = |idx: &'s dyn Index, ids: &IdSet| -> Vec<&'s [usize]> {
-            ids.iter().map(|id| idx.get(&Value::from(id.0))).collect()
-        };
-        let candidates = if object_cost.is_some() {
-            buckets_of(by_object, objects)
-        } else if subject_cost.is_some() {
-            buckets_of(by_subject, subjects)
-        } else {
-            op_buckets
-        };
-
-        let mut out = Vec::new();
-        for &pos in candidates.into_iter().flatten() {
-            let ev = self.store.event_at(pos);
-            if !ops.contains(&ev.op)
-                || !subjects.contains(ev.subject)
-                || !objects.contains(ev.object)
-                || pat.window.is_some_and(|w| ev.start < w.lo || ev.end > w.hi)
-            {
-                continue;
-            }
-            out.push(PatternRow {
-                subject: ev.subject,
-                object: ev.object,
-                events: Witness::Event(pos),
-                start: ev.start,
-                end: ev.end,
-            });
-        }
-        out.sort_unstable_by_key(|r| r.events.first());
-        out
+/// Event pattern through the relational backend.
+///
+/// Access-path selection over the event table's indexes (the paper's
+/// "mature indexing mechanisms"): probe by subject ids, by object
+/// ids, or by operation — whichever is estimated cheapest — then
+/// filter residual conditions.
+fn event_via_sql<'s>(
+    shard: &'s EventShard,
+    pat: &CompiledPattern,
+    ops: &[String],
+    subjects: &IdSet,
+    objects: &IdSet,
+) -> Vec<PatternRow> {
+    if subjects.is_empty() || objects.is_empty() {
+        return Vec::new();
     }
+    let events = shard.event_table();
+    let index = |col: &str| {
+        events
+            .index(col)
+            .expect("the event table indexes op, subject and object")
+    };
+    let (by_op, by_subject, by_object) = (index("op"), index("subject"), index("object"));
+    let ops = parse_ops(ops);
 
-    /// Event pattern through the graph backend: scan all edges, filter by
-    /// operation and endpoint predicates (no relational indexes — the
-    /// baseline cost the paper's hybrid design avoids).
-    fn event_via_graph(
-        &self,
-        pat: &CompiledPattern,
-        ops: &[String],
-        subjects: &IdSet,
-        objects: &IdSet,
-    ) -> Vec<PatternRow> {
-        let ops = parse_ops(ops);
-        // A graph store has no attribute indexes over edges; it scans.
-        // The scan is parallelized across worker threads (crossbeam),
-        // as a production graph database would — but only when the edge
-        // set is large enough to amortize thread spawns. Small scans run
-        // sequentially, which also keeps the sharded executor (which
-        // invokes this per shard, possibly from its own worker pool) from
-        // stacking a third parallelism layer over tiny slices.
-        const PARALLEL_SCAN_THRESHOLD: usize = 65_536;
-        let n = self.store.graph.edge_count();
-        let workers = if n < PARALLEL_SCAN_THRESHOLD {
-            1
-        } else {
-            std::thread::available_parallelism()
-                .map(|p| p.get())
-                .unwrap_or(4)
-                .clamp(1, 8)
-        };
-        let chunk = n.div_ceil(workers);
-        let mut out: Vec<PatternRow> = crossbeam::thread::scope(|scope| {
-            let mut handles = Vec::new();
-            for w in 0..workers {
-                let (lo, hi) = (w * chunk, ((w + 1) * chunk).min(n));
-                let ops = &ops;
-                handles.push(scope.spawn(move |_| {
-                    let mut local = Vec::new();
-                    for idx in lo..hi {
-                        let edge = self.store.graph.edge(idx);
-                        if !ops.contains(&edge.op) {
-                            continue;
-                        }
-                        if let Some(w) = pat.window {
-                            if edge.start < w.lo || edge.end > w.hi {
-                                continue;
-                            }
-                        }
-                        if !subjects.contains(edge.src) || !objects.contains(edge.dst) {
-                            continue;
-                        }
-                        local.push(PatternRow {
-                            subject: edge.src,
-                            object: edge.dst,
-                            events: Witness::Event(edge.event_pos),
-                            start: edge.start,
-                            end: edge.end,
-                        });
+    // Estimate each access path by exact index-bucket sizes, which
+    // the indexes lend without copying. An id path costs one probe
+    // per id plus the rows it yields; summing stops as soon as the
+    // path cannot beat the best one so far, so an unselective
+    // variable (every process, say) costs a few probes, not one per
+    // entity.
+    let op_buckets: Vec<&[usize]> = ops
+        .iter()
+        .map(|o| by_op.get(&Value::str(o.name())))
+        .collect();
+    let id_path_cost = |idx: &dyn Index, ids: &IdSet, budget: usize| -> Option<usize> {
+        let mut cost = ids.len();
+        for id in ids.iter() {
+            if cost > budget {
+                return None;
+            }
+            cost += idx.get(&Value::from(id.0)).len();
+        }
+        (cost <= budget).then_some(cost)
+    };
+    let op_cost = op_buckets.iter().map(|b| b.len()).sum();
+    let subject_cost = id_path_cost(by_subject, subjects, op_cost);
+    let object_cost = id_path_cost(by_object, objects, subject_cost.unwrap_or(op_cost));
+    let buckets_of = |idx: &'s dyn Index, ids: &IdSet| -> Vec<&'s [usize]> {
+        ids.iter().map(|id| idx.get(&Value::from(id.0))).collect()
+    };
+    let candidates = if object_cost.is_some() {
+        buckets_of(by_object, objects)
+    } else if subject_cost.is_some() {
+        buckets_of(by_subject, subjects)
+    } else {
+        op_buckets
+    };
+
+    let mut out = Vec::new();
+    for &pos in candidates.into_iter().flatten() {
+        let ev = shard.event_at(pos);
+        if !ops.contains(&ev.op)
+            || !subjects.contains(ev.subject)
+            || !objects.contains(ev.object)
+            || pat.window.is_some_and(|w| ev.start < w.lo || ev.end > w.hi)
+        {
+            continue;
+        }
+        out.push(PatternRow {
+            subject: ev.subject,
+            object: ev.object,
+            events: Witness::Event(pos),
+            start: ev.start,
+            end: ev.end,
+        });
+    }
+    out.sort_unstable_by_key(|r| r.events.first());
+    out
+}
+
+/// Event pattern through the graph backend: scan all edges, filter by
+/// operation and endpoint predicates (no relational indexes — the
+/// baseline cost the paper's hybrid design avoids).
+fn event_via_graph(
+    shard: &EventShard,
+    pat: &CompiledPattern,
+    ops: &[String],
+    subjects: &IdSet,
+    objects: &IdSet,
+) -> Vec<PatternRow> {
+    let ops = parse_ops(ops);
+    // A graph store has no attribute indexes over edges; it scans.
+    // The scan is parallelized across worker threads (crossbeam),
+    // as a production graph database would — but only when the edge
+    // set is large enough to amortize thread spawns. Small scans run
+    // sequentially, which also keeps the sharded executor (which
+    // invokes this per shard, possibly from its own worker pool) from
+    // stacking a third parallelism layer over tiny slices.
+    const PARALLEL_SCAN_THRESHOLD: usize = 65_536;
+    let graph = shard.graph();
+    let n = graph.edge_count();
+    let workers = if n < PARALLEL_SCAN_THRESHOLD {
+        1
+    } else {
+        std::thread::available_parallelism()
+            .map(|p| p.get())
+            .unwrap_or(4)
+            .clamp(1, 8)
+    };
+    let chunk = n.div_ceil(workers);
+    let mut out: Vec<PatternRow> = crossbeam::thread::scope(|scope| {
+        let mut handles = Vec::new();
+        for w in 0..workers {
+            let (lo, hi) = (w * chunk, ((w + 1) * chunk).min(n));
+            let ops = &ops;
+            handles.push(scope.spawn(move |_| {
+                let mut local = Vec::new();
+                for idx in lo..hi {
+                    let edge = graph.edge(idx);
+                    if !ops.contains(&edge.op) {
+                        continue;
                     }
-                    local
-                }));
-            }
-            handles
-                .into_iter()
-                .flat_map(|h| h.join().expect("scan worker panicked"))
-                .collect()
-        })
-        .expect("crossbeam scope");
-        out.sort_unstable_by_key(|r| r.events.first());
-        out
-    }
-
-    /// Path pattern through the graph backend.
-    fn path_via_graph(
-        &self,
-        cq: &CompiledQuery,
-        pat: &CompiledPattern,
-        srcs: &IdSet,
-        dsts: &IdSet,
-    ) -> Vec<PatternRow> {
-        let pq = cq.path_plan(pat, srcs.iter().collect(), dsts.iter().collect());
-        pq.search(&self.store.graph)
-            .into_iter()
-            .map(|p| {
-                let first = self.store.graph.edge(p.edges[0]);
-                let last = self.store.graph.edge(*p.edges.last().expect("non-empty"));
-                PatternRow {
-                    subject: first.src,
-                    object: last.dst,
-                    events: Witness::Path(
-                        p.edges
-                            .iter()
-                            .map(|&e| self.store.graph.edge(e).event_pos)
-                            .collect(),
-                    ),
-                    start: first.start,
-                    end: last.end,
+                    if let Some(w) = pat.window {
+                        if edge.start < w.lo || edge.end > w.hi {
+                            continue;
+                        }
+                    }
+                    if !subjects.contains(edge.src) || !objects.contains(edge.dst) {
+                        continue;
+                    }
+                    local.push(PatternRow {
+                        subject: edge.src,
+                        object: edge.dst,
+                        events: Witness::Event(edge.event_pos),
+                        start: edge.start,
+                        end: edge.end,
+                    });
                 }
-            })
+                local
+            }));
+        }
+        handles
+            .into_iter()
+            .flat_map(|h| h.join().expect("scan worker panicked"))
             .collect()
-    }
+    })
+    .expect("crossbeam scope");
+    out.sort_unstable_by_key(|r| r.events.first());
+    out
+}
 
-    /// Path pattern through the relational backend: hop-by-hop frontier
-    /// expansion with event-table index lookups — the join cascade a pure
-    /// SQL backend would execute.
-    fn path_via_sql(&self, pat: &CompiledPattern, srcs: &IdSet, dsts: &IdSet) -> Vec<PatternRow> {
-        let by_subject = self
-            .store
-            .db
-            .table(TABLE_EVENT)
-            .index("subject")
-            .expect("the event table indexes subject");
-        expand_paths(
-            pat,
-            srcs,
-            dsts,
-            // SELECT * FROM event WHERE subject = node (index probe).
-            |node| by_subject.get(&Value::from(node.0)),
-            |pos| self.store.event_at(pos),
-        )
-    }
+/// Path pattern through the graph backend.
+fn path_via_graph(
+    shard: &EventShard,
+    cq: &CompiledQuery,
+    pat: &CompiledPattern,
+    srcs: &IdSet,
+    dsts: &IdSet,
+) -> Vec<PatternRow> {
+    let pq = cq.path_plan(pat, srcs.iter().collect(), dsts.iter().collect());
+    let graph = shard.graph();
+    pq.search(graph)
+        .into_iter()
+        .map(|p| {
+            let first = graph.edge(p.edges[0]);
+            let last = graph.edge(*p.edges.last().expect("non-empty"));
+            PatternRow {
+                subject: first.src,
+                object: last.dst,
+                events: Witness::Path(p.edges.iter().map(|&e| graph.edge(e).event_pos).collect()),
+                start: first.start,
+                end: last.end,
+            }
+        })
+        .collect()
+}
+
+/// Path pattern through the relational backend: hop-by-hop frontier
+/// expansion with event-table index lookups — the join cascade a pure
+/// SQL backend would execute.
+fn path_via_sql(
+    shard: &EventShard,
+    pat: &CompiledPattern,
+    srcs: &IdSet,
+    dsts: &IdSet,
+) -> Vec<PatternRow> {
+    let by_subject = shard
+        .event_table()
+        .index("subject")
+        .expect("the event table indexes subject");
+    expand_paths(
+        pat,
+        srcs,
+        dsts,
+        // SELECT * FROM event WHERE subject = node (index probe).
+        |node| by_subject.get(&Value::from(node.0)),
+        |pos| shard.event_at(pos),
+    )
 }
 
 /// The operations an event pattern admits (names validated by analysis).
@@ -357,19 +357,18 @@ fn parse_ops(ops: &[String]) -> Vec<Operation> {
 
 /// Resolves a pattern's `(subject, object)` variables to id sets — the
 /// first half of its data query, done once per pattern whatever the
-/// number of shards scanned afterwards. `table` maps an entity table
-/// name to the table to probe: the single-store [`Engine`] passes its
-/// store's catalog, the sharded executor the store-level shared entity
-/// tables.
-pub(crate) fn resolve_endpoints<'t>(
+/// number of shards scanned afterwards — against the store's one entity
+/// catalog.
+pub(crate) fn resolve_endpoints(
     cq: &CompiledQuery,
     pat: &CompiledPattern,
     bound: &Bound,
-    table: impl Fn(&str) -> &'t Table,
+    catalog: &EntityCatalog,
 ) -> (IdSet, IdSet) {
     let resolve = |var: &str, bound: &Option<IdSet>| {
         resolve_ids(
-            table(cq.var_tables[var]),
+            catalog,
+            cq.var_kinds[var],
             &cq.var_predicates[var],
             bound.as_ref(),
         )
@@ -380,33 +379,46 @@ pub(crate) fn resolve_endpoints<'t>(
     )
 }
 
-/// Entity ids in `table` satisfying `pred` and, when earlier patterns
-/// already bound the variable, lying among those ids. With `bound` ids
-/// only their rows are examined (through the `id` index); otherwise the
-/// predicate selects over the table.
-fn resolve_ids(table: &Table, pred: &Predicate, bound: Option<&IdSet>) -> IdSet {
-    match bound {
-        Some(ids) => {
-            let by_id = table.index("id").expect("entity tables index id");
-            let pred = pred.bind(table);
-            ids.iter()
-                .filter(|id| {
-                    by_id
+/// Entity ids of `kind` satisfying `pred` and, when earlier patterns
+/// already bound the variable, lying among those ids: the union over the
+/// catalog's generations. With `bound` ids only their rows are examined
+/// (each id in the generation owning its range, through the `id` index);
+/// otherwise the predicate selects over every generation's table.
+fn resolve_ids(
+    catalog: &EntityCatalog,
+    kind: EntityKind,
+    pred: &Predicate,
+    bound: Option<&IdSet>,
+) -> IdSet {
+    let mut out = IdSet::default();
+    // Ascending ids meet ascending id ranges: one pass over both.
+    let mut bound_ids = bound.map(|ids| ids.iter().peekable());
+    for generation in catalog.generations() {
+        let table = generation.table(kind);
+        match &mut bound_ids {
+            Some(ids) => {
+                let by_id = table.index("id").expect("entity tables index id");
+                let pred = pred.bind(table);
+                while let Some(id) = ids.next_if(|id| id.index() < generation.end()) {
+                    if by_id
                         .get(&Value::from(id.0))
                         .iter()
                         .any(|&rid| pred.eval(table.row(rid)))
-                })
-                .collect()
-        }
-        None => {
-            let id_col = table.col("id");
-            table
-                .select(pred)
-                .into_iter()
-                .map(|rid| EntityId(table.row(rid)[id_col].as_int().expect("id column") as u32))
-                .collect()
+                    {
+                        out.insert(id);
+                    }
+                }
+            }
+            None => {
+                let id_col = table.col("id");
+                for rid in table.select(pred) {
+                    let id = table.row(rid)[id_col].as_int().expect("id column");
+                    out.insert(EntityId(id as u32));
+                }
+            }
         }
     }
+    out
 }
 
 /// One pattern's data query as seen by the scheduling driver: pattern +

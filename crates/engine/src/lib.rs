@@ -45,7 +45,7 @@
 //! * [`sharded`] — the scatter-gather executor over a
 //!   [`threatraptor_storage::sharded::ShardedStore`], with exact parity
 //!   to single-store execution: predicates resolve once per pattern
-//!   against the store-level entity tables and every shard scans with
+//!   against the store's entity catalog and every shard scans with
 //!   the same id sets;
 //! * [`result`] — hunt results, per-pattern matches, and evaluation
 //!   against ground truth;

@@ -33,7 +33,7 @@
 use crate::compile::{compile, CompiledPattern, CompiledQuery, CompiledShape};
 use crate::error::EngineError;
 use crate::exec::{
-    expand_paths, project_matches, project_tuples, resolve_endpoints, run_schedule, Engine,
+    expand_paths, project_matches, project_tuples, resolve_endpoints, run_schedule, scan_pattern,
     ExecMode,
 };
 use crate::idset::IdSet;
@@ -45,7 +45,6 @@ use threatraptor_audit::entity::EntityId;
 use threatraptor_obs::Registry;
 use threatraptor_storage::relational::Value;
 use threatraptor_storage::sharded::ShardedStore;
-use threatraptor_storage::store::TABLE_EVENT;
 use threatraptor_tbql::analyze::{analyze, AnalyzedQuery};
 use threatraptor_tbql::ast::Query;
 use threatraptor_tbql::parser::parse_query;
@@ -200,11 +199,7 @@ impl<'s> ShardedEngine<'s> {
     /// clamp excluded.
     ///
     /// Entity predicates are resolved here, once per pattern, against the
-    /// **store-level** entity tables. In a batch store these are the same
-    /// physical tables every shard shares; in a streaming snapshot they
-    /// are the authoritative current tables — sealed shards carry only
-    /// the entity prefix known when they were frozen, so probing shard 0
-    /// would miss entities that arrived after the oldest seal.
+    /// store's entity catalog; shards hold events only.
     ///
     /// `min_pos` restricts event-pattern scans to rows whose witness
     /// position is at least `min_pos` — the delta executor's epoch-range
@@ -220,8 +215,7 @@ impl<'s> ShardedEngine<'s> {
         mode: ExecMode,
         min_pos: usize,
     ) -> (Vec<PatternRow>, Vec<usize>, usize) {
-        let (subjects, objects) =
-            resolve_endpoints(cq, pat, bound, |table| self.store.entity_table(table));
+        let (subjects, objects) = resolve_endpoints(cq, pat, bound, self.store.catalog());
         let shard_of = |r: &PatternRow| self.store.locate(r.events.first()).0;
         let (mut rows, mut per_shard) = match pat.shape {
             CompiledShape::Event { .. } => {
@@ -278,8 +272,7 @@ impl<'s> ShardedEngine<'s> {
             if self.store.offset(i + 1) <= min_pos {
                 return Vec::new();
             }
-            let engine = Engine::new(self.store.shard(i));
-            let mut rows = engine.scan_pattern(cq, pat, subjects, objects, mode);
+            let mut rows = scan_pattern(self.store.shard(i), cq, pat, subjects, objects, mode);
             for r in &mut rows {
                 for pos in r.events.positions_mut() {
                     *pos += offset;
@@ -327,8 +320,7 @@ impl<'s> ShardedEngine<'s> {
             .map(|i| {
                 self.store
                     .shard(i)
-                    .db
-                    .table(TABLE_EVENT)
+                    .event_table()
                     .index("subject")
                     .expect("the event table indexes subject")
             })
@@ -364,6 +356,7 @@ impl<'s> ShardedEngine<'s> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::exec::Engine;
     use threatraptor_audit::sim::scenario::{AttackKind, ScenarioBuilder};
     use threatraptor_storage::store::AuditStore;
     use threatraptor_tbql::parser::FIG2_TBQL;

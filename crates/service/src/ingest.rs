@@ -138,7 +138,9 @@ pub struct IngestService {
     /// Per-instance (not the process-global registry) so co-hosted
     /// services — per-tenant deployments — keep separate telemetry.
     registry: Arc<Registry>,
-    /// `serve_stage_ns{stage=ingest_append|seal|snapshot_build}`.
+    /// `serve_stage_ns{stage=ingest_append|seal|snapshot_build}`, and
+    /// inside an append `{stage=entity_extend|compact}` (recorded when
+    /// the append brought entities / ran a compaction).
     serve_trace: TraceSink,
     /// `hunt_stage_ns{stage=scan|propagate|join|project|...}` — shared
     /// family with the cache's parse/analyze/compile/synthesize spans.
@@ -196,6 +198,13 @@ impl IngestService {
             .unwrap_or_else(PoisonError::into_inner)
             .append(chunk);
         drop(span);
+        if outcome.new_entities > 0 {
+            self.serve_trace
+                .record("entity_extend", outcome.entity_extend);
+        }
+        if !outcome.compact.is_zero() {
+            self.serve_trace.record("compact", outcome.compact);
+        }
         self.notify();
         outcome
     }
@@ -323,7 +332,7 @@ impl IngestService {
             sealed_shards: stream.sealed_count(),
             open_events: stream.open_len(),
             total_events: stream.event_count(),
-            entities: stream.entities().len(),
+            entities: stream.catalog().len(),
             reduction: stream.reduction(),
             epoch: stream.epoch(),
         }
@@ -369,6 +378,19 @@ mod tests {
         for chunk in LogFeed::by_events(&sc.raw, 300) {
             service.append(&chunk.unwrap());
         }
+        // Every chunk of a fresh log brings entities: the append's entity
+        // share is visible beside the whole append.
+        let metrics = service.metrics();
+        let appends = metrics
+            .histogram("serve_stage_ns", &[("stage", "ingest_append")])
+            .expect("append spans")
+            .count;
+        let extends = metrics
+            .histogram("serve_stage_ns", &[("stage", "entity_extend")])
+            .expect("entity_extend spans")
+            .count;
+        assert!(extends > 0 && extends <= appends);
+
         let snapshot = service.snapshot();
         let batch = AuditStore::ingest(&sc.log, true);
         assert_eq!(snapshot.event_count(), batch.event_count());

@@ -19,8 +19,13 @@
 //!   time-monotone traversal), the compile target for TBQL path patterns;
 //! * [`cpr`] — Causality-Preserved Reduction (Xu et al., CCS'16), the
 //!   event-merging technique the paper applies to reduce data size;
-//! * [`store`] — [`store::AuditStore`], which ingests a parsed log into
-//!   both backends and keeps key attributes indexed;
+//! * [`catalog`] — [`catalog::EntityCatalog`], every entity of a store
+//!   once, with its indexed tables: append-only generations shared by
+//!   reference between a live store and all of its snapshots;
+//! * [`store`] — [`store::EventShard`], a slice of the event stream in
+//!   both backends with key attributes indexed, and
+//!   [`store::AuditStore`], one catalog plus one shard: a parsed log
+//!   ingested whole;
 //! * [`sharded`] — [`sharded::ShardedStore`], which partitions one
 //!   globally-reduced log into independent per-time-window shards with
 //!   parallel ingestion (the substrate of the concurrent hunt service);
@@ -29,6 +34,7 @@
 //!   CPR at the ingest frontier, snapshotting into ordinary
 //!   [`sharded::ShardedStore`] epoch views for hunts under ingest.
 
+pub mod catalog;
 pub mod cpr;
 pub mod graphdb;
 pub mod relational;
@@ -36,7 +42,8 @@ pub mod sharded;
 pub mod store;
 pub mod stream;
 
+pub use catalog::{EntityCatalog, Generation};
 pub use relational::{Database, Predicate, SqlSelect, Value};
 pub use sharded::{ShardedStore, StreamFrontier};
-pub use store::{AuditStore, EntityTables, EventLookup};
+pub use store::{AuditStore, EventLookup, EventShard};
 pub use stream::{AppendOutcome, CompactionPolicy, SealPolicy, SnapshotParts, StreamingStore};

@@ -214,9 +214,8 @@ impl Table {
 /// A named collection of tables (the database catalog).
 ///
 /// Tables are held behind [`Arc`] so immutable tables can be *shared*
-/// between databases: a sharded store registers one physical copy of the
-/// (identical) entity tables in every shard's catalog instead of
-/// replicating them per shard.
+/// with their owner: a store registers its catalog generation's entity
+/// tables and its shard's event table here by handle, not by copy.
 #[derive(Debug, Clone, Default)]
 pub struct Database {
     tables: HashMap<String, Arc<Table>>,
@@ -245,15 +244,6 @@ impl Database {
         self.tables
             .get(name)
             .unwrap_or_else(|| panic!("no table named `{name}`"))
-    }
-
-    /// Shared handle to a table (for registering it in another catalog).
-    pub fn shared_table(&self, name: &str) -> Arc<Table> {
-        Arc::clone(
-            self.tables
-                .get(name)
-                .unwrap_or_else(|| panic!("no table named `{name}`")),
-        )
     }
 
     /// Mutable table lookup. Clones the table first if it is currently

@@ -1,5 +1,5 @@
 //! Sharded audit storage: one logical store partitioned into independent
-//! [`AuditStore`] shards.
+//! [`EventShard`]s under one [`EntityCatalog`].
 //!
 //! The paper's deployment stores one monolithic log in PostgreSQL+Neo4j;
 //! scaling that design to production volumes requires partitioning. A
@@ -7,12 +7,12 @@
 //! Reduction is applied globally, so merge decisions never depend on where
 //! a shard boundary falls) and then splits the time-ordered stream into
 //! `n` contiguous slices of near-equal size — a time-window partition,
-//! since audit streams arrive in time order. Each slice is ingested into a
-//! full [`AuditStore`] (relational tables + graph + indexes) on its own
-//! scoped thread.
+//! since audit streams arrive in time order. Each slice is indexed into
+//! an [`EventShard`] (event table + indexes, graph on first use) on its
+//! own scoped thread.
 //!
-//! Every shard replicates the (small) entity tables, so entity ids are
-//! global and identical across shards; only the event data is partitioned.
+//! Entities are not partitioned: the store holds one [`EntityCatalog`],
+//! entity ids are global, and shards carry event data only.
 //! Event *positions* are global: shard `i` holds the contiguous position
 //! range `[offset(i), offset(i) + shard(i).event_count())`, and a global
 //! position maps back to `(shard, local)` with a binary search over the
@@ -21,9 +21,9 @@
 //! same global positions — the invariant the sharded execution engine's
 //! parity guarantee rests on.
 
+use crate::catalog::EntityCatalog;
 use crate::cpr::{self, ReductionStats};
-use crate::relational::Table;
-use crate::store::{AuditStore, EntityTables, EventLookup};
+use crate::store::{AuditStore, EventLookup, EventShard};
 use std::sync::Arc;
 use threatraptor_audit::entity::{Entity, EntityId};
 use threatraptor_audit::event::Event;
@@ -93,26 +93,22 @@ impl StreamFrontier {
     }
 }
 
-/// A log partitioned into independent [`AuditStore`] shards by
-/// time-window, with globally reduced events and global entity ids.
+/// A log partitioned into independent [`EventShard`]s by time-window,
+/// with globally reduced events and global entity ids.
 ///
-/// Shards are held behind [`Arc`] and share one entity array plus one
-/// physical copy of the entity tables (entity ids are global, so the
-/// tables are identical): cloning a `ShardedStore`, or assembling one
-/// from already-built shards (the streaming snapshot path in
-/// [`crate::stream`]), costs reference counts, not table rebuilds.
+/// Shards and catalog generations are held behind [`Arc`]: cloning a
+/// `ShardedStore`, or assembling one from already-built shards (the
+/// streaming snapshot path in [`crate::stream`]), costs reference
+/// counts, not table rebuilds.
 #[derive(Debug, Clone)]
 pub struct ShardedStore {
-    shards: Vec<Arc<AuditStore>>,
+    shards: Vec<Arc<EventShard>>,
     /// `offsets[i]` is the global position of shard `i`'s first event;
     /// a trailing sentinel holds the total event count.
     offsets: Vec<usize>,
     reduction: ReductionStats,
-    /// The shared entity array (authoritative: in a streaming snapshot,
-    /// older sealed shards may carry a shorter prefix of it).
-    entities: Arc<[Entity]>,
-    /// The shared entity tables, for store-level entity-filter probes.
-    tables: EntityTables,
+    /// Every entity the shards' events reference.
+    catalog: EntityCatalog,
     /// Stream provenance, when this store is a streaming snapshot.
     frontier: Option<StreamFrontier>,
 }
@@ -123,18 +119,16 @@ impl ShardedStore {
     /// on scoped threads. `shards` is clamped to at least 1.
     pub fn ingest(log: &ParsedLog, use_cpr: bool, shards: usize) -> ShardedStore {
         let (events, reduction) = cpr::reduce_if(&log.events, use_cpr);
-        let entities: Arc<[Entity]> = Arc::from(log.entities.as_slice());
-        let tables = EntityTables::build(&entities);
-        Self::build(entities, tables, events, reduction, shards)
+        let catalog = EntityCatalog::from_entities(&log.entities);
+        Self::build(catalog, events, reduction, shards)
     }
 
     /// Re-partitions an existing single store into `shards` shards,
     /// reusing its already reduced events (no second CPR pass) and its
-    /// already built entity array and tables (shared, not copied).
+    /// already built entity catalog (shared, not copied).
     pub fn from_store(store: &AuditStore, shards: usize) -> ShardedStore {
         Self::build(
-            Arc::clone(&store.entities),
-            store.entity_tables(),
+            store.entities.clone(),
             store.events.clone(),
             store.reduction,
             shards,
@@ -143,13 +137,11 @@ impl ShardedStore {
 
     /// Assembles a store from already-built shards (the streaming
     /// snapshot path): offsets are derived from the shards' event counts,
-    /// `entities`/`tables` are the authoritative current entity state
-    /// (sealed shards may hold an older prefix), and `reduction` is the
-    /// stream-global statistic.
+    /// `catalog` holds every entity their events reference, and
+    /// `reduction` is the stream-global statistic.
     pub fn from_parts(
-        shards: Vec<Arc<AuditStore>>,
-        entities: Arc<[Entity]>,
-        tables: EntityTables,
+        shards: Vec<Arc<EventShard>>,
+        catalog: EntityCatalog,
         reduction: ReductionStats,
     ) -> ShardedStore {
         assert!(
@@ -167,8 +159,7 @@ impl ShardedStore {
             shards,
             offsets,
             reduction,
-            entities,
-            tables,
+            catalog,
             frontier: None,
         }
     }
@@ -187,8 +178,7 @@ impl ShardedStore {
     }
 
     fn build(
-        entities: Arc<[Entity]>,
-        tables: EntityTables,
+        catalog: EntityCatalog,
         events: Vec<Event>,
         reduction: ReductionStats,
         shards: usize,
@@ -213,26 +203,16 @@ impl ShardedStore {
         let workers = std::thread::available_parallelism()
             .map(|p| p.get())
             .unwrap_or(1);
-        let shards: Vec<Arc<AuditStore>> = fan_out(n, workers, |i| {
+        let shards: Vec<Arc<EventShard>> = fan_out(n, workers, |i| {
             let slice = &events[offsets[i]..offsets[i + 1]];
-            let stats = ReductionStats {
-                before: slice.len(),
-                after: slice.len(),
-            };
-            Arc::new(AuditStore::from_shared(
-                Arc::clone(&entities),
-                &tables,
-                slice.to_vec(),
-                stats,
-            ))
+            Arc::new(EventShard::build(slice.to_vec(), catalog.len()))
         });
 
         ShardedStore {
             shards,
             offsets,
             reduction,
-            entities,
-            tables,
+            catalog,
             frontier: None,
         }
     }
@@ -243,12 +223,12 @@ impl ShardedStore {
     }
 
     /// All shards, in time order.
-    pub fn shards(&self) -> &[Arc<AuditStore>] {
+    pub fn shards(&self) -> &[Arc<EventShard>] {
         &self.shards
     }
 
     /// Shard `i`.
-    pub fn shard(&self, i: usize) -> &AuditStore {
+    pub fn shard(&self, i: usize) -> &EventShard {
         &self.shards[i]
     }
 
@@ -292,30 +272,15 @@ impl ShardedStore {
         *self.offsets.last().expect("offsets always has a sentinel")
     }
 
-    /// Entity accessor (entity ids are global; the entity array is shared
-    /// across shards).
+    /// Entity accessor (entity ids are global).
     pub fn entity(&self, id: EntityId) -> &Entity {
-        &self.entities[id.index()]
+        self.catalog.entity(id)
     }
 
-    /// All entities, indexed by [`EntityId`].
-    pub fn entities(&self) -> &[Entity] {
-        &self.entities
-    }
-
-    /// The store-level entity table registered under `name` — the
-    /// authoritative table for resolving entity predicates globally. (In
-    /// a streaming snapshot, per-shard entity tables of older sealed
-    /// shards hold only the entities known when the shard was sealed —
-    /// sufficient for shard-local residual filtering, but not for global
-    /// filter-set resolution.)
-    pub fn entity_table(&self, name: &str) -> &Table {
-        self.tables.table(name)
-    }
-
-    /// Shared handles to the store-level entity tables.
-    pub fn entity_tables(&self) -> EntityTables {
-        self.tables.clone()
+    /// The entity catalog: all entities and their indexed tables, the
+    /// one place entity predicates are resolved.
+    pub fn catalog(&self) -> &EntityCatalog {
+        &self.catalog
     }
 
     /// Event at a global position.
@@ -395,30 +360,21 @@ mod tests {
     }
 
     #[test]
-    fn entities_shared_and_ids_global() {
+    fn entities_stored_once_and_ids_global() {
         let log = scenario_log();
-        let sharded = ShardedStore::ingest(&log, false, 3);
-        assert_eq!(sharded.entities().len(), log.entities.len());
-        for shard in sharded.shards() {
-            // One physical entity array and one physical copy of each
-            // entity table, shared by every shard — not replicas.
-            assert!(std::ptr::eq(
-                shard.entities.as_ptr(),
-                sharded.entities().as_ptr()
-            ));
-            for table in [
-                crate::store::TABLE_PROCESS,
-                crate::store::TABLE_FILE,
-                crate::store::TABLE_NETWORK,
-            ] {
-                assert!(std::ptr::eq(
-                    shard.db.table(table) as *const _,
-                    sharded.entity_table(table) as *const _
-                ));
-            }
-        }
-        let id = EntityId(0);
-        assert_eq!(sharded.entity(id), &log.entities[0]);
+        let single = AuditStore::ingest(&log, false);
+        let sharded = ShardedStore::from_store(&single, 3);
+        // Batch construction is the one-generation catalog, and
+        // re-partitioning shares it instead of copying.
+        assert_eq!(sharded.catalog().generations().len(), 1);
+        assert!(Arc::ptr_eq(
+            &sharded.catalog().generations()[0],
+            &single.entities.generations()[0]
+        ));
+        assert_eq!(sharded.catalog().len(), log.entities.len());
+        assert!(sharded.catalog().iter().eq(log.entities.iter()));
+        let id = EntityId(log.entities.len() as u32 - 1);
+        assert_eq!(sharded.entity(id), &log.entities[id.index()]);
     }
 
     #[test]

@@ -5,14 +5,23 @@
 //! as nodes and system events as edges. Indexes are created on key
 //! attributes to speed up the search. Furthermore, … the Causality
 //! Preserved Reduction technique [is used] to merge excessive events."
+//!
+//! The two halves of that sentence are two types. Entities live once per
+//! store in an [`EntityCatalog`]; events live in [`EventShard`]s, which
+//! know nothing about entities — a [`crate::sharded::ShardedStore`] or a
+//! [`crate::stream::StreamingStore`] holds one catalog and many shards.
+//! An [`AuditStore`] is the single-shard case: one catalog generation,
+//! one shard, and a [`Database`] naming all four tables.
 
+use crate::catalog::EntityCatalog;
 use crate::cpr;
 use crate::graphdb::GraphDb;
 use crate::relational::{Column, Database, Table, Value};
-use std::sync::Arc;
-use threatraptor_audit::entity::{Entity, EntityId};
+use std::ops::Deref;
+use threatraptor_audit::entity::{Entity, EntityId, EntityKind};
 use threatraptor_audit::event::{Event, EventType};
 use threatraptor_audit::parser::ParsedLog;
+use threatraptor_sync::{Arc, OnceLock};
 
 /// Table name for process entities.
 pub const TABLE_PROCESS: &str = "process";
@@ -23,56 +32,86 @@ pub const TABLE_NETWORK: &str = "network";
 /// Table name for events.
 pub const TABLE_EVENT: &str = "event";
 
-/// The three entity tables of a store, behind shared handles so one
-/// physical copy can serve many shards (entity ids are global, so every
-/// shard of one log sees identical entity tables — replicating them per
-/// shard is pure waste at production entity counts).
+/// A contiguous slice of the stored event stream in both backends: the
+/// events (CPR-reduced when enabled, in time order), the indexed event
+/// table whose row `i` is `events[i]`, and the property graph with one
+/// edge per event. Holds no entity state — entity ids in its events are
+/// resolved against the owning store's [`EntityCatalog`].
 #[derive(Debug, Clone)]
-pub struct EntityTables {
-    /// Process table (indexed on `id`).
-    pub process: Arc<Table>,
-    /// File table (indexed on `id` and `name`).
-    pub file: Arc<Table>,
-    /// Network-connection table (indexed on `id` and `dstip`).
-    pub network: Arc<Table>,
+pub struct EventShard {
+    /// Stored events, in time order.
+    pub events: Vec<Event>,
+    table: Arc<Table>,
+    /// Size of the graph's node space: every entity id in `events` is
+    /// below it.
+    nodes: usize,
+    graph: OnceLock<GraphDb>,
 }
 
-impl EntityTables {
-    /// Builds all three entity tables (with their indexes) once.
-    pub fn build(entities: &[Entity]) -> EntityTables {
-        EntityTables {
-            process: Arc::new(AuditStore::build_process_table(entities)),
-            file: Arc::new(AuditStore::build_file_table(entities)),
-            network: Arc::new(AuditStore::build_network_table(entities)),
+impl EventShard {
+    /// Indexes `events` into a shard. `nodes` bounds the entity ids they
+    /// reference (the owning catalog's length when they were stored).
+    pub fn build(events: Vec<Event>, nodes: usize) -> EventShard {
+        EventShard {
+            table: Arc::new(build_event_table(&events)),
+            events,
+            nodes,
+            graph: OnceLock::new(),
         }
     }
 
-    /// The table registered under `name`, or a panic for non-entity names.
-    pub fn table(&self, name: &str) -> &Table {
-        match name {
-            TABLE_PROCESS => &self.process,
-            TABLE_FILE => &self.file,
-            TABLE_NETWORK => &self.network,
-            other => panic!("`{other}` is not an entity table"),
-        }
+    /// The event table (indexed on `op`, `subject`, `object`, `start`).
+    pub fn event_table(&self) -> &Table {
+        &self.table
+    }
+
+    /// The graph backend (Neo4j role), built on first use: the scheduled
+    /// execution path answers event patterns from the event table and
+    /// paths from its subject index, so a shard that is only ever served
+    /// that way never pays for adjacency lists and edge copies.
+    pub fn graph(&self) -> &GraphDb {
+        self.graph
+            .get_or_init(|| GraphDb::build(self.nodes, &self.events))
+    }
+
+    /// Stored event by table row position.
+    #[inline]
+    pub fn event_at(&self, pos: usize) -> &Event {
+        &self.events[pos]
+    }
+
+    /// Number of stored events.
+    pub fn event_count(&self) -> usize {
+        self.events.len()
+    }
+
+    /// The node-space bound this shard was built with.
+    pub(crate) fn nodes(&self) -> usize {
+        self.nodes
     }
 }
 
-/// The combined store over relational and graph backends.
+/// The combined store over relational and graph backends: an
+/// [`EntityCatalog`] plus one [`EventShard`], to which it dereferences
+/// (`store.events`, `store.graph()`, `store.event_at(..)`).
 #[derive(Debug, Clone)]
 pub struct AuditStore {
-    /// Relational backend (PostgreSQL role).
+    /// Relational backend (PostgreSQL role): the three entity tables and
+    /// the event table by name, shared with `entities` and the shard.
     pub db: Database,
-    /// Graph backend (Neo4j role).
-    pub graph: GraphDb,
-    /// All entities, indexed by [`EntityId`]. Shared (not replicated)
-    /// across the shards of a [`crate::sharded::ShardedStore`].
-    pub entities: Arc<[Entity]>,
-    /// Stored events (CPR-reduced when enabled), in time order. Row `i` of
-    /// the event table corresponds to `events[i]`.
-    pub events: Vec<Event>,
+    /// All entities, indexed by [`EntityId`], in one generation.
+    pub entities: EntityCatalog,
     /// CPR statistics of the ingest (before == after when CPR disabled).
     pub reduction: cpr::ReductionStats,
+    shard: EventShard,
+}
+
+impl Deref for AuditStore {
+    type Target = EventShard;
+
+    fn deref(&self) -> &EventShard {
+        &self.shard
+    }
 }
 
 impl AuditStore {
@@ -90,180 +129,75 @@ impl AuditStore {
         events: Vec<Event>,
         reduction: cpr::ReductionStats,
     ) -> AuditStore {
-        let tables = EntityTables::build(entities);
-        Self::from_shared(Arc::from(entities), &tables, events, reduction)
-    }
-
-    /// Builds a store over an already reduced event stream, sharing the
-    /// entity array and entity tables with the caller (and any sibling
-    /// shards). Only the event table and the graph are built here — this
-    /// is the shard-construction path of
-    /// [`crate::sharded::ShardedStore`], which reduces once globally,
-    /// builds the entity tables once, and then partitions the events.
-    pub fn from_shared(
-        entities: Arc<[Entity]>,
-        tables: &EntityTables,
-        events: Vec<Event>,
-        reduction: cpr::ReductionStats,
-    ) -> AuditStore {
+        let entities = EntityCatalog::from_entities(entities);
+        let shard = EventShard::build(events, entities.len());
         let mut db = Database::new();
-        db.add_shared_table(Arc::clone(&tables.process));
-        db.add_shared_table(Arc::clone(&tables.file));
-        db.add_shared_table(Arc::clone(&tables.network));
-        db.add_table(Self::build_event_table(&events));
-
-        let graph = GraphDb::build(entities.len(), &events);
-
+        for generation in entities.generations() {
+            for kind in [EntityKind::Process, EntityKind::File, EntityKind::Network] {
+                db.add_shared_table(Arc::clone(generation.table(kind)));
+            }
+        }
+        db.add_shared_table(Arc::clone(&shard.table));
         AuditStore {
             db,
-            graph,
             entities,
-            events,
             reduction,
+            shard,
         }
-    }
-
-    /// Shared handles to this store's entity tables.
-    pub fn entity_tables(&self) -> EntityTables {
-        EntityTables {
-            process: self.db.shared_table(TABLE_PROCESS),
-            file: self.db.shared_table(TABLE_FILE),
-            network: self.db.shared_table(TABLE_NETWORK),
-        }
-    }
-
-    fn build_process_table(entities: &[Entity]) -> Table {
-        let mut t = Table::new(
-            TABLE_PROCESS,
-            vec![
-                Column::new("id"),
-                Column::new("pid"),
-                Column::new("exename"),
-                Column::new("cmdline"),
-                Column::new("owner"),
-                Column::new("start_time"),
-            ],
-        );
-        for e in entities {
-            if let Entity::Process(p) = e {
-                t.insert(vec![
-                    Value::from(p.id.0),
-                    Value::from(p.pid),
-                    Value::str(&p.exename),
-                    Value::str(&p.cmdline),
-                    Value::str(&p.owner),
-                    Value::from(p.start_time),
-                ]);
-            }
-        }
-        t.create_btree_index("id");
-        t
-    }
-
-    fn build_file_table(entities: &[Entity]) -> Table {
-        let mut t = Table::new(TABLE_FILE, vec![Column::new("id"), Column::new("name")]);
-        for e in entities {
-            if let Entity::File(f) = e {
-                t.insert(vec![Value::from(f.id.0), Value::str(&f.name)]);
-            }
-        }
-        t.create_btree_index("id");
-        t.create_hash_index("name");
-        t
-    }
-
-    fn build_network_table(entities: &[Entity]) -> Table {
-        let mut t = Table::new(
-            TABLE_NETWORK,
-            vec![
-                Column::new("id"),
-                Column::new("srcip"),
-                Column::new("srcport"),
-                Column::new("dstip"),
-                Column::new("dstport"),
-                Column::new("protocol"),
-            ],
-        );
-        for e in entities {
-            if let Entity::Network(n) = e {
-                t.insert(vec![
-                    Value::from(n.id.0),
-                    Value::str(&n.src_ip),
-                    Value::from(n.src_port),
-                    Value::str(&n.dst_ip),
-                    Value::from(n.dst_port),
-                    Value::str(&n.protocol),
-                ]);
-            }
-        }
-        t.create_btree_index("id");
-        t.create_hash_index("dstip");
-        t
-    }
-
-    fn build_event_table(events: &[Event]) -> Table {
-        let mut t = Table::new(
-            TABLE_EVENT,
-            vec![
-                Column::new("id"),
-                Column::new("subject"),
-                Column::new("op"),
-                Column::new("object"),
-                Column::new("start"),
-                Column::new("end"),
-                Column::new("bytes"),
-                Column::new("type"),
-            ],
-        );
-        for ev in events.iter() {
-            let ty = match ev.event_type() {
-                EventType::File => "file",
-                EventType::Process => "process",
-                EventType::Network => "network",
-            };
-            t.insert(vec![
-                Value::from(ev.id.0),
-                Value::from(ev.subject.0),
-                Value::str(ev.op.name()),
-                Value::from(ev.object.0),
-                Value::from(ev.start),
-                Value::from(ev.end),
-                Value::from(ev.bytes),
-                Value::str(ty),
-            ]);
-        }
-        t.create_hash_index("op");
-        t.create_btree_index("subject");
-        t.create_btree_index("object");
-        t.create_btree_index("start");
-        t
     }
 
     /// Entity accessor.
     #[inline]
     pub fn entity(&self, id: EntityId) -> &Entity {
-        &self.entities[id.index()]
-    }
-
-    /// Stored event by table row position.
-    #[inline]
-    pub fn event_at(&self, pos: usize) -> &Event {
-        &self.events[pos]
-    }
-
-    /// Number of stored events.
-    pub fn event_count(&self) -> usize {
-        self.events.len()
+        self.entities.entity(id)
     }
 
     /// The table name that holds entities of the given kind.
-    pub fn entity_table(kind: threatraptor_audit::entity::EntityKind) -> &'static str {
+    pub fn entity_table(kind: EntityKind) -> &'static str {
         match kind {
-            threatraptor_audit::entity::EntityKind::Process => TABLE_PROCESS,
-            threatraptor_audit::entity::EntityKind::File => TABLE_FILE,
-            threatraptor_audit::entity::EntityKind::Network => TABLE_NETWORK,
+            EntityKind::Process => TABLE_PROCESS,
+            EntityKind::File => TABLE_FILE,
+            EntityKind::Network => TABLE_NETWORK,
         }
     }
+}
+
+fn build_event_table(events: &[Event]) -> Table {
+    let mut t = Table::new(
+        TABLE_EVENT,
+        vec![
+            Column::new("id"),
+            Column::new("subject"),
+            Column::new("op"),
+            Column::new("object"),
+            Column::new("start"),
+            Column::new("end"),
+            Column::new("bytes"),
+            Column::new("type"),
+        ],
+    );
+    for ev in events.iter() {
+        let ty = match ev.event_type() {
+            EventType::File => "file",
+            EventType::Process => "process",
+            EventType::Network => "network",
+        };
+        t.insert(vec![
+            Value::from(ev.id.0),
+            Value::from(ev.subject.0),
+            Value::str(ev.op.name()),
+            Value::from(ev.object.0),
+            Value::from(ev.start),
+            Value::from(ev.end),
+            Value::from(ev.bytes),
+            Value::str(ty),
+        ]);
+    }
+    t.create_hash_index("op");
+    t.create_btree_index("subject");
+    t.create_btree_index("object");
+    t.create_btree_index("start");
+    t
 }
 
 /// Position-addressed access to stored events and entities — the part of
@@ -286,11 +220,11 @@ pub trait EventLookup {
 
 impl EventLookup for AuditStore {
     fn event_at(&self, pos: usize) -> &Event {
-        AuditStore::event_at(self, pos)
+        self.shard.event_at(pos)
     }
 
     fn event_count(&self) -> usize {
-        AuditStore::event_count(self)
+        self.shard.event_count()
     }
 
     fn entity(&self, id: EntityId) -> &Entity {
@@ -321,6 +255,16 @@ mod tests {
     }
 
     #[test]
+    fn an_empty_log_still_has_all_four_tables() {
+        let s = AuditStore::ingest(&ParsedLog::default(), true);
+        for table in [TABLE_PROCESS, TABLE_FILE, TABLE_NETWORK, TABLE_EVENT] {
+            assert!(s.db.table(table).is_empty());
+        }
+        assert!(s.entities.is_empty());
+        assert_eq!(s.graph().node_count(), 0);
+    }
+
+    #[test]
     fn cpr_shrinks_event_table() {
         let plain = store(false);
         let reduced = store(true);
@@ -331,7 +275,7 @@ mod tests {
         );
         assert_eq!(reduced.db.table(TABLE_EVENT).len(), reduced.event_count());
         // Graph edge count matches stored events.
-        assert_eq!(reduced.graph.edge_count(), reduced.event_count());
+        assert_eq!(reduced.graph().edge_count(), reduced.event_count());
     }
 
     #[test]

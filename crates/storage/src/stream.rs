@@ -7,8 +7,11 @@
 //! into a live one:
 //!
 //! * a [`StreamingStore`] holds a list of immutable **sealed** shards
-//!   (ordinary [`AuditStore`]s behind [`Arc`]) plus one mutable **open
-//!   window** at the ingest frontier;
+//!   ([`EventShard`]s behind [`Arc`]), one mutable **open window** at the
+//!   ingest frontier, and one append-only [`EntityCatalog`] for all of
+//!   them: an append indexes the chunk's new entities into it and nothing
+//!   else — shards carry no entity state, so nothing is copied or rebuilt
+//!   when entities arrive;
 //! * [`StreamingStore::append`] feeds event batches into an
 //!   [`IncrementalReducer`], which applies Causality-Preserved Reduction
 //!   incrementally — merging only against the open window while evolving
@@ -19,19 +22,23 @@
 //!   *stable prefix* — closed CPR outputs below the reducer's watermark —
 //!   so a merge run is never split across a seal boundary;
 //! * [`StreamingStore::snapshot`] assembles a regular [`ShardedStore`]
-//!   from Arc-cloned sealed shards plus a freshly indexed open shard.
-//!   The snapshot is an immutable epoch view: hunts run against it with
-//!   the unmodified sharded engine while appends continue, and further
-//!   appends never mutate an already-taken snapshot.
+//!   from Arc-cloned sealed shards, a clone of the catalog's handle list
+//!   and a freshly indexed open shard. The snapshot is an immutable epoch
+//!   view: hunts run against it with the unmodified sharded engine while
+//!   appends continue, and further appends never mutate an already-taken
+//!   snapshot — a later append builds new catalog generations beside the
+//!   ones the snapshot holds.
 //!
 //! Global invariants are inherited from the batch path: entity ids are
 //! assigned by the parser in first-appearance order and never change, and
 //! global event positions are the concatenation of sealed shards plus the
 //! open window — exactly the positions batch ingestion assigns.
 
+use crate::catalog::EntityCatalog;
 use crate::cpr::{IncrementalReducer, ReductionStats};
 use crate::sharded::{ShardedStore, StreamFrontier};
-use crate::store::{AuditStore, EntityTables};
+use crate::store::EventShard;
+use std::time::{Duration, Instant};
 use threatraptor_audit::entity::Entity;
 use threatraptor_audit::event::Event;
 use threatraptor_audit::parser::LogChunk;
@@ -125,7 +132,8 @@ impl CompactionPolicy {
     }
 }
 
-/// What one append did: how much arrived, and whether it tripped a seal.
+/// What one append did: how much arrived, whether it tripped a seal, and
+/// where its time went beside the reduction itself.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct AppendOutcome {
     /// Raw events appended by this call.
@@ -134,6 +142,10 @@ pub struct AppendOutcome {
     pub new_entities: usize,
     /// Shards sealed by this call (auto-sealing under the policy).
     pub sealed: usize,
+    /// Time spent indexing the new entities into the catalog.
+    pub entity_extend: Duration,
+    /// Time spent compacting sealed shards (zero when none ran).
+    pub compact: Duration,
 }
 
 /// Registry handles for stream-level telemetry; attached once via
@@ -157,14 +169,11 @@ struct StreamObs {
     stored_events: Arc<Gauge>,
     /// `storage_entities`: entities registered so far.
     entities: Arc<Gauge>,
-}
-
-/// Cached shared entity state, rebuilt only when entities have grown.
-#[derive(Debug, Clone)]
-struct SharedEntities {
-    len: usize,
-    entities: Arc<[Entity]>,
-    tables: EntityTables,
+    /// `storage_entity_rows_indexed_total`: rows inserted into entity
+    /// tables, generation merges included.
+    entity_rows_indexed: Arc<Counter>,
+    /// `storage_entity_generations`: current catalog generation count.
+    entity_generations: Arc<Gauge>,
 }
 
 /// The detached ingredients of a snapshot, extracted under any lock the
@@ -172,9 +181,8 @@ struct SharedEntities {
 /// [`SnapshotParts::build`]. See [`StreamingStore::snapshot_parts`].
 #[derive(Debug, Clone)]
 pub struct SnapshotParts {
-    sealed: Vec<Arc<AuditStore>>,
-    entities: Arc<[Entity]>,
-    tables: EntityTables,
+    sealed: Vec<Arc<EventShard>>,
+    catalog: EntityCatalog,
     open_events: Vec<Event>,
     raw_appended: usize,
     sealed_events: usize,
@@ -191,23 +199,13 @@ impl SnapshotParts {
             watermark: self.watermark,
             open_min_start: self.open_events.iter().map(|e| e.start).min(),
         };
-        let open_stats = ReductionStats {
-            before: self.open_events.len(),
-            after: self.open_events.len(),
-        };
-        let open = Arc::new(AuditStore::from_shared(
-            Arc::clone(&self.entities),
-            &self.tables,
-            self.open_events,
-            open_stats,
-        ));
+        let open = Arc::new(EventShard::build(self.open_events, self.catalog.len()));
         let total = self.sealed_events + open.event_count();
         let mut shards = self.sealed;
         shards.push(open);
         ShardedStore::from_parts(
             shards,
-            self.entities,
-            self.tables,
+            self.catalog,
             ReductionStats {
                 before: self.raw_appended,
                 after: total,
@@ -224,14 +222,11 @@ pub struct StreamingStore {
     use_cpr: bool,
     policy: SealPolicy,
     compaction: CompactionPolicy,
-    /// All entities seen so far, in global id order (append-only).
-    entities: Vec<Entity>,
-    /// Shared entity array/tables as of `shared.len` entities; refreshed
-    /// lazily so repeated seals/snapshots without entity growth reuse one
-    /// physical copy.
-    shared: Option<SharedEntities>,
+    /// All entities seen so far with their indexed tables — the only
+    /// entity state of the stream; snapshots clone its handle list.
+    catalog: EntityCatalog,
     reducer: IncrementalReducer,
-    sealed: Vec<Arc<AuditStore>>,
+    sealed: Vec<Arc<EventShard>>,
     sealed_events: usize,
     /// Monotone change counter: bumped on every append and seal. Atomic
     /// behind a shared handle ([`StreamingStore::epoch_handle`]) so
@@ -249,8 +244,7 @@ impl StreamingStore {
             use_cpr,
             policy,
             compaction: CompactionPolicy::disabled(),
-            entities: Vec::new(),
-            shared: None,
+            catalog: EntityCatalog::new(),
             reducer: IncrementalReducer::new(use_cpr),
             sealed: Vec::new(),
             sealed_events: 0,
@@ -283,19 +277,23 @@ impl StreamingStore {
             sealed_shards: registry.gauge("storage_sealed_shards"),
             stored_events: registry.gauge("storage_stored_events"),
             entities: registry.gauge("storage_entities"),
+            entity_rows_indexed: registry.counter("storage_entity_rows_indexed_total"),
+            entity_generations: registry.gauge("storage_entity_generations"),
         };
         self.obs = Some(obs);
         self.sync_gauges();
     }
 
-    /// Updates the state gauges to match the store. Cheap (four
+    /// Updates the state gauges to match the store. Cheap (five
     /// relaxed stores); no-op when telemetry is not attached.
     fn sync_gauges(&self) {
         if let Some(obs) = &self.obs {
             obs.open_events.set(self.reducer.open_len() as i64);
             obs.sealed_shards.set(self.sealed.len() as i64);
             obs.stored_events.set(self.event_count() as i64);
-            obs.entities.set(self.entities.len() as i64);
+            obs.entities.set(self.catalog.len() as i64);
+            obs.entity_generations
+                .set(self.catalog.generations().len() as i64);
         }
     }
 
@@ -311,24 +309,13 @@ impl StreamingStore {
 
     /// [`StreamingStore::append`] over bare slices.
     pub fn append_batch(&mut self, new_entities: &[Entity], events: &[Event]) -> AppendOutcome {
-        for (offset, entity) in new_entities.iter().enumerate() {
-            assert_eq!(
-                entity.id().index(),
-                self.entities.len() + offset,
-                "appended entities must continue the global id sequence"
-            );
-        }
-        self.entities.extend_from_slice(new_entities);
-        if !new_entities.is_empty() {
-            // Rebuild the shared entity tables on the (write-side) append
-            // path, so read-side snapshots always hit the cache instead
-            // of rebuilding under their lock.
-            self.refresh_shared();
-        }
-        debug_assert!(events
-            .iter()
-            .all(|e| e.subject.index() < self.entities.len()
-                && e.object.index() < self.entities.len()));
+        let t_extend = Instant::now();
+        // Validates the id sequence before mutating anything.
+        let rows_indexed = self.catalog.extend(new_entities);
+        let entity_extend = t_extend.elapsed();
+        debug_assert!(events.iter().all(
+            |e| e.subject.index() < self.catalog.len() && e.object.index() < self.catalog.len()
+        ));
         self.reducer.append(events);
         // ordering: Release publishes the appended data to epoch-handle
         // readers — an Acquire load that sees the new value also sees
@@ -336,26 +323,31 @@ impl StreamingStore {
         self.epoch.fetch_add(1, Ordering::Release);
 
         let mut sealed = 0;
+        let mut compact = Duration::ZERO;
         while self
             .policy
             .triggered(self.reducer.open_len(), self.reducer.open_span())
         {
-            if self.seal().is_none() {
+            let Some((_, spent)) = self.seal_stable() else {
                 // Nothing stable to seal (one giant open run): stop
                 // rather than spin; the next append will retry.
                 break;
-            }
+            };
+            compact += spent;
             sealed += 1;
         }
         if let Some(obs) = &self.obs {
             obs.appends.inc();
             obs.raw_events.add(events.len() as u64);
+            obs.entity_rows_indexed.add(rows_indexed as u64);
         }
         self.sync_gauges();
         AppendOutcome {
             appended: events.len(),
             new_entities: new_entities.len(),
             sealed,
+            entity_extend,
+            compact,
         }
     }
 
@@ -363,26 +355,20 @@ impl StreamingStore {
     /// shard. Returns `None` (and seals nothing) when no output is
     /// stable yet — open CPR runs stay open so a merge is never split
     /// across a seal boundary.
-    pub fn seal(&mut self) -> Option<Arc<AuditStore>> {
+    pub fn seal(&mut self) -> Option<Arc<EventShard>> {
+        self.seal_stable().map(|(shard, _)| shard)
+    }
+
+    /// [`StreamingStore::seal`], also returning the time spent compacting.
+    fn seal_stable(&mut self) -> Option<(Arc<EventShard>, Duration)> {
         let stable = self.reducer.take_stable();
         if stable.is_empty() {
             return None;
         }
-        self.refresh_shared();
-        let shared = self.shared.as_ref().expect("refreshed above");
-        let stats = ReductionStats {
-            before: stable.len(),
-            after: stable.len(),
-        };
-        let shard = Arc::new(AuditStore::from_shared(
-            Arc::clone(&shared.entities),
-            &shared.tables,
-            stable,
-            stats,
-        ));
+        let shard = Arc::new(EventShard::build(stable, self.catalog.len()));
         self.sealed_events += shard.event_count();
         self.sealed.push(Arc::clone(&shard));
-        self.maybe_compact();
+        let compact = self.maybe_compact();
         // ordering: Release, same publish contract as the append-path
         // bump — the sealed shard must be visible before the new epoch.
         self.epoch.fetch_add(1, Ordering::Release);
@@ -390,15 +376,20 @@ impl StreamingStore {
             obs.seals.inc();
         }
         self.sync_gauges();
-        Some(shard)
+        Some((shard, compact))
     }
 
     /// Merges the smallest adjacent sealed pair while the compaction
     /// policy is triggered. Concatenation only: the merged shard holds
     /// the same events at the same global positions, so every invariant
     /// a snapshot relies on — positions, sealed-prefix immutability, the
-    /// sealed-event count — is preserved by construction.
-    fn maybe_compact(&mut self) {
+    /// sealed-event count — is preserved by construction. Returns the
+    /// time spent (zero when nothing was merged).
+    fn maybe_compact(&mut self) -> Duration {
+        if !self.compaction.triggered(self.sealed.len()) {
+            return Duration::ZERO;
+        }
+        let t0 = Instant::now();
         while self.compaction.triggered(self.sealed.len()) {
             let i = (0..self.sealed.len() - 1)
                 .min_by_key(|&i| self.sealed[i].event_count() + self.sealed[i + 1].event_count())
@@ -407,26 +398,14 @@ impl StreamingStore {
             let mut events = Vec::with_capacity(a.event_count() + b.event_count());
             events.extend_from_slice(&a.events);
             events.extend_from_slice(&b.events);
-            let stats = ReductionStats {
-                before: events.len(),
-                after: events.len(),
-            };
-            let shared = self
-                .shared
-                .as_ref()
-                .expect("sealed shards imply shared entity state");
-            let merged = Arc::new(AuditStore::from_shared(
-                Arc::clone(&shared.entities),
-                &shared.tables,
-                events,
-                stats,
-            ));
+            let merged = Arc::new(EventShard::build(events, a.nodes().max(b.nodes())));
             self.sealed[i] = merged;
             self.sealed.remove(i + 1);
             if let Some(obs) = &self.obs {
                 obs.compactions.inc();
             }
         }
+        t0.elapsed()
     }
 
     /// An immutable epoch view over everything appended so far: all
@@ -445,18 +424,16 @@ impl StreamingStore {
     }
 
     /// Extracts everything a snapshot needs from the live store: Arc
-    /// clones of the sealed shards, the shared entity state, and the
+    /// clones of the sealed shards and catalog generations, and the
     /// open window's event list (the incremental reducer's simulated
     /// completion — O(open window), no index builds). The returned parts
     /// are fully detached: [`SnapshotParts::build`] — which pays for
     /// indexing the open window — can run with no lock held while
     /// appends continue.
     pub fn snapshot_parts(&self) -> SnapshotParts {
-        let (entities, tables) = self.shared_parts();
         SnapshotParts {
             sealed: self.sealed.clone(),
-            entities,
-            tables,
+            catalog: self.catalog.clone(),
             open_events: self.reducer.visible(),
             raw_appended: self.reducer.appended(),
             sealed_events: self.sealed_events,
@@ -479,9 +456,9 @@ impl StreamingStore {
         self.sealed_events + self.reducer.open_len()
     }
 
-    /// All entities registered so far.
-    pub fn entities(&self) -> &[Entity] {
-        &self.entities
+    /// All entities registered so far, with their indexed tables.
+    pub fn catalog(&self) -> &EntityCatalog {
+        &self.catalog
     }
 
     /// Stream-global reduction statistics (raw appended vs stored).
@@ -518,36 +495,6 @@ impl StreamingStore {
     /// event-driven dispatcher polls between notifications.
     pub fn epoch_handle(&self) -> Arc<AtomicU64> {
         Arc::clone(&self.epoch)
-    }
-
-    /// Shared entity array/tables for the current entity set, reusing the
-    /// cache when entities have not grown (no `&mut self`: snapshot must
-    /// work under a read lock).
-    fn shared_parts(&self) -> (Arc<[Entity]>, EntityTables) {
-        match &self.shared {
-            Some(s) if s.len == self.entities.len() => (Arc::clone(&s.entities), s.tables.clone()),
-            _ => {
-                let entities: Arc<[Entity]> = Arc::from(self.entities.as_slice());
-                let tables = EntityTables::build(&entities);
-                (entities, tables)
-            }
-        }
-    }
-
-    /// Refreshes the shared-entity cache if entities have grown.
-    fn refresh_shared(&mut self) {
-        if self
-            .shared
-            .as_ref()
-            .is_none_or(|s| s.len != self.entities.len())
-        {
-            let (entities, tables) = self.shared_parts();
-            self.shared = Some(SharedEntities {
-                len: self.entities.len(),
-                entities,
-                tables,
-            });
-        }
     }
 }
 
@@ -729,18 +676,69 @@ mod tests {
     }
 
     #[test]
-    fn sealed_shards_share_one_entity_table_copy() {
-        let log = scenario_log(2_000);
+    fn sealed_shards_hold_no_entity_state() {
+        let raw = ScenarioBuilder::new()
+            .seed(42)
+            .target_events(2_000)
+            .build()
+            .raw;
         let mut store = StreamingStore::new(true, SealPolicy::events(200));
-        replay(&log, &mut store, 100);
+        // Entities arrive chunk by chunk, interleaved with seals.
+        for chunk in threatraptor_audit::LogFeed::by_events(&raw, 100) {
+            store.append(&chunk.unwrap());
+        }
+        assert!(store.sealed_count() > 2);
+        assert!(store.catalog().generations().len() > 1);
+        // The store's catalog is the only holder of every generation:
+        // no sealed shard pins an entity array or table.
+        for generation in store.catalog().generations() {
+            assert_eq!(Arc::strong_count(generation), 1);
+        }
+        // A snapshot adds one holder — its catalog — however many shards
+        // it has, and resolves the newest entity (no stale prefix).
         let snapshot = store.snapshot();
-        // All entities arrived before the first seal, so every shard —
-        // sealed and open — shares the same physical entity tables.
-        for shard in snapshot.shards() {
-            assert!(std::ptr::eq(
-                shard.db.table(crate::store::TABLE_PROCESS) as *const _,
-                snapshot.entity_table(crate::store::TABLE_PROCESS) as *const _
-            ));
+        assert!(snapshot.shard_count() > 3);
+        for generation in store.catalog().generations() {
+            assert_eq!(Arc::strong_count(generation), 2);
+        }
+        let last = EntityId(store.catalog().len() as u32 - 1);
+        assert_eq!(snapshot.entity(last).id(), last);
+    }
+
+    #[test]
+    fn held_snapshots_do_not_add_entity_work() {
+        let raw = ScenarioBuilder::new()
+            .seed(7)
+            .target_events(3_000)
+            .build()
+            .raw;
+        let registry = Registry::new();
+        let mut store = StreamingStore::new(true, SealPolicy::events(300));
+        store.attach_metrics(&registry);
+        // A snapshot held across every append: plain copy-on-write would
+        // clone the tables once per chunk.
+        let mut held = Vec::new();
+        for chunk in threatraptor_audit::LogFeed::by_events(&raw, 50) {
+            store.append(&chunk.unwrap());
+            held.push((store.catalog().len(), store.snapshot()));
+        }
+        let n = store.catalog().len() as f64;
+        let snap = registry.snapshot();
+        let rows = snap.counter("storage_entity_rows_indexed_total").unwrap();
+        assert!(
+            held.len() as f64 > 2.0 * n.log2(),
+            "many more appends than levels"
+        );
+        assert!(
+            rows as f64 <= n * (2.0 + n.log2()),
+            "{rows} rows for {n} entities"
+        );
+        let generations = snap.gauge("storage_entity_generations").unwrap();
+        assert_eq!(generations as usize, store.catalog().generations().len());
+        assert!(generations as f64 <= n.log2() + 1.0);
+        // Every held snapshot still sees exactly the entities of its time.
+        for (seen, snapshot) in &held {
+            assert_eq!(snapshot.catalog().len(), *seen);
         }
     }
 
@@ -778,8 +776,15 @@ mod tests {
         );
         assert_eq!(
             snap.gauge("storage_entities"),
-            Some(store.entities().len() as i64)
+            Some(store.catalog().len() as i64)
         );
+        // All entities arrived in one append: one generation, each row
+        // indexed once.
+        assert_eq!(
+            snap.counter("storage_entity_rows_indexed_total"),
+            Some(log.entities.len() as u64)
+        );
+        assert_eq!(snap.gauge("storage_entity_generations"), Some(1));
     }
 
     #[test]
@@ -808,6 +813,24 @@ mod tests {
         }
         // Compaction moves no boundary the frontier depends on.
         assert_eq!(a.frontier(), b.frontier());
+    }
+
+    #[test]
+    fn append_outcome_splits_entity_and_compaction_time() {
+        let log = scenario_log(3_000);
+        let mut store = StreamingStore::new(true, SealPolicy::events(100))
+            .with_compaction(CompactionPolicy::max_shards(2));
+        let first = store.append_batch(&log.entities, &[]);
+        assert!(!first.entity_extend.is_zero());
+        assert!(first.compact.is_zero());
+        let mut compacting_appends = 0;
+        for batch in log.events.chunks(64) {
+            let outcome = store.append_batch(&[], batch);
+            // Compaction only ever runs inside a seal.
+            assert!(outcome.compact.is_zero() || outcome.sealed > 0);
+            compacting_appends += usize::from(!outcome.compact.is_zero());
+        }
+        assert!(compacting_appends > 0);
     }
 
     #[test]

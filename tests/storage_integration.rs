@@ -19,13 +19,15 @@ fn store() -> (AuditStore, threatraptor::audit::sim::scenario::Scenario) {
 fn relational_and_graph_views_are_consistent() {
     let (store, _) = store();
     // Same cardinalities.
-    assert_eq!(store.graph.edge_count(), store.event_count());
-    assert_eq!(store.graph.node_count(), store.entities.len());
+    assert_eq!(store.graph().edge_count(), store.event_count());
+    assert_eq!(store.graph().node_count(), store.entities.len());
     // Every stored event appears as the identical edge.
     for (pos, ev) in store.events.iter().enumerate().step_by(97) {
-        let edges = store.graph.out_edges(ev.subject);
+        let edges = store.graph().out_edges(ev.subject);
         assert!(
-            edges.iter().any(|&e| store.graph.edge(e).event_pos == pos),
+            edges
+                .iter()
+                .any(|&e| store.graph().edge(e).event_pos == pos),
             "event {pos} missing from adjacency"
         );
     }
@@ -37,7 +39,7 @@ fn relational_and_graph_views_are_consistent() {
             .index_lookup("subject", &[threatraptor_storage::Value::from(id)])
             .unwrap()
             .len();
-        assert_eq!(via_index, store.graph.out_edges(eid).len());
+        assert_eq!(via_index, store.graph().out_edges(eid).len());
     }
 }
 
