@@ -74,24 +74,55 @@ pub fn similarity(a: &str, b: &str) -> f32 {
     cosine(&embed(a), &embed(b))
 }
 
+/// A string's character trigrams as a sorted, deduplicated list, so
+/// that overlaps are exact set counts without hashing any strings. A
+/// string shorter than three chars is its own single gram.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub(crate) struct Trigrams(Vec<[u32; 3]>);
+
+/// Fills out the gram of a sub-trigram string. Not a `char`, so such a
+/// gram never equals a real trigram.
+const PAD: u32 = u32::MAX;
+
+impl Trigrams {
+    /// The trigram set of `s`.
+    pub(crate) fn of(s: &str) -> Trigrams {
+        let chars: Vec<u32> = s.chars().map(u32::from).collect();
+        let mut grams: Vec<[u32; 3]> = if chars.len() < 3 {
+            let mut gram = [PAD; 3];
+            gram[..chars.len()].copy_from_slice(&chars);
+            vec![gram]
+        } else {
+            chars.windows(3).map(|w| [w[0], w[1], w[2]]).collect()
+        };
+        grams.sort_unstable();
+        grams.dedup();
+        Trigrams(grams)
+    }
+
+    /// Jaccard overlap `|A ∩ B| / |A ∪ B|` (neither set is ever empty).
+    pub(crate) fn overlap(&self, other: &Trigrams) -> f64 {
+        let (a, b) = (&self.0, &other.0);
+        let (mut i, mut j, mut inter) = (0, 0, 0usize);
+        while i < a.len() && j < b.len() {
+            match a[i].cmp(&b[j]) {
+                std::cmp::Ordering::Less => i += 1,
+                std::cmp::Ordering::Greater => j += 1,
+                std::cmp::Ordering::Equal => {
+                    inter += 1;
+                    i += 1;
+                    j += 1;
+                }
+            }
+        }
+        inter as f64 / (a.len() + b.len() - inter) as f64
+    }
+}
+
 /// Character-trigram Jaccard overlap — the "character-level overlap" leg
 /// of the merge criterion.
 pub fn char_overlap(a: &str, b: &str) -> f64 {
-    let grams = |s: &str| -> std::collections::HashSet<String> {
-        let chars: Vec<char> = s.chars().collect();
-        if chars.len() < 3 {
-            return std::iter::once(s.to_string()).collect();
-        }
-        chars.windows(3).map(|w| w.iter().collect()).collect()
-    };
-    let ga = grams(a);
-    let gb = grams(b);
-    if ga.is_empty() && gb.is_empty() {
-        return 1.0;
-    }
-    let inter = ga.intersection(&gb).count() as f64;
-    let union = ga.union(&gb).count() as f64;
-    inter / union
+    Trigrams::of(a).overlap(&Trigrams::of(b))
 }
 
 #[cfg(test)]

@@ -6,7 +6,7 @@
 //! normalization, and the recognizer that resolves overlapping candidate
 //! matches by leftmost-longest-then-priority.
 
-use crate::lightre::Regex;
+use crate::lightre::{Regex, RegexError};
 use std::fmt;
 use std::sync::OnceLock;
 
@@ -150,12 +150,17 @@ impl Default for IocRecognizer {
 impl IocRecognizer {
     /// Compiles the rule set.
     pub fn new() -> IocRecognizer {
+        Self::compiled_with(Regex::new)
+    }
+
+    /// Compiles every rule with `compile`.
+    fn compiled_with(compile: fn(&str) -> Result<Regex, RegexError>) -> IocRecognizer {
         let rules = IocType::ALL
             .iter()
             .map(|&ty| {
                 (
                     ty,
-                    Regex::new(ty.pattern()).expect("builtin IOC patterns must compile"),
+                    compile(ty.pattern()).expect("builtin IOC patterns must compile"),
                 )
             })
             .collect();
@@ -313,6 +318,7 @@ pub fn normalize_defang(text: &str) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn rec(text: &str) -> Vec<(IocType, String)> {
         IocRecognizer::global()
@@ -455,5 +461,177 @@ mod tests {
         assert!(!ioc.is_empty());
         assert_eq!(IocType::FilePath.label(), "Filepath");
         assert_eq!(IocType::Ip.to_string(), "IP");
+    }
+
+    #[test]
+    fn ioc_dfas_are_small() {
+        let rules = &IocRecognizer::global().rules;
+        for (ty, re) in rules {
+            println!(
+                "{:<12} {:>3} DFA states {:>6} table bytes",
+                ty.label(),
+                re.dfa_states(),
+                re.table_bytes()
+            );
+        }
+        let states: usize = rules.iter().map(|(_, re)| re.dfa_states()).sum();
+        let bytes: usize = rules.iter().map(|(_, re)| re.table_bytes()).sum();
+        println!("all 12 rules: {states} DFA states, {bytes} table bytes");
+        assert!(bytes < 64 * 1024, "{bytes} table bytes");
+    }
+
+    /// The recognizer over Pike-simulating rules: the reference the DFA
+    /// rules must reproduce exactly.
+    fn pike_recognizer() -> &'static IocRecognizer {
+        static ORACLE: OnceLock<IocRecognizer> = OnceLock::new();
+        ORACLE.get_or_init(|| IocRecognizer::compiled_with(Regex::pike))
+    }
+
+    /// A splitmix64 stream: one IOC-ish word per `(kind, seed)` pair.
+    struct Mix(u64);
+
+    impl Mix {
+        fn next(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^ (z >> 31)
+        }
+
+        fn below(&mut self, n: usize) -> usize {
+            (self.next() % n as u64) as usize
+        }
+
+        fn pick<'a>(&mut self, pool: &[&'a str]) -> &'a str {
+            pool[self.below(pool.len())]
+        }
+
+        /// `lo..=hi` chars drawn from `alphabet`.
+        fn run(&mut self, alphabet: &str, lo: usize, hi: usize) -> String {
+            let chars: Vec<char> = alphabet.chars().collect();
+            let len = lo + self.below(hi - lo + 1);
+            (0..len).map(|_| chars[self.below(chars.len())]).collect()
+        }
+
+        fn host(&mut self) -> String {
+            let labels: Vec<String> = (0..1 + self.below(3))
+                .map(|_| self.run("abcxyz019-", 1, 6))
+                .collect();
+            let tld = self.pick(&["com", "net", "ru", "onion", "io", "xyz", "local", "tar"]);
+            format!("{}.{tld}", labels.join("."))
+        }
+    }
+
+    const HEX: &str = "0123456789abcdefABCDEF";
+    const PATH: &str = "abcXYZ019._+-";
+
+    fn ioc_word(kind: usize, seed: u64) -> String {
+        let mut r = Mix(seed);
+        match kind {
+            0 => {
+                let len = [31, 32, 33, 39, 40, 41, 63, 64, 65, 1 + r.below(80)][r.below(10)];
+                r.run(HEX, len, len)
+            }
+            1 => {
+                let quad: Vec<String> = (0..4).map(|_| r.below(300).to_string()).collect();
+                let cidr = match r.below(3) {
+                    0 => format!("/{}", r.below(40)),
+                    _ => String::new(),
+                };
+                format!("{}{cidr}", quad.join("."))
+            }
+            2 => {
+                let segs: String = (0..1 + r.below(4))
+                    .map(|_| format!("/{}", r.run(PATH, 1, 8)))
+                    .collect();
+                format!("{segs}{}", r.pick(&["", "/"]))
+            }
+            3 => {
+                let hive = r.pick(&["HKLM", "HKCU", "HKEY_LOCAL_MACHINE", "HKEY_USERS", "HKXX"]);
+                let keys: String = (0..1 + r.below(3))
+                    .map(|_| format!("\\{}", r.run("abcXYZ01 ._-", 1, 8)))
+                    .collect();
+                format!("{hive}{keys}")
+            }
+            4 => format!(
+                "CVE-{}-{}",
+                r.run("0123456789", 3, 4),
+                r.run("0123456789", 3, 8)
+            ),
+            5 => {
+                let scheme = r.pick(&["http", "https", "hxxp", "hxxps", "ftp"]);
+                format!("{scheme}://{}{}", r.host(), r.run("/a1._%?=&#:+-", 0, 10))
+            }
+            6 => {
+                let at = r.pick(&["@", "[at]", "(at)"]);
+                format!("{}{at}{}", r.run("abcXYZ01._%+-", 1, 8), r.host())
+            }
+            7 => r.host().replace('.', r.pick(&[".", ".", "[.]", "(dot)"])),
+            8 => {
+                let ext = r.pick(&["exe", "dll", "tar", "gz", "ps1", "docx", "tmp", "zzz", "e"]);
+                format!("{}.{ext}", r.run("abcXYZ019_-", 1, 8))
+            }
+            9 => r
+                .pick(&[
+                    "the", "attacker", "wrote", "tar", "file", "Read", "via", "and", "to",
+                ])
+                .to_string(),
+            10 => r
+                .pick(&["café", "日本", "naïve", "’s", "Ünïcödé", "—", "x€y"])
+                .to_string(),
+            11 => r
+                .pick(&[
+                    "10[.]0[.]0[.]1",
+                    "evil[dot]com",
+                    "hxxps://c2(.)evil[.]com/x",
+                ])
+                .to_string(),
+            12 => r
+                .pick(&[".", ",", ";", ":", "!", "?", "(", ")", "\"", "'"])
+                .to_string(),
+            _ => r.run("0123456789.", 1, 9),
+        }
+    }
+
+    /// IOC-ish prose: words from [`ioc_word`], sometimes glued together.
+    fn ioc_prose(parts: &[(usize, u64)]) -> String {
+        let mut text = String::new();
+        for &(kind, seed) in parts {
+            text.push_str(&ioc_word(kind, seed));
+            text.push_str([" ", " ", " ", "\n", "", ". ", ", "][(seed >> 60) as usize % 7]);
+        }
+        normalize_defang(&text)
+    }
+
+    #[test]
+    fn prose_generator_covers_every_ioc_type() {
+        let mut r = Mix(7);
+        let mut seen = std::collections::BTreeSet::new();
+        for _ in 0..400 {
+            let parts: Vec<(usize, u64)> = (0..12).map(|_| (r.below(14), r.next())).collect();
+            let text = ioc_prose(&parts);
+            seen.extend(rec(&text).into_iter().map(|(ty, _)| ty));
+        }
+        assert_eq!(seen.len(), IocType::ALL.len(), "{seen:?}");
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(400))]
+
+        /// DFA-backed recognition returns exactly what the Pike-backed
+        /// recognizer does: texts, types and spans.
+        #[test]
+        fn recognize_matches_pike_oracle(
+            parts in prop::collection::vec((0usize..14, any::<u64>()), 1..24),
+        ) {
+            let text = ioc_prose(&parts);
+            prop_assert_eq!(
+                IocRecognizer::global().recognize(&text),
+                pike_recognizer().recognize(&text),
+                "text {:?}",
+                text
+            );
+        }
     }
 }

@@ -2,9 +2,31 @@
 //!
 //! The paper's IOC recognizer is "a set of regex rules" (§II-C stage 2).
 //! The sanctioned offline crate set has no regex library, so this module
-//! implements a compact one: a pattern parser, a Thompson NFA, and a
-//! breadth-first (Pike-style) simulator giving **leftmost-longest**
-//! semantics with linear-time matching (no catastrophic backtracking).
+//! implements a compact one: a pattern parser, a Thompson NFA, and a DFA
+//! subset-compiled from that NFA once, when [`Regex::new`] runs.
+//! Matching is a walk over the DFA's transition table — one table load
+//! per haystack char, no allocation — with **leftmost-longest**
+//! semantics and no backtracking.
+//!
+//! * **Alphabet classes.** The range bounds of every character class in
+//!   the pattern cut all of Unicode into a few dozen classes whose chars
+//!   no part of the pattern can tell apart. Table rows have one column
+//!   per class: a 128-entry table maps ASCII to its class, a binary
+//!   search over the bounds maps everything else, so the DFA is total
+//!   over Unicode.
+//! * **States.** Each DFA state is an ε-closed set of NFA states — the
+//!   set a breadth-first (Pike) simulation would carry after the same
+//!   input. State 0 is the dead (empty) set; a state accepts when its set
+//!   holds the NFA's accept state.
+//! * **State cap.** Subset construction can blow up exponentially
+//!   (`.*a.{99}` needs 2¹⁰⁰ states). A pattern whose NFA or DFA would
+//!   exceed [`STATE_CAP`] states fails with [`RegexErrorKind::TooLarge`]
+//!   instead of building slowly.
+//!
+//! `^` and `$` anchor the whole pattern: [`Regex::find_from`] only tries
+//! offset 0 for `^`, and a `$` match must end at the end of the haystack.
+//! A search tries each start in turn, so it costs O(n · w) for a
+//! haystack of n chars whose longest partial match is w chars long.
 //!
 //! Supported syntax — everything the IOC rule set needs:
 //!
@@ -17,15 +39,47 @@
 //! Not supported (not needed for IOC rules): capture extraction,
 //! non-greedy quantifiers, backreferences, lookaround.
 
+use std::collections::HashMap;
 use std::fmt;
+
+/// Most states either automaton of one pattern — its Thompson NFA or the
+/// DFA built from it — may have. Bounds construction time and table
+/// memory: a pattern that needs more fails with
+/// [`RegexErrorKind::TooLarge`]. The IOC rules' DFAs need at most 66.
+pub const STATE_CAP: usize = 4096;
+
+// DFA state ids and NFA state indices are stored as `u16`.
+const _: () = assert!(STATE_CAP <= u16::MAX as usize);
+
+/// What a [`RegexError`] reports.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum RegexErrorKind {
+    /// The pattern is malformed.
+    Syntax,
+    /// The pattern is well-formed, but its NFA or DFA would exceed
+    /// [`STATE_CAP`] states.
+    TooLarge,
+}
 
 /// A compile-time error in a pattern.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RegexError {
+    /// Which kind of error.
+    pub kind: RegexErrorKind,
     /// Byte position in the pattern.
     pub pos: usize,
     /// Description of the problem.
     pub message: String,
+}
+
+impl RegexError {
+    fn too_large(automaton: &str) -> RegexError {
+        RegexError {
+            kind: RegexErrorKind::TooLarge,
+            pos: 0,
+            message: format!("{automaton} would exceed {STATE_CAP} states"),
+        }
+    }
 }
 
 impl fmt::Display for RegexError {
@@ -79,6 +133,33 @@ enum Ast {
     },
 }
 
+impl Ast {
+    /// States [`Nfa::compile`] emits for this node (saturating).
+    fn nfa_states(&self) -> usize {
+        match self {
+            Ast::Empty => 0,
+            Ast::Literal(_) | Ast::Any | Ast::Class(_) => 1,
+            Ast::Concat(parts) => parts
+                .iter()
+                .fold(0, |n, part| n.saturating_add(part.nfa_states())),
+            Ast::Alt(branches) => branches
+                .iter()
+                .fold(branches.len() - 1, |n, b| n.saturating_add(b.nfa_states())),
+            Ast::Repeat { node, min, max } => {
+                let body = node.nfa_states();
+                match max {
+                    // `max` copies, a split before each optional one.
+                    Some(max) => body
+                        .saturating_mul(*max as usize)
+                        .saturating_add((max - min) as usize),
+                    // `min` copies, then one looping copy behind a split.
+                    None => body.saturating_mul(*min as usize + 1).saturating_add(1),
+                }
+            }
+        }
+    }
+}
+
 #[derive(Debug, Clone, PartialEq)]
 struct CharClass {
     negated: bool,
@@ -86,8 +167,12 @@ struct CharClass {
 }
 
 impl CharClass {
-    fn matches(&self, c: char) -> bool {
-        let inside = self.ranges.iter().any(|&(lo, hi)| c >= lo && c <= hi);
+    /// Whether the code point `c` is in the class.
+    fn contains(&self, c: u32) -> bool {
+        let inside = self
+            .ranges
+            .iter()
+            .any(|&(lo, hi)| c >= lo as u32 && c <= hi as u32);
         inside != self.negated
     }
 
@@ -143,6 +228,7 @@ impl<'p> Parser<'p> {
 
     fn err(&self, message: impl Into<String>) -> RegexError {
         RegexError {
+            kind: RegexErrorKind::Syntax,
             pos: self.pos.min(self.pattern.len()),
             message: message.into(),
         }
@@ -169,26 +255,22 @@ impl<'p> Parser<'p> {
         }
     }
 
+    /// Whether the parser stands on a bare `$` that ends the pattern —
+    /// the end anchor. Anywhere else `$` is a literal.
+    fn at_end_anchor(&self) -> bool {
+        self.peek() == Some('$') && self.pos + 1 == self.chars.len()
+    }
+
     /// Parses the whole pattern, returning `(ast, anchored_start,
     /// anchored_end)`.
     fn parse(mut self) -> Result<(Ast, bool, bool), RegexError> {
         let anchored_start = self.eat('^');
         let ast = self.parse_alt()?;
-        // `$` is only honored at the very end of the pattern.
-        let anchored_end = self.pos == self.chars.len().saturating_sub(0)
-            && !self.chars.is_empty()
-            && self.chars.last() == Some(&'$')
-            && self.dollar_consumed();
+        let anchored_end = self.at_end_anchor() && self.eat('$');
         if self.pos != self.chars.len() {
             return Err(self.err("unexpected trailing input (unbalanced `)`?)"));
         }
         Ok((ast, anchored_start, anchored_end))
-    }
-
-    fn dollar_consumed(&self) -> bool {
-        // parse_alt stops before a bare trailing `$`… we handle it there
-        // instead; this function is unused in that flow.
-        false
     }
 
     fn parse_alt(&mut self) -> Result<Ast, RegexError> {
@@ -206,7 +288,7 @@ impl<'p> Parser<'p> {
     fn parse_concat(&mut self) -> Result<Ast, RegexError> {
         let mut parts = Vec::new();
         while let Some(c) = self.peek() {
-            if c == '|' || c == ')' {
+            if c == '|' || c == ')' || self.at_end_anchor() {
                 break;
             }
             let atom = self.parse_atom()?;
@@ -232,17 +314,11 @@ impl<'p> Parser<'p> {
             Some('[') => self.parse_class(),
             Some('.') => Ok(Ast::Any),
             Some('\\') => self.parse_escape(),
-            Some('$') if self.pos == self.chars.len() => {
-                // Trailing `$`: represent as a zero-width marker the
-                // compiler turns into an end anchor.
-                Ok(Ast::Literal('\u{0}')) // placeholder replaced below
-            }
             Some(c @ ('*' | '+' | '?')) => Err(self.err(format!("dangling quantifier `{c}`"))),
             Some(c) => Ok(Ast::Literal(c)),
             None => Err(self.err("unexpected end of pattern")),
         }
     }
-
     fn parse_escape(&mut self) -> Result<Ast, RegexError> {
         match self.bump() {
             Some('d') => Ok(Ast::Class(CharClass::digit())),
@@ -398,29 +474,39 @@ enum State {
     Accept,
 }
 
-/// A compiled regular expression.
+/// A Thompson NFA: the input to DFA construction (and, in tests, to the
+/// Pike simulation the DFA is checked against).
 #[derive(Debug, Clone)]
-pub struct Regex {
+struct Nfa {
     states: Vec<State>,
     start: usize,
-    anchored_start: bool,
-    anchored_end: bool,
-    pattern: String,
 }
 
-struct Compiler {
-    states: Vec<State>,
-}
+/// Index of the NFA's single accepting state (compiled first).
+const ACCEPT: usize = 0;
 
-impl Compiler {
+impl Nfa {
+    /// Compiles `ast`, or fails if the NFA would exceed [`STATE_CAP`].
+    fn compile(ast: &Ast) -> Result<Nfa, RegexError> {
+        if ast.nfa_states() >= STATE_CAP {
+            return Err(RegexError::too_large("NFA"));
+        }
+        let mut nfa = Nfa {
+            states: vec![State::Accept],
+            start: ACCEPT,
+        };
+        nfa.start = nfa.compile_node(ast, ACCEPT);
+        Ok(nfa)
+    }
+
     fn push(&mut self, s: State) -> usize {
         self.states.push(s);
         self.states.len() - 1
     }
 
-    /// Compiles `ast`; all paths end at a `Goto(target)` placeholder — we
-    /// return the entry state, with exits wired to `exit`.
-    fn compile(&mut self, ast: &Ast, exit: usize) -> usize {
+    /// Compiles `ast` with all its exits wired to `exit`; returns the
+    /// entry state.
+    fn compile_node(&mut self, ast: &Ast, exit: usize) -> usize {
         match ast {
             Ast::Empty => exit,
             Ast::Literal(c) => self.push(State::Char(
@@ -435,12 +521,15 @@ impl Compiler {
             Ast::Concat(parts) => {
                 let mut target = exit;
                 for part in parts.iter().rev() {
-                    target = self.compile(part, target);
+                    target = self.compile_node(part, target);
                 }
                 target
             }
             Ast::Alt(branches) => {
-                let entries: Vec<usize> = branches.iter().map(|b| self.compile(b, exit)).collect();
+                let entries: Vec<usize> = branches
+                    .iter()
+                    .map(|b| self.compile_node(b, exit))
+                    .collect();
                 // Chain of splits.
                 let mut entry = entries[entries.len() - 1];
                 for &e in entries.iter().rev().skip(1) {
@@ -453,50 +542,243 @@ impl Compiler {
                     // Expand: min required copies + (max-min) optional.
                     let mut target = exit;
                     for _ in *min..*max {
-                        let body = self.compile(node, target);
+                        let body = self.compile_node(node, target);
                         target = self.push(State::Split(body, target));
                     }
                     for _ in 0..*min {
-                        target = self.compile(node, target);
+                        target = self.compile_node(node, target);
                     }
                     target
                 }
                 None => {
                     // min copies then a loop.
                     let split = self.push(State::Goto(0)); // placeholder
-                    let body = self.compile(node, split);
+                    let body = self.compile_node(node, split);
                     self.states[split] = State::Split(body, exit);
                     let mut target = split;
                     for _ in 0..*min {
-                        target = self.compile(node, target);
+                        target = self.compile_node(node, target);
                     }
                     target
                 }
             },
         }
     }
+
+    /// Where state `idx` goes on a char whose code point is `c`, if it
+    /// consumes one.
+    fn step(&self, idx: usize, c: u32) -> Option<usize> {
+        match &self.states[idx] {
+            State::Char(cc, next) if cc.contains(c) => Some(*next),
+            State::Any(next) => Some(*next),
+            _ => None,
+        }
+    }
+
+    /// The sorted, deduplicated bounds of every char-class range: each
+    /// range `lo..=hi` contributes `lo` and `hi + 1`. Consecutive bounds
+    /// delimit the alphabet classes.
+    fn class_bounds(&self) -> Vec<u32> {
+        let mut bounds: Vec<u32> = self
+            .states
+            .iter()
+            .filter_map(|s| match s {
+                State::Char(cc, _) => Some(cc),
+                _ => None,
+            })
+            .flat_map(|cc| cc.ranges.iter())
+            .flat_map(|&(lo, hi)| [lo as u32, hi as u32 + 1])
+            .collect();
+        bounds.sort_unstable();
+        bounds.dedup();
+        bounds
+    }
+}
+
+/// ε-closure workspace, reused across one subset construction: an
+/// epoch-stamped visited mark per NFA state, so no closure clears it.
+struct Closure {
+    mark: Vec<u32>,
+    epoch: u32,
+    stack: Vec<usize>,
+}
+
+impl Closure {
+    fn new(nfa: &Nfa) -> Closure {
+        Closure {
+            mark: vec![0; nfa.states.len()],
+            epoch: 0,
+            stack: Vec::new(),
+        }
+    }
+
+    /// The sorted ε-closure of `roots`: every char-consuming or accept
+    /// state reachable from them without consuming input.
+    fn of(&mut self, nfa: &Nfa, roots: impl IntoIterator<Item = usize>) -> Vec<u16> {
+        self.epoch += 1;
+        self.stack.extend(roots);
+        let mut set = Vec::new();
+        while let Some(idx) = self.stack.pop() {
+            if self.mark[idx] == self.epoch {
+                continue;
+            }
+            self.mark[idx] = self.epoch;
+            match nfa.states[idx] {
+                State::Split(a, b) => self.stack.extend([b, a]),
+                State::Goto(n) => self.stack.push(n),
+                _ => set.push(idx as u16),
+            }
+        }
+        set.sort_unstable();
+        set
+    }
+}
+
+// ---------------------------------------------------------------- DFA --
+
+/// Subset-construction bookkeeping: the DFA id of every NFA set seen so
+/// far, and the sets in id order (each taken once its row is built).
+#[derive(Default)]
+struct Subsets {
+    ids: HashMap<Vec<u16>, u16>,
+    sets: Vec<Vec<u16>>,
+}
+
+impl Subsets {
+    /// The id of `set`, numbering it next if it is new.
+    fn intern(&mut self, set: Vec<u16>) -> Result<u16, RegexError> {
+        if let Some(&id) = self.ids.get(&set) {
+            return Ok(id);
+        }
+        if self.sets.len() == STATE_CAP {
+            return Err(RegexError::too_large("DFA"));
+        }
+        let id = self.sets.len() as u16;
+        self.ids.insert(set.clone(), id);
+        self.sets.push(set);
+        Ok(id)
+    }
+}
+
+/// The dead state: the empty NFA set, which every class maps to itself.
+const DEAD: usize = 0;
+/// The start state: the ε-closure of the NFA's start.
+const START: usize = 1;
+
+/// A DFA over alphabet classes (see the module docs).
+#[derive(Debug, Clone)]
+struct Dfa {
+    /// Alphabet class of each ASCII char.
+    ascii: [u16; 128],
+    /// Class bounds: the class of code point `c` is the number of bounds
+    /// `<= c`.
+    bounds: Vec<u32>,
+    /// Columns per table row: the number of classes.
+    stride: usize,
+    /// Transition table, `next[state * stride + class]`.
+    next: Vec<u16>,
+    /// Whether each state's NFA set holds the accept state.
+    accepting: Vec<bool>,
+}
+
+impl Dfa {
+    /// Subset construction, or an error past [`STATE_CAP`] states.
+    fn build(nfa: &Nfa) -> Result<Dfa, RegexError> {
+        let bounds = nfa.class_bounds();
+        // The chars of a class are indistinguishable, so its lowest code
+        // point stands in for all of them.
+        let lows: Vec<u32> = std::iter::once(0).chain(bounds.iter().copied()).collect();
+        let mut closure = Closure::new(nfa);
+        let mut dfa = Dfa {
+            ascii: [0; 128],
+            stride: lows.len(),
+            bounds,
+            next: Vec::new(),
+            accepting: Vec::new(),
+        };
+        for (c, class) in dfa.ascii.iter_mut().enumerate() {
+            *class = dfa.bounds.partition_point(|&b| b <= c as u32) as u16;
+        }
+
+        let mut subsets = Subsets::default();
+        subsets.intern(Vec::new())?;
+        subsets.intern(closure.of(nfa, [nfa.start]))?;
+        // Ids are handed out in discovery order, so rows are appended in
+        // id order as the worklist drains front to back.
+        let mut row = 0;
+        while row < subsets.sets.len() {
+            let set = std::mem::take(&mut subsets.sets[row]);
+            dfa.accepting
+                .push(set.binary_search(&(ACCEPT as u16)).is_ok());
+            for &low in &lows {
+                let targets = set.iter().filter_map(|&idx| nfa.step(idx as usize, low));
+                let id = subsets.intern(closure.of(nfa, targets))?;
+                dfa.next.push(id);
+            }
+            row += 1;
+        }
+        Ok(dfa)
+    }
+
+    fn class_of(&self, c: char) -> usize {
+        match self.ascii.get(c as usize) {
+            Some(&class) => class as usize,
+            None => self.bounds.partition_point(|&b| b <= c as u32),
+        }
+    }
+
+    /// End of the longest match starting at `at`; with `anchored_end`,
+    /// only a match ending the haystack counts.
+    fn longest_match(&self, haystack: &str, at: usize, anchored_end: bool) -> Option<usize> {
+        let counts = |end: usize| !anchored_end || end == haystack.len();
+        let mut state = START;
+        let mut last = (self.accepting[state] && counts(at)).then_some(at);
+        let mut offset = at;
+        for c in haystack[at..].chars() {
+            state = self.next[state * self.stride + self.class_of(c)] as usize;
+            if state == DEAD {
+                break;
+            }
+            offset += c.len_utf8();
+            if self.accepting[state] && counts(offset) {
+                last = Some(offset);
+            }
+        }
+        last
+    }
+}
+
+/// A compiled regular expression.
+#[derive(Debug, Clone)]
+pub struct Regex {
+    dfa: Dfa,
+    anchored_start: bool,
+    anchored_end: bool,
+    pattern: String,
+    /// Test builds only: the NFA a Pike-simulating reference instance
+    /// (`Regex::pike`) matches with instead of the DFA.
+    #[cfg(test)]
+    oracle: Option<Nfa>,
 }
 
 impl Regex {
-    /// Compiles a pattern.
+    /// Compiles a pattern to a DFA.
     pub fn new(pattern: &str) -> Result<Regex, RegexError> {
-        // Handle a trailing bare `$` before parsing (the parser treats a
-        // mid-pattern `$` as a literal, which IOC rules never need).
-        let (body, anchored_end) = match pattern.strip_suffix('$') {
-            Some(rest) if !rest.ends_with('\\') => (rest, true),
-            _ => (pattern, false),
-        };
-        let (ast, anchored_start, _) = Parser::new(body).parse()?;
-        let mut compiler = Compiler { states: Vec::new() };
-        let accept = compiler.push(State::Accept);
-        let start = compiler.compile(&ast, accept);
+        let (nfa, anchored_start, anchored_end) = Self::nfa(pattern)?;
         Ok(Regex {
-            states: compiler.states,
-            start,
+            dfa: Dfa::build(&nfa)?,
             anchored_start,
             anchored_end,
             pattern: pattern.to_string(),
+            #[cfg(test)]
+            oracle: None,
         })
+    }
+
+    /// Parses `pattern` into its NFA and anchors.
+    fn nfa(pattern: &str) -> Result<(Nfa, bool, bool), RegexError> {
+        let (ast, anchored_start, anchored_end) = Parser::new(pattern).parse()?;
+        Ok((Nfa::compile(&ast)?, anchored_start, anchored_end))
     }
 
     /// The source pattern.
@@ -504,93 +786,30 @@ impl Regex {
         &self.pattern
     }
 
-    /// Epsilon closure.
-    fn add_state(&self, idx: usize, set: &mut Vec<usize>, on: &mut [bool]) {
-        if on[idx] {
-            return;
-        }
-        on[idx] = true;
-        match self.states[idx] {
-            State::Split(a, b) => {
-                self.add_state(a, set, on);
-                self.add_state(b, set, on);
-            }
-            State::Goto(n) => self.add_state(n, set, on),
-            _ => set.push(idx),
-        }
-    }
-
     /// Longest match starting exactly at byte `at` (must be a char
     /// boundary). Returns the end byte of the longest accepting prefix.
     pub fn match_at(&self, haystack: &str, at: usize) -> Option<usize> {
-        let tail = &haystack[at..];
-        let mut current: Vec<usize> = Vec::with_capacity(8);
-        let mut on = vec![false; self.states.len()];
-        self.add_state(self.start, &mut current, &mut on);
-
-        let mut last_accept: Option<usize> = None;
-        let accepts = |set: &[usize], on: &[bool]| -> bool {
-            let _ = set;
-            on.iter()
-                .zip(self.states.iter())
-                .any(|(&active, st)| active && matches!(st, State::Accept))
-        };
-        if accepts(&current, &on) && (!self.anchored_end || tail.is_empty()) {
-            last_accept = Some(at);
+        #[cfg(test)]
+        if let Some(nfa) = &self.oracle {
+            return nfa.pike_match_at(haystack, at, self.anchored_end);
         }
-
-        let mut offset = at;
-        for c in tail.chars() {
-            let mut next: Vec<usize> = Vec::with_capacity(current.len());
-            let mut next_on = vec![false; self.states.len()];
-            for &idx in &current {
-                match &self.states[idx] {
-                    State::Char(cc, n) if cc.matches(c) => {
-                        self.add_state(*n, &mut next, &mut next_on)
-                    }
-                    State::Any(n) => self.add_state(*n, &mut next, &mut next_on),
-                    _ => {}
-                }
-            }
-            offset += c.len_utf8();
-            current = next;
-            on = next_on;
-            if current.is_empty() {
-                break;
-            }
-            if accepts(&current, &on) {
-                let at_end = offset == haystack.len();
-                if !self.anchored_end || at_end {
-                    last_accept = Some(offset);
-                }
-            }
-        }
-        last_accept
+        self.dfa.longest_match(haystack, at, self.anchored_end)
     }
 
     /// Leftmost-longest search starting at or after byte `from`.
     pub fn find_from(&self, haystack: &str, from: usize) -> Option<Match> {
-        let starts: Box<dyn Iterator<Item = usize>> = if self.anchored_start {
-            if from == 0 {
-                Box::new(std::iter::once(0))
-            } else {
-                Box::new(std::iter::empty())
-            }
+        // `^` leaves one start to try: 0.
+        let last = if self.anchored_start {
+            0
         } else {
-            Box::new(
-                haystack
-                    .char_indices()
-                    .map(|(i, _)| i)
-                    .chain(std::iter::once(haystack.len()))
-                    .filter(move |&i| i >= from),
-            )
+            haystack.len()
         };
-        for start in starts {
-            if let Some(end) = self.match_at(haystack, start) {
-                return Some(Match { start, end });
-            }
-        }
-        None
+        (from..=last)
+            .filter(|&start| haystack.is_char_boundary(start))
+            .find_map(|start| {
+                self.match_at(haystack, start)
+                    .map(|end| Match { start, end })
+            })
     }
 
     /// Leftmost-longest search over the whole haystack.
@@ -645,6 +864,94 @@ impl Iterator for FindIter<'_, '_> {
             m.end
         };
         Some(m)
+    }
+}
+
+#[cfg(test)]
+mod reference {
+    //! Test-only support: the breadth-first (Pike) NFA simulation lightre
+    //! matched with before it compiled DFAs, kept as the oracle the DFA
+    //! is checked against, and table-size accounting.
+    use super::*;
+
+    impl Nfa {
+        /// Epsilon closure.
+        fn add_state(&self, idx: usize, set: &mut Vec<usize>, on: &mut [bool]) {
+            if on[idx] {
+                return;
+            }
+            on[idx] = true;
+            match self.states[idx] {
+                State::Split(a, b) => {
+                    self.add_state(a, set, on);
+                    self.add_state(b, set, on);
+                }
+                State::Goto(n) => self.add_state(n, set, on),
+                _ => set.push(idx),
+            }
+        }
+
+        /// Pike simulation of [`Dfa::longest_match`].
+        pub(super) fn pike_match_at(
+            &self,
+            haystack: &str,
+            at: usize,
+            anchored_end: bool,
+        ) -> Option<usize> {
+            let tail = &haystack[at..];
+            let mut current: Vec<usize> = Vec::with_capacity(8);
+            let mut on = vec![false; self.states.len()];
+            self.add_state(self.start, &mut current, &mut on);
+
+            let accepts =
+                |set: &[usize]| set.iter().any(|&i| matches!(self.states[i], State::Accept));
+            let mut last_accept = None;
+            if accepts(&current) && (!anchored_end || tail.is_empty()) {
+                last_accept = Some(at);
+            }
+            let mut offset = at;
+            for c in tail.chars() {
+                let mut next: Vec<usize> = Vec::with_capacity(current.len());
+                let mut next_on = vec![false; self.states.len()];
+                for &idx in &current {
+                    if let Some(n) = self.step(idx, c as u32) {
+                        self.add_state(n, &mut next, &mut next_on);
+                    }
+                }
+                offset += c.len_utf8();
+                current = next;
+                if current.is_empty() {
+                    break;
+                }
+                if accepts(&current) && (!anchored_end || offset == haystack.len()) {
+                    last_accept = Some(offset);
+                }
+            }
+            last_accept
+        }
+    }
+
+    impl Regex {
+        /// A reference instance: the same pattern, anchors and NFA as
+        /// [`Regex::new`], matching by Pike simulation instead of the DFA.
+        pub(crate) fn pike(pattern: &str) -> Result<Regex, RegexError> {
+            let mut re = Regex::new(pattern)?;
+            re.oracle = Some(Regex::nfa(pattern)?.0);
+            Ok(re)
+        }
+
+        /// Number of DFA states, the dead state included.
+        pub(crate) fn dfa_states(&self) -> usize {
+            self.dfa.accepting.len()
+        }
+
+        /// Bytes the DFA's tables occupy.
+        pub(crate) fn table_bytes(&self) -> usize {
+            std::mem::size_of_val(&self.dfa.ascii)
+                + std::mem::size_of_val(self.dfa.bounds.as_slice())
+                + std::mem::size_of_val(self.dfa.next.as_slice())
+                + std::mem::size_of_val(self.dfa.accepting.as_slice())
+        }
     }
 }
 
@@ -833,6 +1140,91 @@ mod tests {
             let text: String = "a".repeat(len);
             let expect = (len as u32) >= mn && (len as u32) <= max;
             prop_assert_eq!(backtrack_full(&pat, &text), expect);
+        }
+    }
+
+    #[test]
+    fn hostile_pattern_fails_fast_at_the_state_cap() {
+        let t0 = std::time::Instant::now();
+        // Eight chars, 2^100 DFA states.
+        let err = Regex::new(".*a.{99}").unwrap_err();
+        assert_eq!(err.kind, RegexErrorKind::TooLarge, "{err}");
+        assert!(err.to_string().contains("DFA"), "{err}");
+        // Nested bounded repeats: 256^3 NFA states, refused before any
+        // is built.
+        let err = Regex::new("((a{256}){256}){256}").unwrap_err();
+        assert_eq!(err.kind, RegexErrorKind::TooLarge, "{err}");
+        assert!(err.to_string().contains("NFA"), "{err}");
+        assert!(
+            t0.elapsed() < std::time::Duration::from_secs(5),
+            "refusing must be bounded, took {:?}",
+            t0.elapsed()
+        );
+        // Just under the cap still compiles.
+        assert!(Regex::new(".*a.{10}").is_ok());
+        assert_eq!(Regex::new("a(b").unwrap_err().kind, RegexErrorKind::Syntax);
+    }
+
+    #[test]
+    fn end_anchor_is_only_a_final_bare_dollar() {
+        // An escaped `$` is a literal; an escaped backslash before a
+        // final `$` leaves the `$` an anchor.
+        assert_eq!(m(r"a\$", "xa$y"), Some((1, 3)));
+        assert_eq!(m(r"a\\$", r"a\ a\"), Some((3, 5)));
+        assert_eq!(m("a$b", "a$b"), Some((0, 3)));
+        assert_eq!(m("a|b$", "ba"), Some((1, 2)));
+        assert_eq!(m("$", "ab"), Some((2, 2)));
+    }
+
+    #[test]
+    fn dfa_classes_split_unicode() {
+        // `[^a]` and `.` must both see non-ASCII chars as one char each,
+        // and a class bound above ASCII must be honoured.
+        let re = Regex::new("[^a]+").unwrap();
+        assert_eq!(re.find("aé日b").map(|m| (m.start, m.end)), Some((1, 7)));
+        let re = Regex::new("[à-ÿ]+").unwrap();
+        assert_eq!(re.find("xéÿĀ").map(|m| (m.start, m.end)), Some((1, 5)));
+        assert!(re.dfa_states() <= 3, "dead, start, one accepting state");
+    }
+
+    /// The DFA's `match_at` equals the Pike oracle's at every char
+    /// boundary, and so do the `find_iter` spans built on it.
+    fn agrees_with_pike(pat: &str, hay: &str) -> Result<(), TestCaseError> {
+        let (Ok(dfa), Ok(pike)) = (Regex::new(pat), Regex::pike(pat)) else {
+            return Ok(());
+        };
+        for at in (0..=hay.len()).filter(|&i| hay.is_char_boundary(i)) {
+            prop_assert_eq!(
+                dfa.match_at(hay, at),
+                pike.match_at(hay, at),
+                "pattern {:?} at {}",
+                pat,
+                at
+            );
+        }
+        let spans = |re: &Regex| re.find_iter(hay).take(20).collect::<Vec<_>>();
+        prop_assert_eq!(spans(&dfa), spans(&pike), "pattern {:?}", pat);
+        Ok(())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(1500))]
+
+        /// `never_panics`' pattern generator over haystacks with
+        /// multi-byte chars.
+        #[test]
+        fn dfa_matches_pike(pat in r"[ab.\*\+\?\|\(\)\[\]0-9]{0,10}", hay in "[ab01é日’ ]{0,14}") {
+            agrees_with_pike(&pat, &hay)?;
+        }
+
+        /// Anchors, negated classes, escapes, bounded repeats and a
+        /// non-ASCII literal in the pattern.
+        #[test]
+        fn dfa_matches_pike_rich_syntax(
+            pat in r"[abé.\*\+\?\|\(\)\[\]\^\$\-\\dwsDW{},0-3]{0,12}",
+            hay in "[ab03é日_\n ]{0,14}",
+        ) {
+            agrees_with_pike(&pat, &hay)?;
         }
     }
 }

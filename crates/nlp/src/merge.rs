@@ -7,8 +7,9 @@
 //! one canonical IOC via union-find; the canonical text is the most
 //! specific (longest) mention.
 
-use crate::embed;
+use crate::embed::{self, Trigrams, Vector};
 use crate::ioc::{Ioc, IocType};
+use std::cell::OnceCell;
 
 /// Canonical IOC id after merging.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -62,8 +63,24 @@ fn type_compatible(a: IocType, b: IocType) -> bool {
     )
 }
 
+/// A mention with what the fuzzy test needs, computed at most once per
+/// mention rather than once per pair: its trigram set up front, its
+/// word vector only when an overlap test first passes.
+struct Prepared<'a> {
+    ioc: &'a Ioc,
+    grams: Trigrams,
+    vector: OnceCell<Vector>,
+}
+
+impl Prepared<'_> {
+    fn vector(&self) -> &Vector {
+        self.vector.get_or_init(|| embed::embed(&self.ioc.text))
+    }
+}
+
 /// Whether two mentions refer to the same artifact.
-fn same_artifact(a: &Ioc, b: &Ioc) -> bool {
+fn same_artifact(pa: &Prepared, pb: &Prepared) -> bool {
+    let (a, b) = (pa.ioc, pb.ioc);
     if !type_compatible(a.ty, b.ty) {
         return false;
     }
@@ -89,9 +106,7 @@ fn same_artifact(a: &Ioc, b: &Ioc) -> bool {
     // similarity must clear their thresholds (the paper's "both").
     // Deliberately strict: /tmp/upload.tar and /tmp/upload.tar.bz2 are
     // DIFFERENT artifacts and must not merge.
-    let overlap = embed::char_overlap(&a.text, &b.text);
-    let sim = embed::similarity(&a.text, &b.text) as f64;
-    overlap >= 0.9 && sim >= 0.95
+    pa.grams.overlap(&pb.grams) >= 0.9 && embed::cosine(pa.vector(), pb.vector()) as f64 >= 0.95
 }
 
 /// Union-find with path compression.
@@ -124,11 +139,25 @@ impl Dsu {
 
 /// Merges a list of IOC mentions into a canonical table.
 pub fn merge(mentions: &[Ioc]) -> IocTable {
+    let prepared: Vec<Prepared> = mentions
+        .iter()
+        .map(|ioc| Prepared {
+            ioc,
+            grams: Trigrams::of(&ioc.text),
+            vector: OnceCell::new(),
+        })
+        .collect();
+    merge_by(mentions, |i, j| same_artifact(&prepared[i], &prepared[j]))
+}
+
+/// Merges `mentions`, unioning every pair `(i, j)` with `i < j` that
+/// `same(i, j)` accepts.
+fn merge_by(mentions: &[Ioc], mut same: impl FnMut(usize, usize) -> bool) -> IocTable {
     let n = mentions.len();
     let mut dsu = Dsu::new(n);
     for i in 0..n {
         for j in (i + 1)..n {
-            if same_artifact(&mentions[i], &mentions[j]) {
+            if same(i, j) {
                 dsu.union(i, j);
             }
         }
@@ -177,6 +206,7 @@ pub fn merge(mentions: &[Ioc]) -> IocTable {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn ioc(text: &str, ty: IocType) -> Ioc {
         Ioc {
@@ -277,5 +307,121 @@ mod tests {
         let t = merge(&[]);
         assert!(t.is_empty());
         assert_eq!(t.len(), 0);
+    }
+
+    /// Character-trigram Jaccard overlap over hashed string sets, as
+    /// `embed::char_overlap` computed it before [`Trigrams`].
+    fn hashset_overlap(a: &str, b: &str) -> f64 {
+        let grams = |s: &str| -> std::collections::HashSet<String> {
+            let chars: Vec<char> = s.chars().collect();
+            if chars.len() < 3 {
+                return std::iter::once(s.to_string()).collect();
+            }
+            chars.windows(3).map(|w| w.iter().collect()).collect()
+        };
+        let ga = grams(a);
+        let gb = grams(b);
+        if ga.is_empty() && gb.is_empty() {
+            return 1.0;
+        }
+        let inter = ga.intersection(&gb).count() as f64;
+        let union = ga.union(&gb).count() as f64;
+        inter / union
+    }
+
+    /// The pairwise predicate `merge` used before trigram sets and word
+    /// vectors were computed once per mention: the oracle.
+    fn same_artifact_pairwise(a: &Ioc, b: &Ioc) -> bool {
+        if !type_compatible(a.ty, b.ty) {
+            return false;
+        }
+        if a.text == b.text {
+            return true;
+        }
+        let basename = |s: &str| s.rsplit('/').next().unwrap_or(s).to_string();
+        match (a.ty, b.ty) {
+            (IocType::FilePath, IocType::FileName) => return basename(&a.text) == b.text,
+            (IocType::FileName, IocType::FilePath) => return basename(&b.text) == a.text,
+            (IocType::Ip, IocType::IpSubnet) => {
+                return b.text.split('/').next() == Some(a.text.as_str())
+            }
+            (IocType::IpSubnet, IocType::Ip) => {
+                return a.text.split('/').next() == Some(b.text.as_str())
+            }
+            (IocType::Url, IocType::Domain) => return a.text.contains(&b.text),
+            (IocType::Domain, IocType::Url) => return b.text.contains(&a.text),
+            _ => {}
+        }
+        let overlap = hashset_overlap(&a.text, &b.text);
+        let sim = embed::similarity(&a.text, &b.text) as f64;
+        overlap >= 0.9 && sim >= 0.95
+    }
+
+    fn merge_pairwise(mentions: &[Ioc]) -> IocTable {
+        merge_by(mentions, |i, j| {
+            same_artifact_pairwise(&mentions[i], &mentions[j])
+        })
+    }
+
+    const BASES: [&str; 9] = [
+        "/tmp/upload.tar",
+        "/usr/local/bin/backdoor-helper-service",
+        "192.168.29.128",
+        "update.evil-cdn-mirror.example.com",
+        "http://update.evil-cdn-mirror.example.com/payload.exe",
+        "upload.tar",
+        "d41d8cd98f00b204e9800998ecf8427e",
+        "/home/ünïcödé/café-payload.tar",
+        "ab",
+    ];
+
+    const TYPES: [IocType; 8] = [
+        IocType::FilePath,
+        IocType::FileName,
+        IocType::Ip,
+        IocType::IpSubnet,
+        IocType::Url,
+        IocType::Domain,
+        IocType::Md5,
+        IocType::Email,
+    ];
+
+    /// A mention built from a base text, one edit, and a type.
+    fn mention((base, edit, ty): (usize, usize, usize)) -> Ioc {
+        let base = BASES[base];
+        let text = match edit {
+            0 => base.to_string(),
+            1 => format!("{base}x"),
+            2 => format!("x{base}"),
+            3 => base.rsplit('/').next().unwrap_or(base).to_string(),
+            4 => format!("{base}/32"),
+            5 => base.replacen('a', "b", 1),
+            6 => format!("{base}.bz2"),
+            _ => String::new(),
+        };
+        ioc(&text, TYPES[ty])
+    }
+
+    #[test]
+    fn near_duplicates_take_the_fuzzy_path() {
+        let long = mention((1, 0, 0));
+        let longer = mention((1, 1, 0));
+        assert!(same_artifact_pairwise(&long, &longer));
+        assert_eq!(merge(&[long, longer]).len(), 1);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(500))]
+
+        /// `merge` builds exactly the table the pairwise predicate does.
+        #[test]
+        fn merge_matches_pairwise_oracle(
+            spec in prop::collection::vec((0usize..9, 0usize..8, 0usize..8), 0..16),
+        ) {
+            let mentions: Vec<Ioc> = spec.into_iter().map(mention).collect();
+            let (fast, oracle) = (merge(&mentions), merge_pairwise(&mentions));
+            prop_assert_eq!(&fast.canon, &oracle.canon);
+            prop_assert_eq!(&fast.mention_canon, &oracle.mention_canon);
+        }
     }
 }

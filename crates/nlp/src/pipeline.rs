@@ -39,17 +39,36 @@ pub struct StageTimings {
 }
 
 impl StageTimings {
+    /// Stage names, in the order [`StageTimings::stages`] lists them.
+    pub const STAGE_NAMES: [&'static str; 8] = [
+        "segmentation",
+        "protection",
+        "parsing",
+        "annotation",
+        "coref",
+        "merge",
+        "relext",
+        "construct",
+    ];
+
+    /// The per-stage durations, in [`StageTimings::STAGE_NAMES`] order.
+    pub fn stages(&self) -> [Duration; 8] {
+        [
+            self.segmentation,
+            self.protection,
+            self.parsing,
+            self.annotation,
+            self.coref,
+            self.merge,
+            self.relext,
+            self.construct,
+        ]
+    }
+
     /// Sum of the per-stage durations (excludes `total`, which is
     /// measured independently and so may be slightly larger).
     pub fn stage_sum(&self) -> Duration {
-        self.segmentation
-            + self.protection
-            + self.parsing
-            + self.annotation
-            + self.coref
-            + self.merge
-            + self.relext
-            + self.construct
+        self.stages().iter().sum()
     }
 }
 

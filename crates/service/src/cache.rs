@@ -27,8 +27,8 @@
 use std::collections::HashMap;
 use threatraptor_engine::compile::{compile_with_lint, CompiledQuery};
 use threatraptor_engine::EngineError;
-use threatraptor_nlp::ThreatExtractor;
-use threatraptor_obs::{Counter, Registry, Span, TraceSink};
+use threatraptor_nlp::{StageTimings, ThreatExtractor};
+use threatraptor_obs::{Counter, Histogram, Registry, Span, TraceSink};
 use threatraptor_sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use threatraptor_sync::{Arc, Mutex, OnceLock, PoisonError, RwLock};
 use threatraptor_synth::{synthesize, SynthesisError};
@@ -230,6 +230,9 @@ struct CacheObs {
     rejection_hits: Arc<Counter>,
     /// `hunt_stage_ns{stage=parse|analyze|compile|synthesize}`.
     trace: TraceSink,
+    /// `nlp_stage_ns{stage=…}`, one series per
+    /// [`StageTimings::STAGE_NAMES`] entry, in that order.
+    nlp_stages: [Arc<Histogram>; 8],
 }
 
 /// Thread-safe plan + synthesis cache, shared by all scheduler workers.
@@ -284,13 +287,17 @@ impl PlanCache {
         }
     }
 
-    /// Attaches cache telemetry to `registry`: `plan_cache_*` counters
-    /// plus `hunt_stage_ns{stage=parse|analyze|compile|synthesize}`
-    /// timers around the compile pipeline. Idempotent; the first
-    /// registry attached wins (the cache is shared, one owner
-    /// instruments it).
+    /// Attaches cache telemetry to `registry`: `plan_cache_*` counters,
+    /// `hunt_stage_ns{stage=parse|analyze|compile|synthesize}` timers
+    /// around the compile pipeline, and the NLP pipeline's own stage
+    /// split of each synthesis as `nlp_stage_ns{stage=segmentation|
+    /// protection|parsing|annotation|coref|merge|relext|construct}`.
+    /// Idempotent; the first registry attached wins (the cache is
+    /// shared, one owner instruments it).
     pub fn attach_metrics(&self, registry: &Arc<Registry>) {
         let _ = self.obs.set(CacheObs {
+            nlp_stages: StageTimings::STAGE_NAMES
+                .map(|stage| registry.histogram_labeled("nlp_stage_ns", &[("stage", stage)])),
             hits: registry.counter("plan_cache_hits_total"),
             misses: registry.counter("plan_cache_misses_total"),
             evictions: registry.counter("plan_cache_evictions_total"),
@@ -449,6 +456,11 @@ impl PlanCache {
             // NLP pipeline; memoized calls record nothing.
             let _span = self.obs.get().map(|obs| obs.trace.span("synthesize"));
             let extraction = ThreatExtractor::new().extract(report);
+            if let Some(obs) = self.obs.get() {
+                for (hist, elapsed) in obs.nlp_stages.iter().zip(extraction.timings.stages()) {
+                    hist.record_duration(elapsed);
+                }
+            }
             synthesize(&extraction.graph).map(|q| print_query(&q))
         })
         .clone()
@@ -680,6 +692,37 @@ mod tests {
             .histogram("hunt_stage_ns", &[("stage", "synthesize")])
             .unwrap();
         assert_eq!(synth.count, 1);
+    }
+
+    #[test]
+    fn nlp_stages_recorded_once_per_synthesis() {
+        let registry = Arc::new(Registry::new());
+        let cache = PlanCache::new();
+        cache.attach_metrics(&registry);
+        let report = threatraptor_nlp::pipeline::FIG2_OSCTI_TEXT;
+        cache.synthesize_report(report).unwrap();
+        // A memoized hit runs no pipeline and records nothing.
+        cache.synthesize_report(report).unwrap();
+        let _ = cache.synthesize_report("Attackers read /etc/passwd with /bin/cat.");
+
+        let snap = registry.snapshot();
+        let synth = snap
+            .histogram("hunt_stage_ns", &[("stage", "synthesize")])
+            .unwrap();
+        assert_eq!(synth.count, 2, "two distinct reports synthesized");
+        let mut stage_sum = 0;
+        for stage in StageTimings::STAGE_NAMES {
+            let h = snap
+                .histogram("nlp_stage_ns", &[("stage", stage)])
+                .unwrap_or_else(|| panic!("missing nlp_stage_ns{{stage={stage}}}"));
+            assert_eq!(h.count, synth.count, "{stage}: one record per synthesis");
+            stage_sum += h.sum;
+        }
+        assert!(
+            stage_sum <= synth.sum,
+            "stages ({stage_sum} ns) run inside the synthesize span ({} ns)",
+            synth.sum
+        );
     }
 
     #[test]
