@@ -8,18 +8,13 @@
 //! (all strategies must return identical rows).
 
 use std::time::Instant;
+use threatraptor::engine::baseline::{self, Baseline};
 use threatraptor::prelude::*;
 use threatraptor_bench::{all_cases, fmt};
 use threatraptor_storage::AuditStore;
 
 fn main() {
     println!("== E3: query execution efficiency (TBQL engine vs baselines) ==\n");
-    let modes = [
-        ExecMode::Scheduled,
-        ExecMode::Unscheduled,
-        ExecMode::RelationalOnly,
-        ExecMode::GraphOnly,
-    ];
     for &size in &[100_000usize, 300_000] {
         let scenario = ScenarioBuilder::new()
             .seed(42)
@@ -42,27 +37,24 @@ fn main() {
 
         let mut rows = Vec::new();
         for case in all_cases() {
-            let mut timings = Vec::new();
-            let mut reference_rows: Option<Vec<Vec<String>>> = None;
-            for mode in modes {
+            let t0 = Instant::now();
+            let scheduled = engine
+                .hunt(case.reference_tbql)
+                .expect("reference queries execute");
+            let mut timings = vec![t0.elapsed()];
+            for b in Baseline::ALL {
                 let t0 = Instant::now();
-                let result = engine
-                    .hunt_mode(case.reference_tbql, mode)
+                let result = baseline::hunt(&store, case.reference_tbql, b)
                     .expect("reference queries execute");
-                let elapsed = t0.elapsed();
-                match &reference_rows {
-                    None => reference_rows = Some(result.rows.clone()),
-                    Some(r) => {
-                        assert_eq!(r, &result.rows, "{}: mode {mode:?} disagrees", case.name)
-                    }
-                }
-                timings.push(elapsed);
+                timings.push(t0.elapsed());
+                assert_eq!(
+                    scheduled.rows, result.rows,
+                    "{}: {b:?} disagrees",
+                    case.name
+                );
             }
             let gt = scenario.ground_truth(case.kind.case_name());
-            let check = engine
-                .hunt_mode(case.reference_tbql, ExecMode::Scheduled)
-                .unwrap();
-            let (p, r) = check.precision_recall(&store, &gt);
+            let (p, r) = scheduled.precision_recall(&store, &gt);
             let slowest = timings.iter().max().copied().unwrap();
             rows.push(vec![
                 case.name.to_string(),

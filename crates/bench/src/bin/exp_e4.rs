@@ -7,6 +7,7 @@
 //! attack size rather than to the log.
 
 use std::time::Instant;
+use threatraptor::engine::baseline::{self, Baseline};
 use threatraptor::prelude::*;
 use threatraptor_bench::fmt;
 use threatraptor_storage::AuditStore;
@@ -24,21 +25,22 @@ fn main() {
         let store = AuditStore::ingest(&scenario.log, true);
         let engine = Engine::new(&store);
 
-        let time = |mode: ExecMode| {
+        let time = |hunt: &dyn Fn() -> HuntResult| {
             // Warm once, then take the best of 3 (reduces jitter).
-            engine.hunt_mode(threatraptor::FIG2_TBQL, mode).unwrap();
+            hunt();
             (0..3)
                 .map(|_| {
                     let t0 = Instant::now();
-                    let r = engine.hunt_mode(threatraptor::FIG2_TBQL, mode).unwrap();
-                    assert!(!r.is_empty());
+                    assert!(!hunt().is_empty());
                     t0.elapsed()
                 })
                 .min()
                 .unwrap()
         };
-        let scheduled = time(ExecMode::Scheduled);
-        let unscheduled = time(ExecMode::Unscheduled);
+        let scheduled = time(&|| engine.hunt(threatraptor::FIG2_TBQL).unwrap());
+        let unscheduled = time(&|| {
+            baseline::hunt(&store, threatraptor::FIG2_TBQL, Baseline::Unscheduled).unwrap()
+        });
         rows.push(vec![
             size.to_string(),
             store.event_count().to_string(),

@@ -44,7 +44,7 @@ fn main() {
             .hunt_query(&synthesized, ExecMode::Scheduled)
             .expect("synthesized query executes");
         let ref_result = engine
-            .hunt_mode(case.reference_tbql, ExecMode::Scheduled)
+            .hunt(case.reference_tbql)
             .expect("reference query executes");
         let same_rows = syn_result.rows == ref_result.rows;
 

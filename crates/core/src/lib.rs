@@ -172,18 +172,9 @@ impl ThreatRaptor {
         ThreatExtractor::new().extract(oscti)
     }
 
-    /// Executes a TBQL query (scheduled strategy).
+    /// Executes a TBQL query.
     pub fn hunt(&self, tbql_src: &str) -> Result<HuntResult, ThreatRaptorError> {
         Ok(Engine::new(&self.store).hunt(tbql_src)?)
-    }
-
-    /// Executes a TBQL query with an explicit strategy.
-    pub fn hunt_mode(
-        &self,
-        tbql_src: &str,
-        mode: ExecMode,
-    ) -> Result<HuntResult, ThreatRaptorError> {
-        Ok(Engine::new(&self.store).hunt_mode(tbql_src, mode)?)
     }
 
     /// End-to-end hunt: OSCTI text → behavior graph → synthesized TBQL →

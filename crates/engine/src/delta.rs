@@ -51,7 +51,6 @@
 //! [`StreamFrontier`]: threatraptor_storage::StreamFrontier
 
 use crate::compile::{CompiledQuery, CompiledShape};
-use crate::exec::ExecMode;
 use crate::join::{join_rows, propagate, Bound, JoinStep, Schedule, Tuples};
 use crate::result::{DeltaStats, HuntResult, HuntStats, JoinStats};
 use crate::sharded::ShardedEngine;
@@ -93,8 +92,8 @@ fn add_shard_counts(total: &mut Vec<usize>, add: &[usize]) {
 /// per-prefix partial bindings themselves.
 #[derive(Debug, Clone)]
 pub struct DeltaState {
-    /// The execution schedule — the same one the full executor derives
-    /// for this mode, so delta and full polls join in the same order.
+    /// The execution schedule — the same one the full executor derives,
+    /// so delta and full polls join in the same order.
     schedule: Schedule,
     /// `partials[i]`: every join of the schedule prefix `0..=i` whose
     /// witness positions are all below [`DeltaState::stable_events`], as
@@ -111,7 +110,7 @@ impl DeltaState {
     /// State for a compiled query, or `None` when the query cannot run
     /// incrementally (it contains a path pattern, whose rows may mix
     /// stable and fresh hops).
-    pub fn new(cq: &CompiledQuery, mode: ExecMode) -> Option<DeltaState> {
+    pub fn new(cq: &CompiledQuery) -> Option<DeltaState> {
         if cq
             .patterns
             .iter()
@@ -119,7 +118,7 @@ impl DeltaState {
         {
             return None;
         }
-        let schedule = Schedule::new(cq, mode);
+        let schedule = Schedule::new(cq);
         let prefixes = schedule.steps.len().saturating_sub(1);
         let partials = vec![Tuples::new(&schedule.layout); prefixes];
         Some(DeltaState {
@@ -176,7 +175,6 @@ impl DeltaState {
         &mut self,
         engine: &ShardedEngine<'_>,
         cq: &CompiledQuery,
-        mode: ExecMode,
         stable_to: usize,
     ) -> HuntResult {
         let t0 = Instant::now();
@@ -210,16 +208,14 @@ impl DeltaState {
             let seed = (i > 0).then(|| &self.partials[i - 1]);
             let mut next = Tuples::new(layout);
             if seed.is_none_or(|p| !p.is_empty()) {
-                let mut bound: Bound = [None, None];
-                if mode == ExecMode::Scheduled {
-                    let t_prop = Instant::now();
-                    if let Some(p) = seed {
-                        bound = propagate(pat, p, &mut propagated);
-                    }
-                    stats.propagate_elapsed += t_prop.elapsed();
-                }
+                let t_prop = Instant::now();
+                let bound: Bound = match seed {
+                    Some(p) => propagate(pat, p, &mut propagated),
+                    None => [None, None],
+                };
+                stats.propagate_elapsed += t_prop.elapsed();
                 let t_scan = Instant::now();
-                let (rows, per_shard, pr) = engine.fetch_pattern(cq, pat, &bound, mode, fresh_from);
+                let (rows, per_shard, pr) = engine.fetch_pattern(cq, pat, &bound, fresh_from);
                 scan_elapsed += t_scan.elapsed();
                 fetched += rows.len();
                 dstats.fresh_rows += rows.len();
@@ -236,14 +232,11 @@ impl DeltaState {
             // incoming delta is empty — the steady-state case that keeps
             // the poll O(delta).
             if !delta.is_empty() {
-                let mut bound: Bound = [None, None];
-                if mode == ExecMode::Scheduled {
-                    let t_prop = Instant::now();
-                    bound = propagate(pat, &delta, &mut propagated);
-                    stats.propagate_elapsed += t_prop.elapsed();
-                }
+                let t_prop = Instant::now();
+                let bound = propagate(pat, &delta, &mut propagated);
+                stats.propagate_elapsed += t_prop.elapsed();
                 let t_scan = Instant::now();
-                let (rows, per_shard, pr) = engine.fetch_pattern(cq, pat, &bound, mode, 0);
+                let (rows, per_shard, pr) = engine.fetch_pattern(cq, pat, &bound, 0);
                 scan_elapsed += t_scan.elapsed();
                 fetched += rows.len();
                 dstats.carry_rows += rows.len();
@@ -327,7 +320,7 @@ mod tests {
     }
 
     fn full(snapshot: &ShardedStore, cq: &CompiledQuery) -> Result<HuntResult, EngineError> {
-        ShardedEngine::with_threads(snapshot, 1).execute(cq, ExecMode::Scheduled)
+        ShardedEngine::with_threads(snapshot, 1).execute(cq, crate::ExecMode::Scheduled)
     }
 
     /// The delta recurrence over chunked ingest produces, per poll,
@@ -341,7 +334,7 @@ mod tests {
             .target_events(4_000)
             .build();
         let cq = compiled(FIG2_TBQL);
-        let mut state = DeltaState::new(&cq, ExecMode::Scheduled).expect("event-only");
+        let mut state = DeltaState::new(&cq).expect("event-only");
         let mut store = StreamingStore::new(true, SealPolicy::events(350));
         store.append_batch(&sc.log.entities, &[]);
 
@@ -351,7 +344,7 @@ mod tests {
             let snapshot = store.snapshot();
             let frontier = snapshot.frontier().expect("streaming snapshot");
             let engine = ShardedEngine::with_threads(&snapshot, 1);
-            let out = state.poll(&engine, &cq, ExecMode::Scheduled, frontier.sealed_events);
+            let out = state.poll(&engine, &cq, frontier.sealed_events);
             // Every delta match carries at least one fresh witness.
             let fresh_from = out.stats.delta.unwrap().fresh_from;
             assert!(out
@@ -381,7 +374,7 @@ mod tests {
         let sc = ScenarioBuilder::new().seed(7).target_events(3_000).build();
         let q = "proc p read file f return p, f";
         let cq = compiled(q);
-        let mut state = DeltaState::new(&cq, ExecMode::Scheduled).unwrap();
+        let mut state = DeltaState::new(&cq).unwrap();
         let mut store = StreamingStore::new(true, SealPolicy::events(300));
         store.append_batch(&sc.log.entities, &[]);
         let (head, tail) = sc.log.events.split_at(2_500);
@@ -391,24 +384,14 @@ mod tests {
         {
             let snapshot = store.snapshot();
             let engine = ShardedEngine::with_threads(&snapshot, 1);
-            state.poll(
-                &engine,
-                &cq,
-                ExecMode::Scheduled,
-                snapshot.frontier().unwrap().sealed_events,
-            );
+            state.poll(&engine, &cq, snapshot.frontier().unwrap().sealed_events);
         }
         // Second poll: a small tail append. Rows scanned must be on the
         // order of the delta, not the store.
         store.append_batch(&[], &tail[..100.min(tail.len())]);
         let snapshot = store.snapshot();
         let engine = ShardedEngine::with_threads(&snapshot, 1);
-        let out = state.poll(
-            &engine,
-            &cq,
-            ExecMode::Scheduled,
-            snapshot.frontier().unwrap().sealed_events,
-        );
+        let out = state.poll(&engine, &cq, snapshot.frontier().unwrap().sealed_events);
         let d = out.stats.delta.unwrap();
         assert!(d.fresh_from > 0, "frontier must have advanced");
         assert_eq!(d.carry_rows, 0, "single-pattern query never carries");
@@ -439,7 +422,7 @@ mod tests {
              return p, f, g"
         );
         let cq = compiled(&q);
-        let mut state = DeltaState::new(&cq, ExecMode::Scheduled).unwrap();
+        let mut state = DeltaState::new(&cq).unwrap();
         let mut store = StreamingStore::new(true, SealPolicy::events(200));
         store.append_batch(&sc.log.entities, &[]);
         // Chunked appends so the seal policy fires and rows stabilize.
@@ -449,12 +432,7 @@ mod tests {
         let snapshot = store.snapshot();
         assert!(snapshot.frontier().unwrap().sealed_events > 0);
         let engine = ShardedEngine::with_threads(&snapshot, 1);
-        state.poll(
-            &engine,
-            &cq,
-            ExecMode::Scheduled,
-            snapshot.frontier().unwrap().sealed_events,
-        );
+        state.poll(&engine, &cq, snapshot.frontier().unwrap().sealed_events);
         assert!(state.retained() > 0, "the shared-var join retains partials");
         // Below every deadline: nothing ages. Past the stream: where the
         // windowed pattern is the *next* stage, everything ages.
@@ -466,11 +444,10 @@ mod tests {
         // Partials whose next stage is unbounded are retained forever.
         let unbounded =
             compiled("proc p read file f as e1 proc p write file g as e2 return p, f, g");
-        let mut st2 = DeltaState::new(&unbounded, ExecMode::Scheduled).unwrap();
+        let mut st2 = DeltaState::new(&unbounded).unwrap();
         st2.poll(
             &engine,
             &unbounded,
-            ExecMode::Scheduled,
             snapshot.frontier().unwrap().sealed_events,
         );
         let kept = st2.retained();
@@ -482,7 +459,7 @@ mod tests {
     #[test]
     fn path_queries_are_rejected() {
         let cq = compiled("proc p[\"%tar%\"] ~>(1~2)[write] file f as pp1\nreturn p, f");
-        assert!(DeltaState::new(&cq, ExecMode::Scheduled).is_none());
+        assert!(DeltaState::new(&cq).is_none());
     }
 
     /// Invalidation resets to a from-zero scan that rebuilds partials.
@@ -490,7 +467,7 @@ mod tests {
     fn invalidate_forces_a_full_rescan() {
         let sc = ScenarioBuilder::new().seed(3).target_events(1_500).build();
         let cq = compiled("proc p read file f as e1 proc p write file g as e2 return p, f, g");
-        let mut state = DeltaState::new(&cq, ExecMode::Scheduled).unwrap();
+        let mut state = DeltaState::new(&cq).unwrap();
         let mut store = StreamingStore::new(true, SealPolicy::events(250));
         store.append_batch(&sc.log.entities, &[]);
         for batch in sc.log.events.chunks(300) {
@@ -499,12 +476,12 @@ mod tests {
         let snapshot = store.snapshot();
         let engine = ShardedEngine::with_threads(&snapshot, 1);
         let sealed = snapshot.frontier().unwrap().sealed_events;
-        let first = state.poll(&engine, &cq, ExecMode::Scheduled, sealed);
+        let first = state.poll(&engine, &cq, sealed);
         let retained = state.retained();
         state.invalidate();
         assert_eq!(state.retained(), 0);
         assert_eq!(state.stable_events(), 0);
-        let again = state.poll(&engine, &cq, ExecMode::Scheduled, sealed);
+        let again = state.poll(&engine, &cq, sealed);
         assert_eq!(again.matches, first.matches, "full rescan reproduces");
         assert_eq!(state.retained(), retained, "partials rebuilt");
     }

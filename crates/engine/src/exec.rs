@@ -1,5 +1,5 @@
-//! The executor: scheduling, constraint propagation, cross-pattern
-//! assembly, and the baseline execution modes.
+//! The executor: scheduling, constraint propagation and cross-pattern
+//! assembly.
 //!
 //! One pattern's data query runs in two halves. **Resolve**: each
 //! endpoint variable's predicate — narrowed to the ids earlier patterns
@@ -24,40 +24,22 @@ use threatraptor_audit::event::{Event, Operation};
 use threatraptor_storage::catalog::EntityCatalog;
 use threatraptor_storage::relational::{Index, Predicate, Value};
 use threatraptor_storage::store::{AuditStore, EventShard};
-use threatraptor_tbql::analyze::{analyze, AnalyzedQuery};
+use threatraptor_tbql::analyze::analyze;
 use threatraptor_tbql::ast::Query;
 use threatraptor_tbql::parser::parse_query;
 
-/// Execution strategies. `Scheduled` is ThreatRaptor's; the others are
-/// the baselines of the efficiency experiments (E3/E4).
+/// The execution strategy, of which there is one: pruning-score
+/// scheduling with constraint propagation across patterns connected by
+/// shared entities (the paper's §II-F design). The enum survives only
+/// because the frozen benchmark surface (`benchmark/README.md`) names
+/// `ExecMode::Scheduled` in `Engine::hunt_query`, `ShardedEngine::execute`
+/// and `FollowHunt::new`, which accept and ignore it; it goes at the next
+/// benchmark-surface revision. The comparison baselines of the efficiency
+/// experiments live in [`crate::baseline`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ExecMode {
-    /// Pruning-score scheduling with constraint propagation across
-    /// patterns connected by shared entities (the paper's §II-F design).
+    /// The paper's scheduled strategy.
     Scheduled,
-    /// Declaration order, every pattern executed independently with only
-    /// its own filters (no propagation); independent data queries run in
-    /// parallel.
-    Unscheduled,
-    /// Everything through the relational backend: path patterns are
-    /// expanded hop by hop with event-table joins (what plain SQL forces
-    /// you into).
-    RelationalOnly,
-    /// Everything through the graph backend: event patterns scan edges
-    /// without relational indexes.
-    GraphOnly,
-}
-
-impl ExecMode {
-    /// Human-readable label (used by the experiment harnesses).
-    pub fn label(self) -> &'static str {
-        match self {
-            ExecMode::Scheduled => "ThreatRaptor (scheduled)",
-            ExecMode::Unscheduled => "Unscheduled",
-            ExecMode::RelationalOnly => "Relational-only (SQL)",
-            ExecMode::GraphOnly => "Graph-only (Cypher)",
-        }
-    }
 }
 
 /// The query engine over one audit store.
@@ -72,45 +54,28 @@ impl<'s> Engine<'s> {
         Engine { store }
     }
 
-    /// Parses, analyzes, compiles, and executes TBQL source with the
-    /// scheduled strategy. Queries the lint pass proves can never match
-    /// (temporal infeasibility, contradictory filters) are rejected at
-    /// the compile step with [`EngineError::Infeasible`] before any
-    /// rows are scanned.
+    /// Parses, analyzes, compiles, and executes TBQL source. Queries the
+    /// lint pass proves can never match (temporal infeasibility,
+    /// contradictory filters) are rejected at the compile step with
+    /// [`EngineError::Infeasible`] before any rows are scanned.
     pub fn hunt(&self, tbql: &str) -> Result<HuntResult, EngineError> {
-        self.hunt_mode(tbql, ExecMode::Scheduled)
+        self.hunt_query(&parse_query(tbql)?, ExecMode::Scheduled)
     }
 
-    /// Like [`Engine::hunt`] with an explicit execution mode.
-    pub fn hunt_mode(&self, tbql: &str, mode: ExecMode) -> Result<HuntResult, EngineError> {
-        let query = parse_query(tbql)?;
-        self.hunt_query(&query, mode)
-    }
-
-    /// Executes an already parsed query.
-    pub fn hunt_query(&self, query: &Query, mode: ExecMode) -> Result<HuntResult, EngineError> {
-        let analyzed = analyze(query)?;
-        self.hunt_analyzed(&analyzed, mode)
-    }
-
-    /// Executes an analyzed query.
-    pub fn hunt_analyzed(
-        &self,
-        analyzed: &AnalyzedQuery,
-        mode: ExecMode,
-    ) -> Result<HuntResult, EngineError> {
-        let compiled = compile(analyzed)?;
-        self.execute(&compiled, mode)
+    /// Executes an already parsed query (`_mode` is the vestigial
+    /// [`ExecMode`]).
+    pub fn hunt_query(&self, query: &Query, _mode: ExecMode) -> Result<HuntResult, EngineError> {
+        self.execute(&compile(&analyze(query)?)?)
     }
 
     /// Executes a compiled query.
-    pub fn execute(&self, cq: &CompiledQuery, mode: ExecMode) -> Result<HuntResult, EngineError> {
+    pub fn execute(&self, cq: &CompiledQuery) -> Result<HuntResult, EngineError> {
         let mut result = run_schedule(
             cq,
-            mode,
+            &Schedule::new(cq),
             &mut |pat, bound| {
                 let (subjects, objects) = resolve_endpoints(cq, pat, bound, &self.store.entities);
-                scan_pattern(self.store, cq, pat, &subjects, &objects, mode)
+                scan_pattern(self.store, cq, pat, &subjects, &objects)
             },
             &|id, attr| self.store.entity(id).attr(attr),
         );
@@ -126,24 +91,18 @@ impl<'s> Engine<'s> {
 }
 
 /// Scans one shard for one pattern's rows, given the resolved id sets of
-/// its subject and object variables.
+/// its subject and object variables: event patterns through the event
+/// table's indexes, path patterns through the graph backend.
 pub(crate) fn scan_pattern(
     shard: &EventShard,
     cq: &CompiledQuery,
     pat: &CompiledPattern,
     subjects: &IdSet,
     objects: &IdSet,
-    mode: ExecMode,
 ) -> Vec<PatternRow> {
-    match (&pat.shape, mode) {
-        (CompiledShape::Event { ops }, ExecMode::GraphOnly) => {
-            event_via_graph(shard, pat, ops, subjects, objects)
-        }
-        (CompiledShape::Event { ops }, _) => event_via_sql(shard, pat, ops, subjects, objects),
-        (CompiledShape::Path { .. }, ExecMode::RelationalOnly) => {
-            path_via_sql(shard, pat, subjects, objects)
-        }
-        (CompiledShape::Path { .. }, _) => path_via_graph(shard, cq, pat, subjects, objects),
+    match &pat.shape {
+        CompiledShape::Event { ops } => event_via_sql(shard, pat, ops, subjects, objects),
+        CompiledShape::Path { .. } => path_via_graph(shard, cq, pat, subjects, objects),
     }
 }
 
@@ -228,77 +187,6 @@ fn event_via_sql<'s>(
     out
 }
 
-/// Event pattern through the graph backend: scan all edges, filter by
-/// operation and endpoint predicates (no relational indexes — the
-/// baseline cost the paper's hybrid design avoids).
-fn event_via_graph(
-    shard: &EventShard,
-    pat: &CompiledPattern,
-    ops: &[String],
-    subjects: &IdSet,
-    objects: &IdSet,
-) -> Vec<PatternRow> {
-    let ops = parse_ops(ops);
-    // A graph store has no attribute indexes over edges; it scans.
-    // The scan is parallelized across worker threads (crossbeam),
-    // as a production graph database would — but only when the edge
-    // set is large enough to amortize thread spawns. Small scans run
-    // sequentially, which also keeps the sharded executor (which
-    // invokes this per shard, possibly from its own worker pool) from
-    // stacking a third parallelism layer over tiny slices.
-    const PARALLEL_SCAN_THRESHOLD: usize = 65_536;
-    let graph = shard.graph();
-    let n = graph.edge_count();
-    let workers = if n < PARALLEL_SCAN_THRESHOLD {
-        1
-    } else {
-        std::thread::available_parallelism()
-            .map(|p| p.get())
-            .unwrap_or(4)
-            .clamp(1, 8)
-    };
-    let chunk = n.div_ceil(workers);
-    let mut out: Vec<PatternRow> = crossbeam::thread::scope(|scope| {
-        let mut handles = Vec::new();
-        for w in 0..workers {
-            let (lo, hi) = (w * chunk, ((w + 1) * chunk).min(n));
-            let ops = &ops;
-            handles.push(scope.spawn(move |_| {
-                let mut local = Vec::new();
-                for idx in lo..hi {
-                    let edge = graph.edge(idx);
-                    if !ops.contains(&edge.op) {
-                        continue;
-                    }
-                    if let Some(w) = pat.window {
-                        if edge.start < w.lo || edge.end > w.hi {
-                            continue;
-                        }
-                    }
-                    if !subjects.contains(edge.src) || !objects.contains(edge.dst) {
-                        continue;
-                    }
-                    local.push(PatternRow {
-                        subject: edge.src,
-                        object: edge.dst,
-                        events: Witness::Event(edge.event_pos),
-                        start: edge.start,
-                        end: edge.end,
-                    });
-                }
-                local
-            }));
-        }
-        handles
-            .into_iter()
-            .flat_map(|h| h.join().expect("scan worker panicked"))
-            .collect()
-    })
-    .expect("crossbeam scope");
-    out.sort_unstable_by_key(|r| r.events.first());
-    out
-}
-
 /// Path pattern through the graph backend.
 fn path_via_graph(
     shard: &EventShard,
@@ -325,31 +213,8 @@ fn path_via_graph(
         .collect()
 }
 
-/// Path pattern through the relational backend: hop-by-hop frontier
-/// expansion with event-table index lookups — the join cascade a pure
-/// SQL backend would execute.
-fn path_via_sql(
-    shard: &EventShard,
-    pat: &CompiledPattern,
-    srcs: &IdSet,
-    dsts: &IdSet,
-) -> Vec<PatternRow> {
-    let by_subject = shard
-        .event_table()
-        .index("subject")
-        .expect("the event table indexes subject");
-    expand_paths(
-        pat,
-        srcs,
-        dsts,
-        // SELECT * FROM event WHERE subject = node (index probe).
-        |node| by_subject.get(&Value::from(node.0)),
-        |pos| shard.event_at(pos),
-    )
-}
-
 /// The operations an event pattern admits (names validated by analysis).
-fn parse_ops(ops: &[String]) -> Vec<Operation> {
+pub(crate) fn parse_ops(ops: &[String]) -> Vec<Operation> {
     ops.iter()
         .map(|o| o.parse().expect("ops validated"))
         .collect()
@@ -434,24 +299,22 @@ pub(crate) type PatternFetch<'a> = dyn FnMut(&CompiledPattern, &Bound) -> Vec<Pa
 /// than maintaining two copies of it.
 pub(crate) fn run_schedule(
     cq: &CompiledQuery,
-    mode: ExecMode,
+    schedule: &Schedule,
     fetch: &mut PatternFetch<'_>,
     entity_attr: &dyn Fn(EntityId, &str) -> Option<String>,
 ) -> HuntResult {
     let t0 = Instant::now();
     let mut stats = HuntStats::default();
-    let schedule = Schedule::new(cq, mode);
     let layout = &schedule.layout;
 
     let mut partial: Option<Tuples> = None;
     for step in &schedule.steps {
         let pat = &cq.patterns[step.pat];
-        // Constraint propagation (scheduled mode only): bindings from
-        // already-executed patterns become id-set filters on shared
-        // variables.
+        // Constraint propagation: bindings from already-executed
+        // patterns become id-set filters on shared variables.
         let mut bound: Bound = [None, None];
         let mut propagated: Vec<(String, usize)> = Vec::new();
-        if mode == ExecMode::Scheduled {
+        if schedule.propagate {
             let t_prop = Instant::now();
             if let Some(tuples) = &partial {
                 bound = propagate(pat, tuples, &mut propagated);
@@ -722,6 +585,7 @@ pub(crate) fn expand_paths<'a, P: Deref<Target = [usize]>>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::baseline::{self, Baseline};
     use threatraptor_audit::sim::scenario::{AttackKind, ScenarioBuilder};
     use threatraptor_tbql::parser::FIG2_TBQL;
 
@@ -757,47 +621,45 @@ mod tests {
     #[test]
     fn all_modes_agree_on_results() {
         let store = store();
-        let engine = Engine::new(&store);
-        let scheduled = engine.hunt_mode(FIG2_TBQL, ExecMode::Scheduled).unwrap();
-        for mode in [
-            ExecMode::Unscheduled,
-            ExecMode::RelationalOnly,
-            ExecMode::GraphOnly,
-        ] {
-            let r = engine.hunt_mode(FIG2_TBQL, mode).unwrap();
-            assert_eq!(r.rows, scheduled.rows, "mode {mode:?} must agree");
+        let scheduled = Engine::new(&store).hunt(FIG2_TBQL).unwrap();
+        for baseline in Baseline::ALL {
+            let r = baseline::hunt(&store, FIG2_TBQL, baseline).unwrap();
+            assert_eq!(r.rows, scheduled.rows, "{baseline:?} must agree");
         }
     }
 
     #[test]
     fn scheduled_executes_most_constrained_first() {
         let store = store();
-        let engine = Engine::new(&store);
-        let r = engine.hunt_mode(FIG2_TBQL, ExecMode::Scheduled).unwrap();
+        let r = Engine::new(&store).hunt(FIG2_TBQL).unwrap();
         // evt1 (2 filters) and evt8 (2 filters) precede 1-filter patterns.
         let order = &r.stats.execution_order;
         let pos = |id: &str| order.iter().position(|x| x == id).unwrap();
         assert!(pos("evt1") < pos("evt2"));
         assert!(pos("evt8") < pos("evt2"));
-        // Unscheduled keeps declaration order.
-        let r = engine.hunt_mode(FIG2_TBQL, ExecMode::Unscheduled).unwrap();
-        assert_eq!(r.stats.execution_order[0], "evt1");
-        assert_eq!(r.stats.execution_order[1], "evt2");
+        // Every baseline keeps declaration order.
+        for baseline in Baseline::ALL {
+            let r = baseline::hunt(&store, FIG2_TBQL, baseline).unwrap();
+            assert_eq!(r.stats.execution_order[..2], ["evt1", "evt2"]);
+        }
     }
 
     #[test]
     fn propagation_reduces_fetched_rows() {
         let store = store();
-        let engine = Engine::new(&store);
-        let scheduled = engine.hunt_mode(FIG2_TBQL, ExecMode::Scheduled).unwrap();
-        let unscheduled = engine.hunt_mode(FIG2_TBQL, ExecMode::Unscheduled).unwrap();
+        let scheduled = Engine::new(&store).hunt(FIG2_TBQL).unwrap();
         let total = |r: &HuntResult| -> usize { r.stats.rows_fetched.iter().map(|(_, n)| n).sum() };
-        assert!(
-            total(&scheduled) <= total(&unscheduled),
-            "propagation must not fetch more rows ({} vs {})",
-            total(&scheduled),
-            total(&unscheduled)
-        );
+        for baseline in Baseline::ALL {
+            // Baselines never propagate.
+            let r = baseline::hunt(&store, FIG2_TBQL, baseline).unwrap();
+            assert!(r.stats.propagated.iter().all(|(_, p)| p.is_empty()));
+            assert!(
+                total(&scheduled) <= total(&r),
+                "propagation must not fetch more rows ({} vs {} for {baseline:?})",
+                total(&scheduled),
+                total(&r)
+            );
+        }
     }
 
     #[test]
@@ -825,8 +687,9 @@ mod tests {
         let r = engine.hunt(q).unwrap();
         assert!(!r.is_empty());
         // Graph and SQL expansion agree.
-        let sql = engine.hunt_mode(q, ExecMode::RelationalOnly).unwrap();
-        assert_eq!(r.rows, sql.rows);
+        for baseline in Baseline::ALL {
+            assert_eq!(r.rows, baseline::hunt(&store, q, baseline).unwrap().rows);
+        }
     }
 
     #[test]

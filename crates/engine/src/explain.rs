@@ -2,7 +2,7 @@
 //!
 //! [`ShardedEngine::explain`] renders the *compiled plan*: the
 //! pruning-score pattern schedule, each pattern's merged entity
-//! filters, backend choice, hash-join key, and predicted shard fan-out.
+//! filters, hash-join key, and predicted shard fan-out.
 //! [`ShardedEngine::explain_analyze`] executes the hunt and attaches
 //! *actuals*: per-pattern × per-shard rows scanned (exactly the counts
 //! the engine's `engine_rows_scanned_total` counters export),
@@ -31,12 +31,10 @@ pub struct ExplainEntry {
     pub pattern: String,
     /// Canonical TBQL source line of the pattern.
     pub source: String,
-    /// Pruning score (higher executes earlier in scheduled mode).
+    /// Pruning score (higher executes earlier).
     pub score: i64,
     /// Shape label: `event[read]` or `path(1~3)[write]`.
     pub shape: String,
-    /// Chosen backend for this pattern under the report's mode.
-    pub backend: &'static str,
     /// `(variable, rendered predicate)` for subject then object.
     pub filters: Vec<(String, String)>,
     /// Predicted shard fan-out of the data query.
@@ -106,8 +104,6 @@ pub struct ExplainActuals {
 pub struct ExplainReport {
     /// Canonical TBQL text of the query.
     pub tbql: String,
-    /// Execution mode the plan was built for.
-    pub mode: ExecMode,
     /// Shard count of the target store.
     pub shards: usize,
     /// Plan entries in schedule order.
@@ -151,8 +147,7 @@ impl ExplainReport {
         };
         writeln!(
             out,
-            "{verb} ({}, {} shard{})",
-            self.mode.label(),
+            "{verb} ({} shard{})",
             self.shards,
             if self.shards == 1 { "" } else { "s" }
         )
@@ -165,12 +160,11 @@ impl ExplainReport {
         for (i, e) in self.entries.iter().enumerate() {
             writeln!(
                 out,
-                "  {}. {}  {}  score={}  backend={}  join-key={}  fan-out={} shard{}",
+                "  {}. {}  {}  score={}  join-key={}  fan-out={} shard{}",
                 i + 1,
                 e.pattern,
                 e.shape,
                 e.score,
-                e.backend,
                 e.join_key,
                 e.fanout,
                 if e.fanout == 1 { "" } else { "s" }
@@ -247,42 +241,22 @@ impl ExplainReport {
 }
 
 /// Builds the plan-only section of a report.
-pub(crate) fn plan_report(
-    query: &Query,
-    cq: &CompiledQuery,
-    mode: ExecMode,
-    shards: usize,
-) -> ExplainReport {
-    // The same schedule `run_schedule` derives under this mode.
-    let schedule = Schedule::new(cq, mode);
+pub(crate) fn plan_report(query: &Query, cq: &CompiledQuery, shards: usize) -> ExplainReport {
+    // The same schedule `run_schedule` derives.
+    let schedule = Schedule::new(cq);
     let entries = schedule
         .steps
         .iter()
         .enumerate()
         .map(|(i, step)| {
             let pat = &cq.patterns[step.pat];
-            let (shape, backend) = match (&pat.shape, mode) {
-                (CompiledShape::Event { ops }, ExecMode::GraphOnly) => {
-                    (format!("event[{}]", ops.join("|")), "graph")
-                }
-                (CompiledShape::Event { ops }, _) => {
-                    (format!("event[{}]", ops.join("|")), "relational")
-                }
-                (
-                    CompiledShape::Path {
-                        min_hops,
-                        max_hops,
-                        last_op,
-                    },
-                    m,
-                ) => (
-                    format!("path({min_hops}~{max_hops})[{last_op}]"),
-                    if m == ExecMode::RelationalOnly {
-                        "relational"
-                    } else {
-                        "graph"
-                    },
-                ),
+            let shape = match &pat.shape {
+                CompiledShape::Event { ops } => format!("event[{}]", ops.join("|")),
+                CompiledShape::Path {
+                    min_hops,
+                    max_hops,
+                    last_op,
+                } => format!("path({min_hops}~{max_hops})[{last_op}]"),
             };
             // Compiled patterns keep their declaration index, so the
             // source line is the same position in the parsed query.
@@ -302,7 +276,6 @@ pub(crate) fn plan_report(
                 source,
                 score: pat.score,
                 shape,
-                backend,
                 filters,
                 fanout: shards,
                 join_key: step.key_label(cq, i == 0),
@@ -312,7 +285,6 @@ pub(crate) fn plan_report(
         .collect();
     ExplainReport {
         tbql: print_query(query),
-        mode,
         shards,
         entries,
         actuals: None,
@@ -376,26 +348,22 @@ pub(crate) fn attach_actuals(report: &mut ExplainReport, stats: &HuntStats, matc
 
 impl<'s> ShardedEngine<'s> {
     /// Renders the compiled plan for `tbql` without executing it.
-    pub fn explain(&self, tbql: &str, mode: ExecMode) -> Result<ExplainReport, EngineError> {
+    pub fn explain(&self, tbql: &str) -> Result<ExplainReport, EngineError> {
         let query = parse_query(tbql)?;
         let analyzed = analyze(&query)?;
         let cq = compile(&analyzed)?;
-        Ok(plan_report(&query, &cq, mode, self.store().shard_count()))
+        Ok(plan_report(&query, &cq, self.store().shard_count()))
     }
 
     /// Executes `tbql` and returns the result alongside a report whose
     /// actuals come from that same execution — the rows-scanned totals
     /// equal what the engine's metric counters recorded for the hunt.
-    pub fn explain_analyze(
-        &self,
-        tbql: &str,
-        mode: ExecMode,
-    ) -> Result<(HuntResult, ExplainReport), EngineError> {
+    pub fn explain_analyze(&self, tbql: &str) -> Result<(HuntResult, ExplainReport), EngineError> {
         let query = parse_query(tbql)?;
         let analyzed = analyze(&query)?;
         let cq = compile(&analyzed)?;
-        let mut report = plan_report(&query, &cq, mode, self.store().shard_count());
-        let result = self.execute(&cq, mode)?;
+        let mut report = plan_report(&query, &cq, self.store().shard_count());
+        let result = self.execute(&cq, ExecMode::Scheduled)?;
         attach_actuals(&mut report, &result.stats, result.matches.len());
         Ok((result, report))
     }
@@ -421,7 +389,7 @@ mod tests {
     fn explain_renders_schedule_in_score_order() {
         let store = store(4);
         let engine = ShardedEngine::new(&store);
-        let report = engine.explain(FIG2_TBQL, ExecMode::Scheduled).unwrap();
+        let report = engine.explain(FIG2_TBQL).unwrap();
         assert!(report.actuals.is_none());
         assert_eq!(report.shards, 4);
         // Schedule order is descending score (ties by declaration).
@@ -442,7 +410,11 @@ mod tests {
         let engine = ShardedEngine::new(&store);
         let tbql = "proc p read file f as e1 proc p write file f as e2 \
                     proc q read file g as e3 with e1 before e2 return p, f, q";
-        let (_, report) = engine.explain_analyze(tbql, ExecMode::Unscheduled).unwrap();
+        // No pattern carries a filter, so the pruning-score order is
+        // declaration order.
+        let (_, report) = engine.explain_analyze(tbql).unwrap();
+        let order: Vec<&str> = report.entries.iter().map(|e| e.pattern.as_str()).collect();
+        assert_eq!(order, ["e1", "e2", "e3"]);
         let keys: Vec<&str> = report.entries.iter().map(|e| e.join_key.as_str()).collect();
         assert_eq!(keys, ["seed", "hash(p,f)", "cross"]);
         let text = report.render();
@@ -462,9 +434,7 @@ mod tests {
     fn explain_analyze_attaches_consistent_actuals() {
         let store = store(4);
         let engine = ShardedEngine::new(&store);
-        let (result, report) = engine
-            .explain_analyze(FIG2_TBQL, ExecMode::Scheduled)
-            .unwrap();
+        let (result, report) = engine.explain_analyze(FIG2_TBQL).unwrap();
         let actuals = report.actuals.as_ref().unwrap();
         assert_eq!(actuals.matches, result.matches.len());
         // Per-pattern totals equal the stats' fetched-row counts, and
@@ -491,9 +461,7 @@ mod tests {
     fn propagation_and_join_actuals_are_recorded() {
         let store = store(2);
         let engine = ShardedEngine::new(&store);
-        let (_, report) = engine
-            .explain_analyze(FIG2_TBQL, ExecMode::Scheduled)
-            .unwrap();
+        let (_, report) = engine.explain_analyze(FIG2_TBQL).unwrap();
         let actuals = report.actuals.unwrap();
         // Fig. 2 patterns share variables, so at least one pattern after
         // the first must have received a propagated IN-set filter.
@@ -522,7 +490,7 @@ mod tests {
             "proc p read file f as e1 proc p write file g as e2 \
              window [0, {mid}] with e1 before e2 return p, f, g"
         );
-        let (result, report) = engine.explain_analyze(&tbql, ExecMode::Scheduled).unwrap();
+        let (result, report) = engine.explain_analyze(&tbql).unwrap();
         // The plan predicts a tightened feasible range for at least one
         // pattern, and the render shows it.
         assert!(
@@ -547,9 +515,7 @@ mod tests {
     fn rows_scanned_accessor_matches_render() {
         let store = store(3);
         let engine = ShardedEngine::new(&store);
-        let (_, report) = engine
-            .explain_analyze(FIG2_TBQL, ExecMode::Scheduled)
-            .unwrap();
+        let (_, report) = engine.explain_analyze(FIG2_TBQL).unwrap();
         let first = &report.actuals.as_ref().unwrap().patterns[0];
         for shard in 0..3 {
             assert_eq!(

@@ -21,7 +21,6 @@
 //! same code.
 
 use crate::compile::{CompiledPattern, CompiledQuery, CompiledShape};
-use crate::exec::ExecMode;
 use crate::idset::IdSet;
 use crate::result::Match;
 use std::collections::HashMap;
@@ -161,28 +160,39 @@ impl JoinStep {
     }
 }
 
-/// The execution order of a compiled query under one mode, with each
-/// step's join plan — the one place the order is decided (the full
-/// executor, the delta executor and EXPLAIN all read it).
+/// The execution order of a compiled query, with each step's join plan —
+/// the one place the order is decided (the full executor, the delta
+/// executor and EXPLAIN all read it).
 #[derive(Debug, Clone)]
 pub(crate) struct Schedule {
     pub(crate) steps: Vec<JoinStep>,
     pub(crate) layout: Layout,
+    /// Whether each step's scan is narrowed to the ids earlier steps
+    /// bound (constraint propagation). Off only for [`Schedule::declared`].
+    pub(crate) propagate: bool,
 }
 
 impl Schedule {
-    /// Pruning-score order (ties by declaration) in scheduled mode,
-    /// declaration order otherwise.
-    pub(crate) fn new(cq: &CompiledQuery, mode: ExecMode) -> Schedule {
+    /// The paper's schedule: pruning-score order (ties by declaration),
+    /// with constraint propagation.
+    pub(crate) fn new(cq: &CompiledQuery) -> Schedule {
         let mut order: Vec<usize> = (0..cq.patterns.len()).collect();
-        if mode == ExecMode::Scheduled {
-            order.sort_by_key(|&i| {
-                (
-                    std::cmp::Reverse(cq.patterns[i].score),
-                    cq.patterns[i].decl_index,
-                )
-            });
-        }
+        order.sort_by_key(|&i| {
+            (
+                std::cmp::Reverse(cq.patterns[i].score),
+                cq.patterns[i].decl_index,
+            )
+        });
+        Schedule::in_order(cq, order, true)
+    }
+
+    /// Declaration order without propagation: every pattern runs with
+    /// only its own filters (the baselines' schedule).
+    pub(crate) fn declared(cq: &CompiledQuery) -> Schedule {
+        Schedule::in_order(cq, (0..cq.patterns.len()).collect(), false)
+    }
+
+    fn in_order(cq: &CompiledQuery, order: Vec<usize>, propagate: bool) -> Schedule {
         let mut var_bound = vec![false; cq.vars.len()];
         let mut pat_bound = vec![false; cq.patterns.len()];
         let steps = order
@@ -217,6 +227,7 @@ impl Schedule {
         Schedule {
             steps,
             layout: Layout::new(cq),
+            propagate,
         }
     }
 }
@@ -660,8 +671,7 @@ mod tests {
             ),
         ) {
             let cq = compiled(QUERIES[qi]);
-            let mode = if scheduled { ExecMode::Scheduled } else { ExecMode::Unscheduled };
-            let schedule = Schedule::new(&cq, mode);
+            let schedule = if scheduled { Schedule::new(&cq) } else { Schedule::declared(&cq) };
             let layout = &schedule.layout;
             let mut partial: Option<Tuples> = None;
             for (step, draw) in schedule.steps.iter().zip(&draws) {
@@ -679,7 +689,7 @@ mod tests {
     fn join_keys_cover_every_shape() {
         let labels = |tbql: &str| -> Vec<String> {
             let cq = compiled(tbql);
-            let schedule = Schedule::new(&cq, ExecMode::Unscheduled);
+            let schedule = Schedule::declared(&cq);
             schedule
                 .steps
                 .iter()
@@ -697,7 +707,7 @@ mod tests {
     #[test]
     fn cross_product_keeps_nested_loop_order() {
         let cq = compiled(QUERIES[4]);
-        let schedule = Schedule::new(&cq, ExecMode::Unscheduled);
+        let schedule = Schedule::declared(&cq);
         let layout = &schedule.layout;
         let a = rows_from(&[(0, 1, 0, 0), (2, 3, 5, 0)]);
         let b = rows_from(&[(4, 5, 1, 0), (6, 7, 2, 0), (8, 9, 3, 0)]);
@@ -719,7 +729,7 @@ mod tests {
         let cq = compiled(
             "proc p[\"%tar%\"] ~>(1~3)[write] file f as flow proc p read file g as e2 return p",
         );
-        let schedule = Schedule::new(&cq, ExecMode::Unscheduled);
+        let schedule = Schedule::declared(&cq);
         let layout = &schedule.layout;
         let path = PatternRow {
             subject: EntityId(1),

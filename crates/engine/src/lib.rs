@@ -37,9 +37,10 @@
 //!   Cypher text rendering); slot assignment;
 //! * [`score`] — pruning scores;
 //! * [`exec`] — the scheduler/executor: entity resolution, event and
-//!   path scans, projection, and the baseline execution modes used by
-//!   the efficiency experiments (unscheduled, relational-only,
-//!   graph-only);
+//!   path scans, projection;
+//! * [`baseline`] — the comparison strategies of the efficiency
+//!   experiments (unscheduled, relational-only, graph-only), reached only
+//!   by the paper-table binaries and tests;
 //! * `join` (private) — slot tuples, the execution schedule with each
 //!   step's join key, constraint propagation and the hash join;
 //! * [`sharded`] — the scatter-gather executor over a
@@ -57,6 +58,7 @@
 //!   restricted scans joined against retained partial tuples, O(delta)
 //!   per poll in the steady state.
 
+pub mod baseline;
 pub mod compile;
 pub mod delta;
 pub mod error;

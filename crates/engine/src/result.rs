@@ -82,7 +82,7 @@ pub struct HuntStats {
     /// Constraint-propagation pruning per pattern, in execution order:
     /// for each variable that received a propagated IN-set filter, the
     /// number of already-bound entity ids pushed down (empty when no
-    /// propagation applied — first pattern, or independent mode).
+    /// propagation applied — first pattern, or a baseline).
     pub propagated: Vec<(String, Vec<(String, usize)>)>,
     /// Join candidate/output counts per pattern, in execution order.
     pub join_stats: Vec<(String, JoinStats)>,
@@ -90,7 +90,7 @@ pub struct HuntStats {
     /// execution order.
     pub pattern_elapsed: Vec<(String, Duration)>,
     /// Wall time building cross-pattern IN-set filters (constraint
-    /// propagation; zero in independent mode).
+    /// propagation; zero for a baseline).
     pub propagate_elapsed: Duration,
     /// Wall time joining fetched rows into the partial match set.
     pub join_elapsed: Duration,

@@ -37,7 +37,7 @@ use crate::exec::{
     ExecMode,
 };
 use crate::idset::IdSet;
-use crate::join::{Bound, PatternRow, Tuples};
+use crate::join::{Bound, PatternRow, Schedule, Tuples};
 use crate::result::{HuntResult, Match};
 use std::collections::HashMap;
 use std::rc::Rc;
@@ -45,7 +45,7 @@ use threatraptor_audit::entity::EntityId;
 use threatraptor_obs::Registry;
 use threatraptor_storage::relational::Value;
 use threatraptor_storage::sharded::ShardedStore;
-use threatraptor_tbql::analyze::{analyze, AnalyzedQuery};
+use threatraptor_tbql::analyze::analyze;
 use threatraptor_tbql::ast::Query;
 use threatraptor_tbql::parser::parse_query;
 
@@ -96,36 +96,19 @@ impl<'s> ShardedEngine<'s> {
         self.store
     }
 
-    /// Parses, analyzes, compiles, and executes TBQL source with the
-    /// scheduled strategy.
+    /// Parses, analyzes, compiles, and executes TBQL source.
     pub fn hunt(&self, tbql: &str) -> Result<HuntResult, EngineError> {
-        self.hunt_mode(tbql, ExecMode::Scheduled)
-    }
-
-    /// Like [`ShardedEngine::hunt`] with an explicit execution mode.
-    pub fn hunt_mode(&self, tbql: &str, mode: ExecMode) -> Result<HuntResult, EngineError> {
-        let query = parse_query(tbql)?;
-        self.hunt_query(&query, mode)
+        self.hunt_query(&parse_query(tbql)?)
     }
 
     /// Executes an already parsed query.
-    pub fn hunt_query(&self, query: &Query, mode: ExecMode) -> Result<HuntResult, EngineError> {
-        let analyzed = analyze(query)?;
-        self.hunt_analyzed(&analyzed, mode)
+    pub fn hunt_query(&self, query: &Query) -> Result<HuntResult, EngineError> {
+        self.execute(&compile(&analyze(query)?)?, ExecMode::Scheduled)
     }
 
-    /// Executes an analyzed query.
-    pub fn hunt_analyzed(
-        &self,
-        analyzed: &AnalyzedQuery,
-        mode: ExecMode,
-    ) -> Result<HuntResult, EngineError> {
-        let compiled = compile(analyzed)?;
-        self.execute(&compiled, mode)
-    }
-
-    /// Executes a compiled query — the entry point the plan cache feeds.
-    pub fn execute(&self, cq: &CompiledQuery, mode: ExecMode) -> Result<HuntResult, EngineError> {
+    /// Executes a compiled query — the entry point the plan cache feeds
+    /// (`_mode` is the vestigial [`ExecMode`]).
+    pub fn execute(&self, cq: &CompiledQuery, _mode: ExecMode) -> Result<HuntResult, EngineError> {
         // Per-shard row counts and DBM-clamp pruning, collected as each
         // pattern's data query fans out (execution order). RefCell: the
         // fetch closure is `FnMut` and the collectors outlive it.
@@ -135,9 +118,9 @@ impl<'s> ShardedEngine<'s> {
             std::cell::RefCell::new(Vec::new());
         let mut result = run_schedule(
             cq,
-            mode,
+            &Schedule::new(cq),
             &mut |pat, bound| {
-                let (rows, per_shard, pruned) = self.fetch_pattern(cq, pat, bound, mode, 0);
+                let (rows, per_shard, pruned) = self.fetch_pattern(cq, pat, bound, 0);
                 shard_rows.borrow_mut().push((pat.id.clone(), per_shard));
                 rows_pruned.borrow_mut().push((pat.id.clone(), pruned));
                 rows
@@ -212,14 +195,13 @@ impl<'s> ShardedEngine<'s> {
         cq: &CompiledQuery,
         pat: &CompiledPattern,
         bound: &Bound,
-        mode: ExecMode,
         min_pos: usize,
     ) -> (Vec<PatternRow>, Vec<usize>, usize) {
         let (subjects, objects) = resolve_endpoints(cq, pat, bound, self.store.catalog());
         let shard_of = |r: &PatternRow| self.store.locate(r.events.first()).0;
         let (mut rows, mut per_shard) = match pat.shape {
             CompiledShape::Event { .. } => {
-                self.scatter_event_pattern(cq, pat, &subjects, &objects, mode, min_pos)
+                self.scatter_event_pattern(cq, pat, &subjects, &objects, min_pos)
             }
             CompiledShape::Path { .. } => {
                 let rows = self.path_over_shards(pat, &subjects, &objects);
@@ -261,7 +243,6 @@ impl<'s> ShardedEngine<'s> {
         pat: &CompiledPattern,
         subjects: &IdSet,
         objects: &IdSet,
-        mode: ExecMode,
         min_pos: usize,
     ) -> (Vec<PatternRow>, Vec<usize>) {
         let n = self.store.shard_count();
@@ -272,7 +253,7 @@ impl<'s> ShardedEngine<'s> {
             if self.store.offset(i + 1) <= min_pos {
                 return Vec::new();
             }
-            let mut rows = scan_pattern(self.store.shard(i), cq, pat, subjects, objects, mode);
+            let mut rows = scan_pattern(self.store.shard(i), cq, pat, subjects, objects);
             for r in &mut rows {
                 for pos in r.events.positions_mut() {
                     *pos += offset;
@@ -402,23 +383,6 @@ mod tests {
             rows
         };
         assert_eq!(norm(&got), norm(&expected));
-    }
-
-    #[test]
-    fn all_modes_agree_with_single_store() {
-        let (single, sharded) = fixtures(4);
-        for mode in [
-            ExecMode::Scheduled,
-            ExecMode::Unscheduled,
-            ExecMode::RelationalOnly,
-            ExecMode::GraphOnly,
-        ] {
-            let expected = Engine::new(&single).hunt_mode(FIG2_TBQL, mode).unwrap();
-            let got = ShardedEngine::new(&sharded)
-                .hunt_mode(FIG2_TBQL, mode)
-                .unwrap();
-            assert_eq!(got.rows, expected.rows, "mode {mode:?}");
-        }
     }
 
     #[test]

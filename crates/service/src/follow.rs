@@ -226,7 +226,6 @@ impl FollowDelta {
 #[derive(Debug)]
 pub struct FollowHunt {
     plan: Arc<CachedPlan>,
-    mode: ExecMode,
     shard_threads: usize,
     seen: HashSet<MatchKey>,
     /// Distinct-row history: every projected row ever delivered, kept
@@ -250,12 +249,12 @@ pub struct FollowHunt {
 }
 
 impl FollowHunt {
-    /// A follow hunt over an already compiled plan.
-    pub fn new(plan: Arc<CachedPlan>, mode: ExecMode, shard_threads: usize) -> FollowHunt {
-        let delta = DeltaState::new(&plan.compiled, mode);
+    /// A follow hunt over an already compiled plan (`_mode` is the
+    /// vestigial [`ExecMode`]).
+    pub fn new(plan: Arc<CachedPlan>, _mode: ExecMode, shard_threads: usize) -> FollowHunt {
+        let delta = DeltaState::new(&plan.compiled);
         FollowHunt {
             plan,
-            mode,
             shard_threads: shard_threads.max(1),
             seen: HashSet::new(),
             known: HashSet::new(),
@@ -380,8 +379,10 @@ impl FollowHunt {
         // counter treats both uniformly as from-zero scans.
         let use_delta = !self.force_full && frontier.is_some();
         let full = match (use_delta, &mut self.delta, frontier) {
-            (true, Some(state), Some(f)) => state.poll(&engine, cq, self.mode, f.sealed_events),
-            _ => engine.execute(cq, self.mode).map_err(ServiceError::from)?,
+            (true, Some(state), Some(f)) => state.poll(&engine, cq, f.sealed_events),
+            _ => engine
+                .execute(cq, ExecMode::Scheduled)
+                .map_err(ServiceError::from)?,
         };
         self.last_raw = Some(raw);
         let delta_stats = full.stats.delta;

@@ -52,8 +52,6 @@ pub struct IngestConfig {
     pub cpr: bool,
     /// When to freeze the open window into an immutable shard.
     pub policy: SealPolicy,
-    /// Execution strategy for hunts.
-    pub mode: ExecMode,
     /// Per-hunt shard fan-out threads.
     pub shard_threads: usize,
 }
@@ -63,7 +61,6 @@ impl Default for IngestConfig {
         IngestConfig {
             cpr: true,
             policy: SealPolicy::events(4_096),
-            mode: ExecMode::Scheduled,
             shard_threads: 1,
         }
     }
@@ -301,7 +298,7 @@ impl IngestService {
         let (plan, _) = self.cache.plan(tbql).map_err(ServiceError::from)?;
         let snapshot = self.snapshot();
         let result = ShardedEngine::with_threads(&snapshot, self.config.shard_threads)
-            .execute(&plan.compiled, self.config.mode)
+            .execute(&plan.compiled, ExecMode::Scheduled)
             .map_err(ServiceError::from)?;
         result.stats.record_stages(&self.hunt_trace);
         Ok(result)
@@ -313,7 +310,7 @@ impl IngestService {
     /// snapshot and yields only the newly appeared matches.
     pub fn hunt_follow(&self, tbql: &str) -> Result<(FollowHunt, FollowDelta), ServiceError> {
         let (plan, _) = self.cache.plan(tbql).map_err(ServiceError::from)?;
-        let mut hunt = FollowHunt::new(plan, self.config.mode, self.config.shard_threads);
+        let mut hunt = FollowHunt::new(plan, ExecMode::Scheduled, self.config.shard_threads);
         hunt.attach_metrics(&self.registry);
         let delta = hunt.poll(&self.snapshot())?;
         Ok((hunt, delta))

@@ -40,13 +40,12 @@ pub(crate) fn execute_job(
     store: &ShardedStore,
     cache: &PlanCache,
     shard_threads: usize,
-    mode: ExecMode,
     index: usize,
     job: &HuntJob,
 ) -> JobReport {
     let t0 = Instant::now();
     let (tbql, cache_hit, outcome) = catch_unwind(AssertUnwindSafe(|| {
-        resolve_and_execute(store, cache, shard_threads, mode, job)
+        resolve_and_execute(store, cache, shard_threads, job)
     }))
     .unwrap_or_else(|payload| {
         (
@@ -69,7 +68,6 @@ fn resolve_and_execute(
     store: &ShardedStore,
     cache: &PlanCache,
     shard_threads: usize,
-    mode: ExecMode,
     job: &HuntJob,
 ) -> (Option<String>, bool, Result<HuntResult, ServiceError>) {
     let tbql_src = match job {
@@ -85,7 +83,7 @@ fn resolve_and_execute(
     };
     let engine = ShardedEngine::with_threads(store, shard_threads);
     let outcome = engine
-        .execute(&plan.compiled, mode)
+        .execute(&plan.compiled, ExecMode::Scheduled)
         .map_err(ServiceError::from);
     (Some(plan.tbql.clone()), cache_hit, outcome)
 }
@@ -101,7 +99,6 @@ pub struct HuntScheduler {
     cache: Arc<PlanCache>,
     workers: usize,
     shard_threads: usize,
-    mode: ExecMode,
     pool: OnceLock<WorkerPool>,
 }
 
@@ -119,7 +116,6 @@ impl HuntScheduler {
             cache,
             workers,
             shard_threads: 1,
-            mode: ExecMode::Scheduled,
             pool: OnceLock::new(),
         }
     }
@@ -134,12 +130,6 @@ impl HuntScheduler {
     /// Sets the per-hunt shard fan-out thread count.
     pub fn shard_threads(mut self, threads: usize) -> HuntScheduler {
         self.shard_threads = threads.max(1);
-        self
-    }
-
-    /// Sets the execution strategy (default: the paper's scheduled mode).
-    pub fn mode(mut self, mode: ExecMode) -> HuntScheduler {
-        self.mode = mode;
         self
     }
 
@@ -169,17 +159,10 @@ impl HuntScheduler {
         for (index, job) in jobs.into_iter().enumerate() {
             let store = Arc::clone(&self.store);
             let cache = Arc::clone(&self.cache);
-            let (shard_threads, mode) = (self.shard_threads, self.mode);
+            let shard_threads = self.shard_threads;
             let tx = done_tx.clone();
             pool.submit(Box::new(move || {
-                let _ = tx.send(execute_job(
-                    &store,
-                    &cache,
-                    shard_threads,
-                    mode,
-                    index,
-                    &job,
-                ));
+                let _ = tx.send(execute_job(&store, &cache, shard_threads, index, &job));
             }))
             .expect("the scheduler's pool lives as long as the scheduler");
         }
@@ -200,14 +183,7 @@ impl HuntScheduler {
 
     /// Executes one job directly on the calling thread (no pool).
     pub fn run_job(&self, index: usize, job: &HuntJob) -> JobReport {
-        execute_job(
-            &self.store,
-            &self.cache,
-            self.shard_threads,
-            self.mode,
-            index,
-            job,
-        )
+        execute_job(&self.store, &self.cache, self.shard_threads, index, job)
     }
 
     /// Convenience single hunt for a TBQL query through the cache.

@@ -39,7 +39,7 @@ use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender, TryRecvE
 use std::fmt;
 use std::time::{Duration, Instant};
 use threatraptor_audit::parser::LogChunk;
-use threatraptor_engine::{HuntResult, HuntStats};
+use threatraptor_engine::{ExecMode, HuntResult, HuntStats};
 use threatraptor_obs::{
     Counter, Histogram, MetricsSnapshot, Registry, TraceId, TraceSink, TraceTree, ROOT_SPAN,
 };
@@ -52,7 +52,7 @@ use threatraptor_sync::{Arc, Condvar, Mutex, PoisonError};
 #[derive(Debug, Clone, Copy)]
 pub struct ServerConfig {
     /// The owned ingest layer's configuration (seal policy, CPR,
-    /// execution mode, per-hunt shard fan-out).
+    /// per-hunt shard fan-out).
     pub ingest: IngestConfig,
     /// Ad-hoc hunt worker threads.
     pub workers: usize,
@@ -597,7 +597,7 @@ impl HuntServer {
         let snapshots = Arc::clone(&self.snapshots);
         let slow_log = Arc::clone(&self.slow_log);
         let obs = self.job_obs.clone();
-        let (shard_threads, mode) = (self.config.ingest.shard_threads, self.config.ingest.mode);
+        let shard_threads = self.config.ingest.shard_threads;
         let accepted = !self.shutdown.load(Ordering::Acquire)
             && self
                 .pool
@@ -615,7 +615,6 @@ impl HuntServer {
                         &snapshot,
                         ingest.cache(),
                         shard_threads,
-                        mode,
                         id.0 as usize,
                         &job,
                     );
@@ -689,11 +688,7 @@ impl HuntServer {
         }
         let (plan, _) = self.ingest.cache().plan(tbql).map_err(ServiceError::from)?;
         let tbql = plan.tbql.clone();
-        let mut hunt = FollowHunt::new(
-            plan,
-            self.config.ingest.mode,
-            self.config.ingest.shard_threads,
-        );
+        let mut hunt = FollowHunt::new(plan, ExecMode::Scheduled, self.config.ingest.shard_threads);
         hunt.attach_metrics(self.ingest.registry());
         // ordering: Relaxed — id allocation needs uniqueness only.
         let id = self.next_follow.fetch_add(1, Ordering::Relaxed);
@@ -958,7 +953,7 @@ mod tests {
         // timestamps are fine-grained: every batch match has a distinct
         // identity. Workloads with identity collisions — same pair, op,
         // and start on distinct events — alert once per identity; see
-        // `exp_e11`'s identity accounting.)
+        // `tests/streaming_parity.rs::tie_exactly_once`.)
         let batch = threatraptor_engine::ShardedEngine::new(&server.snapshot())
             .hunt(FIG2_TBQL)
             .unwrap();

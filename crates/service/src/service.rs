@@ -22,8 +22,6 @@ pub struct ServiceConfig {
     pub shard_threads: usize,
     /// Apply Causality-Preserved Reduction during ingestion.
     pub cpr: bool,
-    /// Execution strategy for all hunts.
-    pub mode: ExecMode,
 }
 
 impl Default for ServiceConfig {
@@ -36,7 +34,6 @@ impl Default for ServiceConfig {
             workers: cores,
             shard_threads: 1,
             cpr: true,
-            mode: ExecMode::Scheduled,
         }
     }
 }
@@ -109,8 +106,7 @@ impl HuntService {
         let cache = Arc::new(PlanCache::new());
         let scheduler = HuntScheduler::new(Arc::clone(&store), Arc::clone(&cache))
             .workers(config.workers)
-            .shard_threads(config.shard_threads)
-            .mode(config.mode);
+            .shard_threads(config.shard_threads);
         HuntService {
             store,
             cache,
@@ -168,7 +164,7 @@ impl HuntService {
     /// service's own store is free: the store does not grow.)
     pub fn hunt_follow(&self, tbql: &str) -> Result<FollowHunt, ServiceError> {
         let (plan, _) = self.cache.plan(tbql).map_err(ServiceError::from)?;
-        let mut follow = FollowHunt::new(plan, self.config.mode, self.config.shard_threads);
+        let mut follow = FollowHunt::new(plan, ExecMode::Scheduled, self.config.shard_threads);
         follow.poll(&self.store)?;
         Ok(follow)
     }

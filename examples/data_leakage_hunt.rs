@@ -5,6 +5,7 @@
 //! cargo run --example data_leakage_hunt
 //! ```
 
+use threatraptor::engine::baseline::{self, Baseline};
 use threatraptor::prelude::*;
 use threatraptor::synth;
 
@@ -33,26 +34,27 @@ fn main() {
     let tbql = print_query(&query);
     println!("step 2 — synthesized TBQL:\n{tbql}");
 
-    // Step 3: execute, comparing all strategies.
-    let engine = Engine::new(&store);
-    for mode in [
-        ExecMode::Scheduled,
-        ExecMode::Unscheduled,
-        ExecMode::RelationalOnly,
-        ExecMode::GraphOnly,
-    ] {
-        let result = engine.hunt_query(&query, mode).expect("query executes");
-        let gt = scenario.ground_truth("data_leakage");
+    // Step 3: execute, and compare with the paper's baselines.
+    let result = Engine::new(&store)
+        .hunt_query(&query, ExecMode::Scheduled)
+        .expect("query executes");
+    let gt = scenario.ground_truth("data_leakage");
+    let report = |label: &str, result: &HuntResult| {
         let (p, r) = result.precision_recall(&store, &gt);
         println!(
-            "step 3 — {:<24} {:>9.3?}  precision {p:.2}  recall {r:.2}",
-            mode.label(),
+            "step 3 — {label:<24} {:>9.3?}  precision {p:.2}  recall {r:.2}",
             result.stats.elapsed,
+        );
+    };
+    report("ThreatRaptor (scheduled)", &result);
+    for b in Baseline::ALL {
+        report(
+            b.label(),
+            &baseline::hunt(&store, &tbql, b).expect("query executes"),
         );
     }
 
     // The matched records.
-    let result = engine.hunt_query(&query, ExecMode::Scheduled).unwrap();
     println!("\nmatched records:\n{}", result.render_table());
     println!(
         "execution order (pruning scores first): {:?}",

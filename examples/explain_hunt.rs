@@ -31,15 +31,11 @@ fn main() {
     let engine = ShardedEngine::new(&store).with_registry(&registry);
 
     println!("==== EXPLAIN ====\n");
-    let plan = engine
-        .explain(FIG2_TBQL, ExecMode::Scheduled)
-        .expect("valid TBQL");
+    let plan = engine.explain(FIG2_TBQL).expect("valid TBQL");
     println!("{}", plan.render());
 
     println!("==== EXPLAIN ANALYZE ====\n");
-    let (result, report) = engine
-        .explain_analyze(FIG2_TBQL, ExecMode::Scheduled)
-        .expect("valid TBQL");
+    let (result, report) = engine.explain_analyze(FIG2_TBQL).expect("valid TBQL");
     println!("{}", report.render());
     assert!(!result.is_empty(), "the leakage attack must match");
 

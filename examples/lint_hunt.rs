@@ -105,9 +105,7 @@ fn main() {
          return p, f, g"
     );
     println!("\n==== EXPLAIN ANALYZE with DBM clamping ====\n");
-    let (result, explained) = engine
-        .explain_analyze(&prunable, ExecMode::Scheduled)
-        .expect("valid TBQL");
+    let (result, explained) = engine.explain_analyze(&prunable).expect("valid TBQL");
     println!("{}", explained.render());
     assert!(
         explained.entries.iter().any(|e| e.bounds.is_some()),

@@ -1,6 +1,7 @@
 //! End-to-end integration: OSCTI report → extraction → synthesis →
 //! execution → evaluation, across all four attack cases.
 
+use threatraptor::engine::baseline::{self, Baseline};
 use threatraptor::prelude::*;
 use threatraptor_bench::all_cases;
 
@@ -63,18 +64,12 @@ fn all_modes_agree_on_every_case() {
     let sc = scenario();
     let raptor = ThreatRaptor::from_parsed(&sc.log, true);
     for case in all_cases() {
-        let reference = raptor
-            .hunt_mode(case.reference_tbql, ExecMode::Scheduled)
-            .unwrap();
-        for mode in [
-            ExecMode::Unscheduled,
-            ExecMode::RelationalOnly,
-            ExecMode::GraphOnly,
-        ] {
-            let r = raptor.hunt_mode(case.reference_tbql, mode).unwrap();
+        let reference = raptor.hunt(case.reference_tbql).unwrap();
+        for b in Baseline::ALL {
+            let r = baseline::hunt(raptor.store(), case.reference_tbql, b).unwrap();
             assert_eq!(
                 r.rows, reference.rows,
-                "{}: {mode:?} differs from scheduled",
+                "{}: {b:?} differs from scheduled",
                 case.name
             );
         }

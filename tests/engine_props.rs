@@ -2,6 +2,7 @@
 //! temporal/path semantics over randomized scenarios and queries.
 
 use proptest::prelude::*;
+use threatraptor::engine::baseline::{self, Baseline};
 use threatraptor::prelude::*;
 use threatraptor_storage::AuditStore;
 
@@ -56,11 +57,10 @@ proptest! {
     #[test]
     fn strategies_agree(seed in 0u64..4, query in arb_query()) {
         let store = small_store(seed);
-        let engine = Engine::new(&store);
-        let reference = engine.hunt_mode(&query, ExecMode::Scheduled).unwrap();
-        for mode in [ExecMode::Unscheduled, ExecMode::RelationalOnly, ExecMode::GraphOnly] {
-            let r = engine.hunt_mode(&query, mode).unwrap();
-            prop_assert_eq!(&r.rows, &reference.rows, "mode {:?}", mode);
+        let reference = Engine::new(&store).hunt(&query).unwrap();
+        for b in Baseline::ALL {
+            let r = baseline::hunt(&store, &query, b).unwrap();
+            prop_assert_eq!(&r.rows, &reference.rows, "{:?}", b);
         }
     }
 

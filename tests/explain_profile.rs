@@ -58,18 +58,14 @@ fn explain_analyze_rows_equal_engine_counters() {
     let registry = Arc::new(Registry::new());
     let engine = ShardedEngine::new(&store).with_registry(&registry);
 
-    let (result, report) = engine
-        .explain_analyze(FIG2_TBQL, ExecMode::Scheduled)
-        .expect("valid TBQL");
+    let (result, report) = engine.explain_analyze(FIG2_TBQL).expect("valid TBQL");
     assert!(!result.is_empty(), "the leakage attack must match");
     assert_actuals_match_counters(&registry, &report, 1);
 
     // The counters are cumulative across hunts while each report is
     // per-execution: a second identical run doubles every counter but
     // reports the same actuals.
-    let (_, again) = engine
-        .explain_analyze(FIG2_TBQL, ExecMode::Scheduled)
-        .expect("valid TBQL");
+    let (_, again) = engine.explain_analyze(FIG2_TBQL).expect("valid TBQL");
     assert_actuals_match_counters(&registry, &again, 2);
 
     // Total attribution is consistent end to end.
@@ -77,27 +73,11 @@ fn explain_analyze_rows_equal_engine_counters() {
 }
 
 #[test]
-fn unscheduled_mode_counters_stay_consistent() {
-    // Unscheduled execution skips constraint propagation, so rows
-    // scanned differ from scheduled mode — the counters must track the
-    // mode actually executed, not the plan's default.
-    let store = store();
-    let registry = Arc::new(Registry::new());
-    let engine = ShardedEngine::new(&store).with_registry(&registry);
-    let (_, report) = engine
-        .explain_analyze(FIG2_TBQL, ExecMode::Unscheduled)
-        .expect("valid TBQL");
-    assert_actuals_match_counters(&registry, &report, 1);
-}
-
-#[test]
 fn plain_explain_records_no_counters() {
     let store = store();
     let registry = Arc::new(Registry::new());
     let engine = ShardedEngine::new(&store).with_registry(&registry);
-    let report = engine
-        .explain(FIG2_TBQL, ExecMode::Scheduled)
-        .expect("valid TBQL");
+    let report = engine.explain(FIG2_TBQL).expect("valid TBQL");
     assert!(report.actuals.is_none());
     assert!(
         registry.snapshot().samples.is_empty(),

