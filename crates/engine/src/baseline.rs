@@ -17,7 +17,6 @@ use crate::exec::{expand_paths, parse_ops, resolve_endpoints, run_schedule, scan
 use crate::idset::IdSet;
 use crate::join::{PatternRow, Schedule, Witness};
 use crate::result::HuntResult;
-use threatraptor_storage::relational::Value;
 use threatraptor_storage::store::{AuditStore, EventShard};
 use threatraptor_tbql::analyze::analyze;
 use threatraptor_tbql::parser::parse_query;
@@ -29,8 +28,8 @@ pub enum Baseline {
     /// relational backend, path patterns through the graph backend.
     Unscheduled,
     /// Everything through the relational backend: path patterns are
-    /// expanded hop by hop with event-table joins (what plain SQL forces
-    /// you into).
+    /// expanded hop by hop with subject-index joins (what plain SQL
+    /// forces you into).
     RelationalOnly,
     /// Everything through the graph backend: event patterns scan edges
     /// without relational indexes.
@@ -146,24 +145,20 @@ fn event_via_graph(
 }
 
 /// Path pattern through the relational backend: hop-by-hop frontier
-/// expansion with event-table index lookups — the join cascade a pure
-/// SQL backend would execute.
+/// expansion with subject-postings probes — the join cascade a pure SQL
+/// backend would execute.
 fn path_via_sql(
     shard: &EventShard,
     pat: &CompiledPattern,
     srcs: &IdSet,
     dsts: &IdSet,
 ) -> Vec<PatternRow> {
-    let by_subject = shard
-        .event_table()
-        .index("subject")
-        .expect("the event table indexes subject");
     expand_paths(
         pat,
         srcs,
         dsts,
         // SELECT * FROM event WHERE subject = node (index probe).
-        |node| by_subject.get(&Value::from(node.0)),
+        |node| shard.postings().by_subject(node),
         |pos| shard.event_at(pos),
     )
 }

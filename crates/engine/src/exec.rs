@@ -4,11 +4,11 @@
 //! One pattern's data query runs in two halves. **Resolve**: each
 //! endpoint variable's predicate — narrowed to the ids earlier patterns
 //! bound, when propagation applies — is evaluated once against the
-//! entity catalog into a dense id set. **Scan**: the event table (or graph)
-//! is searched with those sets, picking the cheapest of the subject,
-//! object and operation indexes by their bucket sizes. The split is what
-//! lets the sharded executor resolve once and hand the same sets to every
-//! shard's scan. Rows then meet the partial matches in the slot-compiled
+//! entity catalog into a dense id set. **Scan**: the shard's event
+//! postings (or graph) are searched with those sets, picking the
+//! cheapest of the subject, object and operation postings by their
+//! sizes. The split is what lets the sharded executor resolve once and
+//! hand the same sets to every shard's scan. Rows then meet the partial matches in the slot-compiled
 //! hash join of the crate's `join` module.
 
 use crate::compile::{compile, CompiledPattern, CompiledQuery, CompiledShape};
@@ -22,10 +22,11 @@ use std::time::Instant;
 use threatraptor_audit::entity::{EntityId, EntityKind};
 use threatraptor_audit::event::{Event, Operation};
 use threatraptor_storage::catalog::EntityCatalog;
-use threatraptor_storage::relational::{Index, Predicate, Value};
+use threatraptor_storage::postings::EventPostings;
+use threatraptor_storage::relational::{Predicate, Value};
 use threatraptor_storage::store::{AuditStore, EventShard};
 use threatraptor_tbql::analyze::analyze;
-use threatraptor_tbql::ast::Query;
+use threatraptor_tbql::ast::{Query, TimeWindow};
 use threatraptor_tbql::parser::parse_query;
 
 /// The execution strategy, of which there is one: pruning-score
@@ -91,8 +92,8 @@ impl<'s> Engine<'s> {
 }
 
 /// Scans one shard for one pattern's rows, given the resolved id sets of
-/// its subject and object variables: event patterns through the event
-/// table's indexes, path patterns through the graph backend.
+/// its subject and object variables: event patterns through the shard's
+/// postings, path patterns through the graph backend.
 pub(crate) fn scan_pattern(
     shard: &EventShard,
     cq: &CompiledQuery,
@@ -101,77 +102,76 @@ pub(crate) fn scan_pattern(
     objects: &IdSet,
 ) -> Vec<PatternRow> {
     match &pat.shape {
-        CompiledShape::Event { ops } => event_via_sql(shard, pat, ops, subjects, objects),
+        CompiledShape::Event { ops } => {
+            event_via_sql(shard, &parse_ops(ops), subjects, objects, pat.window)
+        }
         CompiledShape::Path { .. } => path_via_graph(shard, cq, pat, subjects, objects),
     }
 }
 
 /// Event pattern through the relational backend.
 ///
-/// Access-path selection over the event table's indexes (the paper's
-/// "mature indexing mechanisms"): probe by subject ids, by object
-/// ids, or by operation — whichever is estimated cheapest — then
-/// filter residual conditions.
-fn event_via_sql<'s>(
-    shard: &'s EventShard,
-    pat: &CompiledPattern,
-    ops: &[String],
+/// Access-path selection over the shard's postings (the paper's "mature
+/// indexing mechanisms"): probe by subject ids, by object ids, or by
+/// operation — whichever is estimated cheapest — then filter residual
+/// conditions. Rows come back in position order.
+pub(crate) fn event_via_sql(
+    shard: &EventShard,
+    ops: &[Operation],
     subjects: &IdSet,
     objects: &IdSet,
+    window: Option<TimeWindow>,
 ) -> Vec<PatternRow> {
     if subjects.is_empty() || objects.is_empty() {
         return Vec::new();
     }
-    let events = shard.event_table();
-    let index = |col: &str| {
-        events
-            .index(col)
-            .expect("the event table indexes op, subject and object")
-    };
-    let (by_op, by_subject, by_object) = (index("op"), index("subject"), index("object"));
-    let ops = parse_ops(ops);
+    let postings = shard.postings();
 
-    // Estimate each access path by exact index-bucket sizes, which
-    // the indexes lend without copying. An id path costs one probe
-    // per id plus the rows it yields; summing stops as soon as the
-    // path cannot beat the best one so far, so an unselective
-    // variable (every process, say) costs a few probes, not one per
-    // entity.
-    let op_buckets: Vec<&[usize]> = ops
-        .iter()
-        .map(|o| by_op.get(&Value::str(o.name())))
-        .collect();
-    let id_path_cost = |idx: &dyn Index, ids: &IdSet, budget: usize| -> Option<usize> {
+    // Estimate each access path by exact posting-list sizes, which the
+    // postings lend without copying. An id path costs one probe per id
+    // plus the rows it yields; summing stops as soon as the path cannot
+    // beat the best one so far, so an unselective variable (every
+    // process, say) costs a few probes, not one per entity.
+    let op_buckets: Vec<&[u32]> = ops.iter().map(|&o| postings.by_op(o)).collect();
+    let id_path_cost = |probe: fn(&EventPostings, EntityId) -> &[u32],
+                        ids: &IdSet,
+                        budget: usize|
+     -> Option<usize> {
         let mut cost = ids.len();
         for id in ids.iter() {
             if cost > budget {
                 return None;
             }
-            cost += idx.get(&Value::from(id.0)).len();
+            cost += probe(postings, id).len();
         }
         (cost <= budget).then_some(cost)
     };
     let op_cost = op_buckets.iter().map(|b| b.len()).sum();
-    let subject_cost = id_path_cost(by_subject, subjects, op_cost);
-    let object_cost = id_path_cost(by_object, objects, subject_cost.unwrap_or(op_cost));
-    let buckets_of = |idx: &'s dyn Index, ids: &IdSet| -> Vec<&'s [usize]> {
-        ids.iter().map(|id| idx.get(&Value::from(id.0))).collect()
+    let subject_cost = id_path_cost(EventPostings::by_subject, subjects, op_cost);
+    let object_cost = id_path_cost(
+        EventPostings::by_object,
+        objects,
+        subject_cost.unwrap_or(op_cost),
+    );
+    let buckets_of = |probe: fn(&EventPostings, EntityId) -> &[u32], ids: &IdSet| {
+        ids.iter().map(|id| probe(postings, id)).collect::<Vec<_>>()
     };
     let candidates = if object_cost.is_some() {
-        buckets_of(by_object, objects)
+        buckets_of(EventPostings::by_object, objects)
     } else if subject_cost.is_some() {
-        buckets_of(by_subject, subjects)
+        buckets_of(EventPostings::by_subject, subjects)
     } else {
         op_buckets
     };
 
     let mut out = Vec::new();
     for &pos in candidates.into_iter().flatten() {
+        let pos = pos as usize;
         let ev = shard.event_at(pos);
         if !ops.contains(&ev.op)
             || !subjects.contains(ev.subject)
             || !objects.contains(ev.object)
-            || pat.window.is_some_and(|w| ev.start < w.lo || ev.end > w.hi)
+            || window.is_some_and(|w| ev.start < w.lo || ev.end > w.hi)
         {
             continue;
         }
@@ -479,15 +479,15 @@ pub(crate) const MAX_PATH_MATCHES: usize = 100_000;
 
 /// Hop-by-hop frontier expansion of a variable-length path pattern over an
 /// abstract event index: `subject_index` answers "positions of events with
-/// this subject" and `event_at` resolves a position. The single-store
-/// executor backs these with one event table; the sharded executor merges
-/// every shard's index probes into global positions — giving identical
-/// path semantics whether the events live in one store or many. A probe
-/// *lends* its positions (`P` is a borrowed slice or a shared handle to a
-/// memoized merge), because a hot node is probed once per partial path
-/// reaching it. Output is truncated at [`MAX_PATH_MATCHES`], like the
-/// graph backend.
-pub(crate) fn expand_paths<'a, P: Deref<Target = [usize]>>(
+/// this subject" and `event_at` resolves a position. The relational-only
+/// baseline backs these with one shard's subject postings; the sharded
+/// executor merges every shard's postings into global positions — giving
+/// identical path semantics whether the events live in one store or many.
+/// A probe *lends* its positions (`P` is a borrowed slice or a shared
+/// handle to a memoized merge), because a hot node is probed once per
+/// partial path reaching it. Output is truncated at [`MAX_PATH_MATCHES`],
+/// like the graph backend.
+pub(crate) fn expand_paths<'a, P: Deref<Target = [u32]>>(
     pat: &CompiledPattern,
     srcs: &IdSet,
     dsts: &IdSet,
@@ -510,36 +510,56 @@ pub(crate) fn expand_paths<'a, P: Deref<Target = [usize]>>(
         return Vec::new();
     }
 
-    // Partial path state: (current node, first start, last end, hops).
-    #[derive(Clone)]
-    struct PartialPath {
+    // Partial paths form a tree: each step records its event and the step
+    // it extends, so extending a path is one push, not a copy of its
+    // prefix (no allocation per partial path). Roots are the sources.
+    const ROOT: usize = usize::MAX;
+    struct Step {
+        prev: usize,
+        pos: usize,
         node: EntityId,
         start: u64,
         end: u64,
-        events: Vec<usize>,
+    }
+    /// The positions of the path ending at step `s`, last first.
+    fn chain(steps: &[Step], mut s: usize) -> impl Iterator<Item = usize> + '_ {
+        std::iter::from_fn(move || {
+            let step = &steps[s];
+            (step.pos != ROOT).then(|| {
+                s = step.prev;
+                step.pos
+            })
+        })
     }
     // Ascending sources (an `IdSet` iterates in id order) keep the
     // expansion order, and any truncated subset, deterministic.
-    let mut frontier: Vec<PartialPath> = srcs
+    let mut steps: Vec<Step> = srcs
         .iter()
-        .map(|n| PartialPath {
-            node: n,
+        .map(|node| Step {
+            prev: ROOT,
+            pos: ROOT,
+            node,
             start: 0,
             end: 0,
-            events: Vec::new(),
         })
         .collect();
+    let mut frontier: Vec<usize> = (0..steps.len()).collect();
     let mut out = Vec::new();
     'expansion: for hop in 1..=*max_hops {
         let mut next = Vec::new();
-        for p in &frontier {
-            // SELECT * FROM event WHERE subject = p.node AND start >= p.end
-            for &rid in subject_index(p.node).iter() {
+        for &p in &frontier {
+            let (node, first, start, end) = {
+                let step = &steps[p];
+                (step.node, step.pos == ROOT, step.start, step.end)
+            };
+            // SELECT * FROM event WHERE subject = node AND start >= end
+            for &rid in subject_index(node).iter() {
+                let rid = rid as usize;
                 let ev = event_at(rid);
-                if !p.events.is_empty() && ev.start < p.end {
+                if !first && ev.start < end {
                     continue; // time-monotone
                 }
-                if p.events.contains(&rid) {
+                if chain(&steps, p).any(|pos| pos == rid) {
                     continue;
                 }
                 if let Some(w) = pat.window {
@@ -547,26 +567,30 @@ pub(crate) fn expand_paths<'a, P: Deref<Target = [usize]>>(
                         continue;
                     }
                 }
-                let mut np = p.clone();
-                if np.events.is_empty() {
-                    np.start = ev.start;
-                }
-                np.end = ev.end;
-                np.events.push(rid);
-                np.node = ev.object;
+                let start = if first { ev.start } else { start };
+                steps.push(Step {
+                    prev: p,
+                    pos: rid,
+                    node: ev.object,
+                    start,
+                    end: ev.end,
+                });
+                let s = steps.len() - 1;
                 if hop >= *min_hops && ev.op == last_op && dsts.contains(ev.object) {
+                    let mut positions: Vec<usize> = chain(&steps, s).collect();
+                    positions.reverse();
                     out.push(PatternRow {
-                        subject: EntityId(event_at(np.events[0]).subject.0),
+                        subject: event_at(positions[0]).subject,
                         object: ev.object,
-                        events: Witness::Path(np.events.as_slice().into()),
-                        start: np.start,
-                        end: np.end,
+                        events: Witness::Path(positions.into()),
+                        start,
+                        end: ev.end,
                     });
                     if out.len() >= MAX_PATH_MATCHES {
                         break 'expansion;
                     }
                 }
-                next.push(np);
+                next.push(s);
             }
         }
         frontier = next;
@@ -761,5 +785,149 @@ mod tests {
         // `p fork p` would require a process forking itself — none exist.
         let r = engine.hunt("proc p fork p as e1 return p").unwrap();
         assert!(r.is_empty());
+    }
+
+    /// The postings-backed scan against the plainest possible evaluator:
+    /// no index, one pass over `&[Event]` in position order. The
+    /// benchmark's oracle (`Engine` over `AuditStore`) shares the
+    /// postings, so this is what catches a wrong index.
+    mod differential {
+        use super::*;
+        use proptest::prelude::*;
+        use threatraptor_audit::event::EventId;
+
+        const IDS: u32 = 10;
+
+        /// Events with random ops, ids below [`IDS`] and non-decreasing
+        /// starts.
+        fn events(raw: &[(u8, u32, u32, u64, u64)]) -> Vec<Event> {
+            let mut start = 0;
+            raw.iter()
+                .enumerate()
+                .map(|(i, &(op, subject, object, gap, len))| {
+                    start += gap;
+                    Event {
+                        id: EventId(i as u32),
+                        subject: EntityId(subject),
+                        op: Operation::ALL[usize::from(op)],
+                        object: EntityId(object),
+                        start,
+                        end: start + len,
+                        bytes: 0,
+                        merged: 1,
+                        tag: None,
+                    }
+                })
+                .collect()
+        }
+
+        fn id_set(mask: u32) -> IdSet {
+            (0..IDS)
+                .filter(|i| mask & (1 << i) != 0)
+                .map(EntityId)
+                .collect()
+        }
+
+        fn naive(
+            events: &[Event],
+            ops: &[Operation],
+            subjects: &IdSet,
+            objects: &IdSet,
+            window: Option<TimeWindow>,
+        ) -> Vec<(usize, EntityId, EntityId, u64, u64)> {
+            events
+                .iter()
+                .enumerate()
+                .filter(|(_, e)| {
+                    ops.contains(&e.op)
+                        && subjects.contains(e.subject)
+                        && objects.contains(e.object)
+                        && window.is_none_or(|w| e.start >= w.lo && e.end <= w.hi)
+                })
+                .map(|(pos, e)| (pos, e.subject, e.object, e.start, e.end))
+                .collect()
+        }
+
+        fn rows(rows: Vec<PatternRow>) -> Vec<(usize, EntityId, EntityId, u64, u64)> {
+            rows.into_iter()
+                .map(|r| (r.events.first(), r.subject, r.object, r.start, r.end))
+                .collect()
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(256))]
+
+            /// Random events × subject/object id sets × op sets ×
+            /// optional window: the scan returns exactly the naive
+            /// filter's rows, in position order, whichever access path
+            /// the bucket sizes pick — over one shard, and over a shard
+            /// built from the concatenation of two slices (compaction).
+            #[test]
+            fn event_scan_matches_a_naive_filter(
+                raw in prop::collection::vec((0u8..18, 0u32..IDS, 0u32..IDS, 0u64..5, 0u64..4), 0..150),
+                masks in (any::<u32>(), any::<u32>(), any::<u32>()),
+                window in (any::<bool>(), 0u64..300, 0u64..300),
+                cut in 0usize..150,
+            ) {
+                let events = events(&raw);
+                let (subjects, objects) = (id_set(masks.0), id_set(masks.1));
+                // Sparse op sets favour the id paths, dense ones the op path.
+                let ops: Vec<Operation> = Operation::ALL
+                    .into_iter()
+                    .enumerate()
+                    .filter(|(k, _)| masks.2 & (1 << k) != 0)
+                    .map(|(_, op)| op)
+                    .collect();
+                let window = window.0.then(|| TimeWindow {
+                    lo: window.1.min(window.2),
+                    hi: window.1.max(window.2),
+                });
+                let expected = naive(&events, &ops, &subjects, &objects, window);
+
+                let shard = EventShard::build(events.clone(), IDS as usize);
+                let got = event_via_sql(&shard, &ops, &subjects, &objects, window);
+                prop_assert_eq!(rows(got), expected.clone());
+
+                let (a, b) = events.split_at(cut.min(events.len()));
+                let compacted = EventShard::build([a, b].concat(), IDS as usize);
+                let got = event_via_sql(&compacted, &ops, &subjects, &objects, window);
+                prop_assert_eq!(rows(got), expected);
+            }
+
+            /// Path expansion over the subject postings finds exactly the
+            /// paths the graph backend's depth-first search finds (the
+            /// record set; the two enumerate in different orders).
+            #[test]
+            fn path_expansion_matches_the_graph_backend(
+                raw in prop::collection::vec((0u8..18, 0u32..IDS, 0u32..IDS, 0u64..5, 0u64..4), 0..60),
+                masks in (any::<u32>(), any::<u32>()),
+                hops in (1u32..4, 0u32..3),
+                last_op in prop::sample::select(vec!["read", "write", "open"]),
+            ) {
+                let (min, max) = (hops.0, (hops.0 + hops.1).min(3));
+                let tbql = format!("proc p ~>({min}~{max})[{last_op}] file f as pp return p, f");
+                let cq = compile(&analyze(&parse_query(&tbql).unwrap()).unwrap()).unwrap();
+                let pat = &cq.patterns[0];
+                let shard = EventShard::build(events(&raw), IDS as usize);
+                let (srcs, dsts) = (id_set(masks.0), id_set(masks.1));
+                let key = |rows: Vec<PatternRow>| {
+                    let mut keys: Vec<_> = rows
+                        .into_iter()
+                        .map(|r| (r.events.positions().to_vec(), r.subject, r.object, r.start, r.end))
+                        .collect();
+                    keys.sort();
+                    keys
+                };
+                let expanded = expand_paths(
+                    pat,
+                    &srcs,
+                    &dsts,
+                    |node| shard.postings().by_subject(node),
+                    |pos| shard.event_at(pos),
+                );
+                let searched = path_via_graph(&shard, &cq, pat, &srcs, &dsts);
+                prop_assert_eq!(key(expanded), key(searched));
+            }
+        }
     }
 }

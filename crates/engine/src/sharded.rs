@@ -14,9 +14,9 @@
 //!   slices of the same event stream;
 //! * **path patterns** cannot be answered per shard (a multi-hop flow may
 //!   cross a time-window boundary), so they run as hop-by-hop frontier
-//!   expansion where each hop's index probe is the sorted union of every
-//!   shard's probe — semantically identical to probing one global event
-//!   table.
+//!   expansion where each hop's subject probe is the sorted union of every
+//!   shard's subject postings — semantically identical to probing one
+//!   global index.
 //!
 //! Because the fan-out happens at the data-query level and the join stays
 //! global, a [`ShardedEngine`] returns exactly the *record set* a
@@ -43,7 +43,6 @@ use std::collections::HashMap;
 use std::rc::Rc;
 use threatraptor_audit::entity::EntityId;
 use threatraptor_obs::Registry;
-use threatraptor_storage::relational::Value;
 use threatraptor_storage::sharded::ShardedStore;
 use threatraptor_tbql::analyze::analyze;
 use threatraptor_tbql::ast::Query;
@@ -283,9 +282,9 @@ impl<'s> ShardedEngine<'s> {
     }
 
     /// Path-pattern execution over all shards: hop-by-hop frontier
-    /// expansion where each subject-index probe is the sorted union of
-    /// per-shard index probes (global positions) — equivalent to probing
-    /// one global event table.
+    /// expansion where each subject probe is the sorted union of
+    /// per-shard subject postings (global positions) — equivalent to
+    /// probing one global index.
     fn path_over_shards(
         &self,
         pat: &CompiledPattern,
@@ -294,19 +293,10 @@ impl<'s> ShardedEngine<'s> {
     ) -> Vec<PatternRow> {
         // The expansion probes the same hot nodes repeatedly (a node
         // reached by many partial paths is probed once per path per hop),
-        // and each probe here costs shard_count index lookups + a sort.
+        // and each probe here costs shard_count binary searches + a copy.
         // The store is immutable for the duration of the call, so memoize
         // merged probe results per node and lend them out by handle.
-        let by_subject: Vec<_> = (0..self.store.shard_count())
-            .map(|i| {
-                self.store
-                    .shard(i)
-                    .event_table()
-                    .index("subject")
-                    .expect("the event table indexes subject")
-            })
-            .collect();
-        let memo: std::cell::RefCell<HashMap<EntityId, Rc<[usize]>>> =
+        let memo: std::cell::RefCell<HashMap<EntityId, Rc<[u32]>>> =
             std::cell::RefCell::new(HashMap::new());
         expand_paths(
             pat,
@@ -315,15 +305,21 @@ impl<'s> ShardedEngine<'s> {
             |node| {
                 let mut memo = memo.borrow_mut();
                 let positions = memo.entry(node).or_insert_with(|| {
-                    let key = Value::from(node.0);
                     // Shards are contiguous position ranges and every
-                    // bucket ascends, so shard order is sorted order.
-                    by_subject
+                    // posting list ascends, so shard order is sorted order.
+                    self.store
+                        .shards()
                         .iter()
                         .enumerate()
-                        .flat_map(|(i, idx)| {
-                            let offset = self.store.offset(i);
-                            idx.get(&key).iter().map(move |local| offset + local)
+                        .flat_map(|(i, shard)| {
+                            // Event ids are u32, so positions are too.
+                            let offset = u32::try_from(self.store.offset(i))
+                                .expect("a store holds fewer than 2^32 events");
+                            shard
+                                .postings()
+                                .by_subject(node)
+                                .iter()
+                                .map(move |local| offset + local)
                         })
                         .collect()
                 });

@@ -29,6 +29,7 @@
 
 use crate::relational::{Column, Table, Value};
 use crate::store::{TABLE_FILE, TABLE_NETWORK, TABLE_PROCESS};
+use std::mem::size_of;
 use threatraptor_audit::entity::{Entity, EntityId, EntityKind};
 use threatraptor_sync::Arc;
 
@@ -45,16 +46,28 @@ pub struct Generation {
     process: Arc<Table>,
     file: Arc<Table>,
     network: Arc<Table>,
+    heap_bytes: usize,
 }
 
 impl Generation {
     fn build(base: usize, entities: Vec<Entity>) -> Generation {
+        let (process, file, network) = (
+            build_process_table(&entities),
+            build_file_table(&entities),
+            build_network_table(&entities),
+        );
+        let heap_bytes = entities.capacity() * size_of::<Entity>()
+            + entities.iter().map(entity_heap_bytes).sum::<usize>()
+            + process.heap_bytes()
+            + file.heap_bytes()
+            + network.heap_bytes();
         Generation {
             base,
-            process: Arc::new(build_process_table(&entities)),
-            file: Arc::new(build_file_table(&entities)),
-            network: Arc::new(build_network_table(&entities)),
+            process: Arc::new(process),
+            file: Arc::new(file),
+            network: Arc::new(network),
             entities,
+            heap_bytes,
         }
     }
 
@@ -71,6 +84,12 @@ impl Generation {
     /// The entities of this generation, in id order.
     pub fn entities(&self) -> &[Entity] {
         &self.entities
+    }
+
+    /// Heap bytes of this generation's entities and their three tables,
+    /// counted once at build (by capacity).
+    pub fn heap_bytes(&self) -> usize {
+        self.heap_bytes
     }
 
     /// The table holding this generation's entities of `kind` (process:
@@ -179,6 +198,20 @@ impl EntityCatalog {
     /// The generations, in ascending id order.
     pub fn generations(&self) -> &[Arc<Generation>] {
         &self.generations
+    }
+
+    /// Heap bytes of every generation (see [`Generation::heap_bytes`]).
+    pub fn heap_bytes(&self) -> usize {
+        self.generations.iter().map(|g| g.heap_bytes).sum()
+    }
+}
+
+/// Heap bytes an entity's strings own.
+fn entity_heap_bytes(entity: &Entity) -> usize {
+    match entity {
+        Entity::Process(p) => p.exename.capacity() + p.cmdline.capacity() + p.owner.capacity(),
+        Entity::File(f) => f.name.capacity(),
+        Entity::Network(n) => n.src_ip.capacity() + n.dst_ip.capacity() + n.protocol.capacity(),
     }
 }
 

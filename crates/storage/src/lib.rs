@@ -10,10 +10,15 @@
 //! provides embedded equivalents that execute the *same logical plans* the
 //! paper compiles TBQL into:
 //!
+//! * [`postings`] — the relational role for events: each shard keeps its
+//!   events in one `Vec<Event>` and indexes positions into it by
+//!   operation (a counting sort) and by subject and object id (sorted
+//!   postings), the access paths the executor's event scans and path
+//!   expansion probe;
 //! * [`relational`] — a typed row store with B-tree/hash indexes, a
 //!   predicate AST with SQL `LIKE` semantics, and a select-project-join
-//!   executor with index selection ([`relational::SqlSelect`] renders to
-//!   SQL text for the conciseness experiment);
+//!   executor with index selection: the entity tables, and
+//!   [`relational::SqlSelect`]'s SQL text for the conciseness experiment;
 //! * [`graphdb`] — a property graph over the same data with
 //!   variable-length path search (min/max hops, last-hop operation,
 //!   time-monotone traversal), the compile target for TBQL path patterns;
@@ -22,8 +27,8 @@
 //! * [`catalog`] — [`catalog::EntityCatalog`], every entity of a store
 //!   once, with its indexed tables: append-only generations shared by
 //!   reference between a live store and all of its snapshots;
-//! * [`store`] — [`store::EventShard`], a slice of the event stream in
-//!   both backends with key attributes indexed, and
+//! * [`store`] — [`store::EventShard`], a slice of the event stream with
+//!   its postings (and its graph, on first use), and
 //!   [`store::AuditStore`], one catalog plus one shard: a parsed log
 //!   ingested whole;
 //! * [`sharded`] — [`sharded::ShardedStore`], which partitions one
@@ -37,12 +42,14 @@
 pub mod catalog;
 pub mod cpr;
 pub mod graphdb;
+pub mod postings;
 pub mod relational;
 pub mod sharded;
 pub mod store;
 pub mod stream;
 
 pub use catalog::{EntityCatalog, Generation};
+pub use postings::EventPostings;
 pub use relational::{Database, Predicate, SqlSelect, Value};
 pub use sharded::{ShardedStore, StreamFrontier};
 pub use store::{AuditStore, EventLookup, EventShard};

@@ -3,6 +3,7 @@
 use super::table::RowId;
 use super::value::Value;
 use std::collections::{BTreeMap, HashMap};
+use std::mem::size_of;
 
 /// Common interface over the two index kinds.
 pub trait Index {
@@ -12,6 +13,18 @@ pub trait Index {
     fn get(&self, key: &Value) -> &[RowId];
     /// Number of distinct keys.
     fn distinct_keys(&self) -> usize;
+}
+
+/// Heap bytes of the keys' strings and the row lists of an index's
+/// entries, plus `slots` entry-sized slots for the map itself.
+fn entry_bytes<'a>(
+    slots: usize,
+    entries: impl Iterator<Item = (&'a Value, &'a Vec<RowId>)>,
+) -> usize {
+    slots * size_of::<(Value, Vec<RowId>)>()
+        + entries
+            .map(|(key, rows)| key.heap_bytes() + rows.capacity() * size_of::<RowId>())
+            .sum::<usize>()
 }
 
 /// Hash index: O(1) equality lookups. Mirrors a PostgreSQL hash index on
@@ -35,6 +48,13 @@ impl Index for HashIndex {
     }
 }
 
+impl HashIndex {
+    /// Heap bytes held: the map's slots, its keys' strings and row lists.
+    pub fn heap_bytes(&self) -> usize {
+        entry_bytes(self.map.capacity(), self.map.iter())
+    }
+}
+
 /// B-tree index: ordered, supports range scans. Mirrors PostgreSQL's
 /// default btree index (e.g. on `event.start` or entity-id columns).
 #[derive(Debug, Clone, Default)]
@@ -43,6 +63,12 @@ pub struct BTreeIndex {
 }
 
 impl BTreeIndex {
+    /// Heap bytes held: one slot per entry (not the tree's nodes), its
+    /// keys' strings and row lists.
+    pub fn heap_bytes(&self) -> usize {
+        entry_bytes(self.map.len(), self.map.iter())
+    }
+
     /// Rows whose key lies within `[lo, hi]` (inclusive), in key order.
     pub fn range(&self, lo: &Value, hi: &Value) -> Vec<RowId> {
         if lo > hi {

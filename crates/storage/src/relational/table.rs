@@ -4,6 +4,7 @@ use super::index::{BTreeIndex, HashIndex, Index};
 use super::predicate::Predicate;
 use super::value::Value;
 use std::collections::HashMap;
+use std::mem::size_of;
 use std::sync::Arc;
 
 /// Row identifier within a table (dense, append-only).
@@ -86,6 +87,30 @@ impl Table {
     /// True when the table holds no rows.
     pub fn is_empty(&self) -> bool {
         self.rows.is_empty()
+    }
+
+    /// Heap bytes of the rows (cells and their strings) and indexes, by
+    /// capacity; a B-tree counts one slot per entry, not its nodes.
+    pub fn heap_bytes(&self) -> usize {
+        let rows: usize = self
+            .rows
+            .iter()
+            .map(|row| {
+                row.capacity() * size_of::<Value>()
+                    + row.iter().map(Value::heap_bytes).sum::<usize>()
+            })
+            .sum();
+        let indexes: usize = self
+            .hash_indexes
+            .values()
+            .map(HashIndex::heap_bytes)
+            .sum::<usize>()
+            + self
+                .btree_indexes
+                .values()
+                .map(BTreeIndex::heap_bytes)
+                .sum::<usize>();
+        self.rows.capacity() * size_of::<Row>() + rows + indexes
     }
 
     /// Appends a row, maintaining all indexes. Returns its [`RowId`].
@@ -214,8 +239,8 @@ impl Table {
 /// A named collection of tables (the database catalog).
 ///
 /// Tables are held behind [`Arc`] so immutable tables can be *shared*
-/// with their owner: a store registers its catalog generation's entity
-/// tables and its shard's event table here by handle, not by copy.
+/// with their owner — a catalog generation's entity tables, say — and
+/// registered here by handle, not by copy.
 #[derive(Debug, Clone, Default)]
 pub struct Database {
     tables: HashMap<String, Arc<Table>>,
@@ -274,7 +299,7 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
 
-    fn event_table(n: usize) -> Table {
+    fn sample_table(n: usize) -> Table {
         let mut t = Table::new(
             "event",
             vec![Column::new("id"), Column::new("op"), Column::new("start")],
@@ -292,7 +317,7 @@ mod tests {
 
     #[test]
     fn insert_and_access() {
-        let t = event_table(5);
+        let t = sample_table(5);
         assert_eq!(t.len(), 5);
         assert!(!t.is_empty());
         assert_eq!(t.cell(2, "op"), &Value::str("connect"));
@@ -303,19 +328,19 @@ mod tests {
     #[test]
     #[should_panic(expected = "no column")]
     fn unknown_column_panics() {
-        event_table(1).col("missing");
+        sample_table(1).col("missing");
     }
 
     #[test]
     #[should_panic(expected = "arity mismatch")]
     fn arity_mismatch_panics() {
-        let mut t = event_table(0);
+        let mut t = sample_table(0);
         t.insert(vec![Value::int(1)]);
     }
 
     #[test]
     fn select_without_index_scans() {
-        let t = event_table(30);
+        let t = sample_table(30);
         let rids = t.select(&Predicate::eq("op", "read"));
         assert_eq!(rids.len(), 10);
         for rid in rids {
@@ -325,7 +350,7 @@ mod tests {
 
     #[test]
     fn select_with_hash_index_matches_scan() {
-        let mut t = event_table(100);
+        let mut t = sample_table(100);
         let scan = t.select(&Predicate::eq("op", "write"));
         t.create_hash_index("op");
         let indexed = t.select(&Predicate::eq("op", "write"));
@@ -334,7 +359,7 @@ mod tests {
 
     #[test]
     fn btree_range_lookup() {
-        let mut t = event_table(50);
+        let mut t = sample_table(50);
         t.create_btree_index("start");
         let rids = t
             .index_range("start", &Value::int(100), &Value::int(150))
@@ -347,7 +372,7 @@ mod tests {
 
     #[test]
     fn index_maintained_across_inserts() {
-        let mut t = event_table(0);
+        let mut t = sample_table(0);
         t.create_hash_index("op");
         t.insert(vec![Value::int(0), Value::str("read"), Value::int(0)]);
         t.insert(vec![Value::int(1), Value::str("read"), Value::int(5)]);
@@ -358,7 +383,7 @@ mod tests {
     #[test]
     fn database_catalog() {
         let mut db = Database::new();
-        db.add_table(event_table(3));
+        db.add_table(sample_table(3));
         assert!(db.has_table("event"));
         assert_eq!(db.table("event").len(), 3);
         assert_eq!(db.table_names(), vec!["event"]);
@@ -382,7 +407,7 @@ mod tests {
             pin in prop::sample::select(vec!["read", "write", "connect"]),
             lo in 0i64..500,
         ) {
-            let mut plain = event_table(n);
+            let mut plain = sample_table(n);
             let pred = Predicate::And(vec![
                 Predicate::eq("op", pin),
                 Predicate::Cmp("start".into(), super::super::predicate::CmpOp::Ge, Value::int(lo)),

@@ -42,6 +42,14 @@ impl Value {
         }
     }
 
+    /// Heap bytes this value owns (a string's capacity).
+    pub fn heap_bytes(&self) -> usize {
+        match self {
+            Value::Str(s) => s.capacity(),
+            Value::Int(_) => 0,
+        }
+    }
+
     /// Total order: integers before strings (cross-type comparisons only
     /// occur for index layout, never from well-typed queries).
     pub fn total_cmp(&self, other: &Value) -> Ordering {

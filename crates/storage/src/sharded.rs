@@ -8,8 +8,8 @@
 //! a shard boundary falls) and then splits the time-ordered stream into
 //! `n` contiguous slices of near-equal size — a time-window partition,
 //! since audit streams arrive in time order. Each slice is indexed into
-//! an [`EventShard`] (event table + indexes, graph on first use) on its
-//! own scoped thread.
+//! an [`EventShard`] (its events plus their postings by operation,
+//! subject and object; graph on first use) on its own scoped thread.
 //!
 //! Entities are not partitioned: the store holds one [`EntityCatalog`],
 //! entity ids are global, and shards carry event data only.
@@ -99,7 +99,7 @@ impl StreamFrontier {
 /// Shards and catalog generations are held behind [`Arc`]: cloning a
 /// `ShardedStore`, or assembling one from already-built shards (the
 /// streaming snapshot path in [`crate::stream`]), costs reference
-/// counts, not table rebuilds.
+/// counts, not index rebuilds.
 #[derive(Debug, Clone)]
 pub struct ShardedStore {
     shards: Vec<Arc<EventShard>>,
@@ -246,22 +246,6 @@ impl ShardedStore {
         (shard, pos - self.offsets[shard])
     }
 
-    /// The `[first start, max end]` time span of shard `i`'s events, or
-    /// `None` for an empty shard.
-    ///
-    /// The `first start = min start` reading assumes the ingested stream
-    /// was sorted by start time (true for CPR output and for the
-    /// simulator's raw logs). Adjacent windows may still overlap at the
-    /// boundary when a long-running event in one shard outlasts the start
-    /// of the next — partitioning is by position in the sorted stream,
-    /// not by cutting time in half-open intervals.
-    pub fn shard_window(&self, i: usize) -> Option<(u64, u64)> {
-        let events = &self.shards[i].events;
-        let first = events.first()?;
-        let hi = events.iter().map(|e| e.end).max().unwrap_or(first.end);
-        Some((first.start, hi))
-    }
-
     /// Global CPR statistics of the ingest.
     pub fn reduction(&self) -> ReductionStats {
         self.reduction
@@ -340,8 +324,9 @@ mod tests {
         let sharded = ShardedStore::ingest(&log, true, 8);
         // Over a start-sorted stream, contiguous partitioning means every
         // event in shard i+1 starts no earlier than every event in shard
-        // i (window *ends* may overlap when a long event spans the cut —
-        // see shard_window's doc).
+        // i (window *ends* may overlap when a long event in one shard
+        // outlasts the start of the next: the cut is by position in the
+        // sorted stream, not a half-open time interval).
         let mut prev_last_start = 0u64;
         for i in 0..sharded.shard_count() {
             let events = &sharded.shard(i).events;
@@ -350,11 +335,7 @@ mod tests {
                 first.start >= prev_last_start,
                 "shard {i} starts before its predecessor's last event"
             );
-            assert_eq!(
-                sharded.shard_window(i).unwrap().0,
-                first.start,
-                "window lo is the first (min) start"
-            );
+            assert!(events.iter().all(|e| e.start >= first.start));
             prev_last_start = events.last().unwrap().start;
         }
     }

@@ -7,21 +7,25 @@
 //! Preserved Reduction technique [is used] to merge excessive events."
 //!
 //! The two halves of that sentence are two types. Entities live once per
-//! store in an [`EntityCatalog`]; events live in [`EventShard`]s, which
-//! know nothing about entities — a [`crate::sharded::ShardedStore`] or a
-//! [`crate::stream::StreamingStore`] holds one catalog and many shards.
-//! An [`AuditStore`] is the single-shard case: one catalog generation,
-//! one shard, and a [`Database`] naming all four tables.
+//! store in an [`EntityCatalog`], in indexed relational tables; events
+//! live in [`EventShard`]s, which know nothing about entities — a
+//! [`crate::sharded::ShardedStore`] or a [`crate::stream::StreamingStore`]
+//! holds one catalog and many shards. A shard's relational role is its
+//! [`EventPostings`]: the events stay in one `Vec<Event>` and the index
+//! holds positions into it by operation, subject and object. An
+//! [`AuditStore`] is the single-shard case: one catalog generation and
+//! one shard.
 
 use crate::catalog::EntityCatalog;
 use crate::cpr;
 use crate::graphdb::GraphDb;
-use crate::relational::{Column, Database, Table, Value};
+use crate::postings::EventPostings;
+use std::mem::size_of;
 use std::ops::Deref;
 use threatraptor_audit::entity::{Entity, EntityId, EntityKind};
-use threatraptor_audit::event::{Event, EventType};
+use threatraptor_audit::event::Event;
 use threatraptor_audit::parser::ParsedLog;
-use threatraptor_sync::{Arc, OnceLock};
+use threatraptor_sync::OnceLock;
 
 /// Table name for process entities.
 pub const TABLE_PROCESS: &str = "process";
@@ -29,19 +33,21 @@ pub const TABLE_PROCESS: &str = "process";
 pub const TABLE_FILE: &str = "file";
 /// Table name for network-connection entities.
 pub const TABLE_NETWORK: &str = "network";
-/// Table name for events.
+/// The name SQL renderings give the event relation (`exp_e5`'s
+/// conciseness comparison); no table by this name is built.
 pub const TABLE_EVENT: &str = "event";
 
 /// A contiguous slice of the stored event stream in both backends: the
-/// events (CPR-reduced when enabled, in time order), the indexed event
-/// table whose row `i` is `events[i]`, and the property graph with one
-/// edge per event. Holds no entity state — entity ids in its events are
-/// resolved against the owning store's [`EntityCatalog`].
+/// events (CPR-reduced when enabled, in time order), their postings by
+/// operation, subject and object (position `i` is `events[i]`), and the
+/// property graph with one edge per event, built on first use. Holds no
+/// entity state — entity ids in its events are resolved against the
+/// owning store's [`EntityCatalog`].
 #[derive(Debug, Clone)]
 pub struct EventShard {
     /// Stored events, in time order.
     pub events: Vec<Event>,
-    table: Arc<Table>,
+    postings: EventPostings,
     /// Size of the graph's node space: every entity id in `events` is
     /// below it.
     nodes: usize,
@@ -51,30 +57,34 @@ pub struct EventShard {
 impl EventShard {
     /// Indexes `events` into a shard. `nodes` bounds the entity ids they
     /// reference (the owning catalog's length when they were stored).
-    pub fn build(events: Vec<Event>, nodes: usize) -> EventShard {
+    pub fn build(mut events: Vec<Event>, nodes: usize) -> EventShard {
+        // A sealed batch arrives with its growth slack; a shard keeps
+        // exactly its events.
+        events.shrink_to_fit();
         EventShard {
-            table: Arc::new(build_event_table(&events)),
+            postings: EventPostings::build(&events),
             events,
             nodes,
             graph: OnceLock::new(),
         }
     }
 
-    /// The event table (indexed on `op`, `subject`, `object`, `start`).
-    pub fn event_table(&self) -> &Table {
-        &self.table
+    /// The event index: positions by operation, subject and object.
+    #[inline]
+    pub fn postings(&self) -> &EventPostings {
+        &self.postings
     }
 
     /// The graph backend (Neo4j role), built on first use: the scheduled
-    /// execution path answers event patterns from the event table and
-    /// paths from its subject index, so a shard that is only ever served
-    /// that way never pays for adjacency lists and edge copies.
+    /// execution path answers event patterns from the postings and
+    /// paths from the subject postings, so a shard that is only ever
+    /// served that way never pays for adjacency lists and edge copies.
     pub fn graph(&self) -> &GraphDb {
         self.graph
             .get_or_init(|| GraphDb::build(self.nodes, &self.events))
     }
 
-    /// Stored event by table row position.
+    /// Stored event by position.
     #[inline]
     pub fn event_at(&self, pos: usize) -> &Event {
         &self.events[pos]
@@ -85,6 +95,12 @@ impl EventShard {
         self.events.len()
     }
 
+    /// Heap bytes of the events and their postings (by capacity; attack
+    /// tags and a built graph are not counted).
+    pub fn heap_bytes(&self) -> usize {
+        self.events.capacity() * size_of::<Event>() + self.postings.heap_bytes()
+    }
+
     /// The node-space bound this shard was built with.
     pub(crate) fn nodes(&self) -> usize {
         self.nodes
@@ -93,12 +109,9 @@ impl EventShard {
 
 /// The combined store over relational and graph backends: an
 /// [`EntityCatalog`] plus one [`EventShard`], to which it dereferences
-/// (`store.events`, `store.graph()`, `store.event_at(..)`).
+/// (`store.events`, `store.postings()`, `store.event_at(..)`).
 #[derive(Debug, Clone)]
 pub struct AuditStore {
-    /// Relational backend (PostgreSQL role): the three entity tables and
-    /// the event table by name, shared with `entities` and the shard.
-    pub db: Database,
     /// All entities, indexed by [`EntityId`], in one generation.
     pub entities: EntityCatalog,
     /// CPR statistics of the ingest (before == after when CPR disabled).
@@ -131,15 +144,7 @@ impl AuditStore {
     ) -> AuditStore {
         let entities = EntityCatalog::from_entities(entities);
         let shard = EventShard::build(events, entities.len());
-        let mut db = Database::new();
-        for generation in entities.generations() {
-            for kind in [EntityKind::Process, EntityKind::File, EntityKind::Network] {
-                db.add_shared_table(Arc::clone(generation.table(kind)));
-            }
-        }
-        db.add_shared_table(Arc::clone(&shard.table));
         AuditStore {
-            db,
             entities,
             reduction,
             shard,
@@ -162,47 +167,9 @@ impl AuditStore {
     }
 }
 
-fn build_event_table(events: &[Event]) -> Table {
-    let mut t = Table::new(
-        TABLE_EVENT,
-        vec![
-            Column::new("id"),
-            Column::new("subject"),
-            Column::new("op"),
-            Column::new("object"),
-            Column::new("start"),
-            Column::new("end"),
-            Column::new("bytes"),
-            Column::new("type"),
-        ],
-    );
-    for ev in events.iter() {
-        let ty = match ev.event_type() {
-            EventType::File => "file",
-            EventType::Process => "process",
-            EventType::Network => "network",
-        };
-        t.insert(vec![
-            Value::from(ev.id.0),
-            Value::from(ev.subject.0),
-            Value::str(ev.op.name()),
-            Value::from(ev.object.0),
-            Value::from(ev.start),
-            Value::from(ev.end),
-            Value::from(ev.bytes),
-            Value::str(ty),
-        ]);
-    }
-    t.create_hash_index("op");
-    t.create_btree_index("subject");
-    t.create_btree_index("object");
-    t.create_btree_index("start");
-    t
-}
-
 /// Position-addressed access to stored events and entities — the part of
 /// a store that result evaluation needs. Implemented by [`AuditStore`]
-/// (positions are table rows) and by
+/// (positions index its one shard) and by
 /// [`crate::sharded::ShardedStore`] (positions are global, spanning all
 /// shards), so [`HuntResult`]-style consumers work over either.
 ///
@@ -235,7 +202,7 @@ impl EventLookup for AuditStore {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::relational::Predicate;
+    use threatraptor_audit::event::Operation;
     use threatraptor_audit::sim::scenario::ScenarioBuilder;
 
     fn store(cpr: bool) -> AuditStore {
@@ -243,29 +210,51 @@ mod tests {
         AuditStore::ingest(&sc.log, cpr)
     }
 
+    /// Positions of `events` that `keep` admits, by linear scan.
+    fn scan(events: &[Event], keep: impl Fn(&Event) -> bool) -> Vec<u32> {
+        (0..events.len() as u32)
+            .filter(|&p| keep(&events[p as usize]))
+            .collect()
+    }
+
     #[test]
     fn tables_cover_all_entities_and_events() {
         let s = store(false);
-        let n_proc = s.db.table(TABLE_PROCESS).len();
-        let n_file = s.db.table(TABLE_FILE).len();
-        let n_net = s.db.table(TABLE_NETWORK).len();
+        let generation = &s.entities.generations()[0];
+        let n_proc = generation.table(EntityKind::Process).len();
+        let n_file = generation.table(EntityKind::File).len();
+        let n_net = generation.table(EntityKind::Network).len();
         assert_eq!(n_proc + n_file + n_net, s.entities.len());
-        assert_eq!(s.db.table(TABLE_EVENT).len(), s.events.len());
+        // Every event sits under exactly one operation.
+        let by_op: usize = Operation::ALL
+            .iter()
+            .map(|&op| s.postings().by_op(op).len())
+            .sum();
+        assert_eq!(by_op, s.events.len());
         assert_eq!(s.reduction.before, s.reduction.after);
     }
 
     #[test]
     fn an_empty_log_still_has_all_four_tables() {
         let s = AuditStore::ingest(&ParsedLog::default(), true);
-        for table in [TABLE_PROCESS, TABLE_FILE, TABLE_NETWORK, TABLE_EVENT] {
-            assert!(s.db.table(table).is_empty());
+        // The three entity tables exist, with no rows; the postings hold
+        // no position.
+        let generation = &s.entities.generations()[0];
+        for kind in [EntityKind::Process, EntityKind::File, EntityKind::Network] {
+            assert!(generation.table(kind).is_empty());
         }
+        for op in Operation::ALL {
+            assert!(s.postings().by_op(op).is_empty());
+        }
+        assert!(s.postings().by_subject(EntityId(0)).is_empty());
+        assert!(s.postings().by_object(EntityId(0)).is_empty());
+        assert_eq!(s.postings().heap_bytes(), 0);
         assert!(s.entities.is_empty());
         assert_eq!(s.graph().node_count(), 0);
     }
 
     #[test]
-    fn cpr_shrinks_event_table() {
+    fn cpr_shrinks_the_event_postings() {
         let plain = store(false);
         let reduced = store(true);
         assert!(reduced.event_count() < plain.event_count());
@@ -273,7 +262,12 @@ mod tests {
             reduced.reduction.factor() > 1.2,
             "bursty workloads must compress"
         );
-        assert_eq!(reduced.db.table(TABLE_EVENT).len(), reduced.event_count());
+        assert!(reduced.heap_bytes() < plain.heap_bytes());
+        let by_op: usize = Operation::ALL
+            .iter()
+            .map(|&op| reduced.postings().by_op(op).len())
+            .sum();
+        assert_eq!(by_op, reduced.event_count());
         // Graph edge count matches stored events.
         assert_eq!(reduced.graph().edge_count(), reduced.event_count());
     }
@@ -281,29 +275,33 @@ mod tests {
     #[test]
     fn event_rows_align_with_events_vec() {
         let s = store(true);
-        let t = s.db.table(TABLE_EVENT);
+        let postings = s.postings();
         for pos in [0usize, s.events.len() / 2, s.events.len() - 1] {
-            let row = t.row(pos);
-            assert_eq!(
-                row[t.col("id")].as_int().unwrap() as u32,
-                s.events[pos].id.0
-            );
-            assert_eq!(row[t.col("op")].as_str().unwrap(), s.events[pos].op.name());
+            let ev = &s.events[pos];
+            let p = pos as u32;
+            assert!(postings.by_op(ev.op).binary_search(&p).is_ok());
+            assert!(postings.by_subject(ev.subject).binary_search(&p).is_ok());
+            assert!(postings.by_object(ev.object).binary_search(&p).is_ok());
         }
     }
 
     #[test]
     fn indexed_op_lookup_matches_scan() {
         let s = store(false);
-        let t = s.db.table(TABLE_EVENT);
-        let via_index = t.select(&Predicate::eq("op", "read"));
-        let expected = s.events.iter().filter(|e| e.op.name() == "read").count();
-        assert_eq!(via_index.len(), expected);
+        for op in Operation::ALL {
+            assert_eq!(s.postings().by_op(op), scan(&s.events, |e| e.op == op));
+        }
+        // Subject postings: same positions as a scan, for every subject
+        // (out-degree in the graph backend).
+        for id in (0..s.entities.len() as u32).map(EntityId) {
+            let scanned = scan(&s.events, |e| e.subject == id);
+            assert_eq!(s.postings().by_subject(id), scanned);
+            assert_eq!(scanned.len(), s.graph().out_degree(id));
+        }
     }
 
     #[test]
     fn entity_table_mapping() {
-        use threatraptor_audit::entity::EntityKind;
         assert_eq!(AuditStore::entity_table(EntityKind::Process), TABLE_PROCESS);
         assert_eq!(AuditStore::entity_table(EntityKind::File), TABLE_FILE);
         assert_eq!(AuditStore::entity_table(EntityKind::Network), TABLE_NETWORK);

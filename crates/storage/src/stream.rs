@@ -23,11 +23,13 @@
 //!   so a merge run is never split across a seal boundary;
 //! * [`StreamingStore::snapshot`] assembles a regular [`ShardedStore`]
 //!   from Arc-cloned sealed shards, a clone of the catalog's handle list
-//!   and a freshly indexed open shard. The snapshot is an immutable epoch
-//!   view: hunts run against it with the unmodified sharded engine while
-//!   appends continue, and further appends never mutate an already-taken
-//!   snapshot — a later append builds new catalog generations beside the
-//!   ones the snapshot holds.
+//!   and a freshly indexed open shard (its events plus their postings by
+//!   operation, subject and object — a counting sort and two sorts of
+//!   the open window, no per-event allocation). The snapshot is an
+//!   immutable epoch view: hunts run against it with the unmodified
+//!   sharded engine while appends continue, and further appends never
+//!   mutate an already-taken snapshot — a later append builds new
+//!   catalog generations beside the ones the snapshot holds.
 //!
 //! Global invariants are inherited from the batch path: entity ids are
 //! assigned by the parser in first-appearance order and never change, and
@@ -174,6 +176,12 @@ struct StreamObs {
     entity_rows_indexed: Arc<Counter>,
     /// `storage_entity_generations`: current catalog generation count.
     entity_generations: Arc<Gauge>,
+    /// `storage_event_bytes`: heap bytes of the sealed shards' events
+    /// and postings ([`EventShard::heap_bytes`]).
+    event_bytes: Arc<Gauge>,
+    /// `storage_entity_bytes`: heap bytes of the catalog's generations
+    /// ([`EntityCatalog::heap_bytes`]).
+    entity_bytes: Arc<Gauge>,
 }
 
 /// The detached ingredients of a snapshot, extracted under any lock the
@@ -228,6 +236,8 @@ pub struct StreamingStore {
     reducer: IncrementalReducer,
     sealed: Vec<Arc<EventShard>>,
     sealed_events: usize,
+    /// Sum of the sealed shards' [`EventShard::heap_bytes`].
+    sealed_bytes: usize,
     /// Monotone change counter: bumped on every append and seal. Atomic
     /// behind a shared handle ([`StreamingStore::epoch_handle`]) so
     /// change detection costs one load — no store lock — even when the
@@ -248,6 +258,7 @@ impl StreamingStore {
             reducer: IncrementalReducer::new(use_cpr),
             sealed: Vec::new(),
             sealed_events: 0,
+            sealed_bytes: 0,
             epoch: Arc::new(AtomicU64::new(0)),
             obs: None,
         }
@@ -279,13 +290,16 @@ impl StreamingStore {
             entities: registry.gauge("storage_entities"),
             entity_rows_indexed: registry.counter("storage_entity_rows_indexed_total"),
             entity_generations: registry.gauge("storage_entity_generations"),
+            event_bytes: registry.gauge("storage_event_bytes"),
+            entity_bytes: registry.gauge("storage_entity_bytes"),
         };
         self.obs = Some(obs);
         self.sync_gauges();
     }
 
-    /// Updates the state gauges to match the store. Cheap (five
-    /// relaxed stores); no-op when telemetry is not attached.
+    /// Updates the state gauges to match the store. Cheap (seven
+    /// relaxed stores and a sum over the catalog's few generations);
+    /// no-op when telemetry is not attached.
     fn sync_gauges(&self) {
         if let Some(obs) = &self.obs {
             obs.open_events.set(self.reducer.open_len() as i64);
@@ -294,6 +308,8 @@ impl StreamingStore {
             obs.entities.set(self.catalog.len() as i64);
             obs.entity_generations
                 .set(self.catalog.generations().len() as i64);
+            obs.event_bytes.set(self.sealed_bytes as i64);
+            obs.entity_bytes.set(self.catalog.heap_bytes() as i64);
         }
     }
 
@@ -367,6 +383,7 @@ impl StreamingStore {
         }
         let shard = Arc::new(EventShard::build(stable, self.catalog.len()));
         self.sealed_events += shard.event_count();
+        self.sealed_bytes += shard.heap_bytes();
         self.sealed.push(Arc::clone(&shard));
         let compact = self.maybe_compact();
         // ordering: Release, same publish contract as the append-path
@@ -399,6 +416,8 @@ impl StreamingStore {
             events.extend_from_slice(&a.events);
             events.extend_from_slice(&b.events);
             let merged = Arc::new(EventShard::build(events, a.nodes().max(b.nodes())));
+            self.sealed_bytes =
+                self.sealed_bytes + merged.heap_bytes() - a.heap_bytes() - b.heap_bytes();
             self.sealed[i] = merged;
             self.sealed.remove(i + 1);
             if let Some(obs) = &self.obs {
@@ -785,6 +804,40 @@ mod tests {
             Some(log.entities.len() as u64)
         );
         assert_eq!(snap.gauge("storage_entity_generations"), Some(1));
+    }
+
+    #[test]
+    fn byte_gauges_equal_the_sum_over_a_snapshots_shards() {
+        let log = scenario_log(3_000);
+        for use_cpr in [false, true] {
+            let registry = Registry::new();
+            let mut store = StreamingStore::new(use_cpr, SealPolicy::events(200))
+                .with_compaction(CompactionPolicy::max_shards(4));
+            store.attach_metrics(&registry);
+            replay(&log, &mut store, 64);
+            // Without CPR every event is stable: a manual seal empties the
+            // open window, so the snapshot's open shard holds no bytes.
+            store.seal();
+            let snapshot = store.snapshot();
+            let (open, sealed) = snapshot.shards().split_last().expect("an open shard");
+            let sealed: usize = sealed.iter().map(|s| s.heap_bytes()).sum();
+            let snap = registry.snapshot();
+            assert_eq!(snap.gauge("storage_event_bytes"), Some(sealed as i64));
+            if !use_cpr {
+                assert_eq!(open.event_count(), 0);
+                assert_eq!(open.heap_bytes(), 0);
+            }
+            let entity_bytes = snap.gauge("storage_entity_bytes").unwrap();
+            assert_eq!(entity_bytes as usize, store.catalog().heap_bytes());
+            let per_generation: usize = store
+                .catalog()
+                .generations()
+                .iter()
+                .map(|g| g.heap_bytes())
+                .sum();
+            assert_eq!(entity_bytes as usize, per_generation);
+            assert!(entity_bytes > 0 && sealed > 0);
+        }
     }
 
     #[test]

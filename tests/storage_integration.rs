@@ -1,9 +1,10 @@
-//! Storage-layer integration: ingest consistency between the relational
-//! and graph backends, index/scan equivalence at store scale, and CPR
-//! conservation laws on simulated workloads.
+//! Storage-layer integration: ingest consistency between the event
+//! postings and the graph backend, index/scan equivalence at store
+//! scale, and CPR conservation laws on simulated workloads.
 
+use threatraptor::audit::entity::{EntityId, EntityKind};
+use threatraptor::audit::event::Operation;
 use threatraptor::prelude::*;
-use threatraptor_storage::relational::Predicate;
 use threatraptor_storage::{cpr, AuditStore};
 
 fn store() -> (AuditStore, threatraptor::audit::sim::scenario::Scenario) {
@@ -31,29 +32,23 @@ fn relational_and_graph_views_are_consistent() {
             "event {pos} missing from adjacency"
         );
     }
-    // Per-entity degrees match event-table index lookups.
-    let events = store.db.table(threatraptor_storage::store::TABLE_EVENT);
+    // Per-entity degrees match the subject postings.
     for id in (0..store.entities.len() as u32).step_by(53) {
-        let eid = threatraptor::audit::entity::EntityId(id);
-        let via_index = events
-            .index_lookup("subject", &[threatraptor_storage::Value::from(id)])
-            .unwrap()
-            .len();
-        assert_eq!(via_index, store.graph().out_edges(eid).len());
+        let eid = EntityId(id);
+        assert_eq!(
+            store.postings().by_subject(eid).len(),
+            store.graph().out_edges(eid).len()
+        );
     }
 }
 
 #[test]
 fn event_table_select_matches_manual_filter() {
     let (store, _) = store();
-    let events = store.db.table(threatraptor_storage::store::TABLE_EVENT);
-    let selected = events.select(&Predicate::eq("op", "read"));
-    let manual = store
-        .events
-        .iter()
-        .filter(|e| e.op == threatraptor::audit::event::Operation::Read)
-        .count();
-    assert_eq!(selected.len(), manual);
+    let manual: Vec<u32> = (0..store.event_count() as u32)
+        .filter(|&p| store.event_at(p as usize).op == Operation::Read)
+        .collect();
+    assert_eq!(store.postings().by_op(Operation::Read), manual);
 }
 
 #[test]
@@ -79,15 +74,16 @@ fn cpr_conserves_bytes_and_counts_at_scale() {
 #[test]
 fn entity_tables_cover_every_entity_exactly_once() {
     let (store, _) = store();
-    let n = store.db.table("process").len()
-        + store.db.table("file").len()
-        + store.db.table("network").len();
+    let generation = &store.entities.generations()[0];
+    let n = generation.table(EntityKind::Process).len()
+        + generation.table(EntityKind::File).len()
+        + generation.table(EntityKind::Network).len();
     assert_eq!(n, store.entities.len());
     // The id column round-trips.
-    let files = store.db.table("file");
+    let files = generation.table(EntityKind::File);
     for (rid, row) in files.iter().take(50) {
         let id = row[files.col("id")].as_int().unwrap() as u32;
-        let entity = store.entity(threatraptor::audit::entity::EntityId(id));
+        let entity = store.entity(EntityId(id));
         assert_eq!(
             entity.as_file().unwrap().name,
             row[files.col("name")].as_str().unwrap(),
