@@ -22,9 +22,9 @@
 //! of `threatraptor_engine::baseline`. Performance claims are made with
 //! the repository benchmark (`benchmark/`), not with these binaries.
 //!
-//! Shared infrastructure: the annotated OSCTI [`corpus`], the per-attack
-//! [`cases`] (report text + ground truth + reference queries), the
-//! hand-written [`reference`] SQL/Cypher/TBQL texts, evaluation
+//! Shared infrastructure: the annotated OSCTI [`corpus`](mod@corpus), the
+//! per-attack [`cases`] (report text + ground truth + reference queries),
+//! the hand-written [`reference`](mod@reference) SQL/Cypher/TBQL texts, evaluation
 //! [`metrics`], and table [`fmt`]ting.
 
 pub mod cases;

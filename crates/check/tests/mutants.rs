@@ -96,7 +96,7 @@ fn dispatcher_model_finds_the_event_id_match_key_bug() {
                 let mut hunt = FollowHunt::new(plan2, ExecMode::Scheduled, 1);
                 let mut last = e0;
                 loop {
-                    let delta = svc2.poll(&mut hunt).expect("poll succeeds");
+                    let delta = hunt.poll(&svc2.snapshot()).expect("poll succeeds");
                     tx.send(delta.new_matches).expect("subscriber is alive");
                     if last >= target {
                         return;

@@ -347,7 +347,7 @@ pub mod prop {
         use crate::{Strategy, TestRng};
         use std::ops::Range;
 
-        /// Length bounds for [`vec`].
+        /// Length bounds for [`vec`](fn@vec).
         #[derive(Debug, Clone, Copy)]
         pub struct SizeRange {
             lo: usize,

@@ -42,6 +42,14 @@
 //! println!("{}", outcome.tbql);
 //! println!("{}", outcome.result.render_table());
 //! ```
+//!
+//! # Serving hunts
+//!
+//! [`ThreatRaptor`] answers one hunt at a time over a finished log. For
+//! concurrent, live hunting, [`HuntServer`] is the one front door:
+//! `append` streams log chunks in, `submit`/`hunt` run ad-hoc TBQL or
+//! OSCTI jobs, and `follow` registers standing queries whose new matches
+//! are pushed to a subscription.
 
 pub use threatraptor_audit as audit;
 pub use threatraptor_engine as engine;
@@ -59,8 +67,8 @@ pub use threatraptor_nlp::pipeline::FIG2_OSCTI_TEXT;
 pub use threatraptor_nlp::{ExtractionResult, ThreatBehaviorGraph, ThreatExtractor};
 pub use threatraptor_obs::{JsonValue, MetricsSnapshot, Registry, TraceSink};
 pub use threatraptor_service::{
-    FollowDelta, FollowEvent, FollowHunt, FollowSubscription, HuntJob, HuntServer, HuntService,
-    IngestConfig, IngestService, JobHandle, JobId, JobReport, ServerConfig, ServiceConfig,
+    FollowDelta, FollowEvent, FollowHunt, FollowSubscription, HuntJob, HuntServer, IngestConfig,
+    IngestService, JobHandle, JobId, JobReport, ServerConfig,
 };
 pub use threatraptor_storage::{AuditStore, SealPolicy, ShardedStore, StreamingStore};
 pub use threatraptor_synth::{synthesize, synthesize_with_plan, SynthesisError, SynthesisPlan};
@@ -76,8 +84,7 @@ pub mod prelude {
     pub use threatraptor_engine::{Engine, ExecMode, HuntResult, ShardedEngine};
     pub use threatraptor_nlp::{ThreatBehaviorGraph, ThreatExtractor};
     pub use threatraptor_service::{
-        FollowHunt, HuntJob, HuntServer, HuntService, IngestConfig, IngestService, ServerConfig,
-        ServiceConfig,
+        FollowHunt, HuntJob, HuntServer, IngestConfig, IngestService, ServerConfig,
     };
     pub use threatraptor_storage::{AuditStore, SealPolicy, ShardedStore, StreamingStore};
     pub use threatraptor_synth::{DefaultPlan, PathPatternPlan, TimeWindowPlan};
@@ -183,28 +190,6 @@ impl ThreatRaptor {
         self.hunt_report_with_plan(oscti, &synth::DefaultPlan)
     }
 
-    /// Opens the multi-hunt service layer over this system's (already
-    /// reduced) store: the log is re-partitioned into `config.shards`
-    /// time-window shards, and the returned [`HuntService`] runs batches
-    /// of concurrent hunts on a worker pool with a shared compiled-plan
-    /// cache.
-    ///
-    /// ```
-    /// use threatraptor::prelude::*;
-    ///
-    /// let scenario = ScenarioBuilder::new().seed(42).target_events(3_000).build();
-    /// let raptor = ThreatRaptor::from_parsed(&scenario.log, true);
-    /// let service = raptor.service(ServiceConfig::with_shards(4));
-    /// let reports = service.run(vec![
-    ///     HuntJob::report(threatraptor::FIG2_OSCTI_TEXT),
-    ///     HuntJob::tbql(threatraptor::FIG2_TBQL),
-    /// ]);
-    /// assert!(reports.iter().all(|r| !r.outcome.as_ref().unwrap().is_empty()));
-    /// ```
-    pub fn service(&self, config: ServiceConfig) -> HuntService {
-        HuntService::from_store(&self.store, config)
-    }
-
     /// End-to-end hunt with a custom synthesis plan.
     pub fn hunt_report_with_plan(
         &self,
@@ -271,12 +256,17 @@ mod tests {
     #[test]
     fn service_facade_matches_direct_hunting() {
         let (raptor, sc) = raptor();
-        let service = raptor.service(ServiceConfig::with_shards(4).workers(2));
+        let server = HuntServer::new(ServerConfig::default().workers(2));
+        for chunk in LogFeed::by_events(&sc.raw, 1_000) {
+            server.append(&chunk.unwrap());
+        }
         let direct = raptor.hunt(FIG2_TBQL).unwrap();
-        let served = service.hunt_tbql(FIG2_TBQL).unwrap();
+        let served = server.hunt(FIG2_TBQL).unwrap();
         assert_eq!(served.rows, direct.rows);
-        let (p, r) = served.precision_recall(service.store(), &sc.ground_truth("data_leakage"));
+        let truth = sc.ground_truth("data_leakage");
+        let (p, r) = served.precision_recall(&server.snapshot(), &truth);
         assert_eq!((p, r), (1.0, 1.0));
+        server.shutdown();
     }
 
     #[test]

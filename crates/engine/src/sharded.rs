@@ -20,7 +20,7 @@
 //!
 //! Because the fan-out happens at the data-query level and the join stays
 //! global, a [`ShardedEngine`] returns exactly the *record set* a
-//! single-store [`Engine`] returns on the same `(log, cpr)` input: same
+//! single-store [`Engine`](crate::Engine) returns on the same `(log, cpr)` input: same
 //! matches, same matched event ids, same projected rows up to order.
 //! Event-pattern results agree in row order too; path-pattern rows come
 //! back position-sorted, whereas the single-store graph backend emits
@@ -74,7 +74,7 @@ impl<'s> ShardedEngine<'s> {
     }
 
     /// Creates an engine with an explicit shard-scan thread count. Use 1
-    /// when an outer layer (e.g. the hunt scheduler's worker pool) already
+    /// when an outer layer (e.g. the hunt server's worker pool) already
     /// saturates the cores with concurrent queries.
     pub fn with_threads(store: &'s ShardedStore, threads: usize) -> ShardedEngine<'s> {
         ShardedEngine {

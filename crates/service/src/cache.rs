@@ -235,7 +235,8 @@ struct CacheObs {
     nlp_stages: [Arc<Histogram>; 8],
 }
 
-/// Thread-safe plan + synthesis cache, shared by all scheduler workers.
+/// Thread-safe plan + synthesis cache, shared by the server's job
+/// workers and its standing queries.
 /// Both maps are size-capped (LRU): see [`PlanCache::with_capacities`].
 #[derive(Debug)]
 pub struct PlanCache {

@@ -1,13 +1,13 @@
-//! The ingest service: a thread-safe front-end over a live
-//! [`StreamingStore`].
+//! The ingest layer: a thread-safe front-end over a live
+//! [`StreamingStore`], owned by the [`HuntServer`].
 //!
 //! Collectors push parsed [`LogChunk`]s in with
-//! [`IngestService::append`]; analysts hunt *while ingestion is in
-//! flight* — every hunt runs against an immutable snapshot taken at hunt
-//! start, so appends never block on hunts and hunts never observe a
-//! half-applied batch. Standing queries attach with
-//! [`IngestService::hunt_follow`] and are re-evaluated against new data
-//! on each [`IngestService::poll`].
+//! [`IngestService::append`]; hunts run *while ingestion is in flight*
+//! against immutable [`IngestService::snapshot`]s, so appends never
+//! block on hunts and hunts never observe a half-applied batch. This
+//! type runs no hunts itself: ad-hoc and standing queries enter through
+//! the [`HuntServer`], and a hand-driven [`crate::follow::FollowHunt`]
+//! polls `hunt.poll(&service.snapshot())`.
 //!
 //! Locking discipline: appends and seals take the write lock for the
 //! (incremental, open-window-bounded) reduction step only. Snapshots
@@ -28,17 +28,15 @@
 //! Change notification: every append and seal bumps the stream's epoch
 //! (a lock-free counter shared via
 //! [`threatraptor_storage::StreamingStore::epoch_handle`]) and wakes
-//! anything blocked in [`IngestService::wait_epoch_newer`] — the hook an
-//! event-driven dispatcher ([`crate::server::HuntServer`]) hangs off so
-//! standing queries are driven by ingest events instead of explicit
-//! polls.
+//! anything blocked in [`IngestService::wait_epoch_newer`] — the hook
+//! the server's dispatcher hangs off so standing queries are driven by
+//! ingest events instead of explicit polls.
+//!
+//! [`HuntServer`]: crate::server::HuntServer
 
 use crate::cache::{CacheStats, PlanCache};
-use crate::follow::{FollowDelta, FollowHunt};
-use crate::job::ServiceError;
 use std::time::{Duration, Instant};
 use threatraptor_audit::parser::LogChunk;
-use threatraptor_engine::{ExecMode, HuntResult, ShardedEngine};
 use threatraptor_obs::{MetricsSnapshot, Registry, TraceSink};
 use threatraptor_storage::cpr::ReductionStats;
 use threatraptor_storage::{AppendOutcome, SealPolicy, ShardedStore, StreamingStore};
@@ -52,8 +50,6 @@ pub struct IngestConfig {
     pub cpr: bool,
     /// When to freeze the open window into an immutable shard.
     pub policy: SealPolicy,
-    /// Per-hunt shard fan-out threads.
-    pub shard_threads: usize,
 }
 
 impl Default for IngestConfig {
@@ -61,7 +57,6 @@ impl Default for IngestConfig {
         IngestConfig {
             cpr: true,
             policy: SealPolicy::events(4_096),
-            shard_threads: 1,
         }
     }
 }
@@ -99,20 +94,22 @@ pub struct IngestStatus {
     pub epoch: u64,
 }
 
-/// A live, continuously queryable hunt service: appendable store plus the
-/// shared plan cache.
+/// A live, continuously snapshottable store plus the plan cache its
+/// server's jobs and standing queries share.
 ///
 /// ```
 /// use threatraptor_audit::LogFeed;
 /// use threatraptor_audit::sim::scenario::ScenarioBuilder;
+/// use threatraptor_engine::ShardedEngine;
 /// use threatraptor_service::{IngestConfig, IngestService};
 ///
 /// let scenario = ScenarioBuilder::new().seed(42).target_events(2_000).build();
 /// let service = IngestService::new(IngestConfig::default());
 /// for chunk in LogFeed::by_events(&scenario.raw, 500) {
 ///     service.append(&chunk.unwrap());
-///     // Hunts are allowed at any point mid-ingest.
-///     let _ = service.hunt(threatraptor_tbql::parser::FIG2_TBQL);
+///     // Snapshots (and hunts over them) are allowed at any point mid-ingest.
+///     let snapshot = service.snapshot();
+///     let _ = ShardedEngine::new(&snapshot).hunt(threatraptor_tbql::parser::FIG2_TBQL);
 /// }
 /// assert_eq!(service.status().total_events, service.snapshot().event_count());
 /// ```
@@ -120,7 +117,6 @@ pub struct IngestStatus {
 pub struct IngestService {
     stream: RwLock<StreamingStore>,
     cache: Arc<PlanCache>,
-    config: IngestConfig,
     /// Lock-free mirror of the stream's epoch counter
     /// ([`StreamingStore::epoch_handle`]): change detection without the
     /// stream lock.
@@ -131,7 +127,7 @@ pub struct IngestService {
     gate: Mutex<()>,
     gate_cond: Condvar,
     /// This service's metric registry: the stream, the plan cache, and
-    /// every hunt/follow running through this service record here.
+    /// the owning server's jobs and standing queries record here.
     /// Per-instance (not the process-global registry) so co-hosted
     /// services — per-tenant deployments — keep separate telemetry.
     registry: Arc<Registry>,
@@ -139,34 +135,24 @@ pub struct IngestService {
     /// inside an append `{stage=entity_extend|compact}` (recorded when
     /// the append brought entities / ran a compaction).
     serve_trace: TraceSink,
-    /// `hunt_stage_ns{stage=scan|propagate|join|project|...}` — shared
-    /// family with the cache's parse/analyze/compile/synthesize spans.
-    hunt_trace: TraceSink,
 }
 
 impl IngestService {
-    /// An empty service.
+    /// An empty service with a fresh plan cache.
     pub fn new(config: IngestConfig) -> IngestService {
-        Self::with_cache(config, Arc::new(PlanCache::new()))
-    }
-
-    /// An empty service sharing an existing plan cache (so a server's
-    /// ad-hoc jobs and its standing queries compile each query once).
-    pub fn with_cache(config: IngestConfig, cache: Arc<PlanCache>) -> IngestService {
         let registry = Arc::new(Registry::new());
         let mut stream = StreamingStore::new(config.cpr, config.policy);
         stream.attach_metrics(&registry);
+        let cache = Arc::new(PlanCache::new());
         cache.attach_metrics(&registry);
         let epoch = stream.epoch_handle();
         IngestService {
             stream: RwLock::new(stream),
             cache,
-            config,
             epoch,
             gate: Mutex::new(()),
             gate_cond: Condvar::new(),
             serve_trace: TraceSink::new(Arc::clone(&registry), "serve_stage_ns"),
-            hunt_trace: TraceSink::new(Arc::clone(&registry), "hunt_stage_ns"),
             registry,
         }
     }
@@ -292,36 +278,6 @@ impl IngestService {
         self.gate_cond.notify_all();
     }
 
-    /// Hunts a TBQL query against a fresh snapshot, through the plan
-    /// cache.
-    pub fn hunt(&self, tbql: &str) -> Result<HuntResult, ServiceError> {
-        let (plan, _) = self.cache.plan(tbql).map_err(ServiceError::from)?;
-        let snapshot = self.snapshot();
-        let result = ShardedEngine::with_threads(&snapshot, self.config.shard_threads)
-            .execute(&plan.compiled, ExecMode::Scheduled)
-            .map_err(ServiceError::from)?;
-        result.stats.record_stages(&self.hunt_trace);
-        Ok(result)
-    }
-
-    /// Opens a follow-mode hunt: the query is compiled once (through the
-    /// cache) and evaluated against everything ingested so far; each
-    /// subsequent [`IngestService::poll`] re-evaluates it against a fresh
-    /// snapshot and yields only the newly appeared matches.
-    pub fn hunt_follow(&self, tbql: &str) -> Result<(FollowHunt, FollowDelta), ServiceError> {
-        let (plan, _) = self.cache.plan(tbql).map_err(ServiceError::from)?;
-        let mut hunt = FollowHunt::new(plan, ExecMode::Scheduled, self.config.shard_threads);
-        hunt.attach_metrics(&self.registry);
-        let delta = hunt.poll(&self.snapshot())?;
-        Ok((hunt, delta))
-    }
-
-    /// Polls a follow-mode hunt against the current stream state. Free
-    /// when nothing was appended since the last poll.
-    pub fn poll(&self, hunt: &mut FollowHunt) -> Result<FollowDelta, ServiceError> {
-        hunt.poll(&self.snapshot())
-    }
-
     /// Current stream state.
     pub fn status(&self) -> IngestStatus {
         let stream = self.stream.read().unwrap_or_else(PoisonError::into_inner);
@@ -345,18 +301,15 @@ impl IngestService {
     pub fn cache(&self) -> &Arc<PlanCache> {
         &self.cache
     }
-
-    /// The service configuration.
-    pub fn config(&self) -> &IngestConfig {
-        &self.config
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::follow::FollowHunt;
     use threatraptor_audit::sim::scenario::{AttackKind, ScenarioBuilder};
     use threatraptor_audit::LogFeed;
+    use threatraptor_engine::{ExecMode, ShardedEngine};
     use threatraptor_storage::{AuditStore, ShardedStore};
     use threatraptor_tbql::parser::FIG2_TBQL;
 
@@ -393,7 +346,7 @@ mod tests {
         assert_eq!(snapshot.event_count(), batch.event_count());
         assert_eq!(snapshot.reduction(), batch.reduction);
 
-        let got = service.hunt(FIG2_TBQL).unwrap();
+        let got = ShardedEngine::new(&snapshot).hunt(FIG2_TBQL).unwrap();
         let want = threatraptor_engine::Engine::new(&batch)
             .hunt(FIG2_TBQL)
             .unwrap();
@@ -407,7 +360,9 @@ mod tests {
         let mut counts = Vec::new();
         for chunk in LogFeed::by_events(&sc.raw, 800) {
             service.append(&chunk.unwrap());
-            let r = service.hunt(FIG2_TBQL).unwrap();
+            let r = ShardedEngine::new(&service.snapshot())
+                .hunt(FIG2_TBQL)
+                .unwrap();
             counts.push(r.matches.len());
         }
         // The attack eventually appears and stays found.
@@ -437,18 +392,20 @@ mod tests {
     fn follow_hunt_fires_when_the_attack_streams_in() {
         let sc = scenario();
         let service = IngestService::new(IngestConfig::with_policy(SealPolicy::events(400)));
-        let (mut hunt, initial) = service.hunt_follow(FIG2_TBQL).unwrap();
+        let (plan, _) = service.cache().plan(FIG2_TBQL).unwrap();
+        let mut hunt = FollowHunt::new(plan, ExecMode::Scheduled, 1);
+        let initial = hunt.poll(&service.snapshot()).unwrap();
         assert!(initial.is_empty(), "nothing ingested yet");
 
         let mut fired = false;
         for chunk in LogFeed::by_events(&sc.raw, 700) {
             service.append(&chunk.unwrap());
-            let delta = service.poll(&mut hunt).unwrap();
+            let delta = hunt.poll(&service.snapshot()).unwrap();
             fired |= !delta.is_empty();
         }
         assert!(fired, "the streamed attack must fire the standing query");
         // A poll with no new data is free.
-        let idle = service.poll(&mut hunt).unwrap();
+        let idle = hunt.poll(&service.snapshot()).unwrap();
         assert!(idle.unchanged);
         // And the plan was compiled exactly once.
         assert_eq!(service.cache_stats().misses, 1);
@@ -517,7 +474,10 @@ mod tests {
             service.append(chunk);
         }
         assert!(service.status().total_events > before);
-        assert!(!service.hunt(FIG2_TBQL).unwrap().is_empty());
+        assert!(!ShardedEngine::new(&service.snapshot())
+            .hunt(FIG2_TBQL)
+            .unwrap()
+            .is_empty());
     }
 
     #[test]
@@ -537,13 +497,16 @@ mod tests {
             for _ in 0..8 {
                 // Hunts interleave with appends; each must see a
                 // consistent snapshot and never error.
-                let r = svc.hunt(FIG2_TBQL).unwrap();
                 let snap = svc.snapshot();
+                let r = ShardedEngine::new(&snap).hunt(FIG2_TBQL).unwrap();
                 assert!(r.matches.len() <= snap.event_count().max(1));
             }
             writer.join().unwrap();
         });
         // After the dust settles, the full attack is found.
-        assert!(!service.hunt(FIG2_TBQL).unwrap().is_empty());
+        assert!(!ShardedEngine::new(&service.snapshot())
+            .hunt(FIG2_TBQL)
+            .unwrap()
+            .is_empty());
     }
 }

@@ -6,9 +6,10 @@ use threatraptor_engine::{EngineError, HuntResult};
 use threatraptor_synth::SynthesisError;
 use threatraptor_tbql::lint::Diagnostic;
 
-/// One unit of work for the scheduler: hunt either a ready-made TBQL
-/// query or a raw OSCTI report (which is first run through extraction and
-/// query synthesis, exactly like [`ThreatRaptor::hunt_report`]).
+/// One unit of work for the server's job queue: hunt either a ready-made
+/// TBQL query or a raw OSCTI report (which is first run through
+/// extraction and query synthesis, exactly like
+/// [`ThreatRaptor::hunt_report`]).
 ///
 /// [`ThreatRaptor::hunt_report`]: https://docs.rs/threatraptor
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -104,14 +105,11 @@ impl From<EngineError> for ServiceError {
     }
 }
 
-/// The outcome of one scheduled job. Batch reports are returned in
-/// submission order regardless of which worker finished first; `Clone`
-/// so a completion handle ([`crate::server::JobHandle`]) can hand out
+/// The outcome of one submitted job, identified by its
+/// [`crate::server::JobHandle::id`]; `Clone` so the handle can hand out
 /// the result while the server retains nothing.
 #[derive(Debug, Clone)]
 pub struct JobReport {
-    /// Submission index of the job in the batch.
-    pub index: usize,
     /// The job as submitted.
     pub job: HuntJob,
     /// The TBQL the job resolved to (for report jobs, the synthesized

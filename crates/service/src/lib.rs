@@ -1,14 +1,17 @@
 //! # threatraptor-service
 //!
-//! The multi-hunt execution service: everything between "one parsed log,
-//! one query at a time" and "a store serving heavy concurrent hunt
-//! traffic".
+//! The hunt server: everything between "one parsed log, one query at a
+//! time" and "a live store serving concurrent hunt traffic".
 //!
 //! The reproduction's base pipeline (paper Fig. 1) is strictly
 //! single-hunt: one [`AuditStore`], one query, one result. Production
 //! threat hunting is not — intelligence arrives continuously, analysts
 //! and automation hunt concurrently, and the same queries recur across
-//! time windows and re-runs. This crate adds that layer:
+//! time windows and re-runs. [`server::HuntServer`] is the one front
+//! door for that: every hunt enters through
+//! [`submit`](server::HuntServer::submit) /
+//! [`hunt`](server::HuntServer::hunt) (ad hoc, TBQL or OSCTI text) or
+//! [`follow`](server::HuntServer::follow) (standing). Its pieces:
 //!
 //! * [`job::HuntJob`] — a unit of hunt work: raw OSCTI text *or* TBQL;
 //! * [`cache::PlanCache`] — compiled plans keyed by normalized query
@@ -17,22 +20,13 @@
 //! * [`pool::WorkerPool`] — detached worker threads draining one bounded
 //!   task queue: backpressure on overflow, panic isolation, graceful
 //!   drain-then-join shutdown;
-//! * [`scheduler::HuntScheduler`] — batch hunts against a
-//!   [`ShardedStore`] on a persistent worker pool, results merged
-//!   deterministically (submission order);
-//! * [`service::HuntService`] — the owning façade: store + cache +
-//!   scheduler, constructed from a parsed log or an existing store;
-//! * [`ingest::IngestService`] — the *live* variant: a thread-safe
+//! * [`ingest::IngestService`] — the ingest layer: a thread-safe
 //!   front-end over a [`StreamingStore`] accepting appended log chunks
-//!   while hunts run against immutable snapshots, with epoch
-//!   notification hooks for event-driven consumers;
-//! * [`follow::FollowHunt`] — standing queries over a growing store:
-//!   poll with successive snapshots, get only the newly appeared matches
+//!   and handing out immutable snapshots, with epoch notification hooks
+//!   for event-driven consumers;
+//! * [`follow::FollowHunt`] — the standing-query building block: poll
+//!   it with successive snapshots, get only the newly appeared matches
 //!   (exactly-once per match identity) merged into a running result;
-//! * [`server::HuntServer`] — the long-lived serving loop over all of
-//!   the above: a persistent job queue with completion handles, and
-//!   standing queries driven by ingest events through per-subscription
-//!   channels instead of explicit polls;
 //! * [`profile::HuntProfile`] — per-job execution profiles (trace tree
 //!   plus headline timings), retained worst-N by latency in the
 //!   server's slow-hunt log.
@@ -43,7 +37,6 @@
 //! the data-query level; joins stay global).
 //!
 //! [`AuditStore`]: threatraptor_storage::AuditStore
-//! [`ShardedStore`]: threatraptor_storage::ShardedStore
 //! [`StreamingStore`]: threatraptor_storage::StreamingStore
 
 pub mod cache;
@@ -52,9 +45,7 @@ pub mod ingest;
 pub mod job;
 pub mod pool;
 pub mod profile;
-pub mod scheduler;
 pub mod server;
-pub mod service;
 
 pub use cache::{normalize_tbql, CacheStats, CachedPlan, PlanCache, ReportKey};
 pub use follow::{FollowDelta, FollowHunt};
@@ -62,6 +53,4 @@ pub use ingest::{IngestConfig, IngestService, IngestStatus};
 pub use job::{HuntJob, JobReport, ServiceError};
 pub use pool::{SubmitError, WorkerPool};
 pub use profile::HuntProfile;
-pub use scheduler::HuntScheduler;
 pub use server::{FollowEvent, FollowSubscription, HuntServer, JobHandle, JobId, ServerConfig};
-pub use service::{HuntService, ServiceConfig};

@@ -1,11 +1,9 @@
 //! The shared worker pool: detached threads draining one bounded task
 //! queue.
 //!
-//! The original scheduler spawned a fresh set of *scoped* threads per
-//! batch — fine for one-shot batch hunts, wrong for a long-lived server:
-//! scoped threads cannot outlive their borrow, so every submission wave
-//! paid thread start-up, and there was no queue to absorb bursts or push
-//! back on producers. This pool inverts that:
+//! The hunt server's ad-hoc jobs run here. A long-lived server needs
+//! threads that outlive any one submission, a queue that absorbs bursts,
+//! and a way to push back on producers:
 //!
 //! * workers are **detached** `'static` threads spawned once, pulling
 //!   tasks from a shared multi-consumer channel

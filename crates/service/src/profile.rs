@@ -5,7 +5,7 @@
 //! (queue-wait and exec spans under the job root, per-pattern scan
 //! children with rows-scanned attributes) plus the headline numbers an
 //! operator triages by. Profiles are retained in a bounded
-//! [`SlowHuntLog`] — the worst-N by end-to-end latency — so "why was
+//! slow-hunt log — the worst-N by end-to-end latency — so "why was
 //! this hunt slow?" stays answerable after the fact without keeping
 //! every execution forever.
 

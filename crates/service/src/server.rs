@@ -1,7 +1,11 @@
 //! The event-driven hunt server: one long-lived process serving ad-hoc
 //! hunts and standing queries over a live audit stream.
 //!
-//! [`HuntServer`] ties the service layer's pieces into a server loop:
+//! [`HuntServer`] ties the service layer's pieces into a server loop,
+//! and is the crate's one hunt front door — [`HuntServer::submit`] and
+//! [`HuntServer::hunt`] for ad-hoc jobs, [`HuntServer::follow`] for
+//! standing queries — so every hunt gets the same panic isolation and
+//! the same telemetry:
 //!
 //! * it owns an [`IngestService`] — collectors push chunks with
 //!   [`HuntServer::append`] exactly as before;
@@ -28,18 +32,19 @@
 //! dispatcher and every worker, and disconnects subscription channels so
 //! consumers' receive loops end cleanly.
 
-use crate::cache::CacheStats;
+use crate::cache::{CacheStats, PlanCache};
 use crate::follow::{FollowDelta, FollowHunt};
 use crate::ingest::{IngestConfig, IngestService, IngestStatus};
 use crate::job::{HuntJob, JobReport, ServiceError};
 use crate::pool::WorkerPool;
 use crate::profile::{HuntProfile, SlowHuntLog};
-use crate::scheduler::execute_job;
 use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender, TryRecvError};
+use std::any::Any;
 use std::fmt;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::{Duration, Instant};
 use threatraptor_audit::parser::LogChunk;
-use threatraptor_engine::{ExecMode, HuntResult, HuntStats};
+use threatraptor_engine::{ExecMode, HuntResult, HuntStats, ShardedEngine};
 use threatraptor_obs::{
     Counter, Histogram, MetricsSnapshot, Registry, TraceId, TraceSink, TraceTree, ROOT_SPAN,
 };
@@ -51,8 +56,7 @@ use threatraptor_sync::{Arc, Condvar, Mutex, PoisonError};
 /// Construction parameters for a [`HuntServer`].
 #[derive(Debug, Clone, Copy)]
 pub struct ServerConfig {
-    /// The owned ingest layer's configuration (seal policy, CPR,
-    /// per-hunt shard fan-out).
+    /// The owned ingest layer's configuration (seal policy, CPR).
     pub ingest: IngestConfig,
     /// Ad-hoc hunt worker threads.
     pub workers: usize,
@@ -376,6 +380,53 @@ fn outcome_status(outcome: &Result<HuntResult, ServiceError>) -> &'static str {
     }
 }
 
+/// Renders a caught panic payload as text for [`ServiceError::Worker`].
+fn panic_text(payload: &(dyn Any + Send)) -> String {
+    payload
+        .downcast_ref::<&str>()
+        .map(|s| (*s).to_string())
+        .or_else(|| payload.downcast_ref::<String>().cloned())
+        .unwrap_or_else(|| "unknown panic payload".into())
+}
+
+/// Resolves one job to a compiled plan (synthesizing report jobs first)
+/// and executes it against one store snapshot, catching panics into
+/// [`ServiceError::Worker`] so the worker survives.
+fn execute_job(store: &ShardedStore, cache: &PlanCache, job: &HuntJob) -> JobReport {
+    let t0 = Instant::now();
+    let resolve_and_execute = || {
+        let tbql = match job {
+            HuntJob::Tbql(src) => src.clone(),
+            HuntJob::Report(text) => match cache.synthesize_report(text) {
+                Ok(tbql) => tbql,
+                Err(e) => return (None, false, Err(ServiceError::Synthesis(e))),
+            },
+        };
+        let (plan, cache_hit) = match cache.plan(&tbql) {
+            Ok(v) => v,
+            Err(e) => return (Some(tbql), false, Err(ServiceError::from(e))),
+        };
+        // One scan thread per hunt: the worker pool already spends the
+        // cores on concurrent jobs, and nesting both oversubscribes them.
+        let outcome = ShardedEngine::with_threads(store, 1)
+            .execute(&plan.compiled, ExecMode::Scheduled)
+            .map_err(ServiceError::from);
+        (Some(plan.tbql.clone()), cache_hit, outcome)
+    };
+    let (tbql, cache_hit, outcome) = catch_unwind(AssertUnwindSafe(resolve_and_execute))
+        .unwrap_or_else(|payload| {
+            let error = ServiceError::Worker(panic_text(&*payload));
+            (None, false, Err(error))
+        });
+    JobReport {
+        job: job.clone(),
+        tbql,
+        outcome,
+        cache_hit,
+        elapsed: t0.elapsed(),
+    }
+}
+
 /// Lays per-stage child spans under the exec span of a job trace:
 /// one `scan:<pattern>` span per pattern (with rows-scanned and
 /// shard-count attributes) followed by propagate/join/project. The
@@ -597,7 +648,6 @@ impl HuntServer {
         let snapshots = Arc::clone(&self.snapshots);
         let slow_log = Arc::clone(&self.slow_log);
         let obs = self.job_obs.clone();
-        let shard_threads = self.config.ingest.shard_threads;
         let accepted = !self.shutdown.load(Ordering::Acquire)
             && self
                 .pool
@@ -611,13 +661,7 @@ impl HuntServer {
                     trace.add_span(ROOT_SPAN, "queue_wait", Duration::ZERO, wait);
                     let exec_span = trace.begin("exec", ROOT_SPAN);
                     let snapshot = snapshots.get(&ingest);
-                    let report = execute_job(
-                        &snapshot,
-                        ingest.cache(),
-                        shard_threads,
-                        id.0 as usize,
-                        &job,
-                    );
+                    let report = execute_job(&snapshot, ingest.cache(), &job);
                     obs.exec_ns.record_duration(report.elapsed);
                     trace.set_attr(exec_span, "cache_hit", report.cache_hit);
                     let mut matches = 0;
@@ -661,7 +705,6 @@ impl HuntServer {
                 .record_duration(submitted_at.elapsed());
             let (job, state) = fallback;
             state.complete(JobReport {
-                index: id.0 as usize,
                 job,
                 tbql: None,
                 outcome: Err(ServiceError::Shutdown),
@@ -672,7 +715,7 @@ impl HuntServer {
         handle
     }
 
-    /// Convenience: submit + wait.
+    /// Submits a TBQL job and waits for its outcome.
     pub fn hunt(&self, tbql: &str) -> Result<HuntResult, ServiceError> {
         self.submit(HuntJob::tbql(tbql)).wait().outcome
     }
@@ -688,7 +731,7 @@ impl HuntServer {
         }
         let (plan, _) = self.ingest.cache().plan(tbql).map_err(ServiceError::from)?;
         let tbql = plan.tbql.clone();
-        let mut hunt = FollowHunt::new(plan, ExecMode::Scheduled, self.config.ingest.shard_threads);
+        let mut hunt = FollowHunt::new(plan, ExecMode::Scheduled, 1);
         hunt.attach_metrics(self.ingest.registry());
         // ordering: Relaxed — id allocation needs uniqueness only.
         let id = self.next_follow.fetch_add(1, Ordering::Relaxed);
@@ -992,6 +1035,49 @@ mod tests {
     }
 
     #[test]
+    fn report_jobs_synthesize_then_hunt() {
+        let sc = scenario();
+        let server = server();
+        for chunk in LogFeed::by_events(&sc.raw, 1_000) {
+            server.append(&chunk.unwrap());
+        }
+        let ok = server
+            .submit(HuntJob::report(threatraptor_nlp::pipeline::FIG2_OSCTI_TEXT))
+            .wait();
+        assert!(ok.tbql.as_deref().unwrap().contains("%/bin/tar%"));
+        assert!(!ok.outcome.unwrap().is_empty());
+        let bad = server
+            .submit(HuntJob::report("Nothing interesting happened today."))
+            .wait();
+        assert!(matches!(bad.outcome, Err(ServiceError::Synthesis(_))));
+        assert!(bad.tbql.is_none());
+        let errors = server
+            .metrics()
+            .histogram("job_latency_ns", &[("status", "error")])
+            .map_or(0, |h| h.count);
+        assert_eq!(errors, 1, "the failed synthesis is an error-labeled job");
+        server.shutdown();
+    }
+
+    #[test]
+    fn end_to_end_tbql_and_report_hunts() {
+        let sc = scenario();
+        let server = server();
+        for chunk in LogFeed::by_events(&sc.raw, 1_000) {
+            server.append(&chunk.unwrap());
+        }
+        let direct = server.hunt(FIG2_TBQL).unwrap();
+        assert!(!direct.is_empty());
+        let via_report = server
+            .submit(HuntJob::report(threatraptor_nlp::pipeline::FIG2_OSCTI_TEXT))
+            .wait()
+            .outcome
+            .unwrap();
+        assert_eq!(direct.rows, via_report.rows);
+        server.shutdown();
+    }
+
+    #[test]
     fn ad_hoc_hunts_and_standing_queries_share_one_plan() {
         let sc = scenario();
         let server = server();
@@ -1257,8 +1343,8 @@ mod tests {
             server.append(&chunk.unwrap());
         }
         server.hunt(FIG2_TBQL).unwrap();
-        let err = server.hunt("this is not TBQL");
-        assert!(err.is_err());
+        let err = server.hunt("this is not TBQL").unwrap_err();
+        assert!(matches!(err, ServiceError::Engine(_)), "{err}");
         let snapshot = server.metrics();
         let count = |snap: &MetricsSnapshot, status: &str| {
             snap.histogram("job_latency_ns", &[("status", status)])

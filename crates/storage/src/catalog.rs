@@ -11,7 +11,7 @@
 //!
 //! * [`EntityCatalog::extend`] indexes only the new entities and folds
 //!   them together with every trailing generation that is less than
-//!   [`MERGE_FACTOR`] times the size of what follows it. Generation sizes
+//!   `MERGE_FACTOR` (2) times the size of what follows it. Generation sizes
 //!   therefore at least halve from each to the next, so a catalog of `n`
 //!   entities has at most `log₂ n + 1` generations, and a generation is
 //!   only rebuilt into one at least half again its size — `n` entities

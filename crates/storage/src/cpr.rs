@@ -1,6 +1,6 @@
 //! Causality-Preserved Reduction (CPR).
 //!
-//! The paper reduces storage by "merg[ing] excessive events between the
+//! The paper reduces storage by "merg\[ing\] excessive events between the
 //! same pair of entities" using the technique of Xu et al., *High Fidelity
 //! Data Reduction for Big Data Security Dependency Analyses* (CCS'16)
 //! (§II-B). The preserved property is *causality*: merging a run of events
@@ -199,7 +199,7 @@ pub fn reduce(events: &[Event]) -> (Vec<Event>, ReductionStats) {
 /// reducer of [`crate::stream::StreamingStore`].
 ///
 /// The batch [`reduce`] sorts the whole stream by `(start, end, id)` and
-/// runs the [`CprMachine`] over it once. This type runs the *same*
+/// runs the `CprMachine` over it once. This type runs the *same*
 /// machine over a stream that arrives in chunks, holding back just enough
 /// input to preserve the exact processing order:
 ///

@@ -20,10 +20,12 @@
 //! single [`AuditStore`] yields exactly the same events at exactly the
 //! same global positions — the invariant the sharded execution engine's
 //! parity guarantee rests on.
+//!
+//! [`AuditStore`]: crate::store::AuditStore
 
 use crate::catalog::EntityCatalog;
 use crate::cpr::{self, ReductionStats};
-use crate::store::{AuditStore, EventLookup, EventShard};
+use crate::store::{EventLookup, EventShard};
 use std::sync::Arc;
 use threatraptor_audit::entity::{Entity, EntityId};
 use threatraptor_audit::event::Event;
@@ -121,18 +123,6 @@ impl ShardedStore {
         let (events, reduction) = cpr::reduce_if(&log.events, use_cpr);
         let catalog = EntityCatalog::from_entities(&log.entities);
         Self::build(catalog, events, reduction, shards)
-    }
-
-    /// Re-partitions an existing single store into `shards` shards,
-    /// reusing its already reduced events (no second CPR pass) and its
-    /// already built entity catalog (shared, not copied).
-    pub fn from_store(store: &AuditStore, shards: usize) -> ShardedStore {
-        Self::build(
-            store.entities.clone(),
-            store.events.clone(),
-            store.reduction,
-            shards,
-        )
     }
 
     /// Assembles a store from already-built shards (the streaming
@@ -291,6 +281,7 @@ impl EventLookup for ShardedStore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::store::AuditStore;
     use threatraptor_audit::sim::scenario::ScenarioBuilder;
 
     fn scenario_log() -> ParsedLog {
@@ -343,15 +334,11 @@ mod tests {
     #[test]
     fn entities_stored_once_and_ids_global() {
         let log = scenario_log();
-        let single = AuditStore::ingest(&log, false);
-        let sharded = ShardedStore::from_store(&single, 3);
-        // Batch construction is the one-generation catalog, and
-        // re-partitioning shares it instead of copying.
+        let sharded = ShardedStore::ingest(&log, false, 3);
+        // Batch construction is the one-generation catalog, held once by
+        // the store and by no shard.
         assert_eq!(sharded.catalog().generations().len(), 1);
-        assert!(Arc::ptr_eq(
-            &sharded.catalog().generations()[0],
-            &single.entities.generations()[0]
-        ));
+        assert_eq!(Arc::strong_count(&sharded.catalog().generations()[0]), 1);
         assert_eq!(sharded.catalog().len(), log.entities.len());
         assert!(sharded.catalog().iter().eq(log.entities.iter()));
         let id = EntityId(log.entities.len() as u32 - 1);
@@ -389,17 +376,5 @@ mod tests {
         let log = scenario_log();
         let sharded = ShardedStore::ingest(&log, true, 0);
         assert_eq!(sharded.shard_count(), 1);
-    }
-
-    #[test]
-    fn from_store_matches_ingest() {
-        let log = scenario_log();
-        let single = AuditStore::ingest(&log, true);
-        let a = ShardedStore::from_store(&single, 4);
-        let b = ShardedStore::ingest(&log, true, 4);
-        assert_eq!(a.event_count(), b.event_count());
-        for i in 0..a.shard_count() {
-            assert_eq!(a.shard(i).events, b.shard(i).events);
-        }
     }
 }

@@ -6,7 +6,7 @@
 //! relationships between patterns), and temporal constraints are
 //! normalized to `before` pairs. Feasibility of the temporal system
 //! (ordering cycles, empty or conflicting windows) is checked by the
-//! [`dbm`](crate::dbm) closure in the [`lint`](crate::lint) pass, which
+//! [`dbm`](crate::dbm) closure in the [`lint`](mod@crate::lint) pass, which
 //! runs as part of plan compilation.
 
 use crate::ast::*;

@@ -26,7 +26,7 @@
 //! On top of parsing and semantic analysis sits a static-analysis layer:
 //! a difference-bound matrix over pattern timestamps ([`dbm`]) answers
 //! temporal feasibility and yields tightened per-pattern time bounds, and
-//! a lint pass ([`lint`]) turns that plus filter/usage analysis into
+//! a lint pass ([`lint`](mod@lint)) turns that plus filter/usage analysis into
 //! structured diagnostics with stable codes.
 
 pub mod analyze;

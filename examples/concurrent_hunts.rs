@@ -1,9 +1,10 @@
-//! Concurrent hunting with the service layer: one sharded store, many
+//! Concurrent hunting through the hunt server: one live store, many
 //! simultaneous hunts with mixed intelligence sources.
 //!
 //! Run with: `cargo run --release --example concurrent_hunts`
 
 use threatraptor::prelude::*;
+use threatraptor::JobHandle;
 use threatraptor_bench::all_cases;
 
 fn main() {
@@ -15,48 +16,49 @@ fn main() {
         .target_events(40_000)
         .build();
 
-    let raptor = ThreatRaptor::from_parsed(&scenario.log, true);
+    // The hunt server: a worker per core, a shared plan cache, and a
+    // store sealed into a shard every 4 096 events as the log streams in.
+    let server = HuntServer::new(ServerConfig::default());
+    for chunk in LogFeed::by_events(&scenario.raw, 5_000) {
+        server.append(&chunk.expect("well-formed log"));
+    }
+    let status = server.status();
     println!(
-        "ingested {} events ({}x reduced by CPR)\n",
-        raptor.store().event_count(),
-        format_args!("{:.1}", raptor.store().reduction.factor()),
-    );
-
-    // Open the service layer: 8 time-window shards, a worker per core.
-    let service = raptor.service(ServiceConfig::with_shards(8));
-    println!(
-        "service: {} shards, {} workers\n",
-        service.store().shard_count(),
-        service.config().workers,
+        "ingested {} events ({:.1}x reduced by CPR) into {} sealed shards; {} workers\n",
+        status.total_events,
+        status.reduction.factor(),
+        status.sealed_shards,
+        server.config().workers,
     );
 
     // A mixed batch: hunt the data-leakage case from its raw OSCTI report
     // (full extraction + synthesis) and the password-cracking case from an
     // analyst-written TBQL query — several times each, as a production
-    // queue would see.
+    // queue would see. Every submission returns a handle at once; the
+    // workers run the jobs concurrently.
     let cases = all_cases();
-    let mut jobs = Vec::new();
+    let mut handles: Vec<JobHandle> = Vec::new();
     for _ in 0..3 {
-        jobs.push(HuntJob::report(cases[0].report)); // data leakage (OSCTI)
-        jobs.push(HuntJob::tbql(cases[1].reference_tbql)); // password crack (TBQL)
+        handles.push(server.submit(HuntJob::report(cases[0].report))); // data leakage (OSCTI)
+        handles.push(server.submit(HuntJob::tbql(cases[1].reference_tbql))); // password crack (TBQL)
     }
 
-    let reports = service.run(jobs);
-    for report in &reports {
+    let reports: Vec<_> = handles.iter().map(JobHandle::wait).collect();
+    for (handle, report) in handles.iter().zip(&reports) {
         match &report.outcome {
             Ok(result) => println!(
-                "job {:>2} [{}] {:>5} matches  {:>8.2?}  cache_hit={}",
-                report.index,
+                "{} [{}] {:>5} matches  {:>8.2?}  cache_hit={}",
+                handle.id(),
                 report.job.kind(),
                 result.matches.len(),
                 report.elapsed,
                 report.cache_hit,
             ),
-            Err(e) => println!("job {:>2} failed: {e}", report.index),
+            Err(e) => println!("{} failed: {e}", handle.id()),
         }
     }
 
-    let stats = service.cache_stats();
+    let stats = server.cache_stats();
     println!(
         "\nplan cache: {} plans, {} syntheses, {:.0}% hit rate",
         stats.plans,
@@ -72,4 +74,5 @@ fn main() {
             result.render_table()
         );
     }
+    server.shutdown();
 }

@@ -75,7 +75,7 @@ fn main() {
     let report = adhoc.wait();
     println!(
         "\nad-hoc {} (submitted mid-stream): {} row(s), {:?}",
-        report.index,
+        adhoc.id(),
         report.outcome.as_ref().map(|r| r.rows.len()).unwrap_or(0),
         report.elapsed,
     );

@@ -288,9 +288,9 @@ fn streaming_without_cpr_matches_batch() {
     assert_eq!(got.rows, want.rows);
 }
 
-/// The full service path: ingest through `IngestService` with hunts (and
-/// a standing follow-mode query) issued mid-ingest; the final answer
-/// matches batch ingestion, and mid-ingest answers are consistent
+/// The full service path: ingest through a `HuntServer` with ad-hoc
+/// hunts (and a standing follow-mode query) issued mid-ingest; the final
+/// answer matches batch ingestion, and mid-ingest answers are consistent
 /// prefixes that never block appends.
 #[test]
 fn hunts_under_ingest_are_consistent_and_end_in_parity() {
@@ -299,16 +299,17 @@ fn hunts_under_ingest_are_consistent_and_end_in_parity() {
         .attacks(&[AttackKind::DataLeakage])
         .target_events(3_000)
         .build();
-    let service = IngestService::new(IngestConfig::with_policy(SealPolicy::events(350)));
-    let (mut follow, initial) = service.hunt_follow(threatraptor::FIG2_TBQL).unwrap();
+    let server = HuntServer::new(ServerConfig::with_ingest(IngestConfig::with_policy(
+        SealPolicy::events(350),
+    )));
+    let (follow, initial) = server.follow(threatraptor::FIG2_TBQL).unwrap();
     assert!(initial.is_empty());
 
     let mut match_counts = Vec::new();
     for chunk in LogFeed::by_events(&sc.raw, 500) {
-        service.append(&chunk.unwrap());
-        let mid = service.hunt(threatraptor::FIG2_TBQL).unwrap();
+        server.append(&chunk.unwrap());
+        let mid = server.hunt(threatraptor::FIG2_TBQL).unwrap();
         match_counts.push(mid.matches.len());
-        service.poll(&mut follow).unwrap();
     }
 
     // Mid-ingest match counts grow monotonically to the batch answer.
@@ -318,7 +319,8 @@ fn hunts_under_ingest_are_consistent_and_end_in_parity() {
     assert_eq!(*match_counts.last().unwrap(), want.matches.len());
 
     // The follow hunt accumulated the same final answer.
-    let merged = follow.result().unwrap();
+    assert!(server.wait_caught_up(std::time::Duration::from_secs(60)));
+    let merged = server.follow_result(follow.id()).unwrap();
     let norm = |rows: &[Vec<String>]| {
         let mut r = rows.to_vec();
         r.sort();

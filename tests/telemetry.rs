@@ -62,8 +62,6 @@ fn driven_server() -> (HuntServer, MetricsSnapshot) {
 #[test]
 fn one_server_run_populates_every_lifecycle_family() {
     let (server, snapshot) = driven_server();
-    let jobs = server.config().queue_capacity; // silence unused-config paths
-    let _ = jobs;
 
     // -- job queue telemetry -------------------------------------------
     let submitted = snapshot.counter("jobs_submitted_total").unwrap();
