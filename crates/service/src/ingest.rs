@@ -116,7 +116,7 @@ pub struct IngestStatus {
 #[derive(Debug)]
 pub struct IngestService {
     stream: RwLock<StreamingStore>,
-    cache: Arc<PlanCache>,
+    cache: PlanCache,
     /// Lock-free mirror of the stream's epoch counter
     /// ([`StreamingStore::epoch_handle`]): change detection without the
     /// stream lock.
@@ -143,7 +143,7 @@ impl IngestService {
         let registry = Arc::new(Registry::new());
         let mut stream = StreamingStore::new(config.cpr, config.policy);
         stream.attach_metrics(&registry);
-        let cache = Arc::new(PlanCache::new());
+        let cache = PlanCache::new();
         cache.attach_metrics(&registry);
         let epoch = stream.epoch_handle();
         IngestService {
@@ -298,7 +298,7 @@ impl IngestService {
 
     /// The shared plan cache (standing queries and ad-hoc jobs resolve
     /// through the same one).
-    pub fn cache(&self) -> &Arc<PlanCache> {
+    pub fn cache(&self) -> &PlanCache {
         &self.cache
     }
 }
