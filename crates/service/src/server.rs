@@ -1060,6 +1060,14 @@ mod tests {
     }
 
     #[test]
+    fn bad_tbql_surfaces_engine_error() {
+        let server = server();
+        let err = server.hunt("totally broken").unwrap_err();
+        assert!(matches!(err, ServiceError::Engine(_)), "{err}");
+        server.shutdown();
+    }
+
+    #[test]
     fn end_to_end_tbql_and_report_hunts() {
         let sc = scenario();
         let server = server();
@@ -1343,8 +1351,8 @@ mod tests {
             server.append(&chunk.unwrap());
         }
         server.hunt(FIG2_TBQL).unwrap();
-        let err = server.hunt("this is not TBQL").unwrap_err();
-        assert!(matches!(err, ServiceError::Engine(_)), "{err}");
+        let err = server.hunt("this is not TBQL");
+        assert!(err.is_err());
         let snapshot = server.metrics();
         let count = |snap: &MetricsSnapshot, status: &str| {
             snap.histogram("job_latency_ns", &[("status", status)])
