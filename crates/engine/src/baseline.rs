@@ -13,7 +13,7 @@
 
 use crate::compile::{compile, CompiledPattern, CompiledShape};
 use crate::error::EngineError;
-use crate::exec::{expand_paths, parse_ops, resolve_endpoints, run_schedule, scan_pattern};
+use crate::exec::{expand_paths, parse_ops, run_schedule, scan_pattern};
 use crate::idset::IdSet;
 use crate::join::{PatternRow, Schedule, Witness};
 use crate::result::HuntResult;
@@ -60,17 +60,15 @@ pub fn hunt(store: &AuditStore, tbql: &str, baseline: Baseline) -> Result<HuntRe
     Ok(run_schedule(
         &cq,
         &Schedule::declared(&cq),
-        &mut |pat, bound| {
-            let (subjects, objects) = resolve_endpoints(&cq, pat, bound, &store.entities);
-            match (&pat.shape, baseline) {
-                (CompiledShape::Event { ops }, Baseline::GraphOnly) => {
-                    event_via_graph(store, pat, ops, &subjects, &objects)
-                }
-                (CompiledShape::Path { .. }, Baseline::RelationalOnly) => {
-                    path_via_sql(store, pat, &subjects, &objects)
-                }
-                _ => scan_pattern(store, &cq, pat, &subjects, &objects),
+        &store.entities,
+        &mut |pat, subjects, objects| match (&pat.shape, baseline) {
+            (CompiledShape::Event { ops }, Baseline::GraphOnly) => {
+                event_via_graph(store, pat, ops, subjects, objects)
             }
+            (CompiledShape::Path { .. }, Baseline::RelationalOnly) => {
+                path_via_sql(store, pat, subjects, objects)
+            }
+            _ => scan_pattern(store, &cq, pat, subjects, objects),
         },
         &|id, attr| store.entity(id).attr(attr),
     ))

@@ -247,6 +247,14 @@ fn compile_feasible(aq: &AnalyzedQuery, report: &LintReport) -> Result<CompiledQ
 }
 
 impl CompiledQuery {
+    /// The result's column names, one per return item (`p1.exename`, …).
+    pub fn columns(&self) -> Vec<String> {
+        self.returns
+            .iter()
+            .map(|(var, attr)| format!("{var}.{attr}"))
+            .collect()
+    }
+
     /// Builds the relational plan for an event pattern, with extra
     /// propagated predicates per variable (the scheduler's filter
     /// pushdown).

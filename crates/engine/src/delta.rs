@@ -2,8 +2,8 @@
 //!
 //! A follow-mode hunt re-evaluates one compiled plan against successive
 //! snapshots of a growing store. Full re-execution costs O(store) per
-//! poll; this module makes the steady state O(delta) by splitting every
-//! snapshot at its **stable frontier** — the sealed-event count carried
+//! poll; this module makes the steady-state scan O(delta) by splitting
+//! every snapshot at its **stable frontier** — the sealed-event count carried
 //! by [`StreamFrontier`] — and only re-scanning what can still change:
 //!
 //! * positions below the frontier are *stable*: sealed shards are
@@ -44,17 +44,39 @@
 //! constraints against already-bound patterns — no future fresh row can
 //! ever join it, and [`DeltaState::age`] drops it.
 //!
+//! Endpoint resolution is memoized per standing query. The entity
+//! catalog is append-only and entities never change, so [`DeltaState`]
+//! keeps, per query variable, the ids of the entities satisfying the
+//! variable's predicate together with the catalog length they cover. A
+//! poll first extends those sets over the entities appended since the
+//! previous poll (a partition point in the generation straddling the
+//! covered length finds them); an unbound endpoint then borrows its set
+//! and a bound one (ids propagated from partials) is the word-wise AND
+//! of the propagated ids with it. Nothing re-evaluates a predicate over
+//! entities an earlier poll already resolved.
+//!
+//! So in the steady state a poll costs O(fresh rows + entities appended
+//! since the last poll + matches found), plus the carry scans of the
+//! stages a non-empty delta reaches. What it does not cost: a rescan of
+//! the stable prefix, a re-resolution of the catalog, or a projection —
+//! the poll returns matches, and the follow layer renders only those it
+//! has not delivered before.
+//!
 //! Path patterns are excluded ([`DeltaState::new`] returns `None`): a
 //! path row may mix stable and fresh hops, so follow hunts over path
 //! queries fall back to full re-execution.
 //!
 //! [`StreamFrontier`]: threatraptor_storage::StreamFrontier
 
-use crate::compile::{CompiledQuery, CompiledShape};
+use crate::compile::{CompiledPattern, CompiledQuery, CompiledShape};
+use crate::exec::resolve_from;
+use crate::idset::IdSet;
 use crate::join::{join_rows, propagate, Bound, JoinStep, Schedule, Tuples};
 use crate::result::{DeltaStats, HuntResult, HuntStats, JoinStats};
 use crate::sharded::ShardedEngine;
+use std::borrow::Cow;
 use std::time::Instant;
+use threatraptor_storage::catalog::EntityCatalog;
 
 /// Latest start time a future row of the pattern joined at `next` could
 /// have and still join tuple `i` of `partial`: the pattern's effective
@@ -87,9 +109,81 @@ fn add_shard_counts(total: &mut Vec<usize>, add: &[usize]) {
     }
 }
 
+/// Per query variable (by slot), the ids of the catalog's entities of the
+/// variable's kind that satisfy its predicate, covering the catalog's
+/// first `covered` entities. The catalog is append-only and entities
+/// never change, so a poll only evaluates the entities appended since the
+/// previous one.
+#[derive(Debug, Clone)]
+struct EndpointMemo {
+    sets: Vec<IdSet>,
+    covered: usize,
+}
+
+impl EndpointMemo {
+    fn new(vars: usize) -> EndpointMemo {
+        EndpointMemo {
+            sets: vec![IdSet::default(); vars],
+            covered: 0,
+        }
+    }
+
+    fn clear(&mut self) {
+        self.sets.fill(IdSet::default());
+        self.covered = 0;
+    }
+
+    /// Extends every set over the entities `catalog` holds beyond the
+    /// covered length (starting over when the catalog is shorter: it is
+    /// not the one memoized). Returns the entity rows examined, summed
+    /// over the variables.
+    fn extend(&mut self, cq: &CompiledQuery, catalog: &EntityCatalog) -> usize {
+        if catalog.len() < self.covered {
+            self.clear();
+        }
+        let from = self.covered;
+        self.covered = catalog.len();
+        if from == self.covered {
+            return 0;
+        }
+        self.sets
+            .iter_mut()
+            .zip(&cq.vars)
+            .map(|(set, var)| {
+                resolve_from(
+                    catalog,
+                    cq.var_kinds[var],
+                    &cq.var_predicates[var],
+                    from,
+                    set,
+                )
+            })
+            .sum()
+    }
+
+    /// The id set of variable `slot`: the memo itself when unbound, its
+    /// intersection with the propagated ids otherwise.
+    fn resolve(&self, slot: usize, bound: Option<&IdSet>) -> Cow<'_, IdSet> {
+        match bound {
+            None => Cow::Borrowed(&self.sets[slot]),
+            Some(ids) => Cow::Owned(ids.intersection(&self.sets[slot])),
+        }
+    }
+
+    /// A pattern's `(subject, object)` id sets, narrowed by the
+    /// propagated `bound` ids.
+    fn endpoints(&self, pat: &CompiledPattern, bound: &Bound) -> (Cow<'_, IdSet>, Cow<'_, IdSet>) {
+        (
+            self.resolve(pat.subject_slot, bound[0].as_ref()),
+            self.resolve(pat.object_slot, bound[1].as_ref()),
+        )
+    }
+}
+
 /// The retained state of one standing query's incremental evaluation:
-/// the pinned schedule, the stable frontier the partials cover, and the
-/// per-prefix partial bindings themselves.
+/// the pinned schedule, the stable frontier the partials cover, the
+/// per-prefix partial bindings themselves, and the memoized endpoint
+/// resolution.
 #[derive(Debug, Clone)]
 pub struct DeltaState {
     /// The execution schedule — the same one the full executor derives,
@@ -104,6 +198,8 @@ pub struct DeltaState {
     /// Global event-position bound of the stable prefix: every position
     /// below it is sealed in every snapshot this state has polled.
     stable_events: usize,
+    /// Each variable's resolved entities, extended poll by poll.
+    memo: EndpointMemo,
 }
 
 impl DeltaState {
@@ -125,6 +221,7 @@ impl DeltaState {
             schedule,
             partials,
             stable_events: 0,
+            memo: EndpointMemo::new(cq.vars.len()),
         })
     }
 
@@ -140,12 +237,14 @@ impl DeltaState {
 
     /// Discards all retained state (plan or snapshot discontinuity).
     /// The next poll scans from position zero — a full re-execution
-    /// through the same code path — and rebuilds the partials.
+    /// through the same code path — and rebuilds the partials and the
+    /// endpoint memo.
     pub fn invalidate(&mut self) {
         for p in &mut self.partials {
             p.clear();
         }
         self.stable_events = 0;
+        self.memo.clear();
     }
 
     /// Drops every partial whose feasible completion deadline lies
@@ -168,6 +267,13 @@ impl DeltaState {
     /// sealed-event count), folding newly stable combinations into the
     /// retained partials.
     ///
+    /// Endpoint resolution is memoized: the poll first extends each
+    /// variable's entity set over the entities appended since the last
+    /// poll, then hands an unbound endpoint the memo itself and a bound
+    /// one its intersection with the propagated ids. The result carries
+    /// the matches and the columns but no projected rows: the caller
+    /// projects the matches it delivers.
+    ///
     /// The caller is responsible for continuity: snapshots must come
     /// from one growing store, with `stable_to` non-decreasing across
     /// polls (on regression, [`DeltaState::invalidate`] first).
@@ -179,13 +285,16 @@ impl DeltaState {
     ) -> HuntResult {
         let t0 = Instant::now();
         let fresh_from = self.stable_events;
-        let layout = &self.schedule.layout;
         let mut stats = HuntStats::default();
+        let entity_rows = self.memo.extend(cq, engine.store().catalog());
         let mut dstats = DeltaStats {
             fresh_from,
             carried_partials: self.retained(),
+            entity_rows,
             ..DeltaStats::default()
         };
+        stats.resolve_elapsed = t0.elapsed();
+        let layout = &self.schedule.layout;
 
         // Matches produced this poll (≥ 1 fresh witness), grown stage by
         // stage; newly stable combinations are staged into `pending` and
@@ -214,8 +323,12 @@ impl DeltaState {
                     None => [None, None],
                 };
                 stats.propagate_elapsed += t_prop.elapsed();
+                let t_resolve = Instant::now();
+                let (subjects, objects) = self.memo.endpoints(pat, &bound);
+                stats.resolve_elapsed += t_resolve.elapsed();
                 let t_scan = Instant::now();
-                let (rows, per_shard, pr) = engine.fetch_pattern(cq, pat, &bound, fresh_from);
+                let (rows, per_shard, pr) =
+                    engine.fetch_pattern(cq, pat, &subjects, &objects, fresh_from);
                 scan_elapsed += t_scan.elapsed();
                 fetched += rows.len();
                 dstats.fresh_rows += rows.len();
@@ -235,8 +348,11 @@ impl DeltaState {
                 let t_prop = Instant::now();
                 let bound = propagate(pat, &delta, &mut propagated);
                 stats.propagate_elapsed += t_prop.elapsed();
+                let t_resolve = Instant::now();
+                let (subjects, objects) = self.memo.endpoints(pat, &bound);
+                stats.resolve_elapsed += t_resolve.elapsed();
                 let t_scan = Instant::now();
-                let (rows, per_shard, pr) = engine.fetch_pattern(cq, pat, &bound, 0);
+                let (rows, per_shard, pr) = engine.fetch_pattern(cq, pat, &subjects, &objects, 0);
                 scan_elapsed += t_scan.elapsed();
                 fetched += rows.len();
                 dstats.carry_rows += rows.len();
@@ -284,15 +400,11 @@ impl DeltaState {
         let matches = delta.to_matches(cq, layout);
         stats.join_elapsed += t_join.elapsed();
         dstats.retained_partials = self.retained();
-
-        let t_project = Instant::now();
-        let (columns, rows) = engine.project_tuples(cq, &delta);
-        stats.project_elapsed = t_project.elapsed();
         stats.delta = Some(dstats);
         stats.elapsed = t0.elapsed();
         HuntResult {
-            columns,
-            rows,
+            columns: cq.columns(),
+            rows: Vec::new(),
             matches,
             stats,
         }
@@ -453,6 +565,188 @@ mod tests {
         let kept = st2.retained();
         assert_eq!(st2.age(&unbounded, u64::MAX), 0);
         assert_eq!(st2.retained(), kept);
+    }
+
+    /// A poll after an append that brought no new entity evaluates no
+    /// entity row: the memo already covers the whole catalog.
+    #[test]
+    fn polls_without_new_entities_resolve_no_entity_rows() {
+        let sc = ScenarioBuilder::new().seed(5).target_events(2_000).build();
+        let cq = compiled(FIG2_TBQL);
+        let mut state = DeltaState::new(&cq).unwrap();
+        let mut store = StreamingStore::new(true, SealPolicy::events(300));
+        store.append_batch(&sc.log.entities, &[]);
+        let mut polls = Vec::new();
+        for batch in sc.log.events.chunks(400) {
+            store.append_batch(&[], batch);
+            let snapshot = store.snapshot();
+            let engine = ShardedEngine::with_threads(&snapshot, 1);
+            let out = state.poll(&engine, &cq, snapshot.frontier().unwrap().sealed_events);
+            assert_eq!(state.memo.covered, snapshot.catalog().len());
+            polls.push(out.stats.delta.unwrap().entity_rows);
+        }
+        assert!(
+            polls[0] >= sc.log.entities.len(),
+            "the first poll resolves every entity"
+        );
+        assert!(polls[1..].iter().all(|&rows| rows == 0), "{polls:?}");
+
+        // Invalidation clears the memo: the next poll resolves afresh.
+        state.invalidate();
+        assert_eq!(state.memo.covered, 0);
+        let snapshot = store.snapshot();
+        let engine = ShardedEngine::with_threads(&snapshot, 1);
+        let out = state.poll(&engine, &cq, snapshot.frontier().unwrap().sealed_events);
+        assert_eq!(out.stats.delta.unwrap().entity_rows, polls[0]);
+    }
+
+    /// The resolve timer measures the first poll's full resolution and
+    /// a steady-state poll's memo lookups, the latter smaller.
+    #[test]
+    fn resolve_time_is_measured_and_shrinks_in_the_steady_state() {
+        let sc = ScenarioBuilder::new()
+            .seed(42)
+            .attacks(&[AttackKind::DataLeakage])
+            .target_events(4_000)
+            .build();
+        let cq = compiled(FIG2_TBQL);
+        let mut state = DeltaState::new(&cq).unwrap();
+        let mut store = StreamingStore::new(true, SealPolicy::events(300));
+        store.append_batch(&sc.log.entities, &[]);
+        let mut resolve = Vec::new();
+        for batch in sc.log.events.chunks(500) {
+            store.append_batch(&[], batch);
+            let snapshot = store.snapshot();
+            let engine = ShardedEngine::with_threads(&snapshot, 1);
+            let out = state.poll(&engine, &cq, snapshot.frontier().unwrap().sealed_events);
+            resolve.push(out.stats.resolve_elapsed);
+        }
+        let first = resolve[0];
+        assert!(first > std::time::Duration::ZERO);
+        let steady = resolve[1..].iter().min().copied().unwrap();
+        assert!(steady < first, "steady {steady:?} vs first {first:?}");
+    }
+
+    /// Endpoint memo vs from-scratch resolution: entity batches of random
+    /// sizes grow a catalog through `EntityCatalog::extend` (so trailing
+    /// generations fold), and after each batch the extended memo equals
+    /// `resolve_ids` over the whole catalog, unbound and bound, for
+    /// `LIKE`, `=` (indexed and not), disjunctions and no filter over all
+    /// three entity kinds.
+    mod memo {
+        use super::*;
+        use crate::exec::resolve_ids;
+        use proptest::prelude::*;
+        use threatraptor_audit::entity::{
+            Entity, EntityId, FileEntity, NetworkEntity, ProcessEntity,
+        };
+        use threatraptor_storage::catalog::EntityCatalog;
+
+        const QUERIES: [&str; 3] = [
+            r#"proc p["%tool1%"] read file f["/data/dir1/file2"] as e1
+               proc p connect ip i as e2 return p, f, i"#,
+            r#"proc q read file g["%dir2%"] as e1
+               proc q connect ip j[dstip = "192.168.1.3"] as e2 return q"#,
+            r#"proc r[owner = "root" || pid >= 150] write file h as e1 return r, h"#,
+        ];
+
+        fn entity(id: usize, kind: u8, attr: u8) -> Entity {
+            let id = EntityId(id as u32);
+            match kind % 3 {
+                0 => Entity::Process(ProcessEntity {
+                    id,
+                    pid: 100 + u32::from(attr),
+                    exename: format!("/bin/tool{}", attr % 5),
+                    cmdline: format!("tool{} --flag", attr % 5),
+                    owner: ["root", "www"][usize::from(attr % 2)].into(),
+                    start_time: u64::from(attr),
+                }),
+                1 => Entity::File(FileEntity {
+                    id,
+                    name: format!("/data/dir{}/file{}", attr % 3, attr % 7),
+                }),
+                _ => Entity::Network(NetworkEntity {
+                    id,
+                    src_ip: "10.0.0.4".into(),
+                    src_port: 40_000 + u16::from(attr),
+                    dst_ip: format!("192.168.1.{}", attr % 4),
+                    dst_port: 443,
+                    protocol: "tcp".into(),
+                }),
+            }
+        }
+
+        proptest! {
+            #[test]
+            fn extended_memo_equals_from_scratch_resolution(
+                spec in prop::collection::vec((0u8..3, any::<u8>()), 1..160),
+                sizes in prop::collection::vec(0usize..24, 1..16),
+                bound_mask in any::<u64>(),
+            ) {
+                let all: Vec<Entity> = spec
+                    .iter()
+                    .enumerate()
+                    .map(|(id, &(kind, attr))| entity(id, kind, attr))
+                    .collect();
+                let cqs: Vec<CompiledQuery> = QUERIES.iter().map(|q| compiled(q)).collect();
+                let mut memos: Vec<EndpointMemo> =
+                    cqs.iter().map(|cq| EndpointMemo::new(cq.vars.len())).collect();
+                let mut catalog = EntityCatalog::new();
+                let mut held = Vec::new();
+                let mut next = 0;
+                for size in sizes.iter().cycle().take(all.len()) {
+                    if next == all.len() {
+                        break;
+                    }
+                    let end = (next + size).min(all.len());
+                    catalog.extend(&all[next..end]);
+                    held.push(catalog.clone());
+                    let examined: Vec<usize> = cqs
+                        .iter()
+                        .zip(&mut memos)
+                        .map(|(cq, memo)| memo.extend(cq, &catalog))
+                        .collect();
+                    if next == end {
+                        prop_assert!(examined.iter().all(|&n| n == 0));
+                    }
+                    next = end;
+                    // Bound ids: a pseudo-random subset of every id so far.
+                    let bound: IdSet = (0..catalog.len())
+                        .filter(|i| bound_mask.rotate_left(*i as u32 % 64) & 1 == 1)
+                        .map(|i| EntityId(i as u32))
+                        .collect();
+                    for (cq, memo) in cqs.iter().zip(&memos) {
+                        prop_assert_eq!(memo.covered, catalog.len());
+                        for (slot, var) in cq.vars.iter().enumerate() {
+                            let (kind, pred) = (cq.var_kinds[var], &cq.var_predicates[var]);
+                            prop_assert_eq!(
+                                memo.resolve(slot, None).into_owned(),
+                                resolve_ids(&catalog, kind, pred, None),
+                                "{} unbound", var
+                            );
+                            prop_assert_eq!(
+                                memo.resolve(slot, Some(&bound)).into_owned(),
+                                resolve_ids(&catalog, kind, pred, Some(&bound)),
+                                "{} bound", var
+                            );
+                        }
+                    }
+                }
+                // A shorter catalog is not the one memoized: start over.
+                let first = &held[0];
+                for (cq, memo) in cqs.iter().zip(&mut memos) {
+                    memo.extend(cq, first);
+                    prop_assert_eq!(memo.covered, first.len());
+                    for (slot, var) in cq.vars.iter().enumerate() {
+                        let (kind, pred) = (cq.var_kinds[var], &cq.var_predicates[var]);
+                        prop_assert_eq!(
+                            memo.resolve(slot, None).into_owned(),
+                            resolve_ids(first, kind, pred, None)
+                        );
+                    }
+                }
+            }
+        }
     }
 
     /// Path queries cannot run incrementally.

@@ -74,10 +74,8 @@ impl<'s> Engine<'s> {
         let mut result = run_schedule(
             cq,
             &Schedule::new(cq),
-            &mut |pat, bound| {
-                let (subjects, objects) = resolve_endpoints(cq, pat, bound, &self.store.entities);
-                scan_pattern(self.store, cq, pat, &subjects, &objects)
-            },
+            &self.store.entities,
+            &mut |pat, subjects, objects| scan_pattern(self.store, cq, pat, subjects, objects),
             &|id, attr| self.store.entity(id).attr(attr),
         );
         // Single-store execution is one pseudo-shard.
@@ -249,57 +247,95 @@ pub(crate) fn resolve_endpoints(
 /// catalog's generations. With `bound` ids only their rows are examined
 /// (each id in the generation owning its range, through the `id` index);
 /// otherwise the predicate selects over every generation's table.
-fn resolve_ids(
+pub(crate) fn resolve_ids(
     catalog: &EntityCatalog,
     kind: EntityKind,
     pred: &Predicate,
     bound: Option<&IdSet>,
 ) -> IdSet {
     let mut out = IdSet::default();
+    let Some(bound) = bound else {
+        resolve_from(catalog, kind, pred, 0, &mut out);
+        return out;
+    };
     // Ascending ids meet ascending id ranges: one pass over both.
-    let mut bound_ids = bound.map(|ids| ids.iter().peekable());
+    let mut ids = bound.iter().peekable();
     for generation in catalog.generations() {
         let table = generation.table(kind);
-        match &mut bound_ids {
-            Some(ids) => {
-                let by_id = table.index("id").expect("entity tables index id");
-                let pred = pred.bind(table);
-                while let Some(id) = ids.next_if(|id| id.index() < generation.end()) {
-                    if by_id
-                        .get(&Value::from(id.0))
-                        .iter()
-                        .any(|&rid| pred.eval(table.row(rid)))
-                    {
-                        out.insert(id);
-                    }
-                }
-            }
-            None => {
-                let id_col = table.col("id");
-                for rid in table.select(pred) {
-                    let id = table.row(rid)[id_col].as_int().expect("id column");
-                    out.insert(EntityId(id as u32));
-                }
+        let by_id = table.index("id").expect("entity tables index id");
+        let pred = pred.bind(table);
+        while let Some(id) = ids.next_if(|id| id.index() < generation.end()) {
+            if by_id
+                .get(&Value::from(id.0))
+                .iter()
+                .any(|&rid| pred.eval(table.row(rid)))
+            {
+                out.insert(id);
             }
         }
     }
     out
 }
 
+/// Adds to `out` the ids `≥ from` of the catalog's entities of `kind`
+/// that satisfy `pred`, and returns the number of entity rows in that
+/// range. `from = 0` resolves the whole catalog; the delta executor
+/// passes the length its memoized sets already cover, so a poll
+/// evaluates only the entities appended since the last one.
+///
+/// A generation wholly in range is selected as a whole (through its
+/// indexes when the predicate pins an indexed column). The one straddling
+/// `from` holds its rows in ascending id order (entities are inserted in
+/// id order), so a partition point finds the rows in range.
+pub(crate) fn resolve_from(
+    catalog: &EntityCatalog,
+    kind: EntityKind,
+    pred: &Predicate,
+    from: usize,
+    out: &mut IdSet,
+) -> usize {
+    let mut examined = 0;
+    for generation in catalog.generations().iter().filter(|g| g.end() > from) {
+        let table = generation.table(kind);
+        let id_col = table.col("id");
+        let id_of = |row: &[Value]| EntityId(row[id_col].as_int().expect("id column") as u32);
+        let rows = table.rows();
+        let first = if generation.base() >= from {
+            0
+        } else {
+            rows.partition_point(|row| id_of(row).index() < from)
+        };
+        examined += rows.len() - first;
+        if first == 0 {
+            for rid in table.select(pred) {
+                out.insert(id_of(&rows[rid]));
+            }
+        } else {
+            let pred = pred.bind(table);
+            for row in rows[first..].iter().filter(|row| pred.eval(row)) {
+                out.insert(id_of(row));
+            }
+        }
+    }
+    examined
+}
+
 /// One pattern's data query as seen by the scheduling driver: pattern +
-/// the ids propagation bound to its variables in, rows out.
-pub(crate) type PatternFetch<'a> = dyn FnMut(&CompiledPattern, &Bound) -> Vec<PatternRow> + 'a;
+/// the resolved id sets of its subject and object variables in, rows out.
+pub(crate) type PatternFetch<'a> =
+    dyn FnMut(&CompiledPattern, &IdSet, &IdSet) -> Vec<PatternRow> + 'a;
 
 /// The scheduling driver (paper §II-F): pruning-score ordering,
-/// cross-pattern constraint propagation, join, and projection. The store
-/// only enters through the two closures — `fetch` answers one pattern's
-/// data query (single-table for [`Engine`], scatter-gather for the
-/// sharded executor) and `entity_attr` resolves projections — so the
-/// single-store and sharded executors share this logic verbatim rather
-/// than maintaining two copies of it.
+/// cross-pattern constraint propagation, endpoint resolution against
+/// `catalog`, join, and projection. Events only enter through the two
+/// closures — `fetch` answers one pattern's scan (single-table for
+/// [`Engine`], scatter-gather for the sharded executor) and `entity_attr`
+/// resolves projections — so the single-store and sharded executors share
+/// this logic verbatim rather than maintaining two copies of it.
 pub(crate) fn run_schedule(
     cq: &CompiledQuery,
     schedule: &Schedule,
+    catalog: &EntityCatalog,
     fetch: &mut PatternFetch<'_>,
     entity_attr: &dyn Fn(EntityId, &str) -> Option<String>,
 ) -> HuntResult {
@@ -322,8 +358,12 @@ pub(crate) fn run_schedule(
             stats.propagate_elapsed += t_prop.elapsed();
         }
 
+        let t_resolve = Instant::now();
+        let (subjects, objects) = resolve_endpoints(cq, pat, &bound, catalog);
+        stats.resolve_elapsed += t_resolve.elapsed();
+
         let t_fetch = Instant::now();
-        let rows = fetch(pat, &bound);
+        let rows = fetch(pat, &subjects, &objects);
         stats.execution_order.push(pat.id.clone());
         stats.rows_fetched.push((pat.id.clone(), rows.len()));
         stats.propagated.push((pat.id.clone(), propagated));
@@ -415,11 +455,7 @@ fn project(
     id_at: &dyn Fn(usize, usize) -> EntityId,
     entity_attr: &dyn Fn(EntityId, &str) -> Option<String>,
 ) -> (Vec<String>, Vec<Vec<String>>) {
-    let columns: Vec<String> = cq
-        .returns
-        .iter()
-        .map(|(var, attr)| format!("{var}.{attr}"))
-        .collect();
+    let columns = cq.columns();
     let render =
         |id: EntityId, attr: &str| entity_attr(id, attr).unwrap_or_else(|| "<none>".into());
     if !cq.distinct {

@@ -81,6 +81,8 @@ impl PatternActuals {
 pub struct ExplainActuals {
     /// Per-pattern actuals, in execution order.
     pub patterns: Vec<PatternActuals>,
+    /// Endpoint-resolution wall time.
+    pub resolve: Duration,
     /// Total scan wall time.
     pub scan: Duration,
     /// Constraint-propagation wall time.
@@ -183,10 +185,11 @@ impl ExplainReport {
             if let Some(d) = &a.delta {
                 writeln!(
                     out,
-                    "  delta: fresh-from={} fresh-rows={} carry-rows={} partials {}→{}",
+                    "  delta: fresh-from={} fresh-rows={} carry-rows={} entity-rows={} partials {}→{}",
                     d.fresh_from,
                     d.fresh_rows,
                     d.carry_rows,
+                    d.entity_rows,
                     d.carried_partials,
                     d.retained_partials
                 )
@@ -230,8 +233,8 @@ impl ExplainReport {
             }
             writeln!(
                 out,
-                "stages: scan={:.3?} propagate={:.3?} join={:.3?} project={:.3?} total={:.3?}",
-                a.scan, a.propagate, a.join, a.project, a.total
+                "stages: resolve={:.3?} scan={:.3?} propagate={:.3?} join={:.3?} project={:.3?} total={:.3?}",
+                a.resolve, a.scan, a.propagate, a.join, a.project, a.total
             )
             .unwrap();
             writeln!(out, "matches: {}", a.matches).unwrap();
@@ -336,6 +339,7 @@ pub(crate) fn attach_actuals(report: &mut ExplainReport, stats: &HuntStats, matc
         .collect();
     report.actuals = Some(ExplainActuals {
         patterns,
+        resolve: stats.resolve_elapsed,
         scan: stats.scan_elapsed(),
         propagate: stats.propagate_elapsed,
         join: stats.join_elapsed,
@@ -455,6 +459,9 @@ mod tests {
         assert!(text.starts_with("EXPLAIN ANALYZE ("));
         assert!(text.contains("actuals:"));
         assert!(text.contains("matches:"));
+        // Resolution is timed apart from the scans and printed first.
+        assert!(actuals.resolve > Duration::ZERO);
+        assert!(text.contains("stages: resolve="), "{text}");
     }
 
     #[test]

@@ -47,6 +47,23 @@ impl IdSet {
         self.len == 0
     }
 
+    /// Members of both sets, by one word-wise AND.
+    pub fn intersection(&self, other: &IdSet) -> IdSet {
+        let mut words: Vec<u64> = self
+            .words
+            .iter()
+            .zip(&other.words)
+            .map(|(a, b)| a & b)
+            .collect();
+        // Keep the last word non-zero, as `insert` does, so the derived
+        // equality stays set equality.
+        while words.last() == Some(&0) {
+            words.pop();
+        }
+        let len = words.iter().map(|w| w.count_ones() as usize).sum();
+        IdSet { words, len }
+    }
+
     /// Members in ascending id order.
     pub fn iter(&self) -> impl Iterator<Item = EntityId> + '_ {
         self.words.iter().enumerate().flat_map(|(i, &word)| {
@@ -108,6 +125,27 @@ mod tests {
             );
             for probe in 0..600 {
                 prop_assert_eq!(set.contains(EntityId(probe)), want.contains(&probe));
+            }
+        }
+
+        /// Intersection agrees with the ordered sets' intersection.
+        #[test]
+        fn intersection_agrees_with_btreeset(
+            a in prop::collection::vec(0u32..600, 0..80),
+            b in prop::collection::vec(0u32..300, 0..80),
+        ) {
+            let (sa, sb): (IdSet, IdSet) = (
+                a.iter().map(|&i| EntityId(i)).collect(),
+                b.iter().map(|&i| EntityId(i)).collect(),
+            );
+            let (wa, wb): (BTreeSet<u32>, BTreeSet<u32>) =
+                (a.iter().copied().collect(), b.iter().copied().collect());
+            let want: Vec<u32> = wa.intersection(&wb).copied().collect();
+            let expected: IdSet = want.iter().map(|&i| EntityId(i)).collect();
+            for got in [sa.intersection(&sb), sb.intersection(&sa)] {
+                prop_assert_eq!(&got, &expected);
+                prop_assert_eq!(got.len(), want.len());
+                prop_assert_eq!(got.iter().map(|e| e.0).collect::<Vec<_>>(), want.clone());
             }
         }
     }

@@ -60,6 +60,10 @@ pub struct DeltaStats {
     pub carried_partials: usize,
     /// Partial bindings retained after this poll.
     pub retained_partials: usize,
+    /// Entity-table rows this poll examined to extend its memoized
+    /// endpoint sets: the rows of entities appended since the previous
+    /// poll (every entity on a from-zero poll), zero when no entity was.
+    pub entity_rows: usize,
 }
 
 /// Execution statistics.
@@ -89,6 +93,11 @@ pub struct HuntStats {
     /// Wall time spent in each pattern's data query (the scan), in
     /// execution order.
     pub pattern_elapsed: Vec<(String, Duration)>,
+    /// Wall time resolving the patterns' endpoint variables to entity id
+    /// sets (a full execution evaluates each variable's predicate over
+    /// the catalog; a delta poll extends its memoized sets and narrows
+    /// them to propagated ids).
+    pub resolve_elapsed: Duration,
     /// Wall time building cross-pattern IN-set filters (constraint
     /// propagation; zero for a baseline).
     pub propagate_elapsed: Duration,
@@ -121,10 +130,12 @@ impl HuntStats {
     }
 
     /// Records the per-stage breakdown into a [`TraceSink`] (one
-    /// sample per stage: `scan`, `propagate`, `join`, `project`).
+    /// sample per stage: `resolve`, `scan`, `propagate`, `join`,
+    /// `project`).
     ///
     /// [`TraceSink`]: threatraptor_obs::TraceSink
     pub fn record_stages(&self, sink: &threatraptor_obs::TraceSink) {
+        sink.record("resolve", self.resolve_elapsed);
         sink.record("scan", self.scan_elapsed());
         sink.record("propagate", self.propagate_elapsed);
         sink.record("join", self.join_elapsed);

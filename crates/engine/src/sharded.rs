@@ -32,12 +32,9 @@
 
 use crate::compile::{compile, CompiledPattern, CompiledQuery, CompiledShape};
 use crate::error::EngineError;
-use crate::exec::{
-    expand_paths, project_matches, project_tuples, resolve_endpoints, run_schedule, scan_pattern,
-    ExecMode,
-};
+use crate::exec::{expand_paths, project_matches, run_schedule, scan_pattern, ExecMode};
 use crate::idset::IdSet;
-use crate::join::{Bound, PatternRow, Schedule, Tuples};
+use crate::join::{PatternRow, Schedule};
 use crate::result::{HuntResult, Match};
 use std::collections::HashMap;
 use std::rc::Rc;
@@ -118,8 +115,9 @@ impl<'s> ShardedEngine<'s> {
         let mut result = run_schedule(
             cq,
             &Schedule::new(cq),
-            &mut |pat, bound| {
-                let (rows, per_shard, pruned) = self.fetch_pattern(cq, pat, bound, 0);
+            self.store.catalog(),
+            &mut |pat, subjects, objects| {
+                let (rows, per_shard, pruned) = self.fetch_pattern(cq, pat, subjects, objects, 0);
                 shard_rows.borrow_mut().push((pat.id.clone(), per_shard));
                 rows_pruned.borrow_mut().push((pat.id.clone(), pruned));
                 rows
@@ -164,24 +162,17 @@ impl<'s> ShardedEngine<'s> {
         project_matches(cq, matches, &|id, attr| self.store.entity(id).attr(attr))
     }
 
-    /// [`ShardedEngine::project`] over slot tuples (the delta executor's
-    /// not yet materialized matches).
-    pub(crate) fn project_tuples(
-        &self,
-        cq: &CompiledQuery,
-        tuples: &Tuples,
-    ) -> (Vec<String>, Vec<Vec<String>>) {
-        project_tuples(cq, tuples, &|id, attr| self.store.entity(id).attr(attr))
-    }
-
     /// Runs one pattern's data query across all shards; the returned rows
     /// carry *global* event positions, sorted for a deterministic join.
     /// Also returns the per-shard row counts (index = shard) feeding the
     /// execution profile, and the number of rows the DBM feasible-range
     /// clamp excluded.
     ///
-    /// Entity predicates are resolved here, once per pattern, against the
-    /// store's entity catalog; shards hold events only.
+    /// `subjects` and `objects` are the pattern's endpoint id sets,
+    /// resolved once per pattern by the caller against the store's entity
+    /// catalog (the full executor through
+    /// [`resolve_endpoints`](crate::exec::resolve_endpoints), the delta
+    /// executor from its memo); shards hold events only.
     ///
     /// `min_pos` restricts event-pattern scans to rows whose witness
     /// position is at least `min_pos` — the delta executor's epoch-range
@@ -193,17 +184,17 @@ impl<'s> ShardedEngine<'s> {
         &self,
         cq: &CompiledQuery,
         pat: &CompiledPattern,
-        bound: &Bound,
+        subjects: &IdSet,
+        objects: &IdSet,
         min_pos: usize,
     ) -> (Vec<PatternRow>, Vec<usize>, usize) {
-        let (subjects, objects) = resolve_endpoints(cq, pat, bound, self.store.catalog());
         let shard_of = |r: &PatternRow| self.store.locate(r.events.first()).0;
         let (mut rows, mut per_shard) = match pat.shape {
             CompiledShape::Event { .. } => {
-                self.scatter_event_pattern(cq, pat, &subjects, &objects, min_pos)
+                self.scatter_event_pattern(cq, pat, subjects, objects, min_pos)
             }
             CompiledShape::Path { .. } => {
-                let rows = self.path_over_shards(pat, &subjects, &objects);
+                let rows = self.path_over_shards(pat, subjects, objects);
                 // Paths expand globally; attribute each row to the shard
                 // holding its first hop so profile totals still add up.
                 let mut per_shard = vec![0usize; self.store.shard_count()];

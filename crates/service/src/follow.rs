@@ -40,9 +40,14 @@
 //! the poll scans just the epoch delta — newly sealed rows plus the
 //! open window — and joins the fresh rows against **retained partial
 //! bindings** over the stable prefix, so steady-state cost is O(delta)
-//! rather than O(store). Re-led open-window runs need no re-validation:
-//! the open window is entirely above the stable frontier and is
-//! re-scanned every poll. The hunt falls back to full re-execution on
+//! rather than O(store). Endpoint resolution is memoized per standing
+//! query, so a poll evaluates entity predicates only over the entities
+//! appended since the previous one. The engine hands back matches
+//! without projecting them; this layer keys each one by slot and
+//! pattern position (no name is cloned) and renders only the matches
+//! it has not delivered before. Re-led open-window runs need no
+//! re-validation: the open window is entirely above the stable frontier
+//! and is re-scanned every poll. The hunt falls back to full re-execution on
 //! discontinuity (raw or sealed frontier regression — retained state is
 //! invalidated first), on batch snapshots without a frontier, and for
 //! path-pattern plans; the first poll is by construction a from-zero
@@ -74,6 +79,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 use threatraptor_audit::entity::EntityId;
 use threatraptor_audit::event::Operation;
+use threatraptor_engine::compile::CompiledQuery;
 use threatraptor_engine::result::{DeltaStats, HuntStats, Match};
 use threatraptor_engine::{DeltaState, ExecMode, HuntResult, ShardedEngine};
 use threatraptor_obs::{Counter, Gauge, Registry};
@@ -88,45 +94,36 @@ use threatraptor_storage::ShardedStore;
 /// re-leading where the first-constituent id does not.
 type WitnessKey = (EntityId, EntityId, Operation, u64);
 
-/// Stable identity of a match: sorted variable bindings plus, per
-/// pattern, the run identities of its witnessing events.
-type MatchKey = (Vec<(String, EntityId)>, Vec<(String, Vec<WitnessKey>)>);
+/// Stable identity of a match: its variable bindings in `cq.vars` slot
+/// order plus, per pattern in declaration order, the run identities of
+/// its witnessing events. Every match of one standing query binds the
+/// same variables and patterns, so positions alone name them.
+type MatchKey = (Vec<Option<EntityId>>, Vec<Vec<WitnessKey>>);
 
-fn match_key(m: &Match, store: &ShardedStore) -> MatchKey {
-    let mut bindings: Vec<(String, EntityId)> = m
-        .bindings
-        .iter()
-        .map(|(var, &id)| (var.clone(), id))
-        .collect();
-    bindings.sort();
-    let mut events: Vec<(String, Vec<WitnessKey>)> = m
-        .events
-        .iter()
-        .map(|(pat, positions)| {
-            (
-                pat.clone(),
-                positions
-                    .iter()
-                    .map(|&p| {
-                        let e = store.event_at(p);
-                        #[cfg(not(check_mutants))]
-                        let key = (e.subject, e.object, e.op, e.start);
-                        // Seeded bug (mutant CI job): key the witness by
-                        // its leading event id instead of the run start.
-                        // A same-start tie arriving later re-leads the
-                        // merged run under a new id, so the same logical
-                        // match refires — the exact exactly-once
-                        // regression the dispatcher model must re-find.
-                        #[cfg(check_mutants)]
-                        let key = (e.subject, e.object, e.op, u64::from(e.id.0));
-                        key
-                    })
-                    .collect(),
-            )
+fn match_key(m: &Match, cq: &CompiledQuery, store: &ShardedStore) -> MatchKey {
+    let bindings = cq.vars.iter().map(|var| m.bindings.get(var).copied());
+    let events = cq.patterns.iter().map(|pat| {
+        m.events.get(&pat.id).map_or_else(Vec::new, |positions| {
+            positions
+                .iter()
+                .map(|&p| {
+                    let e = store.event_at(p);
+                    #[cfg(not(check_mutants))]
+                    let key = (e.subject, e.object, e.op, e.start);
+                    // Seeded bug (mutant CI job): key the witness by
+                    // its leading event id instead of the run start.
+                    // A same-start tie arriving later re-leads the
+                    // merged run under a new id, so the same logical
+                    // match refires — the exact exactly-once
+                    // regression the dispatcher model must re-find.
+                    #[cfg(check_mutants)]
+                    let key = (e.subject, e.object, e.op, u64::from(e.id.0));
+                    key
+                })
+                .collect()
         })
-        .collect();
-    events.sort();
-    (bindings, events)
+    });
+    (bindings.collect(), events.collect())
 }
 
 /// Accumulates one poll's engine statistics into the running result's:
@@ -136,6 +133,7 @@ fn match_key(m: &Match, store: &ShardedStore) -> MatchKey {
 fn merge_stats(running: &mut HuntStats, poll: &HuntStats) {
     running.execution_order = poll.execution_order.clone();
     running.elapsed += poll.elapsed;
+    running.resolve_elapsed += poll.resolve_elapsed;
     running.propagate_elapsed += poll.propagate_elapsed;
     running.join_elapsed += poll.join_elapsed;
     running.project_elapsed += poll.project_elapsed;
@@ -190,7 +188,9 @@ struct FollowObs {
     /// `follow_dedup_aged_total`: dedup entries (`seen` witnesses and,
     /// on a drained query, distinct-row history) aged out.
     dedup_aged: Arc<Counter>,
-    /// `follow_partials_retained`: retained partial bindings right now.
+    /// `follow_partials_retained`: retained partial bindings right now,
+    /// summed over every hunt sharing the registry. Each hunt adds the
+    /// change in its own count and takes its share back when dropped.
     partials_retained: Arc<Gauge>,
     /// For `follow_pattern_rows_total{pattern=...}` series.
     registry: Arc<Registry>,
@@ -246,6 +246,8 @@ pub struct FollowHunt {
     polls: usize,
     /// Telemetry handles, when attached.
     obs: Option<FollowObs>,
+    /// This hunt's share of the `follow_partials_retained` gauge.
+    reported_partials: usize,
 }
 
 impl FollowHunt {
@@ -264,6 +266,7 @@ impl FollowHunt {
             last_raw: None,
             polls: 0,
             obs: None,
+            reported_partials: 0,
         }
     }
 
@@ -391,7 +394,7 @@ impl FollowHunt {
         let delta_matches: Vec<Match> = full
             .matches
             .iter()
-            .filter(|m| self.seen.insert(match_key(m, snapshot)))
+            .filter(|m| self.seen.insert(match_key(m, cq, snapshot)))
             .cloned()
             .collect();
         let (columns, mut delta_rows) = engine.project(cq, &delta_matches);
@@ -430,7 +433,8 @@ impl FollowHunt {
                 self.seen.retain(|key| {
                     key.1
                         .iter()
-                        .flat_map(|(_, ws)| ws.iter().map(|w| w.3))
+                        .flatten()
+                        .map(|w| w.3)
                         .max()
                         .is_none_or(|newest_start| newest_start >= settled)
                 });
@@ -469,8 +473,10 @@ impl FollowHunt {
             }
             obs.partials_aged.add(aged_partials as u64);
             obs.dedup_aged.add(aged_dedup as u64);
+            let retained = self.retained_partials();
             obs.partials_retained
-                .set(self.delta.as_ref().map_or(0, DeltaState::retained) as i64);
+                .add(retained as i64 - self.reported_partials as i64);
+            self.reported_partials = retained;
             for (pat, fetched) in &full.stats.rows_fetched {
                 obs.registry
                     .counter_labeled("follow_pattern_rows_total", &[("pattern", pat)])
@@ -485,6 +491,16 @@ impl FollowHunt {
             elapsed: t0.elapsed(),
             delta: delta_stats,
         })
+    }
+}
+
+impl Drop for FollowHunt {
+    /// Takes this hunt's share back out of the shared
+    /// `follow_partials_retained` gauge.
+    fn drop(&mut self) {
+        if let Some(obs) = &self.obs {
+            obs.partials_retained.add(-(self.reported_partials as i64));
+        }
     }
 }
 

@@ -429,7 +429,7 @@ fn execute_job(store: &ShardedStore, cache: &PlanCache, job: &HuntJob) -> JobRep
 
 /// Lays per-stage child spans under the exec span of a job trace:
 /// one `scan:<pattern>` span per pattern (with rows-scanned and
-/// shard-count attributes) followed by propagate/join/project. The
+/// shard-count attributes) followed by resolve/propagate/join/project. The
 /// stats carry durations, not absolute times, so the spans are placed
 /// back-to-back from the exec span's start — their *widths* are the
 /// measured stage times; any exec time they don't cover (snapshot
@@ -447,6 +447,7 @@ fn record_stage_spans(trace: &mut TraceTree, exec: usize, stats: &HuntStats) {
         cursor += *elapsed;
     }
     for (name, elapsed) in [
+        ("resolve", stats.resolve_elapsed),
         ("propagate", stats.propagate_elapsed),
         ("join", stats.join_elapsed),
         ("project", stats.project_elapsed),
@@ -1256,6 +1257,51 @@ mod tests {
         assert!(metrics.gauge("follow_partials_retained").is_some());
     }
 
+    /// Every standing query shares the server's registry, so the
+    /// retained-partials gauge is the sum over all of them, and an
+    /// unfollowed query takes its share out.
+    #[test]
+    fn partials_gauge_sums_every_standing_query() {
+        let sc = scenario();
+        let server = server();
+        let queries = [
+            FIG2_TBQL,
+            "proc p read file f as e1 proc p write file g as e2 return p, f, g",
+            "proc p read file f as e1 proc p connect ip i as e2 return p, i",
+        ];
+        // Held: a dropped subscription unregisters its query.
+        let subs: Vec<FollowSubscription> = queries
+            .iter()
+            .map(|q| server.follow(q).unwrap().0)
+            .collect();
+        for chunk in LogFeed::by_events(&sc.raw, 800) {
+            server.append(&chunk.unwrap());
+        }
+        assert!(server.wait_caught_up(Duration::from_secs(60)));
+        let shares = || -> Vec<(u64, i64)> {
+            let follows = server.follows.lock().unwrap();
+            follows
+                .iter()
+                .map(|e| (e.id, e.hunt.retained_partials() as i64))
+                .collect()
+        };
+        let gauge = || server.metrics().gauge("follow_partials_retained").unwrap();
+        let before = shares();
+        let total: i64 = before.iter().map(|(_, n)| n).sum();
+        assert!(
+            before.iter().filter(|(_, n)| *n > 0).count() >= 2,
+            "{before:?}"
+        );
+        assert_eq!(gauge(), total);
+
+        let (gone, share) = *before.iter().find(|(_, n)| *n > 0).unwrap();
+        assert!(subs.iter().any(|sub| sub.id() == gone));
+        assert!(server.unfollow(gone));
+        assert_eq!(gauge(), total - share);
+        let after: i64 = shares().iter().map(|(_, n)| n).sum();
+        assert_eq!(gauge(), after);
+    }
+
     #[test]
     fn profiles_propagate_trace_context_end_to_end() {
         let sc = scenario();
@@ -1295,7 +1341,7 @@ mod tests {
             .map(|i| profile.trace.nodes()[i].name.as_str())
             .collect();
         assert!(stage_names.iter().any(|n| n.starts_with("scan:")));
-        for stage in ["propagate", "join", "project"] {
+        for stage in ["resolve", "propagate", "join", "project"] {
             assert!(stage_names.contains(&stage), "missing {stage}");
         }
         // Latency bounds the parts and is what slow_hunts ranks by.

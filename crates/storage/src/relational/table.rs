@@ -199,6 +199,11 @@ impl Table {
         self.btree_indexes.get(col).map(|idx| idx.range(lo, hi))
     }
 
+    /// All rows, in insertion ([`RowId`]) order.
+    pub fn rows(&self) -> &[Row] {
+        &self.rows
+    }
+
     /// Evaluates `pred` over the whole table (or an index-reduced subset)
     /// and returns matching row ids in ascending order.
     ///

@@ -102,9 +102,11 @@ fn one_server_run_populates_every_lifecycle_family() {
 
     // -- per-stage hunt spans ------------------------------------------
     // parse/analyze/compile/synthesize come from the plan cache;
-    // scan/propagate/join/project from job execution. Every stage the
+    // resolve/scan/propagate/join/project from job execution. Every stage the
     // lifecycle passes through must have recorded spans.
-    for stage in ["parse", "analyze", "compile", "scan", "join", "project"] {
+    for stage in [
+        "parse", "analyze", "compile", "resolve", "scan", "join", "project",
+    ] {
         let h = snapshot
             .histogram("hunt_stage_ns", &[("stage", stage)])
             .unwrap_or_else(|| panic!("missing hunt_stage_ns{{stage={stage}}}"));
