@@ -1,10 +1,15 @@
-//! Pattern compilation: TBQL → relational plans and graph path queries.
+//! Pattern compilation: an analyzed TBQL query → the executor's plan.
 //!
-//! Event patterns become a three-way join (subject entity table ⋈ event
-//! table ⋈ object entity table) — "a SQL data query which joins entity
-//! tables with event table". Path patterns become graph
-//! [`PathQuery`]s — "since it is difficult to perform graph pattern search
-//! using SQL, ThreatRaptor compiles it into a Cypher data query".
+//! The paper compiles each pattern to "a SQL data query which joins
+//! entity tables with event table", or to a Cypher query for a path
+//! pattern (§II-F). Here each pattern compiles to what the executor's one
+//! data path needs: the entity [`Predicate`] of each variable (resolved
+//! against the entity catalog), and the pattern's shape — the typed
+//! [`Operation`]s an event pattern admits, or a path's hop bounds and
+//! final-hop operation — which the event scan and the path expansion
+//! probe the shards' postings with. The SQL and Cypher texts the paper's
+//! conciseness comparison counts are rendered from the TBQL AST by
+//! `threatraptor_bench::reference`.
 //!
 //! Compilation also assigns **slots**: every entity variable gets a
 //! position in [`CompiledQuery::vars`], every pattern is its own slot
@@ -14,13 +19,10 @@
 //! when a delivered [`Match`](crate::Match) is materialized.
 
 use crate::error::EngineError;
-use std::collections::{HashMap, HashSet};
-use threatraptor_audit::entity::{EntityId, EntityKind};
-use threatraptor_storage::graphdb::PathQuery;
-use threatraptor_storage::relational::{
-    CmpOp as SqlCmp, JoinCond, Predicate, SqlSelect, TableRef, Value,
-};
-use threatraptor_storage::store::{AuditStore, TABLE_EVENT};
+use std::collections::HashMap;
+use threatraptor_audit::entity::EntityKind;
+use threatraptor_audit::event::Operation;
+use threatraptor_storage::relational::{CmpOp as SqlCmp, Predicate, Value};
 use threatraptor_tbql::analyze::AnalyzedQuery;
 use threatraptor_tbql::ast::{CmpOp, EntityType, Expr, Lit, Pattern, TimeWindow};
 use threatraptor_tbql::lint::{lint, LintReport};
@@ -62,8 +64,8 @@ pub struct CompiledPattern {
 pub enum CompiledShape {
     /// Single event: operation alternatives.
     Event {
-        /// Operation names (`read` …).
-        ops: Vec<String>,
+        /// Admitted operations, in the query's order.
+        ops: Vec<Operation>,
     },
     /// Variable-length path.
     Path {
@@ -72,7 +74,7 @@ pub enum CompiledShape {
         /// Maximum hops.
         max_hops: u32,
         /// Final-hop operation.
-        last_op: String,
+        last_op: Operation,
     },
 }
 
@@ -153,6 +155,14 @@ pub fn compile_with_lint(aq: &AnalyzedQuery) -> Result<(CompiledQuery, LintRepor
     Ok((cq, report))
 }
 
+/// Parses an operation name. Analysis validates names against the TBQL
+/// vocabulary, so an unknown one is a vocabulary mismatch with the audit
+/// layer, reported as an error rather than a panic.
+fn operation(name: &str) -> Result<Operation, EngineError> {
+    name.parse()
+        .map_err(|e| EngineError::Execution(format!("{e}")))
+}
+
 /// Builds the plan for a query the lint pass accepted.
 fn compile_feasible(aq: &AnalyzedQuery, report: &LintReport) -> Result<CompiledQuery, EngineError> {
     let mut var_predicates = HashMap::new();
@@ -181,7 +191,14 @@ fn compile_feasible(aq: &AnalyzedQuery, report: &LintReport) -> Result<CompiledQ
         let (subject_slot, object_slot) = (var_slot(&subject_var)?, var_slot(&object_var)?);
         let object_kind = var_kinds[&object_var];
         let (shape, window, max_len) = match pat {
-            Pattern::Event(e) => (CompiledShape::Event { ops: e.ops.clone() }, e.window, 1u32),
+            Pattern::Event(e) => {
+                let ops = e
+                    .ops
+                    .iter()
+                    .map(|o| operation(o))
+                    .collect::<Result<_, _>>()?;
+                (CompiledShape::Event { ops }, e.window, 1u32)
+            }
             Pattern::Path(p) => {
                 let min = p.min_hops.unwrap_or(1);
                 let max = p.max_hops.unwrap_or(min.max(4));
@@ -189,7 +206,7 @@ fn compile_feasible(aq: &AnalyzedQuery, report: &LintReport) -> Result<CompiledQ
                     CompiledShape::Path {
                         min_hops: min,
                         max_hops: max,
-                        last_op: p.last_op.clone(),
+                        last_op: operation(&p.last_op)?,
                     },
                     p.window,
                     max,
@@ -254,173 +271,6 @@ impl CompiledQuery {
             .map(|(var, attr)| format!("{var}.{attr}"))
             .collect()
     }
-
-    /// Builds the relational plan for an event pattern, with extra
-    /// propagated predicates per variable (the scheduler's filter
-    /// pushdown).
-    pub fn event_plan(
-        &self,
-        pat: &CompiledPattern,
-        extra: &HashMap<String, Predicate>,
-    ) -> SqlSelect {
-        let CompiledShape::Event { ops } = &pat.shape else {
-            panic!("event_plan on a path pattern");
-        };
-        let mut event_pred = vec![op_predicate(ops)];
-        if let Some(w) = pat.window {
-            event_pred.push(Predicate::Cmp(
-                "start".into(),
-                SqlCmp::Ge,
-                Value::from(w.lo),
-            ));
-            event_pred.push(Predicate::Cmp("end".into(), SqlCmp::Le, Value::from(w.hi)));
-        }
-        let var_pred = |var: &str| {
-            let mut legs = vec![self.var_predicates[var].clone()];
-            if let Some(p) = extra.get(var) {
-                legs.push(p.clone());
-            }
-            Predicate::and(legs)
-        };
-        SqlSelect {
-            from: vec![
-                TableRef::new(
-                    AuditStore::entity_table(self.var_kinds[&pat.subject_var]),
-                    "s",
-                ),
-                TableRef::new(TABLE_EVENT, "e"),
-                TableRef::new(AuditStore::entity_table(pat.object_kind), "o"),
-            ],
-            joins: vec![
-                JoinCond::new("s", "id", "e", "subject"),
-                JoinCond::new("o", "id", "e", "object"),
-            ],
-            filters: vec![
-                ("s".into(), var_pred(&pat.subject_var)),
-                ("e".into(), Predicate::and(event_pred)),
-                ("o".into(), var_pred(&pat.object_var)),
-            ],
-            projection: vec![
-                ("s".into(), "id".into()),
-                ("e".into(), "id".into()),
-                ("o".into(), "id".into()),
-            ],
-            distinct: false,
-        }
-    }
-
-    /// Builds the graph path query for a path pattern over already
-    /// resolved endpoint id sets (the endpoint predicates evaluated
-    /// against the entity catalog).
-    pub fn path_plan(
-        &self,
-        pat: &CompiledPattern,
-        src: HashSet<EntityId>,
-        dst: HashSet<EntityId>,
-    ) -> PathQuery {
-        let CompiledShape::Path {
-            min_hops,
-            max_hops,
-            last_op,
-        } = &pat.shape
-        else {
-            panic!("path_plan on an event pattern");
-        };
-        PathQuery {
-            src: Some(src),
-            dst: Some(dst),
-            min_hops: *min_hops,
-            max_hops: *max_hops,
-            last_op: Some(
-                last_op
-                    .parse()
-                    .expect("operation names validated by analysis"),
-            ),
-            mid_ops: None,
-            time_monotone: true,
-            window: pat.window.map(|w| (w.lo, w.hi)),
-            max_matches: crate::exec::MAX_PATH_MATCHES,
-        }
-    }
-
-    /// Renders a path pattern as Cypher text (for the conciseness
-    /// comparison and for debugging).
-    pub fn to_cypher(&self, pat: &CompiledPattern) -> String {
-        let CompiledShape::Path {
-            min_hops,
-            max_hops,
-            last_op,
-        } = &pat.shape
-        else {
-            // Event patterns render as single-hop relationships.
-            let CompiledShape::Event { ops } = &pat.shape else {
-                unreachable!()
-            };
-            let ops = ops
-                .iter()
-                .map(|o| o.to_uppercase())
-                .collect::<Vec<_>>()
-                .join("|");
-            return format!(
-                "MATCH ({s}:{st})-[e:{ops}]->({o}:{ot}) WHERE {w} RETURN {s}, e, {o};",
-                s = pat.subject_var,
-                st = label(self.var_kinds[&pat.subject_var]),
-                o = pat.object_var,
-                ot = label(pat.object_kind),
-                w = cypher_where(self, pat),
-            );
-        };
-        format!(
-            "MATCH p = ({s}:{st})-[*{min}..{max}]->({o}:{ot}) \
-             WHERE {w} AND last(relationships(p)).op = '{last_op}' RETURN p;",
-            s = pat.subject_var,
-            st = label(self.var_kinds[&pat.subject_var]),
-            min = min_hops,
-            max = max_hops,
-            o = pat.object_var,
-            ot = label(pat.object_kind),
-            w = cypher_where(self, pat),
-        )
-    }
-}
-
-fn label(kind: EntityKind) -> &'static str {
-    match kind {
-        EntityKind::Process => "Process",
-        EntityKind::File => "File",
-        EntityKind::Network => "Connection",
-    }
-}
-
-fn cypher_where(cq: &CompiledQuery, pat: &CompiledPattern) -> String {
-    let mut parts = Vec::new();
-    for var in [&pat.subject_var, &pat.object_var] {
-        let pred = &cq.var_predicates[var];
-        if !matches!(pred, Predicate::True) {
-            parts.push(
-                pred.to_sql(var)
-                    .replace(" LIKE '%", " CONTAINS '")
-                    .replace("%'", "'"),
-            );
-        }
-    }
-    if parts.is_empty() {
-        "true".to_string()
-    } else {
-        parts.join(" AND ")
-    }
-}
-
-/// Event-table predicate for operation alternatives.
-pub fn op_predicate(ops: &[String]) -> Predicate {
-    if ops.len() == 1 {
-        Predicate::eq("op", ops[0].as_str())
-    } else {
-        Predicate::InSet(
-            "op".into(),
-            ops.iter().map(|o| Value::str(o.as_str())).collect(),
-        )
-    }
 }
 
 #[cfg(test)]
@@ -445,37 +295,6 @@ mod tests {
         assert_eq!(cq.before.len(), 7);
         assert!(cq.distinct);
         assert_eq!(cq.returns.len(), 9);
-    }
-
-    #[test]
-    fn event_plan_shape() {
-        let cq = compiled(r#"proc p["%/bin/tar%"] read file f["%/etc/passwd%"] as e1 return p"#);
-        let plan = cq.event_plan(&cq.patterns[0], &HashMap::new());
-        assert_eq!(plan.from.len(), 3);
-        let sql = plan.to_sql();
-        assert!(sql.contains("process AS s"));
-        assert!(sql.contains("event AS e"));
-        assert!(sql.contains("file AS o"));
-        assert!(sql.contains("s.id = e.subject"));
-        assert!(sql.contains("e.op = 'read'"));
-        assert!(sql.contains("s.exename LIKE '%/bin/tar%'"));
-    }
-
-    #[test]
-    fn window_becomes_time_predicates() {
-        let cq = compiled("proc p read file f as e1 window [100, 900] return p");
-        let plan = cq.event_plan(&cq.patterns[0], &HashMap::new());
-        let sql = plan.to_sql();
-        assert!(sql.contains("e.start >= 100"));
-        assert!(sql.contains("e.end <= 900"));
-    }
-
-    #[test]
-    fn op_alternatives_become_in_set() {
-        let cq = compiled("proc p read || write file f as e1 return p");
-        let plan = cq.event_plan(&cq.patterns[0], &HashMap::new());
-        let sql = plan.to_sql();
-        assert!(sql.contains("e.op IN ('read', 'write')"), "{sql}");
     }
 
     #[test]
@@ -506,16 +325,31 @@ mod tests {
     }
 
     #[test]
-    fn cypher_rendering() {
-        let cq = compiled(r#"proc p["%gpg%"] ~>(2~4)[read] file f as pp return p"#);
-        let cypher = cq.to_cypher(&cq.patterns[0]);
-        assert!(cypher.contains("[*2..4]"), "{cypher}");
-        assert!(cypher.contains("last(relationships(p)).op = 'read'"));
-        assert!(cypher.contains("CONTAINS 'gpg'"));
+    fn operations_compile_typed() {
+        let cq = compiled(
+            "proc p read || write file f as e1 proc p ~>(1~2)[execute] file g as e2 return p",
+        );
+        let CompiledShape::Event { ops } = &cq.patterns[0].shape else {
+            panic!("e1 is an event pattern");
+        };
+        assert_eq!(ops, &[Operation::Read, Operation::Write]);
+        let CompiledShape::Path { last_op, .. } = &cq.patterns[1].shape else {
+            panic!("e2 is a path pattern");
+        };
+        assert_eq!(*last_op, Operation::Execute);
 
-        let cq = compiled("proc p read || write file f as e1 return p");
-        let cypher = cq.to_cypher(&cq.patterns[0]);
-        assert!(cypher.contains("[e:READ|WRITE]"), "{cypher}");
+        // An operation name analysis accepted but the audit layer does not
+        // know is a typed error, not a panic.
+        let mut aq = analyze(&parse_query("proc p read file f as e1 return p").unwrap()).unwrap();
+        let Pattern::Event(e) = &mut aq.query.patterns[0] else {
+            unreachable!()
+        };
+        e.ops = vec!["teleport".into()];
+        let err = compile(&aq).unwrap_err();
+        assert!(
+            matches!(&err, EngineError::Execution(m) if m.contains("teleport")),
+            "{err:?}"
+        );
     }
 
     #[test]

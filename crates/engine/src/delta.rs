@@ -328,7 +328,7 @@ impl DeltaState {
                 stats.resolve_elapsed += t_resolve.elapsed();
                 let t_scan = Instant::now();
                 let (rows, per_shard, pr) =
-                    engine.fetch_pattern(cq, pat, &subjects, &objects, fresh_from);
+                    engine.fetch_pattern(pat, &subjects, &objects, fresh_from);
                 scan_elapsed += t_scan.elapsed();
                 fetched += rows.len();
                 dstats.fresh_rows += rows.len();
@@ -352,7 +352,7 @@ impl DeltaState {
                 let (subjects, objects) = self.memo.endpoints(pat, &bound);
                 stats.resolve_elapsed += t_resolve.elapsed();
                 let t_scan = Instant::now();
-                let (rows, per_shard, pr) = engine.fetch_pattern(cq, pat, &subjects, &objects, 0);
+                let (rows, per_shard, pr) = engine.fetch_pattern(pat, &subjects, &objects, 0);
                 scan_elapsed += t_scan.elapsed();
                 fetched += rows.len();
                 dstats.carry_rows += rows.len();

@@ -4,18 +4,25 @@
 //! One pattern's data query runs in two halves. **Resolve**: each
 //! endpoint variable's predicate — narrowed to the ids earlier patterns
 //! bound, when propagation applies — is evaluated once against the
-//! entity catalog into a dense id set. **Scan**: the shard's event
-//! postings (or graph) are searched with those sets, picking the
+//! entity catalog into a dense id set. **Scan**: an event pattern
+//! searches each shard's event postings with those sets, picking the
 //! cheapest of the subject, object and operation postings by their
-//! sizes. The split is what lets the sharded executor resolve once and
-//! hand the same sets to every shard's scan. Rows then meet the partial matches in the slot-compiled
-//! hash join of the crate's `join` module.
+//! sizes (`scan_events`); a path pattern expands hop by hop over the
+//! subject postings (`expand_paths`). The split is what lets the
+//! sharded executor resolve once and hand the same sets to every shard's
+//! scan. Rows then meet the partial matches in the slot-compiled hash
+//! join of the crate's `join` module.
+//!
+//! [`Engine`], the single-store entry point, is the one-shard case of
+//! [`ShardedEngine`]: every hunt, whatever its store, runs the same scan,
+//! path expansion, feasible-range clamp and row order.
 
 use crate::compile::{compile, CompiledPattern, CompiledQuery, CompiledShape};
 use crate::error::EngineError;
 use crate::idset::IdSet;
 use crate::join::{join_rows, propagate, Bound, PatternRow, Schedule, Tuples, Witness};
 use crate::result::{HuntResult, HuntStats, JoinStats, Match};
+use crate::sharded::ShardedEngine;
 use std::collections::{HashMap, HashSet};
 use std::ops::Deref;
 use std::time::Instant;
@@ -43,7 +50,10 @@ pub enum ExecMode {
     Scheduled,
 }
 
-/// The query engine over one audit store.
+/// The query engine over one audit store: a facade over a
+/// [`ShardedEngine`] on the store's one-shard view
+/// ([`AuditStore::sharded`]), so it returns exactly what the sharded
+/// engine returns over the same `(log, cpr)` input, in the same order.
 #[derive(Debug, Clone, Copy)]
 pub struct Engine<'s> {
     store: &'s AuditStore,
@@ -69,51 +79,21 @@ impl<'s> Engine<'s> {
         self.execute(&compile(&analyze(query)?)?)
     }
 
-    /// Executes a compiled query.
+    /// Executes a compiled query. One shard needs no fan-out thread.
     pub fn execute(&self, cq: &CompiledQuery) -> Result<HuntResult, EngineError> {
-        let mut result = run_schedule(
-            cq,
-            &Schedule::new(cq),
-            &self.store.entities,
-            &mut |pat, subjects, objects| scan_pattern(self.store, cq, pat, subjects, objects),
-            &|id, attr| self.store.entity(id).attr(attr),
-        );
-        // Single-store execution is one pseudo-shard.
-        result.stats.shard_rows = result
-            .stats
-            .rows_fetched
-            .iter()
-            .map(|(id, n)| (id.clone(), vec![*n]))
-            .collect();
-        Ok(result)
+        ShardedEngine::with_threads(&self.store.sharded(), 1).execute(cq, ExecMode::Scheduled)
     }
 }
 
-/// Scans one shard for one pattern's rows, given the resolved id sets of
-/// its subject and object variables: event patterns through the shard's
-/// postings, path patterns through the graph backend.
-pub(crate) fn scan_pattern(
-    shard: &EventShard,
-    cq: &CompiledQuery,
-    pat: &CompiledPattern,
-    subjects: &IdSet,
-    objects: &IdSet,
-) -> Vec<PatternRow> {
-    match &pat.shape {
-        CompiledShape::Event { ops } => {
-            event_via_sql(shard, &parse_ops(ops), subjects, objects, pat.window)
-        }
-        CompiledShape::Path { .. } => path_via_graph(shard, cq, pat, subjects, objects),
-    }
-}
-
-/// Event pattern through the relational backend.
+/// Scans one shard for an event pattern's rows, given its admitted
+/// operations, the resolved id sets of its subject and object variables
+/// and its window.
 ///
 /// Access-path selection over the shard's postings (the paper's "mature
 /// indexing mechanisms"): probe by subject ids, by object ids, or by
 /// operation — whichever is estimated cheapest — then filter residual
 /// conditions. Rows come back in position order.
-pub(crate) fn event_via_sql(
+pub(crate) fn scan_events(
     shard: &EventShard,
     ops: &[Operation],
     subjects: &IdSet,
@@ -183,39 +163,6 @@ pub(crate) fn event_via_sql(
     }
     out.sort_unstable_by_key(|r| r.events.first());
     out
-}
-
-/// Path pattern through the graph backend.
-fn path_via_graph(
-    shard: &EventShard,
-    cq: &CompiledQuery,
-    pat: &CompiledPattern,
-    srcs: &IdSet,
-    dsts: &IdSet,
-) -> Vec<PatternRow> {
-    let pq = cq.path_plan(pat, srcs.iter().collect(), dsts.iter().collect());
-    let graph = shard.graph();
-    pq.search(graph)
-        .into_iter()
-        .map(|p| {
-            let first = graph.edge(p.edges[0]);
-            let last = graph.edge(*p.edges.last().expect("non-empty"));
-            PatternRow {
-                subject: first.src,
-                object: last.dst,
-                events: Witness::Path(p.edges.iter().map(|&e| graph.edge(e).event_pos).collect()),
-                start: first.start,
-                end: last.end,
-            }
-        })
-        .collect()
-}
-
-/// The operations an event pattern admits (names validated by analysis).
-pub(crate) fn parse_ops(ops: &[String]) -> Vec<Operation> {
-    ops.iter()
-        .map(|o| o.parse().expect("ops validated"))
-        .collect()
 }
 
 /// Resolves a pattern's `(subject, object)` variables to id sets — the
@@ -328,10 +275,10 @@ pub(crate) type PatternFetch<'a> =
 /// The scheduling driver (paper §II-F): pruning-score ordering,
 /// cross-pattern constraint propagation, endpoint resolution against
 /// `catalog`, join, and projection. Events only enter through the two
-/// closures — `fetch` answers one pattern's scan (single-table for
-/// [`Engine`], scatter-gather for the sharded executor) and `entity_attr`
-/// resolves projections — so the single-store and sharded executors share
-/// this logic verbatim rather than maintaining two copies of it.
+/// closures — `fetch` answers one pattern's scan (scatter-gather for the
+/// sharded executor, one backend per pattern shape for a
+/// [`crate::baseline`]) and `entity_attr` resolves projections — so the
+/// executor and the baselines share this logic verbatim.
 pub(crate) fn run_schedule(
     cq: &CompiledQuery,
     schedule: &Schedule,
@@ -409,9 +356,8 @@ pub(crate) fn run_schedule(
     }
 }
 
-/// Projects complete tuples into the result table. The entity lookup is
-/// a closure so the single-store and sharded executors can project
-/// through their respective stores.
+/// Projects complete tuples into the result table, `entity_attr`
+/// rendering an entity's attribute.
 pub(crate) fn project_tuples(
     cq: &CompiledQuery,
     tuples: &Tuples,
@@ -505,24 +451,22 @@ fn project(
     (columns, rows)
 }
 
-/// Safety cap on enumerated paths — the single source for both path
-/// executors: [`CompiledQuery::path_plan`] feeds it into the graph
-/// backend's `PathQuery::max_matches`, and [`expand_paths`] enforces it
-/// directly. Dense graphs make path counts combinatorial, and an
-/// uncapped expansion is an unbounded memory/time sink in a multi-tenant
-/// service.
+/// Safety cap on enumerated paths: [`expand_paths`] stops once it has
+/// emitted this many (the graph baselines pass it to their path search
+/// too). Dense graphs make path counts combinatorial, and an uncapped
+/// expansion is an unbounded memory/time sink in a multi-tenant service.
+/// The cap is a resource valve, not a semantic guarantee: which paths
+/// survive it is the expansion order's first ones.
 pub(crate) const MAX_PATH_MATCHES: usize = 100_000;
 
 /// Hop-by-hop frontier expansion of a variable-length path pattern over an
 /// abstract event index: `subject_index` answers "positions of events with
-/// this subject" and `event_at` resolves a position. The relational-only
-/// baseline backs these with one shard's subject postings; the sharded
-/// executor merges every shard's postings into global positions — giving
-/// identical path semantics whether the events live in one store or many.
-/// A probe *lends* its positions (`P` is a borrowed slice or a shared
-/// handle to a memoized merge), because a hot node is probed once per
-/// partial path reaching it. Output is truncated at [`MAX_PATH_MATCHES`],
-/// like the graph backend.
+/// this subject" and `event_at` resolves a position. The executor merges
+/// every shard's postings into global positions; the relational-only
+/// baseline backs these with one shard's subject postings. A probe
+/// *lends* its positions (`P` is a borrowed slice or a shared handle to a
+/// memoized merge), because a hot node is probed once per partial path
+/// reaching it. Output is truncated at [`MAX_PATH_MATCHES`].
 pub(crate) fn expand_paths<'a, P: Deref<Target = [u32]>>(
     pat: &CompiledPattern,
     srcs: &IdSet,
@@ -538,7 +482,6 @@ pub(crate) fn expand_paths<'a, P: Deref<Target = [u32]>>(
     else {
         unreachable!()
     };
-    let last_op: Operation = last_op.parse().expect("ops validated");
     // No source or no admissible destination means no path can ever
     // complete — skip the (potentially combinatorial) expansion entirely,
     // like the event-pattern executors do for empty entity sets.
@@ -612,7 +555,7 @@ pub(crate) fn expand_paths<'a, P: Deref<Target = [u32]>>(
                     end: ev.end,
                 });
                 let s = steps.len() - 1;
-                if hop >= *min_hops && ev.op == last_op && dsts.contains(ev.object) {
+                if hop >= *min_hops && ev.op == *last_op && dsts.contains(ev.object) {
                     let mut positions: Vec<usize> = chain(&steps, s).collect();
                     positions.reverse();
                     out.push(PatternRow {
@@ -634,10 +577,8 @@ pub(crate) fn expand_paths<'a, P: Deref<Target = [u32]>>(
             break;
         }
     }
-    // Position-sorted output: a stable, backend-independent row order
-    // (hop-major expansion order would differ from the graph backend's
-    // depth-first order; sorted order agrees with neither but is the same
-    // for every executor that goes through this function).
+    // Position-sorted output: one row order however the events are
+    // sharded (hop-major expansion order is not sorted).
     out.sort_unstable_by(|a, b| a.events.positions().cmp(b.events.positions()));
     out
 }
@@ -921,48 +862,13 @@ mod tests {
                 let expected = naive(&events, &ops, &subjects, &objects, window);
 
                 let shard = EventShard::build(events.clone(), IDS as usize);
-                let got = event_via_sql(&shard, &ops, &subjects, &objects, window);
+                let got = scan_events(&shard, &ops, &subjects, &objects, window);
                 prop_assert_eq!(rows(got), expected.clone());
 
                 let (a, b) = events.split_at(cut.min(events.len()));
                 let compacted = EventShard::build([a, b].concat(), IDS as usize);
-                let got = event_via_sql(&compacted, &ops, &subjects, &objects, window);
+                let got = scan_events(&compacted, &ops, &subjects, &objects, window);
                 prop_assert_eq!(rows(got), expected);
-            }
-
-            /// Path expansion over the subject postings finds exactly the
-            /// paths the graph backend's depth-first search finds (the
-            /// record set; the two enumerate in different orders).
-            #[test]
-            fn path_expansion_matches_the_graph_backend(
-                raw in prop::collection::vec((0u8..18, 0u32..IDS, 0u32..IDS, 0u64..5, 0u64..4), 0..60),
-                masks in (any::<u32>(), any::<u32>()),
-                hops in (1u32..4, 0u32..3),
-                last_op in prop::sample::select(vec!["read", "write", "open"]),
-            ) {
-                let (min, max) = (hops.0, (hops.0 + hops.1).min(3));
-                let tbql = format!("proc p ~>({min}~{max})[{last_op}] file f as pp return p, f");
-                let cq = compile(&analyze(&parse_query(&tbql).unwrap()).unwrap()).unwrap();
-                let pat = &cq.patterns[0];
-                let shard = EventShard::build(events(&raw), IDS as usize);
-                let (srcs, dsts) = (id_set(masks.0), id_set(masks.1));
-                let key = |rows: Vec<PatternRow>| {
-                    let mut keys: Vec<_> = rows
-                        .into_iter()
-                        .map(|r| (r.events.positions().to_vec(), r.subject, r.object, r.start, r.end))
-                        .collect();
-                    keys.sort();
-                    keys
-                };
-                let expanded = expand_paths(
-                    pat,
-                    &srcs,
-                    &dsts,
-                    |node| shard.postings().by_subject(node),
-                    |pos| shard.event_at(pos),
-                );
-                let searched = path_via_graph(&shard, &cq, pat, &srcs, &dsts);
-                prop_assert_eq!(key(expanded), key(searched));
             }
         }
     }

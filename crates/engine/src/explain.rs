@@ -254,7 +254,10 @@ pub(crate) fn plan_report(query: &Query, cq: &CompiledQuery, shards: usize) -> E
         .map(|(i, step)| {
             let pat = &cq.patterns[step.pat];
             let shape = match &pat.shape {
-                CompiledShape::Event { ops } => format!("event[{}]", ops.join("|")),
+                CompiledShape::Event { ops } => {
+                    let ops: Vec<String> = ops.iter().map(ToString::to_string).collect();
+                    format!("event[{}]", ops.join("|"))
+                }
                 CompiledShape::Path {
                     min_hops,
                     max_hops,

@@ -62,10 +62,8 @@ impl Witness {
     }
 }
 
-/// One pattern's data-query output row. Event positions are
-/// store-relative: table rows for a single-store [`crate::Engine`],
-/// global positions for the sharded executor (which translates
-/// shard-local rows before joining).
+/// One pattern's data-query output row. Event positions are global: the
+/// sharded executor translates shard-local rows before joining.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub(crate) struct PatternRow {
     pub(crate) subject: EntityId,

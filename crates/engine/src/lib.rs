@@ -17,6 +17,14 @@
 //! to constrain the execution of the other data query (by adding
 //! filters)."
 //!
+//! The paper sends each compiled data query to PostgreSQL or Neo4j. Here
+//! there is one executor, [`ShardedEngine`], and one data path: entity
+//! predicates resolve against the store's entity catalog, event patterns
+//! scan the shards' event postings, and path patterns expand hop by hop
+//! over the subject postings. The single-store [`Engine`] is that
+//! executor over a one-shard view. The two backends survive as the
+//! comparison [`baseline`]s of the efficiency experiments.
+//!
 //! The read path is **slot-compiled**: [`compile`] gives every entity
 //! variable and every pattern a slot and pre-resolves `before` pairs and
 //! the return clause to slot indices, so a partial match is a flat tuple
@@ -32,22 +40,25 @@
 //! name-keyed [`Match`] is materialized once per delivered match.
 //!
 //! Modules:
-//! * [`compile`] — event patterns → relational select-project-join plans
-//!   (with SQL text rendering); path patterns → graph path queries (with
-//!   Cypher text rendering); slot assignment;
+//! * [`compile`] — analyzed TBQL → the executor's plan: per-variable
+//!   entity predicates, per-pattern shape (typed operations, hop bounds),
+//!   pruning scores, DBM bounds and slot assignment;
 //! * [`score`] — pruning scores;
-//! * [`exec`] — the scheduler/executor: entity resolution, event and
-//!   path scans, projection;
-//! * [`baseline`] — the comparison strategies of the efficiency
-//!   experiments (unscheduled, relational-only, graph-only), reached only
-//!   by the paper-table binaries and tests;
+//! * [`exec`] — the scheduler: entity resolution, the event scan,
+//!   path expansion, projection, and the single-store [`Engine`] facade;
+//! * [`sharded`] — the executor, scatter-gather over a
+//!   [`threatraptor_storage::sharded::ShardedStore`]: predicates resolve
+//!   once per pattern against the store's entity catalog and every shard
+//!   scans with the same id sets;
 //! * `join` (private) — slot tuples, the execution schedule with each
 //!   step's join key, constraint propagation and the hash join;
-//! * [`sharded`] — the scatter-gather executor over a
-//!   [`threatraptor_storage::sharded::ShardedStore`], with exact parity
-//!   to single-store execution: predicates resolve once per pattern
-//!   against the store's entity catalog and every shard scans with
-//!   the same id sets;
+//! * [`baseline`] — the comparison strategies of the efficiency
+//!   experiments (unscheduled, relational-only, graph-only) and the graph
+//!   backend's path search, reached only by the paper-table binaries and
+//!   tests;
+//! * [`reference`](mod@reference) — a naive evaluator of TBQL over plain
+//!   entities and events, the test oracle the executors are compared
+//!   against;
 //! * [`result`] — hunt results, per-pattern matches, and evaluation
 //!   against ground truth;
 //! * [`explain`] — `EXPLAIN` / `EXPLAIN ANALYZE` reports: the compiled
@@ -66,6 +77,7 @@ pub mod exec;
 pub mod explain;
 mod idset;
 mod join;
+pub mod reference;
 pub mod result;
 pub mod score;
 pub mod sharded;

@@ -73,13 +73,12 @@ pub struct HuntStats {
     pub execution_order: Vec<String>,
     /// Rows produced by each pattern's data query, in execution order.
     pub rows_fetched: Vec<(String, usize)>,
-    /// Rows scanned per shard for each pattern, in execution order.
-    /// Single-store executions report one pseudo-shard per pattern.
+    /// Rows scanned per shard for each pattern, in execution order (a
+    /// single-store `Engine` reports its one shard).
     pub shard_rows: Vec<(String, Vec<usize>)>,
     /// Rows excluded per pattern by the DBM-derived feasible-range
-    /// clamp, in execution order. Empty when no pattern carries
-    /// tightened bounds (or on single-store execution, which does not
-    /// clamp). The `engine_rows_pruned_total{pattern}` metric is bumped
+    /// clamp, in execution order (zero for a pattern without tightened
+    /// bounds). The `engine_rows_pruned_total{pattern}` metric is bumped
     /// from these same counts, so EXPLAIN ANALYZE actuals and the metric
     /// agree by construction.
     pub rows_pruned: Vec<(String, usize)>,

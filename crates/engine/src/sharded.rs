@@ -1,44 +1,39 @@
-//! Scatter-gather execution over a [`ShardedStore`].
+//! Scatter-gather execution over a [`ShardedStore`] — the one executor.
 //!
-//! Mirrors the paper's scheduler (§II-F) exactly — same pruning-score
-//! ordering, same constraint propagation, same join — but each pattern's
-//! *data query* fans out across the store's shards:
+//! Runs the paper's scheduler (§II-F) — pruning-score ordering,
+//! constraint propagation, the hash join — with each pattern's *data
+//! query* fanned out across the store's shards:
 //!
 //! * **event patterns** resolve their entity predicates (and propagated
 //!   bindings) to id sets **once**, against the store-level entity
-//!   tables, and hand the same sets to every shard's event scan, in
+//!   catalog, and hand the same sets to every shard's event scan, in
 //!   parallel on scoped threads; shard-local row positions are translated
-//!   to global positions and the gathered rows are merged in
-//!   deterministic (global position) order — which is precisely the order
-//!   the single-store executor produces, since shards are contiguous
+//!   to global positions and the gathered rows are concatenated in shard
+//!   order, which is global position order, since shards are contiguous
 //!   slices of the same event stream;
 //! * **path patterns** cannot be answered per shard (a multi-hop flow may
 //!   cross a time-window boundary), so they run as hop-by-hop frontier
 //!   expansion where each hop's subject probe is the sorted union of every
 //!   shard's subject postings — semantically identical to probing one
-//!   global index.
+//!   global index — and come back position-sorted.
 //!
-//! Because the fan-out happens at the data-query level and the join stays
-//! global, a [`ShardedEngine`] returns exactly the *record set* a
-//! single-store [`Engine`](crate::Engine) returns on the same `(log, cpr)` input: same
-//! matches, same matched event ids, same projected rows up to order.
-//! Event-pattern results agree in row order too; path-pattern rows come
-//! back position-sorted, whereas the single-store graph backend emits
-//! them in depth-first search order — order-normalized comparison (as in
-//! the parity tests) is the contract. When a path pattern overflows the
-//! 100k safety cap, the two executors may also retain different (equally
-//! arbitrary) subsets — the cap is a resource valve, not a semantic
-//! guarantee.
+//! Neither the rows nor their order depend on where the shard boundaries
+//! fall, so a [`ShardedEngine`] returns exactly what the single-store
+//! [`Engine`](crate::Engine) — itself this engine over a one-shard view —
+//! returns on the same `(log, cpr)` input: the same matches in the same
+//! order, the same projected rows, and, when a path pattern overflows
+//! the safety cap, the same truncated subset.
 
 use crate::compile::{compile, CompiledPattern, CompiledQuery, CompiledShape};
 use crate::error::EngineError;
-use crate::exec::{expand_paths, project_matches, run_schedule, scan_pattern, ExecMode};
+use crate::exec::{expand_paths, project_matches, run_schedule, scan_events, ExecMode};
 use crate::idset::IdSet;
 use crate::join::{PatternRow, Schedule};
 use crate::result::{HuntResult, Match};
 use std::collections::HashMap;
 use std::rc::Rc;
 use threatraptor_audit::entity::EntityId;
+use threatraptor_audit::event::Operation;
 use threatraptor_obs::Registry;
 use threatraptor_storage::sharded::ShardedStore;
 use threatraptor_tbql::analyze::analyze;
@@ -117,7 +112,7 @@ impl<'s> ShardedEngine<'s> {
             &Schedule::new(cq),
             self.store.catalog(),
             &mut |pat, subjects, objects| {
-                let (rows, per_shard, pruned) = self.fetch_pattern(cq, pat, subjects, objects, 0);
+                let (rows, per_shard, pruned) = self.fetch_pattern(pat, subjects, objects, 0);
                 shard_rows.borrow_mut().push((pat.id.clone(), per_shard));
                 rows_pruned.borrow_mut().push((pat.id.clone(), pruned));
                 rows
@@ -182,16 +177,15 @@ impl<'s> ShardedEngine<'s> {
     /// never runs them). `0` scans everything.
     pub(crate) fn fetch_pattern(
         &self,
-        cq: &CompiledQuery,
         pat: &CompiledPattern,
         subjects: &IdSet,
         objects: &IdSet,
         min_pos: usize,
     ) -> (Vec<PatternRow>, Vec<usize>, usize) {
         let shard_of = |r: &PatternRow| self.store.locate(r.events.first()).0;
-        let (mut rows, mut per_shard) = match pat.shape {
-            CompiledShape::Event { .. } => {
-                self.scatter_event_pattern(cq, pat, subjects, objects, min_pos)
+        let (mut rows, mut per_shard) = match &pat.shape {
+            CompiledShape::Event { ops } => {
+                self.scatter_event_pattern(ops, pat, subjects, objects, min_pos)
             }
             CompiledShape::Path { .. } => {
                 let rows = self.path_over_shards(pat, subjects, objects);
@@ -224,12 +218,11 @@ impl<'s> ShardedEngine<'s> {
     }
 
     /// Event-pattern scatter: each shard scans its own slice of the
-    /// stream with the single-store executor, given the already resolved
-    /// id sets, then rows are translated to global positions and
-    /// concatenated in shard order.
+    /// stream for `ops`, given the already resolved id sets, then rows are
+    /// translated to global positions and concatenated in shard order.
     fn scatter_event_pattern(
         &self,
-        cq: &CompiledQuery,
+        ops: &[Operation],
         pat: &CompiledPattern,
         subjects: &IdSet,
         objects: &IdSet,
@@ -243,7 +236,7 @@ impl<'s> ShardedEngine<'s> {
             if self.store.offset(i + 1) <= min_pos {
                 return Vec::new();
             }
-            let mut rows = scan_pattern(self.store.shard(i), cq, pat, subjects, objects);
+            let mut rows = scan_events(self.store.shard(i), ops, subjects, objects, pat.window);
             for r in &mut rows {
                 for pos in r.events.positions_mut() {
                     *pos += offset;
@@ -264,7 +257,7 @@ impl<'s> ShardedEngine<'s> {
         let counts: Vec<usize> = per_shard.iter().map(Vec::len).collect();
         // Shards are contiguous slices in time order and each shard's rows
         // are already sorted by first event position, so concatenating in
-        // shard order reproduces the single-store row order exactly.
+        // shard order yields global position order.
         let mut out = Vec::with_capacity(counts.iter().sum());
         for rows in &mut per_shard {
             out.append(rows);
@@ -355,21 +348,20 @@ mod tests {
     #[test]
     fn path_patterns_cross_shard_boundaries() {
         // Tiny shards force the attack chain to straddle shard borders;
-        // the frontier expansion must still find every path.
+        // the frontier expansion must still find every path, in the
+        // single-store order (also across many sources).
         let (single, sharded) = fixtures(32);
-        let q = "proc p[\"%/bin/tar%\"] ~>(1~2)[write] file f[\"%/tmp/upload.tar%\"] as pp1\n\
-                 return p, f";
-        let expected = Engine::new(&single).hunt(q).unwrap();
-        let got = ShardedEngine::new(&sharded).hunt(q).unwrap();
-        assert!(!got.is_empty());
-        // Path rows: graph DFS order (single) vs position order (sharded)
-        // — the contract is record-set parity, so compare order-normalized.
-        let norm = |r: &crate::result::HuntResult| {
-            let mut rows = r.rows.clone();
-            rows.sort();
-            rows
-        };
-        assert_eq!(norm(&got), norm(&expected));
+        for q in [
+            "proc p[\"%/bin/tar%\"] ~>(1~2)[write] file f[\"%/tmp/upload.tar%\"] as pp1\n\
+             return p, f",
+            "proc p[\"%/bin/%\"] ~>(1~2)[write] file f return p, f",
+        ] {
+            let expected = Engine::new(&single).hunt(q).unwrap();
+            let got = ShardedEngine::new(&sharded).hunt(q).unwrap();
+            assert!(!got.is_empty());
+            assert_eq!(got.rows, expected.rows);
+            assert_eq!(got.matches, expected.matches);
+        }
     }
 
     #[test]

@@ -43,9 +43,9 @@ const MERGE_FACTOR: usize = 2;
 pub struct Generation {
     base: usize,
     entities: Vec<Entity>,
-    process: Arc<Table>,
-    file: Arc<Table>,
-    network: Arc<Table>,
+    process: Table,
+    file: Table,
+    network: Table,
     heap_bytes: usize,
 }
 
@@ -63,9 +63,9 @@ impl Generation {
             + network.heap_bytes();
         Generation {
             base,
-            process: Arc::new(process),
-            file: Arc::new(file),
-            network: Arc::new(network),
+            process,
+            file,
+            network,
             entities,
             heap_bytes,
         }
@@ -93,9 +93,8 @@ impl Generation {
     }
 
     /// The table holding this generation's entities of `kind` (process:
-    /// indexed on `id`; file: `id`, `name`; network: `id`, `dstip`), as
-    /// the shared handle a [`crate::relational::Database`] registers.
-    pub fn table(&self, kind: EntityKind) -> &Arc<Table> {
+    /// indexed on `id`; file: `id`, `name`; network: `id`, `dstip`).
+    pub fn table(&self, kind: EntityKind) -> &Table {
         match kind {
             EntityKind::Process => &self.process,
             EntityKind::File => &self.file,

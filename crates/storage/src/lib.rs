@@ -2,42 +2,41 @@
 //!
 //! Storage substrate for the ThreatRaptor reproduction.
 //!
-//! The paper stores parsed audit data in two backends (§II-B): PostgreSQL
-//! (entities and events as tables, "mature indexing mechanisms … suitable
-//! for queries that involve many joins and constraints") and Neo4j
-//! (entities as nodes, events as edges, "suitable for queries that involve
-//! graph pattern search"). Neither is available offline, so this crate
-//! provides embedded equivalents that execute the *same logical plans* the
-//! paper compiles TBQL into:
+//! The paper stores parsed audit data in PostgreSQL (entities and events
+//! as tables, "mature indexing mechanisms") and Neo4j (entities as nodes,
+//! events as edges, "suitable for queries that involve graph pattern
+//! search"), §II-B. Neither is available offline, and served hunts need
+//! neither: this crate keeps entities in an indexed catalog and events in
+//! shards indexed by postings, and the engine answers both event and path
+//! patterns from those. The graph backend survives only for the
+//! comparison baselines of the efficiency experiments.
 //!
-//! * [`postings`] — the relational role for events: each shard keeps its
-//!   events in one `Vec<Event>` and indexes positions into it by
-//!   operation (a counting sort) and by subject and object id (sorted
-//!   postings), the access paths the executor's event scans and path
-//!   expansion probe;
-//! * [`relational`] — a typed row store with B-tree/hash indexes, a
-//!   predicate AST with SQL `LIKE` semantics, and a select-project-join
-//!   executor with index selection: the entity tables, and
-//!   [`relational::SqlSelect`]'s SQL text for the conciseness experiment;
-//! * [`graphdb`] — a property graph over the same data with
-//!   variable-length path search (min/max hops, last-hop operation,
-//!   time-monotone traversal), the compile target for TBQL path patterns;
+//! * [`catalog`] — [`catalog::EntityCatalog`], every entity of a store
+//!   once, in indexed tables ([`relational`]): append-only generations
+//!   shared by reference between a live store and all of its snapshots;
+//! * [`relational`] — the typed entity tables with B-tree/hash indexes
+//!   and a predicate AST with SQL `LIKE` semantics, which entity filters
+//!   compile to;
+//! * [`postings`] — the event index: each shard keeps its events in one
+//!   `Vec<Event>` and indexes positions into it by operation (a counting
+//!   sort) and by subject and object id (sorted postings), the access
+//!   paths the executor's event scans and path expansion probe;
 //! * [`cpr`] — Causality-Preserved Reduction (Xu et al., CCS'16), the
 //!   event-merging technique the paper applies to reduce data size;
-//! * [`catalog`] — [`catalog::EntityCatalog`], every entity of a store
-//!   once, with its indexed tables: append-only generations shared by
-//!   reference between a live store and all of its snapshots;
 //! * [`store`] — [`store::EventShard`], a slice of the event stream with
-//!   its postings (and its graph, on first use), and
-//!   [`store::AuditStore`], one catalog plus one shard: a parsed log
-//!   ingested whole;
+//!   its postings, and [`store::AuditStore`], one catalog plus one shard:
+//!   a parsed log ingested whole;
 //! * [`sharded`] — [`sharded::ShardedStore`], which partitions one
 //!   globally-reduced log into independent per-time-window shards with
-//!   parallel ingestion (the substrate of the concurrent hunt service);
+//!   parallel ingestion (the substrate of the hunt server, and the view
+//!   every hunt executes over);
 //! * [`stream`] — [`stream::StreamingStore`], the live variant: sealed
 //!   immutable shards plus one appendable open window with incremental
 //!   CPR at the ingest frontier, snapshotting into ordinary
-//!   [`sharded::ShardedStore`] epoch views for hunts under ingest.
+//!   [`sharded::ShardedStore`] epoch views for hunts under ingest;
+//! * [`graphdb`] — a property graph with variable-length path search, the
+//!   Neo4j stand-in the graph baselines (`threatraptor_engine::baseline`)
+//!   run against.
 
 pub mod catalog;
 pub mod cpr;
@@ -50,7 +49,7 @@ pub mod stream;
 
 pub use catalog::{EntityCatalog, Generation};
 pub use postings::EventPostings;
-pub use relational::{Database, Predicate, SqlSelect, Value};
+pub use relational::{Predicate, Value};
 pub use sharded::{ShardedStore, StreamFrontier};
 pub use store::{AuditStore, EventLookup, EventShard};
 pub use stream::{AppendOutcome, CompactionPolicy, SealPolicy, SnapshotParts, StreamingStore};

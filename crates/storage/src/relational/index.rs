@@ -55,8 +55,8 @@ impl HashIndex {
     }
 }
 
-/// B-tree index: ordered, supports range scans. Mirrors PostgreSQL's
-/// default btree index (e.g. on `event.start` or entity-id columns).
+/// B-tree index: ordered by key. Mirrors PostgreSQL's default btree
+/// index (e.g. on entity-id columns).
 #[derive(Debug, Clone, Default)]
 pub struct BTreeIndex {
     map: BTreeMap<Value, Vec<RowId>>,
@@ -67,18 +67,6 @@ impl BTreeIndex {
     /// keys' strings and row lists.
     pub fn heap_bytes(&self) -> usize {
         entry_bytes(self.map.len(), self.map.iter())
-    }
-
-    /// Rows whose key lies within `[lo, hi]` (inclusive), in key order.
-    pub fn range(&self, lo: &Value, hi: &Value) -> Vec<RowId> {
-        if lo > hi {
-            return Vec::new();
-        }
-        let mut out = Vec::new();
-        for (_, rows) in self.map.range(lo.clone()..=hi.clone()) {
-            out.extend_from_slice(rows);
-        }
-        out
     }
 }
 
@@ -99,7 +87,6 @@ impl Index for BTreeIndex {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use proptest::prelude::*;
 
     #[test]
     fn hash_index_basics() {
@@ -113,49 +100,11 @@ mod tests {
     }
 
     #[test]
-    fn btree_range_scan() {
-        let mut idx = BTreeIndex::default();
-        for i in 0..10i64 {
-            idx.insert(Value::int(i * 10), i as RowId);
-        }
-        assert_eq!(idx.range(&Value::int(25), &Value::int(55)), vec![3, 4, 5]);
-        assert_eq!(idx.range(&Value::int(90), &Value::int(90)), vec![9]);
-        assert!(idx.range(&Value::int(91), &Value::int(100)).is_empty());
-        assert!(idx.range(&Value::int(50), &Value::int(10)).is_empty());
-    }
-
-    #[test]
     fn btree_equality_via_get() {
         let mut idx = BTreeIndex::default();
         idx.insert(Value::int(5), 7);
         idx.insert(Value::int(5), 9);
         assert_eq!(idx.get(&Value::int(5)), &[7, 9]);
         assert_eq!(idx.distinct_keys(), 1);
-    }
-
-    proptest! {
-        /// Range scans agree with a linear filter over the inserted keys.
-        #[test]
-        fn btree_range_matches_filter(
-            keys in prop::collection::vec(0i64..100, 0..50),
-            lo in 0i64..100,
-            span in 0i64..40,
-        ) {
-            let hi = (lo + span).min(99);
-            let mut idx = BTreeIndex::default();
-            for (row, &k) in keys.iter().enumerate() {
-                idx.insert(Value::int(k), row);
-            }
-            let mut expect: Vec<RowId> = keys
-                .iter()
-                .enumerate()
-                .filter(|(_, &k)| k >= lo && k <= hi)
-                .map(|(row, _)| row)
-                .collect();
-            let mut got = idx.range(&Value::int(lo), &Value::int(hi));
-            expect.sort_unstable();
-            got.sort_unstable();
-            prop_assert_eq!(got, expect);
-        }
     }
 }

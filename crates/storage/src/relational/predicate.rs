@@ -1,8 +1,7 @@
-//! Predicate AST over table columns, with selectivity estimation.
+//! Predicate AST over table columns.
 
 use super::table::{Row, Table};
 use super::value::{like_match, Value};
-use std::collections::HashSet;
 use std::fmt;
 
 /// Comparison operators.
@@ -64,15 +63,10 @@ pub enum Predicate {
     Cmp(String, CmpOp, Value),
     /// `col LIKE pattern` (`%`/`_` wildcards).
     Like(String, String),
-    /// `col IN (…)` — used by the engine to push bindings from already
-    /// executed patterns into dependent ones.
-    InSet(String, HashSet<Value>),
     /// Conjunction.
     And(Vec<Predicate>),
     /// Disjunction.
     Or(Vec<Predicate>),
-    /// Negation.
-    Not(Box<Predicate>),
 }
 
 impl Predicate {
@@ -99,79 +93,29 @@ impl Predicate {
         }
     }
 
-    /// Evaluates against a row of `table`.
+    /// Resolves every column name to its position in `table` once, so a
+    /// scan evaluates rows by position instead of hashing a column name
+    /// per leaf per row.
     ///
     /// Panics if the predicate references a column the table lacks — the
     /// engine validates schemas before execution, so that is a logic bug.
-    /// Resolves column names on every call; to evaluate many rows, bind
-    /// once with [`Predicate::bind`].
-    pub fn eval(&self, table: &Table, row: &Row) -> bool {
-        self.bind(table).eval(row)
-    }
-
-    /// Resolves every column name to its position in `table` once, so a
-    /// scan evaluates rows by position instead of hashing a column name
-    /// per leaf per row. Panics on unknown columns, like
-    /// [`Predicate::eval`].
     pub fn bind<'p>(&'p self, table: &Table) -> BoundPredicate<'p> {
         match self {
             Predicate::True => BoundPredicate::True,
             Predicate::Cmp(col, op, value) => BoundPredicate::Cmp(table.col(col), *op, value),
             Predicate::Like(col, pattern) => BoundPredicate::Like(table.col(col), pattern),
-            Predicate::InSet(col, set) => BoundPredicate::InSet(table.col(col), set),
             Predicate::And(ps) => BoundPredicate::And(ps.iter().map(|p| p.bind(table)).collect()),
             Predicate::Or(ps) => BoundPredicate::Or(ps.iter().map(|p| p.bind(table)).collect()),
-            Predicate::Not(p) => BoundPredicate::Not(Box::new(p.bind(table))),
         }
     }
 
-    /// Number of atomic constraints — the paper's *pruning score* counts
-    /// "the number of constraints declared" per pattern (§II-F).
-    pub fn constraint_count(&self) -> usize {
+    /// If this predicate pins `col` to a specific value (an equality,
+    /// possibly inside a conjunction), returns it — the index-selection
+    /// hook.
+    pub fn pinned_value(&self, col: &str) -> Option<&Value> {
         match self {
-            Predicate::True => 0,
-            Predicate::Cmp(..) | Predicate::Like(..) | Predicate::InSet(..) => 1,
-            Predicate::And(ps) | Predicate::Or(ps) => {
-                ps.iter().map(Predicate::constraint_count).sum()
-            }
-            Predicate::Not(p) => p.constraint_count(),
-        }
-    }
-
-    /// Rough selectivity estimate in `[0, 1]` (lower = more selective),
-    /// used for index choice and join ordering.
-    pub fn selectivity(&self) -> f64 {
-        match self {
-            Predicate::True => 1.0,
-            Predicate::Cmp(_, CmpOp::Eq, _) => 0.01,
-            Predicate::Cmp(_, CmpOp::Ne, _) => 0.95,
-            Predicate::Cmp(..) => 0.3,
-            Predicate::Like(_, p) => {
-                // A pattern that is all wildcards filters nothing.
-                if p.chars().all(|c| c == '%' || c == '_') {
-                    1.0
-                } else {
-                    0.05
-                }
-            }
-            Predicate::InSet(_, set) => (set.len() as f64 * 0.005).min(0.5),
-            Predicate::And(ps) => ps.iter().map(Predicate::selectivity).product(),
-            Predicate::Or(ps) => ps
-                .iter()
-                .map(Predicate::selectivity)
-                .fold(0.0, |a, b| (a + b).min(1.0)),
-            Predicate::Not(p) => 1.0 - p.selectivity(),
-        }
-    }
-
-    /// If this predicate pins `col` to specific values (an equality or an
-    /// in-set, possibly inside a conjunction), returns those values — the
-    /// index-selection hook.
-    pub fn pinned_values(&self, col: &str) -> Option<Vec<Value>> {
-        match self {
-            Predicate::Cmp(c, CmpOp::Eq, v) if c == col => Some(vec![v.clone()]),
-            Predicate::InSet(c, set) if c == col => Some(set.iter().cloned().collect()),
-            Predicate::And(ps) => ps.iter().find_map(|p| p.pinned_values(col)),
+            Predicate::Cmp(c, CmpOp::Eq, v) if c == col => Some(v),
+            Predicate::And(ps) => ps.iter().find_map(|p| p.pinned_value(col)),
             _ => None,
         }
     }
@@ -182,11 +126,6 @@ impl Predicate {
             Predicate::True => "TRUE".to_string(),
             Predicate::Cmp(col, op, v) => format!("{alias}.{col} {} {}", op.sql(), sql_value(v)),
             Predicate::Like(col, p) => format!("{alias}.{col} LIKE '{p}'"),
-            Predicate::InSet(col, set) => {
-                let mut vals: Vec<String> = set.iter().map(sql_value).collect();
-                vals.sort();
-                format!("{alias}.{col} IN ({})", vals.join(", "))
-            }
             Predicate::And(ps) => ps
                 .iter()
                 .map(|p| format!("({})", p.to_sql(alias)))
@@ -197,7 +136,6 @@ impl Predicate {
                 .map(|p| format!("({})", p.to_sql(alias)))
                 .collect::<Vec<_>>()
                 .join(" OR "),
-            Predicate::Not(p) => format!("NOT ({})", p.to_sql(alias)),
         }
     }
 }
@@ -212,14 +150,10 @@ pub enum BoundPredicate<'p> {
     Cmp(usize, CmpOp, &'p Value),
     /// `row[pos] LIKE pattern`
     Like(usize, &'p str),
-    /// `row[pos] IN (…)`
-    InSet(usize, &'p HashSet<Value>),
     /// Conjunction.
     And(Vec<BoundPredicate<'p>>),
     /// Disjunction.
     Or(Vec<BoundPredicate<'p>>),
-    /// Negation.
-    Not(Box<BoundPredicate<'p>>),
 }
 
 impl BoundPredicate<'_> {
@@ -232,10 +166,8 @@ impl BoundPredicate<'_> {
                 Value::Str(s) => like_match(pattern, s),
                 Value::Int(i) => like_match(pattern, &i.to_string()),
             },
-            BoundPredicate::InSet(pos, set) => set.contains(&row[*pos]),
             BoundPredicate::And(ps) => ps.iter().all(|p| p.eval(row)),
             BoundPredicate::Or(ps) => ps.iter().any(|p| p.eval(row)),
-            BoundPredicate::Not(p) => !p.eval(row),
         }
     }
 }
@@ -262,15 +194,20 @@ mod tests {
         t
     }
 
+    /// Evaluates `pred` against row `rid` of `t`.
+    fn eval(pred: &Predicate, t: &Table, rid: usize) -> bool {
+        pred.bind(t).eval(t.row(rid))
+    }
+
     #[test]
     fn cmp_eval() {
         let t = table();
         let read = Predicate::eq("op", "read");
-        assert!(read.eval(&t, t.row(0)));
-        assert!(!read.eval(&t, t.row(1)));
+        assert!(eval(&read, &t, 0));
+        assert!(!eval(&read, &t, 1));
         let big = Predicate::Cmp("bytes".into(), CmpOp::Gt, Value::int(1000));
-        assert!(!big.eval(&t, t.row(0)));
-        assert!(big.eval(&t, t.row(1)));
+        assert!(!eval(&big, &t, 0));
+        assert!(eval(&big, &t, 1));
     }
 
     #[test]
@@ -280,15 +217,13 @@ mod tests {
             Predicate::eq("op", "write"),
             Predicate::Cmp("bytes".into(), CmpOp::Ge, Value::int(5000)),
         ]);
-        assert!(!p.eval(&t, t.row(0)));
-        assert!(p.eval(&t, t.row(1)));
+        assert!(!eval(&p, &t, 0));
+        assert!(eval(&p, &t, 1));
         let q = Predicate::Or(vec![
             Predicate::eq("op", "read"),
             Predicate::eq("op", "write"),
         ]);
-        assert!(q.eval(&t, t.row(0)) && q.eval(&t, t.row(1)));
-        let n = Predicate::Not(Box::new(Predicate::eq("op", "read")));
-        assert!(!n.eval(&t, t.row(0)));
+        assert!(eval(&q, &t, 0) && eval(&q, &t, 1));
     }
 
     #[test]
@@ -301,36 +236,13 @@ mod tests {
     }
 
     #[test]
-    fn constraint_counts() {
-        assert_eq!(Predicate::True.constraint_count(), 0);
-        assert_eq!(Predicate::eq("op", "read").constraint_count(), 1);
-        let p = Predicate::And(vec![
-            Predicate::eq("op", "read"),
-            Predicate::like("name", "%tar%"),
-        ]);
-        assert_eq!(p.constraint_count(), 2);
-    }
-
-    #[test]
     fn pinned_values_finds_equalities() {
         let p = Predicate::And(vec![
             Predicate::like("name", "%x%"),
             Predicate::eq("op", "read"),
         ]);
-        assert_eq!(p.pinned_values("op"), Some(vec![Value::str("read")]));
-        assert_eq!(p.pinned_values("name"), None);
-        let mut set = HashSet::new();
-        set.insert(Value::int(3));
-        let q = Predicate::InSet("subject".into(), set);
-        assert_eq!(q.pinned_values("subject"), Some(vec![Value::int(3)]));
-    }
-
-    #[test]
-    fn selectivity_monotonicity() {
-        let eq = Predicate::eq("op", "read");
-        let both = Predicate::And(vec![eq.clone(), Predicate::like("name", "%t%")]);
-        assert!(both.selectivity() < eq.selectivity());
-        assert!(Predicate::True.selectivity() >= 1.0);
+        assert_eq!(p.pinned_value("op"), Some(&Value::str("read")));
+        assert_eq!(p.pinned_value("name"), None);
     }
 
     #[test]
@@ -351,7 +263,7 @@ mod tests {
     fn like_on_int_column_coerces() {
         let t = table();
         let p = Predicate::like("bytes", "50%");
-        assert!(p.eval(&t, t.row(1)));
-        assert!(!p.eval(&t, t.row(0)));
+        assert!(eval(&p, &t, 1));
+        assert!(!eval(&p, &t, 0));
     }
 }

@@ -1,11 +1,10 @@
-//! Tables, rows, and the database catalog.
+//! Tables and rows.
 
 use super::index::{BTreeIndex, HashIndex, Index};
 use super::predicate::Predicate;
 use super::value::Value;
 use std::collections::HashMap;
 use std::mem::size_of;
-use std::sync::Arc;
 
 /// Row identifier within a table (dense, append-only).
 pub type RowId = usize;
@@ -57,11 +56,6 @@ impl Table {
         }
     }
 
-    /// The schema, in order.
-    pub fn columns(&self) -> &[Column] {
-        &self.columns
-    }
-
     /// Resolves a column name to its position.
     ///
     /// Panics on unknown columns; the engine validates column names during
@@ -72,11 +66,6 @@ impl Table {
             .col_pos
             .get(name)
             .unwrap_or_else(|| panic!("table `{}` has no column `{name}`", self.name))
-    }
-
-    /// Whether the table has a column with this name.
-    pub fn has_col(&self, name: &str) -> bool {
-        self.col_pos.contains_key(name)
     }
 
     /// Number of rows.
@@ -140,17 +129,6 @@ impl Table {
         &self.rows[id]
     }
 
-    /// Iterates `(RowId, &Row)` in insertion order.
-    pub fn iter(&self) -> impl Iterator<Item = (RowId, &Row)> {
-        self.rows.iter().enumerate()
-    }
-
-    /// Reads one cell.
-    #[inline]
-    pub fn cell(&self, id: RowId, col: &str) -> &Value {
-        &self.rows[id][self.col(col)]
-    }
-
     /// Builds (or rebuilds) a hash index on `col`.
     pub fn create_hash_index(&mut self, col: &str) {
         let pos = self.col(col);
@@ -182,23 +160,6 @@ impl Table {
         self.btree_indexes.get(col).map(|idx| idx as &dyn Index)
     }
 
-    /// Returns row ids whose `col` equals any of `values`, via the best
-    /// available index; `None` when no index exists on `col`.
-    pub fn index_lookup(&self, col: &str, values: &[Value]) -> Option<Vec<RowId>> {
-        let idx = self.index(col)?;
-        let mut out = Vec::new();
-        for v in values {
-            out.extend_from_slice(idx.get(v));
-        }
-        Some(out)
-    }
-
-    /// Returns row ids whose `col` lies in `[lo, hi]` via a B-tree index;
-    /// `None` when no B-tree index exists on `col`.
-    pub fn index_range(&self, col: &str, lo: &Value, hi: &Value) -> Option<Vec<RowId>> {
-        self.btree_indexes.get(col).map(|idx| idx.range(lo, hi))
-    }
-
     /// All rows, in insertion ([`RowId`]) order.
     pub fn rows(&self) -> &[Row] {
         &self.rows
@@ -207,29 +168,26 @@ impl Table {
     /// Evaluates `pred` over the whole table (or an index-reduced subset)
     /// and returns matching row ids in ascending order.
     ///
-    /// Index selection: if the predicate pins an indexed column to
-    /// concrete values, the scan starts from the index result instead of
-    /// the full table — the "indexes are created on key attributes to
-    /// speed up the search" behavior of §II-B.
+    /// Index selection: if the predicate pins an indexed column to a
+    /// concrete value, the scan walks that value's index bucket (row ids
+    /// ascend, since rows are inserted in order) instead of the full
+    /// table — the "indexes are created on key attributes to speed up the
+    /// search" behavior of §II-B.
     pub fn select(&self, pred: &Predicate) -> Vec<RowId> {
         // Try every indexed column for a pin.
         let candidate = self
             .hash_indexes
             .keys()
             .chain(self.btree_indexes.keys())
-            .find_map(|col| {
-                pred.pinned_values(col)
-                    .and_then(|vals| self.index_lookup(col, &vals))
-            });
+            .find_map(|col| Some(self.index(col)?.get(pred.pinned_value(col)?)));
         // Column names resolve to positions once per call, not per row.
         let bound = pred.bind(self);
         match candidate {
-            Some(mut rids) => {
-                rids.sort_unstable();
-                rids.dedup();
-                rids.retain(|&rid| bound.eval(&self.rows[rid]));
-                rids
-            }
+            Some(rids) => rids
+                .iter()
+                .copied()
+                .filter(|&rid| bound.eval(&self.rows[rid]))
+                .collect(),
             None => self
                 .rows
                 .iter()
@@ -238,64 +196,6 @@ impl Table {
                 .map(|(rid, _)| rid)
                 .collect(),
         }
-    }
-}
-
-/// A named collection of tables (the database catalog).
-///
-/// Tables are held behind [`Arc`] so immutable tables can be *shared*
-/// with their owner — a catalog generation's entity tables, say — and
-/// registered here by handle, not by copy.
-#[derive(Debug, Clone, Default)]
-pub struct Database {
-    tables: HashMap<String, Arc<Table>>,
-}
-
-impl Database {
-    /// Creates an empty database.
-    pub fn new() -> Database {
-        Database::default()
-    }
-
-    /// Adds (or replaces) a table.
-    pub fn add_table(&mut self, table: Table) {
-        self.add_shared_table(Arc::new(table));
-    }
-
-    /// Adds (or replaces) a table that may be shared with other catalogs.
-    pub fn add_shared_table(&mut self, table: Arc<Table>) {
-        self.tables.insert(table.name.clone(), table);
-    }
-
-    /// Looks up a table.
-    ///
-    /// Panics on unknown table names (validated during compilation).
-    pub fn table(&self, name: &str) -> &Table {
-        self.tables
-            .get(name)
-            .unwrap_or_else(|| panic!("no table named `{name}`"))
-    }
-
-    /// Mutable table lookup. Clones the table first if it is currently
-    /// shared with another catalog (copy-on-write).
-    pub fn table_mut(&mut self, name: &str) -> &mut Table {
-        Arc::make_mut(
-            self.tables
-                .get_mut(name)
-                .unwrap_or_else(|| panic!("no table named `{name}`")),
-        )
-    }
-
-    /// Whether the database has a table with this name.
-    pub fn has_table(&self, name: &str) -> bool {
-        self.tables.contains_key(name)
-    }
-
-    /// Names of all tables, sorted.
-    pub fn table_names(&self) -> Vec<&str> {
-        let mut names: Vec<&str> = self.tables.keys().map(String::as_str).collect();
-        names.sort_unstable();
-        names
     }
 }
 
@@ -325,9 +225,8 @@ mod tests {
         let t = sample_table(5);
         assert_eq!(t.len(), 5);
         assert!(!t.is_empty());
-        assert_eq!(t.cell(2, "op"), &Value::str("connect"));
+        assert_eq!(t.row(2)[t.col("op")], Value::str("connect"));
         assert_eq!(t.col("start"), 2);
-        assert!(t.has_col("op") && !t.has_col("nope"));
     }
 
     #[test]
@@ -349,7 +248,7 @@ mod tests {
         let rids = t.select(&Predicate::eq("op", "read"));
         assert_eq!(rids.len(), 10);
         for rid in rids {
-            assert_eq!(t.cell(rid, "op"), &Value::str("read"));
+            assert_eq!(t.row(rid)[t.col("op")], Value::str("read"));
         }
     }
 
@@ -363,44 +262,13 @@ mod tests {
     }
 
     #[test]
-    fn btree_range_lookup() {
-        let mut t = sample_table(50);
-        t.create_btree_index("start");
-        let rids = t
-            .index_range("start", &Value::int(100), &Value::int(150))
-            .unwrap();
-        assert_eq!(rids.len(), 6); // starts 100,110,...,150
-        assert!(t
-            .index_range("op", &Value::int(0), &Value::int(1))
-            .is_none());
-    }
-
-    #[test]
     fn index_maintained_across_inserts() {
         let mut t = sample_table(0);
         t.create_hash_index("op");
         t.insert(vec![Value::int(0), Value::str("read"), Value::int(0)]);
         t.insert(vec![Value::int(1), Value::str("read"), Value::int(5)]);
-        let rids = t.index_lookup("op", &[Value::str("read")]).unwrap();
+        let rids = t.index("op").unwrap().get(&Value::str("read"));
         assert_eq!(rids.len(), 2);
-    }
-
-    #[test]
-    fn database_catalog() {
-        let mut db = Database::new();
-        db.add_table(sample_table(3));
-        assert!(db.has_table("event"));
-        assert_eq!(db.table("event").len(), 3);
-        assert_eq!(db.table_names(), vec!["event"]);
-        db.table_mut("event")
-            .insert(vec![Value::int(3), Value::str("read"), Value::int(30)]);
-        assert_eq!(db.table("event").len(), 4);
-    }
-
-    #[test]
-    #[should_panic(expected = "no table")]
-    fn missing_table_panics() {
-        Database::new().table("ghost");
     }
 
     proptest! {

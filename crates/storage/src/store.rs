@@ -1,31 +1,31 @@
-//! The combined audit store: one parsed log ingested into both backends.
+//! The audit store: one parsed log, its entities and its events.
 //!
-//! Mirrors §II-B: "For PostgreSQL, ThreatRaptor stores system entities and
-//! system events in tables. For Neo4j, ThreatRaptor stores system entities
-//! as nodes and system events as edges. Indexes are created on key
-//! attributes to speed up the search. Furthermore, … the Causality
-//! Preserved Reduction technique [is used] to merge excessive events."
-//!
-//! The two halves of that sentence are two types. Entities live once per
-//! store in an [`EntityCatalog`], in indexed relational tables; events
-//! live in [`EventShard`]s, which know nothing about entities — a
-//! [`crate::sharded::ShardedStore`] or a [`crate::stream::StreamingStore`]
-//! holds one catalog and many shards. A shard's relational role is its
-//! [`EventPostings`]: the events stay in one `Vec<Event>` and the index
-//! holds positions into it by operation, subject and object. An
-//! [`AuditStore`] is the single-shard case: one catalog generation and
-//! one shard.
+//! §II-B stores entities and events in PostgreSQL tables and Neo4j
+//! nodes and edges, with "indexes … created on key attributes to speed up
+//! the search", and applies "the Causality Preserved Reduction technique
+//! … to merge excessive events". Here the two halves of that sentence are
+//! two types. Entities live once per store in an [`EntityCatalog`], in
+//! indexed tables; events live in [`EventShard`]s, which know nothing
+//! about entities — a [`crate::sharded::ShardedStore`] or a
+//! [`crate::stream::StreamingStore`] holds one catalog and many shards.
+//! A shard keeps its events in one `Vec<Event>` and indexes positions into
+//! it by operation, subject and object ([`EventPostings`]). An
+//! [`AuditStore`] is the single-shard case: one catalog generation and one
+//! shard, which it lends to the executor as a one-shard
+//! [`ShardedStore`] view
+//! ([`AuditStore::sharded`]).
 
 use crate::catalog::EntityCatalog;
 use crate::cpr;
 use crate::graphdb::GraphDb;
 use crate::postings::EventPostings;
+use crate::sharded::ShardedStore;
 use std::mem::size_of;
 use std::ops::Deref;
-use threatraptor_audit::entity::{Entity, EntityId, EntityKind};
+use threatraptor_audit::entity::{Entity, EntityId};
 use threatraptor_audit::event::Event;
 use threatraptor_audit::parser::ParsedLog;
-use threatraptor_sync::OnceLock;
+use threatraptor_sync::{Arc, OnceLock};
 
 /// Table name for process entities.
 pub const TABLE_PROCESS: &str = "process";
@@ -33,14 +33,11 @@ pub const TABLE_PROCESS: &str = "process";
 pub const TABLE_FILE: &str = "file";
 /// Table name for network-connection entities.
 pub const TABLE_NETWORK: &str = "network";
-/// The name SQL renderings give the event relation (`exp_e5`'s
-/// conciseness comparison); no table by this name is built.
-pub const TABLE_EVENT: &str = "event";
 
-/// A contiguous slice of the stored event stream in both backends: the
-/// events (CPR-reduced when enabled, in time order), their postings by
-/// operation, subject and object (position `i` is `events[i]`), and the
-/// property graph with one edge per event, built on first use. Holds no
+/// A contiguous slice of the stored event stream: the events (CPR-reduced
+/// when enabled, in time order) and their postings by operation, subject
+/// and object (position `i` is `events[i]`). The property graph the
+/// graph-backend baselines search is built on first use. Holds no
 /// entity state — entity ids in its events are resolved against the
 /// owning store's [`EntityCatalog`].
 #[derive(Debug, Clone)]
@@ -75,10 +72,11 @@ impl EventShard {
         &self.postings
     }
 
-    /// The graph backend (Neo4j role), built on first use: the scheduled
-    /// execution path answers event patterns from the postings and
-    /// paths from the subject postings, so a shard that is only ever
-    /// served that way never pays for adjacency lists and edge copies.
+    /// The graph backend (Neo4j role) of the comparison baselines, built
+    /// on first use: the executor answers event patterns from the
+    /// postings and paths from the subject postings, so a shard that is
+    /// only ever hunted that way never pays for adjacency lists and edge
+    /// copies.
     pub fn graph(&self) -> &GraphDb {
         self.graph
             .get_or_init(|| GraphDb::build(self.nodes, &self.events))
@@ -107,16 +105,16 @@ impl EventShard {
     }
 }
 
-/// The combined store over relational and graph backends: an
-/// [`EntityCatalog`] plus one [`EventShard`], to which it dereferences
-/// (`store.events`, `store.postings()`, `store.event_at(..)`).
+/// A parsed log ingested whole: an [`EntityCatalog`] plus one shared
+/// [`EventShard`], to which it dereferences (`store.events`,
+/// `store.postings()`, `store.event_at(..)`).
 #[derive(Debug, Clone)]
 pub struct AuditStore {
     /// All entities, indexed by [`EntityId`], in one generation.
     pub entities: EntityCatalog,
     /// CPR statistics of the ingest (before == after when CPR disabled).
     pub reduction: cpr::ReductionStats,
-    shard: EventShard,
+    shard: Arc<EventShard>,
 }
 
 impl Deref for AuditStore {
@@ -143,7 +141,7 @@ impl AuditStore {
         reduction: cpr::ReductionStats,
     ) -> AuditStore {
         let entities = EntityCatalog::from_entities(entities);
-        let shard = EventShard::build(events, entities.len());
+        let shard = Arc::new(EventShard::build(events, entities.len()));
         AuditStore {
             entities,
             reduction,
@@ -157,13 +155,15 @@ impl AuditStore {
         self.entities.entity(id)
     }
 
-    /// The table name that holds entities of the given kind.
-    pub fn entity_table(kind: EntityKind) -> &'static str {
-        match kind {
-            EntityKind::Process => TABLE_PROCESS,
-            EntityKind::File => TABLE_FILE,
-            EntityKind::Network => TABLE_NETWORK,
-        }
+    /// This store as a one-shard [`ShardedStore`]: handles to the same
+    /// shard and catalog generations, so the view costs reference counts,
+    /// not an index copy. Positions in the view are this store's.
+    pub fn sharded(&self) -> ShardedStore {
+        ShardedStore::from_parts(
+            vec![Arc::clone(&self.shard)],
+            self.entities.clone(),
+            self.reduction,
+        )
     }
 }
 
@@ -202,6 +202,7 @@ impl EventLookup for AuditStore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use threatraptor_audit::entity::EntityKind;
     use threatraptor_audit::event::Operation;
     use threatraptor_audit::sim::scenario::ScenarioBuilder;
 
@@ -301,10 +302,14 @@ mod tests {
     }
 
     #[test]
-    fn entity_table_mapping() {
-        assert_eq!(AuditStore::entity_table(EntityKind::Process), TABLE_PROCESS);
-        assert_eq!(AuditStore::entity_table(EntityKind::File), TABLE_FILE);
-        assert_eq!(AuditStore::entity_table(EntityKind::Network), TABLE_NETWORK);
+    fn the_sharded_view_shares_the_shard() {
+        let s = store(true);
+        let view = s.sharded();
+        assert_eq!(view.shard_count(), 1);
+        assert!(std::ptr::eq(view.shard(0), &*s));
+        assert_eq!(view.event_count(), s.event_count());
+        assert_eq!(view.reduction(), s.reduction);
+        assert_eq!(view.catalog().len(), s.entities.len());
     }
 
     #[test]

@@ -1,12 +1,11 @@
 //! Writing TBQL by hand: filters, operators, temporal clauses,
-//! projections — and what the engine compiles them into.
+//! projections — and the plan the engine runs them with.
 //!
 //! ```text
 //! cargo run --example custom_tbql
 //! ```
 
 use threatraptor::prelude::*;
-use threatraptor::tbql;
 
 fn main() {
     let scenario = ScenarioBuilder::new()
@@ -37,17 +36,12 @@ fn main() {
     println!("-- query 3: www-data shells forking children --");
     println!("{}", raptor.hunt(q3).unwrap().render_table());
 
-    // What a query compiles into (SQL text of the first pattern).
-    let parsed = tbql::parser::parse_query(q1).unwrap();
-    let analyzed = tbql::analyze::analyze(&parsed).unwrap();
-    let compiled = threatraptor::engine::compile::compile(&analyzed).unwrap();
-    println!("-- query 1, pattern 1, compiled to SQL --");
-    println!(
-        "{}",
-        compiled
-            .event_plan(&compiled.patterns[0], &Default::default())
-            .to_sql()
-    );
+    // The plan query 1 runs with: schedule, filters, join keys, fan-out
+    // (over the store's one-shard view, which is what `hunt` executes on).
+    let store = raptor.store().sharded();
+    let plan = ShardedEngine::new(&store).explain(q1).unwrap();
+    println!("-- query 1, EXPLAIN --");
+    println!("{}", plan.render());
 
     // Diagnostics: a broken query produces a spanned error.
     let err = raptor.hunt("proc p read file f return ghost").unwrap_err();

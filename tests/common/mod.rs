@@ -1,0 +1,68 @@
+//! Generators shared by the integration tests.
+
+use proptest::prelude::*;
+
+/// A strategy over well-formed TBQL source covering event and path
+/// patterns, multi-op alternation, entity filters, windows, temporal
+/// chains, a second pattern sharing the subject, the object or a process
+/// with the first, non-default return attributes, and both projection
+/// modes. The vocabulary is the simulator's (a web server beside the
+/// data-leakage attack's tools), so queries over simulated logs match.
+pub fn arb_tbql() -> impl Strategy<Value = String> {
+    // (process, operations, file) triples the simulator produces, and a
+    // few it does not.
+    let event = prop::sample::select(vec![
+        ("%apache2%", "read", "%/var/www/%"),
+        ("%apache2%", "open || close", "%.html"),
+        ("%apache2%", "write", "%.log%"),
+        ("%/bin/tar%", "read || write", "%/%"),
+        ("%/bin/%", "read", "%/tmp/%"),
+        ("%curl%", "read", "%/tmp/%"),
+        ("%bash%", "execute", "%/bin/%"),
+        ("%/bin/tar%", "read", "%/etc/passwd%"),
+        ("%curl%", "write", "%.log%"),
+    ]);
+    let path = prop::sample::select(vec!["~>(1~3)[write]", "~>(2~3)[write]", "~>(1~2)[read]"]);
+    let rel = prop::sample::select(vec!["before", "after"]);
+    let window = prop::sample::select(vec![
+        "",
+        " window [0, 1000000]",
+        " window [500, 2000000000]",
+        " window [0, 30000000]",
+    ]);
+    // A second pattern, and the return items over both patterns.
+    let second = prop::sample::select(vec![
+        ("proc p open || close file g as e2", "p, f, g"),
+        ("proc q read || write file f as e2", "p, f, q"),
+        ("proc p send || recv ip g as e2", "p, f, g.dstport"),
+        ("proc q fork proc p as e2", "q, p.pid, f"),
+    ]);
+    (
+        (event, path),
+        (rel, window, second),
+        any::<bool>(),
+        any::<bool>(),
+        any::<bool>(),
+    )
+        .prop_map(
+            |(((exe, op, file), path), (rel, window, second), two, is_path, distinct)| {
+                let head = if is_path {
+                    format!("proc p[\"{exe}\"] {path} file f[\"{file}\"] as e1{window}")
+                } else {
+                    format!("proc p[\"{exe}\"] {op} file f[\"{file}\"] as e1{window}")
+                };
+                let distinct = if distinct { "distinct " } else { "" };
+                if two {
+                    let (pattern, returns) = second;
+                    format!(
+                        "{head}\n\
+                         {pattern}\n\
+                         with e1 {rel} e2\n\
+                         return {distinct}{returns}"
+                    )
+                } else {
+                    format!("{head}\nreturn {distinct}p, f")
+                }
+            },
+        )
+}

@@ -4,53 +4,13 @@
 //! plan cache key formatting variants of one query to one plan, and the
 //! EXPLAIN output echo a query that still parses.
 
+mod common;
+
+use common::arb_tbql;
 use proptest::prelude::*;
 use threatraptor_tbql::analyze::analyze;
 use threatraptor_tbql::parser::{parse_query, FIG2_TBQL};
 use threatraptor_tbql::printer::{print_query, strip_spans};
-
-/// A strategy over well-formed TBQL source covering event and path
-/// patterns, multi-op alternation, entity filters, windows, temporal
-/// chains, and both projection modes.
-fn arb_tbql() -> impl Strategy<Value = String> {
-    let exe = prop::sample::select(vec!["%/bin/tar%", "%curl%", "%bash%"]);
-    let file = prop::sample::select(vec!["%/etc/passwd%", "%.log%", "%/tmp/%"]);
-    let op = prop::sample::select(vec!["read", "write", "read || write", "execute"]);
-    let rel = prop::sample::select(vec!["before", "after"]);
-    let window = prop::sample::select(vec![
-        "",
-        " window [0, 1000000]",
-        " window [500, 2000000000]",
-    ]);
-    (
-        exe,
-        file,
-        op,
-        rel,
-        window,
-        any::<bool>(),
-        any::<bool>(),
-        any::<bool>(),
-    )
-        .prop_map(|(exe, file, op, rel, window, two, path, distinct)| {
-            let head = if path {
-                format!("proc p[\"{exe}\"] ~>(1~3)[write] file f[\"{file}\"] as e1{window}")
-            } else {
-                format!("proc p[\"{exe}\"] {op} file f[\"{file}\"] as e1{window}")
-            };
-            let distinct = if distinct { "distinct " } else { "" };
-            if two {
-                format!(
-                    "{head}\n\
-                     proc p open || close file g as e2\n\
-                     with e1 {rel} e2\n\
-                     return {distinct}p, f, g"
-                )
-            } else {
-                format!("{head}\nreturn {distinct}p, f")
-            }
-        })
-}
 
 /// Round-trips one source text and asserts AST and signature stability.
 fn assert_roundtrip(src: &str) {

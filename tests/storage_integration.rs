@@ -81,7 +81,7 @@ fn entity_tables_cover_every_entity_exactly_once() {
     assert_eq!(n, store.entities.len());
     // The id column round-trips.
     let files = generation.table(EntityKind::File);
-    for (rid, row) in files.iter().take(50) {
+    for (rid, row) in files.rows().iter().enumerate().take(50) {
         let id = row[files.col("id")].as_int().unwrap() as u32;
         let entity = store.entity(EntityId(id));
         assert_eq!(
