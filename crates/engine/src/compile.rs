@@ -3,8 +3,10 @@
 //! The paper compiles each pattern to "a SQL data query which joins
 //! entity tables with event table", or to a Cypher query for a path
 //! pattern (§II-F). Here each pattern compiles to what the executor's one
-//! data path needs: the entity [`Predicate`] of each variable (resolved
-//! against the entity catalog), and the pattern's shape — the typed
+//! data path needs: the typed [`EntityFilter`] of each variable (its
+//! merged TBQL filters with attribute names resolved to entity fields,
+//! evaluated on the entity catalog; an attribute the variable's kind
+//! lacks is an [`EngineError`]), and the pattern's shape — the typed
 //! [`Operation`]s an event pattern admits, or a path's hop bounds and
 //! final-hop operation — which the event scan and the path expansion
 //! probe the shards' postings with. The SQL and Cypher texts the paper's
@@ -19,12 +21,11 @@
 //! when a delivered [`Match`](crate::Match) is materialized.
 
 use crate::error::EngineError;
-use std::collections::HashMap;
+use crate::filter::EntityFilter;
 use threatraptor_audit::entity::EntityKind;
 use threatraptor_audit::event::Operation;
-use threatraptor_storage::relational::{CmpOp as SqlCmp, Predicate, Value};
 use threatraptor_tbql::analyze::AnalyzedQuery;
-use threatraptor_tbql::ast::{CmpOp, EntityType, Expr, Lit, Pattern, TimeWindow};
+use threatraptor_tbql::ast::{EntityType, Pattern, TimeWindow};
 use threatraptor_tbql::lint::{lint, LintReport};
 
 /// A compiled pattern ready for execution.
@@ -42,8 +43,6 @@ pub struct CompiledPattern {
     pub subject_slot: usize,
     /// Slot of the object variable (index into [`CompiledQuery::vars`]).
     pub object_slot: usize,
-    /// Kind of the object entity.
-    pub object_kind: EntityKind,
     /// Execution shape.
     pub shape: CompiledShape,
     /// Optional time window.
@@ -83,10 +82,10 @@ pub enum CompiledShape {
 pub struct CompiledQuery {
     /// Patterns in declaration order.
     pub patterns: Vec<CompiledPattern>,
-    /// Per-variable storage predicate (merged across mentions).
-    pub var_predicates: HashMap<String, Predicate>,
-    /// Per-variable entity kind (which of the catalog's tables holds it).
-    pub var_kinds: HashMap<String, EntityKind>,
+    /// Per variable slot, its entity filter: the kind of entity it binds
+    /// and its filters merged across mentions, parallel to
+    /// [`CompiledQuery::vars`].
+    pub var_filters: Vec<EntityFilter>,
     /// Temporal `before` pairs (pattern ids).
     pub before: Vec<(String, String)>,
     /// Return projection `(var, attr)`.
@@ -100,32 +99,6 @@ pub struct CompiledQuery {
     pub return_slots: Vec<usize>,
     /// Distinct projection.
     pub distinct: bool,
-}
-
-/// Converts a TBQL filter expression to a storage predicate.
-pub fn expr_to_predicate(expr: &Expr) -> Predicate {
-    match expr {
-        Expr::Cmp { attr, op, value } => {
-            let v = match value {
-                Lit::Str(s) => Value::str(s.clone()),
-                Lit::Int(i) => Value::int(*i),
-            };
-            match op {
-                CmpOp::Like => match value {
-                    Lit::Str(s) => Predicate::like(attr.clone(), s.clone()),
-                    Lit::Int(i) => Predicate::like(attr.clone(), i.to_string()),
-                },
-                CmpOp::Eq => Predicate::Cmp(attr.clone(), SqlCmp::Eq, v),
-                CmpOp::Ne => Predicate::Cmp(attr.clone(), SqlCmp::Ne, v),
-                CmpOp::Lt => Predicate::Cmp(attr.clone(), SqlCmp::Lt, v),
-                CmpOp::Le => Predicate::Cmp(attr.clone(), SqlCmp::Le, v),
-                CmpOp::Gt => Predicate::Cmp(attr.clone(), SqlCmp::Gt, v),
-                CmpOp::Ge => Predicate::Cmp(attr.clone(), SqlCmp::Ge, v),
-            }
-        }
-        Expr::And(legs) => Predicate::And(legs.iter().map(expr_to_predicate).collect()),
-        Expr::Or(legs) => Predicate::Or(legs.iter().map(expr_to_predicate).collect()),
-    }
 }
 
 /// Stored entity kind of a TBQL entity type.
@@ -165,15 +138,13 @@ fn operation(name: &str) -> Result<Operation, EngineError> {
 
 /// Builds the plan for a query the lint pass accepted.
 fn compile_feasible(aq: &AnalyzedQuery, report: &LintReport) -> Result<CompiledQuery, EngineError> {
-    let mut var_predicates = HashMap::new();
-    let mut var_kinds = HashMap::new();
-    for (var, info) in &aq.entities {
-        let pred = Predicate::and(info.filters.iter().map(expr_to_predicate).collect());
-        var_predicates.insert(var.clone(), pred);
-        var_kinds.insert(var.clone(), kind_for(info.ty));
-    }
     // `entities` is a BTreeMap, so slot order is name order.
     let vars: Vec<String> = aq.entities.keys().cloned().collect();
+    let var_filters = aq
+        .entities
+        .values()
+        .map(|info| EntityFilter::lower(kind_for(info.ty), &info.filters))
+        .collect::<Result<Vec<_>, _>>()?;
     let var_slot = |var: &str| -> Result<usize, EngineError> {
         vars.binary_search_by(|v| v.as_str().cmp(var))
             .map_err(|_| EngineError::Execution(format!("untyped variable `{var}`")))
@@ -189,7 +160,6 @@ fn compile_feasible(aq: &AnalyzedQuery, report: &LintReport) -> Result<CompiledQ
         let subject_var = pat.subject().id.clone();
         let object_var = pat.object().id.clone();
         let (subject_slot, object_slot) = (var_slot(&subject_var)?, var_slot(&object_var)?);
-        let object_kind = var_kinds[&object_var];
         let (shape, window, max_len) = match pat {
             Pattern::Event(e) => {
                 let ops = e
@@ -232,7 +202,6 @@ fn compile_feasible(aq: &AnalyzedQuery, report: &LintReport) -> Result<CompiledQ
             object_var,
             subject_slot,
             object_slot,
-            object_kind,
             shape,
             window,
             bounds,
@@ -252,8 +221,7 @@ fn compile_feasible(aq: &AnalyzedQuery, report: &LintReport) -> Result<CompiledQ
         .collect::<Result<_, EngineError>>()?;
     Ok(CompiledQuery {
         patterns,
-        var_predicates,
-        var_kinds,
+        var_filters,
         before: aq.before.clone(),
         returns: aq.returns.clone(),
         vars,
@@ -299,29 +267,61 @@ mod tests {
 
     #[test]
     fn expr_to_predicate_covers_ops() {
-        let e = Expr::Cmp {
-            attr: "pid".into(),
-            op: CmpOp::Ge,
-            value: Lit::Int(10),
+        use crate::filter::{Cond, Field};
+        use threatraptor_tbql::ast::{CmpOp, Expr, Lit};
+        let cmp = |attr: &str, op, value| Expr::Cmp {
+            attr: attr.into(),
+            op,
+            value,
         };
+        let lower = |e: &Expr| Cond::lower(EntityKind::Process, e).unwrap();
         assert_eq!(
-            expr_to_predicate(&e),
-            Predicate::Cmp("pid".into(), SqlCmp::Ge, Value::int(10))
+            lower(&cmp("pid", CmpOp::Ge, Lit::Int(10))),
+            Cond::Cmp(Field::Pid, CmpOp::Ge, Lit::Int(10))
+        );
+        // `like` keeps its pattern; an integer pattern becomes its text.
+        assert_eq!(
+            lower(&cmp("pid", CmpOp::Like, Lit::Int(42))),
+            Cond::Like(Field::Pid, "42".into())
         );
         let e = Expr::Or(vec![
-            Expr::Cmp {
-                attr: "owner".into(),
-                op: CmpOp::Eq,
-                value: Lit::Str("root".into()),
-            },
-            Expr::Cmp {
-                attr: "exename".into(),
-                op: CmpOp::Like,
-                value: Lit::Str("%sh".into()),
-            },
+            cmp("owner", CmpOp::Eq, Lit::Str("root".into())),
+            cmp("exename", CmpOp::Like, Lit::Str("%sh".into())),
         ]);
-        let p = expr_to_predicate(&e);
-        assert!(matches!(p, Predicate::Or(ref legs) if legs.len() == 2));
+        assert_eq!(
+            lower(&e),
+            Cond::Or(vec![
+                Cond::Cmp(Field::Owner, CmpOp::Eq, Lit::Str("root".into())),
+                Cond::Like(Field::Exename, "%sh".into()),
+            ])
+        );
+        // Slots carry their variable's kind and merged filter.
+        let cq = compiled(r#"proc p["%sh"] read file f as e1 proc p[pid = 7] read f return p"#);
+        assert_eq!(cq.vars, ["f", "p"]);
+        assert_eq!(cq.var_filters[0].kind, EntityKind::File);
+        assert_eq!(cq.var_filters[0].cond, Cond::True);
+        assert_eq!(cq.var_filters[1].kind, EntityKind::Process);
+        assert!(matches!(&cq.var_filters[1].cond, Cond::And(legs) if legs.len() == 2));
+    }
+
+    /// An attribute analysis accepted but the variable's kind lacks is a
+    /// typed compile error, not a panic at resolve time.
+    #[test]
+    fn invalid_filter_attributes_are_typed_errors() {
+        let mut aq =
+            analyze(&parse_query(r#"proc p[exename = "/bin/sh"] read file f return p"#).unwrap())
+                .unwrap();
+        let threatraptor_tbql::ast::Expr::Cmp { attr, .. } =
+            &mut aq.entities.get_mut("p").unwrap().filters[0]
+        else {
+            panic!("a comparison filter");
+        };
+        *attr = "dstip".into();
+        let err = compile(&aq).unwrap_err();
+        assert!(
+            matches!(&err, EngineError::Execution(m) if m.contains("`dstip`")),
+            "{err:?}"
+        );
     }
 
     #[test]

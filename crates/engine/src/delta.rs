@@ -47,12 +47,12 @@
 //! Endpoint resolution is memoized per standing query. The entity
 //! catalog is append-only and entities never change, so [`DeltaState`]
 //! keeps, per query variable, the ids of the entities satisfying the
-//! variable's predicate together with the catalog length they cover. A
+//! variable's filter together with the catalog length they cover. A
 //! poll first extends those sets over the entities appended since the
 //! previous poll (a partition point in the generation straddling the
 //! covered length finds them); an unbound endpoint then borrows its set
 //! and a bound one (ids propagated from partials) is the word-wise AND
-//! of the propagated ids with it. Nothing re-evaluates a predicate over
+//! of the propagated ids with it. Nothing re-evaluates a filter over
 //! entities an earlier poll already resolved.
 //!
 //! So in the steady state a poll costs O(fresh rows + entities appended
@@ -110,7 +110,7 @@ fn add_shard_counts(total: &mut Vec<usize>, add: &[usize]) {
 }
 
 /// Per query variable (by slot), the ids of the catalog's entities of the
-/// variable's kind that satisfy its predicate, covering the catalog's
+/// variable's kind that satisfy its filter, covering the catalog's
 /// first `covered` entities. The catalog is append-only and entities
 /// never change, so a poll only evaluates the entities appended since the
 /// previous one.
@@ -148,16 +148,8 @@ impl EndpointMemo {
         }
         self.sets
             .iter_mut()
-            .zip(&cq.vars)
-            .map(|(set, var)| {
-                resolve_from(
-                    catalog,
-                    cq.var_kinds[var],
-                    &cq.var_predicates[var],
-                    from,
-                    set,
-                )
-            })
+            .zip(&cq.var_filters)
+            .map(|(set, filter)| resolve_from(catalog, filter, from, set))
             .sum()
     }
 
@@ -631,8 +623,8 @@ mod tests {
     /// sizes grow a catalog through `EntityCatalog::extend` (so trailing
     /// generations fold), and after each batch the extended memo equals
     /// `resolve_ids` over the whole catalog, unbound and bound, for
-    /// `LIKE`, `=` (indexed and not), disjunctions and no filter over all
-    /// three entity kinds.
+    /// `LIKE`, `=`, disjunctions and no filter over all three entity
+    /// kinds.
     mod memo {
         use super::*;
         use crate::exec::resolve_ids;
@@ -717,16 +709,16 @@ mod tests {
                         .collect();
                     for (cq, memo) in cqs.iter().zip(&memos) {
                         prop_assert_eq!(memo.covered, catalog.len());
-                        for (slot, var) in cq.vars.iter().enumerate() {
-                            let (kind, pred) = (cq.var_kinds[var], &cq.var_predicates[var]);
+                        for (slot, filter) in cq.var_filters.iter().enumerate() {
+                            let var = &cq.vars[slot];
                             prop_assert_eq!(
                                 memo.resolve(slot, None).into_owned(),
-                                resolve_ids(&catalog, kind, pred, None),
+                                resolve_ids(&catalog, filter, None),
                                 "{} unbound", var
                             );
                             prop_assert_eq!(
                                 memo.resolve(slot, Some(&bound)).into_owned(),
-                                resolve_ids(&catalog, kind, pred, Some(&bound)),
+                                resolve_ids(&catalog, filter, Some(&bound)),
                                 "{} bound", var
                             );
                         }
@@ -737,11 +729,10 @@ mod tests {
                 for (cq, memo) in cqs.iter().zip(&mut memos) {
                     memo.extend(cq, first);
                     prop_assert_eq!(memo.covered, first.len());
-                    for (slot, var) in cq.vars.iter().enumerate() {
-                        let (kind, pred) = (cq.var_kinds[var], &cq.var_predicates[var]);
+                    for (slot, filter) in cq.var_filters.iter().enumerate() {
                         prop_assert_eq!(
                             memo.resolve(slot, None).into_owned(),
-                            resolve_ids(first, kind, pred, None)
+                            resolve_ids(first, filter, None)
                         );
                     }
                 }

@@ -2,13 +2,15 @@
 //! assembly.
 //!
 //! One pattern's data query runs in two halves. **Resolve**: each
-//! endpoint variable's predicate — narrowed to the ids earlier patterns
-//! bound, when propagation applies — is evaluated once against the
-//! entity catalog into a dense id set. **Scan**: an event pattern
-//! searches each shard's event postings with those sets, picking the
-//! cheapest of the subject, object and operation postings by their
-//! sizes (`scan_events`); a path pattern expands hop by hop over the
-//! subject postings (`expand_paths`). The split is what lets the
+//! endpoint variable's typed filter ([`EntityFilter`]) is evaluated once
+//! on the entity catalog's entities — every entity of the variable's
+//! kind, walked through the catalog's per-kind positions, or only the
+//! ids earlier patterns bound when propagation applies, each read at
+//! `id − base` — into a dense id set. **Scan**: an event pattern searches
+//! each shard's event postings with those sets, picking the cheapest of
+//! the subject, object and operation postings by their sizes
+//! (`scan_events`); a path pattern expands hop by hop over the subject
+//! postings (`expand_paths`). The split is what lets the
 //! sharded executor resolve once and hand the same sets to every shard's
 //! scan. Rows then meet the partial matches in the slot-compiled hash
 //! join of the crate's `join` module.
@@ -19,6 +21,7 @@
 
 use crate::compile::{compile, CompiledPattern, CompiledQuery, CompiledShape};
 use crate::error::EngineError;
+use crate::filter::EntityFilter;
 use crate::idset::IdSet;
 use crate::join::{join_rows, propagate, Bound, PatternRow, Schedule, Tuples, Witness};
 use crate::result::{HuntResult, HuntStats, JoinStats, Match};
@@ -26,11 +29,10 @@ use crate::sharded::ShardedEngine;
 use std::collections::{HashMap, HashSet};
 use std::ops::Deref;
 use std::time::Instant;
-use threatraptor_audit::entity::{EntityId, EntityKind};
+use threatraptor_audit::entity::EntityId;
 use threatraptor_audit::event::{Event, Operation};
 use threatraptor_storage::catalog::EntityCatalog;
 use threatraptor_storage::postings::EventPostings;
-use threatraptor_storage::relational::{Predicate, Value};
 use threatraptor_storage::store::{AuditStore, EventShard};
 use threatraptor_tbql::analyze::analyze;
 use threatraptor_tbql::ast::{Query, TimeWindow};
@@ -175,48 +177,36 @@ pub(crate) fn resolve_endpoints(
     bound: &Bound,
     catalog: &EntityCatalog,
 ) -> (IdSet, IdSet) {
-    let resolve = |var: &str, bound: &Option<IdSet>| {
-        resolve_ids(
-            catalog,
-            cq.var_kinds[var],
-            &cq.var_predicates[var],
-            bound.as_ref(),
-        )
+    let resolve = |slot: usize, bound: &Option<IdSet>| {
+        resolve_ids(catalog, &cq.var_filters[slot], bound.as_ref())
     };
     (
-        resolve(&pat.subject_var, &bound[0]),
-        resolve(&pat.object_var, &bound[1]),
+        resolve(pat.subject_slot, &bound[0]),
+        resolve(pat.object_slot, &bound[1]),
     )
 }
 
-/// Entity ids of `kind` satisfying `pred` and, when earlier patterns
-/// already bound the variable, lying among those ids: the union over the
-/// catalog's generations. With `bound` ids only their rows are examined
-/// (each id in the generation owning its range, through the `id` index);
-/// otherwise the predicate selects over every generation's table.
+/// Ids of the entities `filter` matches that, when earlier patterns
+/// already bound the variable, lie among those ids: the union over the
+/// catalog's generations. With `bound` ids only their entities are
+/// examined (each id in the generation owning its range, at `id − base`);
+/// otherwise every entity of the filter's kind is.
 pub(crate) fn resolve_ids(
     catalog: &EntityCatalog,
-    kind: EntityKind,
-    pred: &Predicate,
+    filter: &EntityFilter,
     bound: Option<&IdSet>,
 ) -> IdSet {
     let mut out = IdSet::default();
     let Some(bound) = bound else {
-        resolve_from(catalog, kind, pred, 0, &mut out);
+        resolve_from(catalog, filter, 0, &mut out);
         return out;
     };
     // Ascending ids meet ascending id ranges: one pass over both.
     let mut ids = bound.iter().peekable();
     for generation in catalog.generations() {
-        let table = generation.table(kind);
-        let by_id = table.index("id").expect("entity tables index id");
-        let pred = pred.bind(table);
+        let entities = generation.entities();
         while let Some(id) = ids.next_if(|id| id.index() < generation.end()) {
-            if by_id
-                .get(&Value::from(id.0))
-                .iter()
-                .any(|&rid| pred.eval(table.row(rid)))
-            {
+            if filter.matches(&entities[id.index() - generation.base()]) {
                 out.insert(id);
             }
         }
@@ -224,43 +214,31 @@ pub(crate) fn resolve_ids(
     out
 }
 
-/// Adds to `out` the ids `≥ from` of the catalog's entities of `kind`
-/// that satisfy `pred`, and returns the number of entity rows in that
-/// range. `from = 0` resolves the whole catalog; the delta executor
-/// passes the length its memoized sets already cover, so a poll
-/// evaluates only the entities appended since the last one.
+/// Adds to `out` the ids `≥ from` of the catalog's entities that `filter`
+/// matches, and returns the number of entities of its kind in that range
+/// (the entity rows examined). `from = 0` resolves the whole catalog; the
+/// delta executor passes the length its memoized sets already cover, so a
+/// poll evaluates only the entities appended since the last one.
 ///
-/// A generation wholly in range is selected as a whole (through its
-/// indexes when the predicate pins an indexed column). The one straddling
-/// `from` holds its rows in ascending id order (entities are inserted in
-/// id order), so a partition point finds the rows in range.
+/// Each generation lists the positions of its entities of a kind in
+/// ascending order, so a partition point finds the first one in range.
 pub(crate) fn resolve_from(
     catalog: &EntityCatalog,
-    kind: EntityKind,
-    pred: &Predicate,
+    filter: &EntityFilter,
     from: usize,
     out: &mut IdSet,
 ) -> usize {
     let mut examined = 0;
     for generation in catalog.generations().iter().filter(|g| g.end() > from) {
-        let table = generation.table(kind);
-        let id_col = table.col("id");
-        let id_of = |row: &[Value]| EntityId(row[id_col].as_int().expect("id column") as u32);
-        let rows = table.rows();
-        let first = if generation.base() >= from {
-            0
-        } else {
-            rows.partition_point(|row| id_of(row).index() < from)
-        };
-        examined += rows.len() - first;
-        if first == 0 {
-            for rid in table.select(pred) {
-                out.insert(id_of(&rows[rid]));
-            }
-        } else {
-            let pred = pred.bind(table);
-            for row in rows[first..].iter().filter(|row| pred.eval(row)) {
-                out.insert(id_of(row));
+        let (base, entities) = (generation.base(), generation.entities());
+        let positions = generation.positions(filter.kind);
+        let first = positions.partition_point(|&pos| base + (pos as usize) < from);
+        examined += positions.len() - first;
+        for &pos in &positions[first..] {
+            // The id is `base + pos`: an unfiltered variable never reads
+            // its entities.
+            if filter.cond.eval(&entities[pos as usize]) {
+                out.insert(EntityId((base + pos as usize) as u32));
             }
         }
     }

@@ -35,7 +35,7 @@ pub struct ExplainEntry {
     pub score: i64,
     /// Shape label: `event[read]` or `path(1~3)[write]`.
     pub shape: String,
-    /// `(variable, rendered predicate)` for subject then object.
+    /// `(variable, filter rendered as SQL)` for subject then object.
     pub filters: Vec<(String, String)>,
     /// Predicted shard fan-out of the data query.
     pub fanout: usize,
@@ -271,12 +271,12 @@ pub(crate) fn plan_report(query: &Query, cq: &CompiledQuery, shards: usize) -> E
                 .get(pat.decl_index)
                 .map(print_pattern)
                 .unwrap_or_default();
-            let mut filters = Vec::new();
-            for var in [&pat.subject_var, &pat.object_var] {
-                if let Some(pred) = cq.var_predicates.get(var) {
-                    filters.push((var.clone(), pred.to_sql(var)));
-                }
-            }
+            let filters = [pat.subject_slot, pat.object_slot]
+                .map(|slot| {
+                    let var = &cq.vars[slot];
+                    (var.clone(), cq.var_filters[slot].to_sql(var))
+                })
+                .to_vec();
             ExplainEntry {
                 pattern: pat.id.clone(),
                 source,

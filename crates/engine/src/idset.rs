@@ -2,7 +2,7 @@
 //!
 //! Entity ids are small dense integers (positions in the store's entity
 //! array), so the sets the executor passes around — ids satisfying a
-//! variable's predicate, ids bound by earlier patterns — are bitmaps:
+//! variable's filter, ids bound by earlier patterns — are bitmaps:
 //! membership is one word load (it is tested per scanned event), building
 //! one from a column of bindings is a pass of bit-ors, and iteration is
 //! ascending, hence deterministic.

@@ -18,8 +18,8 @@
 //! filters)."
 //!
 //! The paper sends each compiled data query to PostgreSQL or Neo4j. Here
-//! there is one executor, [`ShardedEngine`], and one data path: entity
-//! predicates resolve against the store's entity catalog, event patterns
+//! there is one executor, [`ShardedEngine`], and one data path: typed
+//! entity filters evaluate on the store's entity catalog, event patterns
 //! scan the shards' event postings, and path patterns expand hop by hop
 //! over the subject postings. The single-store [`Engine`] is that
 //! executor over a one-shard view. The two backends survive as the
@@ -30,7 +30,7 @@
 //! the return clause to slot indices, so a partial match is a flat tuple
 //! (entity id per variable, `(start, end)` and witness positions per
 //! pattern) rather than three name-keyed maps. One pattern's data query
-//! *resolves* its entity predicates — narrowed to the ids earlier
+//! *resolves* its entity filters — narrowed to the ids earlier
 //! patterns bound — to id sets once, then *scans* events with those
 //! sets; the fetched rows meet the partial tuples in an
 //! **order-preserving hash join** keyed on the already-bound variables
@@ -41,13 +41,16 @@
 //!
 //! Modules:
 //! * [`compile`] — analyzed TBQL → the executor's plan: per-variable
-//!   entity predicates, per-pattern shape (typed operations, hop bounds),
-//!   pruning scores, DBM bounds and slot assignment;
+//!   typed entity filters, per-pattern shape (typed operations, hop
+//!   bounds), pruning scores, DBM bounds and slot assignment;
+//! * [`filter`] — the typed entity filter a variable's TBQL filters
+//!   lower to: fields resolved at compile, evaluated on a borrowed
+//!   entity, rendered as SQL for EXPLAIN;
 //! * [`score`] — pruning scores;
 //! * [`exec`] — the scheduler: entity resolution, the event scan,
 //!   path expansion, projection, and the single-store [`Engine`] facade;
 //! * [`sharded`] — the executor, scatter-gather over a
-//!   [`threatraptor_storage::sharded::ShardedStore`]: predicates resolve
+//!   [`threatraptor_storage::sharded::ShardedStore`]: filters resolve
 //!   once per pattern against the store's entity catalog and every shard
 //!   scans with the same id sets;
 //! * `join` (private) — slot tuples, the execution schedule with each
@@ -75,6 +78,7 @@ pub mod delta;
 pub mod error;
 pub mod exec;
 pub mod explain;
+pub mod filter;
 mod idset;
 mod join;
 pub mod reference;

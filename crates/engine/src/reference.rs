@@ -251,7 +251,7 @@ fn kind(ty: EntityType) -> EntityKind {
 }
 
 /// Whether `entity` satisfies the filter `expr`.
-fn holds(expr: &Expr, entity: &Entity) -> bool {
+pub(crate) fn holds(expr: &Expr, entity: &Entity) -> bool {
     let (attr, op, value) = match expr {
         Expr::And(legs) => return legs.iter().all(|leg| holds(leg, entity)),
         Expr::Or(legs) => return legs.iter().any(|leg| holds(leg, entity)),
@@ -286,7 +286,7 @@ fn holds(expr: &Expr, entity: &Entity) -> bool {
 
 /// SQL `LIKE` by dynamic programming over characters: `ok[j]` says the
 /// pattern read so far matches the first `j` characters of the text.
-fn like(pattern: &str, text: &str) -> bool {
+pub(crate) fn like(pattern: &str, text: &str) -> bool {
     let text: Vec<char> = text.chars().collect();
     let mut ok = vec![false; text.len() + 1];
     ok[0] = true;

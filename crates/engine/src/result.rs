@@ -60,9 +60,10 @@ pub struct DeltaStats {
     pub carried_partials: usize,
     /// Partial bindings retained after this poll.
     pub retained_partials: usize,
-    /// Entity-table rows this poll examined to extend its memoized
-    /// endpoint sets: the rows of entities appended since the previous
-    /// poll (every entity on a from-zero poll), zero when no entity was.
+    /// Entities this poll examined to extend its memoized endpoint sets,
+    /// summed over the variables: those of each variable's kind appended
+    /// since the previous poll (every one on a from-zero poll), zero when
+    /// no entity was.
     pub entity_rows: usize,
 }
 
@@ -93,7 +94,7 @@ pub struct HuntStats {
     /// execution order.
     pub pattern_elapsed: Vec<(String, Duration)>,
     /// Wall time resolving the patterns' endpoint variables to entity id
-    /// sets (a full execution evaluates each variable's predicate over
+    /// sets (a full execution evaluates each variable's filter over
     /// the catalog; a delta poll extends its memoized sets and narrows
     /// them to propagated ids).
     pub resolve_elapsed: Duration,

@@ -4,7 +4,7 @@
 //! constraint propagation, the hash join — with each pattern's *data
 //! query* fanned out across the store's shards:
 //!
-//! * **event patterns** resolve their entity predicates (and propagated
+//! * **event patterns** resolve their entity filters (and propagated
 //!   bindings) to id sets **once**, against the store-level entity
 //!   catalog, and hand the same sets to every shard's event scan, in
 //!   parallel on scoped threads; shard-local row positions are translated

@@ -1,13 +1,13 @@
-//! The entity catalog: every entity of a store, once, with its indexed
-//! tables, append-only and shared by reference.
+//! The entity catalog: every entity of a store, once, append-only and
+//! shared by reference.
 //!
 //! Entity ids are dense positions assigned by the parser in
 //! first-appearance order, and entities never change once registered. The
 //! catalog exploits both: it is a short list of immutable
 //! [`Generation`]s behind [`Arc`], each owning a contiguous id range, the
-//! entities in it, and the three entity tables ("Indexes are created on
-//! key attributes to speed up the search", §II-B) over exactly that
-//! range.
+//! entities in it, and per entity kind the ascending positions of that
+//! kind's entities — the paper's three entity tables (§II-B) as position
+//! lists over one copy of the entities.
 //!
 //! * [`EntityCatalog::extend`] indexes only the new entities and folds
 //!   them together with every trailing generation that is less than
@@ -15,20 +15,20 @@
 //!   therefore at least halve from each to the next, so a catalog of `n`
 //!   entities has at most `log₂ n + 1` generations, and a generation is
 //!   only rebuilt into one at least half again its size — `n` entities
-//!   cost at most `n · (1 + log₂ n)` table rows over any append schedule.
+//!   cost at most `n · (1 + log₂ n)` indexed entities over any append
+//!   schedule.
 //! * Cloning a catalog clones the handle list. A snapshot keeps the
 //!   generations it saw alive and never sees a later one; an append never
 //!   copies or rebuilds what a held snapshot can see.
 //! * A batch store is the one-generation case
-//!   ([`EntityCatalog::from_entities`]): the same type, probed exactly as
-//!   one monolithic set of tables would be.
+//!   ([`EntityCatalog::from_entities`]): the same type, read exactly as
+//!   one monolithic list would be.
 //!
-//! Readers resolve an entity predicate by probing each generation's table
-//! and taking the union, and an id by locating its generation from the id
-//! range.
+//! Readers resolve an entity filter by walking each generation's
+//! positions of the filter's kind and taking the union, and an id by
+//! locating its generation from the id range: the entity is at
+//! `id − base`.
 
-use crate::relational::{Column, Table, Value};
-use crate::store::{TABLE_FILE, TABLE_NETWORK, TABLE_PROCESS};
 use std::mem::size_of;
 use threatraptor_audit::entity::{Entity, EntityId, EntityKind};
 use threatraptor_sync::Arc;
@@ -38,35 +38,35 @@ use threatraptor_sync::Arc;
 const MERGE_FACTOR: usize = 2;
 
 /// One immutable slice of the catalog: the entities with ids in
-/// `[base, end)` and the three entity tables over them.
+/// `[base, end)` and, per kind, the positions of that kind's entities.
 #[derive(Debug)]
 pub struct Generation {
     base: usize,
     entities: Vec<Entity>,
-    process: Table,
-    file: Table,
-    network: Table,
+    /// Ascending positions in `entities`, indexed by `EntityKind as usize`.
+    positions: [Vec<u32>; 3],
     heap_bytes: usize,
 }
 
 impl Generation {
     fn build(base: usize, entities: Vec<Entity>) -> Generation {
-        let (process, file, network) = (
-            build_process_table(&entities),
-            build_file_table(&entities),
-            build_network_table(&entities),
-        );
+        let mut positions: [Vec<u32>; 3] = Default::default();
+        for (pos, entity) in entities.iter().enumerate() {
+            positions[entity.kind() as usize].push(pos as u32);
+        }
+        for list in &mut positions {
+            list.shrink_to_fit();
+        }
         let heap_bytes = entities.capacity() * size_of::<Entity>()
             + entities.iter().map(entity_heap_bytes).sum::<usize>()
-            + process.heap_bytes()
-            + file.heap_bytes()
-            + network.heap_bytes();
+            + positions
+                .iter()
+                .map(|list| list.capacity() * size_of::<u32>())
+                .sum::<usize>();
         Generation {
             base,
-            process,
-            file,
-            network,
             entities,
+            positions,
             heap_bytes,
         }
     }
@@ -86,20 +86,17 @@ impl Generation {
         &self.entities
     }
 
-    /// Heap bytes of this generation's entities and their three tables,
+    /// Heap bytes of this generation's entities and position lists,
     /// counted once at build (by capacity).
     pub fn heap_bytes(&self) -> usize {
         self.heap_bytes
     }
 
-    /// The table holding this generation's entities of `kind` (process:
-    /// indexed on `id`; file: `id`, `name`; network: `id`, `dstip`).
-    pub fn table(&self, kind: EntityKind) -> &Table {
-        match kind {
-            EntityKind::Process => &self.process,
-            EntityKind::File => &self.file,
-            EntityKind::Network => &self.network,
-        }
+    /// The positions in [`Generation::entities`] of this generation's
+    /// entities of `kind`, ascending (entity `base + pos` is at `pos`).
+    #[inline]
+    pub fn positions(&self, kind: EntityKind) -> &[u32] {
+        &self.positions[kind as usize]
     }
 }
 
@@ -119,19 +116,14 @@ impl EntityCatalog {
     /// A catalog holding `entities` in a single generation — the batch
     /// construction path.
     pub fn from_entities(entities: &[Entity]) -> EntityCatalog {
-        // Starting from an empty generation (which the extend folds away)
-        // leaves even an empty log with one generation: its three tables
-        // exist, with no rows.
-        let mut catalog = EntityCatalog {
-            generations: vec![Arc::new(Generation::build(0, Vec::new()))],
-        };
+        let mut catalog = EntityCatalog::new();
         catalog.extend(entities);
         catalog
     }
 
     /// Registers `new` entities, which must continue the id sequence, and
-    /// returns the number of table rows this indexed (the new entities
-    /// plus those of every generation folded in with them).
+    /// returns the number of entities this indexed (the new ones plus
+    /// those of every generation folded in with them).
     pub fn extend(&mut self, new: &[Entity]) -> usize {
         let len = self.len();
         for (offset, entity) in new.iter().enumerate() {
@@ -157,9 +149,9 @@ impl EntityCatalog {
         entities.extend_from_slice(new);
         let base = self.generations.get(first).map_or(len, |g| g.base);
         // Build before the folded generations are freed: otherwise the
-        // allocator hands their scattered row and string chunks straight
-        // to the new rows, and every merge shuffles the tables further
-        // (measured on `hunt-hot`: median hunt latency +10 %).
+        // allocator hands their scattered string chunks straight to the
+        // new entities, and every merge shuffles them further (measured
+        // on `hunt-hot`: median hunt latency +10 %).
         let merged = Generation::build(base, entities);
         self.generations.truncate(first);
         self.generations.push(Arc::new(merged));
@@ -214,79 +206,9 @@ fn entity_heap_bytes(entity: &Entity) -> usize {
     }
 }
 
-fn build_process_table(entities: &[Entity]) -> Table {
-    let mut t = Table::new(
-        TABLE_PROCESS,
-        vec![
-            Column::new("id"),
-            Column::new("pid"),
-            Column::new("exename"),
-            Column::new("cmdline"),
-            Column::new("owner"),
-            Column::new("start_time"),
-        ],
-    );
-    for e in entities {
-        if let Entity::Process(p) = e {
-            t.insert(vec![
-                Value::from(p.id.0),
-                Value::from(p.pid),
-                Value::str(&p.exename),
-                Value::str(&p.cmdline),
-                Value::str(&p.owner),
-                Value::from(p.start_time),
-            ]);
-        }
-    }
-    t.create_btree_index("id");
-    t
-}
-
-fn build_file_table(entities: &[Entity]) -> Table {
-    let mut t = Table::new(TABLE_FILE, vec![Column::new("id"), Column::new("name")]);
-    for e in entities {
-        if let Entity::File(f) = e {
-            t.insert(vec![Value::from(f.id.0), Value::str(&f.name)]);
-        }
-    }
-    t.create_btree_index("id");
-    t.create_hash_index("name");
-    t
-}
-
-fn build_network_table(entities: &[Entity]) -> Table {
-    let mut t = Table::new(
-        TABLE_NETWORK,
-        vec![
-            Column::new("id"),
-            Column::new("srcip"),
-            Column::new("srcport"),
-            Column::new("dstip"),
-            Column::new("dstport"),
-            Column::new("protocol"),
-        ],
-    );
-    for e in entities {
-        if let Entity::Network(n) = e {
-            t.insert(vec![
-                Value::from(n.id.0),
-                Value::str(&n.src_ip),
-                Value::from(n.src_port),
-                Value::str(&n.dst_ip),
-                Value::from(n.dst_port),
-                Value::str(&n.protocol),
-            ]);
-        }
-    }
-    t.create_btree_index("id");
-    t.create_hash_index("dstip");
-    t
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::relational::Predicate;
     use proptest::prelude::*;
     use threatraptor_audit::entity::{FileEntity, NetworkEntity, ProcessEntity};
 
@@ -334,55 +256,68 @@ mod tests {
         bounds.windows(2).map(|w| w[0]..w[1]).collect()
     }
 
-    fn corpus() -> Vec<(EntityKind, Predicate)> {
+    /// An entity filter: a closure over an entity of its kind.
+    type Filter = fn(&Entity) -> bool;
+
+    fn corpus() -> Vec<(EntityKind, &'static str, Filter)> {
+        use EntityKind::{File, Network, Process};
         vec![
-            (EntityKind::Process, Predicate::True),
-            (EntityKind::Process, Predicate::like("exename", "%tool3%")),
-            (EntityKind::Process, Predicate::eq("owner", "root")),
-            (EntityKind::File, Predicate::True),
-            (EntityKind::File, Predicate::like("name", "%/dir1/%")),
-            (EntityKind::File, Predicate::eq("name", "/data/dir2/file5")),
-            (EntityKind::Network, Predicate::True),
-            (EntityKind::Network, Predicate::eq("dstip", "192.168.1.2")),
-            (EntityKind::Network, Predicate::like("dstip", "%.1.3")),
+            (Process, "TRUE", |_| true),
+            (Process, "exename LIKE '%tool3%'", |e| {
+                e.as_process().is_some_and(|p| p.exename.contains("tool3"))
+            }),
+            (Process, "owner = 'root'", |e| {
+                e.as_process().is_some_and(|p| p.owner == "root")
+            }),
+            (File, "TRUE", |_| true),
+            (File, "name LIKE '%/dir1/%'", |e| {
+                e.as_file().is_some_and(|f| f.name.contains("/dir1/"))
+            }),
+            (File, "name = '/data/dir2/file5'", |e| {
+                e.as_file().is_some_and(|f| f.name == "/data/dir2/file5")
+            }),
+            (Network, "TRUE", |_| true),
+            (Network, "dstip = '192.168.1.2'", |e| {
+                e.as_network().is_some_and(|n| n.dst_ip == "192.168.1.2")
+            }),
+            (Network, "dstip LIKE '%.1.3'", |e| {
+                e.as_network().is_some_and(|n| n.dst_ip.ends_with(".1.3"))
+            }),
         ]
     }
 
-    /// Ids of `kind` matching `pred`, in ascending order: per-generation
-    /// select, unioned — what the engine's resolve step does.
-    fn select(catalog: &EntityCatalog, kind: EntityKind, pred: &Predicate) -> Vec<i64> {
+    /// Ids of `kind` that `filter` admits, in ascending order: each
+    /// generation's positions of `kind` walked and unioned — what the
+    /// engine's resolve step does.
+    fn select(catalog: &EntityCatalog, kind: EntityKind, filter: Filter) -> Vec<usize> {
         let mut ids = Vec::new();
         for generation in catalog.generations() {
-            let table = generation.table(kind);
-            let id_col = table.col("id");
+            let entities = generation.entities();
             ids.extend(
-                table
-                    .select(pred)
-                    .into_iter()
-                    .map(|rid| table.row(rid)[id_col].as_int().unwrap()),
+                generation
+                    .positions(kind)
+                    .iter()
+                    .map(|&pos| &entities[pos as usize])
+                    .filter(|e| filter(e))
+                    .map(|e| e.id().index()),
             );
         }
         ids.sort_unstable();
         ids
     }
 
-    /// Whether entity `id` is of `kind` and matches `pred`, through the
-    /// owning generation's `id` index — the bound-id lookup.
-    fn lookup(catalog: &EntityCatalog, kind: EntityKind, pred: &Predicate, id: usize) -> bool {
+    /// Whether entity `id` is of `kind` and `filter` admits it, read at
+    /// `id − base` in the generation owning its range — the bound-id
+    /// lookup.
+    fn lookup(catalog: &EntityCatalog, kind: EntityKind, filter: Filter, id: usize) -> bool {
         let generation = catalog
             .generations()
             .iter()
             .find(|g| id < g.end())
             .expect("id in range");
         assert!(id >= generation.base());
-        let table = generation.table(kind);
-        let pred = pred.bind(table);
-        table
-            .index("id")
-            .unwrap()
-            .get(&Value::from(id as u32))
-            .iter()
-            .any(|&rid| pred.eval(table.row(rid)))
+        let entity = &generation.entities()[id - generation.base()];
+        entity.kind() == kind && filter(entity)
     }
 
     fn assert_generation_shape(catalog: &EntityCatalog) {
@@ -435,15 +370,12 @@ mod tests {
                 prop_assert!(snapshot.iter().eq(all[..seen].iter()));
                 let oracle = EntityCatalog::from_entities(&all[..seen]);
                 prop_assert_eq!(oracle.generations().len(), 1);
-                for (kind, pred) in corpus() {
-                    let got = select(snapshot, kind, &pred);
-                    prop_assert_eq!(&got, &select(&oracle, kind, &pred), "{:?} {:?}", kind, pred);
-                    prop_assert!(got.iter().all(|&id| (id as usize) < seen));
+                for (kind, text, filter) in corpus() {
+                    let got = select(snapshot, kind, filter);
+                    prop_assert_eq!(&got, &select(&oracle, kind, filter), "{:?} {}", kind, text);
+                    prop_assert!(got.iter().all(|&id| id < seen));
                     for id in (0..seen).step_by(7) {
-                        prop_assert_eq!(
-                            lookup(snapshot, kind, &pred, id),
-                            got.contains(&(id as i64))
-                        );
+                        prop_assert_eq!(lookup(snapshot, kind, filter, id), got.contains(&id));
                         prop_assert_eq!(snapshot.entity(EntityId(id as u32)), &all[id]);
                     }
                 }

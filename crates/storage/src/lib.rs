@@ -6,17 +6,16 @@
 //! as tables, "mature indexing mechanisms") and Neo4j (entities as nodes,
 //! events as edges, "suitable for queries that involve graph pattern
 //! search"), §II-B. Neither is available offline, and served hunts need
-//! neither: this crate keeps entities in an indexed catalog and events in
-//! shards indexed by postings, and the engine answers both event and path
-//! patterns from those. The graph backend survives only for the
-//! comparison baselines of the efficiency experiments.
+//! neither: this crate keeps entities in a catalog and events in shards
+//! indexed by postings, and the engine answers both event and path
+//! patterns from those, evaluating entity filters on the catalog's
+//! entities directly. The graph backend survives only for the comparison
+//! baselines of the efficiency experiments.
 //!
 //! * [`catalog`] — [`catalog::EntityCatalog`], every entity of a store
-//!   once, in indexed tables ([`relational`]): append-only generations
-//!   shared by reference between a live store and all of its snapshots;
-//! * [`relational`] — the typed entity tables with B-tree/hash indexes
-//!   and a predicate AST with SQL `LIKE` semantics, which entity filters
-//!   compile to;
+//!   once, with the positions of each kind's entities: append-only
+//!   generations shared by reference between a live store and all of its
+//!   snapshots;
 //! * [`postings`] — the event index: each shard keeps its events in one
 //!   `Vec<Event>` and indexes positions into it by operation (a counting
 //!   sort) and by subject and object id (sorted postings), the access
@@ -42,14 +41,12 @@ pub mod catalog;
 pub mod cpr;
 pub mod graphdb;
 pub mod postings;
-pub mod relational;
 pub mod sharded;
 pub mod store;
 pub mod stream;
 
 pub use catalog::{EntityCatalog, Generation};
 pub use postings::EventPostings;
-pub use relational::{Predicate, Value};
 pub use sharded::{ShardedStore, StreamFrontier};
 pub use store::{AuditStore, EventLookup, EventShard};
 pub use stream::{AppendOutcome, CompactionPolicy, SealPolicy, SnapshotParts, StreamingStore};

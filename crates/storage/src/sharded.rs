@@ -251,8 +251,8 @@ impl ShardedStore {
         self.catalog.entity(id)
     }
 
-    /// The entity catalog: all entities and their indexed tables, the
-    /// one place entity predicates are resolved.
+    /// The entity catalog: all entities and their per-kind positions, the
+    /// one place entity filters are resolved.
     pub fn catalog(&self) -> &EntityCatalog {
         &self.catalog
     }

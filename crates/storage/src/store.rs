@@ -4,15 +4,16 @@
 //! nodes and edges, with "indexes … created on key attributes to speed up
 //! the search", and applies "the Causality Preserved Reduction technique
 //! … to merge excessive events". Here the two halves of that sentence are
-//! two types. Entities live once per store in an [`EntityCatalog`], in
-//! indexed tables; events live in [`EventShard`]s, which know nothing
-//! about entities — a [`crate::sharded::ShardedStore`] or a
-//! [`crate::stream::StreamingStore`] holds one catalog and many shards.
-//! A shard keeps its events in one `Vec<Event>` and indexes positions into
-//! it by operation, subject and object ([`EventPostings`]). An
-//! [`AuditStore`] is the single-shard case: one catalog generation and one
-//! shard, which it lends to the executor as a one-shard
-//! [`ShardedStore`] view
+//! two types. Entities live once per store in an [`EntityCatalog`], which
+//! lists the positions of each kind's entities (the "key attribute"
+//! filters evaluate on the entities themselves); events live in
+//! [`EventShard`]s, which know nothing about entities — a
+//! [`crate::sharded::ShardedStore`] or a [`crate::stream::StreamingStore`]
+//! holds one catalog and many shards. A shard keeps its events in one
+//! `Vec<Event>` and indexes positions into it by operation, subject and
+//! object ([`EventPostings`]). An [`AuditStore`] is the single-shard case:
+//! one catalog generation (none for an empty log) and one shard, which it
+//! lends to the executor as a one-shard [`ShardedStore`] view
 //! ([`AuditStore::sharded`]).
 
 use crate::catalog::EntityCatalog;
@@ -26,13 +27,6 @@ use threatraptor_audit::entity::{Entity, EntityId};
 use threatraptor_audit::event::Event;
 use threatraptor_audit::parser::ParsedLog;
 use threatraptor_sync::{Arc, OnceLock};
-
-/// Table name for process entities.
-pub const TABLE_PROCESS: &str = "process";
-/// Table name for file entities.
-pub const TABLE_FILE: &str = "file";
-/// Table name for network-connection entities.
-pub const TABLE_NETWORK: &str = "network";
 
 /// A contiguous slice of the stored event stream: the events (CPR-reduced
 /// when enabled, in time order) and their postings by operation, subject
@@ -110,7 +104,8 @@ impl EventShard {
 /// `store.postings()`, `store.event_at(..)`).
 #[derive(Debug, Clone)]
 pub struct AuditStore {
-    /// All entities, indexed by [`EntityId`], in one generation.
+    /// All entities, indexed by [`EntityId`], in one generation (none for
+    /// an empty log).
     pub entities: EntityCatalog,
     /// CPR statistics of the ingest (before == after when CPR disabled).
     pub reduction: cpr::ReductionStats,
@@ -218,14 +213,29 @@ mod tests {
             .collect()
     }
 
+    /// Every entity sits at exactly one position of its generation's
+    /// list for its kind, and the lists ascend.
+    fn assert_positions_cover_each_entity_once(s: &AuditStore) {
+        let mut seen = vec![0; s.entities.len()];
+        for generation in s.entities.generations() {
+            for kind in [EntityKind::Process, EntityKind::File, EntityKind::Network] {
+                let positions = generation.positions(kind);
+                assert!(positions.windows(2).all(|w| w[0] < w[1]), "ascending");
+                for &pos in positions {
+                    let entity = &generation.entities()[pos as usize];
+                    assert_eq!(entity.kind(), kind);
+                    seen[entity.id().index()] += 1;
+                }
+            }
+        }
+        assert!(seen.iter().all(|&n| n == 1));
+    }
+
     #[test]
     fn tables_cover_all_entities_and_events() {
         let s = store(false);
-        let generation = &s.entities.generations()[0];
-        let n_proc = generation.table(EntityKind::Process).len();
-        let n_file = generation.table(EntityKind::File).len();
-        let n_net = generation.table(EntityKind::Network).len();
-        assert_eq!(n_proc + n_file + n_net, s.entities.len());
+        assert_eq!(s.entities.generations().len(), 1);
+        assert_positions_cover_each_entity_once(&s);
         // Every event sits under exactly one operation.
         let by_op: usize = Operation::ALL
             .iter()
@@ -238,12 +248,11 @@ mod tests {
     #[test]
     fn an_empty_log_still_has_all_four_tables() {
         let s = AuditStore::ingest(&ParsedLog::default(), true);
-        // The three entity tables exist, with no rows; the postings hold
-        // no position.
-        let generation = &s.entities.generations()[0];
-        for kind in [EntityKind::Process, EntityKind::File, EntityKind::Network] {
-            assert!(generation.table(kind).is_empty());
-        }
+        // The catalog holds no generation and so no entity position; the
+        // postings hold no event position.
+        assert!(s.entities.generations().is_empty());
+        assert_eq!(s.entities.heap_bytes(), 0);
+        assert_positions_cover_each_entity_once(&s);
         for op in Operation::ALL {
             assert!(s.postings().by_op(op).is_empty());
         }

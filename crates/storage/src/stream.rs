@@ -171,8 +171,8 @@ struct StreamObs {
     stored_events: Arc<Gauge>,
     /// `storage_entities`: entities registered so far.
     entities: Arc<Gauge>,
-    /// `storage_entity_rows_indexed_total`: rows inserted into entity
-    /// tables, generation merges included.
+    /// `storage_entity_rows_indexed_total`: entities indexed into catalog
+    /// generations, generation merges included.
     entity_rows_indexed: Arc<Counter>,
     /// `storage_entity_generations`: current catalog generation count.
     entity_generations: Arc<Gauge>,
@@ -230,7 +230,7 @@ pub struct StreamingStore {
     use_cpr: bool,
     policy: SealPolicy,
     compaction: CompactionPolicy,
-    /// All entities seen so far with their indexed tables — the only
+    /// All entities seen so far, with their per-kind positions — the only
     /// entity state of the stream; snapshots clone its handle list.
     catalog: EntityCatalog,
     reducer: IncrementalReducer,
@@ -475,7 +475,7 @@ impl StreamingStore {
         self.sealed_events + self.reducer.open_len()
     }
 
-    /// All entities registered so far, with their indexed tables.
+    /// All entities registered so far, with their per-kind positions.
     pub fn catalog(&self) -> &EntityCatalog {
         &self.catalog
     }
@@ -709,7 +709,7 @@ mod tests {
         assert!(store.sealed_count() > 2);
         assert!(store.catalog().generations().len() > 1);
         // The store's catalog is the only holder of every generation:
-        // no sealed shard pins an entity array or table.
+        // no sealed shard pins an entity array.
         for generation in store.catalog().generations() {
             assert_eq!(Arc::strong_count(generation), 1);
         }
@@ -735,7 +735,7 @@ mod tests {
         let mut store = StreamingStore::new(true, SealPolicy::events(300));
         store.attach_metrics(&registry);
         // A snapshot held across every append: plain copy-on-write would
-        // clone the tables once per chunk.
+        // clone the entities once per chunk.
         let mut held = Vec::new();
         for chunk in threatraptor_audit::LogFeed::by_events(&raw, 50) {
             store.append(&chunk.unwrap());

@@ -25,7 +25,7 @@ fn main() {
         scenario.log.entities.len()
     );
 
-    // 2. Ingest into the dual relational/graph store (with CPR).
+    // 2. Ingest into the store: entity catalog + indexed events (with CPR).
     let raptor = ThreatRaptor::from_parsed(&scenario.log, true);
 
     // 3. Hunt straight from OSCTI text: extraction → synthesis →
