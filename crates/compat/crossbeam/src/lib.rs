@@ -1,65 +1,10 @@
 //! Offline shim for the subset of `crossbeam` this workspace uses:
-//!
-//! * `crossbeam::thread::scope` + `Scope::spawn` + `ScopedJoinHandle::join`,
-//!   implemented on top of [`std::thread::scope`] (which did not exist when
-//!   crossbeam's scoped threads were written, and fully subsumes them);
-//! * `crossbeam::channel` — multi-producer **multi-consumer** channels
-//!   (`bounded`/`unbounded`, cloneable `Sender`/`Receiver`, blocking and
-//!   timed receives), implemented as a `Mutex<VecDeque>` + two condvars.
-//!   `std::sync::mpsc` cannot stand in here: its receiver is neither
-//!   `Clone` nor `Sync`, and worker pools need many consumers draining
-//!   one queue.
-
-/// Scoped threads.
-pub mod thread {
-    use std::any::Any;
-
-    /// A scope handle; mirrors `crossbeam::thread::Scope`.
-    pub struct Scope<'scope, 'env: 'scope> {
-        inner: &'scope std::thread::Scope<'scope, 'env>,
-    }
-
-    /// A handle to a scoped thread; mirrors `crossbeam::thread::ScopedJoinHandle`.
-    pub struct ScopedJoinHandle<'scope, T> {
-        inner: std::thread::ScopedJoinHandle<'scope, T>,
-    }
-
-    impl<'scope, T> ScopedJoinHandle<'scope, T> {
-        /// Waits for the thread and returns its result, or the panic
-        /// payload if it panicked.
-        pub fn join(self) -> Result<T, Box<dyn Any + Send + 'static>> {
-            self.inner.join()
-        }
-    }
-
-    impl<'scope, 'env> Scope<'scope, 'env> {
-        /// Spawns a scoped thread. The closure receives the scope (like
-        /// crossbeam), allowing nested spawns.
-        pub fn spawn<F, T>(&self, f: F) -> ScopedJoinHandle<'scope, T>
-        where
-            F: FnOnce(&Scope<'scope, 'env>) -> T + Send + 'scope,
-            T: Send + 'scope,
-        {
-            let inner = self.inner;
-            ScopedJoinHandle {
-                inner: inner.spawn(move || f(&Scope { inner })),
-            }
-        }
-    }
-
-    /// Creates a scope for spawning threads that may borrow from the
-    /// enclosing stack frame. Unlike crossbeam, a child panic propagates
-    /// out of [`std::thread::scope`] itself when the handle was not
-    /// joined, so the `Err` arm here only reports panics crossbeam would
-    /// have collected from unjoined threads — the `Result` wrapper is kept
-    /// for call-site compatibility.
-    pub fn scope<'env, F, R>(f: F) -> Result<R, Box<dyn Any + Send + 'static>>
-    where
-        F: for<'scope> FnOnce(&Scope<'scope, 'env>) -> R,
-    {
-        Ok(std::thread::scope(|s| f(&Scope { inner: s })))
-    }
-}
+//! `crossbeam::channel`, multi-producer **multi-consumer** channels
+//! (`bounded`/`unbounded`, cloneable `Sender`/`Receiver`, blocking and
+//! timed receives), implemented as a `Mutex<VecDeque>` + two condvars.
+//! `std::sync::mpsc` cannot stand in here: its receiver is neither
+//! `Clone` nor `Sync`, and worker pools need many consumers draining one
+//! queue.
 
 /// Multi-producer multi-consumer channels; mirrors `crossbeam::channel`.
 pub mod channel {
@@ -399,32 +344,6 @@ pub mod channel {
 
 #[cfg(test)]
 mod tests {
-    #[test]
-    fn scoped_threads_borrow_and_join() {
-        let data = [1u64, 2, 3, 4];
-        let total: u64 = crate::thread::scope(|scope| {
-            let mid = data.len() / 2;
-            let (a, b) = data.split_at(mid);
-            let ha = scope.spawn(move |_| a.iter().sum::<u64>());
-            let hb = scope.spawn(move |_| b.iter().sum::<u64>());
-            ha.join().unwrap() + hb.join().unwrap()
-        })
-        .unwrap();
-        assert_eq!(total, 10);
-    }
-
-    #[test]
-    fn nested_spawn_through_scope_arg() {
-        let n = crate::thread::scope(|scope| {
-            scope
-                .spawn(|inner| inner.spawn(|_| 21).join().unwrap() * 2)
-                .join()
-                .unwrap()
-        })
-        .unwrap();
-        assert_eq!(n, 42);
-    }
-
     mod channel {
         use crate::channel::*;
         use std::time::Duration;

@@ -429,10 +429,10 @@ fn project(
     (columns, rows)
 }
 
-/// Safety cap on enumerated paths: [`expand_paths`] stops once it has
-/// emitted this many (the graph baselines pass it to their path search
-/// too). Dense graphs make path counts combinatorial, and an uncapped
-/// expansion is an unbounded memory/time sink in a multi-tenant service.
+/// Safety cap on enumerated paths: [`expand_paths`] and the graph
+/// baseline's search stop once they have emitted this many. Dense graphs
+/// make path counts combinatorial, and an uncapped expansion is an
+/// unbounded memory/time sink in a multi-tenant service.
 /// The cap is a resource valve, not a semantic guarantee: which paths
 /// survive it is the expansion order's first ones.
 pub(crate) const MAX_PATH_MATCHES: usize = 100_000;
@@ -839,12 +839,12 @@ mod tests {
                 });
                 let expected = naive(&events, &ops, &subjects, &objects, window);
 
-                let shard = EventShard::build(events.clone(), IDS as usize);
+                let shard = EventShard::build(events.clone());
                 let got = scan_events(&shard, &ops, &subjects, &objects, window);
                 prop_assert_eq!(rows(got), expected.clone());
 
                 let (a, b) = events.split_at(cut.min(events.len()));
-                let compacted = EventShard::build([a, b].concat(), IDS as usize);
+                let compacted = EventShard::build([a, b].concat());
                 let got = scan_events(&compacted, &ops, &subjects, &objects, window);
                 prop_assert_eq!(rows(got), expected);
             }

@@ -9,8 +9,7 @@
 //! neither: this crate keeps entities in a catalog and events in shards
 //! indexed by postings, and the engine answers both event and path
 //! patterns from those, evaluating entity filters on the catalog's
-//! entities directly. The graph backend survives only for the comparison
-//! baselines of the efficiency experiments.
+//! entities directly.
 //!
 //! * [`catalog`] — [`catalog::EntityCatalog`], every entity of a store
 //!   once, with the positions of each kind's entities: append-only
@@ -32,14 +31,10 @@
 //! * [`stream`] — [`stream::StreamingStore`], the live variant: sealed
 //!   immutable shards plus one appendable open window with incremental
 //!   CPR at the ingest frontier, snapshotting into ordinary
-//!   [`sharded::ShardedStore`] epoch views for hunts under ingest;
-//! * [`graphdb`] — a property graph with variable-length path search, the
-//!   Neo4j stand-in the graph baselines (`threatraptor_engine::baseline`)
-//!   run against.
+//!   [`sharded::ShardedStore`] epoch views for hunts under ingest.
 
 pub mod catalog;
 pub mod cpr;
-pub mod graphdb;
 pub mod postings;
 pub mod sharded;
 pub mod store;

@@ -195,7 +195,7 @@ impl ShardedStore {
             .unwrap_or(1);
         let shards: Vec<Arc<EventShard>> = fan_out(n, workers, |i| {
             let slice = &events[offsets[i]..offsets[i + 1]];
-            Arc::new(EventShard::build(slice.to_vec(), catalog.len()))
+            Arc::new(EventShard::build(slice.to_vec()))
         });
 
         ShardedStore {

@@ -1,24 +1,22 @@
 //! The audit store: one parsed log, its entities and its events.
 //!
-//! §II-B stores entities and events in PostgreSQL tables and Neo4j
+//! §II-B stores entities and events as PostgreSQL tables and as Neo4j
 //! nodes and edges, with "indexes … created on key attributes to speed up
 //! the search", and applies "the Causality Preserved Reduction technique
-//! … to merge excessive events". Here the two halves of that sentence are
-//! two types. Entities live once per store in an [`EntityCatalog`], which
-//! lists the positions of each kind's entities (the "key attribute"
-//! filters evaluate on the entities themselves); events live in
-//! [`EventShard`]s, which know nothing about entities — a
-//! [`crate::sharded::ShardedStore`] or a [`crate::stream::StreamingStore`]
-//! holds one catalog and many shards. A shard keeps its events in one
-//! `Vec<Event>` and indexes positions into it by operation, subject and
-//! object ([`EventPostings`]). An [`AuditStore`] is the single-shard case:
-//! one catalog generation (none for an empty log) and one shard, which it
-//! lends to the executor as a one-shard [`ShardedStore`] view
+//! … to merge excessive events". Here each is stored once. Entities live
+//! in an [`EntityCatalog`], which lists the positions of each kind's
+//! entities; events live in [`EventShard`]s, which know nothing about
+//! entities — a [`crate::sharded::ShardedStore`] or a
+//! [`crate::stream::StreamingStore`] holds one catalog and many shards. A
+//! shard indexes its events by operation, subject and object
+//! ([`EventPostings`]); the subject postings are the graph's adjacency
+//! lists. An [`AuditStore`] is the single-shard case: one catalog
+//! generation (none for an empty log) and one shard, which it lends to
+//! the executor as a one-shard [`ShardedStore`] view
 //! ([`AuditStore::sharded`]).
 
 use crate::catalog::EntityCatalog;
 use crate::cpr;
-use crate::graphdb::GraphDb;
 use crate::postings::EventPostings;
 use crate::sharded::ShardedStore;
 use std::mem::size_of;
@@ -26,37 +24,29 @@ use std::ops::Deref;
 use threatraptor_audit::entity::{Entity, EntityId};
 use threatraptor_audit::event::Event;
 use threatraptor_audit::parser::ParsedLog;
-use threatraptor_sync::{Arc, OnceLock};
+use threatraptor_sync::Arc;
 
 /// A contiguous slice of the stored event stream: the events (CPR-reduced
 /// when enabled, in time order) and their postings by operation, subject
-/// and object (position `i` is `events[i]`). The property graph the
-/// graph-backend baselines search is built on first use. Holds no
-/// entity state — entity ids in its events are resolved against the
-/// owning store's [`EntityCatalog`].
+/// and object (position `i` is `events[i]`). Holds no entity state —
+/// entity ids in its events resolve against the owning store's
+/// [`EntityCatalog`].
 #[derive(Debug, Clone)]
 pub struct EventShard {
     /// Stored events, in time order.
     pub events: Vec<Event>,
     postings: EventPostings,
-    /// Size of the graph's node space: every entity id in `events` is
-    /// below it.
-    nodes: usize,
-    graph: OnceLock<GraphDb>,
 }
 
 impl EventShard {
-    /// Indexes `events` into a shard. `nodes` bounds the entity ids they
-    /// reference (the owning catalog's length when they were stored).
-    pub fn build(mut events: Vec<Event>, nodes: usize) -> EventShard {
+    /// Indexes `events` into a shard.
+    pub fn build(mut events: Vec<Event>) -> EventShard {
         // A sealed batch arrives with its growth slack; a shard keeps
         // exactly its events.
         events.shrink_to_fit();
         EventShard {
             postings: EventPostings::build(&events),
             events,
-            nodes,
-            graph: OnceLock::new(),
         }
     }
 
@@ -64,16 +54,6 @@ impl EventShard {
     #[inline]
     pub fn postings(&self) -> &EventPostings {
         &self.postings
-    }
-
-    /// The graph backend (Neo4j role) of the comparison baselines, built
-    /// on first use: the executor answers event patterns from the
-    /// postings and paths from the subject postings, so a shard that is
-    /// only ever hunted that way never pays for adjacency lists and edge
-    /// copies.
-    pub fn graph(&self) -> &GraphDb {
-        self.graph
-            .get_or_init(|| GraphDb::build(self.nodes, &self.events))
     }
 
     /// Stored event by position.
@@ -88,14 +68,9 @@ impl EventShard {
     }
 
     /// Heap bytes of the events and their postings (by capacity; attack
-    /// tags and a built graph are not counted).
+    /// tags are not counted).
     pub fn heap_bytes(&self) -> usize {
         self.events.capacity() * size_of::<Event>() + self.postings.heap_bytes()
-    }
-
-    /// The node-space bound this shard was built with.
-    pub(crate) fn nodes(&self) -> usize {
-        self.nodes
     }
 }
 
@@ -136,7 +111,7 @@ impl AuditStore {
         reduction: cpr::ReductionStats,
     ) -> AuditStore {
         let entities = EntityCatalog::from_entities(entities);
-        let shard = Arc::new(EventShard::build(events, entities.len()));
+        let shard = Arc::new(EventShard::build(events));
         AuditStore {
             entities,
             reduction,
@@ -166,9 +141,8 @@ impl AuditStore {
 /// a store that result evaluation needs. Implemented by [`AuditStore`]
 /// (positions index its one shard) and by
 /// [`crate::sharded::ShardedStore`] (positions are global, spanning all
-/// shards), so [`HuntResult`]-style consumers work over either.
-///
-/// [`HuntResult`]: https://docs.rs/threatraptor-engine
+/// shards), so consumers such as the engine's `HuntResult` work over
+/// either.
 pub trait EventLookup {
     /// Event stored at `pos`.
     fn event_at(&self, pos: usize) -> &Event;
@@ -260,7 +234,6 @@ mod tests {
         assert!(s.postings().by_object(EntityId(0)).is_empty());
         assert_eq!(s.postings().heap_bytes(), 0);
         assert!(s.entities.is_empty());
-        assert_eq!(s.graph().node_count(), 0);
     }
 
     #[test]
@@ -278,8 +251,6 @@ mod tests {
             .map(|&op| reduced.postings().by_op(op).len())
             .sum();
         assert_eq!(by_op, reduced.event_count());
-        // Graph edge count matches stored events.
-        assert_eq!(reduced.graph().edge_count(), reduced.event_count());
     }
 
     #[test]
@@ -301,12 +272,12 @@ mod tests {
         for op in Operation::ALL {
             assert_eq!(s.postings().by_op(op), scan(&s.events, |e| e.op == op));
         }
-        // Subject postings: same positions as a scan, for every subject
-        // (out-degree in the graph backend).
+        // Subject postings: same positions as a scan, for every subject.
         for id in (0..s.entities.len() as u32).map(EntityId) {
-            let scanned = scan(&s.events, |e| e.subject == id);
-            assert_eq!(s.postings().by_subject(id), scanned);
-            assert_eq!(scanned.len(), s.graph().out_degree(id));
+            assert_eq!(
+                s.postings().by_subject(id),
+                scan(&s.events, |e| e.subject == id)
+            );
         }
     }
 

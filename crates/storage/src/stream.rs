@@ -207,7 +207,7 @@ impl SnapshotParts {
             watermark: self.watermark,
             open_min_start: self.open_events.iter().map(|e| e.start).min(),
         };
-        let open = Arc::new(EventShard::build(self.open_events, self.catalog.len()));
+        let open = Arc::new(EventShard::build(self.open_events));
         let total = self.sealed_events + open.event_count();
         let mut shards = self.sealed;
         shards.push(open);
@@ -381,7 +381,7 @@ impl StreamingStore {
         if stable.is_empty() {
             return None;
         }
-        let shard = Arc::new(EventShard::build(stable, self.catalog.len()));
+        let shard = Arc::new(EventShard::build(stable));
         self.sealed_events += shard.event_count();
         self.sealed_bytes += shard.heap_bytes();
         self.sealed.push(Arc::clone(&shard));
@@ -415,7 +415,7 @@ impl StreamingStore {
             let mut events = Vec::with_capacity(a.event_count() + b.event_count());
             events.extend_from_slice(&a.events);
             events.extend_from_slice(&b.events);
-            let merged = Arc::new(EventShard::build(events, a.nodes().max(b.nodes())));
+            let merged = Arc::new(EventShard::build(events));
             self.sealed_bytes =
                 self.sealed_bytes + merged.heap_bytes() - a.heap_bytes() - b.heap_bytes();
             self.sealed[i] = merged;
