@@ -257,16 +257,15 @@ impl IncrementalReducer {
     /// parity).
     pub fn append(&mut self, events: &[Event]) {
         self.before += events.len();
+        self.max_start = events
+            .iter()
+            .map(|e| e.start)
+            .fold(self.max_start, u64::max);
         if !self.use_cpr {
             self.done.extend_from_slice(events);
             return;
         }
         self.staged.extend_from_slice(events);
-        self.max_start = self
-            .staged
-            .iter()
-            .map(|e| e.start)
-            .fold(self.max_start, u64::max);
         // Everything strictly below the high-water start is now safely
         // orderable: feed it to the machine in global sort order.
         self.staged.sort_by_key(sort_key);
@@ -283,9 +282,6 @@ impl IncrementalReducer {
     /// staged event, and (for start-ordered appends) no future input can
     /// produce an output starting earlier.
     pub fn watermark(&self) -> u64 {
-        if !self.use_cpr {
-            return u64::MAX;
-        }
         self.machine
             .open_min_start()
             .map_or(self.max_start, |open| open.min(self.max_start))
@@ -698,7 +694,8 @@ mod tests {
         inc.append(&events[..2]);
         inc.append(&events[2..]);
         assert_eq!(inc.visible(), events);
-        assert_eq!(inc.watermark(), u64::MAX);
+        // Nothing is open, so the watermark is the high-water start.
+        assert_eq!(inc.watermark(), 50);
         assert_eq!(inc.take_stable(), events);
         assert_eq!(inc.open_len(), 0);
         assert_eq!(inc.appended(), 3);

@@ -74,8 +74,8 @@ pub struct StreamFrontier {
     /// may still absorb later constituents or be re-led).
     pub sealed_events: usize,
     /// The reducer's sealing watermark: every *future* non-final output
-    /// of the stream starts at or after this time. `u64::MAX` when CPR
-    /// is off (every stored event is final on arrival).
+    /// of the stream starts at or after this time. With CPR off every
+    /// output is final on arrival, and this is the high-water start.
     pub watermark: u64,
     /// Minimum start time over the open window's events (`None` when the
     /// open window is empty). Together with the watermark this bounds the

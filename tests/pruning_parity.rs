@@ -3,15 +3,42 @@
 //! are consequences of the query's own constraints, so any row that can
 //! witness a complete match already satisfies them — dropping the rest
 //! at fetch must leave the projected rows and the full match set
-//! byte-identical to an unclamped execution, on every store.
+//! byte-identical to an unclamped execution, on every store, and equal
+//! to what the reference evaluator returns.
 
 use proptest::prelude::*;
 use threatraptor_audit::sim::scenario::{AttackKind, ScenarioBuilder};
 use threatraptor_engine::compile::{compile, CompiledQuery};
-use threatraptor_engine::{ExecMode, ShardedEngine};
+use threatraptor_engine::{reference, ExecMode, HuntResult, ShardedEngine};
 use threatraptor_storage::sharded::ShardedStore;
 use threatraptor_tbql::analyze::analyze;
 use threatraptor_tbql::parser::parse_query;
+
+/// A match as sorted bindings and sorted witnessing positions.
+type MatchKey = (Vec<(String, u32)>, Vec<(String, Vec<usize>)>);
+
+/// The matches of `result` as a sorted multiset, and its rows sorted.
+fn keyed(result: &HuntResult) -> (Vec<MatchKey>, Vec<Vec<String>>) {
+    let mut keys: Vec<MatchKey> = result
+        .matches
+        .iter()
+        .map(|m| {
+            let mut bindings: Vec<_> = m.bindings.iter().map(|(v, e)| (v.clone(), e.0)).collect();
+            bindings.sort();
+            let mut events: Vec<_> = m
+                .events
+                .iter()
+                .map(|(p, h)| (p.clone(), h.clone()))
+                .collect();
+            events.sort();
+            (bindings, events)
+        })
+        .collect();
+    keys.sort();
+    let mut rows = result.rows.clone();
+    rows.sort();
+    (keys, rows)
+}
 
 fn small_store(seed: u64, shards: usize) -> ShardedStore {
     let sc = ScenarioBuilder::new()
@@ -76,6 +103,12 @@ proptest! {
         prop_assert_eq!(&a.columns, &b.columns);
         prop_assert_eq!(&a.rows, &b.rows, "{}", tbql);
         prop_assert_eq!(&a.matches, &b.matches, "{}", tbql);
+        // The clamped plan against the reference over the same store.
+        let entities: Vec<_> = store.catalog().iter().cloned().collect();
+        let events: Vec<_> = (0..store.event_count()).map(|pos| store.event_at(pos).clone()).collect();
+        let aq = analyze(&parse_query(&tbql).unwrap()).unwrap();
+        let want = reference::evaluate(&entities, &events, &aq);
+        prop_assert_eq!(keyed(&a), keyed(&want), "{}", tbql);
         // The clamp is observable only in the scan accounting:
         // pruned + fetched(clamped) == fetched(unclamped), pattern
         // by pattern.

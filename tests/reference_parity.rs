@@ -19,12 +19,15 @@ mod common;
 
 use common::arb_tbql;
 use proptest::prelude::*;
+use std::collections::HashSet;
 use threatraptor::audit::entity::{Entity, EntityId};
-use threatraptor::audit::event::EventId;
+use threatraptor::audit::event::{Event, EventId, Operation};
 use threatraptor::prelude::*;
 use threatraptor_audit::parser::ParsedLog;
+use threatraptor_engine::result::Match;
 use threatraptor_engine::{reference, EngineError};
-use threatraptor_storage::EventLookup;
+use threatraptor_service::PlanCache;
+use threatraptor_storage::{CompactionPolicy, EventLookup};
 use threatraptor_tbql::analyze::analyze;
 use threatraptor_tbql::ast::{Pattern, Query};
 use threatraptor_tbql::parser::parse_query;
@@ -160,20 +163,38 @@ fn simpler(query: &Query) -> Vec<Query> {
     out
 }
 
-/// Shrinks a disagreeing case: first the query, then the log's events
-/// (in halving chunks), keeping every step that still disagrees. The log
-/// is the reduced one, stored without further CPR, so dropping an event
-/// never re-merges the others.
-fn shrink(log: &ParsedLog, cpr: bool, query: &Query) -> (Query, ParsedLog, String) {
-    let mut log = ParsedLog {
+/// A check of one `(log, cpr, query)` case: the first disagreement with
+/// the reference, if any.
+type Check<'a> = &'a dyn Fn(&ParsedLog, bool, &Query) -> Option<String>;
+
+/// Shrinks a case `check` finds disagreeing: first the query, then the
+/// log's events (in halving chunks), keeping every step that still
+/// disagrees. The log is the reduced one, stored without further CPR,
+/// so dropping an event never re-merges the others — unless only the
+/// unreduced log with CPR disagrees, which is then kept. Returns the
+/// shrunk query, log and `cpr`, and the last disagreement.
+fn shrink(
+    log: &ParsedLog,
+    cpr: bool,
+    query: &Query,
+    check: Check,
+) -> (Query, ParsedLog, bool, String) {
+    let reduced = ParsedLog {
         entities: log.entities.clone(),
         events: AuditStore::ingest(log, cpr).events.clone(),
     };
+    let (mut log, cpr, mut why) = match check(&reduced, false, query) {
+        Some(why) => (reduced, false, why),
+        None => (
+            log.clone(),
+            cpr,
+            check(log, cpr, query).expect("the case disagrees"),
+        ),
+    };
     let mut query = query.clone();
-    let mut why = disagreement(&log, false, &query).expect("the reduced log disagrees too");
     while let Some((q, w)) = simpler(&query)
         .into_iter()
-        .find_map(|q| disagreement(&log, false, &q).map(|w| (q, w)))
+        .find_map(|q| check(&log, cpr, &q).map(|w| (q, w)))
     {
         (query, why) = (q, w);
     }
@@ -185,14 +206,14 @@ fn shrink(log: &ParsedLog, cpr: bool, query: &Query) -> (Query, ParsedLog, Strin
             fewer
                 .events
                 .drain(start..(start + chunk).min(fewer.events.len()));
-            match disagreement(&fewer, false, &query) {
+            match check(&fewer, cpr, &query) {
                 Some(w) => (log, why) = (fewer, w),
                 None => start += chunk,
             }
         }
         chunk /= 2;
     }
-    (query, log, why)
+    (query, log, cpr, why)
 }
 
 /// The events of `log` and the entities they touch, one per line.
@@ -258,7 +279,7 @@ proptest! {
         let log = scenario_log(seed, coarse);
         let query = parse_query(&src).expect("generated queries parse");
         if disagreement(&log, cpr, &query).is_some() {
-            let (query, log, why) = shrink(&log, cpr, &query);
+            let (query, log, cpr, why) = shrink(&log, cpr, &query, &disagreement);
             prop_assert!(
                 false,
                 "seed {} cpr {} coarse {}: {}\nshrunk query:\n{}\nshrunk log ({} events):\n{}",
@@ -280,6 +301,168 @@ fn fig2_and_a_path_query_agree_with_the_reference() {
         let query = parse_query(src).unwrap();
         for cpr in [false, true] {
             assert_eq!(disagreement(&log, cpr, &query), None, "{src}");
+        }
+    }
+}
+
+/// How a log is streamed into a `StreamingStore`: events per chunk; the
+/// seal policy's event threshold (`None`: manual) plus an explicit seal
+/// after chunk `k` when bit `k mod 32` of `seals` is set; whether sealed
+/// shards compact down to two; and how far ahead of the events the
+/// entities arrive (each chunk brings the entities its events need and
+/// at least `entities_ahead` more, so catalog generations vary in size).
+#[derive(Debug, Clone, Copy)]
+struct StreamShape {
+    chunk: usize,
+    seal_every: Option<usize>,
+    seals: u32,
+    compact: bool,
+    entities_ahead: usize,
+}
+
+/// A delivered or reference match as `FollowHunt` identifies it: sorted
+/// bindings plus, per pattern, each witness's CPR run identity (entity
+/// pair, operation, run start) in the snapshot it came from.
+type RunKey = (
+    Vec<(String, EntityId)>,
+    Vec<(String, Vec<(EntityId, EntityId, Operation, u64)>)>,
+);
+
+fn run_key(m: &Match, snapshot: &ShardedStore) -> RunKey {
+    let mut bindings: Vec<_> = m.bindings.iter().map(|(v, &e)| (v.clone(), e)).collect();
+    bindings.sort();
+    let mut events: Vec<_> = m
+        .events
+        .iter()
+        .map(|(p, hops)| {
+            let runs = hops
+                .iter()
+                .map(|&pos| {
+                    let e = snapshot.event_at(pos);
+                    (e.subject, e.object, e.op, e.start)
+                })
+                .collect();
+            (p.clone(), runs)
+        })
+        .collect();
+    events.sort();
+    (bindings, events)
+}
+
+/// Streams `log` into a store shaped by `shape`, polling a `FollowHunt`
+/// of `query` after every chunk, and describes the first poll `k` at
+/// which delivery disagrees with `reference::evaluate` over snapshot
+/// `k`'s entities and events: a match delivered at poll `k` the
+/// reference lacks, a reference match not delivered by poll `k`, or a
+/// match delivered twice.
+fn follow_disagreement(
+    log: &ParsedLog,
+    cpr: bool,
+    query: &Query,
+    shape: StreamShape,
+) -> Option<String> {
+    let aq = analyze(query).ok()?;
+    let plan = match PlanCache::new().plan(&print_query(query)) {
+        Ok((plan, _)) => plan,
+        Err(EngineError::Infeasible(_)) => {
+            let store = AuditStore::ingest(log, cpr);
+            let entities: Vec<Entity> = store.entities.iter().cloned().collect();
+            let want = reference::evaluate(&entities, &store.events, &aq);
+            return (!want.matches.is_empty())
+                .then(|| "planning rejected a query with matches".into());
+        }
+        Err(e) => return Some(format!("planning failed: {e}")),
+    };
+    let policy = shape
+        .seal_every
+        .map_or_else(SealPolicy::manual, SealPolicy::events);
+    let mut store = StreamingStore::new(cpr, policy);
+    if shape.compact {
+        store = store.with_compaction(CompactionPolicy::max_shards(2));
+    }
+    let mut hunt = FollowHunt::new(plan, ExecMode::Scheduled, 1);
+    let mut delivered: HashSet<RunKey> = HashSet::new();
+    let mut entities_in = 0;
+    for (k, batch) in log.events.chunks(shape.chunk).enumerate() {
+        let needed = batch
+            .iter()
+            .map(|e| e.subject.index().max(e.object.index()) + 1)
+            .max()
+            .unwrap_or(0);
+        let upto = needed
+            .max(entities_in + shape.entities_ahead)
+            .min(log.entities.len());
+        store.append_batch(&log.entities[entities_in..upto.max(entities_in)], batch);
+        entities_in = entities_in.max(upto);
+        if shape.seals >> (k % 32) & 1 == 1 {
+            store.seal();
+        }
+        let snapshot = store.snapshot();
+        let seen = hunt.result().map_or(0, |r| r.matches.len());
+        if let Err(e) = hunt.poll(&snapshot) {
+            return Some(format!("poll {k} failed: {e}"));
+        }
+        let entities: Vec<Entity> = snapshot.catalog().iter().cloned().collect();
+        let events: Vec<Event> = (0..snapshot.event_count())
+            .map(|pos| snapshot.event_at(pos).clone())
+            .collect();
+        let want: HashSet<RunKey> = reference::evaluate(&entities, &events, &aq)
+            .matches
+            .iter()
+            .map(|m| run_key(m, &snapshot))
+            .collect();
+        for m in &hunt.result().expect("polled").matches[seen..] {
+            let key = run_key(m, &snapshot);
+            if !want.contains(&key) {
+                return Some(format!(
+                    "poll {k} delivered a match the reference lacks: {key:?}"
+                ));
+            }
+            if !delivered.insert(key.clone()) {
+                return Some(format!("poll {k} delivered a match again: {key:?}"));
+            }
+        }
+        if let Some(key) = want.iter().find(|key| !delivered.contains(key)) {
+            return Some(format!(
+                "poll {k} has not delivered a reference match: {key:?}"
+            ));
+        }
+    }
+    None
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Delta follow, poll by poll: a `FollowHunt` polled after every
+    /// chunk of a streamed log delivers exactly the reference's matches
+    /// over each snapshot, each once (path queries included, which the
+    /// follow hunt re-executes in full).
+    #[test]
+    fn follow_polls_agree_with_the_reference(
+        seed in 0u64..6,
+        cpr in any::<bool>(),
+        coarse in any::<bool>(),
+        src in arb_tbql(),
+        chunk in 10usize..120,
+        seal_every in prop::sample::select(vec![None, Some(20usize), Some(60), Some(150)]),
+        seals in any::<u32>(),
+        compact in any::<bool>(),
+        entities_ahead in prop::sample::select(vec![0usize, 7, 60, usize::MAX / 2]),
+    ) {
+        let log = scenario_log(seed, coarse);
+        let query = parse_query(&src).expect("generated queries parse");
+        let shape = StreamShape { chunk, seal_every, seals, compact, entities_ahead };
+        let check = |log: &ParsedLog, cpr: bool, query: &Query| {
+            follow_disagreement(log, cpr, query, shape)
+        };
+        if check(&log, cpr, &query).is_some() {
+            let (query, log, cpr, why) = shrink(&log, cpr, &query, &check);
+            prop_assert!(
+                false,
+                "seed {} cpr {} coarse {} {:?}: {}\nshrunk query:\n{}\nshrunk log ({} events):\n{}",
+                seed, cpr, coarse, shape, why, print_query(&query), log.events.len(), describe(&log)
+            );
         }
     }
 }
