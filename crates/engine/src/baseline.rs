@@ -16,7 +16,7 @@
 
 use crate::compile::{compile, CompiledPattern, CompiledShape};
 use crate::error::EngineError;
-use crate::exec::{expand_paths, run_schedule, scan_events, MAX_PATH_MATCHES};
+use crate::exec::{expand_paths, run_hunt, scan_events, MAX_PATH_MATCHES};
 use crate::idset::IdSet;
 use crate::join::{PatternRow, Schedule, Witness};
 use crate::result::HuntResult;
@@ -63,21 +63,26 @@ impl Baseline {
 /// Parses, analyzes, compiles, and executes TBQL source under `baseline`.
 pub fn hunt(store: &AuditStore, tbql: &str, baseline: Baseline) -> Result<HuntResult, EngineError> {
     let cq = compile(&analyze(&parse_query(tbql)?)?)?;
-    Ok(run_schedule(
+    Ok(run_hunt(
         &cq,
         &Schedule::declared(&cq),
         &store.entities,
-        &mut |pat, subjects, objects| match (&pat.shape, baseline) {
-            (CompiledShape::Event { ops }, Baseline::GraphOnly) => {
-                event_via_graph(store, pat, ops, subjects, objects)
-            }
-            (CompiledShape::Event { ops }, _) => {
-                scan_events(store, ops, subjects, objects, pat.window)
-            }
-            (CompiledShape::Path { .. }, Baseline::RelationalOnly) => {
-                path_via_sql(store, pat, subjects, objects)
-            }
-            (CompiledShape::Path { .. }, _) => path_via_graph(store, pat, subjects, objects),
+        // Nothing is retained, so every scan starts at position 0.
+        &mut |pat, subjects, objects, _| {
+            let rows = match (&pat.shape, baseline) {
+                (CompiledShape::Event { ops }, Baseline::GraphOnly) => {
+                    event_via_graph(store, pat, ops, subjects, objects)
+                }
+                (CompiledShape::Event { ops }, _) => {
+                    scan_events(store, ops, subjects, objects, pat.window)
+                }
+                (CompiledShape::Path { .. }, Baseline::RelationalOnly) => {
+                    path_via_sql(store, pat, subjects, objects)
+                }
+                (CompiledShape::Path { .. }, _) => path_via_graph(store, pat, subjects, objects),
+            };
+            let per_shard = vec![rows.len()];
+            (rows, per_shard, 0)
         },
         &|id, attr| store.entity(id).attr(attr),
     ))

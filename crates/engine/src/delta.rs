@@ -1,66 +1,28 @@
 //! Incremental (delta) execution for standing queries.
 //!
 //! A follow-mode hunt re-evaluates one compiled plan against successive
-//! snapshots of a growing store. Full re-execution costs O(store) per
-//! poll; this module makes the steady-state scan O(delta) by splitting
-//! every snapshot at its **stable frontier** — the sealed-event count carried
-//! by [`StreamFrontier`] — and only re-scanning what can still change:
+//! snapshots of a growing store. [`DeltaState`] splits each snapshot at
+//! its **stable frontier**, the sealed-event count [`StreamFrontier`]
+//! carries: sealed positions never change or shift (compaction
+//! concatenates), while everything from the previous poll's frontier
+//! on — newly sealed rows and the whole open window, whose CPR runs are
+//! still provisional — is *fresh* and re-scanned every poll. A poll runs
+//! the executor's stage loop (`exec::run_schedule`, where the delta
+//! recurrence is stated) with the retained **partial bindings** of each
+//! schedule prefix whose witnesses are all stable, so it finds exactly
+//! the matches holding a fresh row, in the order a full execution emits
+//! them.
 //!
-//! * positions below the frontier are *stable*: sealed shards are
-//!   immutable, global positions never shift (compaction concatenates),
-//!   and a sealed CPR run can never absorb another constituent or be
-//!   re-led;
-//! * positions at or above the *previous* poll's frontier are *fresh*:
-//!   newly sealed rows plus the entire open window (whose runs are still
-//!   provisional and must be re-read every poll — re-leading needs no
-//!   separate re-validation because the open window is always fresh).
+//! Partials are bounded: once the stream's settled bound passes a
+//! partial's feasible completion deadline (the next pattern's
+//! DBM-tightened upper bound, clamped by `before` constraints against
+//! bound patterns), no future row can join it and [`DeltaState::age`]
+//! drops it.
 //!
-//! [`DeltaState`] retains, per schedule prefix, the **partial bindings**
-//! whose witnesses are all stable. One poll then computes exactly the
-//! matches containing at least one fresh row with the delta-join
-//! recurrence
-//!
-//! ```text
-//! Δ₀ = fresh₀                      (fresh scan of the first pattern)
-//! Δᵢ = (Pᵢ₋₁ ⋈ freshᵢ) ∪ (Δᵢ₋₁ ⋈ fullᵢ)
-//! ```
-//!
-//! where `Pᵢ₋₁` is the retained stable prefix and `fullᵢ` a full-range
-//! (id-set-filtered) scan that is *skipped entirely* when `Δᵢ₋₁` is
-//! empty — the common steady-state case, which leaves per-poll scan
-//! volume proportional to the epoch delta. The two branches are
-//! disjoint (a combination is produced exactly once, at its first fresh
-//! stage), so the union is concatenation. Matches whose witnesses are
-//! all stable were necessarily complete at an earlier poll and already
-//! delivered; everything else contains a fresh row and is found here —
-//! the delta output, sorted into the full executor's nested-loop order,
-//! is byte-identical to a full re-execution minus already-seen matches
-//! (pinned by `tests/follow_parity.rs`).
-//!
-//! Partials are bounded: once the stream's settled bound (watermark
-//! capped by the open window's earliest start) passes a partial's
-//! feasible completion deadline — the next scheduled pattern's
-//! DBM-tightened `[lo, hi]` upper bound, further clamped by `before`
-//! constraints against already-bound patterns — no future fresh row can
-//! ever join it, and [`DeltaState::age`] drops it.
-//!
-//! Endpoint resolution is memoized per standing query. The entity
-//! catalog is append-only and entities never change, so [`DeltaState`]
-//! keeps, per query variable, the ids of the entities satisfying the
-//! variable's filter together with the catalog length they cover. A
-//! poll first extends those sets over the entities appended since the
-//! previous poll (a partition point in the generation straddling the
-//! covered length finds them); an unbound endpoint then borrows its set
-//! and a bound one (ids propagated from partials) is the word-wise AND
-//! of the propagated ids with it. Nothing re-evaluates a filter over
-//! entities an earlier poll already resolved.
-//!
-//! So in the steady state a poll costs O(fresh rows + entities appended
-//! since the last poll + matches found), plus the carry scans of the
-//! stages a non-empty delta reaches. What it does not cost: a rescan of
-//! the stable prefix, a re-resolution of the catalog, or a projection —
-//! the poll returns matches, and the follow layer renders only those it
-//! has not delivered before.
+//! Endpoint resolution is memoized. The catalog is append-only and
+//! entities never change, so each variable's satisfying ids are kept
+//! with the catalog length they cover and extended over new entities
+//! only; a bound endpoint is their intersection with the propagated ids.
 //!
 //! Path patterns are excluded ([`DeltaState::new`] returns `None`): a
 //! path row may mix stable and fresh hops, so follow hunts over path
@@ -68,11 +30,11 @@
 //!
 //! [`StreamFrontier`]: threatraptor_storage::StreamFrontier
 
-use crate::compile::{CompiledPattern, CompiledQuery, CompiledShape};
-use crate::exec::resolve_from;
+use crate::compile::{CompiledQuery, CompiledShape};
+use crate::exec::{resolve_from, run_schedule};
 use crate::idset::IdSet;
-use crate::join::{join_rows, propagate, Bound, JoinStep, Schedule, Tuples};
-use crate::result::{DeltaStats, HuntResult, HuntStats, JoinStats};
+use crate::join::{JoinStep, Schedule, Tuples};
+use crate::result::HuntResult;
 use crate::sharded::ShardedEngine;
 use std::borrow::Cow;
 use std::time::Instant;
@@ -95,18 +57,6 @@ fn completion_deadline(cq: &CompiledQuery, next: &JoinStep, partial: &Tuples, i:
         deadline = deadline.min(start_b.saturating_sub(1));
     }
     deadline
-}
-
-/// Elementwise accumulation of per-shard scan counts (a stage can scan
-/// twice: the fresh range and, when carrying a delta forward, the full
-/// range).
-fn add_shard_counts(total: &mut Vec<usize>, add: &[usize]) {
-    if total.len() < add.len() {
-        total.resize(add.len(), 0);
-    }
-    for (t, a) in total.iter_mut().zip(add) {
-        *t += a;
-    }
 }
 
 /// Per query variable (by slot), the ids of the catalog's entities of the
@@ -160,15 +110,6 @@ impl EndpointMemo {
             None => Cow::Borrowed(&self.sets[slot]),
             Some(ids) => Cow::Owned(ids.intersection(&self.sets[slot])),
         }
-    }
-
-    /// A pattern's `(subject, object)` id sets, narrowed by the
-    /// propagated `bound` ids.
-    fn endpoints(&self, pat: &CompiledPattern, bound: &Bound) -> (Cow<'_, IdSet>, Cow<'_, IdSet>) {
-        (
-            self.resolve(pat.subject_slot, bound[0].as_ref()),
-            self.resolve(pat.object_slot, bound[1].as_ref()),
-        )
     }
 }
 
@@ -257,14 +198,8 @@ impl DeltaState {
     /// stable frontier), in the full executor's match order, and
     /// advances the stable frontier to `stable_to` (the snapshot's
     /// sealed-event count), folding newly stable combinations into the
-    /// retained partials.
-    ///
-    /// Endpoint resolution is memoized: the poll first extends each
-    /// variable's entity set over the entities appended since the last
-    /// poll, then hands an unbound endpoint the memo itself and a bound
-    /// one its intersection with the propagated ids. The result carries
-    /// the matches and the columns but no projected rows: the caller
-    /// projects the matches it delivers.
+    /// retained partials. The result carries no projected rows: the
+    /// caller projects the matches it delivers.
     ///
     /// The caller is responsible for continuity: snapshots must come
     /// from one growing store, with `stable_to` non-decreasing across
@@ -276,106 +211,20 @@ impl DeltaState {
         stable_to: usize,
     ) -> HuntResult {
         let t0 = Instant::now();
-        let fresh_from = self.stable_events;
-        let mut stats = HuntStats::default();
         let entity_rows = self.memo.extend(cq, engine.store().catalog());
-        let mut dstats = DeltaStats {
-            fresh_from,
-            carried_partials: self.retained(),
-            entity_rows,
-            ..DeltaStats::default()
-        };
-        stats.resolve_elapsed = t0.elapsed();
-        let layout = &self.schedule.layout;
-
-        // Matches produced this poll (≥ 1 fresh witness), grown stage by
-        // stage; newly stable combinations are staged into `pending` and
-        // merged only after the loop — merging mid-poll would let a
-        // combination reach a later stage through both branches.
-        let mut delta = Tuples::new(layout);
-        let mut pending: Vec<Tuples> = Vec::with_capacity(self.partials.len());
-        for (i, step) in self.schedule.steps.iter().enumerate() {
-            let pat = &cq.patterns[step.pat];
-            let mut fetched = 0usize;
-            let mut shard_counts: Vec<usize> = Vec::new();
-            let mut pruned = 0usize;
-            let mut propagated: Vec<(String, usize)> = Vec::new();
-            let mut candidates = 0usize;
-            let mut scan_elapsed = std::time::Duration::ZERO;
-
-            // Branch A: fresh rows of this pattern joined against the
-            // retained stable prefix (the first stage seeds from its
-            // fresh scan alone).
-            let seed = (i > 0).then(|| &self.partials[i - 1]);
-            let mut next = Tuples::new(layout);
-            if seed.is_none_or(|p| !p.is_empty()) {
-                let t_prop = Instant::now();
-                let bound: Bound = match seed {
-                    Some(p) => propagate(pat, p, &mut propagated),
-                    None => [None, None],
-                };
-                stats.propagate_elapsed += t_prop.elapsed();
-                let t_resolve = Instant::now();
-                let (subjects, objects) = self.memo.endpoints(pat, &bound);
-                stats.resolve_elapsed += t_resolve.elapsed();
-                let t_scan = Instant::now();
-                let (rows, per_shard, pr) =
-                    engine.fetch_pattern(pat, &subjects, &objects, fresh_from);
-                scan_elapsed += t_scan.elapsed();
-                fetched += rows.len();
-                dstats.fresh_rows += rows.len();
-                add_shard_counts(&mut shard_counts, &per_shard);
-                pruned += pr;
-                candidates += seed.map_or(rows.len(), |p| p.len() * rows.len());
-                let t_join = Instant::now();
-                next = join_rows(layout, seed, &rows, pat, step);
-                stats.join_elapsed += t_join.elapsed();
-            }
-
-            // Branch B: combinations that already carry a fresh witness
-            // extend through this pattern's full range. Skipped when the
-            // incoming delta is empty — the steady-state case that keeps
-            // the poll O(delta).
-            if !delta.is_empty() {
-                let t_prop = Instant::now();
-                let bound = propagate(pat, &delta, &mut propagated);
-                stats.propagate_elapsed += t_prop.elapsed();
-                let t_resolve = Instant::now();
-                let (subjects, objects) = self.memo.endpoints(pat, &bound);
-                stats.resolve_elapsed += t_resolve.elapsed();
-                let t_scan = Instant::now();
-                let (rows, per_shard, pr) = engine.fetch_pattern(pat, &subjects, &objects, 0);
-                scan_elapsed += t_scan.elapsed();
-                fetched += rows.len();
-                dstats.carry_rows += rows.len();
-                add_shard_counts(&mut shard_counts, &per_shard);
-                pruned += pr;
-                candidates += delta.len() * rows.len();
-                let t_join = Instant::now();
-                next.append(join_rows(layout, Some(&delta), &rows, pat, step));
-                stats.join_elapsed += t_join.elapsed();
-            }
-
-            if i < self.partials.len() {
-                pending.push(next.select((0..next.len()).filter(|&t| next.max_pos(t) < stable_to)));
-            }
-            delta = next;
-            stats.execution_order.push(pat.id.clone());
-            stats.rows_fetched.push((pat.id.clone(), fetched));
-            stats.shard_rows.push((pat.id.clone(), shard_counts));
-            stats.rows_pruned.push((pat.id.clone(), pruned));
-            stats.propagated.push((pat.id.clone(), propagated));
-            stats.join_stats.push((
-                pat.id.clone(),
-                JoinStats {
-                    candidates,
-                    outputs: delta.len(),
-                },
-            ));
-            stats.pattern_elapsed.push((pat.id.clone(), scan_elapsed));
-        }
-
-        for (held, new) in self.partials.iter_mut().zip(pending) {
+        let extended = t0.elapsed();
+        let carried_partials = self.retained();
+        let memo = &self.memo;
+        let (delta, stable, mut stats) = run_schedule(
+            cq,
+            &self.schedule,
+            &|slot, bound| memo.resolve(slot, bound),
+            &mut |pat, subjects, objects, min_pos| {
+                engine.fetch_pattern(pat, subjects, objects, min_pos)
+            },
+            Some((&self.partials, self.stable_events, stable_to)),
+        );
+        for (held, new) in self.partials.iter_mut().zip(stable) {
             held.append(new);
         }
         self.stable_events = stable_to;
@@ -383,16 +232,18 @@ impl DeltaState {
         // The full executor's join emits matches lexicographically by
         // per-stage scan-row order, and event-pattern scans sort by
         // first witness position — so sorting by the schedule-ordered
-        // witness positions reproduces its order exactly, making delta
-        // delivery byte-identical to full re-execution.
+        // witness positions reproduces its order exactly.
         let t_join = Instant::now();
         let mut order: Vec<usize> = (0..delta.len()).collect();
         order.sort_by(|&a, &b| delta.cmp_by_witness(&self.schedule, a, b));
-        let delta = delta.select(order);
-        let matches = delta.to_matches(cq, layout);
+        let matches = delta.select(order).to_matches(cq, &self.schedule.layout);
         stats.join_elapsed += t_join.elapsed();
-        dstats.retained_partials = self.retained();
-        stats.delta = Some(dstats);
+        stats.resolve_elapsed += extended;
+        if let Some(d) = &mut stats.delta {
+            d.carried_partials = carried_partials;
+            d.entity_rows = entity_rows;
+            d.retained_partials = self.retained();
+        }
         stats.elapsed = t0.elapsed();
         HuntResult {
             columns: cq.columns(),

@@ -24,8 +24,9 @@ use crate::error::EngineError;
 use crate::filter::EntityFilter;
 use crate::idset::IdSet;
 use crate::join::{join_rows, propagate, Bound, PatternRow, Schedule, Tuples, Witness};
-use crate::result::{HuntResult, HuntStats, JoinStats, Match};
+use crate::result::{DeltaStats, HuntResult, HuntStats, JoinStats, Match, PatternStats};
 use crate::sharded::ShardedEngine;
+use std::borrow::Cow;
 use std::collections::{HashMap, HashSet};
 use std::ops::Deref;
 use std::time::Instant;
@@ -167,25 +168,6 @@ pub(crate) fn scan_events(
     out
 }
 
-/// Resolves a pattern's `(subject, object)` variables to id sets — the
-/// first half of its data query, done once per pattern whatever the
-/// number of shards scanned afterwards — against the store's one entity
-/// catalog.
-pub(crate) fn resolve_endpoints(
-    cq: &CompiledQuery,
-    pat: &CompiledPattern,
-    bound: &Bound,
-    catalog: &EntityCatalog,
-) -> (IdSet, IdSet) {
-    let resolve = |slot: usize, bound: &Option<IdSet>| {
-        resolve_ids(catalog, &cq.var_filters[slot], bound.as_ref())
-    };
-    (
-        resolve(pat.subject_slot, &bound[0]),
-        resolve(pat.object_slot, &bound[1]),
-    )
-}
-
 /// Ids of the entities `filter` matches that, when earlier patterns
 /// already bound the variable, lie among those ids: the union over the
 /// catalog's generations. With `bound` ids only their entities are
@@ -245,19 +227,135 @@ pub(crate) fn resolve_from(
     examined
 }
 
-/// One pattern's data query as seen by the scheduling driver: pattern +
-/// the resolved id sets of its subject and object variables in, rows out.
+/// One pattern's data query as seen by the stage loop: the pattern, the
+/// resolved id sets of its subject and object variables and the lowest
+/// event position to scan in; its rows, rows per shard and rows the DBM
+/// clamp excluded out ([`ShardedEngine`]'s `fetch_pattern`).
 pub(crate) type PatternFetch<'a> =
-    dyn FnMut(&CompiledPattern, &IdSet, &IdSet) -> Vec<PatternRow> + 'a;
+    dyn FnMut(&CompiledPattern, &IdSet, &IdSet, usize) -> (Vec<PatternRow>, Vec<usize>, usize) + 'a;
 
-/// The scheduling driver (paper §II-F): pruning-score ordering,
-/// cross-pattern constraint propagation, endpoint resolution against
-/// `catalog`, join, and projection. Events only enter through the two
-/// closures — `fetch` answers one pattern's scan (scatter-gather for the
-/// sharded executor, one backend per pattern shape for a
-/// [`crate::baseline`]) and `entity_attr` resolves projections — so the
-/// executor and the baselines share this logic verbatim.
-pub(crate) fn run_schedule(
+/// The stage loop (paper §II-F): the patterns in `schedule` order, each
+/// through constraint propagation, endpoint resolution, its data query
+/// and the hash join, computing the delta-join recurrence
+///
+/// ```text
+/// Δ₀ = fresh₀
+/// Δᵢ = (Pᵢ₋₁ ⋈ freshᵢ) ∪ (Δᵢ₋₁ ⋈ fullᵢ)
+/// ```
+///
+/// `resolve(slot, bound)` is variable `slot`'s id set, narrowed to the
+/// propagated `bound` ids. `retained` is a standing query's `(partials, fresh_from, stable_to)`:
+/// `Pᵢ` = `partials[i]` are the retained joins of the schedule prefix
+/// `0..=i` whose witnesses all lie below `fresh_from`, `freshᵢ` scans
+/// positions from `fresh_from` on and `fullᵢ` scans everything. The two
+/// branches are disjoint (a combination is produced once, at its first
+/// fresh stage), so the union is concatenation, and branch B is skipped
+/// while `Δᵢ₋₁` is empty. A full hunt retains nothing and starts at
+/// position 0: branch A runs only at stage 0, and branch B is plain
+/// propagate → resolve → fetch → join. Once Δ is empty and no later
+/// retained prefix is either, no match can form and the remaining
+/// patterns are not run.
+///
+/// Returns the final Δ (in join order, not projected), the combinations
+/// each proper prefix produced whose witnesses all lie below `stable_to`
+/// (empty for a full hunt), and the per-pattern stats. Events only enter
+/// through `fetch` and entities through `resolve`, so the executor, the
+/// delta executor and the baselines share this loop verbatim.
+pub(crate) fn run_schedule<'r>(
+    cq: &CompiledQuery,
+    schedule: &Schedule,
+    resolve: &dyn Fn(usize, Option<&IdSet>) -> Cow<'r, IdSet>,
+    fetch: &mut PatternFetch<'_>,
+    retained: Option<(&[Tuples], usize, usize)>,
+) -> (Tuples, Vec<Tuples>, HuntStats) {
+    let layout = &schedule.layout;
+    let (partials, fresh_from, stable_to) = retained.unwrap_or((&[], 0, 0));
+    let mut stats = HuntStats::default();
+    let (mut fresh_rows, mut carry_rows) = (0, 0);
+    let mut delta = Tuples::new(layout);
+    let mut stable = Vec::with_capacity(partials.len());
+    for (i, step) in schedule.steps.iter().enumerate() {
+        let pat = &cq.patterns[step.pat];
+        let mut record = PatternStats {
+            pattern: pat.id.clone(),
+            ..PatternStats::default()
+        };
+        // Joins the pattern's rows from `min_pos` on into `partial`
+        // (`None`: seeds from the rows); returns the joined tuples and
+        // the rows fetched.
+        let mut stage = |partial: Option<&Tuples>, min_pos: usize| {
+            let mut bound: Bound = [None, None];
+            if let Some(p) = partial.filter(|_| schedule.propagate) {
+                let t = Instant::now();
+                bound = propagate(pat, p, &mut record.propagated);
+                stats.propagate_elapsed += t.elapsed();
+            }
+            let t = Instant::now();
+            let subjects = resolve(pat.subject_slot, bound[0].as_ref());
+            let objects = resolve(pat.object_slot, bound[1].as_ref());
+            stats.resolve_elapsed += t.elapsed();
+            let t = Instant::now();
+            let (rows, shard_rows, rows_pruned) = fetch(pat, &subjects, &objects, min_pos);
+            let candidates = partial.map_or(rows.len(), |p| p.len() * rows.len());
+            record.add(&PatternStats {
+                shard_rows,
+                join: JoinStats {
+                    candidates,
+                    outputs: 0,
+                },
+                rows_pruned,
+                elapsed: t.elapsed(),
+                ..PatternStats::default()
+            });
+            let t = Instant::now();
+            let joined = join_rows(layout, partial, &rows, pat, step);
+            stats.join_elapsed += t.elapsed();
+            (joined, rows.len())
+        };
+        // Branch A: fresh rows against the retained prefix (stage 0
+        // seeds from its fresh scan alone).
+        let seed = match i {
+            0 => Some(None),
+            _ => partials.get(i - 1).filter(|p| !p.is_empty()).map(Some),
+        };
+        let mut next = match seed {
+            Some(seed) => {
+                let (joined, rows) = stage(seed, fresh_from);
+                fresh_rows += rows;
+                joined
+            }
+            None => Tuples::new(layout),
+        };
+        // Branch B: combinations already carrying a fresh witness,
+        // through the pattern's full range.
+        if !delta.is_empty() {
+            let (joined, rows) = stage(Some(&delta), 0);
+            carry_rows += rows;
+            next.append(joined);
+        }
+        record.join.outputs = next.len();
+        stats.patterns.push(record);
+        if i < partials.len() {
+            stable.push(next.select((0..next.len()).filter(|&t| next.max_pos(t) < stable_to)));
+        }
+        delta = next;
+        if delta.is_empty() && partials.iter().skip(i).all(Tuples::is_empty) {
+            break;
+        }
+    }
+    stats.delta = retained.map(|_| DeltaStats {
+        fresh_from,
+        fresh_rows,
+        carry_rows,
+        ..DeltaStats::default()
+    });
+    (delta, stable, stats)
+}
+
+/// A full hunt: the stage loop with nothing retained, each variable
+/// resolved against `catalog`, then the matches projected through
+/// `entity_attr`.
+pub(crate) fn run_hunt(
     cq: &CompiledQuery,
     schedule: &Schedule,
     catalog: &EntityCatalog,
@@ -265,66 +363,16 @@ pub(crate) fn run_schedule(
     entity_attr: &dyn Fn(EntityId, &str) -> Option<String>,
 ) -> HuntResult {
     let t0 = Instant::now();
-    let mut stats = HuntStats::default();
-    let layout = &schedule.layout;
-
-    let mut partial: Option<Tuples> = None;
-    for step in &schedule.steps {
-        let pat = &cq.patterns[step.pat];
-        // Constraint propagation: bindings from already-executed
-        // patterns become id-set filters on shared variables.
-        let mut bound: Bound = [None, None];
-        let mut propagated: Vec<(String, usize)> = Vec::new();
-        if schedule.propagate {
-            let t_prop = Instant::now();
-            if let Some(tuples) = &partial {
-                bound = propagate(pat, tuples, &mut propagated);
-            }
-            stats.propagate_elapsed += t_prop.elapsed();
-        }
-
-        let t_resolve = Instant::now();
-        let (subjects, objects) = resolve_endpoints(cq, pat, &bound, catalog);
-        stats.resolve_elapsed += t_resolve.elapsed();
-
-        let t_fetch = Instant::now();
-        let rows = fetch(pat, &subjects, &objects);
-        stats.execution_order.push(pat.id.clone());
-        stats.rows_fetched.push((pat.id.clone(), rows.len()));
-        stats.propagated.push((pat.id.clone(), propagated));
-        stats
-            .pattern_elapsed
-            .push((pat.id.clone(), t_fetch.elapsed()));
-
-        let t_join = Instant::now();
-        let candidates = match &partial {
-            Some(tuples) => tuples.len() * rows.len(),
-            None => rows.len(),
-        };
-        let joined = join_rows(layout, partial.as_ref(), &rows, pat, step);
-        stats.join_stats.push((
-            pat.id.clone(),
-            JoinStats {
-                candidates,
-                outputs: joined.len(),
-            },
-        ));
-        stats.join_elapsed += t_join.elapsed();
-        let dead = joined.is_empty();
-        partial = Some(joined);
-        if dead {
-            // No match can exist; the remaining patterns are not run.
-            break;
-        }
-    }
-
-    let tuples = partial.unwrap_or_else(|| Tuples::new(layout));
-    let t_project = Instant::now();
+    let resolve = |slot: usize, bound: Option<&IdSet>| {
+        Cow::Owned(resolve_ids(catalog, &cq.var_filters[slot], bound))
+    };
+    let (tuples, _, mut stats) = run_schedule(cq, schedule, &resolve, fetch, None);
+    let t = Instant::now();
     let (columns, rows) = project_tuples(cq, &tuples, entity_attr);
-    stats.project_elapsed = t_project.elapsed();
-    let t_join = Instant::now();
-    let matches = tuples.to_matches(cq, layout);
-    stats.join_elapsed += t_join.elapsed();
+    stats.project_elapsed = t.elapsed();
+    let t = Instant::now();
+    let matches = tuples.to_matches(cq, &schedule.layout);
+    stats.join_elapsed += t.elapsed();
     stats.elapsed = t0.elapsed();
     HuntResult {
         columns,
@@ -610,16 +658,18 @@ mod tests {
     #[test]
     fn scheduled_executes_most_constrained_first() {
         let store = store();
-        let r = Engine::new(&store).hunt(FIG2_TBQL).unwrap();
+        let order = |r: &HuntResult| -> Vec<String> {
+            r.stats.patterns.iter().map(|p| p.pattern.clone()).collect()
+        };
+        let scheduled = order(&Engine::new(&store).hunt(FIG2_TBQL).unwrap());
         // evt1 (2 filters) and evt8 (2 filters) precede 1-filter patterns.
-        let order = &r.stats.execution_order;
-        let pos = |id: &str| order.iter().position(|x| x == id).unwrap();
+        let pos = |id: &str| scheduled.iter().position(|x| x == id).unwrap();
         assert!(pos("evt1") < pos("evt2"));
         assert!(pos("evt8") < pos("evt2"));
         // Every baseline keeps declaration order.
         for baseline in Baseline::ALL {
             let r = baseline::hunt(&store, FIG2_TBQL, baseline).unwrap();
-            assert_eq!(r.stats.execution_order[..2], ["evt1", "evt2"]);
+            assert_eq!(order(&r)[..2], ["evt1", "evt2"]);
         }
     }
 
@@ -627,11 +677,11 @@ mod tests {
     fn propagation_reduces_fetched_rows() {
         let store = store();
         let scheduled = Engine::new(&store).hunt(FIG2_TBQL).unwrap();
-        let total = |r: &HuntResult| -> usize { r.stats.rows_fetched.iter().map(|(_, n)| n).sum() };
+        let total = |r: &HuntResult| r.stats.total_rows();
         for baseline in Baseline::ALL {
             // Baselines never propagate.
             let r = baseline::hunt(&store, FIG2_TBQL, baseline).unwrap();
-            assert!(r.stats.propagated.iter().all(|(_, p)| p.is_empty()));
+            assert!(r.stats.patterns.iter().all(|p| p.propagated.is_empty()));
             assert!(
                 total(&scheduled) <= total(&r),
                 "propagation must not fetch more rows ({} vs {} for {baseline:?})",

@@ -17,7 +17,7 @@ use crate::compile::{compile, CompiledQuery, CompiledShape};
 use crate::error::EngineError;
 use crate::exec::ExecMode;
 use crate::join::Schedule;
-use crate::result::{HuntResult, HuntStats, JoinStats};
+use crate::result::{HuntResult, HuntStats, PatternStats};
 use crate::sharded::ShardedEngine;
 use threatraptor_tbql::analyze::analyze;
 use threatraptor_tbql::ast::Query;
@@ -48,39 +48,11 @@ pub struct ExplainEntry {
     pub bounds: Option<(u64, u64)>,
 }
 
-/// Actuals of one pattern's execution, in execution order.
-#[derive(Debug, Clone)]
-pub struct PatternActuals {
-    /// Pattern id.
-    pub pattern: String,
-    /// Rows scanned per shard (index = shard).
-    pub shard_rows: Vec<usize>,
-    /// Propagated IN-set sizes per constrained variable.
-    pub propagated: Vec<(String, usize)>,
-    /// Join candidate/output counts.
-    pub join: JoinStats,
-    /// Rows the DBM feasible-range clamp excluded — the same count the
-    /// `engine_rows_pruned_total{pattern}` counter records for this
-    /// execution (both read [`HuntStats::rows_pruned`]).
-    ///
-    /// [`HuntStats::rows_pruned`]: crate::result::HuntStats::rows_pruned
-    pub rows_pruned: usize,
-    /// Wall time of the pattern's data query.
-    pub elapsed: Duration,
-}
-
-impl PatternActuals {
-    /// Total rows scanned across shards.
-    pub fn total_rows(&self) -> usize {
-        self.shard_rows.iter().sum()
-    }
-}
-
 /// Measured execution section of a report.
 #[derive(Debug, Clone)]
 pub struct ExplainActuals {
     /// Per-pattern actuals, in execution order.
-    pub patterns: Vec<PatternActuals>,
+    pub patterns: Vec<PatternStats>,
     /// Endpoint-resolution wall time.
     pub resolve: Duration,
     /// Total scan wall time.
@@ -126,7 +98,7 @@ impl ExplainReport {
     pub fn total_rows_scanned(&self) -> usize {
         self.actuals
             .as_ref()
-            .map(|a| a.patterns.iter().map(PatternActuals::total_rows).sum())
+            .map(|a| a.patterns.iter().map(PatternStats::total_rows).sum())
             .unwrap_or(0)
     }
 
@@ -299,49 +271,8 @@ pub(crate) fn plan_report(query: &Query, cq: &CompiledQuery, shards: usize) -> E
 
 /// Attaches measured execution statistics to a plan report.
 pub(crate) fn attach_actuals(report: &mut ExplainReport, stats: &HuntStats, matches: usize) {
-    let patterns = stats
-        .execution_order
-        .iter()
-        .map(|id| {
-            let find = |pairs: &[(String, Vec<usize>)]| {
-                pairs
-                    .iter()
-                    .find(|(p, _)| p == id)
-                    .map(|(_, v)| v.clone())
-                    .unwrap_or_default()
-            };
-            PatternActuals {
-                pattern: id.clone(),
-                shard_rows: find(&stats.shard_rows),
-                propagated: stats
-                    .propagated
-                    .iter()
-                    .find(|(p, _)| p == id)
-                    .map(|(_, v)| v.clone())
-                    .unwrap_or_default(),
-                join: stats
-                    .join_stats
-                    .iter()
-                    .find(|(p, _)| p == id)
-                    .map(|(_, j)| *j)
-                    .unwrap_or_default(),
-                rows_pruned: stats
-                    .rows_pruned
-                    .iter()
-                    .find(|(p, _)| p == id)
-                    .map(|(_, n)| *n)
-                    .unwrap_or_default(),
-                elapsed: stats
-                    .pattern_elapsed
-                    .iter()
-                    .find(|(p, _)| p == id)
-                    .map(|(_, d)| *d)
-                    .unwrap_or_default(),
-            }
-        })
-        .collect();
     report.actuals = Some(ExplainActuals {
-        patterns,
+        patterns: stats.patterns.clone(),
         resolve: stats.resolve_elapsed,
         scan: stats.scan_elapsed(),
         propagate: stats.propagate_elapsed,
@@ -446,15 +377,10 @@ mod tests {
         assert_eq!(actuals.matches, result.matches.len());
         // Per-pattern totals equal the stats' fetched-row counts, and
         // every pattern reports one count per shard.
-        for p in &actuals.patterns {
-            let fetched = result
-                .stats
-                .rows_fetched
-                .iter()
-                .find(|(id, _)| id == &p.pattern)
-                .map(|(_, n)| *n)
-                .unwrap();
-            assert_eq!(p.total_rows(), fetched, "pattern {}", p.pattern);
+        assert_eq!(actuals.patterns.len(), result.stats.patterns.len());
+        for (p, stats) in actuals.patterns.iter().zip(&result.stats.patterns) {
+            assert_eq!(p.pattern, stats.pattern);
+            assert_eq!(p.total_rows(), stats.total_rows(), "pattern {}", p.pattern);
             assert_eq!(p.shard_rows.len(), 4, "pattern {}", p.pattern);
         }
         assert_eq!(report.total_rows_scanned(), result.stats.total_rows());
@@ -513,9 +439,13 @@ mod tests {
         // Actual pruned counts mirror the stats the metric counters were
         // bumped from — equal by construction.
         let actuals = report.actuals.as_ref().unwrap();
-        for (id, n) in &result.stats.rows_pruned {
-            let p = actuals.patterns.iter().find(|p| &p.pattern == id).unwrap();
-            assert_eq!(p.rows_pruned, *n, "pattern {id}");
+        for stats in &result.stats.patterns {
+            let p = actuals
+                .patterns
+                .iter()
+                .find(|p| p.pattern == stats.pattern)
+                .unwrap();
+            assert_eq!(p.rows_pruned, stats.rows_pruned, "pattern {}", p.pattern);
         }
         assert_eq!(report.total_rows_pruned(), result.stats.total_rows_pruned());
         assert!(report.total_rows_pruned() > 0, "expected pruning to fire");

@@ -89,6 +89,6 @@ pub mod sharded;
 pub use delta::DeltaState;
 pub use error::EngineError;
 pub use exec::{Engine, ExecMode};
-pub use explain::{ExplainActuals, ExplainEntry, ExplainReport, PatternActuals};
-pub use result::{DeltaStats, HuntResult, HuntStats, JoinStats, Match};
+pub use explain::{ExplainActuals, ExplainEntry, ExplainReport};
+pub use result::{DeltaStats, HuntResult, HuntStats, JoinStats, Match, PatternStats};
 pub use sharded::ShardedEngine;

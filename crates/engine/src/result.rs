@@ -67,32 +67,58 @@ pub struct DeltaStats {
     pub entity_rows: usize,
 }
 
+/// One pattern's execution record.
+#[derive(Debug, Clone, Default)]
+pub struct PatternStats {
+    /// Pattern id.
+    pub pattern: String,
+    /// Rows fetched per shard (index = shard; a store without shards
+    /// reports one). Their sum is the pattern's rows fetched, and the
+    /// `engine_rows_scanned_total{pattern,shard}` counters are bumped
+    /// from these counts.
+    pub shard_rows: Vec<usize>,
+    /// Propagated IN-set sizes per constrained variable: the distinct
+    /// already-bound ids pushed down (empty for the first pattern and
+    /// for a baseline).
+    pub propagated: Vec<(String, usize)>,
+    /// Join candidate/output counts.
+    pub join: JoinStats,
+    /// Rows the DBM feasible-range clamp excluded — the count the
+    /// `engine_rows_pruned_total{pattern}` counter records.
+    pub rows_pruned: usize,
+    /// Wall time of the pattern's data query (the scan).
+    pub elapsed: Duration,
+}
+
+impl PatternStats {
+    /// Total rows fetched across shards.
+    pub fn total_rows(&self) -> usize {
+        self.shard_rows.iter().sum()
+    }
+
+    /// Adds `other`'s row counts, join counts and scan time to this
+    /// record's (shard by shard); `propagated` is left as it is.
+    pub fn add(&mut self, other: &PatternStats) {
+        if self.shard_rows.len() < other.shard_rows.len() {
+            self.shard_rows.resize(other.shard_rows.len(), 0);
+        }
+        for (total, n) in self.shard_rows.iter_mut().zip(&other.shard_rows) {
+            *total += n;
+        }
+        self.join.candidates += other.join.candidates;
+        self.join.outputs += other.join.outputs;
+        self.rows_pruned += other.rows_pruned;
+        self.elapsed += other.elapsed;
+    }
+}
+
 /// Execution statistics.
 #[derive(Debug, Clone, Default)]
 pub struct HuntStats {
-    /// Pattern ids in the order they were executed.
-    pub execution_order: Vec<String>,
-    /// Rows produced by each pattern's data query, in execution order.
-    pub rows_fetched: Vec<(String, usize)>,
-    /// Rows scanned per shard for each pattern, in execution order (a
-    /// single-store `Engine` reports its one shard).
-    pub shard_rows: Vec<(String, Vec<usize>)>,
-    /// Rows excluded per pattern by the DBM-derived feasible-range
-    /// clamp, in execution order (zero for a pattern without tightened
-    /// bounds). The `engine_rows_pruned_total{pattern}` metric is bumped
-    /// from these same counts, so EXPLAIN ANALYZE actuals and the metric
-    /// agree by construction.
-    pub rows_pruned: Vec<(String, usize)>,
-    /// Constraint-propagation pruning per pattern, in execution order:
-    /// for each variable that received a propagated IN-set filter, the
-    /// number of already-bound entity ids pushed down (empty when no
-    /// propagation applied — first pattern, or a baseline).
-    pub propagated: Vec<(String, Vec<(String, usize)>)>,
-    /// Join candidate/output counts per pattern, in execution order.
-    pub join_stats: Vec<(String, JoinStats)>,
-    /// Wall time spent in each pattern's data query (the scan), in
-    /// execution order.
-    pub pattern_elapsed: Vec<(String, Duration)>,
+    /// One record per executed pattern, in execution order. A hunt
+    /// whose partial matches die stops early: the patterns it did not
+    /// run have no record.
+    pub patterns: Vec<PatternStats>,
     /// Wall time resolving the patterns' endpoint variables to entity id
     /// sets (a full execution evaluates each variable's filter over
     /// the catalog; a delta poll extends its memoized sets and narrows
@@ -116,17 +142,17 @@ pub struct HuntStats {
 impl HuntStats {
     /// Total wall time across all pattern scans.
     pub fn scan_elapsed(&self) -> Duration {
-        self.pattern_elapsed.iter().map(|(_, d)| *d).sum()
+        self.patterns.iter().map(|p| p.elapsed).sum()
     }
 
     /// Total rows fetched across all patterns.
     pub fn total_rows(&self) -> usize {
-        self.rows_fetched.iter().map(|(_, n)| n).sum()
+        self.patterns.iter().map(PatternStats::total_rows).sum()
     }
 
     /// Total rows excluded by the DBM feasible-range clamp.
     pub fn total_rows_pruned(&self) -> usize {
-        self.rows_pruned.iter().map(|(_, n)| n).sum()
+        self.patterns.iter().map(|p| p.rows_pruned).sum()
     }
 
     /// Records the per-stage breakdown into a [`TraceSink`] (one

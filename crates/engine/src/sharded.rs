@@ -26,7 +26,7 @@
 
 use crate::compile::{compile, CompiledPattern, CompiledQuery, CompiledShape};
 use crate::error::EngineError;
-use crate::exec::{expand_paths, project_matches, run_schedule, scan_events, ExecMode};
+use crate::exec::{expand_paths, project_matches, run_hunt, scan_events, ExecMode};
 use crate::idset::IdSet;
 use crate::join::{PatternRow, Schedule};
 use crate::result::{HuntResult, Match};
@@ -49,10 +49,10 @@ pub struct ShardedEngine<'s> {
     /// Optional metric sink: when attached, every execution bumps
     /// `engine_rows_scanned_total{pattern=...,shard=...}` counters from
     /// the same per-shard row counts that land in
-    /// [`HuntStats::shard_rows`] — so EXPLAIN ANALYZE totals and the
+    /// [`PatternStats::shard_rows`] — so EXPLAIN ANALYZE totals and the
     /// exported counters agree by construction.
     ///
-    /// [`HuntStats::shard_rows`]: crate::result::HuntStats::shard_rows
+    /// [`PatternStats::shard_rows`]: crate::result::PatternStats::shard_rows
     registry: Option<&'s Registry>,
 }
 
@@ -100,44 +100,30 @@ impl<'s> ShardedEngine<'s> {
     /// Executes a compiled query — the entry point the plan cache feeds
     /// (`_mode` is the vestigial [`ExecMode`]).
     pub fn execute(&self, cq: &CompiledQuery, _mode: ExecMode) -> Result<HuntResult, EngineError> {
-        // Per-shard row counts and DBM-clamp pruning, collected as each
-        // pattern's data query fans out (execution order). RefCell: the
-        // fetch closure is `FnMut` and the collectors outlive it.
-        let shard_rows: std::cell::RefCell<Vec<(String, Vec<usize>)>> =
-            std::cell::RefCell::new(Vec::new());
-        let rows_pruned: std::cell::RefCell<Vec<(String, usize)>> =
-            std::cell::RefCell::new(Vec::new());
-        let mut result = run_schedule(
+        let result = run_hunt(
             cq,
             &Schedule::new(cq),
             self.store.catalog(),
-            &mut |pat, subjects, objects| {
-                let (rows, per_shard, pruned) = self.fetch_pattern(pat, subjects, objects, 0);
-                shard_rows.borrow_mut().push((pat.id.clone(), per_shard));
-                rows_pruned.borrow_mut().push((pat.id.clone(), pruned));
-                rows
+            &mut |pat, subjects, objects, min_pos| {
+                self.fetch_pattern(pat, subjects, objects, min_pos)
             },
             &|id, attr| self.store.entity(id).attr(attr),
         );
-        result.stats.shard_rows = shard_rows.into_inner();
-        result.stats.rows_pruned = rows_pruned.into_inner();
         if let Some(registry) = self.registry {
-            for (pattern, shards) in &result.stats.shard_rows {
-                for (shard, rows) in shards.iter().enumerate() {
+            // Bumped from the same counts that land in the stats, so
+            // EXPLAIN ANALYZE actuals equal the metrics by construction.
+            for p in &result.stats.patterns {
+                for (shard, rows) in p.shard_rows.iter().enumerate() {
                     registry
                         .counter_labeled(
                             "engine_rows_scanned_total",
-                            &[("pattern", pattern), ("shard", &shard.to_string())],
+                            &[("pattern", &p.pattern), ("shard", &shard.to_string())],
                         )
                         .add(*rows as u64);
                 }
-            }
-            // Bumped from the same counts that land in the stats, so
-            // EXPLAIN ANALYZE actuals equal the metric by construction.
-            for (pattern, pruned) in &result.stats.rows_pruned {
                 registry
-                    .counter_labeled("engine_rows_pruned_total", &[("pattern", pattern)])
-                    .add(*pruned as u64);
+                    .counter_labeled("engine_rows_pruned_total", &[("pattern", &p.pattern)])
+                    .add(p.rows_pruned as u64);
             }
         }
         Ok(result)
@@ -164,17 +150,15 @@ impl<'s> ShardedEngine<'s> {
     /// clamp excluded.
     ///
     /// `subjects` and `objects` are the pattern's endpoint id sets,
-    /// resolved once per pattern by the caller against the store's entity
-    /// catalog (the full executor through
-    /// [`resolve_endpoints`](crate::exec::resolve_endpoints), the delta
-    /// executor from its memo); shards hold events only.
+    /// resolved once per pattern by the stage loop's resolver; shards
+    /// hold events only.
     ///
     /// `min_pos` restricts event-pattern scans to rows whose witness
-    /// position is at least `min_pos` — the delta executor's epoch-range
-    /// restriction. Shards lying entirely below the cut are skipped
-    /// without scanning (reporting zero rows); only the boundary shard
-    /// filters row by row. Path patterns ignore it (the delta executor
-    /// never runs them). `0` scans everything.
+    /// position is at least `min_pos` — a standing query's fresh range.
+    /// Shards lying entirely below the cut are skipped without scanning
+    /// (reporting zero rows); only the boundary shard filters row by row.
+    /// Path patterns ignore it (standing queries never run them
+    /// incrementally). `0` scans everything.
     pub(crate) fn fetch_pattern(
         &self,
         pat: &CompiledPattern,
@@ -318,6 +302,7 @@ impl<'s> ShardedEngine<'s> {
 mod tests {
     use super::*;
     use crate::exec::Engine;
+    use crate::result::PatternStats;
     use threatraptor_audit::sim::scenario::{AttackKind, ScenarioBuilder};
     use threatraptor_storage::store::AuditStore;
     use threatraptor_tbql::parser::FIG2_TBQL;
@@ -448,17 +433,12 @@ mod tests {
         assert!(pruned > 0, "expected the clamp to exclude rows");
         let fetched = |r: &HuntResult, id: &str| {
             r.stats
-                .rows_fetched
+                .patterns
                 .iter()
-                .find(|(p, _)| p == id)
-                .map(|(_, n)| *n)
-                .unwrap_or(0)
+                .find(|p| p.pattern == id)
+                .map_or(0, PatternStats::total_rows)
         };
         assert_eq!(fetched(&unclamped, "e1") - fetched(&clamped, "e1"), pruned);
-        // Per-shard scan counts stay consistent with fetched totals.
-        for (id, shards) in &clamped.stats.shard_rows {
-            assert_eq!(shards.iter().sum::<usize>(), fetched(&clamped, id));
-        }
     }
 
     #[test]
@@ -476,11 +456,11 @@ mod tests {
             .with_registry(&registry)
             .hunt(&tbql)
             .unwrap();
-        for (pattern, pruned) in &result.stats.rows_pruned {
+        for p in &result.stats.patterns {
             let metric = registry
-                .counter_labeled("engine_rows_pruned_total", &[("pattern", pattern)])
+                .counter_labeled("engine_rows_pruned_total", &[("pattern", &p.pattern)])
                 .get();
-            assert_eq!(metric, *pruned as u64, "pattern {pattern}");
+            assert_eq!(metric, p.rows_pruned as u64, "pattern {}", p.pattern);
         }
         assert!(result.stats.total_rows_pruned() > 0);
     }

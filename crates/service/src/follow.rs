@@ -127,31 +127,25 @@ fn match_key(m: &Match, cq: &CompiledQuery, store: &ShardedStore) -> MatchKey {
 }
 
 /// Accumulates one poll's engine statistics into the running result's:
-/// `elapsed` and the per-pattern `rows_fetched` counters add up across
-/// polls (events scanned is cumulative work, not a point-in-time value),
-/// while `execution_order` reflects the latest execution.
+/// times and each pattern's row and join counts add up across polls
+/// (events scanned is cumulative work, not a point-in-time value), while
+/// the propagated sizes and the delta actuals reflect the latest
+/// execution.
 fn merge_stats(running: &mut HuntStats, poll: &HuntStats) {
-    running.execution_order = poll.execution_order.clone();
     running.elapsed += poll.elapsed;
     running.resolve_elapsed += poll.resolve_elapsed;
     running.propagate_elapsed += poll.propagate_elapsed;
     running.join_elapsed += poll.join_elapsed;
     running.project_elapsed += poll.project_elapsed;
-    for (pat, fetched) in &poll.rows_fetched {
-        if let Some((_, total)) = running.rows_fetched.iter_mut().find(|(p, _)| p == pat) {
-            *total += fetched;
-        } else {
-            running.rows_fetched.push((pat.clone(), *fetched));
+    for p in &poll.patterns {
+        match running.patterns.iter_mut().find(|r| r.pattern == p.pattern) {
+            Some(total) => {
+                total.add(p);
+                total.propagated.clone_from(&p.propagated);
+            }
+            None => running.patterns.push(p.clone()),
         }
     }
-    for (pat, elapsed) in &poll.pattern_elapsed {
-        if let Some((_, total)) = running.pattern_elapsed.iter_mut().find(|(p, _)| p == pat) {
-            *total += *elapsed;
-        } else {
-            running.pattern_elapsed.push((pat.clone(), *elapsed));
-        }
-    }
-    // Delta actuals reflect the latest execution, like execution_order.
     running.delta = poll.delta;
 }
 
@@ -376,10 +370,9 @@ impl FollowHunt {
         }
 
         // Delta path when the snapshot exposes a frontier and the plan
-        // supports it; full re-execution otherwise. A delta poll with
-        // `fresh_from == 0` (first poll, post-discontinuity) *is* the
-        // full re-execution — same scans, same joins — so the fallback
-        // counter treats both uniformly as from-zero scans.
+        // supports it; full re-execution otherwise. Both run the engine's
+        // one stage loop, so the fallback counter treats a from-zero
+        // delta poll (first poll, post-discontinuity) as a full scan.
         let use_delta = !self.force_full && frontier.is_some();
         let full = match (use_delta, &mut self.delta, frontier) {
             (true, Some(state), Some(f)) => state.poll(&engine, cq, f.sealed_events),
@@ -477,10 +470,10 @@ impl FollowHunt {
             obs.partials_retained
                 .add(retained as i64 - self.reported_partials as i64);
             self.reported_partials = retained;
-            for (pat, fetched) in &full.stats.rows_fetched {
+            for p in &full.stats.patterns {
                 obs.registry
-                    .counter_labeled("follow_pattern_rows_total", &[("pattern", pat)])
-                    .add(*fetched as u64);
+                    .counter_labeled("follow_pattern_rows_total", &[("pattern", &p.pattern)])
+                    .add(p.total_rows() as u64);
             }
         }
 
@@ -509,6 +502,7 @@ mod tests {
     use super::*;
     use crate::cache::PlanCache;
     use threatraptor_audit::sim::scenario::{AttackKind, ScenarioBuilder};
+    use threatraptor_engine::PatternStats;
     use threatraptor_storage::{SealPolicy, StreamingStore};
     use threatraptor_tbql::parser::FIG2_TBQL;
 
@@ -683,7 +677,7 @@ mod tests {
             let engine = ShardedEngine::with_threads(&snapshot, 1);
             let plan = PlanCache::new().plan(FIG2_TBQL).unwrap().0;
             let solo = engine.execute(&plan.compiled, ExecMode::Scheduled).unwrap();
-            per_poll_fetched.push(solo.stats.rows_fetched);
+            per_poll_fetched.push(solo.stats.patterns);
             // Bracket the poll: the execution it adds to the running
             // stats is timed inside the poll's own timer, which runs
             // inside `outer`.
@@ -701,22 +695,21 @@ mod tests {
 
         let running = hunt.result().unwrap();
         // Each pattern's running counter is the sum over all polls.
-        for (pat, total) in &running.stats.rows_fetched {
-            let want: usize = per_poll_fetched
-                .iter()
-                .flatten()
-                .filter(|(p, _)| p == pat)
-                .map(|(_, n)| n)
-                .sum();
-            assert_eq!(total, &want, "pattern {pat} must accumulate");
-            let last_poll: usize = per_poll_fetched
-                .last()
-                .unwrap()
-                .iter()
-                .filter(|(p, _)| p == pat)
-                .map(|(_, n)| n)
-                .sum();
-            assert!(total >= &last_poll);
+        for total in &running.stats.patterns {
+            let rows = |poll: &Vec<PatternStats>| -> usize {
+                poll.iter()
+                    .filter(|p| p.pattern == total.pattern)
+                    .map(PatternStats::total_rows)
+                    .sum()
+            };
+            let want: usize = per_poll_fetched.iter().map(rows).sum();
+            assert_eq!(
+                total.total_rows(),
+                want,
+                "pattern {} must accumulate",
+                total.pattern
+            );
+            assert!(total.total_rows() >= rows(per_poll_fetched.last().unwrap()));
         }
         // Elapsed accumulates execution time across polls; it can only
         // have grown past any single execution.
@@ -763,13 +756,13 @@ mod tests {
             running.matches.len() as u64
         );
         // Per-pattern series mirror the running per-pattern counters.
-        for (pat, total) in &running.stats.rows_fetched {
+        for p in &running.stats.patterns {
             let sample = snap
-                .get("follow_pattern_rows_total", &[("pattern", pat)])
-                .unwrap_or_else(|| panic!("missing series for {pat}"));
+                .get("follow_pattern_rows_total", &[("pattern", &p.pattern)])
+                .unwrap_or_else(|| panic!("missing series for {}", p.pattern));
             assert_eq!(
                 sample.value,
-                threatraptor_obs::SampleValue::Counter(*total as u64)
+                threatraptor_obs::SampleValue::Counter(p.total_rows() as u64)
             );
         }
     }

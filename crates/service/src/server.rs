@@ -436,15 +436,16 @@ fn execute_job(store: &ShardedStore, cache: &PlanCache, job: &HuntJob) -> JobRep
 /// resolution, plan-cache lookup) shows as the uncovered tail.
 fn record_stage_spans(trace: &mut TraceTree, exec: usize, stats: &HuntStats) {
     let mut cursor = trace.span_start(exec);
-    for (pattern, elapsed) in &stats.pattern_elapsed {
-        let span = trace.add_span(exec, &format!("scan:{pattern}"), cursor, cursor + *elapsed);
-        if let Some((_, rows)) = stats.rows_fetched.iter().find(|(id, _)| id == pattern) {
-            trace.set_attr(span, "rows", *rows as i64);
-        }
-        if let Some((_, shards)) = stats.shard_rows.iter().find(|(id, _)| id == pattern) {
-            trace.set_attr(span, "shards", shards.len() as i64);
-        }
-        cursor += *elapsed;
+    for p in &stats.patterns {
+        let span = trace.add_span(
+            exec,
+            &format!("scan:{}", p.pattern),
+            cursor,
+            cursor + p.elapsed,
+        );
+        trace.set_attr(span, "rows", p.total_rows() as i64);
+        trace.set_attr(span, "shards", p.shard_rows.len() as i64);
+        cursor += p.elapsed;
     }
     for (name, elapsed) in [
         ("resolve", stats.resolve_elapsed),

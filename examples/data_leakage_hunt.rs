@@ -58,6 +58,11 @@ fn main() {
     println!("\nmatched records:\n{}", result.render_table());
     println!(
         "execution order (pruning scores first): {:?}",
-        result.stats.execution_order
+        result
+            .stats
+            .patterns
+            .iter()
+            .map(|p| p.pattern.as_str())
+            .collect::<Vec<_>>()
     );
 }

@@ -112,23 +112,15 @@ proptest! {
         // The clamp is observable only in the scan accounting:
         // pruned + fetched(clamped) == fetched(unclamped), pattern
         // by pattern.
-        for (id, fetched) in &a.stats.rows_fetched {
-            let pruned = a
-                .stats
-                .rows_pruned
-                .iter()
-                .find(|(p, _)| p == id)
-                .map(|(_, n)| *n)
-                .unwrap_or(0);
+        for p in &a.stats.patterns {
             let unclamped_fetched = b
                 .stats
-                .rows_fetched
+                .patterns
                 .iter()
-                .find(|(p, _)| p == id)
-                .map(|(_, n)| *n)
-                .unwrap_or(0);
-            prop_assert_eq!(fetched + pruned, unclamped_fetched, "pattern {}", id);
+                .find(|q| q.pattern == p.pattern)
+                .map_or(0, |q| q.total_rows());
+            prop_assert_eq!(p.total_rows() + p.rows_pruned, unclamped_fetched, "pattern {}", p.pattern);
         }
-        prop_assert!(b.stats.rows_pruned.iter().all(|(_, n)| *n == 0));
+        prop_assert_eq!(b.stats.total_rows_pruned(), 0);
     }
 }
