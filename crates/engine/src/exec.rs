@@ -314,18 +314,13 @@ pub(crate) fn run_schedule<'r>(
         };
         // Branch A: fresh rows against the retained prefix (stage 0
         // seeds from its fresh scan alone).
-        let seed = match i {
-            0 => Some(None),
-            _ => partials.get(i - 1).filter(|p| !p.is_empty()).map(Some),
-        };
-        let mut next = match seed {
-            Some(seed) => {
-                let (joined, rows) = stage(seed, fresh_from);
-                fresh_rows += rows;
-                joined
-            }
-            None => Tuples::new(layout),
-        };
+        let mut next = Tuples::new(layout);
+        let seed = i.checked_sub(1).and_then(|prefix| partials.get(prefix));
+        if i == 0 || seed.is_some_and(|p| !p.is_empty()) {
+            let (joined, rows) = stage(seed, fresh_from);
+            fresh_rows += rows;
+            next = joined;
+        }
         // Branch B: combinations already carrying a fresh witness,
         // through the pattern's full range.
         if !delta.is_empty() {
