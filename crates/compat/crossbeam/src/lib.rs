@@ -263,7 +263,8 @@ pub mod channel {
 
         /// Blocking receive with a deadline.
         pub fn recv_timeout(&self, timeout: Duration) -> Result<T, RecvTimeoutError> {
-            let deadline = Instant::now() + timeout;
+            // `None` (a timeout past the clock's range) means no deadline.
+            let deadline = Instant::now().checked_add(timeout);
             let mut inner = self.shared.lock();
             loop {
                 if let Some(v) = inner.queue.pop_front() {
@@ -275,13 +276,16 @@ pub mod channel {
                     return Err(RecvTimeoutError::Disconnected);
                 }
                 let now = Instant::now();
-                if now >= deadline {
+                if deadline.is_some_and(|deadline| now >= deadline) {
                     return Err(RecvTimeoutError::Timeout);
                 }
                 let (guard, _) = self
                     .shared
                     .not_empty
-                    .wait_timeout(inner, deadline - now)
+                    .wait_timeout(
+                        inner,
+                        deadline.map_or(Duration::MAX, |deadline| deadline - now),
+                    )
                     .unwrap_or_else(PoisonError::into_inner);
                 inner = guard;
             }
@@ -410,6 +414,18 @@ mod tests {
                 rx.recv_timeout(Duration::from_millis(10)),
                 Err(RecvTimeoutError::Disconnected)
             );
+        }
+
+        #[test]
+        fn recv_timeout_without_deadline_waits_for_a_send() {
+            let (tx, rx) = unbounded();
+            let got = std::thread::scope(|scope| {
+                let h = scope.spawn(move || rx.recv_timeout(Duration::MAX));
+                std::thread::sleep(Duration::from_millis(10));
+                tx.send(7).unwrap();
+                h.join().unwrap()
+            });
+            assert_eq!(got, Ok(7));
         }
 
         #[test]

@@ -1,4 +1,4 @@
-//! The five repo lints, run over the lexed code view of one file.
+//! The six repo lints, run over the lexed code view of one file.
 //!
 //! | code | meaning |
 //! |------|---------|
@@ -7,6 +7,7 @@
 //! | L003 | lock guard held across a channel `send`/`recv` or `wait_epoch_newer` |
 //! | L004 | `Ordering::SeqCst` without an `// ordering:` rationale (acquire/release usually suffices) |
 //! | L005 | direct `std::sync` lock/atomic import bypassing the `threatraptor-sync` facade |
+//! | L006 | `Instant` + `Duration` deadline arithmetic (panics on overflow; use `checked_add`) |
 //!
 //! All rules are textual — tripwires, not proofs. They are tuned to
 //! this repo's idioms: guards are recovered with
@@ -74,6 +75,7 @@ pub fn run_rules(ctx: &FileCtx<'_>, edges: &mut Vec<LockEdge>) -> Vec<Diagnostic
     guard_scan(ctx, &mut out, edges);
     l004_seqcst(ctx, &mut out);
     l005_std_sync(ctx, &mut out);
+    l006_deadline_add(ctx, &mut out);
     out
 }
 
@@ -413,6 +415,39 @@ fn l005_std_sync(ctx: &FileCtx<'_>, out: &mut Vec<Diagnostic>) {
                     banned.join(", "),
                 ),
             ));
+        }
+    }
+}
+
+/// L006: a `+` / `+=` whose left operand is `Instant::now()` or whose
+/// right operand is a `timeout` / `*_timeout` identifier. The sum panics
+/// when it overflows the clock (a `Duration::MAX` timeout does);
+/// `checked_add` returns `None` instead, which reads as "no deadline".
+fn l006_deadline_add(ctx: &FileCtx<'_>, out: &mut Vec<Diagnostic>) {
+    let mut from = 0;
+    while let Some(pos) = ctx.code[from..].find('+') {
+        let offset = from + pos;
+        from = offset + 1;
+        let rhs = ctx.code[from..]
+            .strip_prefix('=')
+            .unwrap_or(&ctx.code[from..]);
+        let rhs = rhs.trim_start();
+        let operand = &rhs[..rhs
+            .find(|c: char| c != '_' && !c.is_ascii_alphanumeric())
+            .unwrap_or(rhs.len())];
+        let timeout_rhs = operand == "timeout" || operand.ends_with("_timeout");
+        let now_lhs = ctx.code[..offset].trim_end().ends_with("Instant::now()");
+        if (now_lhs || timeout_rhs) && ctx.live(offset, "L006") {
+            out.push(
+                ctx.diag(
+                    offset,
+                    "L006",
+                    "`Instant` + `Duration` deadline arithmetic panics when the sum overflows \
+                 (a `Duration::MAX` timeout does) — use `checked_add` and treat `None` as \
+                 no deadline"
+                        .to_string(),
+                ),
+            );
         }
     }
 }

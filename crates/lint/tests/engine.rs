@@ -78,6 +78,15 @@ fn l005_flags_facade_bypasses() {
 }
 
 #[test]
+fn l006_flags_overflowing_deadline_arithmetic() {
+    let diags = lint_fixture("l006_deadline_add.rs", Options::default());
+    assert_eq!(codes(&diags), ["L006"; 3], "{diags:#?}");
+    let lines: Vec<usize> = diags.iter().map(|d| d.line).collect();
+    assert_eq!(lines, [7, 9, 10], "{diags:#?}");
+    assert!(diags[0].message.contains("checked_add"), "{diags:#?}");
+}
+
+#[test]
 fn cfg_test_exemption_ends_at_the_closing_brace() {
     // The awk regression: production code BELOW a test module must be
     // linted, code inside it must not.

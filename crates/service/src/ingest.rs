@@ -239,7 +239,8 @@ impl IngestService {
     /// an unchanged epoch). This is the push half of event-driven
     /// standing queries: a dispatcher parks here instead of polling.
     pub fn wait_epoch_newer(&self, last: u64, timeout: Duration) -> u64 {
-        let deadline = Instant::now() + timeout;
+        // `None` (a timeout past the clock's range) means no deadline.
+        let deadline = Instant::now().checked_add(timeout);
         let mut guard = self.gate.lock().unwrap_or_else(PoisonError::into_inner);
         loop {
             let current = self.epoch();
@@ -247,12 +248,15 @@ impl IngestService {
                 return current;
             }
             let now = Instant::now();
-            if now >= deadline {
+            if deadline.is_some_and(|deadline| now >= deadline) {
                 return current;
             }
             let (g, _) = self
                 .gate_cond
-                .wait_timeout(guard, deadline - now)
+                .wait_timeout(
+                    guard,
+                    deadline.map_or(Duration::MAX, |deadline| deadline - now),
+                )
                 .unwrap_or_else(PoisonError::into_inner);
             guard = g;
             // Poked without an epoch change: report the (unchanged)
@@ -446,6 +450,22 @@ mod tests {
         });
         assert_eq!(woke, e1);
         assert!(t0.elapsed() < std::time::Duration::from_secs(10));
+    }
+
+    #[test]
+    fn epoch_wait_without_deadline_wakes_on_append() {
+        let sc = scenario();
+        let service = IngestService::new(IngestConfig::default());
+        let first = LogFeed::by_events(&sc.raw, 500).next().unwrap().unwrap();
+        let e0 = service.epoch();
+        let woke = std::thread::scope(|scope| {
+            let svc = &service;
+            let waiter = scope.spawn(move || svc.wait_epoch_newer(e0, Duration::MAX));
+            std::thread::sleep(Duration::from_millis(20));
+            svc.append(&first);
+            waiter.join().unwrap()
+        });
+        assert!(woke > e0);
     }
 
     #[test]

@@ -106,8 +106,8 @@ impl From<EngineError> for ServiceError {
 }
 
 /// The outcome of one submitted job, identified by its
-/// [`crate::server::JobHandle::id`]; `Clone` so the handle can hand out
-/// the result while the server retains nothing.
+/// [`crate::server::JobHandle::id`]. The handle's first retrieval takes
+/// it; later ones re-run the plan on the snapshot the job ran on.
 #[derive(Debug, Clone)]
 pub struct JobReport {
     /// The job as submitted.

@@ -15,7 +15,8 @@
 //!   and returns a [`JobHandle`] the caller can block on
 //!   ([`JobHandle::wait`]) or poll ([`JobHandle::try_result`]); each job
 //!   executes against a fresh snapshot through the shared
-//!   [`crate::cache::PlanCache`];
+//!   [`crate::cache::PlanCache`]. The first retrieval takes the report;
+//!   later ones re-run the plan on the same snapshot;
 //! * standing queries are **driven by ingest events, not client polls**:
 //!   [`HuntServer::follow`] registers a [`FollowHunt`] and hands back a
 //!   [`FollowSubscription`] — a per-subscription channel
@@ -32,7 +33,7 @@
 //! dispatcher and every worker, and disconnects subscription channels so
 //! consumers' receive loops end cleanly.
 
-use crate::cache::{CacheStats, PlanCache};
+use crate::cache::{CacheStats, CachedPlan, PlanCache};
 use crate::follow::{FollowDelta, FollowHunt};
 use crate::ingest::{IngestConfig, IngestService, IngestStatus};
 use crate::job::{HuntJob, JobReport, ServiceError};
@@ -120,21 +121,69 @@ impl fmt::Display for JobId {
     }
 }
 
+/// What an `Ok` job ran on (its plan and snapshot, both
+/// reference-counted), or the error it failed with.
+type Rerun = Result<(Arc<CachedPlan>, ShardedStore), ServiceError>;
+
+/// The header of a finished job and what its outcome is rebuilt from.
+#[derive(Debug)]
+struct Rebuild {
+    job: HuntJob,
+    tbql: Option<String>,
+    cache_hit: bool,
+    elapsed: Duration,
+    rerun: Rerun,
+}
+
+impl Rebuild {
+    /// Re-runs the plan on the pinned snapshot. The executor is
+    /// deterministic over a snapshot, so the matches, rows and order are
+    /// the first run's; only the `stats` timings are fresh.
+    fn report(&self) -> JobReport {
+        let rerun = self.rerun.as_ref().map_err(Clone::clone);
+        JobReport {
+            job: self.job.clone(),
+            tbql: self.tbql.clone(),
+            outcome: rerun.and_then(|(plan, store)| execute_plan(store, plan)),
+            cache_hit: self.cache_hit,
+            elapsed: self.elapsed,
+        }
+    }
+}
+
+/// A finished job's record in its handle.
+#[derive(Debug)]
+struct Completion {
+    /// The worker's report, until the first retrieval takes it.
+    report: Option<JobReport>,
+    rebuild: Arc<Rebuild>,
+}
+
 /// Completion slot shared between a [`JobHandle`] and the worker that
 /// executes the job.
 #[derive(Debug, Default)]
 struct JobState {
-    slot: Mutex<Option<JobReport>>,
+    slot: Mutex<Option<Completion>>,
     done: Condvar,
 }
 
 impl JobState {
-    fn complete(&self, report: JobReport) {
+    fn complete(&self, report: JobReport, rerun: Rerun) {
+        let rebuild = Arc::new(Rebuild {
+            job: report.job.clone(),
+            tbql: report.tbql.clone(),
+            cache_hit: report.cache_hit,
+            elapsed: report.elapsed,
+            rerun,
+        });
         let mut slot = self.slot.lock().unwrap_or_else(PoisonError::into_inner);
         // First writer wins (a job is executed once; the Shutdown
         // fallback only fires when the queue rejected it).
         if slot.is_none() {
-            *slot = Some(report);
+            *slot = Some(Completion {
+                report: Some(report),
+                rebuild,
+            });
         }
         drop(slot);
         self.done.notify_all();
@@ -143,9 +192,8 @@ impl JobState {
 
 /// A submission handle: the caller's side of the job queue.
 ///
-/// Cheap to hold; the result is delivered into the handle whether or not
-/// anyone is waiting, so `wait`/`try_result` can be called at any time
-/// (and repeatedly — they clone the report).
+/// The first retrieval takes the report; later ones re-run the plan on
+/// the pinned snapshot. A handle pins its plan and snapshot until dropped.
 #[derive(Debug)]
 pub struct JobHandle {
     id: JobId,
@@ -167,55 +215,44 @@ impl JobHandle {
 
     /// Blocks until the job completes and returns its report.
     pub fn wait(&self) -> JobReport {
-        let mut slot = self
-            .state
-            .slot
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner);
-        loop {
-            if let Some(report) = slot.as_ref() {
-                return report.clone();
-            }
-            slot = self
-                .state
-                .done
-                .wait(slot)
-                .unwrap_or_else(PoisonError::into_inner);
-        }
+        // `Duration::MAX` sets no deadline, so the fallback never runs.
+        self.wait_timeout(Duration::MAX)
+            .unwrap_or_else(|| self.wait())
     }
 
     /// Blocks up to `timeout`; `None` if the job is still running.
     pub fn wait_timeout(&self, timeout: Duration) -> Option<JobReport> {
-        let deadline = Instant::now() + timeout;
+        // `None` (a timeout past the clock's range) means no deadline.
+        let deadline = Instant::now().checked_add(timeout);
         let mut slot = self
             .state
             .slot
             .lock()
             .unwrap_or_else(PoisonError::into_inner);
-        loop {
-            if let Some(report) = slot.as_ref() {
-                return Some(report.clone());
+        let found = loop {
+            if let Some(completion) = slot.as_mut() {
+                let Completion { report, rebuild } = completion;
+                break report.take().ok_or_else(|| Arc::clone(rebuild));
             }
             let now = Instant::now();
-            if now >= deadline {
+            if deadline.is_some_and(|deadline| now >= deadline) {
                 return None;
             }
+            let remaining = deadline.map_or(Duration::MAX, |deadline| deadline - now);
             let (guard, _) = self
                 .state
                 .done
-                .wait_timeout(slot, deadline - now)
+                .wait_timeout(slot, remaining)
                 .unwrap_or_else(PoisonError::into_inner);
             slot = guard;
-        }
+        };
+        drop(slot); // a later retrieval re-runs outside the lock
+        Some(found.unwrap_or_else(|rebuild| rebuild.report()))
     }
 
     /// Non-blocking probe: `Some` once the job has completed.
     pub fn try_result(&self) -> Option<JobReport> {
-        self.state
-            .slot
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .clone()
+        self.wait_timeout(Duration::ZERO)
     }
 }
 
@@ -391,40 +428,55 @@ fn panic_text(payload: &(dyn Any + Send)) -> String {
 
 /// Resolves one job to a compiled plan (synthesizing report jobs first)
 /// and executes it against one store snapshot, catching panics into
-/// [`ServiceError::Worker`] so the worker survives.
-fn execute_job(store: &ShardedStore, cache: &PlanCache, job: &HuntJob) -> JobReport {
+/// [`ServiceError::Worker`] so the worker survives. Returns the report
+/// and what a later retrieval re-runs.
+fn execute_job(store: ShardedStore, cache: &PlanCache, job: HuntJob) -> (JobReport, Rerun) {
     let t0 = Instant::now();
-    let resolve_and_execute = || {
-        let tbql = match job {
+    let resolve = || {
+        let tbql = match &job {
             HuntJob::Tbql(src) => src.clone(),
             HuntJob::Report(text) => match cache.synthesize_report(text) {
                 Ok(tbql) => tbql,
                 Err(e) => return (None, false, Err(ServiceError::Synthesis(e))),
             },
         };
-        let (plan, cache_hit) = match cache.plan(&tbql) {
-            Ok(v) => v,
-            Err(e) => return (Some(tbql), false, Err(ServiceError::from(e))),
-        };
-        // One scan thread per hunt: the worker pool already spends the
-        // cores on concurrent jobs, and nesting both oversubscribes them.
-        let outcome = ShardedEngine::with_threads(store, 1)
-            .execute(&plan.compiled, ExecMode::Scheduled)
-            .map_err(ServiceError::from);
-        (Some(plan.tbql.clone()), cache_hit, outcome)
+        match cache.plan(&tbql) {
+            Ok((plan, cache_hit)) => (Some(plan.tbql.clone()), cache_hit, Ok(plan)),
+            Err(e) => (Some(tbql), false, Err(ServiceError::from(e))),
+        }
     };
-    let (tbql, cache_hit, outcome) = catch_unwind(AssertUnwindSafe(resolve_and_execute))
-        .unwrap_or_else(|payload| {
+    let (tbql, cache_hit, plan) =
+        catch_unwind(AssertUnwindSafe(resolve)).unwrap_or_else(|payload| {
             let error = ServiceError::Worker(panic_text(&*payload));
             (None, false, Err(error))
         });
-    JobReport {
-        job: job.clone(),
+    let (outcome, rerun) =
+        match plan.and_then(|plan| execute_plan(&store, &plan).map(|r| (r, plan))) {
+            Ok((result, plan)) => (Ok(result), Ok((plan, store))),
+            Err(e) => (Err(e.clone()), Err(e)),
+        };
+    let report = JobReport {
+        job,
         tbql,
         outcome,
         cache_hit,
         elapsed: t0.elapsed(),
-    }
+    };
+    (report, rerun)
+}
+
+/// Executes a compiled plan on one snapshot, catching a panic into
+/// [`ServiceError::Worker`].
+fn execute_plan(store: &ShardedStore, plan: &CachedPlan) -> Result<HuntResult, ServiceError> {
+    // One scan thread per hunt: the worker pool already spends the
+    // cores on concurrent jobs, and nesting both oversubscribes them.
+    let execute = || {
+        ShardedEngine::with_threads(store, 1)
+            .execute(&plan.compiled, ExecMode::Scheduled)
+            .map_err(ServiceError::from)
+    };
+    catch_unwind(AssertUnwindSafe(execute))
+        .unwrap_or_else(|payload| Err(ServiceError::Worker(panic_text(&*payload))))
 }
 
 /// Lays per-stage child spans under the exec span of a job trace:
@@ -663,7 +715,7 @@ impl HuntServer {
                     trace.add_span(ROOT_SPAN, "queue_wait", Duration::ZERO, wait);
                     let exec_span = trace.begin("exec", ROOT_SPAN);
                     let snapshot = snapshots.get(&ingest);
-                    let report = execute_job(&snapshot, ingest.cache(), &job);
+                    let (report, rerun) = execute_job(snapshot, ingest.cache(), job);
                     obs.exec_ns.record_duration(report.elapsed);
                     trace.set_attr(exec_span, "cache_hit", report.cache_hit);
                     let mut matches = 0;
@@ -695,7 +747,7 @@ impl HuntServer {
                     // log) right after wait() must see this job.
                     obs.latency(status).record_duration(latency);
                     obs.completed.inc();
-                    state.complete(report);
+                    state.complete(report, rerun);
                 }))
                 .is_ok();
         if !accepted {
@@ -706,13 +758,14 @@ impl HuntServer {
                 .latency("rejected")
                 .record_duration(submitted_at.elapsed());
             let (job, state) = fallback;
-            state.complete(JobReport {
+            let report = JobReport {
                 job,
                 tbql: None,
                 outcome: Err(ServiceError::Shutdown),
                 cache_hit: false,
                 elapsed: Duration::ZERO,
-            });
+            };
+            state.complete(report, Err(ServiceError::Shutdown));
         }
         handle
     }
@@ -796,12 +849,13 @@ impl HuntServer {
     /// Useful at the end of a replay, before reading accumulated
     /// results.
     pub fn wait_caught_up(&self, timeout: Duration) -> bool {
-        let deadline = Instant::now() + timeout;
+        // `None` (a timeout past the clock's range) means no deadline.
+        let deadline = Instant::now().checked_add(timeout);
         loop {
             if self.processed.load(Ordering::Acquire) >= self.ingest.epoch() {
                 return true;
             }
-            if Instant::now() >= deadline {
+            if deadline.is_some_and(|deadline| Instant::now() >= deadline) {
                 return false;
             }
             threatraptor_sync::thread::sleep(Duration::from_millis(1));
@@ -1034,6 +1088,117 @@ mod tests {
         let mut ids: Vec<u64> = handles.iter().map(|h| h.id().0).collect();
         ids.dedup();
         assert_eq!(ids.len(), 8);
+    }
+
+    /// Everything a repeated retrieval must reproduce; `stats` timings
+    /// are fresh on a re-run, so only its row count is compared.
+    fn assert_same_report(first: &JobReport, again: &JobReport) {
+        assert_eq!(first.job, again.job);
+        assert_eq!(first.tbql, again.tbql);
+        assert_eq!(first.cache_hit, again.cache_hit);
+        assert_eq!(first.elapsed, again.elapsed);
+        match (&first.outcome, &again.outcome) {
+            (Ok(a), Ok(b)) => {
+                assert_eq!(a.columns, b.columns);
+                assert_eq!(a.rows, b.rows);
+                assert_eq!(a.matches, b.matches);
+                assert_eq!(a.stats.total_rows(), b.stats.total_rows());
+            }
+            (Err(a), Err(b)) => assert_eq!(a, b),
+            (a, b) => panic!("outcomes differ: {a:?} vs {b:?}"),
+        }
+    }
+
+    const MANY_MATCHES: &str = "proc p write file f return p, f";
+
+    #[test]
+    fn later_retrievals_rebuild_the_taken_report() {
+        let sc = scenario();
+        let server = server();
+        let chunks: Vec<LogChunk> = LogFeed::by_events(&sc.raw, 1_000)
+            .map(|c| c.unwrap())
+            .collect();
+        let (head, tail) = chunks.split_at(chunks.len() / 2);
+        for chunk in head {
+            server.append(chunk);
+        }
+        let handle = server.submit(HuntJob::tbql(MANY_MATCHES));
+        let first = handle.wait();
+        let matches = first.outcome.as_ref().unwrap().matches.len();
+        assert!(matches > 100, "{matches} matches");
+        assert_same_report(&first, &handle.wait());
+        assert_same_report(&first, &handle.try_result().unwrap());
+        assert_same_report(
+            &first,
+            &handle.wait_timeout(Duration::from_secs(60)).unwrap(),
+        );
+        // Later appends grow the live answer, not the job's: a retrieval
+        // re-runs on the snapshot the job ran on.
+        for chunk in tail {
+            server.append(chunk);
+        }
+        assert!(server.hunt(MANY_MATCHES).unwrap().matches.len() > matches);
+        assert_same_report(&first, &handle.wait());
+        server.shutdown();
+    }
+
+    #[test]
+    fn failed_jobs_repeat_their_errors() {
+        let server = server();
+        let jobs = [
+            HuntJob::tbql("totally broken"),
+            HuntJob::tbql(
+                "proc p read file f as e1 proc p write file g as e2 \
+                 with e1 before e2, e2 before e1 return p",
+            ),
+            HuntJob::report("Nothing interesting happened today."),
+        ];
+        let mut handles: Vec<JobHandle> = jobs.into_iter().map(|j| server.submit(j)).collect();
+        server.shutdown();
+        handles.push(server.submit(HuntJob::tbql(MANY_MATCHES)));
+        for handle in &handles {
+            let first = handle.wait();
+            assert!(first.outcome.is_err(), "{:?}", first.outcome);
+            assert_same_report(&first, &handle.wait());
+            assert_same_report(&first, &handle.try_result().unwrap());
+        }
+    }
+
+    #[test]
+    fn concurrent_waiters_get_equal_reports() {
+        let sc = scenario();
+        let server = server();
+        for chunk in LogFeed::by_events(&sc.raw, 1_000) {
+            server.append(&chunk.unwrap());
+        }
+        let handle = server.submit(HuntJob::tbql(MANY_MATCHES));
+        let (a, b) = std::thread::scope(|scope| {
+            let a = scope.spawn(|| handle.wait());
+            let b = scope.spawn(|| handle.wait());
+            (a.join().unwrap(), b.join().unwrap())
+        });
+        assert!(a.outcome.is_ok());
+        assert_same_report(&a, &b);
+        server.shutdown();
+    }
+
+    #[test]
+    fn job_wait_without_a_deadline_completes() {
+        let server = server();
+        let handle = server.submit(HuntJob::tbql(FIG2_TBQL));
+        assert!(handle.wait_timeout(Duration::MAX).unwrap().outcome.is_ok());
+        server.shutdown();
+    }
+
+    #[test]
+    fn catch_up_wait_without_a_deadline_returns() {
+        let server = server();
+        let (_alerts, _) = server.follow(FIG2_TBQL).unwrap();
+        for chunk in LogFeed::by_events(&scenario().raw, 2_000) {
+            server.append(&chunk.unwrap());
+        }
+        assert!(server.wait_caught_up(Duration::MAX));
+        server.shutdown();
     }
 
     #[test]

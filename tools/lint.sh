@@ -9,7 +9,7 @@
 # production code below a test module went unlinted. The engine scopes
 # test/mutant exemptions to their actual brace spans and adds
 # lock-order, hold-across-blocking, SeqCst-rationale, and sync-facade
-# rules. See crates/lint/src/lib.rs for the rule catalog (L001-L005).
+# rules. See crates/lint/src/rules.rs for the rule catalog (L001-L006).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
