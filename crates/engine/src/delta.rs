@@ -24,13 +24,14 @@
 //! with the catalog length they cover and extended over new entities
 //! only; a bound endpoint is their intersection with the propagated ids.
 //!
-//! Path patterns are excluded ([`DeltaState::new`] returns `None`): a
-//! path row may mix stable and fresh hops, so follow hunts over path
-//! queries fall back to full re-execution.
+//! Path patterns take part like event patterns: a path row is fresh
+//! when any hop is, so a row mixing stable and fresh hops is found by
+//! the poll that sees its first fresh hop. Their expansion still walks
+//! the whole store and filters by hop position.
 //!
 //! [`StreamFrontier`]: threatraptor_storage::StreamFrontier
 
-use crate::compile::{CompiledQuery, CompiledShape};
+use crate::compile::CompiledQuery;
 use crate::exec::{resolve_from, run_schedule};
 use crate::idset::IdSet;
 use crate::join::{JoinStep, Schedule, Tuples};
@@ -136,26 +137,17 @@ pub struct DeltaState {
 }
 
 impl DeltaState {
-    /// State for a compiled query, or `None` when the query cannot run
-    /// incrementally (it contains a path pattern, whose rows may mix
-    /// stable and fresh hops).
-    pub fn new(cq: &CompiledQuery) -> Option<DeltaState> {
-        if cq
-            .patterns
-            .iter()
-            .any(|p| matches!(p.shape, CompiledShape::Path { .. }))
-        {
-            return None;
-        }
+    /// Empty state for a compiled query.
+    pub fn new(cq: &CompiledQuery) -> DeltaState {
         let schedule = Schedule::new(cq);
         let prefixes = schedule.steps.len().saturating_sub(1);
         let partials = vec![Tuples::new(&schedule.layout); prefixes];
-        Some(DeltaState {
+        DeltaState {
             schedule,
             partials,
             stable_events: 0,
             memo: EndpointMemo::new(cq.vars.len()),
-        })
+        }
     }
 
     /// The stable frontier the retained partials cover.
@@ -296,7 +288,7 @@ mod tests {
             .target_events(4_000)
             .build();
         let cq = compiled(FIG2_TBQL);
-        let mut state = DeltaState::new(&cq).expect("event-only");
+        let mut state = DeltaState::new(&cq);
         let mut store = StreamingStore::new(true, SealPolicy::events(350));
         store.append_batch(&sc.log.entities, &[]);
 
@@ -335,7 +327,7 @@ mod tests {
         let sc = ScenarioBuilder::new().seed(7).target_events(3_000).build();
         let q = "proc p read file f return p, f";
         let cq = compiled(q);
-        let mut state = DeltaState::new(&cq).unwrap();
+        let mut state = DeltaState::new(&cq);
         let mut store = StreamingStore::new(true, SealPolicy::events(300));
         store.append_batch(&sc.log.entities, &[]);
         let (head, tail) = sc.log.events.split_at(2_500);
@@ -383,7 +375,7 @@ mod tests {
              return p, f, g"
         );
         let cq = compiled(&q);
-        let mut state = DeltaState::new(&cq).unwrap();
+        let mut state = DeltaState::new(&cq);
         let mut store = StreamingStore::new(true, SealPolicy::events(200));
         store.append_batch(&sc.log.entities, &[]);
         // Chunked appends so the seal policy fires and rows stabilize.
@@ -405,7 +397,7 @@ mod tests {
         // Partials whose next stage is unbounded are retained forever.
         let unbounded =
             compiled("proc p read file f as e1 proc p write file g as e2 return p, f, g");
-        let mut st2 = DeltaState::new(&unbounded).unwrap();
+        let mut st2 = DeltaState::new(&unbounded);
         st2.poll(
             &engine,
             &unbounded,
@@ -422,7 +414,7 @@ mod tests {
     fn polls_without_new_entities_resolve_no_entity_rows() {
         let sc = ScenarioBuilder::new().seed(5).target_events(2_000).build();
         let cq = compiled(FIG2_TBQL);
-        let mut state = DeltaState::new(&cq).unwrap();
+        let mut state = DeltaState::new(&cq);
         let mut store = StreamingStore::new(true, SealPolicy::events(300));
         store.append_batch(&sc.log.entities, &[]);
         let mut polls = Vec::new();
@@ -459,7 +451,7 @@ mod tests {
             .target_events(4_000)
             .build();
         let cq = compiled(FIG2_TBQL);
-        let mut state = DeltaState::new(&cq).unwrap();
+        let mut state = DeltaState::new(&cq);
         let mut store = StreamingStore::new(true, SealPolicy::events(300));
         store.append_batch(&sc.log.entities, &[]);
         let mut resolve = Vec::new();
@@ -597,11 +589,49 @@ mod tests {
         }
     }
 
-    /// Path queries cannot run incrementally.
+    /// A path pattern joins the recurrence: over chunked snapshots a
+    /// path + event query retains partials, and what it delivered and
+    /// retained equals a from-zero poll of the final snapshot.
     #[test]
-    fn path_queries_are_rejected() {
-        let cq = compiled("proc p[\"%tar%\"] ~>(1~2)[write] file f as pp1\nreturn p, f");
-        assert!(DeltaState::new(&cq).is_none());
+    fn path_and_event_query_polls_incrementally() {
+        let sc = ScenarioBuilder::new()
+            .seed(42)
+            .attacks(&[AttackKind::DataLeakage])
+            .target_events(4_000)
+            .build();
+        let cq = compiled(
+            "proc p ~>(1~2)[write] file f as e1 proc p read file g as e2 \
+             with e2 before e1 return p, f, g",
+        );
+        let mut state = DeltaState::new(&cq);
+        let mut store = StreamingStore::new(true, SealPolicy::events(150));
+        store.append_batch(&sc.log.entities, &[]);
+        let mut delivered: Vec<Match> = Vec::new();
+        let mut peak = 0;
+        for batch in sc.log.events.chunks(300) {
+            store.append_batch(&[], batch);
+            let snapshot = store.snapshot();
+            let engine = ShardedEngine::with_threads(&snapshot, 1);
+            let out = state.poll(&engine, &cq, snapshot.frontier().unwrap().sealed_events);
+            let fresh_from = out.stats.delta.unwrap().fresh_from;
+            assert!(out.matches.iter().all(|m| max_event_pos(m) >= fresh_from));
+            peak = peak.max(state.retained());
+            for m in out.matches {
+                if !delivered.contains(&m) {
+                    delivered.push(m);
+                }
+            }
+        }
+        assert!(peak > 0, "the path + event join retains partials");
+        let snapshot = store.snapshot();
+        let engine = ShardedEngine::with_threads(&snapshot, 1);
+        let retained = state.retained();
+        state.invalidate();
+        let full = state.poll(&engine, &cq, snapshot.frontier().unwrap().sealed_events);
+        assert!(!full.matches.is_empty());
+        assert_eq!(state.retained(), retained, "partials rebuilt");
+        assert_eq!(delivered.len(), full.matches.len());
+        assert!(full.matches.iter().all(|m| delivered.contains(m)));
     }
 
     /// Invalidation resets to a from-zero scan that rebuilds partials.
@@ -609,7 +639,7 @@ mod tests {
     fn invalidate_forces_a_full_rescan() {
         let sc = ScenarioBuilder::new().seed(3).target_events(1_500).build();
         let cq = compiled("proc p read file f as e1 proc p write file g as e2 return p, f, g");
-        let mut state = DeltaState::new(&cq).unwrap();
+        let mut state = DeltaState::new(&cq);
         let mut store = StreamingStore::new(true, SealPolicy::events(250));
         store.append_batch(&sc.log.entities, &[]);
         for batch in sc.log.events.chunks(300) {

@@ -43,12 +43,12 @@ impl JoinStats {
 
 /// Actuals of one incremental (delta-mode) execution, carried on
 /// [`HuntStats::delta`] when the hunt ran through the delta path
-/// ([`crate::delta::DeltaState`]) instead of a full re-execution.
+/// ([`crate::delta::DeltaState`]): every standing-query poll.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct DeltaStats {
     /// First global event position scanned as "fresh": the epoch-delta
-    /// range was `[fresh_from, event_count)`. Zero means the poll was a
-    /// (first-poll or post-discontinuity) full re-execution.
+    /// range was `[fresh_from, event_count)`. Zero means the poll ran from
+    /// position zero (first poll, discontinuity or batch snapshot).
     pub fresh_from: usize,
     /// Rows fetched from the fresh range across all patterns (the seed
     /// scans) — the quantity that stays O(delta) as the store grows.

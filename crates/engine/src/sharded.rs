@@ -153,12 +153,11 @@ impl<'s> ShardedEngine<'s> {
     /// resolved once per pattern by the stage loop's resolver; shards
     /// hold events only.
     ///
-    /// `min_pos` restricts event-pattern scans to rows whose witness
-    /// position is at least `min_pos` — a standing query's fresh range.
-    /// Shards lying entirely below the cut are skipped without scanning
-    /// (reporting zero rows); only the boundary shard filters row by row.
-    /// Path patterns ignore it (standing queries never run them
-    /// incrementally). `0` scans everything.
+    /// `min_pos` keeps only rows with a witness position of at least
+    /// `min_pos` — a standing query's fresh range. Event scans skip
+    /// shards lying entirely below the cut (reporting zero rows); paths
+    /// expand over the whole store and keep a row when any hop is fresh.
+    /// `0` keeps everything.
     pub(crate) fn fetch_pattern(
         &self,
         pat: &CompiledPattern,
@@ -172,7 +171,10 @@ impl<'s> ShardedEngine<'s> {
                 self.scatter_event_pattern(ops, pat, subjects, objects, min_pos)
             }
             CompiledShape::Path { .. } => {
-                let rows = self.path_over_shards(pat, subjects, objects);
+                let mut rows = self.path_over_shards(pat, subjects, objects);
+                if min_pos > 0 {
+                    rows.retain(|r| r.events.positions().iter().any(|&p| p >= min_pos));
+                }
                 // Paths expand globally; attribute each row to the shard
                 // holding its first hop so profile totals still add up.
                 let mut per_shard = vec![0usize; self.store.shard_count()];

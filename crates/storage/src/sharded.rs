@@ -65,7 +65,7 @@ where
 /// queries: where the immutable sealed prefix ends and how far the CPR
 /// watermark has advanced. Snapshots built from a batch log carry no
 /// frontier ([`ShardedStore::frontier`] is `None`) — consumers must then
-/// treat the whole store as provisional and fall back to full scans.
+/// treat the whole store as provisional and scan it from position zero.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StreamFrontier {
     /// Global positions `[0, sealed_events)` are sealed: byte-identical

@@ -1,11 +1,14 @@
 //! Variable-length event path patterns (the paper's advanced syntax):
 //! `proc p ~>(m~n)[op] file f` matches multi-hop flows even when the
-//! OSCTI text elides the intermediate processes.
+//! OSCTI text elides the intermediate processes. The same query also
+//! runs as a standing query over a live feed of the raw log.
 //!
 //! ```text
 //! cargo run --example path_patterns
 //! ```
 
+use std::collections::BTreeSet;
+use std::time::Duration;
 use threatraptor::prelude::*;
 
 fn main() {
@@ -27,6 +30,33 @@ fn main() {
     for m in result.matches.iter().take(5) {
         println!("  witness path: {} hops", m.events["flow"].len());
     }
+
+    // The same query standing: a server fed the raw log chunk by chunk
+    // delivers, across its incremental polls, the batch hunt's rows.
+    let server = HuntServer::new(ServerConfig::with_ingest(IngestConfig::with_policy(
+        SealPolicy::events(2_000),
+    )));
+    let (follow, _) = server.follow(q).expect("path query follows");
+    for chunk in LogFeed::by_events(&scenario.raw, 1_500) {
+        server.append(&chunk.expect("well-formed log"));
+    }
+    assert!(server.wait_caught_up(Duration::from_secs(60)));
+    let followed = server.follow_result(follow.id()).expect("registered");
+    let metrics = server.metrics();
+    let executions = metrics.counter("follow_executions_total").unwrap_or(0);
+    let from_zero = metrics.counter("follow_full_fallback_total").unwrap_or(0);
+    println!(
+        "-- standing: {} row(s) over {executions} polls, {from_zero} from zero --",
+        followed.rows.len()
+    );
+    let rows = |rows: &[Vec<String>]| rows.iter().cloned().collect::<BTreeSet<_>>();
+    assert_eq!(
+        rows(&followed.rows),
+        rows(&result.rows),
+        "follow vs batch rows"
+    );
+    assert!(from_zero < executions, "later polls scan only fresh rows");
+    server.shutdown();
 
     // Synthesis with the user-defined path plan: every report edge
     // becomes a tolerant path pattern instead of a single event.
