@@ -31,9 +31,9 @@ fn main() {
             "store: {} raw events → {} after CPR, {} entities\n",
             scenario.log.events.len(),
             store.event_count(),
-            store.entities.len()
+            store.catalog().len()
         );
-        let engine = Engine::new(&store);
+        let engine = ShardedEngine::new(&store);
 
         let mut rows = Vec::new();
         for case in all_cases() {

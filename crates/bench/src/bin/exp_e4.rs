@@ -23,7 +23,7 @@ fn main() {
             .target_events(size)
             .build();
         let store = AuditStore::ingest(&scenario.log, true);
-        let engine = Engine::new(&store);
+        let engine = ShardedEngine::new(&store);
 
         let time = |hunt: &dyn Fn() -> HuntResult| {
             // Warm once, then take the best of 3 (reduces jitter).

@@ -8,7 +8,6 @@
 use threatraptor::prelude::*;
 use threatraptor_audit::sim::scenario::BenignMix;
 use threatraptor_bench::fmt;
-use threatraptor_storage::AuditStore;
 
 fn main() {
     println!("== E6: Causality-Preserved Reduction ==\n");
@@ -49,8 +48,7 @@ fn main() {
                 .mix(mix.clone())
                 .target_events(size)
                 .build();
-            let store = AuditStore::ingest(&scenario.log, true);
-            let stats = store.reduction;
+            let stats = ShardedStore::ingest(&scenario.log, true, 1).reduction();
             rows.push(vec![
                 name.to_string(),
                 stats.before.to_string(),
@@ -80,10 +78,14 @@ fn main() {
         .attacks(&[AttackKind::DataLeakage])
         .target_events(50_000)
         .build();
-    let plain = AuditStore::ingest(&scenario.log, false);
-    let reduced = AuditStore::ingest(&scenario.log, true);
-    let r1 = Engine::new(&plain).hunt(threatraptor::FIG2_TBQL).unwrap();
-    let r2 = Engine::new(&reduced).hunt(threatraptor::FIG2_TBQL).unwrap();
+    let plain = ShardedStore::ingest(&scenario.log, false, 1);
+    let reduced = ShardedStore::ingest(&scenario.log, true, 1);
+    let r1 = ShardedEngine::new(&plain)
+        .hunt(threatraptor::FIG2_TBQL)
+        .unwrap();
+    let r2 = ShardedEngine::new(&reduced)
+        .hunt(threatraptor::FIG2_TBQL)
+        .unwrap();
     assert_eq!(r1.rows, r2.rows, "CPR changed hunting results!");
     println!(
         "correctness check: hunting results identical with and without CPR ({} rows).",

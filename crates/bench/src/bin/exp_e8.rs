@@ -7,7 +7,6 @@
 
 use threatraptor::prelude::*;
 use threatraptor_bench::{all_cases, fmt};
-use threatraptor_storage::AuditStore;
 use threatraptor_synth::synthesize;
 use threatraptor_tbql::analyze::analyze;
 use threatraptor_tbql::parser::parse_query;
@@ -24,8 +23,8 @@ fn main() {
         ])
         .target_events(100_000)
         .build();
-    let store = AuditStore::ingest(&scenario.log, true);
-    let engine = Engine::new(&store);
+    let store = ShardedStore::ingest(&scenario.log, true, 1);
+    let engine = ShardedEngine::new(&store);
     let extractor = ThreatExtractor::new();
 
     let mut rows = Vec::new();
@@ -41,7 +40,7 @@ fn main() {
             == analyze(&reference_query).unwrap().canonical_signature();
 
         let syn_result = engine
-            .hunt_query(&synthesized, ExecMode::Scheduled)
+            .hunt_query(&synthesized)
             .expect("synthesized query executes");
         let ref_result = engine
             .hunt(case.reference_tbql)

@@ -145,11 +145,11 @@ pub struct HuntOutcome {
     pub result: HuntResult,
 }
 
-/// The ThreatRaptor system: an audit store plus the OSCTI-to-query
-/// pipeline.
+/// The ThreatRaptor system: a one-shard store of a finished log plus the
+/// OSCTI-to-query pipeline.
 #[derive(Debug, Clone)]
 pub struct ThreatRaptor {
-    store: AuditStore,
+    store: ShardedStore,
 }
 
 impl ThreatRaptor {
@@ -165,12 +165,12 @@ impl ThreatRaptor {
     /// Builds the system from an already parsed log.
     pub fn from_parsed(log: &ParsedLog, cpr: bool) -> ThreatRaptor {
         ThreatRaptor {
-            store: AuditStore::ingest(log, cpr),
+            store: ShardedStore::ingest(log, cpr, 1),
         }
     }
 
-    /// The underlying audit store.
-    pub fn store(&self) -> &AuditStore {
+    /// The underlying store.
+    pub fn store(&self) -> &ShardedStore {
         &self.store
     }
 
@@ -181,7 +181,7 @@ impl ThreatRaptor {
 
     /// Executes a TBQL query.
     pub fn hunt(&self, tbql_src: &str) -> Result<HuntResult, ThreatRaptorError> {
-        Ok(Engine::new(&self.store).hunt(tbql_src)?)
+        Ok(ShardedEngine::new(&self.store).hunt(tbql_src)?)
     }
 
     /// End-to-end hunt: OSCTI text → behavior graph → synthesized TBQL →
@@ -199,7 +199,7 @@ impl ThreatRaptor {
         let extraction = self.extract(oscti);
         let query = synthesize_with_plan(&extraction.graph, plan)?;
         let tbql_text = tbql::printer::print_query(&query);
-        let result = Engine::new(&self.store).hunt_query(&query, ExecMode::Scheduled)?;
+        let result = ShardedEngine::new(&self.store).hunt_query(&query)?;
         Ok(HuntOutcome {
             extraction,
             query,

@@ -7,12 +7,13 @@
 //! returns the same rows. No production entry point reaches this module.
 //!
 //! Every baseline runs the patterns in declaration order, each with only
-//! its own filters (no constraint propagation), over one [`AuditStore`],
-//! through the same driver and hash join as the engine. They differ in
-//! the backend each pattern shape is sent to: the event postings the
-//! engine scans, or the paper's Neo4j role, a property graph whose edges
-//! are the shard's events and whose adjacency list for a node is its
-//! subject postings (events ascend by start time, postings by position).
+//! its own filters (no constraint propagation), over the one shard of an
+//! [`AuditStore`], through the same driver and hash join as the engine.
+//! They differ in the backend each pattern shape is sent to: the event
+//! postings the engine scans, or the paper's Neo4j role, a property graph
+//! whose edges are the shard's events and whose adjacency list for a node
+//! is its subject postings (events ascend by start time, postings by
+//! position).
 
 use crate::compile::{compile, CompiledPattern, CompiledShape};
 use crate::error::EngineError;
@@ -63,23 +64,24 @@ impl Baseline {
 /// Parses, analyzes, compiles, and executes TBQL source under `baseline`.
 pub fn hunt(store: &AuditStore, tbql: &str, baseline: Baseline) -> Result<HuntResult, EngineError> {
     let cq = compile(&analyze(&parse_query(tbql)?)?)?;
+    let shard = store.shard(0);
     Ok(run_hunt(
         &cq,
         &Schedule::declared(&cq),
-        &store.entities,
+        store.catalog(),
         // Nothing is retained, so every scan starts at position 0.
         &mut |pat, subjects, objects, _| {
             let rows = match (&pat.shape, baseline) {
                 (CompiledShape::Event { ops }, Baseline::GraphOnly) => {
-                    event_via_graph(store, pat, ops, subjects, objects)
+                    event_via_graph(shard, pat, ops, subjects, objects)
                 }
                 (CompiledShape::Event { ops }, _) => {
-                    scan_events(store, ops, subjects, objects, pat.window)
+                    scan_events(shard, ops, subjects, objects, pat.window)
                 }
                 (CompiledShape::Path { .. }, Baseline::RelationalOnly) => {
-                    path_via_sql(store, pat, subjects, objects)
+                    path_via_sql(shard, pat, subjects, objects)
                 }
-                (CompiledShape::Path { .. }, _) => path_via_graph(store, pat, subjects, objects),
+                (CompiledShape::Path { .. }, _) => path_via_graph(shard, pat, subjects, objects),
             };
             let per_shard = vec![rows.len()];
             (rows, per_shard, 0)

@@ -297,7 +297,7 @@ mod tests {
             store.append_batch(&[], batch);
             let snapshot = store.snapshot();
             let frontier = snapshot.frontier().expect("streaming snapshot");
-            let engine = ShardedEngine::with_threads(&snapshot, 1);
+            let engine = ShardedEngine::new(&snapshot);
             let out = state.poll(&engine, &cq, frontier.sealed_events);
             // Every delta match carries at least one fresh witness.
             let fresh_from = out.stats.delta.unwrap().fresh_from;
@@ -336,14 +336,14 @@ mod tests {
         }
         {
             let snapshot = store.snapshot();
-            let engine = ShardedEngine::with_threads(&snapshot, 1);
+            let engine = ShardedEngine::new(&snapshot);
             state.poll(&engine, &cq, snapshot.frontier().unwrap().sealed_events);
         }
         // Second poll: a small tail append. Rows scanned must be on the
         // order of the delta, not the store.
         store.append_batch(&[], &tail[..100.min(tail.len())]);
         let snapshot = store.snapshot();
-        let engine = ShardedEngine::with_threads(&snapshot, 1);
+        let engine = ShardedEngine::new(&snapshot);
         let out = state.poll(&engine, &cq, snapshot.frontier().unwrap().sealed_events);
         let d = out.stats.delta.unwrap();
         assert!(d.fresh_from > 0, "frontier must have advanced");
@@ -384,7 +384,7 @@ mod tests {
         }
         let snapshot = store.snapshot();
         assert!(snapshot.frontier().unwrap().sealed_events > 0);
-        let engine = ShardedEngine::with_threads(&snapshot, 1);
+        let engine = ShardedEngine::new(&snapshot);
         state.poll(&engine, &cq, snapshot.frontier().unwrap().sealed_events);
         assert!(state.retained() > 0, "the shared-var join retains partials");
         // Below every deadline: nothing ages. Past the stream: where the
@@ -421,7 +421,7 @@ mod tests {
         for batch in sc.log.events.chunks(400) {
             store.append_batch(&[], batch);
             let snapshot = store.snapshot();
-            let engine = ShardedEngine::with_threads(&snapshot, 1);
+            let engine = ShardedEngine::new(&snapshot);
             let out = state.poll(&engine, &cq, snapshot.frontier().unwrap().sealed_events);
             assert_eq!(state.memo.covered, snapshot.catalog().len());
             polls.push(out.stats.delta.unwrap().entity_rows);
@@ -436,7 +436,7 @@ mod tests {
         state.invalidate();
         assert_eq!(state.memo.covered, 0);
         let snapshot = store.snapshot();
-        let engine = ShardedEngine::with_threads(&snapshot, 1);
+        let engine = ShardedEngine::new(&snapshot);
         let out = state.poll(&engine, &cq, snapshot.frontier().unwrap().sealed_events);
         assert_eq!(out.stats.delta.unwrap().entity_rows, polls[0]);
     }
@@ -458,7 +458,7 @@ mod tests {
         for batch in sc.log.events.chunks(500) {
             store.append_batch(&[], batch);
             let snapshot = store.snapshot();
-            let engine = ShardedEngine::with_threads(&snapshot, 1);
+            let engine = ShardedEngine::new(&snapshot);
             let out = state.poll(&engine, &cq, snapshot.frontier().unwrap().sealed_events);
             resolve.push(out.stats.resolve_elapsed);
         }
@@ -611,7 +611,7 @@ mod tests {
         for batch in sc.log.events.chunks(300) {
             store.append_batch(&[], batch);
             let snapshot = store.snapshot();
-            let engine = ShardedEngine::with_threads(&snapshot, 1);
+            let engine = ShardedEngine::new(&snapshot);
             let out = state.poll(&engine, &cq, snapshot.frontier().unwrap().sealed_events);
             let fresh_from = out.stats.delta.unwrap().fresh_from;
             assert!(out.matches.iter().all(|m| max_event_pos(m) >= fresh_from));
@@ -624,7 +624,7 @@ mod tests {
         }
         assert!(peak > 0, "the path + event join retains partials");
         let snapshot = store.snapshot();
-        let engine = ShardedEngine::with_threads(&snapshot, 1);
+        let engine = ShardedEngine::new(&snapshot);
         let retained = state.retained();
         state.invalidate();
         let full = state.poll(&engine, &cq, snapshot.frontier().unwrap().sealed_events);
@@ -646,7 +646,7 @@ mod tests {
             store.append_batch(&[], batch);
         }
         let snapshot = store.snapshot();
-        let engine = ShardedEngine::with_threads(&snapshot, 1);
+        let engine = ShardedEngine::new(&snapshot);
         let sealed = snapshot.frontier().unwrap().sealed_events;
         let first = state.poll(&engine, &cq, sealed);
         let retained = state.retained();

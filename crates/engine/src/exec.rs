@@ -15,8 +15,8 @@
 //! scan. Rows then meet the partial matches in the slot-compiled hash
 //! join of the crate's `join` module.
 //!
-//! [`Engine`], the single-store entry point, is the one-shard case of
-//! [`ShardedEngine`]: every hunt, whatever its store, runs the same scan,
+//! [`Engine`] is a name for [`ShardedEngine`] kept by the benchmark's
+//! frozen surface: every hunt, whatever its store, runs the same scan,
 //! path expansion, feasible-range clamp and row order.
 
 use crate::compile::{compile, CompiledPattern, CompiledQuery, CompiledShape};
@@ -34,7 +34,8 @@ use threatraptor_audit::entity::EntityId;
 use threatraptor_audit::event::{Event, Operation};
 use threatraptor_storage::catalog::EntityCatalog;
 use threatraptor_storage::postings::EventPostings;
-use threatraptor_storage::store::{AuditStore, EventShard};
+use threatraptor_storage::sharded::ShardedStore;
+use threatraptor_storage::store::EventShard;
 use threatraptor_tbql::analyze::analyze;
 use threatraptor_tbql::ast::{Query, TimeWindow};
 use threatraptor_tbql::parser::parse_query;
@@ -53,18 +54,19 @@ pub enum ExecMode {
     Scheduled,
 }
 
-/// The query engine over one audit store: a facade over a
-/// [`ShardedEngine`] on the store's one-shard view
-/// ([`AuditStore::sharded`]), so it returns exactly what the sharded
-/// engine returns over the same `(log, cpr)` input, in the same order.
+/// The query engine under the name the benchmark's frozen surface uses:
+/// a [`ShardedEngine`] over the same store, so it returns exactly what
+/// that engine returns, in the same order. An
+/// [`AuditStore`](threatraptor_storage::AuditStore) coerces to the
+/// `&ShardedStore` [`Engine::new`] takes.
 #[derive(Debug, Clone, Copy)]
 pub struct Engine<'s> {
-    store: &'s AuditStore,
+    store: &'s ShardedStore,
 }
 
 impl<'s> Engine<'s> {
     /// Creates an engine over a store.
-    pub fn new(store: &'s AuditStore) -> Engine<'s> {
+    pub fn new(store: &'s ShardedStore) -> Engine<'s> {
         Engine { store }
     }
 
@@ -82,9 +84,9 @@ impl<'s> Engine<'s> {
         self.execute(&compile(&analyze(query)?)?)
     }
 
-    /// Executes a compiled query. One shard needs no fan-out thread.
+    /// Executes a compiled query.
     pub fn execute(&self, cq: &CompiledQuery) -> Result<HuntResult, EngineError> {
-        ShardedEngine::with_threads(&self.store.sharded(), 1).execute(cq, ExecMode::Scheduled)
+        ShardedEngine::new(self.store).execute(cq, ExecMode::Scheduled)
     }
 }
 
@@ -609,6 +611,7 @@ mod tests {
     use super::*;
     use crate::baseline::{self, Baseline};
     use threatraptor_audit::sim::scenario::{AttackKind, ScenarioBuilder};
+    use threatraptor_storage::AuditStore;
     use threatraptor_tbql::parser::FIG2_TBQL;
 
     fn store() -> AuditStore {

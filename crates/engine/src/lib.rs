@@ -21,8 +21,8 @@
 //! there is one executor, [`ShardedEngine`], and one data path: typed
 //! entity filters evaluate on the store's entity catalog, event patterns
 //! scan the shards' event postings, and path patterns expand hop by hop
-//! over the subject postings. The single-store [`Engine`] is that
-//! executor over a one-shard view. The two backends survive as the
+//! over the subject postings. [`Engine`] is that executor under the name
+//! the benchmark's frozen surface uses. The two backends survive as the
 //! comparison [`baseline`]s of the efficiency experiments.
 //!
 //! The read path is **slot-compiled**: [`compile`] gives every entity
@@ -48,11 +48,11 @@
 //!   entity, rendered as SQL for EXPLAIN;
 //! * [`score`] — pruning scores;
 //! * [`exec`] — the scheduler: entity resolution, the event scan,
-//!   path expansion, projection, and the single-store [`Engine`] facade;
+//!   path expansion, projection, and the [`Engine`] name;
 //! * [`sharded`] — the executor, scatter-gather over a
 //!   [`threatraptor_storage::sharded::ShardedStore`]: filters resolve
-//!   once per pattern against the store's entity catalog and every shard
-//!   scans with the same id sets;
+//!   once per pattern against the store's entity catalog and every shard,
+//!   in turn, scans with the same id sets;
 //! * `join` (private) — slot tuples, the execution schedule with each
 //!   step's join key, constraint propagation and the hash join;
 //! * [`baseline`] — the comparison strategies of the efficiency

@@ -5,7 +5,7 @@ use std::fmt::Write as _;
 use std::time::Duration;
 use threatraptor_audit::entity::EntityId;
 use threatraptor_audit::event::EventId;
-use threatraptor_storage::store::EventLookup;
+use threatraptor_storage::sharded::ShardedStore;
 
 /// One complete match of all patterns: entity bindings plus the events
 /// that witnessed each pattern.
@@ -13,8 +13,8 @@ use threatraptor_storage::store::EventLookup;
 pub struct Match {
     /// Entity variable → bound entity.
     pub bindings: HashMap<String, EntityId>,
-    /// Pattern id → witnessing event positions (into the store's event
-    /// vector); one for event patterns, one per hop for path patterns.
+    /// Pattern id → witnessing event positions (the store's global
+    /// positions); one for event patterns, one per hop for path patterns.
     pub events: HashMap<String, Vec<usize>>,
     /// Pattern id → `(start, end)` window of the witnessing events.
     pub times: HashMap<String, (u64, u64)>,
@@ -188,11 +188,10 @@ impl HuntResult {
         self.matches.is_empty()
     }
 
-    /// All matched event ids (original ids, stable across CPR). Works
-    /// over any store the result was produced against: a single
-    /// `AuditStore` (positions are table rows) or a `ShardedStore`
-    /// (positions are global).
-    pub fn matched_event_ids(&self, store: &impl EventLookup) -> BTreeSet<EventId> {
+    /// All matched event ids (original ids, stable across CPR), read
+    /// through the store the result was produced against (positions are
+    /// its global positions).
+    pub fn matched_event_ids(&self, store: &ShardedStore) -> BTreeSet<EventId> {
         self.matches
             .iter()
             .flat_map(|m| m.events.values().flatten())
@@ -204,11 +203,7 @@ impl HuntResult {
     ///
     /// Returns `(precision, recall)`; empty result sets yield precision 1
     /// when nothing was expected, 0 otherwise.
-    pub fn precision_recall(
-        &self,
-        store: &impl EventLookup,
-        ground_truth: &[EventId],
-    ) -> (f64, f64) {
+    pub fn precision_recall(&self, store: &ShardedStore, ground_truth: &[EventId]) -> (f64, f64) {
         let got = self.matched_event_ids(store);
         let want: BTreeSet<EventId> = ground_truth.iter().copied().collect();
         let tp = got.intersection(&want).count() as f64;

@@ -6,9 +6,9 @@
 //!
 //! * **event patterns** resolve their entity filters (and propagated
 //!   bindings) to id sets **once**, against the store-level entity
-//!   catalog, and hand the same sets to every shard's event scan, in
-//!   parallel on scoped threads; shard-local row positions are translated
-//!   to global positions and the gathered rows are concatenated in shard
+//!   catalog, and hand the same sets to every shard's event scan, one
+//!   shard after another; shard-local row positions are translated to
+//!   global positions and the gathered rows are concatenated in shard
 //!   order, which is global position order, since shards are contiguous
 //!   slices of the same event stream;
 //! * **path patterns** cannot be answered per shard (a multi-hop flow may
@@ -18,11 +18,13 @@
 //!   global index — and come back position-sorted.
 //!
 //! Neither the rows nor their order depend on where the shard boundaries
-//! fall, so a [`ShardedEngine`] returns exactly what the single-store
-//! [`Engine`](crate::Engine) — itself this engine over a one-shard view —
-//! returns on the same `(log, cpr)` input: the same matches in the same
+//! fall, so a [`ShardedEngine`] returns the same matches in the same
 //! order, the same projected rows, and, when a path pattern overflows
-//! the safety cap, the same truncated subset.
+//! the safety cap, the same truncated subset over any shard count built
+//! from the same `(log, cpr)` input.
+//!
+//! Concurrency lives one level up: the hunt server runs many hunts at
+//! once on its worker pool, each scanning its shards in a plain loop.
 
 use crate::compile::{compile, CompiledPattern, CompiledQuery, CompiledShape};
 use crate::error::EngineError;
@@ -44,8 +46,6 @@ use threatraptor_tbql::parser::parse_query;
 #[derive(Debug, Clone, Copy)]
 pub struct ShardedEngine<'s> {
     store: &'s ShardedStore,
-    /// Worker threads for per-pattern shard fan-out (1 = sequential).
-    threads: usize,
     /// Optional metric sink: when attached, every execution bumps
     /// `engine_rows_scanned_total{pattern=...,shard=...}` counters from
     /// the same per-shard row counts that land in
@@ -57,23 +57,21 @@ pub struct ShardedEngine<'s> {
 }
 
 impl<'s> ShardedEngine<'s> {
-    /// Creates an engine fanning out across all available cores.
+    /// Creates an engine over a store; it scans the shards on the
+    /// calling thread.
     pub fn new(store: &'s ShardedStore) -> ShardedEngine<'s> {
-        let threads = std::thread::available_parallelism()
-            .map(|p| p.get())
-            .unwrap_or(1);
-        Self::with_threads(store, threads)
-    }
-
-    /// Creates an engine with an explicit shard-scan thread count. Use 1
-    /// when an outer layer (e.g. the hunt server's worker pool) already
-    /// saturates the cores with concurrent queries.
-    pub fn with_threads(store: &'s ShardedStore, threads: usize) -> ShardedEngine<'s> {
         ShardedEngine {
             store,
-            threads: threads.max(1),
             registry: None,
         }
+    }
+
+    /// [`ShardedEngine::new`] under the name the frozen benchmark surface
+    /// (`benchmark/README.md`) calls, which passes a shard-scan thread
+    /// count; `_threads` is accepted and ignored, and the argument goes
+    /// at the next benchmark-surface revision.
+    pub fn with_threads(store: &'s ShardedStore, _threads: usize) -> ShardedEngine<'s> {
+        Self::new(store)
     }
 
     /// Attaches a metric registry for per-execution row-scan counters.
@@ -214,13 +212,18 @@ impl<'s> ShardedEngine<'s> {
         objects: &IdSet,
         min_pos: usize,
     ) -> (Vec<PatternRow>, Vec<usize>) {
-        let n = self.store.shard_count();
-        let run_shard = |i: usize| -> Vec<PatternRow> {
+        // Shards are contiguous slices in time order and each shard's rows
+        // come back sorted by first event position, so appending in shard
+        // order yields global position order.
+        let mut out = Vec::new();
+        let mut counts = Vec::with_capacity(self.store.shard_count());
+        for i in 0..self.store.shard_count() {
             let offset = self.store.offset(i);
             // Epoch-range restriction: a shard entirely below the cut
             // cannot contribute a fresh row — skip its scan outright.
             if self.store.offset(i + 1) <= min_pos {
-                return Vec::new();
+                counts.push(0);
+                continue;
             }
             let mut rows = scan_events(self.store.shard(i), ops, subjects, objects, pat.window);
             for r in &mut rows {
@@ -234,19 +237,8 @@ impl<'s> ShardedEngine<'s> {
                 // into the middle of a shard).
                 rows.retain(|r| r.events.positions().iter().any(|&p| p >= min_pos));
             }
-            rows
-        };
-
-        let mut per_shard: Vec<Vec<PatternRow>> =
-            threatraptor_storage::sharded::fan_out(n, self.threads, run_shard);
-
-        let counts: Vec<usize> = per_shard.iter().map(Vec::len).collect();
-        // Shards are contiguous slices in time order and each shard's rows
-        // are already sorted by first event position, so concatenating in
-        // shard order yields global position order.
-        let mut out = Vec::with_capacity(counts.iter().sum());
-        for rows in &mut per_shard {
-            out.append(rows);
+            counts.push(rows.len());
+            out.append(&mut rows);
         }
         (out, counts)
     }
@@ -303,19 +295,18 @@ impl<'s> ShardedEngine<'s> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::exec::Engine;
     use crate::result::PatternStats;
     use threatraptor_audit::sim::scenario::{AttackKind, ScenarioBuilder};
-    use threatraptor_storage::store::AuditStore;
     use threatraptor_tbql::parser::FIG2_TBQL;
 
-    fn fixtures(shards: usize) -> (AuditStore, ShardedStore) {
+    /// The log as one shard and as `shards` shards.
+    fn fixtures(shards: usize) -> (ShardedStore, ShardedStore) {
         let sc = ScenarioBuilder::new()
             .seed(42)
             .attacks(&[AttackKind::DataLeakage])
             .target_events(5_000)
             .build();
-        let single = AuditStore::ingest(&sc.log, true);
+        let single = ShardedStore::ingest(&sc.log, true, 1);
         let sharded = ShardedStore::ingest(&sc.log, true, shards);
         (single, sharded)
     }
@@ -323,7 +314,7 @@ mod tests {
     #[test]
     fn fig2_parity_with_single_store() {
         let (single, sharded) = fixtures(6);
-        let expected = Engine::new(&single).hunt(FIG2_TBQL).unwrap();
+        let expected = ShardedEngine::new(&single).hunt(FIG2_TBQL).unwrap();
         let got = ShardedEngine::new(&sharded).hunt(FIG2_TBQL).unwrap();
         assert_eq!(got.rows, expected.rows);
         assert_eq!(
@@ -336,14 +327,14 @@ mod tests {
     fn path_patterns_cross_shard_boundaries() {
         // Tiny shards force the attack chain to straddle shard borders;
         // the frontier expansion must still find every path, in the
-        // single-store order (also across many sources).
+        // one-shard order (also across many sources).
         let (single, sharded) = fixtures(32);
         for q in [
             "proc p[\"%/bin/tar%\"] ~>(1~2)[write] file f[\"%/tmp/upload.tar%\"] as pp1\n\
              return p, f",
             "proc p[\"%/bin/%\"] ~>(1~2)[write] file f return p, f",
         ] {
-            let expected = Engine::new(&single).hunt(q).unwrap();
+            let expected = ShardedEngine::new(&single).hunt(q).unwrap();
             let got = ShardedEngine::new(&sharded).hunt(q).unwrap();
             assert!(!got.is_empty());
             assert_eq!(got.rows, expected.rows);
@@ -352,16 +343,14 @@ mod tests {
     }
 
     #[test]
-    fn sequential_and_threaded_fanout_agree() {
+    fn with_threads_ignores_the_thread_count() {
         let (_, sharded) = fixtures(8);
-        let seq = ShardedEngine::with_threads(&sharded, 1)
+        let one = ShardedEngine::new(&sharded).hunt(FIG2_TBQL).unwrap();
+        let four = ShardedEngine::with_threads(&sharded, 4)
             .hunt(FIG2_TBQL)
             .unwrap();
-        let par = ShardedEngine::with_threads(&sharded, 4)
-            .hunt(FIG2_TBQL)
-            .unwrap();
-        assert_eq!(seq.rows, par.rows);
-        assert_eq!(seq.matches.len(), par.matches.len());
+        assert_eq!(one.rows, four.rows);
+        assert_eq!(one.matches, four.matches);
     }
 
     #[test]

@@ -317,7 +317,7 @@ impl FollowHunt {
 
         let plan = Arc::clone(&self.plan);
         let cq = &plan.compiled;
-        let engine = ShardedEngine::with_threads(snapshot, 1);
+        let engine = ShardedEngine::new(snapshot);
         let frontier = snapshot.frontier();
 
         // Snapshot discontinuity: the raw high-water mark or the sealed
@@ -626,7 +626,7 @@ mod tests {
         for batch in sc.log.events.chunks(600) {
             store.append_batch(&[], batch);
             let snapshot = store.snapshot();
-            let engine = ShardedEngine::with_threads(&snapshot, 1);
+            let engine = ShardedEngine::new(&snapshot);
             let sealed = snapshot.frontier().unwrap().sealed_events;
             let solo = mirror.poll(&engine, &plan.compiled, sealed);
             per_poll_fetched.push(solo.stats.patterns);

@@ -314,7 +314,6 @@ mod tests {
     use threatraptor_audit::sim::scenario::{AttackKind, ScenarioBuilder};
     use threatraptor_audit::LogFeed;
     use threatraptor_engine::{ExecMode, ShardedEngine};
-    use threatraptor_storage::{AuditStore, ShardedStore};
     use threatraptor_tbql::parser::FIG2_TBQL;
 
     fn scenario() -> threatraptor_audit::sim::scenario::Scenario {
@@ -346,14 +345,12 @@ mod tests {
         assert!(extends > 0 && extends <= appends);
 
         let snapshot = service.snapshot();
-        let batch = AuditStore::ingest(&sc.log, true);
+        let batch = ShardedStore::ingest(&sc.log, true, 1);
         assert_eq!(snapshot.event_count(), batch.event_count());
-        assert_eq!(snapshot.reduction(), batch.reduction);
+        assert_eq!(snapshot.reduction(), batch.reduction());
 
         let got = ShardedEngine::new(&snapshot).hunt(FIG2_TBQL).unwrap();
-        let want = threatraptor_engine::Engine::new(&batch)
-            .hunt(FIG2_TBQL)
-            .unwrap();
+        let want = ShardedEngine::new(&batch).hunt(FIG2_TBQL).unwrap();
         assert_eq!(got.rows, want.rows);
     }
 

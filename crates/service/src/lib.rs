@@ -4,10 +4,10 @@
 //! time" and "a live store serving concurrent hunt traffic".
 //!
 //! The reproduction's base pipeline (paper Fig. 1) is strictly
-//! single-hunt: one [`AuditStore`], one query, one result. Production
-//! threat hunting is not — intelligence arrives continuously, analysts
-//! and automation hunt concurrently, and the same queries recur across
-//! time windows and re-runs. [`server::HuntServer`] is the one front
+//! single-hunt: one [`ShardedStore`] of a finished log, one query, one
+//! result. Production threat hunting is not — intelligence arrives
+//! continuously, analysts and automation hunt concurrently, and the same
+//! queries recur across time windows and re-runs. [`server::HuntServer`] is the one front
 //! door for that: every hunt enters through
 //! [`submit`](server::HuntServer::submit) /
 //! [`hunt`](server::HuntServer::hunt) (ad hoc, TBQL or OSCTI text) or
@@ -32,11 +32,11 @@
 //!   server's slow-hunt log.
 //!
 //! Execution inside each job uses
-//! [`threatraptor_engine::ShardedEngine`], whose scatter-gather keeps
-//! *exact* result parity with single-store execution (fan-out happens at
-//! the data-query level; joins stay global).
+//! [`threatraptor_engine::ShardedEngine`], whose scatter-gather returns
+//! the same result over any shard count (shards are scanned per data
+//! query; joins stay global).
 //!
-//! [`AuditStore`]: threatraptor_storage::AuditStore
+//! [`ShardedStore`]: threatraptor_storage::ShardedStore
 //! [`StreamingStore`]: threatraptor_storage::StreamingStore
 
 pub mod cache;

@@ -468,10 +468,8 @@ fn execute_job(store: ShardedStore, cache: &PlanCache, job: HuntJob) -> (JobRepo
 /// Executes a compiled plan on one snapshot, catching a panic into
 /// [`ServiceError::Worker`].
 fn execute_plan(store: &ShardedStore, plan: &CachedPlan) -> Result<HuntResult, ServiceError> {
-    // One scan thread per hunt: the worker pool already spends the
-    // cores on concurrent jobs, and nesting both oversubscribes them.
     let execute = || {
-        ShardedEngine::with_threads(store, 1)
+        ShardedEngine::new(store)
             .execute(&plan.compiled, ExecMode::Scheduled)
             .map_err(ServiceError::from)
     };

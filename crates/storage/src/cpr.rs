@@ -349,19 +349,6 @@ impl IncrementalReducer {
         self.done.len() + out.len() + machine.open.len()
     }
 
-    /// Time span `(min start, max start)` of the open window, or `None`
-    /// when it is empty.
-    pub fn open_span(&self) -> Option<(u64, u64)> {
-        let lo = self
-            .done
-            .iter()
-            .map(|e| e.start)
-            .chain(self.machine.open.values().map(|(acc, _)| acc.start))
-            .chain(self.staged.iter().map(|e| e.start))
-            .min()?;
-        Some((lo, self.max_start.max(lo)))
-    }
-
     /// Total events appended so far (the `before` of [`ReductionStats`]).
     pub fn appended(&self) -> usize {
         self.before
@@ -369,9 +356,9 @@ impl IncrementalReducer {
 }
 
 /// Applies CPR when `use_cpr`, otherwise passes the stream through with
-/// identity statistics — the shared ingestion preamble of
-/// [`crate::store::AuditStore::ingest`] and
-/// [`crate::sharded::ShardedStore::ingest`].
+/// identity statistics — the ingestion preamble of
+/// [`crate::sharded::ShardedStore::ingest`], through which
+/// [`crate::store::AuditStore::ingest`] also builds.
 pub fn reduce_if(events: &[Event], use_cpr: bool) -> (Vec<Event>, ReductionStats) {
     if use_cpr {
         reduce(events)

@@ -22,12 +22,12 @@
 //! * [`cpr`] — Causality-Preserved Reduction (Xu et al., CCS'16), the
 //!   event-merging technique the paper applies to reduce data size;
 //! * [`store`] — [`store::EventShard`], a slice of the event stream with
-//!   its postings, and [`store::AuditStore`], one catalog plus one shard:
-//!   a parsed log ingested whole;
-//! * [`sharded`] — [`sharded::ShardedStore`], which partitions one
-//!   globally-reduced log into independent per-time-window shards with
-//!   parallel ingestion (the substrate of the hunt server, and the view
-//!   every hunt executes over);
+//!   its postings, and [`store::AuditStore`], a parsed log ingested whole
+//!   into a one-shard [`sharded::ShardedStore`];
+//! * [`sharded`] — [`sharded::ShardedStore`], the one readable store:
+//!   one catalog plus time-ordered shards, built from a globally reduced
+//!   log or assembled by a streaming snapshot; every hunt executes over
+//!   one;
 //! * [`stream`] — [`stream::StreamingStore`], the live variant: sealed
 //!   immutable shards plus one appendable open window with incremental
 //!   CPR at the ingest frontier, snapshotting into ordinary
@@ -43,5 +43,5 @@ pub mod stream;
 pub use catalog::{EntityCatalog, Generation};
 pub use postings::EventPostings;
 pub use sharded::{ShardedStore, StreamFrontier};
-pub use store::{AuditStore, EventLookup, EventShard};
+pub use store::{AuditStore, EventShard};
 pub use stream::{AppendOutcome, CompactionPolicy, SealPolicy, SnapshotParts, StreamingStore};

@@ -1,31 +1,30 @@
-//! Sharded audit storage: one logical store partitioned into independent
-//! [`EventShard`]s under one [`EntityCatalog`].
+//! The one readable store: a log as independent [`EventShard`]s under
+//! one [`EntityCatalog`].
 //!
 //! The paper's deployment stores one monolithic log in PostgreSQL+Neo4j;
 //! scaling that design to production volumes requires partitioning. A
-//! [`ShardedStore`] reduces the event stream **once** (Causality-Preserved
-//! Reduction is applied globally, so merge decisions never depend on where
-//! a shard boundary falls) and then splits the time-ordered stream into
-//! `n` contiguous slices of near-equal size — a time-window partition,
-//! since audit streams arrive in time order. Each slice is indexed into
-//! an [`EventShard`] (its events plus their postings by operation,
-//! subject and object; graph on first use) on its own scoped thread.
+//! [`ShardedStore`] is built two ways. [`ShardedStore::ingest`] reduces
+//! a parsed log **once** (Causality-Preserved Reduction is applied
+//! globally, so merge decisions never depend on where a shard boundary
+//! falls) and then splits the time-ordered stream into `n` contiguous
+//! slices of near-equal size — a time-window partition, since audit
+//! streams arrive in time order — each indexed into an [`EventShard`]
+//! (its events plus their postings by operation, subject and object).
+//! A [`crate::stream::StreamingStore`] snapshot assembles one from its
+//! sealed shards and open window ([`ShardedStore::from_parts`]).
 //!
 //! Entities are not partitioned: the store holds one [`EntityCatalog`],
 //! entity ids are global, and shards carry event data only.
 //! Event *positions* are global: shard `i` holds the contiguous position
 //! range `[offset(i), offset(i) + shard(i).event_count())`, and a global
 //! position maps back to `(shard, local)` with a binary search over the
-//! offsets. Building a sharded store from the same `(log, cpr)` input as a
-//! single [`AuditStore`] yields exactly the same events at exactly the
-//! same global positions — the invariant the sharded execution engine's
-//! parity guarantee rests on.
-//!
-//! [`AuditStore`]: crate::store::AuditStore
+//! offsets. Building with any shard count from the same `(log, cpr)`
+//! input yields exactly the same events at exactly the same global
+//! positions — the invariant the executor's parity guarantee rests on.
 
 use crate::catalog::EntityCatalog;
 use crate::cpr::{self, ReductionStats};
-use crate::store::{EventLookup, EventShard};
+use crate::store::EventShard;
 use std::sync::Arc;
 use threatraptor_audit::entity::{Entity, EntityId};
 use threatraptor_audit::event::Event;
@@ -33,9 +32,9 @@ use threatraptor_audit::parser::ParsedLog;
 
 /// Runs `f(0..n)` across at most `workers` scoped threads, each worker
 /// taking a contiguous chunk, and returns the results in index order —
-/// the fan-out shape shared by shard ingestion here and per-shard scan
-/// scatter in the execution engine. `workers <= 1` (or `n <= 1`) runs
-/// inline with no thread spawns.
+/// the fan-out shape shared by shard ingestion here and the graph-only
+/// baseline's edge scan. `workers <= 1` (or `n <= 1`) runs inline with
+/// no thread spawns.
 pub fn fan_out<T, F>(n: usize, workers: usize, f: F) -> Vec<T>
 where
     T: Send,
@@ -117,8 +116,9 @@ pub struct ShardedStore {
 
 impl ShardedStore {
     /// Ingests a parsed log into `shards` shards, optionally applying CPR
-    /// (globally, before partitioning). Shard ingestion runs in parallel
-    /// on scoped threads. `shards` is clamped to at least 1.
+    /// (globally, before partitioning). Several shards are indexed in
+    /// parallel on scoped threads; one shard takes the reduced events
+    /// without a copy. `shards` is clamped to at least 1.
     pub fn ingest(log: &ParsedLog, use_cpr: bool, shards: usize) -> ShardedStore {
         let (events, reduction) = cpr::reduce_if(&log.events, use_cpr);
         let catalog = EntityCatalog::from_entities(&log.entities);
@@ -188,15 +188,19 @@ impl ShardedStore {
         offsets.push(pos);
         debug_assert_eq!(pos, events.len());
 
-        // Shard counts are caller-controlled: bound the build pool by the
-        // core count instead of one thread per shard.
-        let workers = std::thread::available_parallelism()
-            .map(|p| p.get())
-            .unwrap_or(1);
-        let shards: Vec<Arc<EventShard>> = fan_out(n, workers, |i| {
-            let slice = &events[offsets[i]..offsets[i + 1]];
-            Arc::new(EventShard::build(slice.to_vec()))
-        });
+        let shards: Vec<Arc<EventShard>> = if n == 1 {
+            vec![Arc::new(EventShard::build(events))]
+        } else {
+            // Shard counts are caller-controlled: bound the build pool by
+            // the core count instead of one thread per shard.
+            let workers = std::thread::available_parallelism()
+                .map(|p| p.get())
+                .unwrap_or(1);
+            fan_out(n, workers, |i| {
+                let slice = &events[offsets[i]..offsets[i + 1]];
+                Arc::new(EventShard::build(slice.to_vec()))
+            })
+        };
 
         ShardedStore {
             shards,
@@ -264,24 +268,9 @@ impl ShardedStore {
     }
 }
 
-impl EventLookup for ShardedStore {
-    fn event_at(&self, pos: usize) -> &Event {
-        ShardedStore::event_at(self, pos)
-    }
-
-    fn event_count(&self) -> usize {
-        ShardedStore::event_count(self)
-    }
-
-    fn entity(&self, id: EntityId) -> &Entity {
-        ShardedStore::entity(self, id)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::store::AuditStore;
     use threatraptor_audit::sim::scenario::ScenarioBuilder;
 
     fn scenario_log() -> ParsedLog {
@@ -295,11 +284,11 @@ mod tests {
     #[test]
     fn sharding_preserves_the_global_event_stream() {
         let log = scenario_log();
-        let single = AuditStore::ingest(&log, true);
+        let single = ShardedStore::ingest(&log, true, 1);
         let sharded = ShardedStore::ingest(&log, true, 4);
         assert_eq!(sharded.shard_count(), 4);
         assert_eq!(sharded.event_count(), single.event_count());
-        assert_eq!(sharded.reduction(), single.reduction);
+        assert_eq!(sharded.reduction(), single.reduction());
         for pos in 0..single.event_count() {
             assert_eq!(
                 sharded.event_at(pos),

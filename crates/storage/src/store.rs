@@ -1,36 +1,32 @@
-//! The audit store: one parsed log, its entities and its events.
+//! Event shards and the one-shard audit store.
 //!
 //! §II-B stores entities and events as PostgreSQL tables and as Neo4j
 //! nodes and edges, with "indexes … created on key attributes to speed up
 //! the search", and applies "the Causality Preserved Reduction technique
 //! … to merge excessive events". Here each is stored once. Entities live
-//! in an [`EntityCatalog`], which lists the positions of each kind's
-//! entities; events live in [`EventShard`]s, which know nothing about
-//! entities — a [`crate::sharded::ShardedStore`] or a
-//! [`crate::stream::StreamingStore`] holds one catalog and many shards. A
-//! shard indexes its events by operation, subject and object
+//! in an [`EntityCatalog`](crate::catalog::EntityCatalog), which lists the
+//! positions of each kind's entities; events live in [`EventShard`]s,
+//! which know nothing about entities. A [`ShardedStore`] — the one
+//! readable store, built in batch or snapshotted from a
+//! [`crate::stream::StreamingStore`] — holds one catalog and its shards.
+//! A shard indexes its events by operation, subject and object
 //! ([`EventPostings`]); the subject postings are the graph's adjacency
-//! lists. An [`AuditStore`] is the single-shard case: one catalog
-//! generation (none for an empty log) and one shard, which it lends to
-//! the executor as a one-shard [`ShardedStore`] view
-//! ([`AuditStore::sharded`]).
+//! lists. An [`AuditStore`] is a parsed log ingested whole into a
+//! one-shard [`ShardedStore`].
 
-use crate::catalog::EntityCatalog;
 use crate::cpr;
 use crate::postings::EventPostings;
 use crate::sharded::ShardedStore;
 use std::mem::size_of;
 use std::ops::Deref;
-use threatraptor_audit::entity::{Entity, EntityId};
 use threatraptor_audit::event::Event;
 use threatraptor_audit::parser::ParsedLog;
-use threatraptor_sync::Arc;
 
 /// A contiguous slice of the stored event stream: the events (CPR-reduced
 /// when enabled, in time order) and their postings by operation, subject
 /// and object (position `i` is `events[i]`). Holds no entity state —
 /// entity ids in its events resolve against the owning store's
-/// [`EntityCatalog`].
+/// [`EntityCatalog`](crate::catalog::EntityCatalog).
 #[derive(Debug, Clone)]
 pub struct EventShard {
     /// Stored events, in time order.
@@ -74,104 +70,40 @@ impl EventShard {
     }
 }
 
-/// A parsed log ingested whole: an [`EntityCatalog`] plus one shared
-/// [`EventShard`], to which it dereferences (`store.events`,
-/// `store.postings()`, `store.event_at(..)`).
+/// A parsed log ingested whole into one shard: a [`ShardedStore`] built
+/// by [`ShardedStore::ingest`]`(log, cpr, 1)`, to which it dereferences
+/// (`store.shard(0)`, `store.catalog()`, `store.event_at(..)`). The type
+/// guarantees the one shard that `threatraptor_engine::baseline` scans.
 #[derive(Debug, Clone)]
 pub struct AuditStore {
-    /// All entities, indexed by [`EntityId`], in one generation (none for
-    /// an empty log).
-    pub entities: EntityCatalog,
     /// CPR statistics of the ingest (before == after when CPR disabled).
     pub reduction: cpr::ReductionStats,
-    shard: Arc<EventShard>,
+    store: ShardedStore,
 }
 
 impl Deref for AuditStore {
-    type Target = EventShard;
+    type Target = ShardedStore;
 
-    fn deref(&self) -> &EventShard {
-        &self.shard
+    fn deref(&self) -> &ShardedStore {
+        &self.store
     }
 }
 
 impl AuditStore {
     /// Ingests a parsed log, optionally applying CPR first.
     pub fn ingest(log: &ParsedLog, use_cpr: bool) -> AuditStore {
-        let (events, reduction) = cpr::reduce_if(&log.events, use_cpr);
-        Self::from_events(&log.entities, events, reduction)
-    }
-
-    /// Builds a store over an already reduced (or deliberately unreduced)
-    /// event stream. No further CPR is applied; `reduction` is recorded
-    /// as-is.
-    pub fn from_events(
-        entities: &[Entity],
-        events: Vec<Event>,
-        reduction: cpr::ReductionStats,
-    ) -> AuditStore {
-        let entities = EntityCatalog::from_entities(entities);
-        let shard = Arc::new(EventShard::build(events));
+        let store = ShardedStore::ingest(log, use_cpr, 1);
         AuditStore {
-            entities,
-            reduction,
-            shard,
+            reduction: store.reduction(),
+            store,
         }
-    }
-
-    /// Entity accessor.
-    #[inline]
-    pub fn entity(&self, id: EntityId) -> &Entity {
-        self.entities.entity(id)
-    }
-
-    /// This store as a one-shard [`ShardedStore`]: handles to the same
-    /// shard and catalog generations, so the view costs reference counts,
-    /// not an index copy. Positions in the view are this store's.
-    pub fn sharded(&self) -> ShardedStore {
-        ShardedStore::from_parts(
-            vec![Arc::clone(&self.shard)],
-            self.entities.clone(),
-            self.reduction,
-        )
-    }
-}
-
-/// Position-addressed access to stored events and entities — the part of
-/// a store that result evaluation needs. Implemented by [`AuditStore`]
-/// (positions index its one shard) and by
-/// [`crate::sharded::ShardedStore`] (positions are global, spanning all
-/// shards), so consumers such as the engine's `HuntResult` work over
-/// either.
-pub trait EventLookup {
-    /// Event stored at `pos`.
-    fn event_at(&self, pos: usize) -> &Event;
-
-    /// Number of stored events.
-    fn event_count(&self) -> usize;
-
-    /// Entity by id.
-    fn entity(&self, id: EntityId) -> &Entity;
-}
-
-impl EventLookup for AuditStore {
-    fn event_at(&self, pos: usize) -> &Event {
-        self.shard.event_at(pos)
-    }
-
-    fn event_count(&self) -> usize {
-        self.shard.event_count()
-    }
-
-    fn entity(&self, id: EntityId) -> &Entity {
-        AuditStore::entity(self, id)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use threatraptor_audit::entity::EntityKind;
+    use threatraptor_audit::entity::{EntityId, EntityKind};
     use threatraptor_audit::event::Operation;
     use threatraptor_audit::sim::scenario::ScenarioBuilder;
 
@@ -190,8 +122,8 @@ mod tests {
     /// Every entity sits at exactly one position of its generation's
     /// list for its kind, and the lists ascend.
     fn assert_positions_cover_each_entity_once(s: &AuditStore) {
-        let mut seen = vec![0; s.entities.len()];
-        for generation in s.entities.generations() {
+        let mut seen = vec![0; s.catalog().len()];
+        for generation in s.catalog().generations() {
             for kind in [EntityKind::Process, EntityKind::File, EntityKind::Network] {
                 let positions = generation.positions(kind);
                 assert!(positions.windows(2).all(|w| w[0] < w[1]), "ascending");
@@ -208,14 +140,15 @@ mod tests {
     #[test]
     fn tables_cover_all_entities_and_events() {
         let s = store(false);
-        assert_eq!(s.entities.generations().len(), 1);
+        assert_eq!(s.catalog().generations().len(), 1);
         assert_positions_cover_each_entity_once(&s);
         // Every event sits under exactly one operation.
+        let shard = s.shard(0);
         let by_op: usize = Operation::ALL
             .iter()
-            .map(|&op| s.postings().by_op(op).len())
+            .map(|&op| shard.postings().by_op(op).len())
             .sum();
-        assert_eq!(by_op, s.events.len());
+        assert_eq!(by_op, shard.events.len());
         assert_eq!(s.reduction.before, s.reduction.after);
     }
 
@@ -224,16 +157,17 @@ mod tests {
         let s = AuditStore::ingest(&ParsedLog::default(), true);
         // The catalog holds no generation and so no entity position; the
         // postings hold no event position.
-        assert!(s.entities.generations().is_empty());
-        assert_eq!(s.entities.heap_bytes(), 0);
+        assert!(s.catalog().generations().is_empty());
+        assert_eq!(s.catalog().heap_bytes(), 0);
         assert_positions_cover_each_entity_once(&s);
+        let postings = s.shard(0).postings();
         for op in Operation::ALL {
-            assert!(s.postings().by_op(op).is_empty());
+            assert!(postings.by_op(op).is_empty());
         }
-        assert!(s.postings().by_subject(EntityId(0)).is_empty());
-        assert!(s.postings().by_object(EntityId(0)).is_empty());
-        assert_eq!(s.postings().heap_bytes(), 0);
-        assert!(s.entities.is_empty());
+        assert!(postings.by_subject(EntityId(0)).is_empty());
+        assert!(postings.by_object(EntityId(0)).is_empty());
+        assert_eq!(postings.heap_bytes(), 0);
+        assert!(s.catalog().is_empty());
     }
 
     #[test]
@@ -245,10 +179,10 @@ mod tests {
             reduced.reduction.factor() > 1.2,
             "bursty workloads must compress"
         );
-        assert!(reduced.heap_bytes() < plain.heap_bytes());
+        assert!(reduced.shard(0).heap_bytes() < plain.shard(0).heap_bytes());
         let by_op: usize = Operation::ALL
             .iter()
-            .map(|&op| reduced.postings().by_op(op).len())
+            .map(|&op| reduced.shard(0).postings().by_op(op).len())
             .sum();
         assert_eq!(by_op, reduced.event_count());
     }
@@ -256,9 +190,10 @@ mod tests {
     #[test]
     fn event_rows_align_with_events_vec() {
         let s = store(true);
-        let postings = s.postings();
-        for pos in [0usize, s.events.len() / 2, s.events.len() - 1] {
-            let ev = &s.events[pos];
+        let shard = s.shard(0);
+        let postings = shard.postings();
+        for pos in [0usize, shard.events.len() / 2, shard.events.len() - 1] {
+            let ev = &shard.events[pos];
             let p = pos as u32;
             assert!(postings.by_op(ev.op).binary_search(&p).is_ok());
             assert!(postings.by_subject(ev.subject).binary_search(&p).is_ok());
@@ -269,27 +204,38 @@ mod tests {
     #[test]
     fn indexed_op_lookup_matches_scan() {
         let s = store(false);
+        let shard = s.shard(0);
         for op in Operation::ALL {
-            assert_eq!(s.postings().by_op(op), scan(&s.events, |e| e.op == op));
+            assert_eq!(
+                shard.postings().by_op(op),
+                scan(&shard.events, |e| e.op == op)
+            );
         }
         // Subject postings: same positions as a scan, for every subject.
-        for id in (0..s.entities.len() as u32).map(EntityId) {
+        for id in (0..s.catalog().len() as u32).map(EntityId) {
             assert_eq!(
-                s.postings().by_subject(id),
-                scan(&s.events, |e| e.subject == id)
+                shard.postings().by_subject(id),
+                scan(&shard.events, |e| e.subject == id)
             );
         }
     }
 
     #[test]
-    fn the_sharded_view_shares_the_shard() {
-        let s = store(true);
-        let view = s.sharded();
-        assert_eq!(view.shard_count(), 1);
-        assert!(std::ptr::eq(view.shard(0), &*s));
-        assert_eq!(view.event_count(), s.event_count());
-        assert_eq!(view.reduction(), s.reduction);
-        assert_eq!(view.catalog().len(), s.entities.len());
+    fn ingest_is_a_one_shard_sharded_ingest() {
+        let sc = ScenarioBuilder::new().seed(42).target_events(2_000).build();
+        for (log, cpr) in [
+            (&sc.log, true),
+            (&sc.log, false),
+            (&ParsedLog::default(), true),
+        ] {
+            let single = AuditStore::ingest(log, cpr);
+            let sharded = ShardedStore::ingest(log, cpr, 1);
+            assert_eq!(single.shard_count(), 1);
+            assert_eq!(single.shard(0).events, sharded.shard(0).events);
+            assert_eq!(single.reduction, sharded.reduction());
+            assert_eq!(single.reduction(), single.reduction);
+            assert!(single.catalog().iter().eq(sharded.catalog().iter()));
+        }
     }
 
     #[test]
@@ -300,7 +246,7 @@ mod tests {
         assert_eq!(gt.len(), 8);
         for id in gt {
             assert!(
-                s.events.iter().any(|e| e.id == id),
+                s.shard(0).events.iter().any(|e| e.id == id),
                 "hunted event {id} lost by CPR"
             );
         }

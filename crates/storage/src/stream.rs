@@ -17,8 +17,8 @@
 //!   incrementally — merging only against the open window while evolving
 //!   exactly the state the batch reducer would, so the stored stream is
 //!   byte-identical to batch ingestion of the same log;
-//! * a [`SealPolicy`] (by open-window event count and/or time span)
-//!   decides when to freeze the open window. Sealing takes only the
+//! * a [`SealPolicy`] (by open-window event count, or manual) decides
+//!   when to freeze the open window. Sealing takes only the
 //!   *stable prefix* — closed CPR outputs below the reducer's watermark —
 //!   so a merge run is never split across a seal boundary;
 //! * [`StreamingStore::snapshot`] assembles a regular [`ShardedStore`]
@@ -48,16 +48,13 @@ use threatraptor_obs::{Counter, Gauge, Registry};
 use threatraptor_sync::atomic::{AtomicU64, Ordering};
 use threatraptor_sync::Arc;
 
-/// When to freeze the open window into an immutable shard. Both limits
-/// are optional; with neither set, sealing is manual only.
+/// When to freeze the open window into an immutable shard: after a
+/// number of open events, or only when asked.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct SealPolicy {
     /// Seal when the open window holds at least this many (reduced)
-    /// events.
+    /// events; `None` seals manually only.
     pub max_open_events: Option<usize>,
-    /// Seal when the open window spans at least this much log time
-    /// (max start − min start, in the log's time unit).
-    pub max_open_span: Option<u64>,
 }
 
 impl SealPolicy {
@@ -70,32 +67,11 @@ impl SealPolicy {
     pub fn events(n: usize) -> SealPolicy {
         SealPolicy {
             max_open_events: Some(n.max(1)),
-            max_open_span: None,
         }
     }
 
-    /// Seal every `span` of log time.
-    pub fn span(span: u64) -> SealPolicy {
-        SealPolicy {
-            max_open_events: None,
-            max_open_span: Some(span.max(1)),
-        }
-    }
-
-    /// Adds an event-count limit to this policy.
-    pub fn or_events(mut self, n: usize) -> SealPolicy {
-        self.max_open_events = Some(n.max(1));
-        self
-    }
-
-    fn triggered(&self, open_len: usize, open_span: Option<(u64, u64)>) -> bool {
-        if self.max_open_events.is_some_and(|n| open_len >= n) {
-            return true;
-        }
-        match (self.max_open_span, open_span) {
-            (Some(max), Some((lo, hi))) => hi - lo >= max,
-            _ => false,
-        }
+    fn triggered(&self, open_len: usize) -> bool {
+        self.max_open_events.is_some_and(|n| open_len >= n)
     }
 }
 
@@ -340,10 +316,7 @@ impl StreamingStore {
 
         let mut sealed = 0;
         let mut compact = Duration::ZERO;
-        while self
-            .policy
-            .triggered(self.reducer.open_len(), self.reducer.open_span())
-        {
+        while self.policy.triggered(self.reducer.open_len()) {
             let Some((_, spent)) = self.seal_stable() else {
                 // Nothing stable to seal (one giant open run): stop
                 // rather than spin; the next append will retry.
@@ -570,12 +543,10 @@ mod tests {
     #[test]
     fn sealing_preserves_the_global_stream() {
         let log = scenario_log(3_000);
-        for policy in [SealPolicy::events(200), SealPolicy::span(1 << 22)] {
-            let mut store = StreamingStore::new(true, policy);
-            replay(&log, &mut store, 64);
-            assert!(store.sealed_count() > 1, "policy must have sealed");
-            assert_stream_parity(&log, &store, true);
-        }
+        let mut store = StreamingStore::new(true, SealPolicy::events(200));
+        replay(&log, &mut store, 64);
+        assert!(store.sealed_count() > 1, "policy must have sealed");
+        assert_stream_parity(&log, &store, true);
     }
 
     #[test]

@@ -36,10 +36,8 @@ fn main() {
     println!("-- query 3: www-data shells forking children --");
     println!("{}", raptor.hunt(q3).unwrap().render_table());
 
-    // The plan query 1 runs with: schedule, filters, join keys, fan-out
-    // (over the store's one-shard view, which is what `hunt` executes on).
-    let store = raptor.store().sharded();
-    let plan = ShardedEngine::new(&store).explain(q1).unwrap();
+    // The plan query 1 runs with: schedule, filters, join keys, fan-out.
+    let plan = ShardedEngine::new(raptor.store()).explain(q1).unwrap();
     println!("-- query 1, EXPLAIN --");
     println!("{}", plan.render());
 

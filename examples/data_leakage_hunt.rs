@@ -22,7 +22,7 @@ fn main() {
         "store: {} events after CPR (reduction {:.2}x), {} entities",
         store.event_count(),
         store.reduction.factor(),
-        store.entities.len()
+        store.catalog().len()
     );
 
     // Step 1: extract the threat behavior graph from the report.
@@ -35,8 +35,8 @@ fn main() {
     println!("step 2 — synthesized TBQL:\n{tbql}");
 
     // Step 3: execute, and compare with the paper's baselines.
-    let result = Engine::new(&store)
-        .hunt_query(&query, ExecMode::Scheduled)
+    let result = ShardedEngine::new(&store)
+        .hunt_query(&query)
         .expect("query executes");
     let gt = scenario.ground_truth("data_leakage");
     let report = |label: &str, result: &HuntResult| {

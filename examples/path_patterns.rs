@@ -86,11 +86,11 @@ trait PipeHunt {
     ) -> Result<threatraptor::HuntResult, threatraptor::EngineError>;
 }
 
-impl PipeHunt for threatraptor::AuditStore {
+impl PipeHunt for threatraptor::ShardedStore {
     fn pipe_hunt(
         &self,
         q: &threatraptor::tbql::ast::Query,
     ) -> Result<threatraptor::HuntResult, threatraptor::EngineError> {
-        Engine::new(self).hunt_query(q, ExecMode::Scheduled)
+        ShardedEngine::new(self).hunt_query(q)
     }
 }

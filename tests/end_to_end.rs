@@ -63,10 +63,11 @@ fn reports_do_not_cross_match() {
 fn all_modes_agree_on_every_case() {
     let sc = scenario();
     let raptor = ThreatRaptor::from_parsed(&sc.log, true);
+    let store = AuditStore::ingest(&sc.log, true);
     for case in all_cases() {
         let reference = raptor.hunt(case.reference_tbql).unwrap();
         for b in Baseline::ALL {
-            let r = baseline::hunt(raptor.store(), case.reference_tbql, b).unwrap();
+            let r = baseline::hunt(&store, case.reference_tbql, b).unwrap();
             assert_eq!(
                 r.rows, reference.rows,
                 "{}: {b:?} differs from scheduled",

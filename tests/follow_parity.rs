@@ -90,7 +90,7 @@ impl Oracle {
             return (0, Vec::new(), true);
         }
         let cq = &self.plan.compiled;
-        let engine = ShardedEngine::with_threads(snapshot, 1);
+        let engine = ShardedEngine::new(snapshot);
         let full = engine.execute(cq, ExecMode::Scheduled).unwrap();
         let fresh: Vec<Match> = full
             .matches

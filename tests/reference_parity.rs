@@ -2,9 +2,8 @@
 //!
 //! Generated TBQL queries (the shared `arb_tbql` strategy) run over small
 //! simulated logs — with CPR on and off, and with timestamps as simulated
-//! or floored to a coarse tick so that many coincide — through the
-//! single-store
-//! `Engine` and through `ShardedEngine` at 3 and 17 shards, and each
+//! or floored to a coarse tick so that many coincide — through `Engine`
+//! over one shard and through `ShardedEngine` at 3 and 17 shards, and each
 //! result must equal what `threatraptor_engine::reference` — nested loops
 //! over plain entities and events, sharing no code with the executors —
 //! returns: the matches as a multiset of (bindings, witnessing event ids
@@ -14,7 +13,8 @@
 //! logs are streamed into a `StreamingStore` under random chunk, seal,
 //! compaction and entity-batch shapes, and after every chunk the
 //! matches delivered so far must be exactly the reference's over that
-//! snapshot, each delivered once.
+//! snapshot, each delivered once; a batch `ShardedEngine` hunt over the
+//! snapshot must equal the reference as well.
 //!
 //! On a disagreement the test shrinks the case before failing: it drops
 //! query parts (`distinct`, windows, temporal constraints, whole
@@ -33,7 +33,7 @@ use threatraptor_audit::parser::ParsedLog;
 use threatraptor_engine::result::Match;
 use threatraptor_engine::{reference, EngineError};
 use threatraptor_service::PlanCache;
-use threatraptor_storage::{CompactionPolicy, EventLookup};
+use threatraptor_storage::CompactionPolicy;
 use threatraptor_tbql::analyze::analyze;
 use threatraptor_tbql::ast::{Pattern, Query};
 use threatraptor_tbql::parser::parse_query;
@@ -44,7 +44,7 @@ type MatchKey = (Vec<(String, EntityId)>, Vec<(String, Vec<EventId>)>);
 
 /// The matches of `result` as a sorted multiset of keys, witnessing
 /// positions resolved to event ids through `store`.
-fn match_keys(result: &HuntResult, store: &impl EventLookup) -> Vec<MatchKey> {
+fn match_keys(result: &HuntResult, store: &ShardedStore) -> Vec<MatchKey> {
     let mut keys: Vec<MatchKey> = result
         .matches
         .iter()
@@ -75,47 +75,62 @@ fn sorted_rows(result: &HuntResult) -> Vec<Vec<String>> {
     rows
 }
 
+/// Describes how an executor's result `got` (positions into `store`)
+/// differs from the reference's `want`, whose match keys are
+/// `want_matches`: by match keys, then by sorted rows. A query the lint
+/// pass rejects as infeasible agrees when the reference finds nothing.
+fn differs(
+    name: &str,
+    got: Result<HuntResult, EngineError>,
+    store: &ShardedStore,
+    want: &HuntResult,
+    want_matches: &[MatchKey],
+) -> Option<String> {
+    let got = match got {
+        Ok(got) => got,
+        // The lint pass rejects queries it proves empty.
+        Err(EngineError::Infeasible(_)) if want.matches.is_empty() => return None,
+        Err(e) => return Some(format!("{name} failed: {e}")),
+    };
+    let got_matches = match_keys(&got, store);
+    if got_matches != want_matches {
+        return Some(format!(
+            "{name}: {} matches, reference {}; first differing: {:?} vs {:?}",
+            got_matches.len(),
+            want_matches.len(),
+            got_matches.iter().find(|k| !want_matches.contains(k)),
+            want_matches.iter().find(|k| !got_matches.contains(k)),
+        ));
+    }
+    (sorted_rows(&got) != sorted_rows(want))
+        .then(|| format!("{name}: rows {:?}, reference {:?}", got.rows, want.rows))
+}
+
 /// Evaluates `query` over `log` (reduced when `cpr`) with the reference
 /// and every executor, and describes the first disagreement, if any.
 fn disagreement(log: &ParsedLog, cpr: bool, query: &Query) -> Option<String> {
-    let single = AuditStore::ingest(log, cpr);
-    let entities: Vec<Entity> = single.entities.iter().cloned().collect();
-    let want = reference::evaluate(&entities, &single.events, &analyze(query).ok()?);
-    let (want_matches, want_rows) = (match_keys(&want, &single), sorted_rows(&want));
-    let check = |name: &str,
-                 got: Result<HuntResult, EngineError>,
-                 keys: &dyn Fn(&HuntResult) -> Vec<MatchKey>| {
-        let got = match got {
-            Ok(got) => got,
-            // The lint pass rejects queries it proves empty.
-            Err(EngineError::Infeasible(_)) if want.matches.is_empty() => return None,
-            Err(e) => return Some(format!("{name} failed: {e}")),
-        };
-        let got_matches = keys(&got);
-        if got_matches != want_matches {
-            return Some(format!(
-                "{name}: {} matches, reference {}; first differing: {:?} vs {:?}",
-                got_matches.len(),
-                want_matches.len(),
-                got_matches.iter().find(|k| !want_matches.contains(k)),
-                want_matches.iter().find(|k| !got_matches.contains(k)),
-            ));
-        }
-        (sorted_rows(&got) != want_rows)
-            .then(|| format!("{name}: rows {:?}, reference {:?}", got.rows, want.rows))
-    };
-    let hunt = |store: &ShardedStore| ShardedEngine::with_threads(store, 1).hunt_query(query);
-    check(
+    let single = ShardedStore::ingest(log, cpr, 1);
+    let entities: Vec<Entity> = single.catalog().iter().cloned().collect();
+    let want = reference::evaluate(&entities, &single.shard(0).events, &analyze(query).ok()?);
+    let want_matches = match_keys(&want, &single);
+    let hunt = |store: &ShardedStore| ShardedEngine::new(store).hunt_query(query);
+    differs(
         "Engine",
         Engine::new(&single).hunt_query(query, ExecMode::Scheduled),
-        &|r| match_keys(r, &single),
+        &single,
+        &want,
+        &want_matches,
     )
     .or_else(|| {
         [3, 17].into_iter().find_map(|shards| {
             let sharded = ShardedStore::ingest(log, cpr, shards);
-            check(&format!("ShardedEngine x{shards}"), hunt(&sharded), &|r| {
-                match_keys(r, &sharded)
-            })
+            differs(
+                &format!("ShardedEngine x{shards}"),
+                hunt(&sharded),
+                &sharded,
+                &want,
+                &want_matches,
+            )
         })
     })
 }
@@ -187,7 +202,7 @@ fn shrink(
 ) -> (Query, ParsedLog, bool, String) {
     let reduced = ParsedLog {
         entities: log.entities.clone(),
-        events: AuditStore::ingest(log, cpr).events.clone(),
+        events: ShardedStore::ingest(log, cpr, 1).shard(0).events.clone(),
     };
     let (mut log, cpr, mut why) = match check(&reduced, false, query) {
         Some(why) => (reduced, false, why),
@@ -371,9 +386,9 @@ fn follow_disagreement(
     let plan = match PlanCache::new().plan(&print_query(query)) {
         Ok((plan, _)) => plan,
         Err(EngineError::Infeasible(_)) => {
-            let store = AuditStore::ingest(log, cpr);
-            let entities: Vec<Entity> = store.entities.iter().cloned().collect();
-            let want = reference::evaluate(&entities, &store.events, &aq);
+            let store = ShardedStore::ingest(log, cpr, 1);
+            let entities: Vec<Entity> = store.catalog().iter().cloned().collect();
+            let want = reference::evaluate(&entities, &store.shard(0).events, &aq);
             return (!want.matches.is_empty())
                 .then(|| "planning rejected a query with matches".into());
         }
@@ -412,7 +427,19 @@ fn follow_disagreement(
         let events: Vec<Event> = (0..snapshot.event_count())
             .map(|pos| snapshot.event_at(pos).clone())
             .collect();
-        let want: HashSet<RunKey> = reference::evaluate(&entities, &events, &aq)
+        let reference = reference::evaluate(&entities, &events, &aq);
+        // The batch executor over the same snapshot agrees with the
+        // reference too.
+        if let Some(why) = differs(
+            "ShardedEngine",
+            ShardedEngine::new(&snapshot).hunt_query(query),
+            &snapshot,
+            &reference,
+            &match_keys(&reference, &snapshot),
+        ) {
+            return Some(format!("poll {k}: {why}"));
+        }
+        let want: HashSet<RunKey> = reference
             .matches
             .iter()
             .map(|m| run_key(m, &snapshot))
@@ -442,8 +469,9 @@ proptest! {
 
     /// Delta follow, poll by poll: a `FollowHunt` polled after every
     /// chunk of a streamed log delivers exactly the reference's matches
-    /// over each snapshot, each once (path queries included, which the
-    /// follow hunt re-executes in full).
+    /// over each snapshot, each once (path queries included, which run
+    /// through the same delta recurrence), and a batch hunt over each
+    /// snapshot returns the reference's matches and rows.
     #[test]
     fn follow_polls_agree_with_the_reference(
         seed in 0u64..6,

@@ -8,7 +8,6 @@ use threatraptor::prelude::*;
 use threatraptor::{JobHandle, JobReport};
 use threatraptor_bench::all_cases;
 use threatraptor_service::ServiceError;
-use threatraptor_storage::{AuditStore, ShardedStore};
 
 /// The core parity assertion: for one scenario seed and query, execution
 /// over `shards` shards returns exactly what single-store execution
@@ -19,10 +18,12 @@ fn assert_parity(seed: u64, shards: usize, query: &str) {
         .attacks(&[AttackKind::DataLeakage, AttackKind::PasswordCrack])
         .target_events(2_500)
         .build();
-    let single = AuditStore::ingest(&sc.log, true);
+    let single = ShardedStore::ingest(&sc.log, true, 1);
     let sharded = ShardedStore::ingest(&sc.log, true, shards);
 
-    let expected = Engine::new(&single).hunt(query).expect("single store");
+    let expected = ShardedEngine::new(&single)
+        .hunt(query)
+        .expect("single store");
     let got = ShardedEngine::new(&sharded).hunt(query).expect("sharded");
 
     assert_eq!(

@@ -4,15 +4,16 @@
 use threatraptor::audit::entity::EntityKind;
 use threatraptor::audit::event::Operation;
 use threatraptor::prelude::*;
-use threatraptor_storage::{cpr, AuditStore};
+use threatraptor_storage::cpr;
 
-fn store() -> (AuditStore, threatraptor::audit::sim::scenario::Scenario) {
+/// The scenario's log, reduced, as a one-shard store.
+fn store() -> (ShardedStore, threatraptor::audit::sim::scenario::Scenario) {
     let sc = ScenarioBuilder::new()
         .seed(42)
         .attacks(&[AttackKind::DataLeakage])
         .target_events(10_000)
         .build();
-    (AuditStore::ingest(&sc.log, true), sc)
+    (ShardedStore::ingest(&sc.log, true, 1), sc)
 }
 
 #[test]
@@ -21,7 +22,7 @@ fn event_table_select_matches_manual_filter() {
     let manual: Vec<u32> = (0..store.event_count() as u32)
         .filter(|&p| store.event_at(p as usize).op == Operation::Read)
         .collect();
-    assert_eq!(store.postings().by_op(Operation::Read), manual);
+    assert_eq!(store.shard(0).postings().by_op(Operation::Read), manual);
 }
 
 #[test]
@@ -47,12 +48,12 @@ fn cpr_conserves_bytes_and_counts_at_scale() {
 #[test]
 fn entity_tables_cover_every_entity_exactly_once() {
     let (store, _) = store();
-    let [generation] = store.entities.generations() else {
+    let [generation] = store.catalog().generations() else {
         panic!("a batch store has one catalog generation");
     };
     let kinds = [EntityKind::Process, EntityKind::File, EntityKind::Network];
     let n: usize = kinds.iter().map(|&k| generation.positions(k).len()).sum();
-    assert_eq!(n, store.entities.len());
+    assert_eq!(n, store.catalog().len());
     // Each position holds an entity of its kind, and its id round-trips
     // through the catalog.
     let mut seen = vec![false; n];
@@ -74,6 +75,7 @@ fn ground_truth_attack_chain_is_temporally_ordered_in_store() {
         .iter()
         .map(|id| {
             let ev = store
+                .shard(0)
                 .events
                 .iter()
                 .find(|e| e.id == *id)
