@@ -27,6 +27,7 @@ use threatraptor_audit::parser::LogChunk;
 use threatraptor_audit::sim::scenario::ScenarioBuilder;
 use threatraptor_check::{model, CheckConfig, Report};
 use threatraptor_engine::ExecMode;
+use threatraptor_obs::Registry;
 use threatraptor_service::{
     FollowHunt, IngestConfig, IngestService, PlanCache, SubmitError, WorkerPool,
 };
@@ -114,7 +115,7 @@ fn manual_ingest() -> IngestService {
 #[test]
 fn model_pool_submit_drain_shutdown() {
     let report = model(cfg("worker-pool", 5_000), || {
-        let pool = Arc::new(WorkerPool::new(2, 2));
+        let pool = Arc::new(WorkerPool::new(2, 2, &Registry::new()));
         let ran = Arc::new(AtomicUsize::new(0));
         let accepted = Arc::new(AtomicUsize::new(0));
 
@@ -129,7 +130,6 @@ fn model_pool_submit_drain_shutdown() {
                     accepted2.fetch_add(1, Ordering::Relaxed);
                 }
                 Err(SubmitError::Shutdown) => {}
-                Err(e) => panic!("unexpected submit error: {e:?}"),
             }
         });
 
@@ -316,7 +316,7 @@ fn model_plan_cache_concurrent_get_or_compile() {
     let q1 = "proc p read file f return p, f";
     let q2 = "proc p write file f return p, f";
     let report = model(cfg("plan-cache", 4_000), move || {
-        let cache = Arc::new(PlanCache::with_capacities(1, 1));
+        let cache = Arc::new(PlanCache::with_capacities(1, 1, &Registry::new()));
         // `CachedPlan::tbql` is the pretty-printed source; the operation
         // word identifies which query's plan a caller received.
         let handles: Vec<_> = [(q1, "read"), (q2, "write")]

@@ -65,7 +65,7 @@ pub use threatraptor_audit::parser::{LogChunk, ParseError, ParsedLog};
 pub use threatraptor_engine::{Engine, EngineError, ExecMode, HuntResult, ShardedEngine};
 pub use threatraptor_nlp::pipeline::FIG2_OSCTI_TEXT;
 pub use threatraptor_nlp::{ExtractionResult, ThreatBehaviorGraph, ThreatExtractor};
-pub use threatraptor_obs::{JsonValue, MetricsSnapshot, Registry, TraceSink};
+pub use threatraptor_obs::{JsonValue, MetricsSnapshot, Registry};
 pub use threatraptor_service::{
     FollowDelta, FollowEvent, FollowHunt, FollowSubscription, HuntJob, HuntServer, IngestConfig,
     IngestService, JobHandle, JobId, JobReport, ServerConfig,

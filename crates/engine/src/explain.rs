@@ -4,20 +4,18 @@
 //! pruning-score pattern schedule, each pattern's merged entity
 //! filters, hash-join key, and predicted shard fan-out.
 //! [`ShardedEngine::explain_analyze`] executes the hunt and attaches
-//! *actuals*: per-pattern × per-shard rows scanned (exactly the counts
-//! the engine's `engine_rows_scanned_total` counters export),
-//! constraint-propagation prune sizes, join candidate/output
-//! selectivity, and per-stage wall time. [`ExplainReport::render`]
+//! *actuals*: the [`HuntStats`] of that execution — per-pattern ×
+//! per-shard rows scanned, constraint-propagation prune sizes, join
+//! candidate/output selectivity, and per-stage wall time. [`ExplainReport::render`]
 //! produces a stable text form built on the tbql canonical printer.
 
 use std::fmt::Write as _;
-use std::time::Duration;
 
 use crate::compile::{compile, CompiledQuery, CompiledShape};
 use crate::error::EngineError;
 use crate::exec::ExecMode;
 use crate::join::Schedule;
-use crate::result::{HuntResult, HuntStats, PatternStats};
+use crate::result::{HuntResult, HuntStats};
 use crate::sharded::ShardedEngine;
 use threatraptor_tbql::analyze::analyze;
 use threatraptor_tbql::ast::Query;
@@ -48,29 +46,15 @@ pub struct ExplainEntry {
     pub bounds: Option<(u64, u64)>,
 }
 
-/// Measured execution section of a report.
+/// Measured execution section of a report: the statistics of the
+/// execution it reports, plus that execution's match count.
 #[derive(Debug, Clone)]
 pub struct ExplainActuals {
-    /// Per-pattern actuals, in execution order.
-    pub patterns: Vec<PatternStats>,
-    /// Endpoint-resolution wall time.
-    pub resolve: Duration,
-    /// Total scan wall time.
-    pub scan: Duration,
-    /// Constraint-propagation wall time.
-    pub propagate: Duration,
-    /// Join wall time.
-    pub join: Duration,
-    /// Projection wall time.
-    pub project: Duration,
-    /// End-to-end execution wall time.
-    pub total: Duration,
+    /// Per-pattern actuals in execution order, per-stage wall times, and
+    /// the delta-mode actuals when the execution ran incrementally.
+    pub stats: HuntStats,
     /// Complete matches produced.
     pub matches: usize,
-    /// Delta-mode actuals, when the execution ran incrementally (a
-    /// follow-mode poll through the delta path): fresh-range start,
-    /// fresh/carry rows scanned, and retained-partial counts.
-    pub delta: Option<crate::result::DeltaStats>,
 }
 
 /// A rendered query plan, optionally with execution actuals.
@@ -90,16 +74,17 @@ impl ExplainReport {
     /// Rows scanned for `pattern` on `shard`, when actuals are present.
     pub fn rows_scanned(&self, pattern: &str, shard: usize) -> Option<usize> {
         let actuals = self.actuals.as_ref()?;
-        let pat = actuals.patterns.iter().find(|p| p.pattern == pattern)?;
+        let pat = actuals
+            .stats
+            .patterns
+            .iter()
+            .find(|p| p.pattern == pattern)?;
         pat.shard_rows.get(shard).copied()
     }
 
     /// Total rows scanned across all patterns and shards.
     pub fn total_rows_scanned(&self) -> usize {
-        self.actuals
-            .as_ref()
-            .map(|a| a.patterns.iter().map(PatternStats::total_rows).sum())
-            .unwrap_or(0)
+        self.actuals.as_ref().map_or(0, |a| a.stats.total_rows())
     }
 
     /// Total rows the DBM feasible-range clamp excluded, when actuals
@@ -107,8 +92,7 @@ impl ExplainReport {
     pub fn total_rows_pruned(&self) -> usize {
         self.actuals
             .as_ref()
-            .map(|a| a.patterns.iter().map(|p| p.rows_pruned).sum())
-            .unwrap_or(0)
+            .map_or(0, |a| a.stats.total_rows_pruned())
     }
 
     /// Stable text rendering (the `EXPLAIN [ANALYZE]` output).
@@ -153,8 +137,9 @@ impl ExplainReport {
             }
         }
         if let Some(a) = &self.actuals {
+            let stats = &a.stats;
             out.push_str("actuals:\n");
-            if let Some(d) = &a.delta {
+            if let Some(d) = &stats.delta {
                 writeln!(
                     out,
                     "  delta: fresh-from={} fresh-rows={} carry-rows={} entity-rows={} partials {}→{}",
@@ -167,7 +152,7 @@ impl ExplainReport {
                 )
                 .unwrap();
             }
-            for (i, p) in a.patterns.iter().enumerate() {
+            for (i, p) in stats.patterns.iter().enumerate() {
                 let shards: Vec<String> = p
                     .shard_rows
                     .iter()
@@ -206,7 +191,12 @@ impl ExplainReport {
             writeln!(
                 out,
                 "stages: resolve={:.3?} scan={:.3?} propagate={:.3?} join={:.3?} project={:.3?} total={:.3?}",
-                a.resolve, a.scan, a.propagate, a.join, a.project, a.total
+                stats.resolve_elapsed,
+                stats.scan_elapsed(),
+                stats.propagate_elapsed,
+                stats.join_elapsed,
+                stats.project_elapsed,
+                stats.elapsed
             )
             .unwrap();
             writeln!(out, "matches: {}", a.matches).unwrap();
@@ -269,21 +259,6 @@ pub(crate) fn plan_report(query: &Query, cq: &CompiledQuery, shards: usize) -> E
     }
 }
 
-/// Attaches measured execution statistics to a plan report.
-pub(crate) fn attach_actuals(report: &mut ExplainReport, stats: &HuntStats, matches: usize) {
-    report.actuals = Some(ExplainActuals {
-        patterns: stats.patterns.clone(),
-        resolve: stats.resolve_elapsed,
-        scan: stats.scan_elapsed(),
-        propagate: stats.propagate_elapsed,
-        join: stats.join_elapsed,
-        project: stats.project_elapsed,
-        total: stats.elapsed,
-        matches,
-        delta: stats.delta,
-    });
-}
-
 impl<'s> ShardedEngine<'s> {
     /// Renders the compiled plan for `tbql` without executing it.
     pub fn explain(&self, tbql: &str) -> Result<ExplainReport, EngineError> {
@@ -294,15 +269,17 @@ impl<'s> ShardedEngine<'s> {
     }
 
     /// Executes `tbql` and returns the result alongside a report whose
-    /// actuals come from that same execution — the rows-scanned totals
-    /// equal what the engine's metric counters recorded for the hunt.
+    /// actuals are that same execution's [`HuntStats`].
     pub fn explain_analyze(&self, tbql: &str) -> Result<(HuntResult, ExplainReport), EngineError> {
         let query = parse_query(tbql)?;
         let analyzed = analyze(&query)?;
         let cq = compile(&analyzed)?;
         let mut report = plan_report(&query, &cq, self.store().shard_count());
         let result = self.execute(&cq, ExecMode::Scheduled)?;
-        attach_actuals(&mut report, &result.stats, result.matches.len());
+        report.actuals = Some(ExplainActuals {
+            stats: result.stats.clone(),
+            matches: result.matches.len(),
+        });
         Ok((result, report))
     }
 }
@@ -360,7 +337,7 @@ mod tests {
         // The actuals line carries the key next to the join counts,
         // whose candidates stay the logical |partial| × |rows|.
         let actuals = report.actuals.as_ref().unwrap();
-        let (seed, joined) = (&actuals.patterns[0], &actuals.patterns[1]);
+        let (seed, joined) = (&actuals.stats.patterns[0], &actuals.stats.patterns[1]);
         assert_eq!(
             joined.join.candidates,
             seed.join.outputs * joined.total_rows()
@@ -375,12 +352,9 @@ mod tests {
         let (result, report) = engine.explain_analyze(FIG2_TBQL).unwrap();
         let actuals = report.actuals.as_ref().unwrap();
         assert_eq!(actuals.matches, result.matches.len());
-        // Per-pattern totals equal the stats' fetched-row counts, and
-        // every pattern reports one count per shard.
-        assert_eq!(actuals.patterns.len(), result.stats.patterns.len());
-        for (p, stats) in actuals.patterns.iter().zip(&result.stats.patterns) {
-            assert_eq!(p.pattern, stats.pattern);
-            assert_eq!(p.total_rows(), stats.total_rows(), "pattern {}", p.pattern);
+        // Every pattern reports one row count per shard, and the totals
+        // read the execution's own stats.
+        for p in &actuals.stats.patterns {
             assert_eq!(p.shard_rows.len(), 4, "pattern {}", p.pattern);
         }
         assert_eq!(report.total_rows_scanned(), result.stats.total_rows());
@@ -389,8 +363,26 @@ mod tests {
         assert!(text.contains("actuals:"));
         assert!(text.contains("matches:"));
         // Resolution is timed apart from the scans and printed first.
-        assert!(actuals.resolve > Duration::ZERO);
+        assert!(actuals.stats.resolve_elapsed > std::time::Duration::ZERO);
         assert!(text.contains("stages: resolve="), "{text}");
+    }
+
+    #[test]
+    fn explain_analyze_actuals_are_per_execution() {
+        let store = store(4);
+        let engine = ShardedEngine::new(&store);
+        // Each report carries its own execution's actuals: a second
+        // identical run reports the same rows, not a running total.
+        let (result, first) = engine.explain_analyze(FIG2_TBQL).unwrap();
+        let (_, again) = engine.explain_analyze(FIG2_TBQL).unwrap();
+        assert!(!result.is_empty(), "the leakage attack must match");
+        assert_eq!(first.total_rows_scanned(), result.stats.total_rows());
+        assert_eq!(again.total_rows_scanned(), first.total_rows_scanned());
+        for p in &first.actuals.as_ref().unwrap().stats.patterns {
+            for (shard, &rows) in p.shard_rows.iter().enumerate() {
+                assert_eq!(again.rows_scanned(&p.pattern, shard), Some(rows));
+            }
+        }
     }
 
     #[test]
@@ -402,13 +394,13 @@ mod tests {
         // Fig. 2 patterns share variables, so at least one pattern after
         // the first must have received a propagated IN-set filter.
         assert!(
-            actuals.patterns[1..]
+            actuals.stats.patterns[1..]
                 .iter()
                 .any(|p| !p.propagated.is_empty()),
             "expected constraint propagation on a later pattern"
         );
         // Join selectivities are well-formed.
-        for p in &actuals.patterns {
+        for p in &actuals.stats.patterns {
             assert!(p.join.outputs <= p.join.candidates.max(p.join.outputs));
             let s = p.join.selectivity();
             assert!((0.0..=1.0).contains(&s) || p.join.candidates == 0);
@@ -436,17 +428,6 @@ mod tests {
         let text = report.render();
         assert!(text.contains("feasible: ["), "{text}");
         assert!(text.contains("pruned="), "{text}");
-        // Actual pruned counts mirror the stats the metric counters were
-        // bumped from — equal by construction.
-        let actuals = report.actuals.as_ref().unwrap();
-        for stats in &result.stats.patterns {
-            let p = actuals
-                .patterns
-                .iter()
-                .find(|p| p.pattern == stats.pattern)
-                .unwrap();
-            assert_eq!(p.rows_pruned, stats.rows_pruned, "pattern {}", p.pattern);
-        }
         assert_eq!(report.total_rows_pruned(), result.stats.total_rows_pruned());
         assert!(report.total_rows_pruned() > 0, "expected pruning to fire");
     }
@@ -456,7 +437,7 @@ mod tests {
         let store = store(3);
         let engine = ShardedEngine::new(&store);
         let (_, report) = engine.explain_analyze(FIG2_TBQL).unwrap();
-        let first = &report.actuals.as_ref().unwrap().patterns[0];
+        let first = &report.actuals.as_ref().unwrap().stats.patterns[0];
         for shard in 0..3 {
             assert_eq!(
                 report.rows_scanned(&first.pattern, shard),

@@ -73,9 +73,7 @@ pub struct PatternStats {
     /// Pattern id.
     pub pattern: String,
     /// Rows fetched per shard (index = shard; a store without shards
-    /// reports one). Their sum is the pattern's rows fetched, and the
-    /// `engine_rows_scanned_total{pattern,shard}` counters are bumped
-    /// from these counts.
+    /// reports one). Their sum is the pattern's rows fetched.
     pub shard_rows: Vec<usize>,
     /// Propagated IN-set sizes per constrained variable: the distinct
     /// already-bound ids pushed down (empty for the first pattern and
@@ -83,8 +81,7 @@ pub struct PatternStats {
     pub propagated: Vec<(String, usize)>,
     /// Join candidate/output counts.
     pub join: JoinStats,
-    /// Rows the DBM feasible-range clamp excluded — the count the
-    /// `engine_rows_pruned_total{pattern}` counter records.
+    /// Rows the DBM feasible-range clamp excluded.
     pub rows_pruned: usize,
     /// Wall time of the pattern's data query (the scan).
     pub elapsed: Duration,
@@ -153,19 +150,6 @@ impl HuntStats {
     /// Total rows excluded by the DBM feasible-range clamp.
     pub fn total_rows_pruned(&self) -> usize {
         self.patterns.iter().map(|p| p.rows_pruned).sum()
-    }
-
-    /// Records the per-stage breakdown into a [`TraceSink`] (one
-    /// sample per stage: `resolve`, `scan`, `propagate`, `join`,
-    /// `project`).
-    ///
-    /// [`TraceSink`]: threatraptor_obs::TraceSink
-    pub fn record_stages(&self, sink: &threatraptor_obs::TraceSink) {
-        sink.record("resolve", self.resolve_elapsed);
-        sink.record("scan", self.scan_elapsed());
-        sink.record("propagate", self.propagate_elapsed);
-        sink.record("join", self.join_elapsed);
-        sink.record("project", self.project_elapsed);
     }
 }
 

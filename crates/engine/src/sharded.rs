@@ -36,7 +36,6 @@ use std::collections::HashMap;
 use std::rc::Rc;
 use threatraptor_audit::entity::EntityId;
 use threatraptor_audit::event::Operation;
-use threatraptor_obs::Registry;
 use threatraptor_storage::sharded::ShardedStore;
 use threatraptor_tbql::analyze::analyze;
 use threatraptor_tbql::ast::Query;
@@ -46,24 +45,13 @@ use threatraptor_tbql::parser::parse_query;
 #[derive(Debug, Clone, Copy)]
 pub struct ShardedEngine<'s> {
     store: &'s ShardedStore,
-    /// Optional metric sink: when attached, every execution bumps
-    /// `engine_rows_scanned_total{pattern=...,shard=...}` counters from
-    /// the same per-shard row counts that land in
-    /// [`PatternStats::shard_rows`] — so EXPLAIN ANALYZE totals and the
-    /// exported counters agree by construction.
-    ///
-    /// [`PatternStats::shard_rows`]: crate::result::PatternStats::shard_rows
-    registry: Option<&'s Registry>,
 }
 
 impl<'s> ShardedEngine<'s> {
     /// Creates an engine over a store; it scans the shards on the
     /// calling thread.
     pub fn new(store: &'s ShardedStore) -> ShardedEngine<'s> {
-        ShardedEngine {
-            store,
-            registry: None,
-        }
+        ShardedEngine { store }
     }
 
     /// [`ShardedEngine::new`] under the name the frozen benchmark surface
@@ -72,12 +60,6 @@ impl<'s> ShardedEngine<'s> {
     /// at the next benchmark-surface revision.
     pub fn with_threads(store: &'s ShardedStore, _threads: usize) -> ShardedEngine<'s> {
         Self::new(store)
-    }
-
-    /// Attaches a metric registry for per-execution row-scan counters.
-    pub fn with_registry(mut self, registry: &'s Registry) -> ShardedEngine<'s> {
-        self.registry = Some(registry);
-        self
     }
 
     /// The underlying sharded store.
@@ -98,7 +80,7 @@ impl<'s> ShardedEngine<'s> {
     /// Executes a compiled query — the entry point the plan cache feeds
     /// (`_mode` is the vestigial [`ExecMode`]).
     pub fn execute(&self, cq: &CompiledQuery, _mode: ExecMode) -> Result<HuntResult, EngineError> {
-        let result = run_hunt(
+        Ok(run_hunt(
             cq,
             &Schedule::new(cq),
             self.store.catalog(),
@@ -106,25 +88,7 @@ impl<'s> ShardedEngine<'s> {
                 self.fetch_pattern(pat, subjects, objects, min_pos)
             },
             &|id, attr| self.store.entity(id).attr(attr),
-        );
-        if let Some(registry) = self.registry {
-            // Bumped from the same counts that land in the stats, so
-            // EXPLAIN ANALYZE actuals equal the metrics by construction.
-            for p in &result.stats.patterns {
-                for (shard, rows) in p.shard_rows.iter().enumerate() {
-                    registry
-                        .counter_labeled(
-                            "engine_rows_scanned_total",
-                            &[("pattern", &p.pattern), ("shard", &shard.to_string())],
-                        )
-                        .add(*rows as u64);
-                }
-                registry
-                    .counter_labeled("engine_rows_pruned_total", &[("pattern", &p.pattern)])
-                    .add(p.rows_pruned as u64);
-            }
-        }
-        Ok(result)
+        ))
     }
 
     /// Projects a set of matches through this store, exactly as
@@ -430,29 +394,5 @@ mod tests {
                 .map_or(0, PatternStats::total_rows)
         };
         assert_eq!(fetched(&unclamped, "e1") - fetched(&clamped, "e1"), pruned);
-    }
-
-    #[test]
-    fn pruned_counts_feed_registry_metric() {
-        let (_, sharded) = fixtures(3);
-        let mid = sharded.event_at(sharded.event_count() / 2).start;
-        let tbql = format!(
-            "proc p read file f as e1 \
-             proc p write file g as e2 window [0, {mid}] \
-             with e1 before e2 \
-             return p, f, g"
-        );
-        let registry = Registry::new();
-        let result = ShardedEngine::new(&sharded)
-            .with_registry(&registry)
-            .hunt(&tbql)
-            .unwrap();
-        for p in &result.stats.patterns {
-            let metric = registry
-                .counter_labeled("engine_rows_pruned_total", &[("pattern", &p.pattern)])
-                .get();
-            assert_eq!(metric, p.rows_pruned as u64, "pattern {}", p.pattern);
-        }
-        assert!(result.stats.total_rows_pruned() > 0);
     }
 }

@@ -4,7 +4,7 @@
 //! awk one-liner, rebuilt as a real engine: a lossy Rust lexer
 //! ([`lex`]) classifies code vs comments vs string contents, scopes
 //! ([`scope`]) resolve `#[cfg(test)]` / `#[cfg(check_mutants)]` item
-//! spans and allow directives, and six rules ([`rules`]) emit
+//! spans and allow directives, and seven rules ([`rules`]) emit
 //! stable-coded, span-carrying [`Diagnostic`]s in the same shape as the
 //! TBQL query lints (`threatraptor-tbql`'s `lint` module).
 //!
@@ -54,7 +54,7 @@ impl Severity {
 /// One structured lint finding with a stable code and source location.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Diagnostic {
-    /// Stable code (`L001`–`L006`).
+    /// Stable code (`L001`–`L007`).
     pub code: &'static str,
     pub severity: Severity,
     /// Workspace-relative path with `/` separators.

@@ -29,7 +29,7 @@ fn main() -> ExitCode {
             },
             "--help" | "-h" => {
                 println!(
-                    "threatraptor-lint: repo concurrency-hygiene lints (L001–L006)\n\
+                    "threatraptor-lint: repo concurrency- and telemetry-hygiene lints (L001–L007)\n\
                      \n\
                      USAGE: threatraptor-lint [--include-mutants] [--root <workspace>]\n\
                      \n\

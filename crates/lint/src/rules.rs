@@ -1,4 +1,4 @@
-//! The six repo lints, run over the lexed code view of one file.
+//! The seven repo lints, run over the lexed code view of one file.
 //!
 //! | code | meaning |
 //! |------|---------|
@@ -8,6 +8,7 @@
 //! | L004 | `Ordering::SeqCst` without an `// ordering:` rationale (acquire/release usually suffices) |
 //! | L005 | direct `std::sync` lock/atomic import bypassing the `threatraptor-sync` facade |
 //! | L006 | `Instant` + `Duration` deadline arithmetic (panics on overflow; use `checked_add`) |
+//! | L007 | registry get-or-create inside a `for`/`while`/`loop` body (resolve the handle once) |
 //!
 //! All rules are textual — tripwires, not proofs. They are tuned to
 //! this repo's idioms: guards are recovered with
@@ -76,6 +77,7 @@ pub fn run_rules(ctx: &FileCtx<'_>, edges: &mut Vec<LockEdge>) -> Vec<Diagnostic
     l004_seqcst(ctx, &mut out);
     l005_std_sync(ctx, &mut out);
     l006_deadline_add(ctx, &mut out);
+    l007_registry_in_loop(ctx, &mut out);
     out
 }
 
@@ -448,6 +450,94 @@ fn l006_deadline_add(ctx: &FileCtx<'_>, out: &mut Vec<Diagnostic>) {
                         .to_string(),
                 ),
             );
+        }
+    }
+}
+
+/// The metric registry's get-or-create methods.
+const GET_OR_CREATE: [&str; 6] = [
+    ".counter(",
+    ".counter_labeled(",
+    ".gauge(",
+    ".gauge_labeled(",
+    ".histogram(",
+    ".histogram_labeled(",
+];
+
+/// What the code since the last `{`, `}` or `;` says about the next
+/// block: whether it is a loop body.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Header {
+    Plain,
+    /// A `for` keyword without its `in` yet (`impl Trait for Type` and
+    /// `for<'a>` bounds never get one).
+    For,
+    Loop,
+}
+
+/// L007: a registry get-or-create (`counter`, `gauge`, `histogram`, or a
+/// `_labeled` form, on a receiver whose last segment ends in `registry`)
+/// inside a `for` / `while` / `loop` body. Each call builds key strings
+/// and takes the registry lock; a hot path resolves its handle once,
+/// when its owner is built, and keeps it.
+fn l007_registry_in_loop(ctx: &FileCtx<'_>, out: &mut Vec<Diagnostic>) {
+    let bytes = ctx.code.as_bytes();
+    // One entry per open brace: whether it opened a loop body.
+    let mut blocks: Vec<bool> = Vec::new();
+    let mut header = Header::Plain;
+    let mut i = 0;
+    while i < bytes.len() {
+        match bytes[i] {
+            b'{' => {
+                blocks.push(header == Header::Loop);
+                header = Header::Plain;
+                i += 1;
+            }
+            b'}' | b';' => {
+                if bytes[i] == b'}' {
+                    blocks.pop();
+                }
+                header = Header::Plain;
+                i += 1;
+            }
+            b'.' => {
+                let Some(method) = GET_OR_CREATE
+                    .iter()
+                    .find(|m| ctx.code[i..].starts_with(**m))
+                else {
+                    i += 1;
+                    continue;
+                };
+                // The receiver may sit on the line above (`registry\n    .counter(`).
+                let before = ctx.code[..i].trim_end();
+                let receiver = receiver_path(before, before.len());
+                let name = receiver.rsplit(['.', ':']).next().unwrap_or_default();
+                if name.ends_with("registry") && blocks.contains(&true) && ctx.live(i, "L007") {
+                    out.push(ctx.diag(
+                        i,
+                        "L007",
+                        format!(
+                            "registry get-or-create `{}` inside a loop body — it builds key \
+                             strings and takes the registry lock on every iteration; resolve \
+                             the handle once, outside the loop, and keep it",
+                            method.trim_start_matches('.').trim_end_matches('('),
+                        ),
+                    ));
+                }
+                i += method.len();
+            }
+            b if (b == b'_' || b.is_ascii_alphabetic()) && !is_ident_byte(prev(bytes, i)) => {
+                let len = ctx.code[i..]
+                    .find(|c: char| c != '_' && !c.is_ascii_alphanumeric())
+                    .unwrap_or(ctx.code.len() - i);
+                header = match (&ctx.code[i..i + len], header) {
+                    ("while" | "loop", _) | ("in", Header::For) => Header::Loop,
+                    ("for", _) => Header::For,
+                    _ => header,
+                };
+                i += len;
+            }
+            _ => i += 1,
         }
     }
 }

@@ -87,6 +87,15 @@ fn l006_flags_overflowing_deadline_arithmetic() {
 }
 
 #[test]
+fn l007_flags_registry_lookups_in_loop_bodies() {
+    let diags = lint_fixture("l007_registry_in_loop.rs", Options::default());
+    assert_eq!(codes(&diags), ["L007"; 4], "{diags:#?}");
+    let lines: Vec<usize> = diags.iter().map(|d| d.line).collect();
+    assert_eq!(lines, [21, 26, 36, 44], "{diags:#?}");
+    assert!(diags[0].message.contains("counter_labeled"), "{diags:#?}");
+}
+
+#[test]
 fn cfg_test_exemption_ends_at_the_closing_brace() {
     // The awk regression: production code BELOW a test module must be
     // linted, code inside it must not.

@@ -7,14 +7,12 @@
 //! - **Metric primitives** ([`Counter`], [`Gauge`], [`Histogram`]) —
 //!   lock-free atomic cells; histograms use 64 log2 buckets with
 //!   nearest-rank p50/p90/p99 extraction and an exact max.
-//! - **A registry** ([`Registry`], [`Scope`]) — get-or-create
-//!   registration keyed by name + sorted labels, deterministic
-//!   snapshot order, a process-global instance plus per-instance
-//!   registries for tenant isolation.
-//! - **Span tracing** ([`TraceSink`], [`Span`]) — RAII per-stage wall
-//!   clock timers for the hunt lifecycle (parse → compile → propagate
-//!   → scan → join → project → synthesize) and the serving lifecycle
-//!   (queue wait, execution, ingest, dispatch, follow push).
+//! - **A registry** ([`Registry`]) — get-or-create registration keyed
+//!   by name + sorted labels and deterministic snapshot order; one
+//!   instance per server, for tenant isolation. Components resolve
+//!   their handles once, when they are built: a stage timer is just a
+//!   labeled [`Histogram`] (`hunt_stage_ns{stage=…}`,
+//!   `serve_stage_ns{stage=…}`) its owner records a duration into.
 //! - **Trace trees** ([`TraceTree`], [`SpanNode`]) — hierarchical
 //!   per-execution profiles (parent/child spans, per-span attributes)
 //!   exportable as Chrome `trace_event` JSON for `about:tracing` and
@@ -32,12 +30,10 @@ pub mod json;
 pub mod metrics;
 pub mod registry;
 pub mod snapshot;
-pub mod trace;
 pub mod tree;
 
 pub use json::{JsonError, JsonValue};
 pub use metrics::{Counter, Gauge, Histogram, HistogramSummary, HISTOGRAM_BUCKETS};
-pub use registry::{MetricKey, Registry, Scope};
+pub use registry::{MetricKey, Registry};
 pub use snapshot::{MetricsSnapshot, Sample, SampleValue};
-pub use trace::{Span, TraceSink};
 pub use tree::{AttrValue, SpanNode, TraceId, TraceTree, ROOT_SPAN};

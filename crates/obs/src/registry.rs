@@ -2,14 +2,14 @@
 //! get-or-create registration and deterministic snapshot order.
 //!
 //! Registration takes a short `RwLock` write; the returned handles are
-//! `Arc`s, so hot paths hold their handle and never touch the registry
-//! again. A process-wide [`Registry::global()`] exists for ad-hoc use,
-//! but the service layer threads per-instance registries (one per
-//! `IngestService`/`HuntServer`) so that multi-tenant deployments can
-//! keep tenants apart; [`Scope`] prefixes names for the same reason.
+//! `Arc`s, so hot paths resolve their handles once, when their owner is
+//! built, and never touch the registry again. There is no process-wide
+//! instance: the service layer threads per-instance registries (one per
+//! `IngestService`/`HuntServer`) so that multi-tenant deployments keep
+//! tenants apart.
 
 use std::collections::BTreeMap;
-use threatraptor_sync::{Arc, OnceLock, RwLock};
+use threatraptor_sync::{Arc, RwLock};
 
 use crate::metrics::{Counter, Gauge, Histogram};
 use crate::snapshot::{MetricsSnapshot, Sample, SampleValue};
@@ -60,12 +60,6 @@ impl Registry {
     /// Creates an empty registry.
     pub fn new() -> Registry {
         Registry::default()
-    }
-
-    /// The process-wide registry.
-    pub fn global() -> &'static Registry {
-        static GLOBAL: OnceLock<Registry> = OnceLock::new();
-        GLOBAL.get_or_init(Registry::new)
     }
 
     fn read_existing(&self, key: &MetricKey) -> Option<Metric> {
@@ -126,16 +120,6 @@ impl Registry {
         }
     }
 
-    /// A view of this registry that prefixes every metric name —
-    /// per-tenant or per-component namespacing without separate
-    /// registry instances.
-    pub fn scoped(self: &Arc<Registry>, prefix: &str) -> Scope {
-        Scope {
-            registry: Arc::clone(self),
-            prefix: prefix.to_string(),
-        }
-    }
-
     /// Point-in-time snapshot of every registered metric, in
     /// deterministic key order.
     pub fn snapshot(&self) -> MetricsSnapshot {
@@ -163,44 +147,6 @@ impl Registry {
     /// True when nothing has been registered.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
-    }
-}
-
-/// A name-prefixing view over a shared [`Registry`].
-#[derive(Debug, Clone)]
-pub struct Scope {
-    registry: Arc<Registry>,
-    prefix: String,
-}
-
-impl Scope {
-    fn full(&self, name: &str) -> String {
-        format!("{}_{}", self.prefix, name)
-    }
-
-    /// Gets or creates a counter under this scope's prefix.
-    pub fn counter(&self, name: &str) -> Arc<Counter> {
-        self.registry.counter(&self.full(name))
-    }
-
-    /// Gets or creates a gauge under this scope's prefix.
-    pub fn gauge(&self, name: &str) -> Arc<Gauge> {
-        self.registry.gauge(&self.full(name))
-    }
-
-    /// Gets or creates a histogram under this scope's prefix.
-    pub fn histogram(&self, name: &str) -> Arc<Histogram> {
-        self.registry.histogram(&self.full(name))
-    }
-
-    /// Gets or creates a labeled histogram under this scope's prefix.
-    pub fn histogram_labeled(&self, name: &str, labels: &[(&str, &str)]) -> Arc<Histogram> {
-        self.registry.histogram_labeled(&self.full(name), labels)
-    }
-
-    /// The underlying registry.
-    pub fn registry(&self) -> &Arc<Registry> {
-        &self.registry
     }
 }
 
@@ -249,14 +195,6 @@ mod tests {
         let r = Registry::new();
         let _ = r.counter("m");
         let _ = r.gauge("m");
-    }
-
-    #[test]
-    fn scope_prefixes_names() {
-        let r = Arc::new(Registry::new());
-        let s = r.scoped("tenant0");
-        s.counter("jobs").add(3);
-        assert_eq!(r.counter("tenant0_jobs").get(), 3);
     }
 
     #[test]

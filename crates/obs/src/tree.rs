@@ -1,7 +1,7 @@
 //! Hierarchical per-hunt trace trees.
 //!
-//! The flat [`TraceSink`](crate::TraceSink) aggregates stage timings
-//! across *all* hunts; a [`TraceTree`] profiles *one* execution: a
+//! The stage histograms aggregate stage timings across *all* hunts; a
+//! [`TraceTree`] profiles *one* execution: a
 //! root span with parented child spans ([`SpanNode`]) and per-span
 //! attributes (rows scanned, cache hit/miss, match counts). Trees are
 //! cheap owned values — the service layer builds one per job, stores

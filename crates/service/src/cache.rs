@@ -25,11 +25,12 @@
 //! intermediate states are valid maps.
 
 use std::collections::HashMap;
+use std::time::Instant;
 use threatraptor_engine::compile::{compile_with_lint, CompiledQuery};
 use threatraptor_engine::EngineError;
 use threatraptor_nlp::{StageTimings, ThreatExtractor};
-use threatraptor_obs::{Counter, Histogram, Registry, Span, TraceSink};
-use threatraptor_sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use threatraptor_obs::{Counter, Histogram, Registry};
+use threatraptor_sync::atomic::{AtomicU64, Ordering};
 use threatraptor_sync::{Arc, Mutex, OnceLock, PoisonError, RwLock};
 use threatraptor_synth::{synthesize, SynthesisError};
 use threatraptor_tbql::analyze::analyze;
@@ -213,9 +214,9 @@ fn evict_lru<K: Clone + Eq + std::hash::Hash, V>(
     evicted
 }
 
-/// Registry handles for cache telemetry, attached at most once per
-/// cache (the cache is shared via `Arc`, so interior attachment avoids
-/// constructor churn at every creation site).
+/// Registry handles for cache telemetry, resolved once when the cache
+/// is built. The counters are the cache's only hit/miss/eviction
+/// record: [`PlanCache::stats`] reads them.
 #[derive(Debug)]
 struct CacheObs {
     /// `plan_cache_hits_total`.
@@ -229,10 +230,43 @@ struct CacheObs {
     /// `plan_cache_rejection_hits_total` (probes refused from cache).
     rejection_hits: Arc<Counter>,
     /// `hunt_stage_ns{stage=parse|analyze|compile|synthesize}`.
-    trace: TraceSink,
+    parse: Arc<Histogram>,
+    analyze: Arc<Histogram>,
+    compile: Arc<Histogram>,
+    synthesize: Arc<Histogram>,
     /// `nlp_stage_ns{stage=…}`, one series per
     /// [`StageTimings::STAGE_NAMES`] entry, in that order.
     nlp_stages: [Arc<Histogram>; 8],
+}
+
+impl CacheObs {
+    fn new(registry: &Registry) -> CacheObs {
+        let stage = |stage| registry.histogram_labeled("hunt_stage_ns", &[("stage", stage)]);
+        CacheObs {
+            hits: registry.counter("plan_cache_hits_total"),
+            misses: registry.counter("plan_cache_misses_total"),
+            evictions: registry.counter("plan_cache_evictions_total"),
+            rejections: registry.counter("plan_cache_rejections_total"),
+            rejection_hits: registry.counter("plan_cache_rejection_hits_total"),
+            parse: stage("parse"),
+            analyze: stage("analyze"),
+            compile: stage("compile"),
+            synthesize: stage("synthesize"),
+            nlp_stages: StageTimings::STAGE_NAMES
+                .map(|stage| registry.histogram_labeled("nlp_stage_ns", &[("stage", stage)])),
+        }
+    }
+}
+
+/// Runs one compile-pipeline stage and records its wall time into
+/// `stage` only when it succeeds: error paths must not pollute the
+/// stage-latency histograms (a parse error's near-zero "parse time"
+/// would drag p50 down).
+fn timed<T, E>(stage: &Histogram, run: impl FnOnce() -> Result<T, E>) -> Result<T, E> {
+    let start = Instant::now();
+    let value = run()?;
+    stage.record_duration(start.elapsed());
+    Ok(value)
 }
 
 /// Thread-safe plan + synthesis cache, shared by the server's job
@@ -250,12 +284,7 @@ pub struct PlanCache {
     synthesis_capacity: usize,
     /// Logical clock for LRU stamps.
     tick: AtomicU64,
-    hits: AtomicUsize,
-    misses: AtomicUsize,
-    rejection_hits: AtomicUsize,
-    evictions: AtomicUsize,
-    /// Telemetry handles, attached at most once.
-    obs: OnceLock<CacheObs>,
+    obs: CacheObs,
 }
 
 impl Default for PlanCache {
@@ -265,61 +294,42 @@ impl Default for PlanCache {
 }
 
 impl PlanCache {
-    /// An empty cache with default capacities.
+    /// An empty cache with default capacities, recording its telemetry
+    /// into a registry of its own.
     pub fn new() -> PlanCache {
-        Self::with_capacities(DEFAULT_PLAN_CAPACITY, DEFAULT_SYNTHESIS_CAPACITY)
+        Self::with_capacities(
+            DEFAULT_PLAN_CAPACITY,
+            DEFAULT_SYNTHESIS_CAPACITY,
+            &Registry::new(),
+        )
     }
 
     /// An empty cache holding at most `plans` compiled plans and
     /// `syntheses` memoized report syntheses (each clamped to ≥ 1);
     /// least-recently-used entries are evicted on overflow.
-    pub fn with_capacities(plans: usize, syntheses: usize) -> PlanCache {
+    ///
+    /// Its telemetry goes to `registry`: `plan_cache_*` counters,
+    /// `hunt_stage_ns{stage=parse|analyze|compile|synthesize}` timers
+    /// around the compile pipeline, and the NLP pipeline's own stage
+    /// split of each synthesis as `nlp_stage_ns{stage=segmentation|
+    /// protection|parsing|annotation|coref|merge|relext|construct}`.
+    /// [`PlanCache::stats`] reads those counters, so caches built on one
+    /// registry report their summed hits, misses and evictions.
+    pub fn with_capacities(plans: usize, syntheses: usize, registry: &Registry) -> PlanCache {
         PlanCache {
             plans: RwLock::new(HashMap::new()),
             syntheses: Mutex::new(HashMap::new()),
             plan_capacity: plans.max(1),
             synthesis_capacity: syntheses.max(1),
             tick: AtomicU64::new(0),
-            hits: AtomicUsize::new(0),
-            misses: AtomicUsize::new(0),
-            rejection_hits: AtomicUsize::new(0),
-            evictions: AtomicUsize::new(0),
-            obs: OnceLock::new(),
+            obs: CacheObs::new(registry),
         }
     }
 
-    /// Attaches cache telemetry to `registry`: `plan_cache_*` counters,
-    /// `hunt_stage_ns{stage=parse|analyze|compile|synthesize}` timers
-    /// around the compile pipeline, and the NLP pipeline's own stage
-    /// split of each synthesis as `nlp_stage_ns{stage=segmentation|
-    /// protection|parsing|annotation|coref|merge|relext|construct}`.
-    /// Idempotent; the first registry attached wins (the cache is
-    /// shared, one owner instruments it).
-    pub fn attach_metrics(&self, registry: &Arc<Registry>) {
-        let _ = self.obs.set(CacheObs {
-            nlp_stages: StageTimings::STAGE_NAMES
-                .map(|stage| registry.histogram_labeled("nlp_stage_ns", &[("stage", stage)])),
-            hits: registry.counter("plan_cache_hits_total"),
-            misses: registry.counter("plan_cache_misses_total"),
-            evictions: registry.counter("plan_cache_evictions_total"),
-            rejections: registry.counter("plan_cache_rejections_total"),
-            rejection_hits: registry.counter("plan_cache_rejection_hits_total"),
-            trace: TraceSink::new(Arc::clone(registry), "hunt_stage_ns"),
-        });
-    }
-
-    // ordering: every atomic in this cache is Relaxed. The stats
-    // counters are advisory scalars with no cross-variable invariant,
-    // and the LRU recency ticks only *order* entries — a stale tick
-    // costs at worst a suboptimal eviction, never incoherence, because
-    // all structural mutation happens under the `plans` RwLock.
-    fn observe_evictions(&self, evicted: usize) {
-        self.evictions.fetch_add(evicted, Ordering::Relaxed);
-        if let Some(obs) = self.obs.get() {
-            obs.evictions.add(evicted as u64);
-        }
-    }
-
+    // ordering: the LRU recency ticks are Relaxed — they only *order*
+    // entries, and a stale tick costs at worst a suboptimal eviction,
+    // never incoherence, because all structural mutation happens under
+    // the `plans` RwLock.
     fn next_tick(&self) -> u64 {
         self.tick.fetch_add(1, Ordering::Relaxed)
     }
@@ -343,17 +353,11 @@ impl PlanCache {
             slot.last_used.store(self.next_tick(), Ordering::Relaxed);
             match &slot.entry {
                 PlanEntry::Ready(plan) => {
-                    self.hits.fetch_add(1, Ordering::Relaxed);
-                    if let Some(obs) = self.obs.get() {
-                        obs.hits.inc();
-                    }
+                    self.obs.hits.inc();
                     return Ok((Arc::clone(plan), true));
                 }
                 PlanEntry::Rejected(err) => {
-                    self.rejection_hits.fetch_add(1, Ordering::Relaxed);
-                    if let Some(obs) = self.obs.get() {
-                        obs.rejection_hits.inc();
-                    }
+                    self.obs.rejection_hits.inc();
                     return Err(err.clone());
                 }
             }
@@ -361,22 +365,10 @@ impl PlanCache {
 
         // Compile outside any lock: compilation is pure, and two workers
         // racing on the same key just do redundant work once.
-        let trace = self.obs.get().map(|obs| &obs.trace);
-        let stage = |name: &str, trace: Option<&TraceSink>| trace.map(|t| t.span(name));
-        // A failing stage cancels its span: error paths must not
-        // pollute the stage-latency histograms (a parse error's
-        // near-zero "parse time" would drag p50 down).
-        fn timed<T, E>(span: Option<Span>, result: Result<T, E>) -> Result<T, E> {
-            if result.is_err() {
-                if let Some(s) = span {
-                    s.cancel();
-                }
-            }
-            result
-        }
-        let query = timed(stage("parse", trace), parse_query(tbql_src))?;
-        let analyzed = timed(stage("analyze", trace), analyze(&query))?;
-        let (compiled, lint) = match timed(stage("compile", trace), compile_with_lint(&analyzed)) {
+        let obs = &self.obs;
+        let query = timed(&obs.parse, || parse_query(tbql_src))?;
+        let analyzed = timed(&obs.analyze, || analyze(&query))?;
+        let (compiled, lint) = match timed(&obs.compile, || compile_with_lint(&analyzed)) {
             Ok(v) => v,
             Err(err @ EngineError::Infeasible(_)) => {
                 // Infeasibility is a pure property of the query text:
@@ -391,10 +383,8 @@ impl PlanCache {
                     slot.last_used.load(Ordering::Relaxed)
                 });
                 drop(plans);
-                self.observe_evictions(evicted);
-                if let Some(obs) = self.obs.get() {
-                    obs.rejections.inc();
-                }
+                obs.evictions.add(evicted as u64);
+                obs.rejections.inc();
                 return Err(err);
             }
             Err(err) => return Err(err),
@@ -421,11 +411,8 @@ impl PlanCache {
             slot.last_used.load(Ordering::Relaxed)
         });
         drop(plans);
-        self.observe_evictions(evicted);
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        if let Some(obs) = self.obs.get() {
-            obs.misses.inc();
-        }
+        obs.evictions.add(evicted as u64);
+        obs.misses.inc();
         Ok((plan, false))
     }
 
@@ -451,18 +438,18 @@ impl PlanCache {
             let evicted = evict_lru(&mut map, self.synthesis_capacity, |s| s.last_used);
             (cell, evicted)
         };
-        self.observe_evictions(evicted);
+        self.obs.evictions.add(evicted as u64);
         cell.get_or_init(|| {
-            // The span only exists on the path that actually runs the
-            // NLP pipeline; memoized calls record nothing.
-            let _span = self.obs.get().map(|obs| obs.trace.span("synthesize"));
+            // Only the path that actually runs the NLP pipeline records;
+            // memoized calls record nothing.
+            let start = Instant::now();
             let extraction = ThreatExtractor::new().extract(report);
-            if let Some(obs) = self.obs.get() {
-                for (hist, elapsed) in obs.nlp_stages.iter().zip(extraction.timings.stages()) {
-                    hist.record_duration(elapsed);
-                }
+            for (hist, elapsed) in self.obs.nlp_stages.iter().zip(extraction.timings.stages()) {
+                hist.record_duration(elapsed);
             }
-            synthesize(&extraction.graph).map(|q| print_query(&q))
+            let tbql = synthesize(&extraction.graph).map(|q| print_query(&q));
+            self.obs.synthesize.record_duration(start.elapsed());
+            tbql
         })
         .clone()
     }
@@ -477,18 +464,19 @@ impl PlanCache {
                 .count();
             (map.len() - rejections, rejections)
         };
+        let count = |counter: &Counter| counter.get() as usize;
         CacheStats {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
+            hits: count(&self.obs.hits),
+            misses: count(&self.obs.misses),
             plans,
             rejections,
-            rejection_hits: self.rejection_hits.load(Ordering::Relaxed),
+            rejection_hits: count(&self.obs.rejection_hits),
             reports: self
                 .syntheses
                 .lock()
                 .unwrap_or_else(PoisonError::into_inner)
                 .len(),
-            evictions: self.evictions.load(Ordering::Relaxed),
+            evictions: count(&self.obs.evictions),
         }
     }
 }
@@ -497,6 +485,10 @@ impl PlanCache {
 mod tests {
     use super::*;
     use threatraptor_tbql::parser::FIG2_TBQL;
+
+    fn default_cache_on(registry: &Registry) -> PlanCache {
+        PlanCache::with_capacities(DEFAULT_PLAN_CAPACITY, DEFAULT_SYNTHESIS_CAPACITY, registry)
+    }
 
     #[test]
     fn normalization_collapses_whitespace() {
@@ -545,9 +537,8 @@ mod tests {
 
     #[test]
     fn infeasible_queries_cached_as_rejections() {
-        let cache = PlanCache::new();
-        let registry = Arc::new(threatraptor_obs::Registry::new());
-        cache.attach_metrics(&registry);
+        let registry = Registry::new();
+        let cache = default_cache_on(&registry);
         // Cyclic `before` ordering: E001, rejected at compile time.
         let bad = "proc p read file f as e1 proc p write file g as e2 \
                    with e1 before e2, e2 before e1 return p";
@@ -569,14 +560,12 @@ mod tests {
         let snap = registry.snapshot();
         assert_eq!(snap.counter("plan_cache_rejections_total"), Some(1));
         assert_eq!(snap.counter("plan_cache_rejection_hits_total"), Some(1));
-        // The compile stage span was cancelled on the rejection path:
-        // the series may exist (registered at span creation) but holds
-        // no samples.
-        let compile_samples = snap
+        // The failed compile stage recorded nothing: its series is
+        // registered up front but holds no samples.
+        let compile = snap
             .histogram("hunt_stage_ns", &[("stage", "compile")])
-            .map(|h| h.count)
-            .unwrap_or(0);
-        assert_eq!(compile_samples, 0);
+            .unwrap();
+        assert_eq!(compile.count, 0);
     }
 
     #[test]
@@ -608,7 +597,7 @@ mod tests {
 
     #[test]
     fn plan_map_evicts_least_recently_used() {
-        let cache = PlanCache::with_capacities(2, 2);
+        let cache = PlanCache::with_capacities(2, 2, &Registry::new());
         let q = |path: &str| format!("proc p[\"%{path}%\"] read file f return p");
         cache.plan(&q("/bin/a")).unwrap();
         cache.plan(&q("/bin/b")).unwrap();
@@ -627,7 +616,7 @@ mod tests {
 
     #[test]
     fn synthesis_memo_evicts_least_recently_used() {
-        let cache = PlanCache::with_capacities(8, 2);
+        let cache = PlanCache::with_capacities(8, 2, &Registry::new());
         let reports = [
             "Attackers read /etc/passwd with /bin/cat.",
             "Attackers wrote /tmp/x with /bin/dd.",
@@ -657,16 +646,15 @@ mod tests {
 
     #[test]
     fn attached_metrics_mirror_cache_stats() {
-        let registry = Arc::new(Registry::new());
-        let cache = PlanCache::with_capacities(2, 2);
-        cache.attach_metrics(&registry);
+        let registry = Registry::new();
+        let cache = PlanCache::with_capacities(2, 2, &registry);
         let q = |path: &str| format!("proc p[\"%{path}%\"] read file f return p");
         cache.plan(&q("/bin/a")).unwrap();
         cache.plan(&q("/bin/a")).unwrap();
         cache.plan(&q("/bin/b")).unwrap();
         cache.plan(&q("/bin/c")).unwrap();
         let _ = cache.synthesize_report("Attackers read /etc/passwd with /bin/cat.");
-        // A failing compile pipeline cancels its stage span: the parse
+        // A failing compile pipeline records no stage time: the parse
         // series below must count only the successful misses.
         assert!(cache.plan("syntactically broken").is_err());
 
@@ -682,7 +670,7 @@ mod tests {
             Some(s.evictions as u64)
         );
         assert!(s.evictions >= 1, "capacity 2 with 3 plans must evict");
-        // Compile-pipeline stages were traced on the miss path only.
+        // Compile-pipeline stages were timed on the miss path only.
         for stage in ["parse", "analyze", "compile"] {
             let h = snap
                 .histogram("hunt_stage_ns", &[("stage", stage)])
@@ -697,9 +685,8 @@ mod tests {
 
     #[test]
     fn nlp_stages_recorded_once_per_synthesis() {
-        let registry = Arc::new(Registry::new());
-        let cache = PlanCache::new();
-        cache.attach_metrics(&registry);
+        let registry = Registry::new();
+        let cache = default_cache_on(&registry);
         let report = threatraptor_nlp::pipeline::FIG2_OSCTI_TEXT;
         cache.synthesize_report(report).unwrap();
         // A memoized hit runs no pipeline and records nothing.
@@ -721,14 +708,14 @@ mod tests {
         }
         assert!(
             stage_sum <= synth.sum,
-            "stages ({stage_sum} ns) run inside the synthesize span ({} ns)",
+            "stages ({stage_sum} ns) run inside the synthesize stage ({} ns)",
             synth.sum
         );
     }
 
     #[test]
     fn zero_capacity_clamps_to_one() {
-        let cache = PlanCache::with_capacities(0, 0);
+        let cache = PlanCache::with_capacities(0, 0, &Registry::new());
         cache.plan(FIG2_TBQL).unwrap();
         assert_eq!(cache.stats().plans, 1);
     }

@@ -176,8 +176,9 @@ struct FollowObs {
     /// summed over every hunt sharing the registry. Each hunt adds the
     /// change in its own count and takes its share back when dropped.
     partials_retained: Arc<Gauge>,
-    /// For `follow_pattern_rows_total{pattern=...}` series.
-    registry: Arc<Registry>,
+    /// `follow_pattern_rows_total{pattern=...}`: rows fetched per
+    /// pattern, one `(pattern id, counter)` per compiled pattern.
+    pattern_rows: Vec<(String, Arc<Counter>)>,
 }
 
 /// What one poll produced.
@@ -267,7 +268,18 @@ impl FollowHunt {
     /// counters bumped on every poll. Unlike the per-poll numbers in
     /// a delivered [`FollowDelta`], these totals survive a subscriber
     /// crash — they live in the registry, not in the delivery channel.
-    pub fn attach_metrics(&mut self, registry: &Arc<Registry>) {
+    pub fn attach_metrics(&mut self, registry: &Registry) {
+        let pattern_rows = self
+            .plan
+            .compiled
+            .patterns
+            .iter()
+            .map(|p| {
+                let rows =
+                    registry.counter_labeled("follow_pattern_rows_total", &[("pattern", &p.id)]);
+                (p.id.clone(), rows)
+            })
+            .collect();
         self.obs = Some(FollowObs {
             polls: registry.counter("follow_polls_total"),
             executions: registry.counter("follow_executions_total"),
@@ -278,7 +290,7 @@ impl FollowHunt {
             partials_aged: registry.counter("follow_partials_aged_total"),
             dedup_aged: registry.counter("follow_dedup_aged_total"),
             partials_retained: registry.gauge("follow_partials_retained"),
-            registry: Arc::clone(registry),
+            pattern_rows,
         });
     }
 
@@ -422,9 +434,9 @@ impl FollowHunt {
                 .add(retained as i64 - self.reported_partials as i64);
             self.reported_partials = retained;
             for p in &out.stats.patterns {
-                obs.registry
-                    .counter_labeled("follow_pattern_rows_total", &[("pattern", &p.pattern)])
-                    .add(p.total_rows() as u64);
+                if let Some((_, rows)) = obs.pattern_rows.iter().find(|(id, _)| *id == p.pattern) {
+                    rows.add(p.total_rows() as u64);
+                }
             }
         }
 

@@ -34,46 +34,62 @@
 //!
 //! [`HuntServer`]: crate::server::HuntServer
 
-use crate::cache::{CacheStats, PlanCache};
+use crate::cache::{CacheStats, PlanCache, DEFAULT_PLAN_CAPACITY, DEFAULT_SYNTHESIS_CAPACITY};
 use std::time::{Duration, Instant};
 use threatraptor_audit::parser::LogChunk;
-use threatraptor_obs::{MetricsSnapshot, Registry, TraceSink};
+use threatraptor_obs::{Histogram, MetricsSnapshot, Registry};
 use threatraptor_storage::cpr::ReductionStats;
 use threatraptor_storage::{AppendOutcome, SealPolicy, ShardedStore, StreamingStore};
 use threatraptor_sync::atomic::{AtomicU64, Ordering};
 use threatraptor_sync::{Arc, Condvar, Mutex, PoisonError, RwLock};
 
-/// Construction parameters for an [`IngestService`].
+/// Construction parameters for an [`IngestService`]. The service
+/// always applies Causality-Preserved Reduction at the ingest frontier.
 #[derive(Debug, Clone, Copy)]
 pub struct IngestConfig {
-    /// Apply Causality-Preserved Reduction at the ingest frontier.
-    pub cpr: bool,
     /// When to freeze the open window into an immutable shard.
     pub policy: SealPolicy,
 }
 
 impl Default for IngestConfig {
     fn default() -> IngestConfig {
-        IngestConfig {
-            cpr: true,
-            policy: SealPolicy::events(4_096),
-        }
+        IngestConfig::with_policy(SealPolicy::events(4_096))
     }
 }
 
 impl IngestConfig {
     /// Default config with the given seal policy.
     pub fn with_policy(policy: SealPolicy) -> IngestConfig {
-        IngestConfig {
-            policy,
-            ..IngestConfig::default()
-        }
+        IngestConfig { policy }
     }
+}
 
-    /// Disables CPR at the frontier.
-    pub fn no_cpr(mut self) -> IngestConfig {
-        self.cpr = false;
-        self
+/// The ingest path's stage timers, `serve_stage_ns{stage=…}`, resolved
+/// once when the service is built.
+#[derive(Debug)]
+struct IngestObs {
+    /// `ingest_append`: one whole append under the write lock.
+    append: Arc<Histogram>,
+    /// `entity_extend` / `compact`: an append's share spent extending
+    /// the entity tables / compacting, recorded when it did either.
+    entity_extend: Arc<Histogram>,
+    compact: Arc<Histogram>,
+    /// `seal`: one manual seal under the write lock.
+    seal: Arc<Histogram>,
+    /// `snapshot_build`: one snapshot, lock plus open-window indexing.
+    snapshot_build: Arc<Histogram>,
+}
+
+impl IngestObs {
+    fn new(registry: &Registry) -> IngestObs {
+        let stage = |stage| registry.histogram_labeled("serve_stage_ns", &[("stage", stage)]);
+        IngestObs {
+            append: stage("ingest_append"),
+            entity_extend: stage("entity_extend"),
+            compact: stage("compact"),
+            seal: stage("seal"),
+            snapshot_build: stage("snapshot_build"),
+        }
     }
 }
 
@@ -128,23 +144,23 @@ pub struct IngestService {
     gate_cond: Condvar,
     /// This service's metric registry: the stream, the plan cache, and
     /// the owning server's jobs and standing queries record here.
-    /// Per-instance (not the process-global registry) so co-hosted
-    /// services — per-tenant deployments — keep separate telemetry.
+    /// Per-instance so co-hosted services — per-tenant deployments —
+    /// keep separate telemetry.
     registry: Arc<Registry>,
-    /// `serve_stage_ns{stage=ingest_append|seal|snapshot_build}`, and
-    /// inside an append `{stage=entity_extend|compact}` (recorded when
-    /// the append brought entities / ran a compaction).
-    serve_trace: TraceSink,
+    obs: IngestObs,
 }
 
 impl IngestService {
     /// An empty service with a fresh plan cache.
     pub fn new(config: IngestConfig) -> IngestService {
         let registry = Arc::new(Registry::new());
-        let mut stream = StreamingStore::new(config.cpr, config.policy);
+        let mut stream = StreamingStore::new(true, config.policy);
         stream.attach_metrics(&registry);
-        let cache = PlanCache::new();
-        cache.attach_metrics(&registry);
+        let cache = PlanCache::with_capacities(
+            DEFAULT_PLAN_CAPACITY,
+            DEFAULT_SYNTHESIS_CAPACITY,
+            &registry,
+        );
         let epoch = stream.epoch_handle();
         IngestService {
             stream: RwLock::new(stream),
@@ -152,7 +168,7 @@ impl IngestService {
             epoch,
             gate: Mutex::new(()),
             gate_cond: Condvar::new(),
-            serve_trace: TraceSink::new(Arc::clone(&registry), "serve_stage_ns"),
+            obs: IngestObs::new(&registry),
             registry,
         }
     }
@@ -174,19 +190,20 @@ impl IngestService {
     /// Appends one parsed chunk, auto-sealing under the policy, and wakes
     /// epoch waiters.
     pub fn append(&self, chunk: &LogChunk) -> AppendOutcome {
-        let span = self.serve_trace.span("ingest_append");
+        let start = Instant::now();
         let outcome = self
             .stream
             .write()
             .unwrap_or_else(PoisonError::into_inner)
             .append(chunk);
-        drop(span);
+        self.obs.append.record_duration(start.elapsed());
         if outcome.new_entities > 0 {
-            self.serve_trace
-                .record("entity_extend", outcome.entity_extend);
+            self.obs
+                .entity_extend
+                .record_duration(outcome.entity_extend);
         }
         if !outcome.compact.is_zero() {
-            self.serve_trace.record("compact", outcome.compact);
+            self.obs.compact.record_duration(outcome.compact);
         }
         self.notify();
         outcome
@@ -195,14 +212,14 @@ impl IngestService {
     /// Manually freezes the open window's stable prefix into an immutable
     /// shard. Returns whether anything was sealed.
     pub fn seal(&self) -> bool {
-        let span = self.serve_trace.span("seal");
+        let start = Instant::now();
         let sealed = self
             .stream
             .write()
             .unwrap_or_else(PoisonError::into_inner)
             .seal()
             .is_some();
-        drop(span);
+        self.obs.seal.record_duration(start.elapsed());
         if sealed {
             self.notify();
         }
@@ -214,14 +231,14 @@ impl IngestService {
     /// held only for the cheap parts extraction; indexing the open
     /// window happens after it is released.
     pub fn snapshot(&self) -> ShardedStore {
-        let span = self.serve_trace.span("snapshot_build");
+        let start = Instant::now();
         let parts = self
             .stream
             .read()
             .unwrap_or_else(PoisonError::into_inner)
             .snapshot_parts();
         let store = parts.build();
-        drop(span);
+        self.obs.snapshot_build.record_duration(start.elapsed());
         store
     }
 
@@ -336,11 +353,11 @@ mod tests {
         let metrics = service.metrics();
         let appends = metrics
             .histogram("serve_stage_ns", &[("stage", "ingest_append")])
-            .expect("append spans")
+            .expect("append stage")
             .count;
         let extends = metrics
             .histogram("serve_stage_ns", &[("stage", "entity_extend")])
-            .expect("entity_extend spans")
+            .expect("entity_extend stage")
             .count;
         assert!(extends > 0 && extends <= appends);
 

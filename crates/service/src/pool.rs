@@ -18,7 +18,7 @@
 //! * [`WorkerPool::shutdown`] is graceful: the queue stops accepting new
 //!   tasks, already queued tasks drain, and every worker is joined.
 
-use crossbeam::channel::{bounded, Receiver, Sender, TrySendError};
+use crossbeam::channel::{bounded, Receiver, Sender};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use threatraptor_obs::{Counter, Gauge, Registry};
 use threatraptor_sync::thread::JoinHandle;
@@ -30,8 +30,6 @@ pub type Task = Box<dyn FnOnce() + Send + 'static>;
 /// Why a submission did not enqueue.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SubmitError {
-    /// The queue is at capacity (only from [`WorkerPool::try_submit`]).
-    Full,
     /// The pool has been shut down.
     Shutdown,
 }
@@ -44,8 +42,7 @@ struct PoolObs {
     /// `pool_tasks_completed_total`: tasks a worker finished (panicking
     /// tasks count — the worker survived and completed the dispatch).
     completed: Arc<Counter>,
-    /// `pool_rejected_total`: submissions refused (queue full or pool
-    /// shut down).
+    /// `pool_rejected_total`: submissions refused (pool shut down).
     rejected: Arc<Counter>,
 }
 
@@ -56,31 +53,22 @@ pub struct WorkerPool {
     tx: Mutex<Option<Sender<Task>>>,
     handles: Mutex<Vec<JoinHandle<()>>>,
     workers: usize,
-    /// Telemetry handles, when built via [`WorkerPool::with_metrics`].
-    obs: Option<PoolObs>,
+    obs: PoolObs,
 }
 
 impl WorkerPool {
     /// Spawns `workers` detached threads (clamped to ≥ 1) sharing one
     /// queue of at most `queue_capacity` pending tasks (clamped to ≥ 1).
-    pub fn new(workers: usize, queue_capacity: usize) -> WorkerPool {
-        Self::build(workers, queue_capacity, None)
-    }
-
-    /// [`WorkerPool::new`] with pool telemetry registered on `registry`:
-    /// a `job_queue_depth` gauge plus `pool_tasks_completed_total` and
-    /// `pool_rejected_total` counters. Attached at construction because
-    /// the worker threads capture their handles at spawn time.
-    pub fn with_metrics(workers: usize, queue_capacity: usize, registry: &Registry) -> WorkerPool {
+    /// Pool telemetry goes to `registry`: a `job_queue_depth` gauge plus
+    /// `pool_tasks_completed_total` and `pool_rejected_total` counters,
+    /// resolved here because the worker threads capture their handles
+    /// at spawn time.
+    pub fn new(workers: usize, queue_capacity: usize, registry: &Registry) -> WorkerPool {
         let obs = PoolObs {
             queue_depth: registry.gauge("job_queue_depth"),
             completed: registry.counter("pool_tasks_completed_total"),
             rejected: registry.counter("pool_rejected_total"),
         };
-        Self::build(workers, queue_capacity, Some(obs))
-    }
-
-    fn build(workers: usize, queue_capacity: usize, obs: Option<PoolObs>) -> WorkerPool {
         let workers = workers.max(1);
         let (tx, rx) = bounded::<Task>(queue_capacity.max(1));
         let handles = (0..workers)
@@ -94,15 +82,11 @@ impl WorkerPool {
                         // sender is dropped, then disconnects — exactly
                         // the graceful-shutdown order we want.
                         while let Ok(task) = rx.recv() {
-                            if let Some(obs) = &obs {
-                                obs.queue_depth.dec();
-                            }
+                            obs.queue_depth.dec();
                             // A panicking task must not kill the worker:
                             // the pool serves unrelated tenants.
                             let _ = catch_unwind(AssertUnwindSafe(task));
-                            if let Some(obs) = &obs {
-                                obs.completed.inc();
-                            }
+                            obs.completed.inc();
                         }
                     })
                     .expect("spawning a worker thread")
@@ -136,56 +120,17 @@ impl WorkerPool {
                 // Count the task as queued before the (possibly
                 // blocking) send so the gauge covers backpressured
                 // producers too; rolled back on failure.
-                if let Some(obs) = &self.obs {
-                    obs.queue_depth.inc();
-                }
+                self.obs.queue_depth.inc();
                 let sent = tx.send(task).map_err(|_| SubmitError::Shutdown);
                 if sent.is_err() {
-                    if let Some(obs) = &self.obs {
-                        obs.queue_depth.dec();
-                    }
+                    self.obs.queue_depth.dec();
                 }
                 sent
             }
             None => Err(SubmitError::Shutdown),
         };
         if outcome.is_err() {
-            if let Some(obs) = &self.obs {
-                obs.rejected.inc();
-            }
-        }
-        outcome
-    }
-
-    /// Non-blocking submission: fails fast when the queue is full.
-    pub fn try_submit(&self, task: Task) -> Result<(), SubmitError> {
-        let tx = self
-            .tx
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .clone();
-        let outcome = match tx {
-            Some(tx) => {
-                if let Some(obs) = &self.obs {
-                    obs.queue_depth.inc();
-                }
-                let sent = tx.try_send(task).map_err(|e| match e {
-                    TrySendError::Full(_) => SubmitError::Full,
-                    TrySendError::Disconnected(_) => SubmitError::Shutdown,
-                });
-                if sent.is_err() {
-                    if let Some(obs) = &self.obs {
-                        obs.queue_depth.dec();
-                    }
-                }
-                sent
-            }
-            None => Err(SubmitError::Shutdown),
-        };
-        if outcome.is_err() {
-            if let Some(obs) = &self.obs {
-                obs.rejected.inc();
-            }
+            self.obs.rejected.inc();
         }
         outcome
     }
@@ -242,7 +187,7 @@ mod tests {
 
     #[test]
     fn tasks_run_and_shutdown_drains_the_queue() {
-        let pool = WorkerPool::new(2, 4);
+        let pool = WorkerPool::new(2, 4, &Registry::new());
         let done = Arc::new(AtomicUsize::new(0));
         for _ in 0..32 {
             let done = Arc::clone(&done);
@@ -262,7 +207,7 @@ mod tests {
 
     #[test]
     fn panicking_tasks_do_not_kill_workers() {
-        let pool = WorkerPool::new(1, 4);
+        let pool = WorkerPool::new(1, 4, &Registry::new());
         let done = Arc::new(AtomicUsize::new(0));
         pool.submit(Box::new(|| panic!("task boom"))).unwrap();
         let d = Arc::clone(&done);
@@ -281,7 +226,7 @@ mod tests {
     #[test]
     fn metrics_track_queue_depth_and_completions() {
         let registry = Registry::new();
-        let pool = WorkerPool::with_metrics(1, 2, &registry);
+        let pool = WorkerPool::new(1, 2, &registry);
         let (block_tx, block_rx) = crossbeam::channel::bounded::<()>(1);
         // Occupy the worker so queued tasks pile up measurably.
         pool.submit(Box::new(move || {
@@ -289,14 +234,6 @@ mod tests {
         }))
         .unwrap();
         pool.submit(Box::new(|| {})).unwrap();
-        // A rejected try_submit must not leave a phantom queue entry.
-        let mut rejected = 0;
-        while pool.try_submit(Box::new(|| {})) == Err(SubmitError::Full) {
-            rejected += 1;
-            if rejected >= 1 {
-                break;
-            }
-        }
         let depth = registry.gauge("job_queue_depth").get();
         assert!(
             (1..=2).contains(&depth),
@@ -311,30 +248,8 @@ mod tests {
         assert!(completed >= 2, "both real tasks completed");
         assert_eq!(
             snap.counter("pool_rejected_total"),
-            Some(rejected as u64 + 1),
-            "the Full rejections plus the post-shutdown probe"
+            Some(1),
+            "the post-shutdown probe"
         );
-    }
-
-    #[test]
-    fn try_submit_reports_a_full_queue() {
-        let pool = WorkerPool::new(1, 1);
-        let (block_tx, block_rx) = crossbeam::channel::bounded::<()>(1);
-        // Occupy the worker…
-        pool.submit(Box::new(move || {
-            let _ = block_rx.recv();
-        }))
-        .unwrap();
-        // …then fill the queue; at some point try_submit must push back.
-        let mut saw_full = false;
-        for _ in 0..8 {
-            if pool.try_submit(Box::new(|| {})) == Err(SubmitError::Full) {
-                saw_full = true;
-                break;
-            }
-        }
-        block_tx.send(()).unwrap();
-        assert!(saw_full, "a bounded queue must report Full under load");
-        pool.shutdown();
     }
 }

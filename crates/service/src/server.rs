@@ -47,7 +47,7 @@ use std::time::{Duration, Instant};
 use threatraptor_audit::parser::LogChunk;
 use threatraptor_engine::{ExecMode, HuntResult, HuntStats, ShardedEngine};
 use threatraptor_obs::{
-    Counter, Histogram, MetricsSnapshot, Registry, TraceId, TraceSink, TraceTree, ROOT_SPAN,
+    Counter, Histogram, MetricsSnapshot, Registry, TraceId, TraceTree, ROOT_SPAN,
 };
 use threatraptor_storage::{AppendOutcome, ShardedStore};
 use threatraptor_sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -57,7 +57,7 @@ use threatraptor_sync::{Arc, Condvar, Mutex, PoisonError};
 /// Construction parameters for a [`HuntServer`].
 #[derive(Debug, Clone, Copy)]
 pub struct ServerConfig {
-    /// The owned ingest layer's configuration (seal policy, CPR).
+    /// The owned ingest layer's configuration (its seal policy).
     pub ingest: IngestConfig,
     /// Ad-hoc hunt worker threads.
     pub workers: usize,
@@ -373,13 +373,14 @@ struct JobObs {
     latency_error: Arc<Histogram>,
     latency_panicked: Arc<Histogram>,
     latency_rejected: Arc<Histogram>,
-    /// `hunt_stage_ns{stage=scan|propagate|join|project}` for job
-    /// executions (the cache adds parse/analyze/compile/synthesize).
-    hunt_trace: TraceSink,
+    /// `hunt_stage_ns{stage=…}` for job executions, one series per
+    /// [`EXEC_STAGES`] entry, in that order (the cache adds
+    /// parse/analyze/compile/synthesize).
+    hunt_stages: [Arc<Histogram>; 5],
 }
 
 impl JobObs {
-    fn new(registry: &Arc<Registry>) -> JobObs {
+    fn new(registry: &Registry) -> JobObs {
         let latency = |status| registry.histogram_labeled("job_latency_ns", &[("status", status)]);
         JobObs {
             submitted: registry.counter("jobs_submitted_total"),
@@ -391,7 +392,8 @@ impl JobObs {
             latency_error: latency("error"),
             latency_panicked: latency("panicked"),
             latency_rejected: latency("rejected"),
-            hunt_trace: TraceSink::new(Arc::clone(registry), "hunt_stage_ns"),
+            hunt_stages: EXEC_STAGES
+                .map(|stage| registry.histogram_labeled("hunt_stage_ns", &[("stage", stage)])),
         }
     }
 
@@ -477,34 +479,49 @@ fn execute_plan(store: &ShardedStore, plan: &CachedPlan) -> Result<HuntResult, S
         .unwrap_or_else(|payload| Err(ServiceError::Worker(panic_text(&*payload))))
 }
 
-/// Lays per-stage child spans under the exec span of a job trace:
-/// one `scan:<pattern>` span per pattern (with rows-scanned and
-/// shard-count attributes) followed by resolve/propagate/join/project. The
-/// stats carry durations, not absolute times, so the spans are placed
-/// back-to-back from the exec span's start — their *widths* are the
-/// measured stage times; any exec time they don't cover (snapshot
-/// resolution, plan-cache lookup) shows as the uncovered tail.
+/// The execution stages of a hunt, in the order a job trace lays them
+/// out. A successful job records one `hunt_stage_ns{stage}` sample per
+/// entry; [`exec_stage_times`] gives the durations in the same order.
+const EXEC_STAGES: [&str; 5] = ["scan", "resolve", "propagate", "join", "project"];
+
+/// The measured wall time of each [`EXEC_STAGES`] entry.
+fn exec_stage_times(stats: &HuntStats) -> [Duration; 5] {
+    [
+        stats.scan_elapsed(),
+        stats.resolve_elapsed,
+        stats.propagate_elapsed,
+        stats.join_elapsed,
+        stats.project_elapsed,
+    ]
+}
+
+/// Lays per-stage child spans under the exec span of a job trace, one
+/// per [`EXEC_STAGES`] entry, except that the scan stage is one
+/// `scan:<pattern>` span per pattern (with rows-scanned and shard-count
+/// attributes). The stats carry durations, not absolute times, so the
+/// spans are placed back-to-back from the exec span's start — their
+/// *widths* are the measured stage times; any exec time they don't
+/// cover (snapshot resolution, plan-cache lookup) shows as the
+/// uncovered tail.
 fn record_stage_spans(trace: &mut TraceTree, exec: usize, stats: &HuntStats) {
     let mut cursor = trace.span_start(exec);
-    for p in &stats.patterns {
-        let span = trace.add_span(
-            exec,
-            &format!("scan:{}", p.pattern),
-            cursor,
-            cursor + p.elapsed,
-        );
-        trace.set_attr(span, "rows", p.total_rows() as i64);
-        trace.set_attr(span, "shards", p.shard_rows.len() as i64);
-        cursor += p.elapsed;
-    }
-    for (name, elapsed) in [
-        ("resolve", stats.resolve_elapsed),
-        ("propagate", stats.propagate_elapsed),
-        ("join", stats.join_elapsed),
-        ("project", stats.project_elapsed),
-    ] {
-        trace.add_span(exec, name, cursor, cursor + elapsed);
-        cursor += elapsed;
+    for (name, elapsed) in EXEC_STAGES.into_iter().zip(exec_stage_times(stats)) {
+        if name != "scan" {
+            trace.add_span(exec, name, cursor, cursor + elapsed);
+            cursor += elapsed;
+            continue;
+        }
+        for p in &stats.patterns {
+            let span = trace.add_span(
+                exec,
+                &format!("scan:{}", p.pattern),
+                cursor,
+                cursor + p.elapsed,
+            );
+            trace.set_attr(span, "rows", p.total_rows() as i64);
+            trace.set_attr(span, "shards", p.shard_rows.len() as i64);
+            cursor += p.elapsed;
+        }
     }
 }
 
@@ -580,11 +597,7 @@ impl HuntServer {
         };
         let job_obs = JobObs::new(ingest.registry());
         HuntServer {
-            pool: WorkerPool::with_metrics(
-                config.workers,
-                config.queue_capacity,
-                ingest.registry(),
-            ),
+            pool: WorkerPool::new(config.workers, config.queue_capacity, ingest.registry()),
             ingest,
             follows,
             shutdown,
@@ -719,7 +732,10 @@ impl HuntServer {
                     let mut matches = 0;
                     if let Ok(result) = &report.outcome {
                         matches = result.matches.len();
-                        result.stats.record_stages(&obs.hunt_trace);
+                        let times = exec_stage_times(&result.stats);
+                        for (hist, elapsed) in obs.hunt_stages.iter().zip(times) {
+                            hist.record_duration(elapsed);
+                        }
                         record_stage_spans(&mut trace, exec_span, &result.stats);
                         trace.set_attr(exec_span, "matches", matches);
                     }
@@ -918,7 +934,7 @@ fn dispatch_loop(
     let epochs = registry.counter("follow_epochs_total");
     let deliveries = registry.counter("follow_deliveries_total");
     let delivery_ns = registry.histogram("follow_delivery_ns");
-    let serve_trace = TraceSink::new(Arc::clone(registry), "serve_stage_ns");
+    let dispatch_ns = registry.histogram_labeled("serve_stage_ns", &[("stage", "epoch_dispatch")]);
     // Start from the epoch captured at *construction*, not from a fresh
     // read on this thread: appends can land before this thread's first
     // instruction, and a fresh read would silently mark them processed.
@@ -946,7 +962,7 @@ fn dispatch_loop(
             processed.store(current, Ordering::Release);
             continue;
         }
-        let dispatch_span = serve_trace.span("epoch_dispatch");
+        let dispatch_start = Instant::now();
         // One snapshot per epoch, shared by every standing query — and
         // with the ad-hoc job workers, through the same cache.
         let snapshot = snapshots.get(ingest);
@@ -984,7 +1000,7 @@ fn dispatch_loop(
             }
         });
         drop(entries);
-        drop(dispatch_span);
+        dispatch_ns.record_duration(dispatch_start.elapsed());
         last = current;
         processed.store(current, Ordering::Release);
     }

@@ -16,7 +16,7 @@
 
 use std::time::Duration;
 use threatraptor::prelude::*;
-use threatraptor::{Registry, FIG2_TBQL};
+use threatraptor::FIG2_TBQL;
 
 fn main() {
     let scenario = ScenarioBuilder::new()
@@ -27,8 +27,7 @@ fn main() {
 
     // ---- 1 + 2: EXPLAIN and EXPLAIN ANALYZE against a sharded store.
     let store = ShardedStore::ingest(&scenario.log, true, 4);
-    let registry = Registry::new();
-    let engine = ShardedEngine::new(&store).with_registry(&registry);
+    let engine = ShardedEngine::new(&store);
 
     println!("==== EXPLAIN ====\n");
     let plan = engine.explain(FIG2_TBQL).expect("valid TBQL");
@@ -39,21 +38,10 @@ fn main() {
     println!("{}", report.render());
     assert!(!result.is_empty(), "the leakage attack must match");
 
-    // The actuals in the report are the same numbers the engine put in
-    // its `engine_rows_scanned_total{pattern,shard}` counters.
-    let snapshot = registry.snapshot();
-    let counted: u64 = snapshot
-        .samples
-        .iter()
-        .filter(|s| s.name == "engine_rows_scanned_total")
-        .filter_map(|s| match s.value {
-            threatraptor::obs::SampleValue::Counter(v) => Some(v),
-            _ => None,
-        })
-        .sum();
-    assert_eq!(counted as usize, report.total_rows_scanned());
+    // The actuals in the report are the execution's own `HuntStats`.
+    assert_eq!(report.total_rows_scanned(), result.stats.total_rows());
     println!(
-        "rows-scanned actuals match the engine counters: {} rows\n",
+        "rows-scanned actuals match the hunt's stats: {} rows\n",
         report.total_rows_scanned()
     );
 

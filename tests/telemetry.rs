@@ -7,8 +7,9 @@
 //!
 //! * non-zero job latency histograms (queue wait / execution /
 //!   end-to-end),
-//! * per-stage hunt spans for the whole lifecycle (parse → compile →
-//!   scan → join → project),
+//! * per-stage hunt timers for the whole lifecycle (parse → compile →
+//!   scan → join → project), each stage recorded once, as a histogram
+//!   and nothing else,
 //! * the job queue depth gauge (drained back to zero),
 //! * follow-delivery latency percentiles for the pushed deltas,
 //!
@@ -100,17 +101,17 @@ fn one_server_run_populates_every_lifecycle_family() {
         "the queue drains once all handles resolved"
     );
 
-    // -- per-stage hunt spans ------------------------------------------
+    // -- per-stage hunt timers -----------------------------------------
     // parse/analyze/compile/synthesize come from the plan cache;
     // resolve/scan/propagate/join/project from job execution. Every stage the
-    // lifecycle passes through must have recorded spans.
+    // lifecycle passes through must have recorded samples.
     for stage in [
         "parse", "analyze", "compile", "resolve", "scan", "join", "project",
     ] {
         let h = snapshot
             .histogram("hunt_stage_ns", &[("stage", stage)])
             .unwrap_or_else(|| panic!("missing hunt_stage_ns{{stage={stage}}}"));
-        assert!(h.count > 0, "stage {stage} must have recorded spans");
+        assert!(h.count > 0, "stage {stage} must have recorded samples");
     }
     // Compilation happened once per distinct query (the cache serves the
     // rest): exactly 2 distinct TBQL texts were planned + 1 follow query
@@ -119,13 +120,36 @@ fn one_server_run_populates_every_lifecycle_family() {
         .histogram("hunt_stage_ns", &[("stage", "compile")])
         .unwrap();
     assert_eq!(compiles.count, 2, "two distinct queries compiled once each");
+    // Every successful job records each execution stage exactly once.
+    let ok_jobs = total.count;
+    for stage in ["resolve", "scan", "propagate", "join", "project"] {
+        let h = snapshot
+            .histogram("hunt_stage_ns", &[("stage", stage)])
+            .unwrap();
+        assert_eq!(h.count, ok_jobs, "{stage}: one sample per successful job");
+    }
+    // One record per measured fact: no counter shadows a stage
+    // histogram's count, and the engine keeps no row counters beside
+    // the `HuntStats` that EXPLAIN ANALYZE and the job trace carry.
+    for sample in &snapshot.samples {
+        assert!(
+            !sample.name.ends_with("_stage_ns_total"),
+            "{} duplicates a stage histogram's count",
+            sample.name
+        );
+        assert!(
+            !sample.name.starts_with("engine_rows_"),
+            "{} duplicates HuntStats",
+            sample.name
+        );
+    }
 
     // -- serving lifecycle ---------------------------------------------
     for stage in ["ingest_append", "snapshot_build", "epoch_dispatch"] {
         let h = snapshot
             .histogram("serve_stage_ns", &[("stage", stage)])
             .unwrap_or_else(|| panic!("missing serve_stage_ns{{stage={stage}}}"));
-        assert!(h.count > 0, "serve stage {stage} must have recorded spans");
+        assert!(h.count > 0, "serve stage {stage} must have samples");
     }
 
     // -- storage counters ----------------------------------------------

@@ -8,8 +8,9 @@
 # EVERYTHING after the first `#[cfg(test)]` line in a file, so any
 # production code below a test module went unlinted. The engine scopes
 # test/mutant exemptions to their actual brace spans and adds
-# lock-order, hold-across-blocking, SeqCst-rationale, and sync-facade
-# rules. See crates/lint/src/rules.rs for the rule catalog (L001-L006).
+# lock-order, hold-across-blocking, SeqCst-rationale, sync-facade,
+# deadline-overflow and registry-lookup-in-a-loop rules. See
+# crates/lint/src/rules.rs for the rule catalog (L001-L007).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
