@@ -1,86 +1,49 @@
-//! EXPLAIN ANALYZE ↔ metrics consistency: the per-pattern × per-shard
-//! rows-scanned actuals a report carries must exactly equal what the
-//! engine's `engine_rows_scanned_total{pattern,shard}` counters
-//! recorded for the same hunt — both are collected from the same
-//! execution, so any drift is a bug in one of the two paths.
+//! Plain EXPLAIN is plan-only: it renders the compiled schedule a hunt
+//! would run, attaches no execution actuals, and leaves the metrics of
+//! the server whose snapshot it plans against exactly as they were.
 
-use std::sync::Arc;
+use std::time::Duration;
 use threatraptor::prelude::*;
-use threatraptor::Registry;
-use threatraptor_engine::ExplainReport;
+use threatraptor_service::HuntServer;
 use threatraptor_tbql::parser::FIG2_TBQL;
 
-const SHARDS: usize = 4;
-
-fn store() -> ShardedStore {
+#[test]
+fn plain_explain_records_no_counters() {
     let scenario = ScenarioBuilder::new()
         .seed(42)
         .attacks(&[AttackKind::DataLeakage])
         .target_events(6_000)
         .build();
-    ShardedStore::ingest(&scenario.log, true, SHARDS)
-}
-
-fn counter(registry: &Registry, pattern: &str, shard: usize) -> u64 {
-    registry
-        .snapshot()
-        .get(
-            "engine_rows_scanned_total",
-            &[("pattern", pattern), ("shard", &shard.to_string())],
-        )
-        .and_then(|s| match s.value {
-            threatraptor::obs::SampleValue::Counter(v) => Some(v),
-            _ => None,
-        })
-        .unwrap_or(0)
-}
-
-fn assert_actuals_match_counters(registry: &Registry, report: &ExplainReport, runs: u64) {
-    let actuals = report.actuals.as_ref().expect("analyze attaches actuals");
-    assert!(!actuals.patterns.is_empty());
-    for p in &actuals.patterns {
-        assert_eq!(p.shard_rows.len(), SHARDS, "pattern {}", p.pattern);
-        for shard in 0..SHARDS {
-            assert_eq!(
-                counter(registry, &p.pattern, shard),
-                runs * p.shard_rows[shard] as u64,
-                "pattern {} shard {shard}: report actuals must equal the \
-                 engine_rows_scanned_total counter",
-                p.pattern
-            );
-        }
+    let server = HuntServer::new(ServerConfig::with_ingest(IngestConfig::with_policy(
+        SealPolicy::events(1_000),
+    )));
+    for chunk in LogFeed::by_events(&scenario.raw, 1_000) {
+        server.append(&chunk.expect("well-formed log"));
     }
-}
+    server.seal();
+    assert!(server.wait_caught_up(Duration::from_secs(60)));
 
-#[test]
-fn explain_analyze_rows_equal_engine_counters() {
-    let store = store();
-    let registry = Arc::new(Registry::new());
-    let engine = ShardedEngine::new(&store).with_registry(&registry);
-
-    let (result, report) = engine.explain_analyze(FIG2_TBQL).expect("valid TBQL");
-    assert!(!result.is_empty(), "the leakage attack must match");
-    assert_actuals_match_counters(&registry, &report, 1);
-
-    // The counters are cumulative across hunts while each report is
-    // per-execution: a second identical run doubles every counter but
-    // reports the same actuals.
-    let (_, again) = engine.explain_analyze(FIG2_TBQL).expect("valid TBQL");
-    assert_actuals_match_counters(&registry, &again, 2);
-
-    // Total attribution is consistent end to end.
-    assert_eq!(report.total_rows_scanned(), result.stats.total_rows());
-}
-
-#[test]
-fn plain_explain_records_no_counters() {
-    let store = store();
-    let registry = Arc::new(Registry::new());
-    let engine = ShardedEngine::new(&store).with_registry(&registry);
+    let store = server.snapshot();
+    let engine = ShardedEngine::new(&store);
+    let before = server.registry().snapshot();
     let report = engine.explain(FIG2_TBQL).expect("valid TBQL");
-    assert!(report.actuals.is_none());
-    assert!(
-        registry.snapshot().samples.is_empty(),
-        "EXPLAIN must not execute the hunt"
+    assert_eq!(
+        server.registry().snapshot(),
+        before,
+        "EXPLAIN must not execute the hunt or record any metric"
     );
+    assert!(report.actuals.is_none());
+    assert!(!report.render().contains("actuals:"));
+
+    // The plan is the one EXPLAIN ANALYZE executes.
+    let (result, analyzed) = engine.explain_analyze(FIG2_TBQL).expect("valid TBQL");
+    assert!(!result.is_empty(), "the leakage attack must match");
+    let plan = |r: &threatraptor_engine::ExplainReport| {
+        r.entries
+            .iter()
+            .map(|e| (e.pattern.clone(), e.score, e.join_key.clone()))
+            .collect::<Vec<_>>()
+    };
+    assert_eq!(plan(&report), plan(&analyzed));
+    assert_eq!(report.shards, analyzed.shards);
 }
