@@ -1,4 +1,4 @@
-//! Checked models of the four riskiest concurrency protocols in the
+//! Checked models of the five riskiest concurrency protocols in the
 //! tree, exercised through the *real* production code (the sync facade
 //! routes every lock, condvar, atomic write, and spawn through the
 //! checker's scheduler when built with
@@ -15,9 +15,14 @@
 //!    polls re-leads the merged run under a new event id).
 //! 4. `PlanCache` LRU — concurrent get-or-compile at capacity keeps
 //!    the cache coherent (right plan returned, capacity respected).
+//! 5. `ResolveMemo` — two threads hunting one plan over an older and a
+//!    newer snapshot of one stream each get exactly a fresh plan's
+//!    result, and the memo ends covering the newer catalog.
 //!
 //! Built without the cfg these run once on real threads — plain
 //! concurrency smoke tests in tier-1.
+
+mod common;
 
 use std::time::Duration;
 
@@ -346,4 +351,14 @@ fn model_plan_cache_concurrent_get_or_compile() {
         );
     });
     finish(&report, 2_500);
+}
+
+/// Model 5: the plan's endpoint memo. Sets are extended outside the
+/// memo's lock and published after; whichever thread publishes first,
+/// no hunt may read a length the sets do not yet cover (see
+/// `common::resolve_memo_model`).
+#[test]
+fn model_resolve_memo_two_snapshots() {
+    let report = common::resolve_memo_model("resolve-memo", 4_000);
+    finish(&report, 100);
 }

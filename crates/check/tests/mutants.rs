@@ -2,15 +2,25 @@
 //!
 //! Built only with BOTH cfgs —
 //! `RUSTFLAGS="--cfg threatraptor_check --cfg check_mutants"` — this
-//! suite reruns the dispatcher fan-out model against the seeded
-//! first-constituent-event-id `MatchKey` (the PR 3 exactly-once
-//! regression, re-introduced in `follow.rs` under `cfg(check_mutants)`)
-//! and asserts exploration finds the duplicate-delivery schedule. A
-//! checker that passes on buggy code is worse than no checker; this is
+//! suite reruns two models against seeded bugs and asserts exploration
+//! finds the failing schedule:
+//!
+//! * the dispatcher fan-out model (model 3) against the seeded
+//!   first-constituent-event-id `MatchKey` (an exactly-once
+//!   regression, re-introduced in `follow.rs` under `cfg(check_mutants)`):
+//!   a duplicate delivery;
+//! * the resolve-memo model (model 5) against a split publication in
+//!   the engine's `ResolveMemo` (`exec.rs`): `covered` advances one
+//!   critical section before the extended sets land, so a hunt between
+//!   the two takes stale sets for current ones.
+//!
+//! A checker that passes on buggy code is worse than no checker; this is
 //! the suite that keeps it honest. (The lock-order mutant in `pool.rs`
 //! is covered by `threatraptor-lint --include-mutants`, not here — it
 //! is a static property.)
 #![cfg(all(threatraptor_check, check_mutants))]
+
+mod common;
 
 use std::time::Duration;
 
@@ -132,6 +142,28 @@ fn dispatcher_model_finds_the_event_id_match_key_bug() {
     );
     assert!(
         violation.message.contains("exactly once"),
+        "wrong violation: {}",
+        violation.message
+    );
+}
+
+/// The resolve-memo model against the seeded split publication: the
+/// hunt over the older snapshot, run between the newer hunt's two
+/// critical sections, reads the oldest snapshot's sets cut to its own
+/// length and misses its newest match.
+#[test]
+fn memo_model_finds_the_split_publication_bug() {
+    let report = common::resolve_memo_model("resolve-memo-mutant", 4_000);
+    let violation = report
+        .violation
+        .as_ref()
+        .expect("the explorer must find the stale-set schedule under the mutant");
+    println!(
+        "mutant found on iteration {} (schedule {:?}): {}",
+        violation.iteration, violation.schedule, violation.message
+    );
+    assert!(
+        violation.message.contains("must equal a fresh plan's"),
         "wrong violation: {}",
         violation.message
     );

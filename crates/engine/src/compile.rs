@@ -19,11 +19,17 @@
 //! pre-resolved to slot indices. The executor's partial matches are flat
 //! tuples indexed by these slots (the crate's `join` module); names only reappear
 //! when a delivered [`Match`](crate::Match) is materialized.
+//!
+//! A compiled query also carries its [`ResolveMemo`]: each variable's
+//! resolved entity ids, filled by the first execution that needs them
+//! and shared by every clone of the plan (see [`crate::exec`]).
 
 use crate::error::EngineError;
+use crate::exec::ResolveMemo;
 use crate::filter::EntityFilter;
 use threatraptor_audit::entity::EntityKind;
 use threatraptor_audit::event::Operation;
+use threatraptor_sync::Arc;
 use threatraptor_tbql::analyze::AnalyzedQuery;
 use threatraptor_tbql::ast::{EntityType, Pattern, TimeWindow};
 use threatraptor_tbql::lint::{lint, LintReport};
@@ -77,15 +83,15 @@ pub enum CompiledShape {
     },
 }
 
-/// A fully compiled query.
+/// A fully compiled query. Clones share one [`ResolveMemo`].
 #[derive(Debug, Clone)]
 pub struct CompiledQuery {
     /// Patterns in declaration order.
     pub patterns: Vec<CompiledPattern>,
-    /// Per variable slot, its entity filter: the kind of entity it binds
-    /// and its filters merged across mentions, parallel to
-    /// [`CompiledQuery::vars`].
-    pub var_filters: Vec<EntityFilter>,
+    /// Per variable slot, its entity filter (read it through
+    /// [`CompiledQuery::var_filters`]): crate-private, so no caller can
+    /// change a filter under a filled memo.
+    pub(crate) var_filters: Vec<EntityFilter>,
     /// Temporal `before` pairs (pattern ids).
     pub before: Vec<(String, String)>,
     /// Return projection `(var, attr)`.
@@ -99,6 +105,8 @@ pub struct CompiledQuery {
     pub return_slots: Vec<usize>,
     /// Distinct projection.
     pub distinct: bool,
+    /// Each variable's resolved ids, shared by every clone.
+    memo: Arc<ResolveMemo>,
 }
 
 /// Stored entity kind of a TBQL entity type.
@@ -228,6 +236,7 @@ fn compile_feasible(aq: &AnalyzedQuery, report: &LintReport) -> Result<CompiledQ
         before_slots,
         return_slots,
         distinct: aq.distinct,
+        memo: Arc::default(),
     })
 }
 
@@ -238,6 +247,18 @@ impl CompiledQuery {
             .iter()
             .map(|(var, attr)| format!("{var}.{attr}"))
             .collect()
+    }
+
+    /// Per variable slot, its entity filter: the kind of entity it binds
+    /// and its filters merged across mentions, parallel to
+    /// [`CompiledQuery::vars`].
+    pub fn var_filters(&self) -> &[EntityFilter] {
+        &self.var_filters
+    }
+
+    /// The plan's endpoint memo, shared by every clone of this query.
+    pub fn memo(&self) -> &ResolveMemo {
+        &self.memo
     }
 }
 

@@ -19,10 +19,10 @@
 //! bound patterns), no future row can join it and [`DeltaState::age`]
 //! drops it.
 //!
-//! Endpoint resolution is memoized. The catalog is append-only and
-//! entities never change, so each variable's satisfying ids are kept
-//! with the catalog length they cover and extended over new entities
-//! only; a bound endpoint is their intersection with the propagated ids.
+//! Endpoint resolution is memoized on the plan, not here: a poll
+//! resolves through the compiled query's [`ResolveMemo`], which every
+//! hunt and poll of the plan shares and which extends each variable's
+//! ids over the entities appended since its last use only.
 //!
 //! Path patterns take part like event patterns: a path row is fresh
 //! when any hop is, so a row mixing stable and fresh hops is found by
@@ -30,16 +30,14 @@
 //! the whole store and filters by hop position.
 //!
 //! [`StreamFrontier`]: threatraptor_storage::StreamFrontier
+//! [`ResolveMemo`]: crate::exec::ResolveMemo
 
 use crate::compile::CompiledQuery;
-use crate::exec::{resolve_from, run_schedule};
-use crate::idset::IdSet;
+use crate::exec::run_schedule;
 use crate::join::{JoinStep, Schedule, Tuples};
 use crate::result::HuntResult;
 use crate::sharded::ShardedEngine;
-use std::borrow::Cow;
 use std::time::Instant;
-use threatraptor_storage::catalog::EntityCatalog;
 
 /// Latest start time a future row of the pattern joined at `next` could
 /// have and still join tuple `i` of `partial`: the pattern's effective
@@ -60,64 +58,9 @@ fn completion_deadline(cq: &CompiledQuery, next: &JoinStep, partial: &Tuples, i:
     deadline
 }
 
-/// Per query variable (by slot), the ids of the catalog's entities of the
-/// variable's kind that satisfy its filter, covering the catalog's
-/// first `covered` entities. The catalog is append-only and entities
-/// never change, so a poll only evaluates the entities appended since the
-/// previous one.
-#[derive(Debug, Clone)]
-struct EndpointMemo {
-    sets: Vec<IdSet>,
-    covered: usize,
-}
-
-impl EndpointMemo {
-    fn new(vars: usize) -> EndpointMemo {
-        EndpointMemo {
-            sets: vec![IdSet::default(); vars],
-            covered: 0,
-        }
-    }
-
-    fn clear(&mut self) {
-        self.sets.fill(IdSet::default());
-        self.covered = 0;
-    }
-
-    /// Extends every set over the entities `catalog` holds beyond the
-    /// covered length (starting over when the catalog is shorter: it is
-    /// not the one memoized). Returns the entity rows examined, summed
-    /// over the variables.
-    fn extend(&mut self, cq: &CompiledQuery, catalog: &EntityCatalog) -> usize {
-        if catalog.len() < self.covered {
-            self.clear();
-        }
-        let from = self.covered;
-        self.covered = catalog.len();
-        if from == self.covered {
-            return 0;
-        }
-        self.sets
-            .iter_mut()
-            .zip(&cq.var_filters)
-            .map(|(set, filter)| resolve_from(catalog, filter, from, set))
-            .sum()
-    }
-
-    /// The id set of variable `slot`: the memo itself when unbound, its
-    /// intersection with the propagated ids otherwise.
-    fn resolve(&self, slot: usize, bound: Option<&IdSet>) -> Cow<'_, IdSet> {
-        match bound {
-            None => Cow::Borrowed(&self.sets[slot]),
-            Some(ids) => Cow::Owned(ids.intersection(&self.sets[slot])),
-        }
-    }
-}
-
 /// The retained state of one standing query's incremental evaluation:
-/// the pinned schedule, the stable frontier the partials cover, the
-/// per-prefix partial bindings themselves, and the memoized endpoint
-/// resolution.
+/// the pinned schedule, the stable frontier the partials cover and the
+/// per-prefix partial bindings themselves.
 #[derive(Debug, Clone)]
 pub struct DeltaState {
     /// The execution schedule — the same one the full executor derives,
@@ -132,8 +75,6 @@ pub struct DeltaState {
     /// Global event-position bound of the stable prefix: every position
     /// below it is sealed in every snapshot this state has polled.
     stable_events: usize,
-    /// Each variable's resolved entities, extended poll by poll.
-    memo: EndpointMemo,
 }
 
 impl DeltaState {
@@ -146,7 +87,6 @@ impl DeltaState {
             schedule,
             partials,
             stable_events: 0,
-            memo: EndpointMemo::new(cq.vars.len()),
         }
     }
 
@@ -162,14 +102,15 @@ impl DeltaState {
 
     /// Discards all retained state (plan or snapshot discontinuity).
     /// The next poll scans from position zero — a full re-execution
-    /// through the same code path — and rebuilds the partials and the
-    /// endpoint memo.
+    /// through the same code path — and rebuilds the partials. Endpoint
+    /// resolution is not reset: it lives on the plan, keyed by the
+    /// catalog's lineage, so it stays valid for whatever store the next
+    /// poll reads.
     pub fn invalidate(&mut self) {
         for p in &mut self.partials {
             p.clear();
         }
         self.stable_events = 0;
-        self.memo.clear();
     }
 
     /// Drops every partial whose feasible completion deadline lies
@@ -203,14 +144,11 @@ impl DeltaState {
         stable_to: usize,
     ) -> HuntResult {
         let t0 = Instant::now();
-        let entity_rows = self.memo.extend(cq, engine.store().catalog());
-        let extended = t0.elapsed();
         let carried_partials = self.retained();
-        let memo = &self.memo;
         let (delta, stable, mut stats) = run_schedule(
             cq,
             &self.schedule,
-            &|slot, bound| memo.resolve(slot, bound),
+            engine.store().catalog(),
             &mut |pat, subjects, objects, min_pos| {
                 engine.fetch_pattern(pat, subjects, objects, min_pos)
             },
@@ -230,10 +168,8 @@ impl DeltaState {
         order.sort_by(|&a, &b| delta.cmp_by_witness(&self.schedule, a, b));
         let matches = delta.select(order).to_matches(cq, &self.schedule.layout);
         stats.join_elapsed += t_join.elapsed();
-        stats.resolve_elapsed += extended;
         if let Some(d) = &mut stats.delta {
             d.carried_partials = carried_partials;
-            d.entity_rows = entity_rows;
             d.retained_partials = self.retained();
         }
         stats.elapsed = t0.elapsed();
@@ -408,8 +344,11 @@ mod tests {
         assert_eq!(st2.retained(), kept);
     }
 
-    /// A poll after an append that brought no new entity evaluates no
-    /// entity row: the memo already covers the whole catalog.
+    /// A poll after an append that brought no new entity evaluates only
+    /// the variables it reaches for the first time, each over every
+    /// entity of its kind once: the plan's memo already covers the whole
+    /// catalog. Invalidation keeps the memo, so a from-zero re-poll
+    /// evaluates none.
     #[test]
     fn polls_without_new_entities_resolve_no_entity_rows() {
         let sc = ScenarioBuilder::new().seed(5).target_events(2_000).build();
@@ -423,22 +362,30 @@ mod tests {
             let snapshot = store.snapshot();
             let engine = ShardedEngine::new(&snapshot);
             let out = state.poll(&engine, &cq, snapshot.frontier().unwrap().sealed_events);
-            assert_eq!(state.memo.covered, snapshot.catalog().len());
-            polls.push(out.stats.delta.unwrap().entity_rows);
+            assert_eq!(cq.memo().covered(), snapshot.catalog().len());
+            polls.push(out.stats.entity_rows);
         }
+        // Filling variable `v` evaluates every entity of its kind.
+        let of_kind = |v: usize| {
+            let kind = cq.var_filters[v].kind;
+            sc.log.entities.iter().filter(|e| e.kind() == kind).count()
+        };
+        let smallest = (0..cq.vars.len()).map(of_kind).min().unwrap();
+        assert!(polls[0] >= smallest, "the first poll fills its variables");
+        let every_variable: usize = (0..cq.vars.len()).map(of_kind).sum();
+        let total: usize = polls.iter().sum();
         assert!(
-            polls[0] >= sc.log.entities.len(),
-            "the first poll resolves every entity"
+            total <= every_variable,
+            "no entity is evaluated twice for one variable: {polls:?}"
         );
-        assert!(polls[1..].iter().all(|&rows| rows == 0), "{polls:?}");
+        assert_eq!(polls.last(), Some(&0), "{polls:?}");
 
-        // Invalidation clears the memo: the next poll resolves afresh.
+        // Invalidation drops the partials, not the plan's memo.
         state.invalidate();
-        assert_eq!(state.memo.covered, 0);
         let snapshot = store.snapshot();
         let engine = ShardedEngine::new(&snapshot);
         let out = state.poll(&engine, &cq, snapshot.frontier().unwrap().sealed_events);
-        assert_eq!(out.stats.delta.unwrap().entity_rows, polls[0]);
+        assert_eq!(out.stats.entity_rows, 0);
     }
 
     /// The resolve timer measures the first poll's full resolution and
@@ -468,20 +415,25 @@ mod tests {
         assert!(steady < first, "steady {steady:?} vs first {first:?}");
     }
 
-    /// Endpoint memo vs from-scratch resolution: entity batches of random
-    /// sizes grow a catalog through `EntityCatalog::extend` (so trailing
-    /// generations fold), and after each batch the extended memo equals
-    /// `resolve_ids` over the whole catalog, unbound and bound, for
-    /// `LIKE`, `=`, disjunctions and no filter over all three entity
-    /// kinds.
+    /// The plan's memo vs from-scratch resolution: entity batches of
+    /// random sizes grow a catalog through `EntityCatalog::extend` (so
+    /// trailing generations fold), and one plan resolves over every
+    /// snapshot in order, then over the held snapshots in reverse
+    /// (shorter catalogs of the lineage), then over another lineage of
+    /// the same length with different entities, then over the longest
+    /// catalog again. Every answer, unbound and bound (bound first or
+    /// after the slot filled), equals a naive filter over that
+    /// snapshot's entities, for `LIKE`, `=`, disjunctions and no filter
+    /// over all three entity kinds.
     mod memo {
         use super::*;
-        use crate::exec::resolve_ids;
+        use crate::idset::IdSet;
         use proptest::prelude::*;
         use threatraptor_audit::entity::{
             Entity, EntityId, FileEntity, NetworkEntity, ProcessEntity,
         };
         use threatraptor_storage::catalog::EntityCatalog;
+        use threatraptor_sync::Arc;
 
         const QUERIES: [&str; 3] = [
             r#"proc p["%tool1%"] read file f["/data/dir1/file2"] as e1
@@ -517,12 +469,29 @@ mod tests {
             }
         }
 
+        /// The ids of `catalog`'s entities `filter` matches, among `bound`
+        /// when given: one pass over the entities, no memo.
+        fn from_scratch(
+            catalog: &EntityCatalog,
+            cq: &CompiledQuery,
+            slot: usize,
+            bound: Option<&IdSet>,
+        ) -> IdSet {
+            catalog
+                .iter()
+                .filter(|e| cq.var_filters[slot].matches(e))
+                .map(Entity::id)
+                .filter(|&id| bound.is_none_or(|b| b.contains(id)))
+                .collect()
+        }
+
         proptest! {
             #[test]
             fn extended_memo_equals_from_scratch_resolution(
                 spec in prop::collection::vec((0u8..3, any::<u8>()), 1..160),
                 sizes in prop::collection::vec(0usize..24, 1..16),
                 bound_mask in any::<u64>(),
+                order_mask in any::<u64>(),
             ) {
                 let all: Vec<Entity> = spec
                     .iter()
@@ -530,8 +499,6 @@ mod tests {
                     .map(|(id, &(kind, attr))| entity(id, kind, attr))
                     .collect();
                 let cqs: Vec<CompiledQuery> = QUERIES.iter().map(|q| compiled(q)).collect();
-                let mut memos: Vec<EndpointMemo> =
-                    cqs.iter().map(|cq| EndpointMemo::new(cq.vars.len())).collect();
                 let mut catalog = EntityCatalog::new();
                 let mut held = Vec::new();
                 let mut next = 0;
@@ -542,47 +509,52 @@ mod tests {
                     let end = (next + size).min(all.len());
                     catalog.extend(&all[next..end]);
                     held.push(catalog.clone());
-                    let examined: Vec<usize> = cqs
-                        .iter()
-                        .zip(&mut memos)
-                        .map(|(cq, memo)| memo.extend(cq, &catalog))
-                        .collect();
-                    if next == end {
-                        prop_assert!(examined.iter().all(|&n| n == 0));
-                    }
                     next = end;
+                }
+                // Another lineage of the same length: every attribute
+                // shifted, so the filters answer differently.
+                let shifted: Vec<Entity> = spec
+                    .iter()
+                    .enumerate()
+                    .map(|(id, &(kind, attr))| entity(id, kind, attr.wrapping_add(1)))
+                    .collect();
+                let other = EntityCatalog::from_entities(&shifted);
+
+                let visits = held
+                    .iter()
+                    .chain(held.iter().rev())
+                    .chain([&other, &catalog, &catalog]);
+                let mut longest = 0;
+                for (k, snapshot) in visits.enumerate() {
+                    let len = snapshot.len();
                     // Bound ids: a pseudo-random subset of every id so far.
-                    let bound: IdSet = (0..catalog.len())
-                        .filter(|i| bound_mask.rotate_left(*i as u32 % 64) & 1 == 1)
+                    let bound: IdSet = (0..len)
+                        .filter(|i| bound_mask.rotate_left((*i + k) as u32 % 64) & 1 == 1)
                         .map(|i| EntityId(i as u32))
                         .collect();
-                    for (cq, memo) in cqs.iter().zip(&memos) {
-                        prop_assert_eq!(memo.covered, catalog.len());
-                        for (slot, filter) in cq.var_filters.iter().enumerate() {
+                    let same_lineage = Arc::ptr_eq(snapshot.lineage(), catalog.lineage());
+                    longest = if same_lineage && k < 2 * held.len() { longest.max(len) } else { len };
+                    let mut examined = 0;
+                    for cq in &cqs {
+                        for slot in 0..cq.vars.len() {
                             let var = &cq.vars[slot];
-                            prop_assert_eq!(
-                                memo.resolve(slot, None).into_owned(),
-                                resolve_ids(&catalog, filter, None),
-                                "{} unbound", var
-                            );
-                            prop_assert_eq!(
-                                memo.resolve(slot, Some(&bound)).into_owned(),
-                                resolve_ids(&catalog, filter, Some(&bound)),
-                                "{} bound", var
-                            );
+                            let unbound_first = order_mask.rotate_left((slot + k) as u32 % 64) & 1 == 1;
+                            for bind in [!unbound_first, unbound_first] {
+                                let bound = bind.then_some(&bound);
+                                let (ids, rows) = cq.memo().resolve(snapshot, &cq.var_filters, slot, bound);
+                                examined += rows;
+                                prop_assert_eq!(
+                                    &*ids,
+                                    &from_scratch(snapshot, cq, slot, bound),
+                                    "{} bound {} on visit {}", var, bind, k
+                                );
+                            }
                         }
+                        prop_assert_eq!(cq.memo().covered(), longest, "visit {}", k);
                     }
-                }
-                // A shorter catalog is not the one memoized: start over.
-                let first = &held[0];
-                for (cq, memo) in cqs.iter().zip(&mut memos) {
-                    memo.extend(cq, first);
-                    prop_assert_eq!(memo.covered, first.len());
-                    for (slot, filter) in cq.var_filters.iter().enumerate() {
-                        prop_assert_eq!(
-                            memo.resolve(slot, None).into_owned(),
-                            resolve_ids(first, filter, None)
-                        );
+                    // Revisiting the longest catalog evaluates nothing.
+                    if k == 2 * held.len() + 2 {
+                        prop_assert_eq!(examined, 0);
                     }
                 }
             }

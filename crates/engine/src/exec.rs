@@ -2,11 +2,16 @@
 //! assembly.
 //!
 //! One pattern's data query runs in two halves. **Resolve**: each
-//! endpoint variable's typed filter ([`EntityFilter`]) is evaluated once
-//! on the entity catalog's entities — every entity of the variable's
-//! kind, walked through the catalog's per-kind positions, or only the
-//! ids earlier patterns bound when propagation applies, each read at
-//! `id − base` — into a dense id set. **Scan**: an event pattern searches
+//! endpoint variable's typed filter ([`EntityFilter`]) becomes a dense id
+//! set through the plan's [`ResolveMemo`], the one resolver of full hunts
+//! and standing-query polls alike. An unbound variable's set is evaluated
+//! once per plan and catalog lineage, over every entity of the variable's
+//! kind (walked through the catalog's per-kind positions), and afterwards
+//! only extended over the entities appended since; a variable earlier
+//! patterns bound gets that set intersected with the propagated ids, or,
+//! while no execution has filled it, only the bound ids evaluated (each
+//! read at `id − base`). A hot plan on a sealed store thus evaluates no
+//! filter after its first run. **Scan**: an event pattern searches
 //! each shard's event postings with those sets, picking the cheapest of
 //! the subject, object and operation postings by their sizes
 //! (`scan_events`); a path pattern expands hop by hop over the subject
@@ -26,16 +31,16 @@ use crate::idset::IdSet;
 use crate::join::{join_rows, propagate, Bound, PatternRow, Schedule, Tuples, Witness};
 use crate::result::{DeltaStats, HuntResult, HuntStats, JoinStats, Match, PatternStats};
 use crate::sharded::ShardedEngine;
-use std::borrow::Cow;
 use std::collections::{HashMap, HashSet};
 use std::ops::Deref;
 use std::time::Instant;
 use threatraptor_audit::entity::EntityId;
 use threatraptor_audit::event::{Event, Operation};
-use threatraptor_storage::catalog::EntityCatalog;
+use threatraptor_storage::catalog::{EntityCatalog, Lineage};
 use threatraptor_storage::postings::EventPostings;
 use threatraptor_storage::sharded::ShardedStore;
 use threatraptor_storage::store::EventShard;
+use threatraptor_sync::{Arc, Mutex, MutexGuard, PoisonError, Weak};
 use threatraptor_tbql::analyze::analyze;
 use threatraptor_tbql::ast::{Query, TimeWindow};
 use threatraptor_tbql::parser::parse_query;
@@ -170,39 +175,201 @@ pub(crate) fn scan_events(
     out
 }
 
-/// Ids of the entities `filter` matches that, when earlier patterns
-/// already bound the variable, lie among those ids: the union over the
-/// catalog's generations. With `bound` ids only their entities are
-/// examined (each id in the generation owning its range, at `id − base`);
-/// otherwise every entity of the filter's kind is.
-pub(crate) fn resolve_ids(
-    catalog: &EntityCatalog,
-    filter: &EntityFilter,
-    bound: Option<&IdSet>,
-) -> IdSet {
+/// Each variable's resolved entity ids, memoized on a compiled plan and
+/// shared by its clones (every job, standing query and staged hunt of a
+/// cached plan), so that one plan resolves once per catalog lineage.
+///
+/// It holds one optional set per variable slot; every set holds exactly
+/// the ids its filter matches among the first `covered` entities of one
+/// catalog [`Lineage`]. Catalogs of a lineage agree on every id they
+/// share and entities never change, so the sets serve any catalog of
+/// that lineage: cut to a shorter one, extended over the new entities
+/// of a longer one. Another lineage starts the memo over.
+///
+/// The lock is never held across a scan. Sets are extended copy-on-write
+/// outside it, then published: a longer extension replaces the state,
+/// one of the same length only fills the slots still empty, and a stale
+/// one is dropped. `covered` and the sets change in one critical
+/// section, so no reader sees a length its sets do not cover.
+#[derive(Debug, Default)]
+pub struct ResolveMemo {
+    state: Mutex<MemoState>,
+}
+
+#[derive(Debug, Default)]
+struct MemoState {
+    /// The lineage the sets belong to (`Weak::new()` before first use).
+    lineage: Weak<Lineage>,
+    /// Catalog length every filled set covers.
+    covered: usize,
+    /// Per variable slot, its set once an unbound resolution filled it.
+    sets: Vec<Option<Arc<IdSet>>>,
+}
+
+impl MemoState {
+    fn holds(&self, catalog: &EntityCatalog) -> bool {
+        std::ptr::eq(self.lineage.as_ptr(), Arc::as_ptr(catalog.lineage()))
+    }
+}
+
+impl ResolveMemo {
+    /// No update of the state can panic half way, so a poisoned lock
+    /// still guards a valid state.
+    fn lock(&self) -> MutexGuard<'_, MemoState> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Catalog length the memo's sets cover (0 before first use).
+    pub fn covered(&self) -> usize {
+        self.lock().covered
+    }
+
+    /// Heap bytes of the filled sets and the slot table.
+    pub fn heap_bytes(&self) -> usize {
+        let state = self.lock();
+        state.sets.capacity() * std::mem::size_of::<Option<Arc<IdSet>>>()
+            + state
+                .sets
+                .iter()
+                .flatten()
+                .map(|set| std::mem::size_of::<IdSet>() + set.heap_bytes())
+                .sum::<usize>()
+    }
+
+    /// Variable `slot`'s ids over `catalog`, whose filters are `filters`,
+    /// narrowed to `bound` when earlier patterns bound it, and the entity
+    /// rows this call evaluated — the one resolver of the executor:
+    ///
+    /// * another lineage: start over;
+    /// * a longer catalog: extend every filled set over the new ids only;
+    /// * unbound: fill the slot on first use, then share its set;
+    /// * bound and filled: `bound ∩ set`;
+    /// * bound and not filled: evaluate only the bound ids, fill nothing
+    ///   (a plan that never reaches the variable unbound pays nothing
+    ///   for it);
+    /// * a shorter catalog of the lineage (a job on an older snapshot):
+    ///   the set cut to its length, which is exactly its answer.
+    pub(crate) fn resolve(
+        &self,
+        catalog: &EntityCatalog,
+        filters: &[EntityFilter],
+        slot: usize,
+        bound: Option<&IdSet>,
+    ) -> (Arc<IdSet>, usize) {
+        let len = catalog.len();
+        let mut rows = 0;
+        let (covered, set) = {
+            let mut state = self.lock();
+            if !state.holds(catalog) {
+                *state = MemoState {
+                    lineage: Arc::downgrade(catalog.lineage()),
+                    covered: len,
+                    sets: vec![None; filters.len()],
+                };
+            }
+            if state.covered < len {
+                let (from, mut sets) = (state.covered, state.sets.clone());
+                drop(state);
+                for (set, filter) in sets.iter_mut().zip(filters) {
+                    if let Some(set) = set {
+                        rows += resolve_from(catalog, filter, from, Arc::make_mut(set));
+                    }
+                }
+                let set = sets[slot].clone();
+                self.publish(catalog, sets);
+                (len, set)
+            } else {
+                (state.covered, state.sets[slot].clone())
+            }
+        };
+        let ids = match (set, bound) {
+            (Some(set), None) if covered == len => set,
+            (Some(set), None) => Arc::new(set.below(len)),
+            (Some(set), Some(bound)) if covered == len => Arc::new(bound.intersection(&set)),
+            (Some(set), Some(bound)) => Arc::new(bound.intersection(&set).below(len)),
+            (None, Some(bound)) => {
+                let (ids, examined) = resolve_bound(catalog, &filters[slot], bound);
+                rows += examined;
+                Arc::new(ids)
+            }
+            (None, None) => {
+                let mut ids = IdSet::default();
+                rows += resolve_from(catalog, &filters[slot], 0, &mut ids);
+                let ids = Arc::new(ids);
+                if covered == len {
+                    let mut sets = vec![None; filters.len()];
+                    sets[slot] = Some(Arc::clone(&ids));
+                    self.publish(catalog, sets);
+                }
+                ids
+            }
+        };
+        (ids, rows)
+    }
+
+    /// Publishes `sets`, each covering all of `catalog`: they replace a
+    /// state of its lineage that covers less, fill the empty slots of one
+    /// that covers as much, and are dropped otherwise.
+    fn publish(&self, catalog: &EntityCatalog, sets: Vec<Option<Arc<IdSet>>>) {
+        let len = catalog.len();
+        let mut state = self.lock();
+        if !state.holds(catalog) || state.covered > len {
+            return;
+        }
+        if state.covered == len {
+            for (held, new) in state.sets.iter_mut().zip(sets) {
+                if held.is_none() {
+                    *held = new;
+                }
+            }
+            return;
+        }
+        #[cfg(check_mutants)]
+        let mut state = self.split_publication(state, len);
+        state.covered = len;
+        state.sets = sets;
+    }
+
+    /// Seeded bug for the interleaving checker: `covered` advances in one
+    /// critical section and the sets land in the next, so a reader
+    /// between them takes stale sets for current ones.
+    #[cfg(check_mutants)]
+    fn split_publication<'a>(
+        &'a self,
+        mut state: MutexGuard<'a, MemoState>,
+        len: usize,
+    ) -> MutexGuard<'a, MemoState> {
+        state.covered = len;
+        drop(state);
+        self.lock()
+    }
+}
+
+/// The bound ids whose entities `filter` matches, and the number
+/// examined: each id read in the generation owning its range, at
+/// `id − base`.
+fn resolve_bound(catalog: &EntityCatalog, filter: &EntityFilter, bound: &IdSet) -> (IdSet, usize) {
     let mut out = IdSet::default();
-    let Some(bound) = bound else {
-        resolve_from(catalog, filter, 0, &mut out);
-        return out;
-    };
+    let mut examined = 0;
     // Ascending ids meet ascending id ranges: one pass over both.
     let mut ids = bound.iter().peekable();
     for generation in catalog.generations() {
         let entities = generation.entities();
         while let Some(id) = ids.next_if(|id| id.index() < generation.end()) {
+            examined += 1;
             if filter.matches(&entities[id.index() - generation.base()]) {
                 out.insert(id);
             }
         }
     }
-    out
+    (out, examined)
 }
 
 /// Adds to `out` the ids `≥ from` of the catalog's entities that `filter`
 /// matches, and returns the number of entities of its kind in that range
 /// (the entity rows examined). `from = 0` resolves the whole catalog; the
-/// delta executor passes the length its memoized sets already cover, so a
-/// poll evaluates only the entities appended since the last one.
+/// memo passes the length its sets already cover, so an execution on a
+/// grown catalog evaluates only the entities appended since.
 ///
 /// Each generation lists the positions of its entities of a kind in
 /// ascending order, so a partition point finds the first one in range.
@@ -245,8 +412,9 @@ pub(crate) type PatternFetch<'a> =
 /// Δᵢ = (Pᵢ₋₁ ⋈ freshᵢ) ∪ (Δᵢ₋₁ ⋈ fullᵢ)
 /// ```
 ///
-/// `resolve(slot, bound)` is variable `slot`'s id set, narrowed to the
-/// propagated `bound` ids. `retained` is a standing query's `(partials, fresh_from, stable_to)`:
+/// Each endpoint resolves through the plan's memo over `catalog`
+/// ([`ResolveMemo::resolve`]), narrowed to the propagated ids.
+/// `retained` is a standing query's `(partials, fresh_from, stable_to)`:
 /// `Pᵢ` = `partials[i]` are the retained joins of the schedule prefix
 /// `0..=i` whose witnesses all lie below `fresh_from`, `freshᵢ` scans
 /// positions from `fresh_from` on and `fullᵢ` scans everything. The two
@@ -261,12 +429,12 @@ pub(crate) type PatternFetch<'a> =
 /// Returns the final Δ (in join order, not projected), the combinations
 /// each proper prefix produced whose witnesses all lie below `stable_to`
 /// (empty for a full hunt), and the per-pattern stats. Events only enter
-/// through `fetch` and entities through `resolve`, so the executor, the
+/// through `fetch` and entities through the memo, so the executor, the
 /// delta executor and the baselines share this loop verbatim.
-pub(crate) fn run_schedule<'r>(
+pub(crate) fn run_schedule(
     cq: &CompiledQuery,
     schedule: &Schedule,
-    resolve: &dyn Fn(usize, Option<&IdSet>) -> Cow<'r, IdSet>,
+    catalog: &EntityCatalog,
     fetch: &mut PatternFetch<'_>,
     retained: Option<(&[Tuples], usize, usize)>,
 ) -> (Tuples, Vec<Tuples>, HuntStats) {
@@ -293,9 +461,13 @@ pub(crate) fn run_schedule<'r>(
                 stats.propagate_elapsed += t.elapsed();
             }
             let t = Instant::now();
-            let subjects = resolve(pat.subject_slot, bound[0].as_ref());
-            let objects = resolve(pat.object_slot, bound[1].as_ref());
+            let (memo, filters) = (cq.memo(), &cq.var_filters);
+            let (subjects, subject_rows) =
+                memo.resolve(catalog, filters, pat.subject_slot, bound[0].as_ref());
+            let (objects, object_rows) =
+                memo.resolve(catalog, filters, pat.object_slot, bound[1].as_ref());
             stats.resolve_elapsed += t.elapsed();
+            stats.entity_rows += subject_rows + object_rows;
             let t = Instant::now();
             let (rows, shard_rows, rows_pruned) = fetch(pat, &subjects, &objects, min_pos);
             let candidates = partial.map_or(rows.len(), |p| p.len() * rows.len());
@@ -350,7 +522,7 @@ pub(crate) fn run_schedule<'r>(
 }
 
 /// A full hunt: the stage loop with nothing retained, each variable
-/// resolved against `catalog`, then the matches projected through
+/// resolved over `catalog`, then the matches projected through
 /// `entity_attr`.
 pub(crate) fn run_hunt(
     cq: &CompiledQuery,
@@ -360,10 +532,7 @@ pub(crate) fn run_hunt(
     entity_attr: &dyn Fn(EntityId, &str) -> Option<String>,
 ) -> HuntResult {
     let t0 = Instant::now();
-    let resolve = |slot: usize, bound: Option<&IdSet>| {
-        Cow::Owned(resolve_ids(catalog, &cq.var_filters[slot], bound))
-    };
-    let (tuples, _, mut stats) = run_schedule(cq, schedule, &resolve, fetch, None);
+    let (tuples, _, mut stats) = run_schedule(cq, schedule, catalog, fetch, None);
     let t = Instant::now();
     let (columns, rows) = project_tuples(cq, &tuples, entity_attr);
     stats.project_elapsed = t.elapsed();
@@ -779,6 +948,31 @@ mod tests {
         let (_, rows) = project(&cq, ids.len(), &id_at, &attr);
         assert_eq!(rows.len(), 5);
         assert_eq!(rows[0], ["/bin/cat", "/f11"]);
+    }
+
+    /// A hot plan on a sealed store resolves once: the second execution
+    /// of one compiled query, and any clone of it, evaluates no entity
+    /// row and returns the same matches and rows; a freshly compiled copy
+    /// pays the full count again.
+    #[test]
+    fn a_plan_resolves_once_per_store() {
+        let store = store();
+        let engine = ShardedEngine::new(&store);
+        let compiled = || compile(&analyze(&parse_query(FIG2_TBQL).unwrap()).unwrap()).unwrap();
+        let cq = compiled();
+        let cold = engine.execute(&cq, ExecMode::Scheduled).unwrap();
+        assert!(cold.stats.entity_rows > 0);
+        assert!(!cold.matches.is_empty());
+        let hot = engine.execute(&cq, ExecMode::Scheduled).unwrap();
+        assert_eq!(hot.stats.entity_rows, 0);
+        assert_eq!(hot.matches, cold.matches);
+        assert_eq!(hot.rows, cold.rows);
+        let clone = engine.execute(&cq.clone(), ExecMode::Scheduled).unwrap();
+        assert_eq!(clone.stats.entity_rows, 0);
+        assert_eq!(clone.matches, cold.matches);
+        let fresh = engine.execute(&compiled(), ExecMode::Scheduled).unwrap();
+        assert_eq!(fresh.stats.entity_rows, cold.stats.entity_rows);
+        assert_eq!(fresh.rows, cold.rows);
     }
 
     #[test]

@@ -142,11 +142,10 @@ impl ExplainReport {
             if let Some(d) = &stats.delta {
                 writeln!(
                     out,
-                    "  delta: fresh-from={} fresh-rows={} carry-rows={} entity-rows={} partials {}→{}",
+                    "  delta: fresh-from={} fresh-rows={} carry-rows={} partials {}→{}",
                     d.fresh_from,
                     d.fresh_rows,
                     d.carry_rows,
-                    d.entity_rows,
                     d.carried_partials,
                     d.retained_partials
                 )
@@ -190,8 +189,9 @@ impl ExplainReport {
             }
             writeln!(
                 out,
-                "stages: resolve={:.3?} scan={:.3?} propagate={:.3?} join={:.3?} project={:.3?} total={:.3?}",
+                "stages: resolve={:.3?} entity-rows={} scan={:.3?} propagate={:.3?} join={:.3?} project={:.3?} total={:.3?}",
                 stats.resolve_elapsed,
+                stats.entity_rows,
                 stats.scan_elapsed(),
                 stats.propagate_elapsed,
                 stats.join_elapsed,

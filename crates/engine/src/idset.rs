@@ -64,6 +64,25 @@ impl IdSet {
         IdSet { words, len }
     }
 
+    /// The members below `n`: a catalog of `n` entities' share of a set
+    /// resolved over a longer catalog of its lineage.
+    pub fn below(&self, n: usize) -> IdSet {
+        let mut words = self.words[..self.words.len().min(n.div_ceil(64))].to_vec();
+        if let Some(last) = words.get_mut(n / 64) {
+            *last &= (1u64 << (n % 64)) - 1;
+        }
+        while words.last() == Some(&0) {
+            words.pop();
+        }
+        let len = words.iter().map(|w| w.count_ones() as usize).sum();
+        IdSet { words, len }
+    }
+
+    /// Heap bytes of the bitmap (by capacity).
+    pub fn heap_bytes(&self) -> usize {
+        self.words.capacity() * std::mem::size_of::<u64>()
+    }
+
     /// Members in ascending id order.
     pub fn iter(&self) -> impl Iterator<Item = EntityId> + '_ {
         self.words.iter().enumerate().flat_map(|(i, &word)| {
@@ -126,6 +145,21 @@ mod tests {
             for probe in 0..600 {
                 prop_assert_eq!(set.contains(EntityId(probe)), want.contains(&probe));
             }
+        }
+
+        /// `below(n)` keeps exactly the members under `n`.
+        #[test]
+        fn below_keeps_the_members_under_n(
+            ids in prop::collection::vec(0u32..600, 0..80),
+            n in 0usize..700,
+        ) {
+            let set: IdSet = ids.iter().map(|&i| EntityId(i)).collect();
+            let expected: IdSet = ids
+                .iter()
+                .filter(|&&i| (i as usize) < n)
+                .map(|&i| EntityId(i))
+                .collect();
+            prop_assert_eq!(set.below(n), expected);
         }
 
         /// Intersection agrees with the ordered sets' intersection.

@@ -31,7 +31,8 @@
 //! (entity id per variable, `(start, end)` and witness positions per
 //! pattern) rather than three name-keyed maps. One pattern's data query
 //! *resolves* its entity filters — narrowed to the ids earlier
-//! patterns bound — to id sets once, then *scans* events with those
+//! patterns bound — to id sets through the plan's memo, which evaluates
+//! each filter once per plan and store, then *scans* events with those
 //! sets; the fetched rows meet the partial tuples in an
 //! **order-preserving hash join** keyed on the already-bound variables
 //! (build on the rows, probe per tuple in tuple order, emit each chain in
@@ -47,8 +48,9 @@
 //!   lower to: fields resolved at compile, evaluated on a borrowed
 //!   entity, rendered as SQL for EXPLAIN;
 //! * [`score`] — pruning scores;
-//! * [`exec`] — the scheduler: entity resolution, the event scan,
-//!   path expansion, projection, and the [`Engine`] name;
+//! * [`exec`] — the scheduler: entity resolution through the plan's
+//!   [`exec::ResolveMemo`], the event scan, path expansion, projection,
+//!   and the [`Engine`] name;
 //! * [`sharded`] — the executor, scatter-gather over a
 //!   [`threatraptor_storage::sharded::ShardedStore`]: filters resolve
 //!   once per pattern against the store's entity catalog and every shard,

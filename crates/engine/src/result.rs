@@ -60,11 +60,6 @@ pub struct DeltaStats {
     pub carried_partials: usize,
     /// Partial bindings retained after this poll.
     pub retained_partials: usize,
-    /// Entities this poll examined to extend its memoized endpoint sets,
-    /// summed over the variables: those of each variable's kind appended
-    /// since the previous poll (every one on a from-zero poll), zero when
-    /// no entity was.
-    pub entity_rows: usize,
 }
 
 /// One pattern's execution record.
@@ -117,10 +112,16 @@ pub struct HuntStats {
     /// run have no record.
     pub patterns: Vec<PatternStats>,
     /// Wall time resolving the patterns' endpoint variables to entity id
-    /// sets (a full execution evaluates each variable's filter over
-    /// the catalog; a delta poll extends its memoized sets and narrows
-    /// them to propagated ids).
+    /// sets through the plan's memo: filling a variable's set on its
+    /// first use, extending the sets over new entities, and narrowing
+    /// them to propagated ids.
     pub resolve_elapsed: Duration,
+    /// Entities whose filter this execution evaluated, summed over the
+    /// variables: every entity of a variable's kind when it filled the
+    /// variable's memoized set, the new ones when it extended the sets
+    /// over appended entities, the bound ids when it narrowed a variable
+    /// no execution had filled. Zero for a hot plan on a sealed store.
+    pub entity_rows: usize,
     /// Wall time building cross-pattern IN-set filters (constraint
     /// propagation; zero for a baseline).
     pub propagate_elapsed: Duration,

@@ -135,6 +135,10 @@ pub struct CacheStats {
     pub reports: usize,
     /// Entries evicted so far (plans + rejections + syntheses).
     pub evictions: usize,
+    /// Heap bytes of the cached plans' endpoint memos
+    /// ([`ResolveMemo::heap_bytes`](threatraptor_engine::exec::ResolveMemo::heap_bytes)),
+    /// summed over the plans: what resolving once per plan keeps.
+    pub memo_bytes: usize,
 }
 
 impl CacheStats {
@@ -456,13 +460,16 @@ impl PlanCache {
 
     /// Current counters.
     pub fn stats(&self) -> CacheStats {
-        let (plans, rejections) = {
+        let (plans, rejections, memo_bytes) = {
             let map = self.plans.read().unwrap_or_else(PoisonError::into_inner);
-            let rejections = map
-                .values()
-                .filter(|s| matches!(s.entry, PlanEntry::Rejected(_)))
-                .count();
-            (map.len() - rejections, rejections)
+            let (mut plans, mut memo_bytes) = (0, 0);
+            for slot in map.values() {
+                if let PlanEntry::Ready(plan) = &slot.entry {
+                    plans += 1;
+                    memo_bytes += plan.compiled.memo().heap_bytes();
+                }
+            }
+            (plans, map.len() - plans, memo_bytes)
         };
         let count = |counter: &Counter| counter.get() as usize;
         CacheStats {
@@ -477,6 +484,7 @@ impl PlanCache {
                 .unwrap_or_else(PoisonError::into_inner)
                 .len(),
             evictions: count(&self.obs.evictions),
+            memo_bytes,
         }
     }
 }
@@ -711,6 +719,36 @@ mod tests {
             "stages ({stage_sum} ns) run inside the synthesize stage ({} ns)",
             synth.sum
         );
+    }
+
+    /// The memo bytes sum over the cached plans only: on a capacity-1
+    /// cache, hunting a second plan evicts the first, and the figure
+    /// drops to the survivor's bytes.
+    #[test]
+    fn memo_bytes_follow_the_cached_plans() {
+        use threatraptor_audit::sim::scenario::ScenarioBuilder;
+        use threatraptor_engine::{ExecMode, ShardedEngine};
+        use threatraptor_storage::ShardedStore;
+        let sc = ScenarioBuilder::new().seed(3).target_events(2_000).build();
+        let store = ShardedStore::ingest(&sc.log, true, 2);
+        let engine = ShardedEngine::new(&store);
+        let cache = PlanCache::with_capacities(1, 1, &Registry::new());
+        let hunt = |tbql: &str| {
+            let (plan, _) = cache.plan(tbql).unwrap();
+            engine.execute(&plan.compiled, ExecMode::Scheduled).unwrap();
+            plan
+        };
+        assert_eq!(cache.stats().memo_bytes, 0, "nothing cached yet");
+        let first = hunt(FIG2_TBQL);
+        let first_bytes = first.compiled.memo().heap_bytes();
+        assert!(first_bytes > 0);
+        assert_eq!(cache.stats().memo_bytes, first_bytes);
+        let second = hunt("proc p read file f return p, f");
+        let second_bytes = second.compiled.memo().heap_bytes();
+        assert!(second_bytes > 0);
+        let stats = cache.stats();
+        assert_eq!((stats.plans, stats.evictions), (1, 1));
+        assert_eq!(stats.memo_bytes, second_bytes);
     }
 
     #[test]

@@ -129,6 +129,7 @@ fn match_key(m: &Match, cq: &CompiledQuery, store: &ShardedStore) -> MatchKey {
 fn merge_stats(running: &mut HuntStats, poll: &HuntStats) {
     running.elapsed += poll.elapsed;
     running.resolve_elapsed += poll.resolve_elapsed;
+    running.entity_rows += poll.entity_rows;
     running.propagate_elapsed += poll.propagate_elapsed;
     running.join_elapsed += poll.join_elapsed;
     running.project_elapsed += poll.project_elapsed;

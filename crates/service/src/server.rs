@@ -659,7 +659,7 @@ impl HuntServer {
     }
 
     /// A point-in-time snapshot of every server metric: storage gauges,
-    /// plan-cache counters, hunt-stage and serving-stage latency
+    /// plan-cache counters and memo bytes, hunt-stage and serving-stage latency
     /// histograms, job-queue telemetry, and follow-delivery counters.
     /// Render it with [`MetricsSnapshot::to_prometheus`] or
     /// [`MetricsSnapshot::to_json`].
@@ -675,6 +675,9 @@ impl HuntServer {
             .epoch()
             .saturating_sub(self.processed.load(Ordering::Acquire));
         registry.gauge("dispatcher_epoch_lag").set(lag as i64);
+        registry
+            .gauge("plan_cache_memo_bytes")
+            .set(self.cache_stats().memo_bytes as i64);
         self.ingest.metrics()
     }
 
@@ -1478,6 +1481,25 @@ mod tests {
         assert_eq!(gauge(), total - share);
         let after: i64 = shares().iter().map(|(_, n)| n).sum();
         assert_eq!(gauge(), after);
+    }
+
+    /// `plan_cache_memo_bytes` is the cache's memo figure: zero before
+    /// any hunt, the hunted plans' filled memos after.
+    #[test]
+    fn memo_bytes_gauge_reports_the_cached_plans() {
+        let sc = scenario();
+        let server = server();
+        for chunk in LogFeed::by_events(&sc.raw, 1_000) {
+            server.append(&chunk.unwrap());
+        }
+        assert!(server.wait_caught_up(Duration::from_secs(60)));
+        let gauge = || server.metrics().gauge("plan_cache_memo_bytes").unwrap();
+        assert_eq!(gauge(), 0);
+        server.hunt(FIG2_TBQL).unwrap();
+        server.hunt("proc p read file f return p, f").unwrap();
+        let bytes = gauge();
+        assert!(bytes > 0);
+        assert_eq!(bytes, server.cache_stats().memo_bytes as i64);
     }
 
     #[test]

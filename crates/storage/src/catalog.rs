@@ -23,6 +23,11 @@
 //! * A batch store is the one-generation case
 //!   ([`EntityCatalog::from_entities`]): the same type, read exactly as
 //!   one monolithic list would be.
+//! * Every catalog carries a [`Lineage`] token, shared by its clones.
+//!   Extending a clone that is shorter than the longest catalog of its
+//!   lineage starts a new lineage, so two catalogs share a token only if
+//!   they agree on every id both hold: a reader may keep what it derived
+//!   from one and reuse it on any other of the same lineage.
 //!
 //! Readers resolve an entity filter by walking each generation's
 //! positions of the filter's kind and taking the union, and an id by
@@ -31,6 +36,7 @@
 
 use std::mem::size_of;
 use threatraptor_audit::entity::{Entity, EntityId, EntityKind};
+use threatraptor_sync::atomic::{AtomicUsize, Ordering};
 use threatraptor_sync::Arc;
 
 /// A trailing generation is folded into an append while it holds fewer
@@ -100,11 +106,21 @@ impl Generation {
     }
 }
 
+/// The identity of one append history: the catalogs that hold it agree
+/// on every id they both hold. Compare tokens by pointer
+/// ([`Arc::ptr_eq`] on [`EntityCatalog::lineage`]).
+#[derive(Debug, Default)]
+pub struct Lineage {
+    /// Length of the longest catalog of this lineage.
+    longest: AtomicUsize,
+}
+
 /// All entities registered so far, as a list of shared generations in
 /// ascending id order. See the module docs.
 #[derive(Debug, Clone, Default)]
 pub struct EntityCatalog {
     generations: Vec<Arc<Generation>>,
+    lineage: Arc<Lineage>,
 }
 
 impl EntityCatalog {
@@ -135,6 +151,20 @@ impl EntityCatalog {
         }
         if new.is_empty() {
             return 0;
+        }
+        // ordering: Relaxed — the exchange only decides which catalog of
+        // the lineage may continue it; the entities are this catalog's own.
+        let end = len + new.len();
+        let longest = &self.lineage.longest;
+        if longest
+            .compare_exchange(len, end, Ordering::Relaxed, Ordering::Relaxed)
+            .is_err()
+        {
+            // A longer catalog of this lineage exists, and its next ids
+            // need not be these entities: fork.
+            self.lineage = Arc::new(Lineage {
+                longest: AtomicUsize::new(end),
+            });
         }
         let mut first = self.generations.len();
         let mut size = new.len();
@@ -189,6 +219,11 @@ impl EntityCatalog {
     /// The generations, in ascending id order.
     pub fn generations(&self) -> &[Arc<Generation>] {
         &self.generations
+    }
+
+    /// This catalog's lineage token (see the module docs).
+    pub fn lineage(&self) -> &Arc<Lineage> {
+        &self.lineage
     }
 
     /// Heap bytes of every generation (see [`Generation::heap_bytes`]).
@@ -397,6 +432,41 @@ mod tests {
         // over 1..=n that is n · (log₂ n / 2 + 1).
         assert_eq!(rows, 64 * 4);
         assert_eq!(catalog.extend(&[]), 0);
+    }
+
+    /// A clone extended while a longer catalog of its lineage exists
+    /// forks a new lineage; every held snapshot keeps its own, and the
+    /// longest catalog keeps extending the original.
+    #[test]
+    fn forked_clones_start_a_new_lineage() {
+        let ours = entities(&[(0, 0), (1, 1), (2, 2), (0, 3), (1, 4)]);
+        let theirs = entities(&[(0, 0), (1, 1), (2, 2), (2, 9), (2, 8)]);
+        let mut catalog = EntityCatalog::new();
+        catalog.extend(&ours[..3]);
+        let held = catalog.clone();
+        let mut fork = catalog.clone();
+        catalog.extend(&ours[3..4]);
+        let longer = catalog.clone();
+        assert!(Arc::ptr_eq(held.lineage(), catalog.lineage()));
+
+        // `fork` is shorter than the lineage's longest catalog: it forks.
+        fork.extend(&theirs[3..]);
+        assert!(!Arc::ptr_eq(fork.lineage(), catalog.lineage()));
+        assert!(Arc::ptr_eq(held.lineage(), catalog.lineage()));
+        assert!(Arc::ptr_eq(longer.lineage(), catalog.lineage()));
+
+        // The longest catalog continues the lineage; empty appends never
+        // fork; separately built catalogs never share one.
+        catalog.extend(&ours[4..]);
+        catalog.extend(&[]);
+        assert!(Arc::ptr_eq(held.lineage(), catalog.lineage()));
+        let rebuilt = EntityCatalog::from_entities(&ours);
+        assert!(!Arc::ptr_eq(rebuilt.lineage(), catalog.lineage()));
+        // A snapshot of equal length extended after the original forks.
+        let mut twin = longer.clone();
+        twin.extend(&theirs[4..]);
+        assert!(!Arc::ptr_eq(twin.lineage(), catalog.lineage()));
+        assert!(!Arc::ptr_eq(twin.lineage(), fork.lineage()));
     }
 
     #[test]

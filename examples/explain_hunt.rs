@@ -6,7 +6,10 @@
 //!    schedule, pushed-down filters, predicted shard fan-out.
 //! 2. `EXPLAIN ANALYZE` — the plan annotated with actuals from one
 //!    execution: per-pattern × per-shard rows scanned, propagation
-//!    prunes, join selectivity, per-stage wall time.
+//!    prunes, join selectivity, per-stage wall time, and the entity rows
+//!    whose filters the execution evaluated (`entity-rows=`). One cached
+//!    plan run twice shows the second run evaluating none: each plan
+//!    memoizes its resolved entities.
 //! 3. The server-side profile — every job submitted to a `HuntServer`
 //!    carries a hierarchical trace tree; the worst ones land in the
 //!    slow-hunt log, and any trace exports as Chrome `trace_event`
@@ -16,6 +19,7 @@
 
 use std::time::Duration;
 use threatraptor::prelude::*;
+use threatraptor::service::PlanCache;
 use threatraptor::FIG2_TBQL;
 
 fn main() {
@@ -44,6 +48,30 @@ fn main() {
         "rows-scanned actuals match the hunt's stats: {} rows\n",
         report.total_rows_scanned()
     );
+
+    // One cached plan, executed twice: the first run fills the plan's
+    // endpoint memo, the second evaluates no entity filter at all.
+    let (plan, _) = PlanCache::new().plan(FIG2_TBQL).expect("valid TBQL");
+    let runs: Vec<HuntResult> = (0..2)
+        .map(|_| {
+            engine
+                .execute(&plan.compiled, ExecMode::Scheduled)
+                .expect("valid plan")
+        })
+        .collect();
+    for (label, run) in ["cold", "hot"].iter().zip(&runs) {
+        println!(
+            "{label} run of one plan: entity-rows={} resolve={:.3?}",
+            run.stats.entity_rows, run.stats.resolve_elapsed
+        );
+    }
+    assert!(runs[0].stats.entity_rows > 0);
+    assert_eq!(
+        runs[1].stats.entity_rows, 0,
+        "the hot run resolves from the memo"
+    );
+    assert_eq!(runs[0].rows, runs[1].rows);
+    println!();
 
     // ---- 3: server-side profiles and the slow-hunt log.
     let server = HuntServer::new(

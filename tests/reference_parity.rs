@@ -16,6 +16,13 @@
 //! snapshot, each delivered once; a batch `ShardedEngine` hunt over the
 //! snapshot must equal the reference as well.
 //!
+//! One compiled query, whose clones share one endpoint memo, is checked
+//! across stores: over every snapshot of a stream in order and then
+//! newest first, over a second stream whose catalog has the same length
+//! but different entities, and through a `DeltaState` polled on that
+//! second stream. Each result must equal the reference's over its own
+//! snapshot.
+//!
 //! On a disagreement the test shrinks the case before failing: it drops
 //! query parts (`distinct`, windows, temporal constraints, whole
 //! patterns) and then events, for as long as the disagreement persists,
@@ -26,12 +33,13 @@ mod common;
 use common::arb_tbql;
 use proptest::prelude::*;
 use std::collections::HashSet;
-use threatraptor::audit::entity::{Entity, EntityId};
+use threatraptor::audit::entity::{Entity, EntityId, EntityKind};
 use threatraptor::audit::event::{Event, EventId, Operation};
 use threatraptor::prelude::*;
 use threatraptor_audit::parser::ParsedLog;
+use threatraptor_engine::compile::compile;
 use threatraptor_engine::result::Match;
-use threatraptor_engine::{reference, EngineError};
+use threatraptor_engine::{reference, DeltaState, EngineError};
 use threatraptor_service::PlanCache;
 use threatraptor_storage::CompactionPolicy;
 use threatraptor_tbql::analyze::analyze;
@@ -496,6 +504,156 @@ proptest! {
                 false,
                 "seed {} cpr {} coarse {} {:?}: {}\nshrunk query:\n{}\nshrunk log ({} events):\n{}",
                 seed, cpr, coarse, shape, why, print_query(&query), log.events.len(), describe(&log)
+            );
+        }
+    }
+}
+
+/// The reference evaluator's result over a snapshot's entities and
+/// events.
+fn reference_over(snapshot: &ShardedStore, query: &Query) -> HuntResult {
+    let entities: Vec<Entity> = snapshot.catalog().iter().cloned().collect();
+    let events: Vec<Event> = (0..snapshot.event_count())
+        .map(|pos| snapshot.event_at(pos).clone())
+        .collect();
+    reference::evaluate(&entities, &events, &analyze(query).expect("analyzes"))
+}
+
+/// `log` with every entity's attributes moved to the next entity of its
+/// kind: the same ids, kinds and events, but filters now match other
+/// ids.
+fn rotated(log: &ParsedLog) -> ParsedLog {
+    let mut entities = log.entities.clone();
+    for kind in [EntityKind::Process, EntityKind::File, EntityKind::Network] {
+        let ids: Vec<usize> = (0..entities.len())
+            .filter(|&i| log.entities[i].kind() == kind)
+            .collect();
+        for (k, &i) in ids.iter().enumerate() {
+            let mut moved = log.entities[ids[(k + 1) % ids.len()]].clone();
+            let id = EntityId(i as u32);
+            match &mut moved {
+                Entity::Process(p) => p.id = id,
+                Entity::File(f) => f.id = id,
+                Entity::Network(n) => n.id = id,
+            }
+            entities[i] = moved;
+        }
+    }
+    ParsedLog {
+        entities,
+        events: log.events.clone(),
+    }
+}
+
+/// Streams `log` in chunks of `chunk` events, each bringing the entities
+/// its events need and sealed at once (CPR may keep its last run open),
+/// and returns every snapshot, the last one holding every entity.
+fn sealed_snapshots(log: &ParsedLog, cpr: bool, chunk: usize) -> Vec<ShardedStore> {
+    let mut store = StreamingStore::new(cpr, SealPolicy::manual());
+    let mut entities_in = 0;
+    let mut snapshots = Vec::new();
+    for batch in log.events.chunks(chunk) {
+        let needed = batch
+            .iter()
+            .map(|e| e.subject.index().max(e.object.index()) + 1)
+            .max()
+            .unwrap_or(0)
+            .max(entities_in);
+        store.append_batch(&log.entities[entities_in..needed], batch);
+        entities_in = needed;
+        store.seal();
+        snapshots.push(store.snapshot());
+    }
+    store.append_batch(&log.entities[entities_in..], &[]);
+    store.seal();
+    snapshots.push(store.snapshot());
+    snapshots
+}
+
+/// Runs one compiled query, one memo, over (a) every snapshot of a
+/// stream of `log` in order, (b) the same snapshots newest first, (c) a
+/// batch store of the rotated log, whose catalog has the same length but
+/// different entities, and (d) a `DeltaState` polled on every snapshot
+/// of a stream of the rotated log, each poll returning the reference's
+/// matches that hold a fresh row; describes the first result that
+/// differs from the reference's over its snapshot.
+fn memo_disagreement(log: &ParsedLog, cpr: bool, query: &Query, chunk: usize) -> Option<String> {
+    let aq = analyze(query).ok()?;
+    let cq = match compile(&aq) {
+        Ok(cq) => cq,
+        Err(EngineError::Infeasible(_)) => return None,
+        Err(e) => return Some(format!("compile failed: {e}")),
+    };
+    let check = |name: &str, snapshot: &ShardedStore| {
+        let want = reference_over(snapshot, query);
+        let got = ShardedEngine::new(snapshot).execute(&cq, ExecMode::Scheduled);
+        differs(name, got, snapshot, &want, &match_keys(&want, snapshot))
+    };
+    let snapshots = sealed_snapshots(log, cpr, chunk);
+    for (k, snapshot) in snapshots.iter().enumerate() {
+        if let Some(why) = check(&format!("(a) snapshot {k}"), snapshot) {
+            return Some(why);
+        }
+    }
+    for (k, snapshot) in snapshots.iter().enumerate().rev() {
+        if let Some(why) = check(&format!("(b) snapshot {k}, newest first"), snapshot) {
+            return Some(why);
+        }
+    }
+    let other = rotated(log);
+    let batch = ShardedStore::ingest(&other, cpr, 3);
+    if batch.catalog().len() != snapshots.last()?.catalog().len() {
+        return Some("the rotated catalog differs in length".into());
+    }
+    if let Some(why) = check("(c) rotated batch store", &batch) {
+        return Some(why);
+    }
+    let mut state = DeltaState::new(&cq);
+    for (k, snapshot) in sealed_snapshots(&other, cpr, chunk).iter().enumerate() {
+        let engine = ShardedEngine::new(snapshot);
+        let out = state.poll(&engine, &cq, snapshot.frontier()?.sealed_events);
+        // A poll returns exactly the matches holding a fresh row.
+        let fresh_from = out.stats.delta?.fresh_from;
+        let mut want = reference_over(snapshot, query);
+        want.matches
+            .retain(|m| m.events.values().flatten().any(|&pos| pos >= fresh_from));
+        let (got, want) = (match_keys(&out, snapshot), match_keys(&want, snapshot));
+        if got != want {
+            return Some(format!(
+                "(d) poll {k}: {} matches, reference {}",
+                got.len(),
+                want.len()
+            ));
+        }
+    }
+    None
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// One plan's memo, shared across every snapshot of one stream in
+    /// either order, a second stream of equal catalog length and a delta
+    /// poll over it, never changes a result.
+    #[test]
+    fn one_memo_agrees_with_the_reference_across_stores(
+        seed in 0u64..6,
+        cpr in any::<bool>(),
+        coarse in any::<bool>(),
+        src in arb_tbql(),
+        chunk in 40usize..250,
+    ) {
+        let log = scenario_log(seed, coarse);
+        let query = parse_query(&src).expect("generated queries parse");
+        let check = |log: &ParsedLog, cpr: bool, query: &Query| {
+            memo_disagreement(log, cpr, query, chunk)
+        };
+        if check(&log, cpr, &query).is_some() {
+            let (query, log, cpr, why) = shrink(&log, cpr, &query, &check);
+            prop_assert!(
+                false,
+                "seed {} cpr {} coarse {} chunk {}: {}\nshrunk query:\n{}\nshrunk log ({} events):\n{}",
+                seed, cpr, coarse, chunk, why, print_query(&query), log.events.len(), describe(&log)
             );
         }
     }
