@@ -321,7 +321,7 @@ fn model_plan_cache_concurrent_get_or_compile() {
     let q1 = "proc p read file f return p, f";
     let q2 = "proc p write file f return p, f";
     let report = model(cfg("plan-cache", 4_000), move || {
-        let cache = Arc::new(PlanCache::with_capacities(1, 1, &Registry::new()));
+        let cache = Arc::new(PlanCache::with_capacity(1, &Registry::new()));
         // `CachedPlan::tbql` is the pretty-printed source; the operation
         // word identifies which query's plan a caller received.
         let handles: Vec<_> = [(q1, "read"), (q2, "write")]

@@ -2,12 +2,13 @@
 //! pretty printer.
 //!
 //! The offline build has no serde; this covers exactly what the
-//! telemetry layer needs — rendering [`MetricsSnapshot`]s, persisting
-//! bench records, and re-reading them for schema validation and
-//! trajectory diffs. Objects preserve insertion order (`Vec` of
-//! pairs), which keeps rendered artifacts stable.
+//! telemetry layer needs: it renders [`MetricsSnapshot::to_json`] and
+//! [`TraceTree::to_chrome_trace`], and the tests parse those renderings
+//! back with it. Objects preserve insertion order (`Vec` of pairs),
+//! which keeps rendered artifacts stable.
 //!
-//! [`MetricsSnapshot`]: crate::snapshot::MetricsSnapshot
+//! [`MetricsSnapshot::to_json`]: crate::snapshot::MetricsSnapshot::to_json
+//! [`TraceTree::to_chrome_trace`]: crate::tree::TraceTree::to_chrome_trace
 
 use std::fmt;
 
@@ -81,14 +82,6 @@ impl JsonValue {
         }
     }
 
-    /// The boolean payload, if this is a boolean.
-    pub fn as_bool(&self) -> Option<bool> {
-        match self {
-            JsonValue::Bool(b) => Some(*b),
-            _ => None,
-        }
-    }
-
     /// The numeric payload, if this is a number.
     pub fn as_f64(&self) -> Option<f64> {
         match self {
@@ -101,14 +94,6 @@ impl JsonValue {
     pub fn as_array(&self) -> Option<&[JsonValue]> {
         match self {
             JsonValue::Arr(items) => Some(items),
-            _ => None,
-        }
-    }
-
-    /// The object payload, if this is an object.
-    pub fn as_object(&self) -> Option<&[(String, JsonValue)]> {
-        match self {
-            JsonValue::Obj(fields) => Some(fields),
             _ => None,
         }
     }

@@ -18,8 +18,9 @@
 //!   exportable as Chrome `trace_event` JSON for `about:tracing` and
 //!   Perfetto.
 //! - **Exposition** ([`MetricsSnapshot`]) — render as Prometheus-style
-//!   text or JSON; [`JsonValue`] is a minimal parser/printer the bench
-//!   trajectory records build on.
+//!   text or JSON; [`JsonValue`] is the minimal parser/printer behind
+//!   [`MetricsSnapshot::to_json`] and [`TraceTree::to_chrome_trace`],
+//!   which the tests use to parse those renderings back.
 //!
 //! Nothing here touches the network or the registry, matching the
 //! repo's offline-shim constraint; sync primitives come through the

@@ -34,7 +34,7 @@
 //!
 //! [`HuntServer`]: crate::server::HuntServer
 
-use crate::cache::{CacheStats, PlanCache, DEFAULT_PLAN_CAPACITY, DEFAULT_SYNTHESIS_CAPACITY};
+use crate::cache::{CacheStats, PlanCache, DEFAULT_PLAN_CAPACITY};
 use std::time::{Duration, Instant};
 use threatraptor_audit::parser::LogChunk;
 use threatraptor_obs::{Histogram, MetricsSnapshot, Registry};
@@ -156,11 +156,7 @@ impl IngestService {
         let registry = Arc::new(Registry::new());
         let mut stream = StreamingStore::new(true, config.policy);
         stream.attach_metrics(&registry);
-        let cache = PlanCache::with_capacities(
-            DEFAULT_PLAN_CAPACITY,
-            DEFAULT_SYNTHESIS_CAPACITY,
-            &registry,
-        );
+        let cache = PlanCache::with_capacity(DEFAULT_PLAN_CAPACITY, &registry);
         let epoch = stream.epoch_handle();
         IngestService {
             stream: RwLock::new(stream),
@@ -312,7 +308,7 @@ impl IngestService {
         }
     }
 
-    /// Plan/synthesis cache counters.
+    /// Plan-cache counters.
     pub fn cache_stats(&self) -> CacheStats {
         self.cache.stats()
     }

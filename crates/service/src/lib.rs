@@ -15,8 +15,7 @@
 //!
 //! * [`job::HuntJob`] — a unit of hunt work: raw OSCTI text *or* TBQL;
 //! * [`cache::PlanCache`] — compiled plans keyed by normalized query
-//!   text, plus memoized report synthesis (keyed by content hash),
-//!   shared by all workers, with LRU eviction on both maps;
+//!   text, shared by all workers, with LRU eviction;
 //! * [`pool::WorkerPool`] — detached worker threads draining one bounded
 //!   task queue: backpressure on overflow, panic isolation, graceful
 //!   drain-then-join shutdown;
@@ -47,7 +46,7 @@ pub mod pool;
 pub mod profile;
 pub mod server;
 
-pub use cache::{normalize_tbql, CacheStats, CachedPlan, PlanCache, ReportKey};
+pub use cache::{normalize_tbql, CacheStats, CachedPlan, PlanCache};
 pub use follow::{FollowDelta, FollowHunt};
 pub use ingest::{IngestConfig, IngestService, IngestStatus};
 pub use job::{HuntJob, JobReport, ServiceError};

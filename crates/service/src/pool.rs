@@ -52,7 +52,6 @@ pub struct WorkerPool {
     /// `None` once shut down; dropping the sender disconnects the queue.
     tx: Mutex<Option<Sender<Task>>>,
     handles: Mutex<Vec<JoinHandle<()>>>,
-    workers: usize,
     obs: PoolObs,
 }
 
@@ -95,14 +94,8 @@ impl WorkerPool {
         WorkerPool {
             tx: Mutex::new(Some(tx)),
             handles: Mutex::new(handles),
-            workers,
             obs,
         }
-    }
-
-    /// Number of worker threads.
-    pub fn worker_count(&self) -> usize {
-        self.workers
     }
 
     /// Enqueues a task, blocking while the queue is full (backpressure).

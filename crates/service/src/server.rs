@@ -46,6 +46,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::{Duration, Instant};
 use threatraptor_audit::parser::LogChunk;
 use threatraptor_engine::{ExecMode, HuntResult, HuntStats, ShardedEngine};
+use threatraptor_nlp::{StageTimings, ThreatExtractor};
 use threatraptor_obs::{
     Counter, Histogram, MetricsSnapshot, Registry, TraceId, TraceTree, ROOT_SPAN,
 };
@@ -53,6 +54,8 @@ use threatraptor_storage::{AppendOutcome, ShardedStore};
 use threatraptor_sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use threatraptor_sync::thread::JoinHandle;
 use threatraptor_sync::{Arc, Condvar, Mutex, PoisonError};
+use threatraptor_synth::{synthesize, SynthesisError};
+use threatraptor_tbql::printer::print_query;
 
 /// Construction parameters for a [`HuntServer`].
 #[derive(Debug, Clone, Copy)]
@@ -375,13 +378,21 @@ struct JobObs {
     latency_rejected: Arc<Histogram>,
     /// `hunt_stage_ns{stage=…}` for job executions, one series per
     /// [`EXEC_STAGES`] entry, in that order (the cache adds
-    /// parse/analyze/compile/synthesize).
+    /// parse/analyze/compile).
     hunt_stages: [Arc<Histogram>; 5],
+    /// `hunt_stage_ns{stage=synthesize}`: a report job's extraction,
+    /// synthesis and printing.
+    synthesize: Arc<Histogram>,
+    /// `nlp_stage_ns{stage=…}`, the NLP pipeline's own split of each
+    /// synthesis: one series per [`StageTimings::STAGE_NAMES`] entry, in
+    /// that order.
+    nlp_stages: [Arc<Histogram>; 8],
 }
 
 impl JobObs {
     fn new(registry: &Registry) -> JobObs {
         let latency = |status| registry.histogram_labeled("job_latency_ns", &[("status", status)]);
+        let stage = |stage| registry.histogram_labeled("hunt_stage_ns", &[("stage", stage)]);
         JobObs {
             submitted: registry.counter("jobs_submitted_total"),
             completed: registry.counter("jobs_completed_total"),
@@ -392,8 +403,10 @@ impl JobObs {
             latency_error: latency("error"),
             latency_panicked: latency("panicked"),
             latency_rejected: latency("rejected"),
-            hunt_stages: EXEC_STAGES
-                .map(|stage| registry.histogram_labeled("hunt_stage_ns", &[("stage", stage)])),
+            hunt_stages: EXEC_STAGES.map(stage),
+            synthesize: stage("synthesize"),
+            nlp_stages: StageTimings::STAGE_NAMES
+                .map(|stage| registry.histogram_labeled("nlp_stage_ns", &[("stage", stage)])),
         }
     }
 
@@ -428,16 +441,35 @@ fn panic_text(payload: &(dyn Any + Send)) -> String {
         .unwrap_or_else(|| "unknown panic payload".into())
 }
 
+/// Synthesizes TBQL text from an OSCTI report: extraction, synthesis
+/// and printing, timed together as the `synthesize` stage, with the NLP
+/// pipeline's own stage split recorded beside it.
+fn synthesize_report(obs: &JobObs, report: &str) -> Result<String, SynthesisError> {
+    let start = Instant::now();
+    let extraction = ThreatExtractor::new().extract(report);
+    for (hist, elapsed) in obs.nlp_stages.iter().zip(extraction.timings.stages()) {
+        hist.record_duration(elapsed);
+    }
+    let tbql = synthesize(&extraction.graph).map(|query| print_query(&query));
+    obs.synthesize.record_duration(start.elapsed());
+    tbql
+}
+
 /// Resolves one job to a compiled plan (synthesizing report jobs first)
 /// and executes it against one store snapshot, catching panics into
 /// [`ServiceError::Worker`] so the worker survives. Returns the report
 /// and what a later retrieval re-runs.
-fn execute_job(store: ShardedStore, cache: &PlanCache, job: HuntJob) -> (JobReport, Rerun) {
+fn execute_job(
+    store: ShardedStore,
+    cache: &PlanCache,
+    obs: &JobObs,
+    job: HuntJob,
+) -> (JobReport, Rerun) {
     let t0 = Instant::now();
     let resolve = || {
         let tbql = match &job {
             HuntJob::Tbql(src) => src.clone(),
-            HuntJob::Report(text) => match cache.synthesize_report(text) {
+            HuntJob::Report(text) => match synthesize_report(obs, text) {
                 Ok(tbql) => tbql,
                 Err(e) => return (None, false, Err(ServiceError::Synthesis(e))),
             },
@@ -646,8 +678,7 @@ impl HuntServer {
         self.ingest.snapshot()
     }
 
-    /// Plan/synthesis cache counters (shared by jobs and standing
-    /// queries).
+    /// Plan-cache counters (shared by jobs and standing queries).
     pub fn cache_stats(&self) -> CacheStats {
         self.ingest.cache_stats()
     }
@@ -729,7 +760,7 @@ impl HuntServer {
                     trace.add_span(ROOT_SPAN, "queue_wait", Duration::ZERO, wait);
                     let exec_span = trace.begin("exec", ROOT_SPAN);
                     let snapshot = snapshots.get(&ingest);
-                    let (report, rerun) = execute_job(snapshot, ingest.cache(), job);
+                    let (report, rerun) = execute_job(snapshot, ingest.cache(), &obs, job);
                     obs.exec_ns.record_duration(report.elapsed);
                     trace.set_attr(exec_span, "cache_hit", report.cache_hit);
                     let mut matches = 0;
@@ -1243,6 +1274,67 @@ mod tests {
         server.shutdown();
     }
 
+    /// `(count, sum)` of one `{stage=…}` histogram series.
+    fn stage_series(server: &HuntServer, series: &str, stage: &str) -> (u64, u64) {
+        let snap = server.metrics();
+        let h = snap.histogram(series, &[("stage", stage)]);
+        let h = h.unwrap_or_else(|| panic!("missing {series}{{stage={stage}}}"));
+        (h.count, h.sum)
+    }
+
+    /// A report job synthesizes every time it runs: submitted twice, the
+    /// report runs the NLP pipeline twice, and the second job's TBQL
+    /// finds the first's plan in the cache.
+    #[test]
+    fn report_resubmits_synthesize_again() {
+        let server = server();
+        for name in StageTimings::STAGE_NAMES {
+            let (count, _) = stage_series(&server, "nlp_stage_ns", name);
+            assert_eq!(count, 0, "{name} is registered up front");
+        }
+        let report = threatraptor_nlp::pipeline::FIG2_OSCTI_TEXT;
+        let first = server.submit(HuntJob::report(report)).wait();
+        let second = server.submit(HuntJob::report(report)).wait();
+        assert!(first.outcome.is_ok() && second.outcome.is_ok());
+        assert!(first.tbql.is_some());
+        assert_eq!(first.tbql, second.tbql);
+        assert!(!first.cache_hit);
+        assert!(second.cache_hit, "the second plan lookup is a hit");
+        for name in StageTimings::STAGE_NAMES {
+            let (count, _) = stage_series(&server, "nlp_stage_ns", name);
+            assert_eq!(count, 2, "{name}: both submissions synthesized");
+        }
+        server.shutdown();
+    }
+
+    /// Every synthesis, failed ones included, records one sample per NLP
+    /// stage, inside its `synthesize` stage.
+    #[test]
+    fn nlp_stages_recorded_once_per_synthesis() {
+        let server = server();
+        let ok = server.submit(HuntJob::report(threatraptor_nlp::pipeline::FIG2_OSCTI_TEXT));
+        assert!(ok.wait().outcome.is_ok());
+        let bad = server.submit(HuntJob::report("Nothing interesting happened today."));
+        assert!(matches!(
+            bad.wait().outcome,
+            Err(ServiceError::Synthesis(_))
+        ));
+
+        let (synth_count, synth_sum) = stage_series(&server, "hunt_stage_ns", "synthesize");
+        assert_eq!(synth_count, 2, "two reports synthesized");
+        let mut stage_sum = 0;
+        for name in StageTimings::STAGE_NAMES {
+            let (count, sum) = stage_series(&server, "nlp_stage_ns", name);
+            assert_eq!(count, synth_count, "{name}: one record per synthesis");
+            stage_sum += sum;
+        }
+        assert!(
+            stage_sum <= synth_sum,
+            "stages ({stage_sum} ns) run inside the synthesize stage ({synth_sum} ns)"
+        );
+        server.shutdown();
+    }
+
     #[test]
     fn bad_tbql_surfaces_engine_error() {
         let server = server();
@@ -1334,8 +1426,8 @@ mod tests {
 
     /// Infeasible queries are refused at compile time — before any rows
     /// are scanned — on every entry point: queued submit, direct hunt,
-    /// and standing (follow-mode) registration. Resubmits are served
-    /// from the plan cache's rejection memo.
+    /// and standing (follow-mode) registration. Every refusal runs the
+    /// compile pipeline afresh: the plan cache keeps plans only.
     #[test]
     fn infeasible_hunts_rejected_for_oneshot_and_follow() {
         let sc = scenario();
@@ -1343,36 +1435,35 @@ mod tests {
         for chunk in LogFeed::by_events(&sc.raw, 1_000) {
             server.append(&chunk.unwrap());
         }
+        let before = server.cache_stats();
         // Cyclic `before` ordering: E001 under the DBM feasibility check.
         let bad = "proc p read file f as e1 proc p write file g as e2 \
                    with e1 before e2, e2 before e1 return p";
-        let report = server.submit(HuntJob::tbql(bad)).wait();
-        assert!(
-            matches!(report.outcome, Err(ServiceError::Infeasible(_))),
-            "{:?}",
-            report.outcome
-        );
-        let err = server.hunt(bad).unwrap_err();
-        let ServiceError::Infeasible(diags) = &err else {
-            panic!("expected Infeasible, got {err}");
+        let first = server.submit(HuntJob::tbql(bad)).wait().outcome;
+        let again = server.submit(HuntJob::tbql(bad)).wait().outcome;
+        let Err(ServiceError::Infeasible(diags)) = &first else {
+            panic!("expected Infeasible, got {first:?}");
         };
         assert!(diags.iter().all(|d| d.code == "E001"), "{diags:?}");
+        assert_eq!(first.unwrap_err(), again.unwrap_err(), "equal refusals");
+        let err = server.hunt(bad).unwrap_err();
+        assert!(matches!(err, ServiceError::Infeasible(_)), "{err}");
         let err = server.follow(bad).unwrap_err();
         assert!(matches!(err, ServiceError::Infeasible(_)));
         assert_eq!(server.follow_count(), 0, "no standing query registered");
 
         // Both job paths (queued submit and direct hunt) label the
-        // outcome "rejected" — like shutdown refusals — and later probes
-        // hit the cached rejection.
+        // outcome "rejected" — like shutdown refusals.
         let snap = server.metrics();
         let rejected = snap
             .histogram("job_latency_ns", &[("status", "rejected")])
             .map(|h| h.count)
             .unwrap_or(0);
-        assert_eq!(rejected, 2);
+        assert_eq!(rejected, 3);
+        // Nothing was cached, and no refusal counted as a hit or a miss.
         let stats = server.cache_stats();
-        assert_eq!(stats.rejections, 1, "one rejection memoized");
-        assert!(stats.rejection_hits >= 2, "hunt + follow hit the memo");
+        assert_eq!(stats.plans, 0);
+        assert_eq!((stats.hits, stats.misses), (before.hits, before.misses));
         server.shutdown();
     }
 

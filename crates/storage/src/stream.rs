@@ -203,7 +203,6 @@ impl SnapshotParts {
 /// window with incremental CPR at the frontier.
 #[derive(Debug)]
 pub struct StreamingStore {
-    use_cpr: bool,
     policy: SealPolicy,
     compaction: CompactionPolicy,
     /// All entities seen so far, with their per-kind positions — the only
@@ -227,7 +226,6 @@ impl StreamingStore {
     /// An empty streaming store.
     pub fn new(use_cpr: bool, policy: SealPolicy) -> StreamingStore {
         StreamingStore {
-            use_cpr,
             policy,
             compaction: CompactionPolicy::disabled(),
             catalog: EntityCatalog::new(),
@@ -459,11 +457,6 @@ impl StreamingStore {
             before: self.reducer.appended(),
             after: self.event_count(),
         }
-    }
-
-    /// Whether CPR is applied at the frontier.
-    pub fn uses_cpr(&self) -> bool {
-        self.use_cpr
     }
 
     /// The seal policy.

@@ -144,11 +144,6 @@ impl PatternBounds {
             hi: u64::MAX,
         }
     }
-
-    /// `true` when the range constrains anything at all.
-    pub fn is_constrained(&self) -> bool {
-        self.lo > 0 || self.hi < u64::MAX
-    }
 }
 
 /// Result of running the temporal DBM over an analyzed query.

@@ -60,9 +60,8 @@ fn main() {
 
     let stats = server.cache_stats();
     println!(
-        "\nplan cache: {} plans, {} syntheses, {:.0}% hit rate",
+        "\nplan cache: {} plans, {:.0}% hit rate",
         stats.plans,
-        stats.reports,
         stats.hit_ratio() * 100.0
     );
 

@@ -8,8 +8,7 @@
 //!    empty windows, contradictory filters) fail with stable `E...`
 //!    codes before any row is scanned.
 //! 3. Server-side rejection — the `HuntServer` refuses the same queries
-//!    on every entry point, and the plan cache memoizes the rejection so
-//!    resubmits don't recompile.
+//!    on every entry point, every time, and caches no plan for them.
 //! 4. Analysis-driven pruning — difference-bound-matrix (DBM) closure
 //!    tightens each pattern's feasible time range; `EXPLAIN` predicts
 //!    the clamp and `EXPLAIN ANALYZE` reports the rows it cut, read
@@ -76,20 +75,21 @@ fn main() {
         }
     }
 
-    // ---- 3: the server refuses the same queries, memoizing rejections.
+    // ---- 3: the server refuses the same queries, and refuses resubmits
+    // with the same diagnostics.
     let server = HuntServer::new(ServerConfig::default());
-    for (_, q) in corpus {
-        for _ in 0..2 {
-            assert!(matches!(server.hunt(q), Err(ServiceError::Infeasible(_))));
-        }
+    for (label, q) in corpus {
+        let first = server.hunt(q);
+        assert!(matches!(first, Err(ServiceError::Infeasible(_))), "{label}");
+        assert_eq!(server.hunt(q).unwrap_err(), first.unwrap_err(), "{label}");
     }
     let stats = server.cache_stats();
     println!(
-        "\nserver: {} rejections memoized, {} resubmits served from cache",
-        stats.rejections, stats.rejection_hits
+        "\nserver: {} queries refused twice each, {} plans cached",
+        corpus.len(),
+        stats.plans
     );
-    assert_eq!(stats.rejections, corpus.len());
-    assert_eq!(stats.rejection_hits, corpus.len());
+    assert_eq!((stats.plans, stats.hits, stats.misses), (0, 0, 0));
     server.shutdown();
 
     // ---- 4: DBM bounds prune scans, predicted and measured.
