@@ -4,26 +4,14 @@
 //! The paper's deployment tails a live Sysdig capture; this reproduction
 //! replays a raw log document *as if* it were live: a [`LogFeed`] walks
 //! the text line by line through the ordinary streaming [`Parser`] and
-//! yields [`LogChunk`]s cut either every `n` events or at fixed
-//! virtual-time windows. Entity ids and event ids are identical to a
-//! one-shot [`Parser::parse_document`] of the same text — the feed only
-//! changes *when* data becomes visible, never what it is.
+//! yields a [`LogChunk`] every `n` events. Entity ids and event ids are
+//! identical to a one-shot [`Parser::parse_document`] of the same text —
+//! the feed only changes *when* data becomes visible, never what it is.
 
 use crate::parser::{LogChunk, ParseError, Parser};
 
-/// How a [`LogFeed`] cuts the stream into chunks.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ChunkBy {
-    /// A chunk every `n` events (the last chunk may be shorter).
-    Events(usize),
-    /// A chunk per fixed window of log time: the grid starts at the
-    /// first event's start, and a chunk closes when an event starts at
-    /// or past the current window's end. Replaying with a paced clock
-    /// turns this into a timed stream.
-    Time(u64),
-}
-
-/// An iterator of [`LogChunk`]s over a raw log document.
+/// An iterator of [`LogChunk`]s over a raw log document: a chunk every
+/// `n` events (the last chunk may be shorter).
 ///
 /// Yields `Err` once on the first malformed line and then fuses.
 #[derive(Debug)]
@@ -31,37 +19,21 @@ pub struct LogFeed<'a> {
     parser: Parser,
     lines: std::str::Lines<'a>,
     lineno: usize,
-    by: ChunkBy,
-    /// Exclusive end of the current time window (Time mode only).
-    window_end: Option<u64>,
+    /// Events per chunk.
+    n: usize,
     done: bool,
 }
 
 impl<'a> LogFeed<'a> {
-    /// A feed over `raw` with the given chunking rule.
-    pub fn new(raw: &'a str, by: ChunkBy) -> LogFeed<'a> {
-        let by = match by {
-            ChunkBy::Events(n) => ChunkBy::Events(n.max(1)),
-            ChunkBy::Time(w) => ChunkBy::Time(w.max(1)),
-        };
+    /// A feed over `raw` cutting every `n` events (clamped to ≥ 1).
+    pub fn by_events(raw: &'a str, n: usize) -> LogFeed<'a> {
         LogFeed {
             parser: Parser::new(),
             lines: raw.lines(),
             lineno: 0,
-            by,
-            window_end: None,
+            n: n.max(1),
             done: false,
         }
-    }
-
-    /// A feed cutting every `n` events.
-    pub fn by_events(raw: &'a str, n: usize) -> LogFeed<'a> {
-        Self::new(raw, ChunkBy::Events(n))
-    }
-
-    /// A feed cutting at fixed `window`-sized slices of log time.
-    pub fn by_time(raw: &'a str, window: u64) -> LogFeed<'a> {
-        Self::new(raw, ChunkBy::Time(window))
     }
 }
 
@@ -88,29 +60,8 @@ impl Iterator for LogFeed<'_> {
                 self.done = true;
                 return Some(Err(e));
             }
-            match self.by {
-                ChunkBy::Events(n) => {
-                    if self.parser.pending_events() >= n {
-                        return Some(Ok(self.parser.take_chunk()));
-                    }
-                }
-                ChunkBy::Time(w) => {
-                    let pending = self.parser.pending_events();
-                    let last_start = self.parser.pending_event(pending - 1).start;
-                    let end = *self.window_end.get_or_insert(last_start + w);
-                    if last_start >= end && pending > 1 {
-                        // The just-parsed event opens a later window:
-                        // emit everything before it, keep it pending.
-                        let chunk = self.parser.take_chunk_events(pending - 1);
-                        // Advance the grid far enough to cover it.
-                        let mut new_end = end;
-                        while last_start >= new_end {
-                            new_end += w;
-                        }
-                        self.window_end = Some(new_end);
-                        return Some(Ok(chunk));
-                    }
-                }
+            if self.parser.pending_events() >= self.n {
+                return Some(Ok(self.parser.take_chunk()));
             }
         }
     }
@@ -157,14 +108,6 @@ mod tests {
     }
 
     #[test]
-    fn time_chunking_reassembles_the_batch_parse() {
-        let raw = raw_log(800);
-        for w in [1u64, 1 << 20, 1 << 28, u64::MAX / 2] {
-            assert_feed_matches_batch(&raw, LogFeed::by_time(&raw, w));
-        }
-    }
-
-    #[test]
     fn event_chunks_have_the_requested_size() {
         let raw = raw_log(500);
         let sizes: Vec<usize> = LogFeed::by_events(&raw, 64)
@@ -173,19 +116,6 @@ mod tests {
         assert!(sizes.len() > 2);
         assert!(sizes[..sizes.len() - 1].iter().all(|&s| s == 64));
         assert!(*sizes.last().unwrap() <= 64);
-    }
-
-    #[test]
-    fn time_chunks_are_window_aligned() {
-        let raw = raw_log(500);
-        let w = 1u64 << 24;
-        let chunks: Vec<LogChunk> = LogFeed::by_time(&raw, w).map(|c| c.unwrap()).collect();
-        assert!(chunks.len() > 1, "window must cut this scenario");
-        for chunk in &chunks {
-            if let Some((lo, hi)) = chunk.span() {
-                assert!(hi - lo < 2 * w, "chunk spans too much log time");
-            }
-        }
     }
 
     #[test]

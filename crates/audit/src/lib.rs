@@ -33,6 +33,6 @@ pub mod stats;
 
 pub use entity::{Entity, EntityId, EntityKind, FileEntity, NetworkEntity, ProcessEntity};
 pub use event::{AttackTag, Event, EventId, EventType, Operation};
-pub use feed::{ChunkBy, LogFeed};
+pub use feed::LogFeed;
 pub use parser::{LogChunk, ParseError, ParsedLog, Parser};
 pub use sim::scenario::{AttackKind, BenignMix, Scenario, ScenarioBuilder, ScenarioSpec};

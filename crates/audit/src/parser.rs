@@ -89,13 +89,6 @@ impl LogChunk {
     pub fn is_empty(&self) -> bool {
         self.new_entities.is_empty() && self.events.is_empty()
     }
-
-    /// `(min start, max start)` over this chunk's events.
-    pub fn span(&self) -> Option<(u64, u64)> {
-        let lo = self.events.iter().map(|e| e.start).min()?;
-        let hi = self.events.iter().map(|e| e.start).max()?;
-        Some((lo, hi))
-    }
 }
 
 /// Streaming parser with entity interning.
@@ -142,32 +135,15 @@ impl Parser {
         self.out.events.len()
     }
 
-    /// The `i`-th pending event (0 = oldest not yet taken).
-    pub fn pending_event(&self, i: usize) -> &Event {
-        &self.out.events[i]
-    }
-
     /// Takes everything parsed since the last chunk: all pending entities
     /// and all pending events.
     pub fn take_chunk(&mut self) -> LogChunk {
-        let n = self.pending_events();
-        self.take_chunk_events(n)
-    }
-
-    /// Takes a chunk with the first `n` pending events (clamped) and
-    /// *all* pending entities. Handing out entities eagerly keeps the
-    /// global id sequence contiguous per chunk; an entity interned by a
-    /// still-pending event simply arrives one chunk early, which the
-    /// append-only id scheme makes harmless.
-    pub fn take_chunk_events(&mut self, n: usize) -> LogChunk {
-        let n = n.min(self.pending_events());
-        let rest = self.out.events.split_off(n);
         let chunk = LogChunk {
             new_entities: std::mem::take(&mut self.out.entities),
-            events: std::mem::replace(&mut self.out.events, rest),
+            events: std::mem::take(&mut self.out.events),
         };
         self.taken_entities += chunk.new_entities.len();
-        self.taken_events += n;
+        self.taken_events += chunk.events.len();
         chunk
     }
 

@@ -60,7 +60,7 @@ pub use threatraptor_storage as storage;
 pub use threatraptor_synth as synth;
 pub use threatraptor_tbql as tbql;
 
-pub use threatraptor_audit::feed::{ChunkBy, LogFeed};
+pub use threatraptor_audit::feed::LogFeed;
 pub use threatraptor_audit::parser::{LogChunk, ParseError, ParsedLog};
 pub use threatraptor_engine::{Engine, EngineError, ExecMode, HuntResult, ShardedEngine};
 pub use threatraptor_nlp::pipeline::FIG2_OSCTI_TEXT;
@@ -79,7 +79,7 @@ use std::fmt;
 /// Common imports for ThreatRaptor applications.
 pub mod prelude {
     pub use crate::{HuntOutcome, ThreatRaptor, ThreatRaptorError};
-    pub use threatraptor_audit::feed::{ChunkBy, LogFeed};
+    pub use threatraptor_audit::feed::LogFeed;
     pub use threatraptor_audit::sim::scenario::{AttackKind, BenignMix, ScenarioBuilder};
     pub use threatraptor_engine::{Engine, ExecMode, HuntResult, ShardedEngine};
     pub use threatraptor_nlp::{ThreatBehaviorGraph, ThreatExtractor};

@@ -14,6 +14,15 @@
 //! Any interleaving event on the subject or the object closes the run, so
 //! every outside observer sees exactly the same ordering before and after
 //! reduction.
+//!
+//! CPR is an optimisation, so turning it off changes *which* events merge
+//! and nothing else: both modes run the same [`reduce`] and
+//! [`IncrementalReducer`], with merging disabled in one place (the state
+//! machine's `push`). There is one event order, `(start, end, id)`:
+//! every reducer output — [`reduce`], [`IncrementalReducer::take_stable`]
+//! and [`IncrementalReducer::visible`] — ascends by it. An out-of-order
+//! append (a straggler starting below the high-water start) sorts into the
+//! open window; order then holds within each seal, not across seals.
 
 use std::collections::HashMap;
 use threatraptor_audit::entity::EntityId;
@@ -78,8 +87,10 @@ pub const MAX_RUN_SPAN: u64 = 1 << 24;
 /// streaming [`IncrementalReducer`] evolves *the same state in the same
 /// order* — byte parity between batch and incremental reduction holds by
 /// construction, not by re-implementation.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 struct CprMachine {
+    /// Whether runs merge at all; read only by [`CprMachine::push`].
+    merge: bool,
     /// seq of the most recent activity touching each entity.
     last_touch: HashMap<EntityId, u64>,
     /// Open run per key: (accumulated event, seq of its last constituent).
@@ -88,10 +99,24 @@ struct CprMachine {
 }
 
 impl CprMachine {
+    fn new(merge: bool) -> CprMachine {
+        CprMachine {
+            merge,
+            last_touch: HashMap::new(),
+            open: HashMap::new(),
+            seq: 0,
+        }
+    }
+
     /// Feeds one event (the next in sort order); closed runs and
     /// non-mergeable events are appended to `out` in closing order (not
-    /// globally sorted — callers sort the final output).
+    /// globally sorted — callers sort the final output). With merging
+    /// off every event is emitted as-is and no per-entity state is kept.
     fn push(&mut self, ev: &Event, out: &mut Vec<Event>) {
+        if !self.merge {
+            out.push(ev.clone());
+            return;
+        }
         self.seq += 1;
         let seq = self.seq;
         let key: RunKey = (ev.subject, ev.op, ev.object).into_run_key();
@@ -163,7 +188,9 @@ impl CprMachine {
 }
 
 /// Applies CPR to an event stream. Returns the reduced stream (sorted by
-/// start time) and the reduction statistics.
+/// `(start, end, id)`) and the reduction statistics. With `use_cpr =
+/// false` nothing merges: the output is the input sorted, with identity
+/// statistics.
 ///
 /// Merging rules:
 /// * only data-transfer operations ([`Operation::cpr_mergeable`]) merge —
@@ -173,14 +200,14 @@ impl CprMachine {
 /// * a merged event keeps the **first** constituent's id and start time,
 ///   extends `end` to the last constituent, sums `bytes`, and counts
 ///   constituents in `merged`.
-pub fn reduce(events: &[Event]) -> (Vec<Event>, ReductionStats) {
+pub fn reduce(events: &[Event], use_cpr: bool) -> (Vec<Event>, ReductionStats) {
     let before = events.len();
 
     // Process in time order.
     let mut order: Vec<usize> = (0..events.len()).collect();
     order.sort_by_key(|&i| sort_key(&events[i]));
 
-    let mut machine = CprMachine::default();
+    let mut machine = CprMachine::new(use_cpr);
     let mut out: Vec<Event> = Vec::with_capacity(events.len());
     for &i in &order {
         machine.push(&events[i], &mut out);
@@ -215,18 +242,18 @@ pub fn reduce(events: &[Event]) -> (Vec<Event>, ReductionStats) {
 ///   start any future output could have. Sealing above the watermark
 ///   could split a run that batch CPR would merge, breaking parity.
 ///
-/// With `use_cpr = false` the reducer is a pass-through that preserves
-/// arrival order (matching [`reduce_if`] with `use_cpr = false`), and
-/// every appended event is immediately stable.
+/// With `use_cpr = false` the same staging, watermark and stable-prefix
+/// rules apply; only merging is disabled, so no run is ever open and the
+/// watermark is the high-water start.
 ///
 /// For start-ordered appends, `sealed outputs ++ visible()` is
-/// byte-identical to `reduce(all appended events).0` at every point in
-/// the stream. Out-of-order stragglers (an event starting before the
-/// high-water mark) are still ingested — they are processed on arrival —
-/// but exact batch parity is no longer guaranteed past that point.
+/// byte-identical to `reduce(all appended events, use_cpr).0` at every
+/// point in the stream. Out-of-order stragglers (an event starting before
+/// the high-water mark) are still ingested — they sort into the open
+/// window — but exact batch parity is no longer guaranteed past that
+/// point, and an already sealed output may start after the straggler.
 #[derive(Debug, Clone)]
 pub struct IncrementalReducer {
-    use_cpr: bool,
     machine: CprMachine,
     /// Input at the high-water start, not yet safely orderable.
     staged: Vec<Event>,
@@ -239,12 +266,11 @@ pub struct IncrementalReducer {
 }
 
 impl IncrementalReducer {
-    /// An empty reducer. `use_cpr = false` gives order-preserving
-    /// pass-through (identity reduction).
+    /// An empty reducer. `use_cpr = false` disables merging (identity
+    /// reduction in the same order).
     pub fn new(use_cpr: bool) -> IncrementalReducer {
         IncrementalReducer {
-            use_cpr,
-            machine: CprMachine::default(),
+            machine: CprMachine::new(use_cpr),
             staged: Vec::new(),
             done: Vec::new(),
             max_start: 0,
@@ -261,10 +287,6 @@ impl IncrementalReducer {
             .iter()
             .map(|e| e.start)
             .fold(self.max_start, u64::max);
-        if !self.use_cpr {
-            self.done.extend_from_slice(events);
-            return;
-        }
         self.staged.extend_from_slice(events);
         // Everything strictly below the high-water start is now safely
         // orderable: feed it to the machine in global sort order.
@@ -292,10 +314,6 @@ impl IncrementalReducer {
     /// seal operation's input; the returned slice is an exact prefix of
     /// what batch [`reduce`] over the full stream will eventually emit.
     pub fn take_stable(&mut self) -> Vec<Event> {
-        if !self.use_cpr {
-            // Pass-through: arrival order is the output order.
-            return std::mem::take(&mut self.done);
-        }
         let wm = self.watermark();
         let mut stable = Vec::new();
         self.done.retain(|e| {
@@ -307,6 +325,7 @@ impl IncrementalReducer {
             }
         });
         stable.sort_by_key(sort_key);
+        debug_assert!(stable.is_sorted_by_key(sort_key));
         stable
     }
 
@@ -315,9 +334,6 @@ impl IncrementalReducer {
     /// input, fully reduced and sorted. Non-destructive — appending more
     /// events afterwards continues exactly where the stream left off.
     pub fn visible(&self) -> Vec<Event> {
-        if !self.use_cpr {
-            return self.done.clone();
-        }
         let mut machine = self.machine.clone();
         let mut out = self.done.clone();
         let mut staged = self.staged.clone();
@@ -327,6 +343,7 @@ impl IncrementalReducer {
         }
         machine.flush(&mut out);
         out.sort_by_key(sort_key);
+        debug_assert!(out.is_sorted_by_key(sort_key));
         out
     }
 
@@ -336,7 +353,7 @@ impl IncrementalReducer {
     /// is proportional to the *staged* set (same-start frontier events),
     /// not the whole window.
     pub fn open_len(&self) -> usize {
-        if !self.use_cpr || self.staged.is_empty() {
+        if self.staged.is_empty() {
             return self.done.len() + self.machine.open.len();
         }
         let mut machine = self.machine.clone();
@@ -352,22 +369,6 @@ impl IncrementalReducer {
     /// Total events appended so far (the `before` of [`ReductionStats`]).
     pub fn appended(&self) -> usize {
         self.before
-    }
-}
-
-/// Applies CPR when `use_cpr`, otherwise passes the stream through with
-/// identity statistics — the ingestion preamble of
-/// [`crate::sharded::ShardedStore::ingest`], through which
-/// [`crate::store::AuditStore::ingest`] also builds.
-pub fn reduce_if(events: &[Event], use_cpr: bool) -> (Vec<Event>, ReductionStats) {
-    if use_cpr {
-        reduce(events)
-    } else {
-        let stats = ReductionStats {
-            before: events.len(),
-            after: events.len(),
-        };
-        (events.to_vec(), stats)
     }
 }
 
@@ -407,7 +408,7 @@ mod tests {
         let events: Vec<Event> = (0..5)
             .map(|i| ev(i, 0, Operation::Read, 1, i as u64 * 10))
             .collect();
-        let (out, stats) = reduce(&events);
+        let (out, stats) = reduce(&events, true);
         assert_eq!(out.len(), 1);
         assert_eq!(stats.before, 5);
         assert_eq!(stats.after, 1);
@@ -429,7 +430,7 @@ mod tests {
             ev(2, 0, Operation::Write, 2, 20),
             ev(3, 0, Operation::Read, 1, 30),
         ];
-        let (out, _) = reduce(&events);
+        let (out, _) = reduce(&events, true);
         // reads merged [0,1], the write, read [3] alone.
         assert_eq!(out.len(), 3);
         let merged_read = out.iter().find(|e| e.merged == 2).unwrap();
@@ -444,7 +445,7 @@ mod tests {
             ev(1, 2, Operation::Write, 1, 10),
             ev(2, 0, Operation::Read, 1, 20),
         ];
-        let (out, stats) = reduce(&events);
+        let (out, stats) = reduce(&events, true);
         assert_eq!(out.len(), 3, "read-write-read must not collapse");
         assert_eq!(stats.after, 3);
     }
@@ -456,7 +457,7 @@ mod tests {
             ev(1, 0, Operation::Connect, 1, 10),
             ev(2, 0, Operation::Fork, 2, 20),
         ];
-        let (out, _) = reduce(&events);
+        let (out, _) = reduce(&events, true);
         assert_eq!(out.len(), 3);
     }
 
@@ -472,7 +473,7 @@ mod tests {
             case: "x".into(),
             step: 2,
         });
-        let (out, _) = reduce(&[a, b]);
+        let (out, _) = reduce(&[a, b], true);
         assert_eq!(out.len(), 2);
     }
 
@@ -484,7 +485,7 @@ mod tests {
             ev(2, 0, Operation::Read, 1, 10),
             ev(3, 2, Operation::Read, 3, 15),
         ];
-        let (out, _) = reduce(&events);
+        let (out, _) = reduce(&events, true);
         // Each pair's run is uninterrupted on its own endpoints.
         assert_eq!(out.len(), 2);
         assert!(out.iter().all(|e| e.merged == 2));
@@ -492,7 +493,7 @@ mod tests {
 
     #[test]
     fn empty_input() {
-        let (out, stats) = reduce(&[]);
+        let (out, stats) = reduce(&[], true);
         assert!(out.is_empty());
         assert_eq!(stats.factor(), 1.0);
         assert_eq!(stats.removed_ratio(), 0.0);
@@ -505,7 +506,7 @@ mod tests {
             ev(1, 2, Operation::Write, 3, 10),
             ev(2, 4, Operation::Fork, 5, 30),
         ];
-        let (out, _) = reduce(&events);
+        let (out, _) = reduce(&events, true);
         for w in out.windows(2) {
             assert!(w[0].start <= w[1].start);
         }
@@ -543,7 +544,7 @@ mod tests {
         /// output event touching either endpoint overlaps its window.
         #[test]
         fn no_foreign_activity_inside_merged_windows(events in arb_events()) {
-            let (out, stats) = reduce(&events);
+            let (out, stats) = reduce(&events, true);
             prop_assert!(stats.after <= stats.before);
             // Total constituents and bytes are conserved.
             let merged_total: u32 = out.iter().map(|e| e.merged).sum();
@@ -582,8 +583,8 @@ mod tests {
         /// CPR is idempotent: reducing a reduced stream changes nothing.
         #[test]
         fn reduction_is_idempotent(events in arb_events()) {
-            let (once, _) = reduce(&events);
-            let (twice, stats) = reduce(&once);
+            let (once, _) = reduce(&events, true);
+            let (twice, stats) = reduce(&once, true);
             prop_assert_eq!(stats.before, stats.after);
             prop_assert_eq!(once, twice);
         }
@@ -594,7 +595,7 @@ mod tests {
         /// batch reduction of the whole stream.
         #[test]
         fn incremental_matches_batch(events in arb_events(), chunk in 1usize..17) {
-            let (batch, stats) = reduce(&events);
+            let (batch, stats) = reduce(&events, true);
             let mut inc = IncrementalReducer::new(true);
             let mut sealed: Vec<Event> = Vec::new();
             for (i, c) in events.chunks(chunk).enumerate() {
@@ -619,7 +620,7 @@ mod tests {
             ev(0, 0, Operation::Read, 1, 0),
             ev(1, 0, Operation::Read, 1, far),
         ];
-        let (out, _) = reduce(&events);
+        let (out, _) = reduce(&events, true);
         assert_eq!(out.len(), 2, "span cap must split the run");
 
         let mut inc = IncrementalReducer::new(true);
@@ -669,22 +670,26 @@ mod tests {
     }
 
     #[test]
-    fn passthrough_reducer_preserves_arrival_order() {
-        // With CPR off, the reducer is an order-preserving identity —
-        // matching `reduce_if(_, false)`.
+    fn merging_disabled_reducer_sorts_like_cpr() {
+        // With CPR off the reducer keeps CPR's order and staging rules;
+        // only merging is disabled. The event at the high-water start
+        // stays staged, so it is visible but not yet stable.
         let events = vec![
             ev(0, 0, Operation::Read, 1, 50),
             ev(1, 2, Operation::Write, 3, 10),
             ev(2, 4, Operation::Fork, 5, 30),
         ];
+        let sorted = vec![events[1].clone(), events[2].clone(), events[0].clone()];
         let mut inc = IncrementalReducer::new(false);
         inc.append(&events[..2]);
         inc.append(&events[2..]);
-        assert_eq!(inc.visible(), events);
-        // Nothing is open, so the watermark is the high-water start.
+        assert_eq!(inc.visible(), sorted);
+        assert_eq!(inc.open_len(), 3);
+        // No run is ever open, so the watermark is the high-water start.
         assert_eq!(inc.watermark(), 50);
-        assert_eq!(inc.take_stable(), events);
-        assert_eq!(inc.open_len(), 0);
+        assert_eq!(inc.take_stable(), sorted[..2]);
+        assert_eq!(inc.visible(), sorted[2..]);
         assert_eq!(inc.appended(), 3);
+        assert_eq!(reduce(&events, false).0, sorted);
     }
 }

@@ -73,8 +73,11 @@ pub struct StreamFrontier {
     /// may still absorb later constituents or be re-led).
     pub sealed_events: usize,
     /// The reducer's sealing watermark: every *future* non-final output
-    /// of the stream starts at or after this time. With CPR off every
-    /// output is final on arrival, and this is the high-water start.
+    /// of the stream starts at or after this time. With CPR off no run is
+    /// open, so this is the high-water start: events at it stay in the
+    /// open window until a later start arrives, exactly as with CPR on.
+    /// Outputs ascend by `(start, end, id)` within each seal; a straggler
+    /// below the watermark sorts into the open window.
     pub watermark: u64,
     /// Minimum start time over the open window's events (`None` when the
     /// open window is empty). Together with the watermark this bounds the
@@ -116,11 +119,12 @@ pub struct ShardedStore {
 
 impl ShardedStore {
     /// Ingests a parsed log into `shards` shards, optionally applying CPR
-    /// (globally, before partitioning). Several shards are indexed in
+    /// (globally, before partitioning). Either way the stored events are
+    /// in `(start, end, id)` order; with CPR off nothing merges. Several shards are indexed in
     /// parallel on scoped threads; one shard takes the reduced events
     /// without a copy. `shards` is clamped to at least 1.
     pub fn ingest(log: &ParsedLog, use_cpr: bool, shards: usize) -> ShardedStore {
-        let (events, reduction) = cpr::reduce_if(&log.events, use_cpr);
+        let (events, reduction) = cpr::reduce(&log.events, use_cpr);
         let catalog = EntityCatalog::from_entities(&log.entities);
         Self::build(catalog, events, reduction, shards)
     }

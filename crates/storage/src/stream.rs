@@ -16,7 +16,9 @@
 //!   [`IncrementalReducer`], which applies Causality-Preserved Reduction
 //!   incrementally — merging only against the open window while evolving
 //!   exactly the state the batch reducer would, so the stored stream is
-//!   byte-identical to batch ingestion of the same log;
+//!   byte-identical to batch ingestion of the same log. CPR off is the
+//!   same reducer with merging disabled: the same staging, watermark and
+//!   sealing rules, and the same event order;
 //! * a [`SealPolicy`] (by open-window event count, or manual) decides
 //!   when to freeze the open window. Sealing takes only the
 //!   *stable prefix* — closed CPR outputs below the reducer's watermark —
@@ -35,6 +37,11 @@
 //! assigned by the parser in first-appearance order and never change, and
 //! global event positions are the concatenation of sealed shards plus the
 //! open window — exactly the positions batch ingestion assigns.
+//!
+//! There is one event order, `(start, end, id)`: each seal and the open
+//! window ascend by it, with CPR on or off. For start-ordered appends the
+//! whole stream does; an out-of-order straggler sorts into the open
+//! window, so order then holds within each seal, not across shards.
 
 use crate::catalog::EntityCatalog;
 use crate::cpr::{IncrementalReducer, ReductionStats};
@@ -93,11 +100,6 @@ pub struct CompactionPolicy {
 }
 
 impl CompactionPolicy {
-    /// Never compact (the historical behavior).
-    pub fn disabled() -> CompactionPolicy {
-        CompactionPolicy::default()
-    }
-
     /// Keep at most `n` sealed shards (clamped to ≥ 1).
     pub fn max_shards(n: usize) -> CompactionPolicy {
         CompactionPolicy {
@@ -181,7 +183,8 @@ impl SnapshotParts {
         let frontier = StreamFrontier {
             sealed_events: self.sealed_events,
             watermark: self.watermark,
-            open_min_start: self.open_events.iter().map(|e| e.start).min(),
+            // The open window is sorted: its first event starts earliest.
+            open_min_start: self.open_events.first().map(|e| e.start),
         };
         let open = Arc::new(EventShard::build(self.open_events));
         let total = self.sealed_events + open.event_count();
@@ -227,7 +230,7 @@ impl StreamingStore {
     pub fn new(use_cpr: bool, policy: SealPolicy) -> StreamingStore {
         StreamingStore {
             policy,
-            compaction: CompactionPolicy::disabled(),
+            compaction: CompactionPolicy::default(),
             catalog: EntityCatalog::new(),
             reducer: IncrementalReducer::new(use_cpr),
             sealed: Vec::new(),
@@ -242,11 +245,6 @@ impl StreamingStore {
     pub fn with_compaction(mut self, compaction: CompactionPolicy) -> StreamingStore {
         self.compaction = compaction;
         self
-    }
-
-    /// The compaction policy.
-    pub fn compaction(&self) -> CompactionPolicy {
-        self.compaction
     }
 
     /// Attaches stream telemetry to `registry`: `storage_*` counters
@@ -459,11 +457,6 @@ impl StreamingStore {
         }
     }
 
-    /// The seal policy.
-    pub fn policy(&self) -> SealPolicy {
-        self.policy
-    }
-
     /// Monotone change counter: differs between two observations iff an
     /// append or seal happened in between.
     pub fn epoch(&self) -> u64 {
@@ -487,6 +480,7 @@ impl StreamingStore {
 mod tests {
     use super::*;
     use crate::cpr;
+    use proptest::prelude::*;
     use threatraptor_audit::entity::EntityId;
     use threatraptor_audit::event::{EventId, Operation};
     use threatraptor_audit::parser::ParsedLog;
@@ -512,7 +506,7 @@ mod tests {
 
     fn assert_stream_parity(log: &ParsedLog, store: &StreamingStore, use_cpr: bool) {
         let snapshot = store.snapshot();
-        let (expected, stats) = cpr::reduce_if(&log.events, use_cpr);
+        let (expected, stats) = cpr::reduce(&log.events, use_cpr);
         assert_eq!(snapshot.event_count(), expected.len());
         assert_eq!(snapshot.reduction(), stats);
         assert_eq!(store.reduction(), stats);
@@ -569,7 +563,7 @@ mod tests {
         store.append_batch(&[], &events[4..]);
 
         let snapshot = store.snapshot();
-        let (expected, _) = cpr::reduce(&events);
+        let (expected, _) = cpr::reduce(&events, true);
         assert_eq!(expected.len(), 1);
         assert_eq!(snapshot.event_count(), 1);
         assert_eq!(snapshot.event_at(0), &expected[0]);
@@ -595,7 +589,7 @@ mod tests {
         // batch reduction of exactly the half-stream it observed.
         assert_eq!(early.event_count(), early_count);
         assert_eq!(early.event_at(0), &early_first);
-        let (expected_half, _) = cpr::reduce(&log.events[..half]);
+        let (expected_half, _) = cpr::reduce(&log.events[..half], true);
         assert_eq!(early.event_count(), expected_half.len());
         assert!(late.event_count() > early.event_count());
         // The *sealed* region of the early snapshot is a stable prefix of
@@ -779,8 +773,8 @@ mod tests {
                 .with_compaction(CompactionPolicy::max_shards(4));
             store.attach_metrics(&registry);
             replay(&log, &mut store, 64);
-            // Without CPR every event is stable: a manual seal empties the
-            // open window, so the snapshot's open shard holds no bytes.
+            // Without CPR no run is open: a manual seal leaves only the
+            // events at the high-water start in the open window.
             store.seal();
             let snapshot = store.snapshot();
             let (open, sealed) = snapshot.shards().split_last().expect("an open shard");
@@ -788,8 +782,9 @@ mod tests {
             let snap = registry.snapshot();
             assert_eq!(snap.gauge("storage_event_bytes"), Some(sealed as i64));
             if !use_cpr {
-                assert_eq!(open.event_count(), 0);
-                assert_eq!(open.heap_bytes(), 0);
+                let max_start = log.events.iter().map(|e| e.start).max();
+                assert!(open.event_count() > 0);
+                assert!(open.events.iter().all(|e| Some(e.start) == max_start));
             }
             let entity_bytes = snap.gauge("storage_entity_bytes").unwrap();
             assert_eq!(entity_bytes as usize, store.catalog().heap_bytes());
@@ -871,6 +866,99 @@ mod tests {
         // Batch-built stores carry no frontier.
         let batch = ShardedStore::ingest(&log, true, 4);
         assert!(batch.frontier().is_none());
+    }
+
+    /// A scenario log with its events reversed in blocks of five, so
+    /// starts run backwards inside every block.
+    fn out_of_order_log() -> ParsedLog {
+        let mut log = scenario_log(600);
+        for block in log.events.chunks_mut(5) {
+            block.reverse();
+        }
+        log
+    }
+
+    #[test]
+    fn cpr_off_stores_out_of_order_input_sorted() {
+        let log = out_of_order_log();
+        let mut want = log.events.clone();
+        want.sort_by_key(|e| (e.start, e.end, e.id));
+        assert_ne!(want, log.events, "the log must be out of order");
+        let stored = |store: &ShardedStore| -> Vec<Event> {
+            (0..store.event_count())
+                .map(|pos| store.event_at(pos).clone())
+                .collect()
+        };
+        for shards in [1, 3] {
+            let batch = ShardedStore::ingest(&log, false, shards);
+            assert_eq!(stored(&batch), want, "{shards} shard(s)");
+        }
+        for chunk in [1, 7, log.events.len()] {
+            let mut store = StreamingStore::new(false, SealPolicy::manual());
+            replay(&log, &mut store, chunk);
+            assert_eq!(stored(&store.snapshot()), want, "chunk {chunk}");
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+        /// For start-ordered appends every shard of every snapshot
+        /// ascends by `(start, end, id)` — with CPR on or off, under any
+        /// chunking, seal points and compaction — and the final snapshot
+        /// is the batch reduction of the whole stream.
+        #[test]
+        fn snapshot_shards_ascend_by_sort_key(
+            steps in prop::collection::vec(
+                (
+                    0u64..3, // start increment: ties are common
+                    0u32..4, // subject
+                    0u32..4, // object
+                    prop::sample::select(vec![Operation::Read, Operation::Write, Operation::Fork]),
+                ),
+                1..120,
+            ),
+            chunk in 1usize..17,
+            seals in prop::collection::vec(prop::bool::weighted(0.4), 1..9),
+            use_cpr in any::<bool>(),
+        ) {
+            let mut start = 0;
+            let events: Vec<Event> = steps
+                .into_iter()
+                .enumerate()
+                .map(|(i, (step, s, o, op))| {
+                    start += step;
+                    Event {
+                        id: EventId(i as u32),
+                        subject: EntityId(s),
+                        op,
+                        object: EntityId((o + u32::from(s == o)) % 4),
+                        start,
+                        end: start + (i as u64 % 3),
+                        bytes: 10,
+                        merged: 1,
+                        tag: None,
+                    }
+                })
+                .collect();
+            let mut store = StreamingStore::new(use_cpr, SealPolicy::manual())
+                .with_compaction(CompactionPolicy::max_shards(2));
+            store.append_batch(&scenario_log(50).entities, &[]);
+            for (i, batch) in events.chunks(chunk).enumerate() {
+                store.append_batch(&[], batch);
+                if seals[i % seals.len()] {
+                    store.seal();
+                }
+                for shard in store.snapshot().shards() {
+                    prop_assert!(shard.events.is_sorted_by_key(|e| (e.start, e.end, e.id)));
+                }
+            }
+            let (want, _) = cpr::reduce(&events, use_cpr);
+            let snapshot = store.snapshot();
+            prop_assert_eq!(snapshot.event_count(), want.len());
+            for (pos, e) in want.iter().enumerate() {
+                prop_assert_eq!(snapshot.event_at(pos), e);
+            }
+        }
     }
 
     #[test]

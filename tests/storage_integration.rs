@@ -32,7 +32,7 @@ fn cpr_conserves_bytes_and_counts_at_scale() {
         .no_attacks()
         .target_events(20_000)
         .build();
-    let (reduced, stats) = cpr::reduce(&sc.log.events);
+    let (reduced, stats) = cpr::reduce(&sc.log.events, true);
     assert!(stats.factor() > 1.2, "bursty workloads compress: {stats:?}");
     let bytes_in: u64 = sc.log.events.iter().map(|e| e.bytes).sum();
     let bytes_out: u64 = reduced.iter().map(|e| e.bytes).sum();

@@ -266,8 +266,8 @@ mod tie_exactly_once {
     }
 }
 
-/// CPR-off parity: the pass-through frontier preserves arrival order
-/// exactly as batch no-CPR ingestion does.
+/// CPR-off parity: the merging-disabled frontier stores the stream in the
+/// same `(start, end, id)` order as batch no-CPR ingestion.
 #[test]
 fn streaming_without_cpr_matches_batch() {
     let sc = ScenarioBuilder::new()
