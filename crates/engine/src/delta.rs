@@ -11,7 +11,10 @@
 //! recurrence is stated) with the retained **partial bindings** of each
 //! schedule prefix whose witnesses are all stable, so it finds exactly
 //! the matches holding a fresh row, in the order a full execution emits
-//! them.
+//! them. The caller's keep-predicate sees each found match as a
+//! borrowed slot tuple ([`TupleView`]), and only the kept ones are
+//! materialized as [`Match`](crate::Match)es: a standing query re-finds
+//! every open-window match each poll and keeps only the undelivered ones.
 //!
 //! Partials are bounded: once the stream's settled bound passes a
 //! partial's feasible completion deadline (the next pattern's
@@ -34,10 +37,11 @@
 
 use crate::compile::CompiledQuery;
 use crate::exec::run_schedule;
-use crate::join::{JoinStep, Schedule, Tuples};
+use crate::join::{JoinStep, Layout, Schedule, Tuples};
 use crate::result::HuntResult;
 use crate::sharded::ShardedEngine;
 use std::time::Instant;
+use threatraptor_audit::entity::EntityId;
 
 /// Latest start time a future row of the pattern joined at `next` could
 /// have and still join tuple `i` of `partial`: the pattern's effective
@@ -126,13 +130,18 @@ impl DeltaState {
         dropped
     }
 
-    /// One incremental evaluation: returns exactly the matches that
+    /// One incremental evaluation: finds exactly the matches that
     /// contain at least one fresh row (position ≥ the previous poll's
     /// stable frontier), in the full executor's match order, and
     /// advances the stable frontier to `stable_to` (the snapshot's
     /// sealed-event count), folding newly stable combinations into the
-    /// retained partials. The result carries no projected rows: the
-    /// caller projects the matches it delivers.
+    /// retained partials.
+    ///
+    /// `keep` sees each found match as a [`TupleView`], in that order,
+    /// and only the matches it accepts are materialized into the result
+    /// — a standing query re-finds every open-window match each poll and
+    /// delivers only the new ones. The result carries no projected rows:
+    /// the caller projects the matches it delivers.
     ///
     /// The caller is responsible for continuity: snapshots must come
     /// from one growing store, with `stable_to` non-decreasing across
@@ -142,6 +151,7 @@ impl DeltaState {
         engine: &ShardedEngine<'_>,
         cq: &CompiledQuery,
         stable_to: usize,
+        mut keep: impl FnMut(TupleView<'_>) -> bool,
     ) -> HuntResult {
         let t0 = Instant::now();
         let carried_partials = self.retained();
@@ -163,11 +173,21 @@ impl DeltaState {
         // per-stage scan-row order, and event-pattern scans sort by
         // first witness position — so sorting by the schedule-ordered
         // witness positions reproduces its order exactly.
-        let t_join = Instant::now();
+        let t = Instant::now();
         let mut order: Vec<usize> = (0..delta.len()).collect();
         order.sort_by(|&a, &b| delta.cmp_by_witness(&self.schedule, a, b));
-        let matches = delta.select(order).to_matches(cq, &self.schedule.layout);
-        stats.join_elapsed += t_join.elapsed();
+        stats.join_elapsed += t.elapsed();
+        let t = Instant::now();
+        let layout = &self.schedule.layout;
+        order.retain(|&i| {
+            keep(TupleView {
+                tuples: &delta,
+                layout,
+                i,
+            })
+        });
+        let matches = delta.select(order).to_matches(cq, layout);
+        stats.materialize_elapsed += t.elapsed();
         if let Some(d) = &mut stats.delta {
             d.carried_partials = carried_partials;
             d.retained_partials = self.retained();
@@ -179,6 +199,31 @@ impl DeltaState {
             matches,
             stats,
         }
+    }
+}
+
+/// One match a [`DeltaState::poll`] found, by slot: the entity bound to
+/// each variable slot (an index into [`CompiledQuery::vars`]) and the
+/// witnessing event positions of each pattern slot (an index into
+/// [`CompiledQuery::patterns`]), borrowed from the poll's tuples.
+#[derive(Debug, Clone, Copy)]
+pub struct TupleView<'a> {
+    tuples: &'a Tuples,
+    layout: &'a Layout,
+    i: usize,
+}
+
+impl<'a> TupleView<'a> {
+    /// The entity bound to variable slot `var` (a complete match binds
+    /// every variable).
+    pub fn entity(&self, var: usize) -> EntityId {
+        self.tuples.ent(self.i, var)
+    }
+
+    /// The global event positions witnessing pattern slot `pat`: one for
+    /// an event pattern, one per hop for a path pattern.
+    pub fn witness(&self, pat: usize) -> &'a [usize] {
+        self.tuples.witness(self.layout, self.i, pat)
     }
 }
 
@@ -234,7 +279,7 @@ mod tests {
             let snapshot = store.snapshot();
             let frontier = snapshot.frontier().expect("streaming snapshot");
             let engine = ShardedEngine::new(&snapshot);
-            let out = state.poll(&engine, &cq, frontier.sealed_events);
+            let out = state.poll(&engine, &cq, frontier.sealed_events, |_| true);
             // Every delta match carries at least one fresh witness.
             let fresh_from = out.stats.delta.unwrap().fresh_from;
             assert!(out
@@ -273,14 +318,24 @@ mod tests {
         {
             let snapshot = store.snapshot();
             let engine = ShardedEngine::new(&snapshot);
-            state.poll(&engine, &cq, snapshot.frontier().unwrap().sealed_events);
+            state.poll(
+                &engine,
+                &cq,
+                snapshot.frontier().unwrap().sealed_events,
+                |_| true,
+            );
         }
         // Second poll: a small tail append. Rows scanned must be on the
         // order of the delta, not the store.
         store.append_batch(&[], &tail[..100.min(tail.len())]);
         let snapshot = store.snapshot();
         let engine = ShardedEngine::new(&snapshot);
-        let out = state.poll(&engine, &cq, snapshot.frontier().unwrap().sealed_events);
+        let out = state.poll(
+            &engine,
+            &cq,
+            snapshot.frontier().unwrap().sealed_events,
+            |_| true,
+        );
         let d = out.stats.delta.unwrap();
         assert!(d.fresh_from > 0, "frontier must have advanced");
         assert_eq!(d.carry_rows, 0, "single-pattern query never carries");
@@ -321,7 +376,12 @@ mod tests {
         let snapshot = store.snapshot();
         assert!(snapshot.frontier().unwrap().sealed_events > 0);
         let engine = ShardedEngine::new(&snapshot);
-        state.poll(&engine, &cq, snapshot.frontier().unwrap().sealed_events);
+        state.poll(
+            &engine,
+            &cq,
+            snapshot.frontier().unwrap().sealed_events,
+            |_| true,
+        );
         assert!(state.retained() > 0, "the shared-var join retains partials");
         // Below every deadline: nothing ages. Past the stream: where the
         // windowed pattern is the *next* stage, everything ages.
@@ -338,6 +398,7 @@ mod tests {
             &engine,
             &unbounded,
             snapshot.frontier().unwrap().sealed_events,
+            |_| true,
         );
         let kept = st2.retained();
         assert_eq!(st2.age(&unbounded, u64::MAX), 0);
@@ -361,7 +422,12 @@ mod tests {
             store.append_batch(&[], batch);
             let snapshot = store.snapshot();
             let engine = ShardedEngine::new(&snapshot);
-            let out = state.poll(&engine, &cq, snapshot.frontier().unwrap().sealed_events);
+            let out = state.poll(
+                &engine,
+                &cq,
+                snapshot.frontier().unwrap().sealed_events,
+                |_| true,
+            );
             assert_eq!(cq.memo().covered(), snapshot.catalog().len());
             polls.push(out.stats.entity_rows);
         }
@@ -384,7 +450,12 @@ mod tests {
         state.invalidate();
         let snapshot = store.snapshot();
         let engine = ShardedEngine::new(&snapshot);
-        let out = state.poll(&engine, &cq, snapshot.frontier().unwrap().sealed_events);
+        let out = state.poll(
+            &engine,
+            &cq,
+            snapshot.frontier().unwrap().sealed_events,
+            |_| true,
+        );
         assert_eq!(out.stats.entity_rows, 0);
     }
 
@@ -406,7 +477,12 @@ mod tests {
             store.append_batch(&[], batch);
             let snapshot = store.snapshot();
             let engine = ShardedEngine::new(&snapshot);
-            let out = state.poll(&engine, &cq, snapshot.frontier().unwrap().sealed_events);
+            let out = state.poll(
+                &engine,
+                &cq,
+                snapshot.frontier().unwrap().sealed_events,
+                |_| true,
+            );
             resolve.push(out.stats.resolve_elapsed);
         }
         let first = resolve[0];
@@ -584,7 +660,12 @@ mod tests {
             store.append_batch(&[], batch);
             let snapshot = store.snapshot();
             let engine = ShardedEngine::new(&snapshot);
-            let out = state.poll(&engine, &cq, snapshot.frontier().unwrap().sealed_events);
+            let out = state.poll(
+                &engine,
+                &cq,
+                snapshot.frontier().unwrap().sealed_events,
+                |_| true,
+            );
             let fresh_from = out.stats.delta.unwrap().fresh_from;
             assert!(out.matches.iter().all(|m| max_event_pos(m) >= fresh_from));
             peak = peak.max(state.retained());
@@ -599,7 +680,12 @@ mod tests {
         let engine = ShardedEngine::new(&snapshot);
         let retained = state.retained();
         state.invalidate();
-        let full = state.poll(&engine, &cq, snapshot.frontier().unwrap().sealed_events);
+        let full = state.poll(
+            &engine,
+            &cq,
+            snapshot.frontier().unwrap().sealed_events,
+            |_| true,
+        );
         assert!(!full.matches.is_empty());
         assert_eq!(state.retained(), retained, "partials rebuilt");
         assert_eq!(delivered.len(), full.matches.len());
@@ -620,12 +706,12 @@ mod tests {
         let snapshot = store.snapshot();
         let engine = ShardedEngine::new(&snapshot);
         let sealed = snapshot.frontier().unwrap().sealed_events;
-        let first = state.poll(&engine, &cq, sealed);
+        let first = state.poll(&engine, &cq, sealed, |_| true);
         let retained = state.retained();
         state.invalidate();
         assert_eq!(state.retained(), 0);
         assert_eq!(state.stable_events(), 0);
-        let again = state.poll(&engine, &cq, sealed);
+        let again = state.poll(&engine, &cq, sealed, |_| true);
         assert_eq!(again.matches, first.matches, "full rescan reproduces");
         assert_eq!(state.retained(), retained, "partials rebuilt");
     }

@@ -538,7 +538,7 @@ pub(crate) fn run_hunt(
     stats.project_elapsed = t.elapsed();
     let t = Instant::now();
     let matches = tuples.to_matches(cq, &schedule.layout);
-    stats.join_elapsed += t.elapsed();
+    stats.materialize_elapsed = t.elapsed();
     stats.elapsed = t0.elapsed();
     HuntResult {
         columns,
@@ -790,6 +790,30 @@ mod tests {
             .target_events(5_000)
             .build();
         AuditStore::ingest(&sc.log, true)
+    }
+
+    /// The stage timers account for a hunt's time: on a hunt of over a
+    /// thousand matches, where materializing them is a large share, the
+    /// scan, resolve, propagate, join, materialize and project stages
+    /// sum to at least 90 % of `elapsed`. The best of three hunts is
+    /// taken, so a preemption between two timers cannot fail it.
+    #[test]
+    fn stage_times_cover_a_large_hunt() {
+        let store = store();
+        let engine = Engine::new(&store);
+        let q = "proc p read file f as e1 proc p write file g as e2 return p, f, g";
+        let covered = |stats: &HuntStats| {
+            let stages: std::time::Duration = stats.stages().iter().sum();
+            stages.as_secs_f64() / stats.elapsed.as_secs_f64()
+        };
+        let mut best: f64 = 0.0;
+        for _ in 0..3 {
+            let result = engine.hunt(q).unwrap();
+            assert!(result.matches.len() >= 1_000, "{}", result.matches.len());
+            assert!(result.stats.materialize_elapsed > std::time::Duration::ZERO);
+            best = best.max(covered(&result.stats));
+        }
+        assert!(best >= 0.9, "stages cover {:.1} % of elapsed", best * 100.0);
     }
 
     #[test]

@@ -189,12 +189,13 @@ impl ExplainReport {
             }
             writeln!(
                 out,
-                "stages: resolve={:.3?} entity-rows={} scan={:.3?} propagate={:.3?} join={:.3?} project={:.3?} total={:.3?}",
+                "stages: resolve={:.3?} entity-rows={} scan={:.3?} propagate={:.3?} join={:.3?} materialize={:.3?} project={:.3?} total={:.3?}",
                 stats.resolve_elapsed,
                 stats.entity_rows,
                 stats.scan_elapsed(),
                 stats.propagate_elapsed,
                 stats.join_elapsed,
+                stats.materialize_elapsed,
                 stats.project_elapsed,
                 stats.elapsed
             )
@@ -365,6 +366,7 @@ mod tests {
         // Resolution is timed apart from the scans and printed first.
         assert!(actuals.stats.resolve_elapsed > std::time::Duration::ZERO);
         assert!(text.contains("stages: resolve="), "{text}");
+        assert!(text.contains(" materialize="), "{text}");
     }
 
     #[test]

@@ -275,7 +275,7 @@ impl Tuples {
     }
 
     /// Witness positions of pattern `pat` in tuple `i`.
-    fn witness(&self, layout: &Layout, i: usize, pat: usize) -> &[usize] {
+    pub(crate) fn witness(&self, layout: &Layout, i: usize, pat: usize) -> &[usize] {
         let range = layout.wit_range(pat);
         let slots = &self.wits[i * self.wit_width + range.start..i * self.wit_width + range.end];
         let hops = slots.iter().position(|&p| p == NO_POS);

@@ -125,8 +125,12 @@ pub struct HuntStats {
     /// Wall time building cross-pattern IN-set filters (constraint
     /// propagation; zero for a baseline).
     pub propagate_elapsed: Duration,
-    /// Wall time joining fetched rows into the partial match set.
+    /// Wall time joining fetched rows into the partial match set (and,
+    /// for a delta poll, restoring the full executor's match order).
     pub join_elapsed: Duration,
+    /// Wall time materializing slot tuples into name-keyed [`Match`]es
+    /// (for a delta poll, also choosing which found matches to keep).
+    pub materialize_elapsed: Duration,
     /// Wall time projecting matches into output rows.
     pub project_elapsed: Duration,
     /// Wall-clock execution time.
@@ -138,6 +142,31 @@ pub struct HuntStats {
 }
 
 impl HuntStats {
+    /// The execution stages of a hunt, in the order a job trace lays
+    /// them out and [`HuntStats::stages`] lists them.
+    pub const STAGE_NAMES: [&'static str; 6] = [
+        "scan",
+        "resolve",
+        "propagate",
+        "join",
+        "materialize",
+        "project",
+    ];
+
+    /// The measured wall time of each [`HuntStats::STAGE_NAMES`] entry.
+    /// They sum to nearly all of `elapsed`; the rest is the stage loop's
+    /// own bookkeeping.
+    pub fn stages(&self) -> [Duration; 6] {
+        [
+            self.scan_elapsed(),
+            self.resolve_elapsed,
+            self.propagate_elapsed,
+            self.join_elapsed,
+            self.materialize_elapsed,
+            self.project_elapsed,
+        ]
+    }
+
     /// Total wall time across all pattern scans.
     pub fn scan_elapsed(&self) -> Duration {
         self.patterns.iter().map(|p| p.elapsed).sum()

@@ -38,12 +38,15 @@
 //! only rows witnessing the epoch delta — newly sealed rows plus the
 //! open window, above the snapshot's [`StreamFrontier`] — and joins them
 //! against **retained partial bindings** over the stable prefix.
-//! Endpoint resolution is memoized per standing query. The engine hands
-//! back matches without projecting them; this layer keys each one by
-//! slot and pattern position and renders only the matches it has not
-//! delivered before. Re-led open-window runs need no re-validation: the
-//! open window lies above the stable frontier and is re-scanned every
-//! poll. The first poll, a discontinuity (raw or sealed frontier
+//! Endpoint resolution is memoized on the plan. The open window is
+//! re-scanned every poll, so a poll re-finds every match it holds; the
+//! engine hands each found match to this layer as a slot tuple, this
+//! layer writes its identity (bindings by variable slot, witness run
+//! identities by pattern slot) into one reused buffer and looks it up in
+//! `seen`, and only the matches whose identity is new are materialized,
+//! projected and delivered. Re-led open-window runs need no
+//! re-validation: the open window lies above the stable frontier and is
+//! re-scanned every poll. The first poll, a discontinuity (raw or sealed frontier
 //! regression) and a batch snapshot without a frontier poll from
 //! position zero through the same loop, the latter two after
 //! invalidating the retained state.
@@ -55,9 +58,10 @@
 //! * *partials* whose feasible completion deadline (the next scheduled
 //!   pattern's DBM-tightened `[lo, hi]` upper bound, clamped further by
 //!   `before` constraints against bound patterns) has passed;
-//! * *delivered-match witnesses* (`seen`) whose newest witness run
-//!   starts before the settled bound — such a match can never be
-//!   re-found by a delta poll, so its dedup entry is dead weight;
+//! * *delivered-match identities* (`seen`) whose newest witness run
+//!   (the identity's first word) starts before the settled bound — such
+//!   a match can never be re-found by a delta poll, so its dedup entry
+//!   is dead weight;
 //! * on a **drained** query (every pattern's feasible window closed
 //!   below the settled bound), all dedup state including the
 //!   distinct-row history — no new match can ever form.
@@ -73,52 +77,53 @@ use std::collections::HashSet;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use threatraptor_audit::entity::EntityId;
-use threatraptor_audit::event::Operation;
-use threatraptor_engine::compile::CompiledQuery;
-use threatraptor_engine::result::{DeltaStats, HuntStats, Match};
+use threatraptor_engine::result::{DeltaStats, HuntStats};
 use threatraptor_engine::{DeltaState, ExecMode, HuntResult, ShardedEngine};
 use threatraptor_obs::{Counter, Gauge, Registry};
 use threatraptor_storage::ShardedStore;
 
-/// Stable identity of one witnessing event: the CPR *run identity* —
-/// entity pair, operation, and the run's start time. An open run's
-/// *event id* is not delivery-stable: a later chunk can deliver a
-/// same-start-time tie that sorts ahead of the provisional leader and
-/// re-leads the merged run under the newcomer's id. The run's start time
-/// cannot change that way (ties share it), so this key survives
-/// re-leading where the first-constituent id does not.
-type WitnessKey = (EntityId, EntityId, Operation, u64);
-
-/// Stable identity of a match: its variable bindings in `cq.vars` slot
-/// order plus, per pattern in declaration order, the run identities of
-/// its witnessing events. Every match of one standing query binds the
-/// same variables and patterns, so positions alone name them.
-type MatchKey = (Vec<Option<EntityId>>, Vec<Vec<WitnessKey>>);
-
-fn match_key(m: &Match, cq: &CompiledQuery, store: &ShardedStore) -> MatchKey {
-    let bindings = cq.vars.iter().map(|var| m.bindings.get(var).copied());
-    let events = cq.patterns.iter().map(|pat| {
-        m.events.get(&pat.id).map_or_else(Vec::new, |positions| {
-            positions
-                .iter()
-                .map(|&p| {
-                    let e = store.event_at(p);
-                    #[cfg(not(check_mutants))]
-                    let key = (e.subject, e.object, e.op, e.start);
-                    // Seeded bug (mutant CI job): key the witness by
-                    // its leading event id instead of the run start.
-                    // A same-start tie arriving later re-leads the
-                    // merged run under a new id, so the same logical
-                    // match refires — the exact exactly-once
-                    // regression the dispatcher model must re-find.
-                    #[cfg(check_mutants)]
-                    let key = (e.subject, e.object, e.op, u64::from(e.id.0));
-                    key
-                })
-                .collect()
-        })
-    });
-    (bindings.collect(), events.collect())
+/// Writes the stable identity of a match into `key` as one flat word
+/// string: the newest witness run's start first (what aging reads), then
+/// the `bindings` in `cq.vars` slot order, then per pattern in
+/// declaration order (`witnesses`) its hop count and, per hop, the
+/// witnessing event's CPR *run identity* — entity pair, operation and
+/// the run's start time. The hop counts make the string injective: the
+/// same hops split differently across patterns key differently.
+///
+/// An open run's *event id* is not delivery-stable: a later chunk can
+/// deliver a same-start-time tie that sorts ahead of the provisional
+/// leader and re-leads the merged run under the newcomer's id. The run's
+/// start time cannot change that way (ties share it), so this key
+/// survives re-leading where the first-constituent id does not.
+fn match_identity<'a>(
+    bindings: impl Iterator<Item = EntityId>,
+    witnesses: impl Iterator<Item = &'a [usize]>,
+    store: &ShardedStore,
+    key: &mut Vec<u64>,
+) {
+    key.clear();
+    key.push(0);
+    key.extend(bindings.map(|e| u64::from(e.0)));
+    let mut newest = 0;
+    for hops in witnesses {
+        key.push(hops.len() as u64);
+        for &pos in hops {
+            let e = store.event_at(pos);
+            #[cfg(not(check_mutants))]
+            let run = e.start;
+            // Seeded bug (mutant CI job): key the witness by its leading
+            // event id instead of the run start. A same-start tie
+            // arriving later re-leads the merged run under a new id, so
+            // the same logical match refires — the exact exactly-once
+            // regression the dispatcher model must re-find.
+            #[cfg(check_mutants)]
+            let run = u64::from(e.id.0);
+            let pair = u64::from(e.subject.0) << 32 | u64::from(e.object.0);
+            key.extend([pair, e.op as u64, run]);
+            newest = newest.max(run);
+        }
+    }
+    key[0] = newest;
 }
 
 /// Accumulates one poll's engine statistics into the running result's:
@@ -132,6 +137,7 @@ fn merge_stats(running: &mut HuntStats, poll: &HuntStats) {
     running.entity_rows += poll.entity_rows;
     running.propagate_elapsed += poll.propagate_elapsed;
     running.join_elapsed += poll.join_elapsed;
+    running.materialize_elapsed += poll.materialize_elapsed;
     running.project_elapsed += poll.project_elapsed;
     for p in &poll.patterns {
         match running.patterns.iter_mut().find(|r| r.pattern == p.pattern) {
@@ -212,7 +218,11 @@ impl FollowDelta {
 #[derive(Debug)]
 pub struct FollowHunt {
     plan: Arc<CachedPlan>,
-    seen: HashSet<MatchKey>,
+    /// Identities of the matches delivered so far (see
+    /// [`match_identity`]), aged by their first word.
+    seen: HashSet<Box<[u64]>>,
+    /// The buffer each found match's identity is written into.
+    key: Vec<u64>,
     /// Distinct-row history: every projected row ever delivered, kept
     /// so `distinct` queries never repeat a row across polls. Cleared
     /// only when the query drains (every feasible window closed).
@@ -240,6 +250,7 @@ impl FollowHunt {
         FollowHunt {
             plan,
             seen: HashSet::new(),
+            key: Vec::new(),
             known: HashSet::new(),
             delta,
             result: None,
@@ -356,18 +367,18 @@ impl FollowHunt {
             }
         };
         let from_zero = self.delta.stable_events() == 0;
-        let out = self.delta.poll(&engine, cq, stable_to);
+        // Keep only matches no earlier poll has seen: a key already in
+        // `seen` is looked up by slice and allocates nothing.
+        let (seen, key) = (&mut self.seen, &mut self.key);
+        let out = self.delta.poll(&engine, cq, stable_to, |m| {
+            let bindings = (0..cq.vars.len()).map(|slot| m.entity(slot));
+            let witnesses = (0..cq.patterns.len()).map(|pat| m.witness(pat));
+            match_identity(bindings, witnesses, snapshot, key);
+            !seen.contains(key.as_slice()) && seen.insert(key.as_slice().into())
+        });
         self.last_raw = Some(raw);
         let delta_stats = out.stats.delta;
-
-        // Extract the delta: matches no earlier poll has seen.
-        let delta_matches: Vec<Match> = out
-            .matches
-            .iter()
-            .filter(|m| self.seen.insert(match_key(m, cq, snapshot)))
-            .cloned()
-            .collect();
-        let (columns, mut delta_rows) = engine.project(cq, &delta_matches);
+        let (columns, mut delta_rows) = engine.project(cq, &out.matches);
 
         // Merge into the running result. Stats accumulate (per-pattern
         // scan counters and elapsed sum across polls) rather than being
@@ -385,10 +396,9 @@ impl FollowHunt {
             // set without rescanning them every poll.
             delta_rows.retain(|r| self.known.insert(r.clone()));
         }
-        let new_matches = delta_matches.len();
-        running.matches.extend(delta_matches);
-        let rows = delta_rows.clone();
-        running.rows.extend(delta_rows);
+        let new_matches = out.matches.len();
+        running.matches.extend(out.matches);
+        running.rows.extend_from_slice(&delta_rows);
 
         // Age retained state by the stream's settled bound: no future
         // fresh row can start below it.
@@ -397,14 +407,7 @@ impl FollowHunt {
         if let Some(f) = frontier {
             let settled = f.settled_before();
             let before = self.seen.len();
-            self.seen.retain(|key| {
-                key.1
-                    .iter()
-                    .flatten()
-                    .map(|w| w.3)
-                    .max()
-                    .is_none_or(|newest_start| newest_start >= settled)
-            });
+            self.seen.retain(|key| key[0] >= settled);
             aged_dedup = before - self.seen.len();
             aged_partials = self.delta.age(cq, settled);
             // Drained query: every pattern's feasible window closed
@@ -443,7 +446,7 @@ impl FollowHunt {
 
         Ok(FollowDelta {
             new_matches,
-            rows,
+            rows: delta_rows,
             unchanged: false,
             elapsed: t0.elapsed(),
             delta: delta_stats,
@@ -641,7 +644,7 @@ mod tests {
             let snapshot = store.snapshot();
             let engine = ShardedEngine::new(&snapshot);
             let sealed = snapshot.frontier().unwrap().sealed_events;
-            let solo = mirror.poll(&engine, &plan.compiled, sealed);
+            let solo = mirror.poll(&engine, &plan.compiled, sealed, |_| true);
             per_poll_fetched.push(solo.stats.patterns);
             // Bracket the poll: the execution it adds to the running
             // stats is timed inside the poll's own timer, which runs
@@ -730,6 +733,109 @@ mod tests {
                 threatraptor_obs::SampleValue::Counter(p.total_rows() as u64)
             );
         }
+    }
+
+    /// The identity keys each pattern's hop count: the same hops split
+    /// differently across two path patterns, under the same bindings,
+    /// key differently. The bindings and every part of a hop's run
+    /// identity count, and the newest run start leads.
+    #[test]
+    fn identity_keeps_pattern_boundaries_and_run_identity() {
+        use threatraptor_audit::event::{Event, EventId, Operation};
+
+        let sc = ScenarioBuilder::new().seed(1).target_events(50).build();
+        let ev = |id: u32, s: u32, o: u32, op: Operation, start: u64| Event {
+            id: EventId(id),
+            subject: EntityId(s),
+            op,
+            object: EntityId(o),
+            start,
+            end: start + 1,
+            bytes: 8,
+            merged: 1,
+            tag: None,
+        };
+        let mut store = StreamingStore::new(true, SealPolicy::manual());
+        store.append_batch(
+            &sc.log.entities,
+            &[
+                ev(1, 0, 1, Operation::Write, 10),
+                ev(2, 0, 1, Operation::Read, 10),
+                ev(3, 0, 2, Operation::Write, 10),
+                ev(4, 1, 2, Operation::Write, 20),
+                ev(5, 2, 3, Operation::Write, 30),
+                ev(6, 0, 1, Operation::Write, 50),
+            ],
+        );
+        let snapshot = store.snapshot();
+        assert_eq!(snapshot.event_count(), 6, "no two events merge");
+        let key = |bindings: &[u32], witnesses: &[&[usize]]| {
+            let mut key = Vec::new();
+            match_identity(
+                bindings.iter().map(|&e| EntityId(e)),
+                witnesses.iter().copied(),
+                &snapshot,
+                &mut key,
+            );
+            key
+        };
+        let vars = [0, 1, 3];
+        let split = key(&vars, &[&[3, 4], &[5]]);
+        assert_ne!(split, key(&vars, &[&[3], &[4, 5]]));
+        assert_ne!(split, key(&vars, &[&[3, 4, 5], &[]]));
+        assert_eq!(split, key(&vars, &[&[3, 4], &[5]]));
+        assert_eq!(split[0], 50, "the newest witness start leads");
+        assert_ne!(split, key(&[0, 1, 2], &[&[3, 4], &[5]]));
+        // Operation, pair and start each tell hops apart.
+        let hop = |pos: usize| key(&vars, &[&[pos]]);
+        assert_ne!(hop(0), hop(1));
+        assert_ne!(hop(0), hop(2));
+        assert_ne!(hop(0), hop(5));
+    }
+
+    /// Under a manual seal policy nothing seals, so every poll re-finds
+    /// every match the open window holds. A match found by the first
+    /// poll is re-found by each of the next eleven and delivered once,
+    /// and the dedup set holds what the bindings-and-runs key held before
+    /// it was stored flat.
+    #[test]
+    fn open_window_matches_are_delivered_once_across_polls() {
+        let sc = ScenarioBuilder::new()
+            .seed(42)
+            .attacks(&[AttackKind::DataLeakage])
+            .target_events(2_000)
+            .build();
+        let q = "proc p read file f as e1 proc p write file g as e2 return p, f, g";
+        let mut store = StreamingStore::new(true, SealPolicy::manual());
+        let mut hunt = follow(q);
+        let plan = PlanCache::new().plan(q).unwrap().0;
+        let mut mirror = DeltaState::new(&plan.compiled);
+        store.append_batch(&sc.log.entities, &[]);
+
+        let mut delivered = 0;
+        let mut dedup = Vec::new();
+        for batch in sc.log.events.chunks(sc.log.events.len().div_ceil(12)) {
+            store.append_batch(&[], batch);
+            let snapshot = store.snapshot();
+            assert_eq!(snapshot.frontier().unwrap().sealed_events, 0);
+            let delta = hunt.poll(&snapshot).unwrap();
+            assert_eq!(delta.delta.unwrap().fresh_from, 0);
+            delivered += delta.new_matches;
+            // A keep-all poll of the same snapshot finds every match
+            // delivered so far again.
+            let refound = mirror.poll(&ShardedEngine::new(&snapshot), &plan.compiled, 0, |_| true);
+            assert_eq!(refound.matches.len(), delivered);
+            dedup.push(hunt.dedup_entries());
+        }
+        assert_eq!(dedup.len(), 12);
+        assert!(dedup[0] > 0, "the first poll must find matches");
+        assert_eq!(
+            dedup,
+            [150, 313, 488, 686, 866, 896, 958, 1162, 1328, 1426, 1578, 1756]
+        );
+        assert_eq!(hunt.result().unwrap().matches.len(), delivered);
+        let batch = ShardedEngine::new(&store.snapshot()).hunt(q).unwrap();
+        assert_eq!(delivered, batch.matches.len());
     }
 
     #[test]

@@ -377,9 +377,9 @@ struct JobObs {
     latency_panicked: Arc<Histogram>,
     latency_rejected: Arc<Histogram>,
     /// `hunt_stage_ns{stage=…}` for job executions, one series per
-    /// [`EXEC_STAGES`] entry, in that order (the cache adds
+    /// [`HuntStats::STAGE_NAMES`] entry, in that order (the cache adds
     /// parse/analyze/compile).
-    hunt_stages: [Arc<Histogram>; 5],
+    hunt_stages: [Arc<Histogram>; 6],
     /// `hunt_stage_ns{stage=synthesize}`: a report job's extraction,
     /// synthesis and printing.
     synthesize: Arc<Histogram>,
@@ -403,7 +403,7 @@ impl JobObs {
             latency_error: latency("error"),
             latency_panicked: latency("panicked"),
             latency_rejected: latency("rejected"),
-            hunt_stages: EXEC_STAGES.map(stage),
+            hunt_stages: HuntStats::STAGE_NAMES.map(stage),
             synthesize: stage("synthesize"),
             nlp_stages: StageTimings::STAGE_NAMES
                 .map(|stage| registry.histogram_labeled("nlp_stage_ns", &[("stage", stage)])),
@@ -511,33 +511,17 @@ fn execute_plan(store: &ShardedStore, plan: &CachedPlan) -> Result<HuntResult, S
         .unwrap_or_else(|payload| Err(ServiceError::Worker(panic_text(&*payload))))
 }
 
-/// The execution stages of a hunt, in the order a job trace lays them
-/// out. A successful job records one `hunt_stage_ns{stage}` sample per
-/// entry; [`exec_stage_times`] gives the durations in the same order.
-const EXEC_STAGES: [&str; 5] = ["scan", "resolve", "propagate", "join", "project"];
-
-/// The measured wall time of each [`EXEC_STAGES`] entry.
-fn exec_stage_times(stats: &HuntStats) -> [Duration; 5] {
-    [
-        stats.scan_elapsed(),
-        stats.resolve_elapsed,
-        stats.propagate_elapsed,
-        stats.join_elapsed,
-        stats.project_elapsed,
-    ]
-}
-
 /// Lays per-stage child spans under the exec span of a job trace, one
-/// per [`EXEC_STAGES`] entry, except that the scan stage is one
-/// `scan:<pattern>` span per pattern (with rows-scanned and shard-count
-/// attributes). The stats carry durations, not absolute times, so the
+/// per [`HuntStats::STAGE_NAMES`] entry, in that order, except that the
+/// scan stage is one `scan:<pattern>` span per pattern (with
+/// rows-scanned and shard-count attributes). The stats carry durations, not absolute times, so the
 /// spans are placed back-to-back from the exec span's start — their
 /// *widths* are the measured stage times; any exec time they don't
 /// cover (snapshot resolution, plan-cache lookup) shows as the
 /// uncovered tail.
 fn record_stage_spans(trace: &mut TraceTree, exec: usize, stats: &HuntStats) {
     let mut cursor = trace.span_start(exec);
-    for (name, elapsed) in EXEC_STAGES.into_iter().zip(exec_stage_times(stats)) {
+    for (name, elapsed) in HuntStats::STAGE_NAMES.into_iter().zip(stats.stages()) {
         if name != "scan" {
             trace.add_span(exec, name, cursor, cursor + elapsed);
             cursor += elapsed;
@@ -766,7 +750,7 @@ impl HuntServer {
                     let mut matches = 0;
                     if let Ok(result) = &report.outcome {
                         matches = result.matches.len();
-                        let times = exec_stage_times(&result.stats);
+                        let times = result.stats.stages();
                         for (hist, elapsed) in obs.hunt_stages.iter().zip(times) {
                             hist.record_duration(elapsed);
                         }
@@ -1508,10 +1492,13 @@ mod tests {
         let sc = scenario();
         let server = server();
         let (_alerts, _) = server.follow(FIG2_TBQL).unwrap();
+        // Catch up after each append, so the dispatcher polls once per
+        // append: had it merged every append into one poll, that poll
+        // and the seeding poll would both run from zero.
         for chunk in LogFeed::by_events(&sc.raw, 800) {
             server.append(&chunk.unwrap());
+            assert!(server.wait_caught_up(Duration::from_secs(60)));
         }
-        assert!(server.wait_caught_up(Duration::from_secs(60)));
         // Dispatcher snapshots carry the stream frontier, so polls
         // after the seeding poll scan only the fresh range.
         let metrics = server.metrics();
@@ -1632,7 +1619,7 @@ mod tests {
             .map(|i| profile.trace.nodes()[i].name.as_str())
             .collect();
         assert!(stage_names.iter().any(|n| n.starts_with("scan:")));
-        for stage in ["resolve", "propagate", "join", "project"] {
+        for stage in ["resolve", "propagate", "join", "materialize", "project"] {
             assert!(stage_names.contains(&stage), "missing {stage}");
         }
         // Latency bounds the parts and is what slow_hunts ranks by.

@@ -24,6 +24,7 @@
 //! append (a straggler starting below the high-water start) sorts into the
 //! open window; order then holds within each seal, not across seals.
 
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use threatraptor_audit::entity::EntityId;
 use threatraptor_audit::event::{Event, Operation};
@@ -91,8 +92,13 @@ pub const MAX_RUN_SPAN: u64 = 1 << 24;
 struct CprMachine {
     /// Whether runs merge at all; read only by [`CprMachine::push`].
     merge: bool,
-    /// seq of the most recent activity touching each entity.
-    last_touch: HashMap<EntityId, u64>,
+    /// Per endpoint of an open run: the seq of the most recent activity
+    /// touching it, and how many open runs it ends. `push` reads an
+    /// entity's seq only while a run under its key is open, and opening
+    /// a run writes it, so an entity no open run ends needs no entry:
+    /// closing its last run removes it, which bounds the map by twice
+    /// the open runs rather than by every entity ever touched.
+    last_touch: HashMap<EntityId, (u64, u32)>,
     /// Open run per key: (accumulated event, seq of its last constituent).
     open: HashMap<RunKey, (Event, u64)>,
     seq: u64,
@@ -123,35 +129,47 @@ impl CprMachine {
 
         if ev.op.cpr_mergeable() {
             if let Some((acc, last_seq)) = self.open.get_mut(&key) {
-                let subj_quiet = self.last_touch.get(&ev.subject) == Some(last_seq);
-                let obj_quiet = self.last_touch.get(&ev.object) == Some(last_seq);
+                let quiet = |e| self.last_touch.get(&e).map(|t| t.0) == Some(*last_seq);
                 let within_span = acc.end.max(ev.end) - acc.start <= MAX_RUN_SPAN;
-                if subj_quiet && obj_quiet && within_span && acc.tag == ev.tag {
+                if quiet(ev.subject) && quiet(ev.object) && within_span && acc.tag == ev.tag {
                     // Extend the run.
                     acc.end = acc.end.max(ev.end);
                     acc.bytes += ev.bytes;
                     acc.merged += ev.merged;
                     *last_seq = seq;
-                    self.last_touch.insert(ev.subject, seq);
-                    self.last_touch.insert(ev.object, seq);
+                    self.touch(ev, seq);
                     return;
                 }
             }
-            // Start a new run (flushing any stale run under this key).
-            if let Some((acc, _)) = self.open.remove(&key) {
-                out.push(acc);
+            // Start a new run (flushing any stale run under this key,
+            // whose endpoints the new run keeps).
+            match self.open.insert(key, (ev.clone(), seq)) {
+                Some((acc, _)) => out.push(acc),
+                None => {
+                    for e in [ev.subject, ev.object] {
+                        self.last_touch.entry(e).or_default().1 += 1;
+                    }
+                }
             }
-            self.open.insert(key, (ev.clone(), seq));
         } else {
             // Non-mergeable event: flush the run under this key, if any,
             // then emit as-is.
             if let Some((acc, _)) = self.open.remove(&key) {
                 out.push(acc);
+                release(&mut self.last_touch, key);
             }
             out.push(ev.clone());
         }
-        self.last_touch.insert(ev.subject, seq);
-        self.last_touch.insert(ev.object, seq);
+        self.touch(ev, seq);
+    }
+
+    /// Records activity `seq` on `ev`'s endpoints that end an open run.
+    fn touch(&mut self, ev: &Event, seq: u64) {
+        for e in [ev.subject, ev.object] {
+            if let Some(t) = self.last_touch.get_mut(&e) {
+                t.0 = seq;
+            }
+        }
     }
 
     /// Closes every open run into `out` (end of stream).
@@ -159,6 +177,7 @@ impl CprMachine {
         for (_, (acc, _)) in self.open.drain() {
             out.push(acc);
         }
+        self.last_touch.clear();
     }
 
     /// Closes runs that can never accept another constituent: input is
@@ -170,9 +189,11 @@ impl CprMachine {
     /// which is why only the incremental reducer bothers: it unpins the
     /// sealing watermark from dormant runs.
     fn expire(&mut self, now: u64, out: &mut Vec<Event>) {
-        self.open.retain(|_, (acc, _)| {
+        let last_touch = &mut self.last_touch;
+        self.open.retain(|&key, (acc, _)| {
             if now.saturating_sub(acc.start) > MAX_RUN_SPAN {
                 out.push(acc.clone());
+                release(last_touch, key);
                 false
             } else {
                 true
@@ -184,6 +205,19 @@ impl CprMachine {
     /// its first constituent's start, so this is fixed per run).
     fn open_min_start(&self) -> Option<u64> {
         self.open.values().map(|(acc, _)| acc.start).min()
+    }
+}
+
+/// Drops the closed run `key`'s hold on its endpoints' `last_touch`
+/// entries, removing an entry no open run ends any more.
+fn release(last_touch: &mut HashMap<EntityId, (u64, u32)>, key: RunKey) {
+    for e in [key.0, key.1] {
+        if let Entry::Occupied(mut t) = last_touch.entry(e) {
+            t.get_mut().1 -= 1;
+            if t.get().1 == 0 {
+                t.remove();
+            }
+        }
     }
 }
 
@@ -609,6 +643,65 @@ mod tests {
             prop_assert_eq!(all, batch);
             prop_assert_eq!(inc.appended(), stats.before);
         }
+
+        /// After every append, `last_touch` holds exactly the endpoints
+        /// of open runs, each counting the open runs it ends.
+        #[test]
+        fn last_touch_holds_only_open_run_endpoints(
+            events in arb_events(),
+            chunk in 1usize..17,
+        ) {
+            let mut inc = IncrementalReducer::new(true);
+            for c in events.chunks(chunk) {
+                inc.append(c);
+                prop_assert_eq!(touched(&inc.machine), open_endpoints(&inc.machine));
+            }
+        }
+    }
+
+    /// Each `last_touch` entity with its open-run count.
+    fn touched(machine: &CprMachine) -> HashMap<EntityId, u32> {
+        machine
+            .last_touch
+            .iter()
+            .map(|(&e, &(_, runs))| (e, runs))
+            .collect()
+    }
+
+    /// Each endpoint of an open run with the number of open runs it ends.
+    fn open_endpoints(machine: &CprMachine) -> HashMap<EntityId, u32> {
+        let mut ends = HashMap::new();
+        for &(subject, object, _) in machine.open.keys() {
+            *ends.entry(subject).or_default() += 1;
+            *ends.entry(object).or_default() += 1;
+        }
+        ends
+    }
+
+    /// A long stream over ever new entities: `last_touch` stays bounded
+    /// by the open runs (which the span cap expires), not by the 4 000
+    /// entities touched, and a flush leaves it empty.
+    #[test]
+    fn last_touch_is_bounded_by_open_runs() {
+        let gap = MAX_RUN_SPAN / 4;
+        let events: Vec<Event> = (0..1_000u32)
+            .flat_map(|i| {
+                let start = u64::from(i) * gap;
+                [
+                    ev(2 * i, 4 * i, Operation::Read, 4 * i + 1, start),
+                    ev(2 * i + 1, 4 * i + 2, Operation::Fork, 4 * i + 3, start),
+                ]
+            })
+            .collect();
+        let mut inc = IncrementalReducer::new(true);
+        for c in events.chunks(10) {
+            inc.append(c);
+            assert_eq!(touched(&inc.machine), open_endpoints(&inc.machine));
+            assert!(inc.machine.open.len() <= 6, "{}", inc.machine.open.len());
+        }
+        let mut out = Vec::new();
+        inc.machine.flush(&mut out);
+        assert!(inc.machine.last_touch.is_empty());
     }
 
     #[test]

@@ -611,7 +611,7 @@ fn memo_disagreement(log: &ParsedLog, cpr: bool, query: &Query, chunk: usize) ->
     let mut state = DeltaState::new(&cq);
     for (k, snapshot) in sealed_snapshots(&other, cpr, chunk).iter().enumerate() {
         let engine = ShardedEngine::new(snapshot);
-        let out = state.poll(&engine, &cq, snapshot.frontier()?.sealed_events);
+        let out = state.poll(&engine, &cq, snapshot.frontier()?.sealed_events, |_| true);
         // A poll returns exactly the matches holding a fresh row.
         let fresh_from = out.stats.delta?.fresh_from;
         let mut want = reference_over(snapshot, query);

@@ -103,10 +103,18 @@ fn one_server_run_populates_every_lifecycle_family() {
 
     // -- per-stage hunt timers -----------------------------------------
     // parse/analyze/compile/synthesize come from the plan cache;
-    // resolve/scan/propagate/join/project from job execution. Every stage the
-    // lifecycle passes through must have recorded samples.
+    // resolve/scan/propagate/join/materialize/project from job
+    // execution. Every stage the lifecycle passes through must have
+    // recorded samples.
     for stage in [
-        "parse", "analyze", "compile", "resolve", "scan", "join", "project",
+        "parse",
+        "analyze",
+        "compile",
+        "resolve",
+        "scan",
+        "join",
+        "materialize",
+        "project",
     ] {
         let h = snapshot
             .histogram("hunt_stage_ns", &[("stage", stage)])
@@ -122,7 +130,14 @@ fn one_server_run_populates_every_lifecycle_family() {
     assert_eq!(compiles.count, 2, "two distinct queries compiled once each");
     // Every successful job records each execution stage exactly once.
     let ok_jobs = total.count;
-    for stage in ["resolve", "scan", "propagate", "join", "project"] {
+    for stage in [
+        "resolve",
+        "scan",
+        "propagate",
+        "join",
+        "materialize",
+        "project",
+    ] {
         let h = snapshot
             .histogram("hunt_stage_ns", &[("stage", stage)])
             .unwrap();
