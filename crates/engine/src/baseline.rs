@@ -23,7 +23,6 @@ use crate::join::{PatternRow, Schedule, Witness};
 use crate::result::HuntResult;
 use threatraptor_audit::entity::EntityId;
 use threatraptor_audit::event::Operation;
-use threatraptor_storage::sharded::fan_out;
 use threatraptor_storage::store::{AuditStore, EventShard};
 use threatraptor_tbql::analyze::analyze;
 use threatraptor_tbql::parser::parse_query;
@@ -115,7 +114,7 @@ fn event_via_graph(
             .clamp(1, 8)
     };
     let chunk = n.div_ceil(workers);
-    fan_out(workers, workers, |w| {
+    let scan = |w: usize| -> Vec<PatternRow> {
         (w * chunk..((w + 1) * chunk).min(n))
             .map(|pos| (pos, shard.event_at(pos)))
             .filter(|(_, ev)| {
@@ -133,9 +132,18 @@ fn event_via_graph(
                 start: ev.start,
                 end: ev.end,
             })
-            .collect::<Vec<_>>()
+            .collect()
+    };
+    // Worker 0's chunk runs on this thread; the rows keep position order.
+    let scan = &scan;
+    std::thread::scope(|scope| {
+        let rest: Vec<_> = (1..workers).map(|w| scope.spawn(move || scan(w))).collect();
+        let mut rows = scan(0);
+        for worker in rest {
+            rows.extend(worker.join().expect("graph scan worker panicked"));
+        }
+        rows
     })
-    .concat()
 }
 
 /// Path pattern through the relational backend: hop-by-hop frontier

@@ -183,6 +183,9 @@ struct FollowObs {
     /// summed over every hunt sharing the registry. Each hunt adds the
     /// change in its own count and takes its share back when dropped.
     partials_retained: Arc<Gauge>,
+    /// `follow_result_matches`: matches held in running results (which
+    /// only grow) right now, summed like `follow_partials_retained`.
+    result_matches: Arc<Gauge>,
     /// `follow_pattern_rows_total{pattern=...}`: rows fetched per
     /// pattern, one `(pattern id, counter)` per compiled pattern.
     pattern_rows: Vec<(String, Arc<Counter>)>,
@@ -239,6 +242,8 @@ pub struct FollowHunt {
     obs: Option<FollowObs>,
     /// This hunt's share of the `follow_partials_retained` gauge.
     reported_partials: usize,
+    /// This hunt's share of the `follow_result_matches` gauge.
+    reported_matches: usize,
 }
 
 impl FollowHunt {
@@ -258,6 +263,7 @@ impl FollowHunt {
             polls: 0,
             obs: None,
             reported_partials: 0,
+            reported_matches: 0,
         }
     }
 
@@ -302,6 +308,7 @@ impl FollowHunt {
             partials_aged: registry.counter("follow_partials_aged_total"),
             dedup_aged: registry.counter("follow_dedup_aged_total"),
             partials_retained: registry.gauge("follow_partials_retained"),
+            result_matches: registry.gauge("follow_result_matches"),
             pattern_rows,
         });
     }
@@ -437,6 +444,8 @@ impl FollowHunt {
             obs.partials_retained
                 .add(retained as i64 - self.reported_partials as i64);
             self.reported_partials = retained;
+            obs.result_matches.add(new_matches as i64);
+            self.reported_matches += new_matches;
             for p in &out.stats.patterns {
                 if let Some((_, rows)) = obs.pattern_rows.iter().find(|(id, _)| *id == p.pattern) {
                     rows.add(p.total_rows() as u64);
@@ -455,11 +464,12 @@ impl FollowHunt {
 }
 
 impl Drop for FollowHunt {
-    /// Takes this hunt's share back out of the shared
-    /// `follow_partials_retained` gauge.
+    /// Takes this hunt's shares back out of the shared
+    /// `follow_partials_retained` and `follow_result_matches` gauges.
     fn drop(&mut self) {
         if let Some(obs) = &self.obs {
             obs.partials_retained.add(-(self.reported_partials as i64));
+            obs.result_matches.add(-(self.reported_matches as i64));
         }
     }
 }

@@ -14,7 +14,7 @@
 //! hold the read lock just long enough to clone Arc handles of the
 //! sealed shards and materialize the open window's event list; the
 //! expensive part — indexing the open window into a queryable shard —
-//! runs outside any lock. Lock poisoning is recovered from, never
+//! runs outside the stream lock. Lock poisoning is recovered from, never
 //! propagated — the availability-over-purity tradeoff of a long-lived
 //! server: a panic that poisons this lock can only come from the write
 //! path itself (read guards do not poison a `RwLock`), i.e. from an
@@ -25,12 +25,14 @@
 //! assert) *before* mutating anything, and the mutation itself is plain
 //! buffer bookkeeping with no unwind paths in normal operation.
 //!
-//! Change notification: every append and seal bumps the stream's epoch
-//! (a lock-free counter shared via
-//! [`threatraptor_storage::StreamingStore::epoch_handle`]) and wakes
-//! anything blocked in [`IngestService::wait_epoch_newer`] — the hook
-//! the server's dispatcher hangs off so standing queries are driven by
-//! ingest events instead of explicit polls.
+//! Change notification: the service owns the stream's epoch, a counter
+//! bumped under the write lock once per append and once per seal that
+//! seals something. Readers load it without the lock, and every bump
+//! wakes anything blocked in [`IngestService::wait_epoch_newer`] — the
+//! hook the server's dispatcher hangs off so standing queries are driven
+//! by ingest events instead of explicit polls.
+//! [`IngestService::snapshot`] builds at most once per epoch, so every
+//! caller at one epoch shares one open-window indexing pass.
 //!
 //! [`HuntServer`]: crate::server::HuntServer
 
@@ -76,7 +78,7 @@ struct IngestObs {
     compact: Arc<Histogram>,
     /// `seal`: one manual seal under the write lock.
     seal: Arc<Histogram>,
-    /// `snapshot_build`: one snapshot, lock plus open-window indexing.
+    /// `snapshot_build`: one snapshot built, lock plus open-window indexing.
     snapshot_build: Arc<Histogram>,
 }
 
@@ -106,7 +108,7 @@ pub struct IngestStatus {
     pub entities: usize,
     /// Stream-global reduction statistics.
     pub reduction: ReductionStats,
-    /// Change counter (bumps on every append/seal).
+    /// Change counter (bumps on every append and every effective seal).
     pub epoch: u64,
 }
 
@@ -133,10 +135,13 @@ pub struct IngestStatus {
 pub struct IngestService {
     stream: RwLock<StreamingStore>,
     cache: PlanCache,
-    /// Lock-free mirror of the stream's epoch counter
-    /// ([`StreamingStore::epoch_handle`]): change detection without the
-    /// stream lock.
-    epoch: Arc<AtomicU64>,
+    /// Monotone change counter, bumped under the stream's write lock:
+    /// change detection costs one load, no lock.
+    epoch: AtomicU64,
+    /// The last snapshot built and the epoch it was built at. Holding
+    /// this lock across a build is deliberate — it is exactly what
+    /// collapses K concurrent same-epoch builds into one.
+    snapshot: Mutex<Option<(u64, ShardedStore)>>,
     /// Wakeup gate for epoch waiters. The condvar's mutex guards nothing
     /// — the epoch atomic is the actual state — but notifying under it
     /// closes the check-then-wait race in [`IngestService::wait_epoch_newer`].
@@ -157,11 +162,11 @@ impl IngestService {
         let mut stream = StreamingStore::new(true, config.policy);
         stream.attach_metrics(&registry);
         let cache = PlanCache::with_capacity(DEFAULT_PLAN_CAPACITY, &registry);
-        let epoch = stream.epoch_handle();
         IngestService {
             stream: RwLock::new(stream),
             cache,
-            epoch,
+            epoch: AtomicU64::new(0),
+            snapshot: Mutex::new(None),
             gate: Mutex::new(()),
             gate_cond: Condvar::new(),
             obs: IngestObs::new(&registry),
@@ -184,14 +189,17 @@ impl IngestService {
     }
 
     /// Appends one parsed chunk, auto-sealing under the policy, and wakes
-    /// epoch waiters.
+    /// epoch waiters. One append is one epoch, whatever it sealed.
     pub fn append(&self, chunk: &LogChunk) -> AppendOutcome {
         let start = Instant::now();
-        let outcome = self
-            .stream
-            .write()
-            .unwrap_or_else(PoisonError::into_inner)
-            .append(chunk);
+        let outcome = {
+            let mut stream = self.stream.write().unwrap_or_else(PoisonError::into_inner);
+            let outcome = stream.append(chunk);
+            // ordering: Release publishes the chunk to lock-free epoch()
+            // readers; bumping under the write lock keeps the two in step.
+            self.epoch.fetch_add(1, Ordering::Release);
+            outcome
+        };
         self.obs.append.record_duration(start.elapsed());
         if outcome.new_entities > 0 {
             self.obs
@@ -201,7 +209,7 @@ impl IngestService {
         if !outcome.compact.is_zero() {
             self.obs.compact.record_duration(outcome.compact);
         }
-        self.notify();
+        self.poke();
         outcome
     }
 
@@ -209,40 +217,56 @@ impl IngestService {
     /// shard. Returns whether anything was sealed.
     pub fn seal(&self) -> bool {
         let start = Instant::now();
-        let sealed = self
-            .stream
-            .write()
-            .unwrap_or_else(PoisonError::into_inner)
-            .seal()
-            .is_some();
+        let sealed = {
+            let mut stream = self.stream.write().unwrap_or_else(PoisonError::into_inner);
+            let sealed = stream.seal().is_some();
+            if sealed {
+                // ordering: Release, as in append().
+                self.epoch.fetch_add(1, Ordering::Release);
+            }
+            sealed
+        };
         self.obs.seal.record_duration(start.elapsed());
         if sealed {
-            self.notify();
+            self.poke();
         }
         sealed
     }
 
     /// An immutable snapshot of everything appended so far (sealed shards
-    /// shared by reference, open window materialized). The read lock is
-    /// held only for the cheap parts extraction; indexing the open
-    /// window happens after it is released.
+    /// shared by reference, open window materialized), built at most once
+    /// per epoch. The stream's read lock is held only for the cheap parts
+    /// extraction. A snapshot can be slightly *newer* than its epoch (an
+    /// append between the epoch read and the extraction), never older.
     pub fn snapshot(&self) -> ShardedStore {
+        let mut memo = self.snapshot.lock().unwrap_or_else(PoisonError::into_inner);
+        // Read the epoch *after* taking the memo lock: a pre-lock read
+        // could carry a stale label past a concurrent rebuild and
+        // overwrite a newer snapshot with an older epoch.
+        let epoch = self.epoch();
+        if let Some((built_at, snapshot)) = memo.as_ref() {
+            if *built_at == epoch {
+                return snapshot.clone();
+            }
+        }
         let start = Instant::now();
         let parts = self
             .stream
             .read()
             .unwrap_or_else(PoisonError::into_inner)
             .snapshot_parts();
-        let store = parts.build();
+        let snapshot = parts.build();
         self.obs.snapshot_build.record_duration(start.elapsed());
-        store
+        *memo = Some((epoch, snapshot.clone()));
+        snapshot
     }
 
     /// Current stream epoch — one atomic load, no lock. Differs between
-    /// two observations iff an append or seal happened in between.
+    /// two observations iff an append, or a seal that sealed something,
+    /// happened in between.
     pub fn epoch(&self) -> u64 {
-        // ordering: Acquire pairs with the stream's Release bumps — an
-        // observed epoch guarantees its chunk is visible in snapshots.
+        // ordering: Acquire pairs with the Release bump — an observed
+        // epoch guarantees its chunk is visible in snapshots.
         self.epoch.load(Ordering::Acquire)
     }
 
@@ -280,15 +304,11 @@ impl IngestService {
         }
     }
 
-    /// Wakes every [`IngestService::wait_epoch_newer`] waiter without an
-    /// epoch change — used on shutdown so dispatchers can re-check their
-    /// exit flag instead of sleeping out their timeout.
+    /// Wakes every [`IngestService::wait_epoch_newer`] waiter. Appends and
+    /// seals call it after an epoch bump; shutdown calls it without one,
+    /// so dispatchers re-check their exit flag instead of sleeping out
+    /// their timeout.
     pub fn poke(&self) {
-        let _guard = self.gate.lock().unwrap_or_else(PoisonError::into_inner);
-        self.gate_cond.notify_all();
-    }
-
-    fn notify(&self) {
         // Lock-then-notify (empty critical section) so a waiter that just
         // re-checked the epoch cannot miss the wakeup.
         let _guard = self.gate.lock().unwrap_or_else(PoisonError::into_inner);
@@ -304,7 +324,7 @@ impl IngestService {
             total_events: stream.event_count(),
             entities: stream.catalog().len(),
             reduction: stream.reduction(),
-            epoch: stream.epoch(),
+            epoch: self.epoch(),
         }
     }
 
@@ -423,6 +443,50 @@ mod tests {
         assert!(idle.unchanged);
         // And the plan was compiled exactly once.
         assert_eq!(service.cache_stats().misses, 1);
+    }
+
+    #[test]
+    fn epoch_advances_on_append_and_on_a_seal_that_seals() {
+        let sc = scenario();
+        let service = IngestService::new(IngestConfig::with_policy(SealPolicy::manual()));
+        let mut feed = LogFeed::by_events(&sc.raw, 500);
+        let e0 = service.epoch();
+        service.append(&feed.next().unwrap().unwrap());
+        assert_eq!(service.epoch(), e0 + 1);
+        service.append(&feed.next().unwrap().unwrap());
+        assert_eq!(service.epoch(), e0 + 2);
+        assert!(service.seal(), "two chunks leave a stable prefix to seal");
+        assert_eq!(service.epoch(), e0 + 3);
+        // The stable prefix is gone: this seal seals nothing and changes
+        // nothing, so it is not an epoch.
+        assert!(!service.seal());
+        assert_eq!(service.epoch(), e0 + 3);
+        assert_eq!(service.status().epoch, service.epoch());
+    }
+
+    #[test]
+    fn an_auto_sealing_append_is_one_epoch() {
+        let sc = scenario();
+        let service = IngestService::new(IngestConfig::with_policy(SealPolicy::events(100)));
+        let chunk = LogFeed::by_events(&sc.raw, 1_000).next().unwrap().unwrap();
+        let e0 = service.epoch();
+        let outcome = service.append(&chunk);
+        assert!(outcome.sealed > 0, "the policy must seal");
+        assert_eq!(service.epoch(), e0 + 1);
+        assert_eq!(service.status().epoch, service.epoch());
+    }
+
+    #[test]
+    fn epoch_reads_without_the_stream_lock() {
+        let sc = scenario();
+        let service = IngestService::new(IngestConfig::default());
+        let chunk = LogFeed::by_events(&sc.raw, 500).next().unwrap().unwrap();
+        let e0 = service.epoch();
+        service.append(&chunk);
+        // The change-detection path a dispatcher uses while a writer
+        // holds the stream: one load, no lock.
+        let _writer = service.stream.write().unwrap();
+        assert_eq!(service.epoch(), e0 + 1);
     }
 
     #[test]

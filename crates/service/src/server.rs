@@ -14,19 +14,22 @@
 //!   once full) drained by detached workers ([`crate::pool::WorkerPool`])
 //!   and returns a [`JobHandle`] the caller can block on
 //!   ([`JobHandle::wait`]) or poll ([`JobHandle::try_result`]); each job
-//!   executes against a fresh snapshot through the shared
+//!   executes against the current epoch's snapshot through the shared
 //!   [`crate::cache::PlanCache`]. The first retrieval takes the report;
 //!   later ones re-run the plan on the same snapshot;
 //! * standing queries are **driven by ingest events, not client polls**:
 //!   [`HuntServer::follow`] registers a [`FollowHunt`] and hands back a
 //!   [`FollowSubscription`] — a per-subscription channel
 //!   ([`crossbeam::channel`]). Every append/seal bumps the stream epoch
-//!   and wakes the server's dispatcher thread, which takes **one**
-//!   snapshot per epoch and fans it out to every registered follow hunt,
+//!   and wakes the server's dispatcher thread, which takes the epoch's
+//!   snapshot and fans it out to every registered follow hunt,
 //!   delivering each non-empty delta through its subscription channel.
 //!   Delivery inherits the follow layer's exactly-once identity keying:
 //!   a subscriber sees each match identity once, with no explicit poll
 //!   call anywhere.
+//!
+//! Every snapshot — dispatcher, jobs, follow seeds, [`HuntServer::snapshot`]
+//! — is [`IngestService::snapshot`]'s one build per epoch.
 //!
 //! Shutdown is graceful: [`HuntServer::shutdown`] stops the queue,
 //! drains already-accepted jobs (their handles complete), joins the
@@ -325,37 +328,6 @@ struct FollowEntry {
     tx: Sender<FollowEvent>,
 }
 
-/// Epoch-keyed snapshot cache for the job workers: a burst of jobs with
-/// no interleaved appends shares one open-window indexing pass instead
-/// of paying it per job. Holding the lock across the build is
-/// deliberate — it is exactly what collapses K concurrent identical
-/// builds into one. A snapshot can be slightly *newer* than its epoch
-/// label (an append between the epoch read and the build); jobs only
-/// require freshness, so that is fine.
-#[derive(Debug, Default)]
-struct SnapshotCache {
-    slot: Mutex<Option<(u64, ShardedStore)>>,
-}
-
-impl SnapshotCache {
-    fn get(&self, ingest: &IngestService) -> ShardedStore {
-        let mut slot = self.slot.lock().unwrap_or_else(PoisonError::into_inner);
-        // Read the epoch *after* taking the lock: a pre-lock read could
-        // carry a stale label past a concurrent refill and overwrite a
-        // newer snapshot with an older epoch tag, forcing every
-        // subsequent same-epoch job to rebuild.
-        let epoch = ingest.epoch();
-        if let Some((cached_epoch, snapshot)) = slot.as_ref() {
-            if *cached_epoch == epoch {
-                return snapshot.clone();
-            }
-        }
-        let snapshot = ingest.snapshot();
-        *slot = Some((epoch, snapshot.clone()));
-        snapshot
-    }
-}
-
 /// Registry handles for the job path, cloned into each submission
 /// closure.
 #[derive(Debug, Clone)]
@@ -580,9 +552,6 @@ pub struct HuntServer {
     /// [`IngestService::epoch`] by the in-flight work).
     processed: Arc<AtomicU64>,
     dispatcher: Mutex<Option<JoinHandle<()>>>,
-    /// Shared by the job workers: one snapshot build per epoch, not per
-    /// job.
-    snapshots: Arc<SnapshotCache>,
     next_job: AtomicU64,
     next_follow: AtomicU64,
     config: ServerConfig,
@@ -599,16 +568,14 @@ impl HuntServer {
         let follows: Arc<Mutex<Vec<FollowEntry>>> = Arc::default();
         let shutdown = Arc::new(AtomicBool::new(false));
         let processed = Arc::new(AtomicU64::new(ingest.epoch()));
-        let snapshots: Arc<SnapshotCache> = Arc::default();
         let dispatcher = {
             let ingest = Arc::clone(&ingest);
             let follows = Arc::clone(&follows);
             let shutdown = Arc::clone(&shutdown);
             let processed = Arc::clone(&processed);
-            let snapshots = Arc::clone(&snapshots);
             threatraptor_sync::thread::Builder::new()
                 .name("hunt-dispatcher".into())
-                .spawn(move || dispatch_loop(&ingest, &follows, &shutdown, &processed, &snapshots))
+                .spawn(move || dispatch_loop(&ingest, &follows, &shutdown, &processed))
                 .expect("spawning the dispatcher thread")
         };
         let job_obs = JobObs::new(ingest.registry());
@@ -619,7 +586,6 @@ impl HuntServer {
             shutdown,
             processed,
             dispatcher: Mutex::new(Some(dispatcher)),
-            snapshots,
             next_job: AtomicU64::new(0),
             next_follow: AtomicU64::new(0),
             config,
@@ -657,7 +623,8 @@ impl HuntServer {
         self.ingest.status()
     }
 
-    /// An immutable snapshot of everything ingested so far.
+    /// An immutable snapshot of everything ingested so far (the ingest
+    /// service's one per epoch).
     pub fn snapshot(&self) -> ShardedStore {
         self.ingest.snapshot()
     }
@@ -728,7 +695,6 @@ impl HuntServer {
         let submitted_at = Instant::now();
         let fallback = (job.clone(), Arc::clone(&state));
         let ingest = Arc::clone(&self.ingest);
-        let snapshots = Arc::clone(&self.snapshots);
         let slow_log = Arc::clone(&self.slow_log);
         let obs = self.job_obs.clone();
         let accepted = !self.shutdown.load(Ordering::Acquire)
@@ -743,7 +709,7 @@ impl HuntServer {
                     obs.queue_wait_ns.record_duration(wait);
                     trace.add_span(ROOT_SPAN, "queue_wait", Duration::ZERO, wait);
                     let exec_span = trace.begin("exec", ROOT_SPAN);
-                    let snapshot = snapshots.get(&ingest);
+                    let snapshot = ingest.snapshot();
                     let (report, rerun) = execute_job(snapshot, ingest.cache(), &obs, job);
                     obs.exec_ns.record_duration(report.elapsed);
                     trace.set_attr(exec_span, "cache_hit", report.cache_hit);
@@ -841,7 +807,7 @@ impl HuntServer {
             if self.shutdown.load(Ordering::Acquire) {
                 return Err(ServiceError::Shutdown);
             }
-            let initial = hunt.poll(&self.snapshots.get(&self.ingest))?;
+            let initial = hunt.poll(&self.ingest.snapshot())?;
             follows.push(FollowEntry { id, hunt, tx });
             initial
         };
@@ -944,7 +910,6 @@ fn dispatch_loop(
     follows: &Mutex<Vec<FollowEntry>>,
     shutdown: &AtomicBool,
     processed: &AtomicU64,
-    snapshots: &SnapshotCache,
 ) {
     // Dispatcher telemetry lives on the ingest service's registry, like
     // every other server metric.
@@ -982,8 +947,8 @@ fn dispatch_loop(
         }
         let dispatch_start = Instant::now();
         // One snapshot per epoch, shared by every standing query — and
-        // with the ad-hoc job workers, through the same cache.
-        let snapshot = snapshots.get(ingest);
+        // with the ad-hoc job workers, through the ingest service's memo.
+        let snapshot = ingest.snapshot();
         entries.retain_mut(|entry| {
             let started = Instant::now();
             match entry.hunt.poll(&snapshot) {
@@ -1559,6 +1524,68 @@ mod tests {
         assert_eq!(gauge(), total - share);
         let after: i64 = shares().iter().map(|(_, n)| n).sum();
         assert_eq!(gauge(), after);
+    }
+
+    #[test]
+    fn result_matches_gauge_sums_every_standing_query() {
+        let sc = scenario();
+        let server = server();
+        let (a, _) = server.follow(FIG2_TBQL).unwrap();
+        let (b, _) = server.follow("proc p read file f return p, f").unwrap();
+        for chunk in LogFeed::by_events(&sc.raw, 800) {
+            server.append(&chunk.unwrap());
+        }
+        assert!(server.wait_caught_up(Duration::from_secs(60)));
+        let gauge = || server.metrics().gauge("follow_result_matches").unwrap();
+        let held = |id| server.follow_result(id).unwrap().matches.len() as i64;
+        let (held_a, held_b) = (held(a.id()), held(b.id()));
+        assert!(held_a > 0 && held_b > 0, "{held_a} {held_b}");
+        assert_eq!(gauge(), held_a + held_b);
+        assert!(server.unfollow(b.id()));
+        assert_eq!(gauge(), held_a);
+        server.shutdown();
+        assert_eq!(gauge(), 0);
+    }
+
+    /// Every snapshot caller shares the ingest service's per-epoch
+    /// build: the server's own snapshots, jobs and the dispatcher.
+    #[test]
+    fn one_snapshot_build_per_epoch() {
+        let sc = scenario();
+        let server = server();
+        let mut feed = LogFeed::by_events(&sc.raw, 1_000);
+        server.append(&feed.next().unwrap().unwrap());
+        // With nothing subscribed the dispatcher builds no snapshot.
+        assert!(server.wait_caught_up(Duration::from_secs(60)));
+        let builds = || {
+            server
+                .metrics()
+                .histogram("serve_stage_ns", &[("stage", "snapshot_build")])
+                .expect("snapshot_build stage")
+                .count
+        };
+        let before = builds();
+        let epoch = server.ingest().epoch();
+        let (a, b) = (server.snapshot(), server.snapshot());
+        assert!(server
+            .submit(HuntJob::tbql(FIG2_TBQL))
+            .wait()
+            .outcome
+            .is_ok());
+        assert_eq!(server.ingest().epoch(), epoch);
+        assert_eq!(builds(), before + 1);
+        // The second call shares the first one's open-window shard.
+        let open = |s: &ShardedStore| Arc::clone(s.shards().last().unwrap());
+        assert!(Arc::ptr_eq(&open(&a), &open(&b)));
+
+        server.append(&feed.next().unwrap().unwrap());
+        server.snapshot();
+        assert!(server
+            .submit(HuntJob::tbql(FIG2_TBQL))
+            .wait()
+            .outcome
+            .is_ok());
+        assert_eq!(builds(), before + 2);
     }
 
     /// `plan_cache_memo_bytes` is the cache's memo figure: zero before

@@ -25,13 +25,17 @@
 //!   its postings, and [`store::AuditStore`], a parsed log ingested whole
 //!   into a one-shard [`sharded::ShardedStore`];
 //! * [`sharded`] — [`sharded::ShardedStore`], the one readable store:
-//!   one catalog plus time-ordered shards, built from a globally reduced
-//!   log or assembled by a streaming snapshot; every hunt executes over
-//!   one;
+//!   one catalog plus time-ordered shards, every one assembled by
+//!   [`sharded::ShardedStore::from_parts`], whether from a globally
+//!   reduced log cut into slices or from a streaming snapshot's shards;
+//!   every hunt executes over one;
 //! * [`stream`] — [`stream::StreamingStore`], the live variant: sealed
 //!   immutable shards plus one appendable open window with incremental
 //!   CPR at the ingest frontier, snapshotting into ordinary
-//!   [`sharded::ShardedStore`] epoch views for hunts under ingest.
+//!   [`sharded::ShardedStore`] views for hunts under ingest.
+//!
+//! The crate spawns no threads and keeps no atomics: building is a plain
+//! loop, and change counting belongs to whoever serializes the appends.
 
 pub mod catalog;
 pub mod cpr;

@@ -2,16 +2,17 @@
 //! one [`EntityCatalog`].
 //!
 //! The paper's deployment stores one monolithic log in PostgreSQL+Neo4j;
-//! scaling that design to production volumes requires partitioning. A
-//! [`ShardedStore`] is built two ways. [`ShardedStore::ingest`] reduces
-//! a parsed log **once** (Causality-Preserved Reduction is applied
-//! globally, so merge decisions never depend on where a shard boundary
-//! falls) and then splits the time-ordered stream into `n` contiguous
-//! slices of near-equal size — a time-window partition, since audit
-//! streams arrive in time order — each indexed into an [`EventShard`]
-//! (its events plus their postings by operation, subject and object).
-//! A [`crate::stream::StreamingStore`] snapshot assembles one from its
-//! sealed shards and open window ([`ShardedStore::from_parts`]).
+//! scaling that design to production volumes requires partitioning.
+//! Every [`ShardedStore`] is assembled by [`ShardedStore::from_parts`]
+//! from built shards. [`ShardedStore::ingest`] reduces a parsed log
+//! **once** (Causality-Preserved Reduction is applied globally, so merge
+//! decisions never depend on where a shard boundary falls), splits the
+//! time-ordered stream into `n` contiguous slices of near-equal size — a
+//! time-window partition, since audit streams arrive in time order — and
+//! indexes each into an [`EventShard`] (its events plus their postings
+//! by operation, subject and object). A
+//! [`crate::stream::StreamingStore`] snapshot passes its sealed shards
+//! and its freshly indexed open window.
 //!
 //! Entities are not partitioned: the store holds one [`EntityCatalog`],
 //! entity ids are global, and shards carry event data only.
@@ -29,36 +30,6 @@ use std::sync::Arc;
 use threatraptor_audit::entity::{Entity, EntityId};
 use threatraptor_audit::event::Event;
 use threatraptor_audit::parser::ParsedLog;
-
-/// Runs `f(0..n)` across at most `workers` scoped threads, each worker
-/// taking a contiguous chunk, and returns the results in index order —
-/// the fan-out shape shared by shard ingestion here and the graph-only
-/// baseline's edge scan. `workers <= 1` (or `n <= 1`) runs inline with
-/// no thread spawns.
-pub fn fan_out<T, F>(n: usize, workers: usize, f: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(usize) -> T + Sync,
-{
-    let workers = workers.min(n);
-    if workers <= 1 {
-        return (0..n).map(f).collect();
-    }
-    let chunk = n.div_ceil(workers);
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers)
-            .map(|w| {
-                let (lo, hi) = (w * chunk, ((w + 1) * chunk).min(n));
-                let f = &f;
-                scope.spawn(move || (lo..hi).map(f).collect::<Vec<_>>())
-            })
-            .collect();
-        handles
-            .into_iter()
-            .flat_map(|h| h.join().expect("fan-out worker panicked"))
-            .collect()
-    })
-}
 
 /// Stream provenance of a snapshot, for incremental (delta) standing
 /// queries: where the immutable sealed prefix ends and how far the CPR
@@ -120,19 +91,34 @@ pub struct ShardedStore {
 impl ShardedStore {
     /// Ingests a parsed log into `shards` shards, optionally applying CPR
     /// (globally, before partitioning). Either way the stored events are
-    /// in `(start, end, id)` order; with CPR off nothing merges. Several shards are indexed in
-    /// parallel on scoped threads; one shard takes the reduced events
-    /// without a copy. `shards` is clamped to at least 1.
+    /// in `(start, end, id)` order; with CPR off nothing merges. The
+    /// shards are indexed one after another; one shard takes the reduced
+    /// events without a copy. `shards` is clamped to at least 1.
     pub fn ingest(log: &ParsedLog, use_cpr: bool, shards: usize) -> ShardedStore {
-        let (events, reduction) = cpr::reduce(&log.events, use_cpr);
+        let (mut events, reduction) = cpr::reduce(&log.events, use_cpr);
         let catalog = EntityCatalog::from_entities(&log.entities);
-        Self::build(catalog, events, reduction, shards)
+        let n = shards.max(1);
+        // Contiguous near-equal slices: the first `rem` shards take one
+        // extra event. Over a time-ordered stream this is a time-window
+        // partition balanced by event count. Cutting from the back leaves
+        // the first slice in the reduced vector itself.
+        let (base, rem) = (events.len() / n, events.len() % n);
+        let mut built = Vec::with_capacity(n);
+        for i in (1..n).rev() {
+            let slice = events.split_off(i * base + i.min(rem));
+            built.push(Arc::new(EventShard::build(slice)));
+        }
+        built.push(Arc::new(EventShard::build(events)));
+        built.reverse();
+        Self::from_parts(built, catalog, reduction)
     }
 
-    /// Assembles a store from already-built shards (the streaming
-    /// snapshot path): offsets are derived from the shards' event counts,
-    /// `catalog` holds every entity their events reference, and
-    /// `reduction` is the stream-global statistic.
+    /// Assembles a store from built shards, in time order: every store
+    /// is made here, by [`ShardedStore::ingest`] and by a streaming
+    /// snapshot ([`crate::stream::SnapshotParts::build`]). Offsets are
+    /// derived from the shards' event counts, `catalog` holds every
+    /// entity their events reference, and `reduction` is the global
+    /// statistic.
     pub fn from_parts(
         shards: Vec<Arc<EventShard>>,
         catalog: EntityCatalog,
@@ -169,50 +155,6 @@ impl ShardedStore {
     /// [`crate::stream::StreamingStore`]; `None` for batch-built stores.
     pub fn frontier(&self) -> Option<StreamFrontier> {
         self.frontier
-    }
-
-    fn build(
-        catalog: EntityCatalog,
-        events: Vec<Event>,
-        reduction: ReductionStats,
-        shards: usize,
-    ) -> ShardedStore {
-        let n = shards.max(1);
-        // Contiguous near-equal slices: the first `rem` shards take one
-        // extra event. Over a time-ordered stream this is a time-window
-        // partition balanced by event count.
-        let base = events.len() / n;
-        let rem = events.len() % n;
-        let mut offsets = Vec::with_capacity(n + 1);
-        let mut pos = 0usize;
-        for i in 0..n {
-            offsets.push(pos);
-            pos += base + usize::from(i < rem);
-        }
-        offsets.push(pos);
-        debug_assert_eq!(pos, events.len());
-
-        let shards: Vec<Arc<EventShard>> = if n == 1 {
-            vec![Arc::new(EventShard::build(events))]
-        } else {
-            // Shard counts are caller-controlled: bound the build pool by
-            // the core count instead of one thread per shard.
-            let workers = std::thread::available_parallelism()
-                .map(|p| p.get())
-                .unwrap_or(1);
-            fan_out(n, workers, |i| {
-                let slice = &events[offsets[i]..offsets[i + 1]];
-                Arc::new(EventShard::build(slice.to_vec()))
-            })
-        };
-
-        ShardedStore {
-            shards,
-            offsets,
-            reduction,
-            catalog,
-            frontier: None,
-        }
     }
 
     /// Number of shards.

@@ -27,11 +27,17 @@
 //!   from Arc-cloned sealed shards, a clone of the catalog's handle list
 //!   and a freshly indexed open shard (its events plus their postings by
 //!   operation, subject and object — a counting sort and two sorts of
-//!   the open window, no per-event allocation). The snapshot is an
-//!   immutable epoch view: hunts run against it with the unmodified
-//!   sharded engine while appends continue, and further appends never
-//!   mutate an already-taken snapshot — a later append builds new
-//!   catalog generations beside the ones the snapshot holds.
+//!   the open window, no per-event allocation) with
+//!   [`ShardedStore::from_parts`], the constructor every store goes
+//!   through. The snapshot is an immutable point-in-time view: hunts run
+//!   against it with the unmodified sharded engine while appends
+//!   continue, and further appends never mutate an already-taken
+//!   snapshot — a later append builds new catalog generations beside the
+//!   ones the snapshot holds.
+//!
+//! The store keeps no change counter and spawns no threads: whoever owns
+//! it and serializes its appends (the service layer's ingest front-end)
+//! counts the epochs and decides when a snapshot is stale.
 //!
 //! Global invariants are inherited from the batch path: entity ids are
 //! assigned by the parser in first-appearance order and never change, and
@@ -52,7 +58,6 @@ use threatraptor_audit::entity::Entity;
 use threatraptor_audit::event::Event;
 use threatraptor_audit::parser::LogChunk;
 use threatraptor_obs::{Counter, Gauge, Registry};
-use threatraptor_sync::atomic::{AtomicU64, Ordering};
 use threatraptor_sync::Arc;
 
 /// When to freeze the open window into an immutable shard: after a
@@ -216,11 +221,6 @@ pub struct StreamingStore {
     sealed_events: usize,
     /// Sum of the sealed shards' [`EventShard::heap_bytes`].
     sealed_bytes: usize,
-    /// Monotone change counter: bumped on every append and seal. Atomic
-    /// behind a shared handle ([`StreamingStore::epoch_handle`]) so
-    /// change detection costs one load — no store lock — even when the
-    /// store itself lives behind a lock.
-    epoch: Arc<AtomicU64>,
     /// Telemetry handles, when attached.
     obs: Option<StreamObs>,
 }
@@ -236,7 +236,6 @@ impl StreamingStore {
             sealed: Vec::new(),
             sealed_events: 0,
             sealed_bytes: 0,
-            epoch: Arc::new(AtomicU64::new(0)),
             obs: None,
         }
     }
@@ -305,10 +304,6 @@ impl StreamingStore {
             |e| e.subject.index() < self.catalog.len() && e.object.index() < self.catalog.len()
         ));
         self.reducer.append(events);
-        // ordering: Release publishes the appended data to epoch-handle
-        // readers — an Acquire load that sees the new value also sees
-        // the events written above. Pairs with the Acquire in epoch().
-        self.epoch.fetch_add(1, Ordering::Release);
 
         let mut sealed = 0;
         let mut compact = Duration::ZERO;
@@ -355,9 +350,6 @@ impl StreamingStore {
         self.sealed_bytes += shard.heap_bytes();
         self.sealed.push(Arc::clone(&shard));
         let compact = self.maybe_compact();
-        // ordering: Release, same publish contract as the append-path
-        // bump — the sealed shard must be visible before the new epoch.
-        self.epoch.fetch_add(1, Ordering::Release);
         if let Some(obs) = &self.obs {
             obs.seals.inc();
         }
@@ -396,7 +388,7 @@ impl StreamingStore {
         t0.elapsed()
     }
 
-    /// An immutable epoch view over everything appended so far: all
+    /// An immutable view over everything appended so far: all
     /// sealed shards (shared, zero-copy) plus the open window built into
     /// a fresh indexed shard. Hunts run against the snapshot with the
     /// ordinary sharded engine; appends after this call never affect it.
@@ -455,24 +447,6 @@ impl StreamingStore {
             before: self.reducer.appended(),
             after: self.event_count(),
         }
-    }
-
-    /// Monotone change counter: differs between two observations iff an
-    /// append or seal happened in between.
-    pub fn epoch(&self) -> u64 {
-        // ordering: Acquire pairs with the Release bumps in append()
-        // and seal(): observing a bump implies seeing the data behind
-        // it. Relaxed would let a reader act on an epoch whose chunk it
-        // cannot yet see.
-        self.epoch.load(Ordering::Acquire)
-    }
-
-    /// A shared handle on the epoch counter. Holders observe epoch bumps
-    /// with a single atomic load, without going through whatever lock
-    /// guards the store — the cheap change-detection primitive an
-    /// event-driven dispatcher polls between notifications.
-    pub fn epoch_handle(&self) -> Arc<AtomicU64> {
-        Arc::clone(&self.epoch)
     }
 }
 
@@ -620,36 +594,6 @@ mod tests {
             .map(|s| s.event_count())
             .sum();
         assert_eq!(counts, store.event_count());
-    }
-
-    #[test]
-    fn epoch_advances_on_append_and_seal() {
-        let log = scenario_log(500);
-        let mut store = StreamingStore::new(true, SealPolicy::manual());
-        let e0 = store.epoch();
-        store.append_batch(&log.entities, &log.events[..100]);
-        let e1 = store.epoch();
-        assert!(e1 > e0);
-        store.append_batch(&[], &log.events[100..200]);
-        assert!(store.epoch() > e1);
-        let before_seal = store.epoch();
-        if store.seal().is_some() {
-            assert!(store.epoch() > before_seal);
-        }
-    }
-
-    #[test]
-    fn epoch_handle_observes_changes_without_the_store() {
-        let log = scenario_log(300);
-        let mut store = StreamingStore::new(true, SealPolicy::manual());
-        let handle = store.epoch_handle();
-        let e0 = handle.load(Ordering::Acquire);
-        store.append_batch(&log.entities, &log.events[..100]);
-        // The handle sees the bump without touching the store — the
-        // change-detection path an event dispatcher uses while the store
-        // itself sits behind a lock.
-        assert!(handle.load(Ordering::Acquire) > e0);
-        assert_eq!(store.epoch(), handle.load(Ordering::Acquire));
     }
 
     #[test]

@@ -91,10 +91,11 @@ pub fn lex(src: &str) -> Result<Vec<SpannedTok>, TbqlError> {
     let bytes = src.as_bytes();
     let mut out = Vec::new();
     let mut i = 0usize;
-    while i < bytes.len() {
-        let c = bytes[i] as char;
+    // `i` stays on a char boundary: every step advances by whole chars,
+    // so a non-ASCII byte is never read as a char of its own.
+    while let Some(c) = src[i..].chars().next() {
         if c.is_whitespace() {
-            i += 1;
+            i += c.len_utf8();
             continue;
         }
         if c == '/' && bytes.get(i + 1) == Some(&b'/') {
@@ -206,14 +207,12 @@ pub fn lex(src: &str) -> Result<Vec<SpannedTok>, TbqlError> {
                                 Some(b'\\') => s.push('\\'),
                                 Some(b'n') => s.push('\n'),
                                 Some(b't') => s.push('\t'),
-                                other => {
+                                _ => {
+                                    let esc = src[i + 1..].chars().next();
                                     return Err(TbqlError::new(
-                                        Span::new(i, i + 2),
-                                        format!(
-                                            "unknown string escape `\\{}`",
-                                            other.map(|&b| b as char).unwrap_or(' ')
-                                        ),
-                                    ))
+                                        Span::new(i, i + 1 + esc.map_or(0, char::len_utf8)),
+                                        format!("unknown string escape `\\{}`", esc.unwrap_or(' ')),
+                                    ));
                                 }
                             }
                             i += 2;
@@ -242,19 +241,15 @@ pub fn lex(src: &str) -> Result<Vec<SpannedTok>, TbqlError> {
                 Tok::Int(v)
             }
             c if c.is_alphabetic() || c == '_' => {
-                while i < bytes.len() {
-                    let ch = bytes[i] as char;
-                    if ch.is_alphanumeric() || ch == '_' {
-                        i += 1;
-                    } else {
-                        break;
-                    }
-                }
+                let rest = &src[i..];
+                i += rest
+                    .find(|ch: char| !(ch.is_alphanumeric() || ch == '_'))
+                    .unwrap_or(rest.len());
                 Tok::Ident(src[start..i].to_string())
             }
             other => {
                 return Err(TbqlError::new(
-                    Span::new(i, i + 1),
+                    Span::new(i, i + other.len_utf8()),
                     format!("unexpected character `{other}`"),
                 ))
             }

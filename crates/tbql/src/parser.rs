@@ -9,10 +9,19 @@ pub const KEYWORDS: &[&str] = &[
     "proc", "file", "ip", "as", "with", "before", "after", "return", "distinct", "window", "like",
 ];
 
+/// How deep parentheses may nest in a filter. Each level is a few
+/// recursive calls: a bound keeps a hostile query from overflowing the
+/// stack, which no caller could catch.
+pub const MAX_NESTING: usize = 64;
+
 /// Parses a TBQL query.
 pub fn parse_query(src: &str) -> Result<Query, TbqlError> {
     let toks = lex(src)?;
-    let mut p = Parser { toks, pos: 0 };
+    let mut p = Parser {
+        toks,
+        pos: 0,
+        depth: 0,
+    };
     let q = p.query()?;
     Ok(q)
 }
@@ -20,6 +29,8 @@ pub fn parse_query(src: &str) -> Result<Query, TbqlError> {
 struct Parser {
     toks: Vec<SpannedTok>,
     pos: usize,
+    /// Open parentheses around the filter expression being parsed.
+    depth: usize,
 }
 
 impl Parser {
@@ -302,8 +313,15 @@ impl Parser {
 
     fn cmp_expr(&mut self) -> Result<Expr, TbqlError> {
         if *self.peek() == Tok::LParen {
+            if self.depth == MAX_NESTING {
+                return Err(self.err(format!(
+                    "filter parentheses nest deeper than {MAX_NESTING} levels"
+                )));
+            }
             self.bump();
+            self.depth += 1;
             let e = self.expr()?;
+            self.depth -= 1;
             self.expect(Tok::RParen)?;
             return Ok(e);
         }
