@@ -41,6 +41,9 @@ pub enum EntityKind {
 }
 
 impl EntityKind {
+    /// All kinds, in TBQL's keyword order (`proc`, `file`, `ip`).
+    pub const ALL: [EntityKind; 3] = [EntityKind::Process, EntityKind::File, EntityKind::Network];
+
     /// Lowercase keyword used in raw logs and TBQL (`file`, `proc`, `ip`).
     pub fn keyword(self) -> &'static str {
         match self {
@@ -49,11 +52,135 @@ impl EntityKind {
             EntityKind::Network => "ip",
         }
     }
+
+    /// The kind's fields, in schema order.
+    pub fn fields(self) -> impl Iterator<Item = Field> {
+        FIELDS
+            .iter()
+            .filter(move |&&(_, kind, ..)| kind == self)
+            .map(|&(field, ..)| field)
+    }
+
+    /// The default attribute (paper §II-D): `exename` for processes,
+    /// `name` for files, `dstip` for connections.
+    pub fn default_field(self) -> Field {
+        let default = self.fields().find(|field| field.row().4);
+        default.expect("every kind has a default attribute")
+    }
+
+    /// The field `attr` names on entities of this kind, or the error
+    /// that names the kind's valid attributes.
+    pub fn field(self, attr: &str) -> Result<Field, String> {
+        self.fields()
+            .find(|field| field.name() == attr)
+            .ok_or_else(|| {
+                let valid: Vec<&str> = self.fields().map(Field::name).collect();
+                let valid = valid.join(", ");
+                format!("{self} entities have no attribute `{attr}` (valid: {valid})")
+            })
+    }
 }
 
 impl fmt::Display for EntityKind {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(self.keyword())
+    }
+}
+
+/// An entity attribute: one column of the auditing layer's entity
+/// tables, under the name TBQL filters and returns it by.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Field {
+    /// Process `exename`.
+    Exename,
+    /// Process `pid` (integer).
+    Pid,
+    /// Process `cmdline`.
+    Cmdline,
+    /// Process `owner`.
+    Owner,
+    /// File `name`.
+    Name,
+    /// Network `srcip`.
+    SrcIp,
+    /// Network `srcport` (integer).
+    SrcPort,
+    /// Network `dstip`.
+    DstIp,
+    /// Network `dstport` (integer).
+    DstPort,
+    /// Network `protocol`.
+    Protocol,
+}
+
+/// The schema, one row per field in [`Field`]'s declaration order:
+/// the field, the kind that has it, its name, whether it is an integer
+/// and whether it is the kind's default attribute. Each kind's fields
+/// come in the order TBQL lists them.
+#[rustfmt::skip]
+const FIELDS: [(Field, EntityKind, &str, bool, bool); 10] = [
+    (Field::Exename,  EntityKind::Process, "exename",  false, true),
+    (Field::Pid,      EntityKind::Process, "pid",      true,  false),
+    (Field::Cmdline,  EntityKind::Process, "cmdline",  false, false),
+    (Field::Owner,    EntityKind::Process, "owner",    false, false),
+    (Field::Name,     EntityKind::File,    "name",     false, true),
+    (Field::SrcIp,    EntityKind::Network, "srcip",    false, false),
+    (Field::SrcPort,  EntityKind::Network, "srcport",  true,  false),
+    (Field::DstIp,    EntityKind::Network, "dstip",    false, true),
+    (Field::DstPort,  EntityKind::Network, "dstport",  true,  false),
+    (Field::Protocol, EntityKind::Network, "protocol", false, false),
+];
+
+impl Field {
+    fn row(self) -> (Field, EntityKind, &'static str, bool, bool) {
+        FIELDS[self as usize]
+    }
+
+    /// The attribute name (also the SQL column name).
+    pub fn name(self) -> &'static str {
+        self.row().2
+    }
+
+    /// Whether the field holds an integer.
+    pub fn is_numeric(self) -> bool {
+        self.row().3
+    }
+
+    /// The field's value on `entity`; `None` on an entity of another kind.
+    #[inline]
+    pub fn read(self, entity: &Entity) -> Option<Cell<'_>> {
+        Some(match (self, entity) {
+            (Field::Exename, Entity::Process(p)) => Cell::Str(&p.exename),
+            (Field::Pid, Entity::Process(p)) => Cell::Int(p.pid),
+            (Field::Cmdline, Entity::Process(p)) => Cell::Str(&p.cmdline),
+            (Field::Owner, Entity::Process(p)) => Cell::Str(&p.owner),
+            (Field::Name, Entity::File(f)) => Cell::Str(&f.name),
+            (Field::SrcIp, Entity::Network(n)) => Cell::Str(&n.src_ip),
+            (Field::SrcPort, Entity::Network(n)) => Cell::Int(n.src_port.into()),
+            (Field::DstIp, Entity::Network(n)) => Cell::Str(&n.dst_ip),
+            (Field::DstPort, Entity::Network(n)) => Cell::Int(n.dst_port.into()),
+            (Field::Protocol, Entity::Network(n)) => Cell::Str(&n.protocol),
+            _ => return None,
+        })
+    }
+}
+
+/// A field's value on one entity, borrowed.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Cell<'e> {
+    /// An integer field's value.
+    Int(u32),
+    /// A string field's value.
+    Str(&'e str),
+}
+
+impl From<Cell<'_>> for String {
+    /// The value as display text: a string as is, an integer in decimal.
+    fn from(cell: Cell<'_>) -> String {
+        match cell {
+            Cell::Int(i) => i.to_string(),
+            Cell::Str(s) => s.to_owned(),
+        }
     }
 }
 
@@ -132,35 +259,14 @@ impl Entity {
         }
     }
 
-    /// The paper's *default attribute* value for this entity: `exename`
-    /// for processes, `name` for files, `dstip` for connections.
-    pub fn default_attr(&self) -> &str {
-        match self {
-            Entity::Process(p) => &p.exename,
-            Entity::File(f) => &f.name,
-            Entity::Network(n) => &n.dst_ip,
-        }
-    }
-
     /// Looks up a named attribute as a display string.
     ///
     /// Returns `None` when the attribute does not exist for this entity
     /// kind — the semantic analyzer in `threatraptor-tbql` reports those as
     /// type errors before execution.
     pub fn attr(&self, name: &str) -> Option<String> {
-        match (self, name) {
-            (Entity::Process(p), "exename") => Some(p.exename.clone()),
-            (Entity::Process(p), "pid") => Some(p.pid.to_string()),
-            (Entity::Process(p), "cmdline") => Some(p.cmdline.clone()),
-            (Entity::Process(p), "owner") => Some(p.owner.clone()),
-            (Entity::File(f), "name") => Some(f.name.clone()),
-            (Entity::Network(n), "srcip") => Some(n.src_ip.clone()),
-            (Entity::Network(n), "srcport") => Some(n.src_port.to_string()),
-            (Entity::Network(n), "dstip") => Some(n.dst_ip.clone()),
-            (Entity::Network(n), "dstport") => Some(n.dst_port.to_string()),
-            (Entity::Network(n), "protocol") => Some(n.protocol.clone()),
-            _ => None,
-        }
+        let field = self.kind().field(name).ok()?;
+        field.read(self).map(String::from)
     }
 
     /// Returns the process entity, if this is one.
@@ -188,28 +294,6 @@ impl Entity {
     }
 }
 
-/// Attribute names that are valid for a given entity kind.
-///
-/// Used by TBQL semantic analysis to reject filters on attributes the
-/// auditing layer does not record.
-pub fn valid_attrs(kind: EntityKind) -> &'static [&'static str] {
-    match kind {
-        EntityKind::Process => &["exename", "pid", "cmdline", "owner"],
-        EntityKind::File => &["name"],
-        EntityKind::Network => &["srcip", "srcport", "dstip", "dstport", "protocol"],
-    }
-}
-
-/// The default attribute name for a given entity kind (paper §II-D):
-/// `name` for files, `exename` for processes, `dstip` for connections.
-pub fn default_attr_name(kind: EntityKind) -> &'static str {
-    match kind {
-        EntityKind::Process => "exename",
-        EntityKind::File => "name",
-        EntityKind::Network => "dstip",
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -227,9 +311,9 @@ mod tests {
 
     #[test]
     fn default_attr_per_kind() {
-        assert_eq!(default_attr_name(EntityKind::File), "name");
-        assert_eq!(default_attr_name(EntityKind::Process), "exename");
-        assert_eq!(default_attr_name(EntityKind::Network), "dstip");
+        assert_eq!(EntityKind::File.default_field(), Field::Name);
+        assert_eq!(EntityKind::Process.default_field(), Field::Exename);
+        assert_eq!(EntityKind::Network.default_field(), Field::DstIp);
     }
 
     #[test]
@@ -239,7 +323,9 @@ mod tests {
         assert_eq!(p.attr("pid").as_deref(), Some("42"));
         assert_eq!(p.attr("owner").as_deref(), Some("root"));
         assert_eq!(p.attr("name"), None, "files' attr is invalid on process");
-        assert_eq!(p.default_attr(), "/bin/tar");
+        assert_eq!(Field::Exename.read(&p), Some(Cell::Str("/bin/tar")));
+        assert_eq!(Field::Pid.read(&p), Some(Cell::Int(42)));
+        assert_eq!(Field::Name.read(&p), None);
         assert_eq!(p.kind(), EntityKind::Process);
     }
 
@@ -251,7 +337,7 @@ mod tests {
         });
         assert_eq!(f.attr("name").as_deref(), Some("/etc/passwd"));
         assert_eq!(f.attr("exename"), None);
-        assert_eq!(f.default_attr(), "/etc/passwd");
+        assert_eq!(Field::Name.read(&f), Some(Cell::Str("/etc/passwd")));
     }
 
     #[test]
@@ -266,15 +352,30 @@ mod tests {
         });
         assert_eq!(n.attr("dstip").as_deref(), Some("192.168.29.128"));
         assert_eq!(n.attr("srcport").as_deref(), Some("50123"));
-        assert_eq!(n.default_attr(), "192.168.29.128");
+        assert_eq!(n.attr("protocol").as_deref(), Some("tcp"));
+        assert_eq!(Field::DstPort.read(&n), Some(Cell::Int(443)));
         assert_eq!(n.kind(), EntityKind::Network);
     }
 
     #[test]
     fn valid_attr_lists_include_defaults() {
-        for kind in [EntityKind::File, EntityKind::Process, EntityKind::Network] {
-            assert!(valid_attrs(kind).contains(&default_attr_name(kind)));
+        for kind in EntityKind::ALL {
+            assert!(kind.fields().any(|f| f == kind.default_field()));
         }
+        // The table lists every field once, at its declaration index, so
+        // the kinds' fields together are all ten.
+        for (i, &(field, kind, name, numeric, _)) in FIELDS.iter().enumerate() {
+            assert_eq!(field as usize, i);
+            assert_eq!(kind.field(name), Ok(field));
+            assert_eq!(field.is_numeric(), numeric);
+        }
+        let fields = EntityKind::ALL.map(|k| k.fields().count());
+        assert_eq!(fields.iter().sum::<usize>(), 10);
+        assert_eq!(
+            EntityKind::Network.field("name").unwrap_err(),
+            "ip entities have no attribute `name` \
+             (valid: srcip, srcport, dstip, dstport, protocol)"
+        );
     }
 
     #[test]

@@ -11,22 +11,23 @@
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
+use threatraptor_audit::entity::EntityKind;
 use threatraptor_tbql::analyze::AnalyzedQuery;
-use threatraptor_tbql::ast::{CmpOp, EntityType, Expr, Lit, Pattern};
+use threatraptor_tbql::ast::{CmpOp, Expr, Lit, Pattern};
 
-fn table_of(ty: EntityType) -> &'static str {
+fn table_of(ty: EntityKind) -> &'static str {
     match ty {
-        EntityType::Proc => "process",
-        EntityType::File => "file",
-        EntityType::Ip => "network",
+        EntityKind::Process => "process",
+        EntityKind::File => "file",
+        EntityKind::Network => "network",
     }
 }
 
-fn label_of(ty: EntityType) -> &'static str {
+fn label_of(ty: EntityKind) -> &'static str {
     match ty {
-        EntityType::Proc => "Process",
-        EntityType::File => "File",
-        EntityType::Ip => "Connection",
+        EntityKind::Process => "Process",
+        EntityKind::File => "File",
+        EntityKind::Network => "Connection",
     }
 }
 

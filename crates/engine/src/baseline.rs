@@ -85,7 +85,6 @@ pub fn hunt(store: &AuditStore, tbql: &str, baseline: Baseline) -> Result<HuntRe
             let per_shard = vec![rows.len()];
             (rows, per_shard, 0)
         },
-        &|id, attr| store.entity(id).attr(attr),
     ))
 }
 

@@ -16,9 +16,11 @@
 //! Compilation also assigns **slots**: every entity variable gets a
 //! position in [`CompiledQuery::vars`], every pattern is its own slot
 //! (its declaration index), and `before` pairs and the return clause are
-//! pre-resolved to slot indices. The executor's partial matches are flat
-//! tuples indexed by these slots (the crate's `join` module); names only reappear
-//! when a delivered [`Match`](crate::Match) is materialized.
+//! pre-resolved to slot indices, each returned attribute also to the
+//! audit schema's [`Field`] it renders. The executor's partial matches
+//! are flat tuples indexed by these slots (the crate's `join` module);
+//! names only reappear when a delivered [`Match`](crate::Match) is
+//! materialized.
 //!
 //! A compiled query also carries its [`ResolveMemo`]: each variable's
 //! resolved entity ids, filled by the first execution that needs them
@@ -27,11 +29,11 @@
 use crate::error::EngineError;
 use crate::exec::ResolveMemo;
 use crate::filter::EntityFilter;
-use threatraptor_audit::entity::EntityKind;
+use threatraptor_audit::entity::Field;
 use threatraptor_audit::event::Operation;
 use threatraptor_sync::Arc;
 use threatraptor_tbql::analyze::AnalyzedQuery;
-use threatraptor_tbql::ast::{EntityType, Pattern, TimeWindow};
+use threatraptor_tbql::ast::{Pattern, TimeWindow};
 use threatraptor_tbql::lint::{lint, LintReport};
 
 /// A compiled pattern ready for execution.
@@ -101,21 +103,13 @@ pub struct CompiledQuery {
     /// [`CompiledQuery::before`] resolved to pattern slots (declaration
     /// indices), pair for pair.
     pub before_slots: Vec<(usize, usize)>,
-    /// Variable slot of each [`CompiledQuery::returns`] column.
-    pub return_slots: Vec<usize>,
+    /// Per [`CompiledQuery::returns`] column, the variable slot it reads
+    /// and the field it renders.
+    pub return_fields: Vec<(usize, Field)>,
     /// Distinct projection.
     pub distinct: bool,
     /// Each variable's resolved ids, shared by every clone.
     memo: Arc<ResolveMemo>,
-}
-
-/// Stored entity kind of a TBQL entity type.
-pub fn kind_for(ty: EntityType) -> EntityKind {
-    match ty {
-        EntityType::Proc => EntityKind::Process,
-        EntityType::File => EntityKind::File,
-        EntityType::Ip => EntityKind::Network,
-    }
 }
 
 /// Compiles an analyzed query. Runs the lint pass first: error-level
@@ -151,7 +145,7 @@ fn compile_feasible(aq: &AnalyzedQuery, report: &LintReport) -> Result<CompiledQ
     let var_filters = aq
         .entities
         .values()
-        .map(|info| EntityFilter::lower(kind_for(info.ty), &info.filters))
+        .map(|info| EntityFilter::lower(info.ty, &info.filters))
         .collect::<Result<Vec<_>, _>>()?;
     let var_slot = |var: &str| -> Result<usize, EngineError> {
         vars.binary_search_by(|v| v.as_str().cmp(var))
@@ -222,10 +216,14 @@ fn compile_feasible(aq: &AnalyzedQuery, report: &LintReport) -> Result<CompiledQ
         .iter()
         .map(|(a, b)| Ok((pattern_slot(a)?, pattern_slot(b)?)))
         .collect::<Result<_, EngineError>>()?;
-    let return_slots = aq
+    let return_fields = aq
         .returns
         .iter()
-        .map(|(var, _)| var_slot(var))
+        .map(|(var, attr)| {
+            let slot = var_slot(var)?;
+            let field = var_filters[slot].kind.field(attr);
+            Ok((slot, field.map_err(EngineError::Execution)?))
+        })
         .collect::<Result<_, EngineError>>()?;
     Ok(CompiledQuery {
         patterns,
@@ -234,7 +232,7 @@ fn compile_feasible(aq: &AnalyzedQuery, report: &LintReport) -> Result<CompiledQ
         returns: aq.returns.clone(),
         vars,
         before_slots,
-        return_slots,
+        return_fields,
         distinct: aq.distinct,
         memo: Arc::default(),
     })
@@ -288,7 +286,8 @@ mod tests {
 
     #[test]
     fn expr_to_predicate_covers_ops() {
-        use crate::filter::{Cond, Field};
+        use crate::filter::Cond;
+        use threatraptor_audit::entity::EntityKind;
         use threatraptor_tbql::ast::{CmpOp, Expr, Lit};
         let cmp = |attr: &str, op, value| Expr::Cmp {
             attr: attr.into(),

@@ -13,8 +13,9 @@
 //! the matches holding a fresh row, in the order a full execution emits
 //! them. The caller's keep-predicate sees each found match as a
 //! borrowed slot tuple ([`TupleView`]), and only the kept ones are
-//! materialized as [`Match`](crate::Match)es: a standing query re-finds
-//! every open-window match each poll and keeps only the undelivered ones.
+//! projected and materialized as [`Match`](crate::Match)es, by the step
+//! that ends a full hunt too: a standing query re-finds every
+//! open-window match each poll and keeps only the undelivered ones.
 //!
 //! Partials are bounded: once the stream's settled bound passes a
 //! partial's feasible completion deadline (the next pattern's
@@ -36,7 +37,7 @@
 //! [`ResolveMemo`]: crate::exec::ResolveMemo
 
 use crate::compile::CompiledQuery;
-use crate::exec::run_schedule;
+use crate::exec::{finish, run_schedule};
 use crate::join::{JoinStep, Layout, Schedule, Tuples};
 use crate::result::HuntResult;
 use crate::sharded::ShardedEngine;
@@ -138,10 +139,12 @@ impl DeltaState {
     /// retained partials.
     ///
     /// `keep` sees each found match as a [`TupleView`], in that order,
-    /// and only the matches it accepts are materialized into the result
-    /// — a standing query re-finds every open-window match each poll and
-    /// delivers only the new ones. The result carries no projected rows:
-    /// the caller projects the matches it delivers.
+    /// and only the matches it accepts are projected and materialized
+    /// into the result, through the same final step as a full hunt's — a
+    /// standing query re-finds every open-window match each poll and
+    /// delivers only the new ones. The rows are those of the kept matches
+    /// alone: a `distinct` query's are deduplicated and sorted within
+    /// this poll.
     ///
     /// The caller is responsible for continuity: snapshots must come
     /// from one growing store, with `stable_to` non-decreasing across
@@ -186,19 +189,15 @@ impl DeltaState {
                 i,
             })
         });
-        let matches = delta.select(order).to_matches(cq, layout);
+        let kept = delta.select(order);
         stats.materialize_elapsed += t.elapsed();
         if let Some(d) = &mut stats.delta {
             d.carried_partials = carried_partials;
             d.retained_partials = self.retained();
         }
-        stats.elapsed = t0.elapsed();
-        HuntResult {
-            columns: cq.columns(),
-            rows: Vec::new(),
-            matches,
-            stats,
-        }
+        let mut result = finish(cq, layout, &kept, engine.store().catalog(), stats);
+        result.stats.elapsed = t0.elapsed();
+        result
     }
 }
 
@@ -690,6 +689,33 @@ mod tests {
         assert_eq!(state.retained(), retained, "partials rebuilt");
         assert_eq!(delivered.len(), full.matches.len());
         assert!(full.matches.iter().all(|m| delivered.contains(m)));
+    }
+
+    /// A poll's stage timers account for its time as a full hunt's do
+    /// (`exec::tests::stage_times_cover_a_large_hunt`): on a poll that
+    /// delivers over a thousand matches, the stages sum to at least 90 %
+    /// of `elapsed`, projection included. The best of three polls is
+    /// taken, so a preemption between two timers cannot fail it.
+    #[test]
+    fn stage_times_cover_a_large_poll() {
+        let sc = ScenarioBuilder::new()
+            .seed(42)
+            .attacks(&[AttackKind::DataLeakage])
+            .target_events(5_000)
+            .build();
+        let store = ShardedStore::ingest(&sc.log, true, 1);
+        let engine = ShardedEngine::new(&store);
+        let cq = compiled("proc p read file f as e1 proc p write file g as e2 return p, f, g");
+        let mut best: f64 = 0.0;
+        for _ in 0..3 {
+            let out = DeltaState::new(&cq).poll(&engine, &cq, 0, |_| true);
+            assert!(out.matches.len() >= 1_000, "{}", out.matches.len());
+            assert_eq!(out.rows.len(), out.matches.len());
+            assert!(out.stats.project_elapsed > std::time::Duration::ZERO);
+            let stages: std::time::Duration = out.stats.stages().iter().sum();
+            best = best.max(stages.as_secs_f64() / out.stats.elapsed.as_secs_f64());
+        }
+        assert!(best >= 0.9, "stages cover {:.1} % of elapsed", best * 100.0);
     }
 
     /// Invalidation resets to a from-zero scan that rebuilds partials.

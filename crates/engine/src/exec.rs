@@ -20,6 +20,11 @@
 //! scan. Rows then meet the partial matches in the slot-compiled hash
 //! join of the crate's `join` module.
 //!
+//! A full hunt and a standing-query poll end in one step, `finish`: it
+//! projects the complete slot tuples through the entity catalog, each
+//! return column reading the audit-schema field compiled for it, then
+//! materializes the tuples as name-keyed matches.
+//!
 //! [`Engine`] is a name for [`ShardedEngine`] kept by the benchmark's
 //! frozen surface: every hunt, whatever its store, runs the same scan,
 //! path expansion, feasible-range clamp and row order.
@@ -28,13 +33,13 @@ use crate::compile::{compile, CompiledPattern, CompiledQuery, CompiledShape};
 use crate::error::EngineError;
 use crate::filter::EntityFilter;
 use crate::idset::IdSet;
-use crate::join::{join_rows, propagate, Bound, PatternRow, Schedule, Tuples, Witness};
-use crate::result::{DeltaStats, HuntResult, HuntStats, JoinStats, Match, PatternStats};
+use crate::join::{join_rows, propagate, Bound, Layout, PatternRow, Schedule, Tuples, Witness};
+use crate::result::{DeltaStats, HuntResult, HuntStats, JoinStats, PatternStats};
 use crate::sharded::ShardedEngine;
 use std::collections::{HashMap, HashSet};
 use std::ops::Deref;
 use std::time::Instant;
-use threatraptor_audit::entity::EntityId;
+use threatraptor_audit::entity::{EntityId, Field};
 use threatraptor_audit::event::{Event, Operation};
 use threatraptor_storage::catalog::{EntityCatalog, Lineage};
 use threatraptor_storage::postings::EventPostings;
@@ -522,109 +527,88 @@ pub(crate) fn run_schedule(
 }
 
 /// A full hunt: the stage loop with nothing retained, each variable
-/// resolved over `catalog`, then the matches projected through
-/// `entity_attr`.
+/// resolved over `catalog`, then [`finish`]ed.
 pub(crate) fn run_hunt(
     cq: &CompiledQuery,
     schedule: &Schedule,
     catalog: &EntityCatalog,
     fetch: &mut PatternFetch<'_>,
-    entity_attr: &dyn Fn(EntityId, &str) -> Option<String>,
 ) -> HuntResult {
     let t0 = Instant::now();
-    let (tuples, _, mut stats) = run_schedule(cq, schedule, catalog, fetch, None);
+    let (tuples, _, stats) = run_schedule(cq, schedule, catalog, fetch, None);
+    let mut result = finish(cq, &schedule.layout, &tuples, catalog, stats);
+    result.stats.elapsed = t0.elapsed();
+    result
+}
+
+/// The last step of every full hunt and standing-query poll: projects
+/// the complete slot `tuples` into the result table, reading each return
+/// column's compiled field from `catalog`, then materializes them as
+/// [`Match`](crate::Match)es. Both steps add their time to `stats`.
+pub(crate) fn finish(
+    cq: &CompiledQuery,
+    layout: &Layout,
+    tuples: &Tuples,
+    catalog: &EntityCatalog,
+    mut stats: HuntStats,
+) -> HuntResult {
     let t = Instant::now();
-    let (columns, rows) = project_tuples(cq, &tuples, entity_attr);
-    stats.project_elapsed = t.elapsed();
+    let rows = project(cq, tuples, catalog);
+    stats.project_elapsed += t.elapsed();
     let t = Instant::now();
-    let matches = tuples.to_matches(cq, &schedule.layout);
-    stats.materialize_elapsed = t.elapsed();
-    stats.elapsed = t0.elapsed();
+    let matches = tuples.to_matches(cq, layout);
+    stats.materialize_elapsed += t.elapsed();
     HuntResult {
-        columns,
+        columns: cq.columns(),
         rows,
         matches,
         stats,
     }
 }
 
-/// Projects complete tuples into the result table, `entity_attr`
-/// rendering an entity's attribute.
-pub(crate) fn project_tuples(
-    cq: &CompiledQuery,
-    tuples: &Tuples,
-    entity_attr: &dyn Fn(EntityId, &str) -> Option<String>,
-) -> (Vec<String>, Vec<Vec<String>>) {
-    project(
-        cq,
-        tuples.len(),
-        &|i, col| tuples.ent(i, cq.return_slots[col]),
-        entity_attr,
-    )
-}
-
-/// [`project_tuples`] for materialized matches.
-pub(crate) fn project_matches(
-    cq: &CompiledQuery,
-    matches: &[Match],
-    entity_attr: &dyn Fn(EntityId, &str) -> Option<String>,
-) -> (Vec<String>, Vec<Vec<String>>) {
-    project(
-        cq,
-        matches.len(),
-        &|i, col| matches[i].bindings[&cq.returns[col].0],
-        entity_attr,
-    )
-}
-
-/// Renders the return clause for `n` matches, `id_at(match, column)`
-/// giving the entity a return column refers to.
+/// Renders the return clause of every tuple.
 ///
-/// A `distinct` query renders each entity's attribute once per column
-/// and interns the strings, then deduplicates matches on their tuples of
-/// interned ids before building any row — a haystack query keeps a few
-/// dozen rows of thousands of matches, and distinct entity ids often
-/// render alike (every `/bin/cat` process), so deduplicating on entity
-/// ids alone would still render most of them. Surviving rows are sorted,
-/// as a `distinct` result always was.
-fn project(
-    cq: &CompiledQuery,
-    n: usize,
-    id_at: &dyn Fn(usize, usize) -> EntityId,
-    entity_attr: &dyn Fn(EntityId, &str) -> Option<String>,
-) -> (Vec<String>, Vec<Vec<String>>) {
-    let columns = cq.columns();
-    let render =
-        |id: EntityId, attr: &str| entity_attr(id, attr).unwrap_or_else(|| "<none>".into());
+/// A `distinct` query renders each entity's field once per column and
+/// interns the strings, then deduplicates tuples on their interned ids
+/// before building any row — a haystack query keeps a few dozen rows of
+/// thousands of matches, and distinct entity ids often render alike
+/// (every `/bin/cat` process), so deduplicating on entity ids alone
+/// would still render most of them. Surviving rows are sorted, as a
+/// `distinct` result always was.
+fn project(cq: &CompiledQuery, tuples: &Tuples, catalog: &EntityCatalog) -> Vec<Vec<String>> {
+    let render = |id: EntityId, field: Field| {
+        field
+            .read(catalog.entity(id))
+            .map_or_else(|| "<none>".into(), String::from)
+    };
+    let n = tuples.len();
     if !cq.distinct {
-        let rows = (0..n)
+        return (0..n)
             .map(|i| {
-                cq.returns
+                cq.return_fields
                     .iter()
-                    .enumerate()
-                    .map(|(col, (_, attr))| render(id_at(i, col), attr))
+                    .map(|&(slot, field)| render(tuples.ent(i, slot), field))
                     .collect()
             })
             .collect();
-        return (columns, rows);
     }
 
     const UNSEEN: u32 = u32::MAX;
-    let width = cq.returns.len();
+    let width = cq.return_fields.len();
     let mut strings: Vec<String> = Vec::new();
     let mut string_ids: HashMap<String, u32> = HashMap::new();
-    // Per column: entity id → interned id of its rendered attribute.
+    // Per column: entity id → interned id of its rendered field.
     let mut rendered: Vec<Vec<u32>> = vec![Vec::new(); width];
     let mut keys: Vec<u32> = Vec::with_capacity(n * width);
     for i in 0..n {
-        for (col, (_, attr)) in cq.returns.iter().enumerate() {
-            let id = id_at(i, col);
+        for (col, &(slot, field)) in cq.return_fields.iter().enumerate() {
+            let id = tuples.ent(i, slot);
             let memo = &mut rendered[col];
             if memo.len() <= id.index() {
                 memo.resize(id.index() + 1, UNSEEN);
             }
             if memo[id.index()] == UNSEEN {
-                let text = render(id, attr);
+                let text = render(id, field);
                 memo[id.index()] = *string_ids.entry(text).or_insert_with_key(|text| {
                     strings.push(text.clone());
                     (strings.len() - 1) as u32
@@ -640,7 +624,7 @@ fn project(
         .map(|key| key.iter().map(|&s| strings[s as usize].clone()).collect())
         .collect();
     rows.sort();
-    (columns, rows)
+    rows
 }
 
 /// Safety cap on enumerated paths: [`expand_paths`] and the graph
@@ -950,28 +934,60 @@ mod tests {
 
     #[test]
     fn distinct_projection_merges_ids_that_render_alike() {
-        let compiled =
-            |tbql: &str| compile(&analyze(&parse_query(tbql).unwrap()).unwrap()).unwrap();
-        // Entities 1 and 2 are two processes running the same binary.
-        let attr = |id: EntityId, _: &str| {
-            Some(match id.0 {
-                1 | 2 => "/bin/cat".to_string(),
-                n => format!("/f{n}"),
+        use threatraptor_audit::entity::{Entity, FileEntity, ProcessEntity};
+        use threatraptor_audit::event::EventId;
+        use threatraptor_audit::parser::ParsedLog;
+        // Entities 1 and 2 are two processes running the same binary;
+        // every other id is a file `/f<id>`.
+        let entities = (0..12u32)
+            .map(|n| match n {
+                1 | 2 => Entity::Process(ProcessEntity {
+                    id: EntityId(n),
+                    pid: n,
+                    exename: "/bin/cat".into(),
+                    cmdline: String::new(),
+                    owner: "root".into(),
+                    start_time: 0,
+                }),
+                n => Entity::File(FileEntity {
+                    id: EntityId(n),
+                    name: format!("/f{n}"),
+                }),
             })
-        };
-        let ids = [[2u32, 11], [1, 10], [2, 10], [1, 10], [1, 11]];
-        let id_at = |i: usize, col: usize| EntityId(ids[i][col]);
+            .collect();
+        let reads = [[2u32, 11], [1, 10], [2, 10], [1, 10], [1, 11]];
+        let events = reads
+            .iter()
+            .enumerate()
+            .map(|(i, &[p, f])| Event {
+                id: EventId(i as u32),
+                subject: EntityId(p),
+                op: Operation::Read,
+                object: EntityId(f),
+                start: 10 * i as u64,
+                end: 10 * i as u64 + 1,
+                bytes: 0,
+                merged: 1,
+                tag: None,
+            })
+            .collect();
+        let log = ParsedLog { entities, events };
+        let store = ShardedStore::ingest(&log, false, 1);
+        let engine = ShardedEngine::new(&store);
 
-        let cq = compiled("proc p read file f return distinct p, f");
-        let (columns, rows) = project(&cq, ids.len(), &id_at, &attr);
-        assert_eq!(columns, ["p.exename", "f.name"]);
-        assert_eq!(rows, [["/bin/cat", "/f10"], ["/bin/cat", "/f11"]]);
+        let r = engine
+            .hunt("proc p read file f return distinct p, f")
+            .unwrap();
+        assert_eq!(r.columns, ["p.exename", "f.name"]);
+        assert_eq!(r.rows, [["/bin/cat", "/f10"], ["/bin/cat", "/f11"]]);
+        assert_eq!(r.matches.len(), 5);
 
         // Without `distinct`, every match keeps its row, in match order.
-        let cq = compiled("proc p read file f return p, f");
-        let (_, rows) = project(&cq, ids.len(), &id_at, &attr);
-        assert_eq!(rows.len(), 5);
-        assert_eq!(rows[0], ["/bin/cat", "/f11"]);
+        let r = engine
+            .hunt("proc p read file f return p, f.name, p.pid")
+            .unwrap();
+        assert_eq!(r.rows.len(), 5);
+        assert_eq!(r.rows[0], ["/bin/cat", "/f11", "2"]);
     }
 
     /// A hot plan on a sealed store resolves once: the second execution

@@ -3,106 +3,24 @@
 //!
 //! [`compile`](crate::compile) lowers the conjunction of every filter on a
 //! variable to an [`EntityFilter`]: the kind of entity the variable binds
-//! and a [`Cond`] tree whose attribute names are resolved, once, to typed
-//! [`Field`]s. An attribute the kind lacks is a typed compile error.
-//! The executor evaluates the tree on a borrowed [`Entity`], reading its
-//! fields and allocating nothing.
+//! and a [`Cond`] tree whose attribute names are resolved, once, to the
+//! audit schema's typed [`Field`]s. An attribute the kind lacks is a
+//! typed compile error, with the schema's message. The executor evaluates
+//! the tree on a borrowed [`Entity`], reading its fields as [`Cell`]s and
+//! allocating nothing.
 //!
 //! The semantics are SQL's over the paper's entity tables (§II-B), and
-//! the reference evaluator's ([`crate::reference`]): `pid`, `srcport` and
-//! `dstport` compare as integers and every other attribute as a string,
-//! an integer ordering before any string; `like` is SQL `LIKE`, reading
-//! a numeric attribute as its decimal text.
+//! the reference evaluator's ([`crate::reference`]): integer fields
+//! compare as integers and every other attribute as a string, an integer
+//! ordering before any string; `like` is SQL `LIKE`, reading an integer
+//! field as its decimal text.
 //! EXPLAIN renders a filter as the SQL boolean expression it stands for
 //! ([`EntityFilter::to_sql`]).
 
 use crate::error::EngineError;
 use std::cmp::Ordering;
-use threatraptor_audit::entity::{Entity, EntityKind};
+use threatraptor_audit::entity::{Cell, Entity, EntityKind, Field};
 use threatraptor_tbql::ast::{CmpOp, Expr, Lit};
-
-/// An entity attribute a filter reads.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Field {
-    /// Process `pid` (integer).
-    Pid,
-    /// Process `exename`.
-    Exename,
-    /// Process `cmdline`.
-    Cmdline,
-    /// Process `owner`.
-    Owner,
-    /// File `name`.
-    Name,
-    /// Network `srcip`.
-    SrcIp,
-    /// Network `srcport` (integer).
-    SrcPort,
-    /// Network `dstip`.
-    DstIp,
-    /// Network `dstport` (integer).
-    DstPort,
-    /// Network `protocol`.
-    Protocol,
-}
-
-/// Every field with the kind that has it and its TBQL (and SQL column)
-/// name.
-const FIELDS: [(Field, EntityKind, &str); 10] = [
-    (Field::Pid, EntityKind::Process, "pid"),
-    (Field::Exename, EntityKind::Process, "exename"),
-    (Field::Cmdline, EntityKind::Process, "cmdline"),
-    (Field::Owner, EntityKind::Process, "owner"),
-    (Field::Name, EntityKind::File, "name"),
-    (Field::SrcIp, EntityKind::Network, "srcip"),
-    (Field::SrcPort, EntityKind::Network, "srcport"),
-    (Field::DstIp, EntityKind::Network, "dstip"),
-    (Field::DstPort, EntityKind::Network, "dstport"),
-    (Field::Protocol, EntityKind::Network, "protocol"),
-];
-
-/// A field's value on one entity, borrowed.
-#[derive(Debug, Clone, Copy)]
-enum Cell<'e> {
-    Int(u32),
-    Str(&'e str),
-}
-
-impl Field {
-    /// The field `attr` names on entities of `kind`, if it has one.
-    pub(crate) fn of(kind: EntityKind, attr: &str) -> Option<Field> {
-        FIELDS
-            .iter()
-            .find(|&&(_, k, name)| k == kind && name == attr)
-            .map(|&(field, ..)| field)
-    }
-
-    /// The attribute name.
-    pub fn name(self) -> &'static str {
-        FIELDS
-            .iter()
-            .find(|&&(field, ..)| field == self)
-            .map_or("", |&(.., name)| name)
-    }
-
-    /// The field's value on `entity`; `None` on an entity of another kind.
-    #[inline]
-    fn read(self, entity: &Entity) -> Option<Cell<'_>> {
-        Some(match (self, entity) {
-            (Field::Pid, Entity::Process(p)) => Cell::Int(p.pid),
-            (Field::Exename, Entity::Process(p)) => Cell::Str(&p.exename),
-            (Field::Cmdline, Entity::Process(p)) => Cell::Str(&p.cmdline),
-            (Field::Owner, Entity::Process(p)) => Cell::Str(&p.owner),
-            (Field::Name, Entity::File(f)) => Cell::Str(&f.name),
-            (Field::SrcIp, Entity::Network(n)) => Cell::Str(&n.src_ip),
-            (Field::SrcPort, Entity::Network(n)) => Cell::Int(n.src_port.into()),
-            (Field::DstIp, Entity::Network(n)) => Cell::Str(&n.dst_ip),
-            (Field::DstPort, Entity::Network(n)) => Cell::Int(n.dst_port.into()),
-            (Field::Protocol, Entity::Network(n)) => Cell::Str(&n.protocol),
-            _ => return None,
-        })
-    }
-}
 
 /// A filter tree over typed fields.
 #[derive(Debug, Clone, PartialEq)]
@@ -131,9 +49,7 @@ impl Cond {
             Expr::And(legs) => Ok(Cond::And(lower_all(legs)?)),
             Expr::Or(legs) => Ok(Cond::Or(lower_all(legs)?)),
             Expr::Cmp { attr, op, value } => {
-                let field = Field::of(kind, attr).ok_or_else(|| {
-                    EngineError::Execution(format!("{kind} entities have no attribute `{attr}`"))
-                })?;
+                let field = kind.field(attr).map_err(EngineError::Execution)?;
                 Ok(match (op, value) {
                     (CmpOp::Like, Lit::Str(pattern)) => Cond::Like(field, pattern.clone()),
                     (CmpOp::Like, Lit::Int(i)) => Cond::Like(field, i.to_string()),

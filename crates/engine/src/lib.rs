@@ -45,12 +45,12 @@
 //!   typed entity filters, per-pattern shape (typed operations, hop
 //!   bounds), pruning scores, DBM bounds and slot assignment;
 //! * [`filter`] — the typed entity filter a variable's TBQL filters
-//!   lower to: fields resolved at compile, evaluated on a borrowed
-//!   entity, rendered as SQL for EXPLAIN;
+//!   lower to: the audit schema's fields resolved at compile, evaluated
+//!   on a borrowed entity, rendered as SQL for EXPLAIN;
 //! * [`score`] — pruning scores;
 //! * [`exec`] — the scheduler: entity resolution through the plan's
-//!   [`exec::ResolveMemo`], the event scan, path expansion, projection,
-//!   and the [`Engine`] name;
+//!   [`exec::ResolveMemo`], the event scan, path expansion, the one
+//!   projection step of hunts and polls, and the [`Engine`] name;
 //! * [`sharded`] — the executor, scatter-gather over a
 //!   [`threatraptor_storage::sharded::ShardedStore`]: filters resolve
 //!   once per pattern against the store's entity catalog and every shard,

@@ -40,10 +40,10 @@
 use crate::result::{HuntResult, HuntStats, Match};
 use std::cmp::Ordering;
 use std::collections::HashMap;
-use threatraptor_audit::entity::{Entity, EntityId, EntityKind};
+use threatraptor_audit::entity::{Entity, EntityId};
 use threatraptor_audit::event::Event;
 use threatraptor_tbql::analyze::AnalyzedQuery;
-use threatraptor_tbql::ast::{CmpOp, EntityType, Expr, Lit, PathPattern, Pattern, TimeWindow};
+use threatraptor_tbql::ast::{CmpOp, Expr, Lit, PathPattern, Pattern, TimeWindow};
 
 /// One way to witness a pattern: its endpoints, its events' positions
 /// and its time span.
@@ -63,7 +63,7 @@ pub fn evaluate(entities: &[Entity], events: &[Event], aq: &AnalyzedQuery) -> Hu
     let binds = |var: &str, id: EntityId| {
         let info = &aq.entities[var];
         let entity = &entities[id.index()];
-        entity.kind() == kind(info.ty) && info.filters.iter().all(|f| holds(f, entity))
+        entity.kind() == info.ty && info.filters.iter().all(|f| holds(f, entity))
     };
     let patterns = &aq.query.patterns;
     let witnesses: Vec<Vec<Witness>> = patterns
@@ -240,14 +240,6 @@ fn walk(
 
 fn in_window(window: Option<TimeWindow>, ev: &Event) -> bool {
     window.is_none_or(|w| ev.start >= w.lo && ev.end <= w.hi)
-}
-
-fn kind(ty: EntityType) -> EntityKind {
-    match ty {
-        EntityType::Proc => EntityKind::Process,
-        EntityType::File => EntityKind::File,
-        EntityType::Ip => EntityKind::Network,
-    }
 }
 
 /// Whether `entity` satisfies the filter `expr`.

@@ -28,10 +28,10 @@
 
 use crate::compile::{compile, CompiledPattern, CompiledQuery, CompiledShape};
 use crate::error::EngineError;
-use crate::exec::{expand_paths, project_matches, run_hunt, scan_events, ExecMode};
+use crate::exec::{expand_paths, run_hunt, scan_events, ExecMode};
 use crate::idset::IdSet;
 use crate::join::{PatternRow, Schedule};
-use crate::result::{HuntResult, Match};
+use crate::result::HuntResult;
 use std::collections::HashMap;
 use std::rc::Rc;
 use threatraptor_audit::entity::EntityId;
@@ -87,22 +87,7 @@ impl<'s> ShardedEngine<'s> {
             &mut |pat, subjects, objects, min_pos| {
                 self.fetch_pattern(pat, subjects, objects, min_pos)
             },
-            &|id, attr| self.store.entity(id).attr(attr),
         ))
-    }
-
-    /// Projects a set of matches through this store, exactly as
-    /// [`ShardedEngine::execute`] projects its own matches — the
-    /// follow-mode hunt uses this to turn a *delta* of new matches into
-    /// result rows without re-projecting the whole result. Returns
-    /// `(columns, rows)`; when the query is `distinct`, rows are sorted
-    /// and deduplicated within the given match set.
-    pub fn project(
-        &self,
-        cq: &CompiledQuery,
-        matches: &[Match],
-    ) -> (Vec<String>, Vec<Vec<String>>) {
-        project_matches(cq, matches, &|id, attr| self.store.entity(id).attr(attr))
     }
 
     /// Runs one pattern's data query across all shards; the returned rows

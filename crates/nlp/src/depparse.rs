@@ -17,8 +17,8 @@ pub fn parse(tokens: Vec<Token>) -> DepTree {
     parse_tagged(tokens, tags)
 }
 
-/// Parses with externally supplied tags (used by tests).
-pub fn parse_tagged(tokens: Vec<Token>, tags: Vec<PosTag>) -> DepTree {
+/// Parses with externally supplied tags.
+fn parse_tagged(tokens: Vec<Token>, tags: Vec<PosTag>) -> DepTree {
     let n = tokens.len();
     let mut p = ParserState {
         heads: vec![None; n],

@@ -93,14 +93,6 @@ impl ThreatBehaviorGraph {
         self.nodes.iter().find(|n| n.text == text)
     }
 
-    /// Nodes that appear on at least one edge.
-    pub fn connected_nodes(&self) -> Vec<&IocNode> {
-        self.nodes
-            .iter()
-            .filter(|n| self.edges.iter().any(|e| e.src == n.id || e.dst == n.id))
-            .collect()
-    }
-
     /// Retains only nodes satisfying `keep` (and edges between them),
     /// renumbering node ids densely and resequencing edges — the
     /// screening primitive used by query synthesis.
@@ -254,7 +246,7 @@ mod tests {
     #[test]
     fn connected_nodes_and_lookup() {
         let g = ThreatBehaviorGraph::construct(&table(), &[trip(0, "read", 1, 10)]);
-        assert_eq!(g.connected_nodes().len(), 2);
+        assert_eq!(g.edges.len(), 1);
         assert!(g.node_by_text("/bin/tar").is_some());
         assert!(g.node_by_text("/nope").is_none());
     }

@@ -23,7 +23,7 @@
 //!   exceed [`STATE_CAP`] states fails with [`RegexErrorKind::TooLarge`]
 //!   instead of building slowly.
 //!
-//! `^` and `$` anchor the whole pattern: [`Regex::find_from`] only tries
+//! `^` and `$` anchor the whole pattern: a search only tries
 //! offset 0 for `^`, and a `$` match must end at the end of the haystack.
 //! A search tries each start in turn, so it costs O(n · w) for a
 //! haystack of n chars whose longest partial match is w chars long.
@@ -788,7 +788,7 @@ impl Regex {
 
     /// Longest match starting exactly at byte `at` (must be a char
     /// boundary). Returns the end byte of the longest accepting prefix.
-    pub fn match_at(&self, haystack: &str, at: usize) -> Option<usize> {
+    fn match_at(&self, haystack: &str, at: usize) -> Option<usize> {
         #[cfg(test)]
         if let Some(nfa) = &self.oracle {
             return nfa.pike_match_at(haystack, at, self.anchored_end);
@@ -797,7 +797,7 @@ impl Regex {
     }
 
     /// Leftmost-longest search starting at or after byte `from`.
-    pub fn find_from(&self, haystack: &str, from: usize) -> Option<Match> {
+    fn find_from(&self, haystack: &str, from: usize) -> Option<Match> {
         // `^` leaves one start to try: 0.
         let last = if self.anchored_start {
             0
@@ -815,16 +815,6 @@ impl Regex {
     /// Leftmost-longest search over the whole haystack.
     pub fn find(&self, haystack: &str) -> Option<Match> {
         self.find_from(haystack, 0)
-    }
-
-    /// Whether the pattern matches anywhere.
-    pub fn is_match(&self, haystack: &str) -> bool {
-        self.find(haystack).is_some()
-    }
-
-    /// Whether the pattern matches the *entire* haystack.
-    pub fn is_full_match(&self, haystack: &str) -> bool {
-        self.match_at(haystack, 0) == Some(haystack.len())
     }
 
     /// Iterates non-overlapping matches, left to right.
@@ -1054,7 +1044,9 @@ mod tests {
         assert_eq!(path.find(hay).unwrap().as_str(hay), "/usr/bin/gpg");
         // Hash.
         let md5 = Regex::new("[a-fA-F0-9]{32}").unwrap();
-        assert!(md5.is_match("hash d41d8cd98f00b204e9800998ecf8427e seen"));
+        assert!(md5
+            .find("hash d41d8cd98f00b204e9800998ecf8427e seen")
+            .is_some());
         // CVE.
         let cve = Regex::new(r"CVE-\d{4}-\d{4,7}").unwrap();
         let hay = "exploits CVE-2014-6271 (Shellshock)";
@@ -1075,12 +1067,14 @@ mod tests {
         assert_eq!(any.find("日本").unwrap().len(), 3);
     }
 
+    /// The longest match from offset 0 covers the haystack only when the
+    /// pattern matches all of it.
     #[test]
     fn full_match() {
         let re = Regex::new(r"\d+").unwrap();
-        assert!(re.is_full_match("12345"));
-        assert!(!re.is_full_match("123a"));
-        assert!(!re.is_full_match(""));
+        assert_eq!(re.match_at("12345", 0), Some(5));
+        assert_eq!(re.match_at("123a", 0), Some(3));
+        assert_eq!(re.match_at("", 0), None);
     }
 
     #[test]
@@ -1106,7 +1100,7 @@ mod tests {
     /// but fine on tiny inputs).
     fn backtrack_full(ast_pat: &str, text: &str) -> bool {
         fn at(re: &Regex, hay: &str) -> bool {
-            re.is_full_match(hay)
+            re.match_at(hay, 0) == Some(hay.len())
         }
         let re = Regex::new(ast_pat).unwrap();
         at(&re, text)

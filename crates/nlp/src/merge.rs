@@ -25,11 +25,6 @@ pub struct IocTable {
 }
 
 impl IocTable {
-    /// Canonical IOC for a mention index.
-    pub fn canon_of(&self, mention_idx: usize) -> &Ioc {
-        &self.canon[self.mention_canon[mention_idx].0]
-    }
-
     /// Number of canonical IOCs.
     pub fn len(&self) -> usize {
         self.canon.len()
@@ -299,7 +294,7 @@ mod tests {
         assert!(!t.is_empty());
         assert_eq!(t.lookup("/bin/tar"), Some(CanonId(0)));
         assert_eq!(t.lookup("/bin/zzz"), None);
-        assert_eq!(t.canon_of(0).text, "/bin/tar");
+        assert_eq!(t.canon[t.mention_canon[0].0].text, "/bin/tar");
     }
 
     #[test]

@@ -25,20 +25,6 @@ pub struct ProtectedBlock {
     pub slots: HashMap<usize, Ioc>,
 }
 
-impl ProtectedBlock {
-    /// Number of protected IOCs.
-    pub fn ioc_count(&self) -> usize {
-        self.slots.len()
-    }
-
-    /// IOCs in order of appearance.
-    pub fn iocs_in_order(&self) -> Vec<&Ioc> {
-        let mut entries: Vec<(&usize, &Ioc)> = self.slots.iter().collect();
-        entries.sort_by_key(|(off, _)| **off);
-        entries.into_iter().map(|(_, ioc)| ioc).collect()
-    }
-}
-
 /// Protects a block: recognizes IOCs and substitutes the dummy word.
 pub fn protect(block: &str) -> ProtectedBlock {
     let iocs = IocRecognizer::global().recognize(block);
@@ -60,6 +46,13 @@ mod tests {
     use super::*;
     use crate::ioc::IocType;
 
+    /// The block's IOCs in order of appearance.
+    fn iocs_in_order(p: &ProtectedBlock) -> Vec<&Ioc> {
+        let mut entries: Vec<(&usize, &Ioc)> = p.slots.iter().collect();
+        entries.sort_by_key(|(off, _)| **off);
+        entries.into_iter().map(|(_, ioc)| ioc).collect()
+    }
+
     #[test]
     fn protects_and_records_slots() {
         let block = "the attacker used /bin/tar to read /etc/passwd quickly";
@@ -68,8 +61,8 @@ mod tests {
             p.text,
             "the attacker used something to read something quickly"
         );
-        assert_eq!(p.ioc_count(), 2);
-        let in_order = p.iocs_in_order();
+        assert_eq!(p.slots.len(), 2);
+        let in_order = iocs_in_order(&p);
         assert_eq!(in_order[0].text, "/bin/tar");
         assert_eq!(in_order[1].text, "/etc/passwd");
         // Slot offsets point at the dummies.
@@ -95,7 +88,7 @@ mod tests {
         let block = "The attacker escalated privileges.";
         let p = protect(block);
         assert_eq!(p.text, block);
-        assert_eq!(p.ioc_count(), 0);
+        assert!(p.slots.is_empty());
     }
 
     #[test]
@@ -103,7 +96,7 @@ mod tests {
         let block = "beaconed to 192.168.29.128/32 via http://evil.com/x";
         let p = protect(block);
         assert_eq!(p.text, "beaconed to something via something");
-        let tys: Vec<IocType> = p.iocs_in_order().iter().map(|i| i.ty).collect();
+        let tys: Vec<IocType> = iocs_in_order(&p).iter().map(|i| i.ty).collect();
         assert_eq!(tys, vec![IocType::IpSubnet, IocType::Url]);
     }
 
@@ -111,7 +104,7 @@ mod tests {
     fn original_offsets_preserved() {
         let block = "run /bin/tar now";
         let p = protect(block);
-        let ioc = p.iocs_in_order()[0];
+        let ioc = iocs_in_order(&p)[0];
         assert_eq!(&block[ioc.start..ioc.end], "/bin/tar");
     }
 }

@@ -163,8 +163,8 @@ impl MetricsSnapshot {
         out
     }
 
-    /// Structured [`JsonValue`] form (the bench runner persists this).
-    pub fn to_json_value(&self) -> JsonValue {
+    /// Structured [`JsonValue`] form.
+    fn to_json_value(&self) -> JsonValue {
         let samples = self
             .samples
             .iter()

@@ -43,8 +43,9 @@
 //! engine hands each found match to this layer as a slot tuple, this
 //! layer writes its identity (bindings by variable slot, witness run
 //! identities by pattern slot) into one reused buffer and looks it up in
-//! `seen`, and only the matches whose identity is new are materialized,
-//! projected and delivered. Re-led open-window runs need no
+//! `seen`, and only the matches whose identity is new are projected,
+//! materialized and delivered, by the engine's step that ends a full
+//! hunt too. Re-led open-window runs need no
 //! re-validation: the open window lies above the stable frontier and is
 //! re-scanned every poll. The first poll, a discontinuity (raw or sealed frontier
 //! regression) and a batch snapshot without a frontier poll from
@@ -377,35 +378,33 @@ impl FollowHunt {
         // Keep only matches no earlier poll has seen: a key already in
         // `seen` is looked up by slice and allocates nothing.
         let (seen, key) = (&mut self.seen, &mut self.key);
-        let out = self.delta.poll(&engine, cq, stable_to, |m| {
+        let mut out = self.delta.poll(&engine, cq, stable_to, |m| {
             let bindings = (0..cq.vars.len()).map(|slot| m.entity(slot));
             let witnesses = (0..cq.patterns.len()).map(|pat| m.witness(pat));
             match_identity(bindings, witnesses, snapshot, key);
             !seen.contains(key.as_slice()) && seen.insert(key.as_slice().into())
         });
         self.last_raw = Some(raw);
-        let delta_stats = out.stats.delta;
-        let (columns, mut delta_rows) = engine.project(cq, &out.matches);
 
         // Merge into the running result. Stats accumulate (per-pattern
         // scan counters and elapsed sum across polls) rather than being
         // overwritten by the latest execution's point-in-time values.
         let running = self.result.get_or_insert_with(|| HuntResult {
-            columns,
+            columns: std::mem::take(&mut out.columns),
             rows: Vec::new(),
             matches: Vec::new(),
             stats: HuntStats::default(),
         });
         merge_stats(&mut running.stats, &out.stats);
         if cq.distinct {
-            // Projection deduped within the delta; dedup against the
+            // The poll deduped its own rows; dedup against the
             // persistent history so the running rows stay a distinct
             // set without rescanning them every poll.
-            delta_rows.retain(|r| self.known.insert(r.clone()));
+            out.rows.retain(|r| self.known.insert(r.clone()));
         }
         let new_matches = out.matches.len();
         running.matches.extend(out.matches);
-        running.rows.extend_from_slice(&delta_rows);
+        running.rows.extend_from_slice(&out.rows);
 
         // Age retained state by the stream's settled bound: no future
         // fresh row can start below it.
@@ -455,10 +454,10 @@ impl FollowHunt {
 
         Ok(FollowDelta {
             new_matches,
-            rows: delta_rows,
+            rows: out.rows,
             unchanged: false,
             elapsed: t0.elapsed(),
-            delta: delta_stats,
+            delta: out.stats.delta,
         })
     }
 }

@@ -7,7 +7,7 @@ use std::collections::HashMap;
 use std::fmt;
 use threatraptor_nlp::graph::ThreatBehaviorGraph;
 use threatraptor_nlp::ioc::IocType;
-use threatraptor_tbql::ast::{EntityType, Query};
+use threatraptor_tbql::ast::{EntityKind, Query};
 use threatraptor_tbql::builder::QueryBuilder;
 
 /// Synthesis failures.
@@ -108,7 +108,7 @@ pub fn synthesize_with_plan(
                 (
                     file_ids[&edge.dst].clone(),
                     fresh,
-                    EntityType::File,
+                    EntityKind::File,
                     file_filter(&dst.text),
                 )
             }
@@ -122,7 +122,7 @@ pub fn synthesize_with_plan(
                 let id = format!("i{n}");
                 ip_ids.insert((edge.dst, n), id.clone());
                 order.push(id.clone());
-                (id, true, EntityType::Ip, ip_filter(&dst.text, dst.ty))
+                (id, true, EntityKind::Network, ip_filter(&dst.text, dst.ty))
             }
         };
         let obj_filter = if fresh_obj {
@@ -138,7 +138,7 @@ pub fn synthesize_with_plan(
             EdgeShape::Event(ops) => {
                 let subj_spec = (
                     subj_id.as_str(),
-                    fresh_subj.then_some(EntityType::Proc),
+                    fresh_subj.then_some(EntityKind::Process),
                     subj_filter.as_deref(),
                 );
                 let obj_spec = (
@@ -154,7 +154,7 @@ pub fn synthesize_with_plan(
             EdgeShape::Path { min, max, last_op } => {
                 let subj_spec = (
                     subj_id.as_str(),
-                    fresh_subj.then_some(EntityType::Proc),
+                    fresh_subj.then_some(EntityKind::Process),
                     subj_filter.as_deref(),
                 );
                 let obj_spec = (

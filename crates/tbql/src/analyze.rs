@@ -12,12 +12,14 @@
 use crate::ast::*;
 use crate::error::{Span, TbqlError};
 use std::collections::{BTreeMap, HashMap, HashSet};
+use threatraptor_audit::entity::Field;
+use threatraptor_audit::event::Operation;
 
 /// Resolved information about one entity variable.
 #[derive(Debug, Clone, PartialEq)]
 pub struct EntityInfo {
     /// Resolved entity type.
-    pub ty: EntityType,
+    pub ty: EntityKind,
     /// Conjunction of all filters attached to any mention, normalized
     /// (sugar expanded, `=`-with-wildcards rewritten to `like`, numeric
     /// literals coerced).
@@ -112,8 +114,16 @@ impl AnalyzedQuery {
     }
 }
 
-/// Numeric attributes (literals coerce to integers).
-const NUMERIC_ATTRS: &[&str] = &["pid", "srcport", "dstport"];
+/// The field `attr` names on entities of `kind`, or the schema's error
+/// at `span`.
+fn field(kind: EntityKind, attr: &str, span: Span) -> Result<Field, TbqlError> {
+    kind.field(attr).map_err(|e| TbqlError::new(span, e))
+}
+
+/// The object kind of an operation name the auditing layer knows.
+fn object_kind(op: &str) -> Option<EntityKind> {
+    op.parse().ok().map(Operation::object_kind)
+}
 
 /// Runs semantic analysis.
 pub fn analyze(query: &Query) -> Result<AnalyzedQuery, TbqlError> {
@@ -147,11 +157,11 @@ pub fn analyze(query: &Query) -> Result<AnalyzedQuery, TbqlError> {
     }
 
     // 2. Entity type unification.
-    let mut types: HashMap<String, (EntityType, Span)> = HashMap::new();
+    let mut types: HashMap<String, (EntityKind, Span)> = HashMap::new();
     let unify = |id: &str,
-                 ty: EntityType,
+                 ty: EntityKind,
                  span: Span,
-                 types: &mut HashMap<String, (EntityType, Span)>|
+                 types: &mut HashMap<String, (EntityKind, Span)>|
      -> Result<(), TbqlError> {
         match types.get(id) {
             Some((existing, _)) if *existing != ty => Err(TbqlError::new(
@@ -174,20 +184,20 @@ pub fn analyze(query: &Query) -> Result<AnalyzedQuery, TbqlError> {
         // Subjects are processes (events originate from processes).
         let subj = pat.subject();
         if let Some(ty) = subj.ty {
-            if ty != EntityType::Proc {
+            if ty != EntityKind::Process {
                 return Err(TbqlError::new(
                     subj.span,
                     format!("subject `{}` must be a proc, not {}", subj.id, ty.keyword()),
                 ));
             }
         }
-        unify(&subj.id, EntityType::Proc, subj.span, &mut types)?;
+        unify(&subj.id, EntityKind::Process, subj.span, &mut types)?;
 
         // Objects follow the operation's object type.
         let obj = pat.object();
         let op_ty = match pat {
             Pattern::Event(e) => {
-                let mut tys = e.ops.iter().filter_map(|o| operation_object_type(o));
+                let mut tys = e.ops.iter().filter_map(|o| object_kind(o));
                 let first = tys
                     .next()
                     .ok_or_else(|| TbqlError::new(e.span, "event pattern has no operations"))?;
@@ -202,7 +212,7 @@ pub fn analyze(query: &Query) -> Result<AnalyzedQuery, TbqlError> {
                 }
                 first
             }
-            Pattern::Path(p) => operation_object_type(&p.last_op).ok_or_else(|| {
+            Pattern::Path(p) => object_kind(&p.last_op).ok_or_else(|| {
                 TbqlError::new(p.span, format!("unknown operation `{}`", p.last_op))
             })?,
         };
@@ -294,22 +304,10 @@ pub fn analyze(query: &Query) -> Result<AnalyzedQuery, TbqlError> {
             ));
         };
         let attr = match &item.attr {
-            Some(a) => {
-                if !info.ty.valid_attrs().contains(&a.as_str()) {
-                    return Err(TbqlError::new(
-                        item.span,
-                        format!(
-                            "{} entities have no attribute `{a}` (valid: {})",
-                            info.ty.keyword(),
-                            info.ty.valid_attrs().join(", ")
-                        ),
-                    ));
-                }
-                a.clone()
-            }
-            None => info.ty.default_attr().to_string(),
+            Some(a) => field(info.ty, a, item.span)?,
+            None => info.ty.default_field(),
         };
-        returns.push((item.entity.clone(), attr));
+        returns.push((item.entity.clone(), attr.name().to_string()));
     }
 
     Ok(AnalyzedQuery {
@@ -323,7 +321,7 @@ pub fn analyze(query: &Query) -> Result<AnalyzedQuery, TbqlError> {
 }
 
 /// Expands filter sugar and validates attribute names.
-fn normalize_filter(filter: &Filter, ty: EntityType, span: Span) -> Result<Expr, TbqlError> {
+fn normalize_filter(filter: &Filter, ty: EntityKind, span: Span) -> Result<Expr, TbqlError> {
     match filter {
         Filter::Default(s) => {
             let op = if s.contains('%') || s.contains('_') {
@@ -332,7 +330,7 @@ fn normalize_filter(filter: &Filter, ty: EntityType, span: Span) -> Result<Expr,
                 CmpOp::Eq
             };
             Ok(Expr::Cmp {
-                attr: ty.default_attr().to_string(),
+                attr: ty.default_field().name().to_string(),
                 op,
                 value: Lit::Str(s.clone()),
             })
@@ -341,26 +339,17 @@ fn normalize_filter(filter: &Filter, ty: EntityType, span: Span) -> Result<Expr,
     }
 }
 
-fn normalize_expr(expr: &Expr, ty: EntityType, span: Span) -> Result<Expr, TbqlError> {
+fn normalize_expr(expr: &Expr, ty: EntityKind, span: Span) -> Result<Expr, TbqlError> {
     match expr {
         Expr::Cmp { attr, op, value } => {
-            if !ty.valid_attrs().contains(&attr.as_str()) {
-                return Err(TbqlError::new(
-                    span,
-                    format!(
-                        "{} entities have no attribute `{attr}` (valid: {})",
-                        ty.keyword(),
-                        ty.valid_attrs().join(", ")
-                    ),
-                ));
-            }
+            let numeric = field(ty, attr, span)?.is_numeric();
             // `=` with wildcards means pattern matching.
             let op = match (op, value) {
                 (CmpOp::Eq, Lit::Str(s)) if s.contains('%') || s.contains('_') => CmpOp::Like,
                 _ => *op,
             };
             // Numeric attribute literals coerce to integers.
-            let value = if NUMERIC_ATTRS.contains(&attr.as_str()) {
+            let value = if numeric {
                 match value {
                     Lit::Str(s) => match s.parse::<i64>() {
                         Ok(v) => Lit::Int(v),
@@ -415,9 +404,9 @@ mod tests {
         assert_eq!(a.pattern_ids.len(), 8);
         assert_eq!(a.pattern_ids[0], "evt1");
         assert_eq!(a.entities.len(), 9);
-        assert_eq!(a.entities["p1"].ty, EntityType::Proc);
-        assert_eq!(a.entities["f2"].ty, EntityType::File);
-        assert_eq!(a.entities["i1"].ty, EntityType::Ip);
+        assert_eq!(a.entities["p1"].ty, EntityKind::Process);
+        assert_eq!(a.entities["f2"].ty, EntityKind::File);
+        assert_eq!(a.entities["i1"].ty, EntityKind::Network);
         // p1's default filter expanded to a LIKE on exename.
         assert_eq!(
             a.entities["p1"].filters,
@@ -467,7 +456,7 @@ mod tests {
     #[test]
     fn object_type_follows_operation() {
         let a = analyzed("proc p connect ip c return c");
-        assert_eq!(a.entities["c"].ty, EntityType::Ip);
+        assert_eq!(a.entities["c"].ty, EntityKind::Network);
         let err = analyze_err("proc p connect file f return f");
         assert!(err.message.contains("targets ip"), "{}", err.message);
         let err = analyze_err("proc p read || connect file f return f");

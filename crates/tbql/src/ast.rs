@@ -1,84 +1,15 @@
 //! TBQL abstract syntax tree.
+//!
+//! TBQL is a language over the auditing layer's schema: an entity's type
+//! is an [`EntityKind`] (`proc`, `file`, `ip`, paper §II-A), and
+//! operation names and attributes are those of
+//! [`threatraptor_audit::event::Operation`] and
+//! [`threatraptor_audit::entity::Field`]. Operation names stay strings
+//! here; the parser and analysis check them against the schema.
 
 use crate::error::Span;
 use std::fmt;
-
-/// Entity types (paper §II-A: files, processes, network connections).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum EntityType {
-    /// Process (`proc`).
-    Proc,
-    /// File (`file`).
-    File,
-    /// Network connection (`ip`).
-    Ip,
-}
-
-impl EntityType {
-    /// TBQL keyword.
-    pub fn keyword(self) -> &'static str {
-        match self {
-            EntityType::Proc => "proc",
-            EntityType::File => "file",
-            EntityType::Ip => "ip",
-        }
-    }
-
-    /// The default attribute (paper §II-D): `exename` for processes,
-    /// `name` for files, `dstip` for connections.
-    pub fn default_attr(self) -> &'static str {
-        match self {
-            EntityType::Proc => "exename",
-            EntityType::File => "name",
-            EntityType::Ip => "dstip",
-        }
-    }
-
-    /// Attribute names valid for this entity type.
-    pub fn valid_attrs(self) -> &'static [&'static str] {
-        match self {
-            EntityType::Proc => &["exename", "pid", "cmdline", "owner"],
-            EntityType::File => &["name"],
-            EntityType::Ip => &["srcip", "srcport", "dstip", "dstport", "protocol"],
-        }
-    }
-}
-
-impl fmt::Display for EntityType {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.keyword())
-    }
-}
-
-/// Operation names valid in TBQL (mirrors the auditing layer).
-pub const OPERATIONS: &[(&str, EntityType)] = &[
-    ("read", EntityType::File),
-    ("write", EntityType::File),
-    ("open", EntityType::File),
-    ("close", EntityType::File),
-    ("execute", EntityType::File),
-    ("rename", EntityType::File),
-    ("unlink", EntityType::File),
-    ("chmod", EntityType::File),
-    ("chown", EntityType::File),
-    ("mmap", EntityType::File),
-    ("fork", EntityType::Proc),
-    ("clone", EntityType::Proc),
-    ("kill", EntityType::Proc),
-    ("setuid", EntityType::Proc),
-    ("connect", EntityType::Ip),
-    ("accept", EntityType::Ip),
-    ("send", EntityType::Ip),
-    ("recv", EntityType::Ip),
-];
-
-/// Looks up the object entity type of an operation name.
-pub fn operation_object_type(op: &str) -> Option<EntityType> {
-    OPERATIONS
-        .iter()
-        .find(|(name, _)| *name == op)
-        .map(|(_, ty)| *ty)
-}
+pub use threatraptor_audit::entity::EntityKind;
 
 /// Comparison operators in filters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -163,7 +94,7 @@ pub enum Filter {
 #[derive(Debug, Clone, PartialEq)]
 pub struct EntityRef {
     /// Declared type (`None` for bare reuse like `f2`).
-    pub ty: Option<EntityType>,
+    pub ty: Option<EntityKind>,
     /// Entity variable name.
     pub id: String,
     /// Attribute filter, if any.
@@ -327,22 +258,72 @@ impl Query {
 mod tests {
     use super::*;
 
-    #[test]
-    fn operation_types() {
-        assert_eq!(operation_object_type("read"), Some(EntityType::File));
-        assert_eq!(operation_object_type("connect"), Some(EntityType::Ip));
-        assert_eq!(operation_object_type("fork"), Some(EntityType::Proc));
-        assert_eq!(operation_object_type("teleport"), None);
+    use crate::analyze::{analyze, AnalyzedQuery};
+    use crate::error::TbqlError;
+    use crate::parser::parse_query;
+    use threatraptor_audit::entity::Field;
+    use threatraptor_audit::event::Operation;
+
+    fn analyzed(src: &str) -> Result<AnalyzedQuery, TbqlError> {
+        analyze(&parse_query(src)?)
     }
 
+    /// Every operation of the auditing layer parses in an event pattern
+    /// whose object has the operation's object kind, and is rejected
+    /// against the other two; a name the layer lacks does not parse.
+    #[test]
+    fn operation_types() {
+        for op in Operation::ALL {
+            for kind in EntityKind::ALL {
+                let got = analyzed(&format!("proc p {op} {kind} o return o"));
+                if kind == op.object_kind() {
+                    assert_eq!(got.unwrap().entities["o"].ty, kind, "{op}");
+                } else {
+                    let err = got.unwrap_err().message;
+                    assert!(
+                        err.contains(&format!("targets {}", op.object_kind())),
+                        "{err}"
+                    );
+                }
+            }
+        }
+        let err = parse_query("proc p teleport file f return p").unwrap_err();
+        assert_eq!(err.message, "unknown operation `teleport`");
+    }
+
+    /// Every attribute of each kind is accepted on that kind, in a filter
+    /// and in the return clause, and rejected on the other kinds with the
+    /// schema's message; a bare return is the kind's default attribute.
     #[test]
     fn default_attrs() {
-        assert_eq!(EntityType::Proc.default_attr(), "exename");
-        assert_eq!(EntityType::File.default_attr(), "name");
-        assert_eq!(EntityType::Ip.default_attr(), "dstip");
-        for ty in [EntityType::Proc, EntityType::File, EntityType::Ip] {
-            assert!(ty.valid_attrs().contains(&ty.default_attr()));
+        // A query whose entity `x` has the given kind.
+        let query = |kind: EntityKind, filter: &str, ret: &str| match kind {
+            EntityKind::Process => format!("proc x{filter} read file f return {ret}"),
+            EntityKind::File => format!("proc p read file x{filter} return {ret}"),
+            EntityKind::Network => format!("proc p connect ip x{filter} return {ret}"),
+        };
+        for kind in EntityKind::ALL {
+            for field in EntityKind::ALL.iter().flat_map(|k| k.fields()) {
+                let attr = field.name();
+                for src in [
+                    query(kind, &format!("[{attr} = \"1\"]"), "x"),
+                    query(kind, "", &format!("x.{attr}")),
+                ] {
+                    match kind.field(attr) {
+                        Ok(_) => assert!(analyzed(&src).is_ok(), "{src}"),
+                        Err(e) => assert_eq!(analyzed(&src).unwrap_err().message, e),
+                    }
+                }
+            }
+            let returns = analyzed(&query(kind, "", "x")).unwrap().returns;
+            assert_eq!(returns, [("x".into(), kind.default_field().name().into())]);
         }
+        assert_eq!(EntityKind::Network.default_field(), Field::DstIp);
+        let err = analyzed(r#"proc p[name = "x"] read file f return p"#).unwrap_err();
+        assert_eq!(
+            err.message,
+            "proc entities have no attribute `name` (valid: exename, pid, cmdline, owner)"
+        );
     }
 
     #[test]

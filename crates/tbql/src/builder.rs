@@ -7,20 +7,21 @@ use crate::error::Span;
 ///
 /// ```
 /// use threatraptor_tbql::builder::QueryBuilder;
-/// use threatraptor_tbql::ast::EntityType;
+/// use threatraptor_tbql::ast::EntityKind;
 ///
 /// let q = QueryBuilder::new()
 ///     .event(
-///         ("p1", Some(EntityType::Proc), Some("%/bin/tar%")),
+///         ("p1", Some(EntityKind::Process), Some("%/bin/tar%")),
 ///         &["read"],
-///         ("f1", Some(EntityType::File), Some("%/etc/passwd%")),
+///         ("f1", Some(EntityKind::File), Some("%/etc/passwd%")),
 ///         Some("evt1"),
 ///     )
 ///     .before("evt1", "evt1") // constraints are free-form here;
-///     .clear_temporal()       // semantic checks happen in `analyze`
 ///     .return_entities(true, &["p1", "f1"])
 ///     .build();
 /// assert_eq!(q.pattern_count(), 1);
+/// // semantic checks happen in `analyze`
+/// assert!(threatraptor_tbql::analyze(&q).is_err());
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct QueryBuilder {
@@ -30,7 +31,7 @@ pub struct QueryBuilder {
 }
 
 /// Entity spec: `(id, type, default-attr filter)`.
-pub type EntitySpec<'a> = (&'a str, Option<EntityType>, Option<&'a str>);
+pub type EntitySpec<'a> = (&'a str, Option<EntityKind>, Option<&'a str>);
 
 fn entity(spec: EntitySpec<'_>) -> EntityRef {
     EntityRef {
@@ -119,12 +120,6 @@ impl QueryBuilder {
         self
     }
 
-    /// Removes all temporal constraints.
-    pub fn clear_temporal(mut self) -> Self {
-        self.temporal.clear();
-        self
-    }
-
     /// Sets the return clause to bare entity ids (default attributes).
     pub fn return_entities(mut self, distinct: bool, entities: &[&str]) -> Self {
         self.ret = Some(ReturnClause {
@@ -163,15 +158,15 @@ mod tests {
     fn builds_fig2_like_query() {
         let q = QueryBuilder::new()
             .event(
-                ("p1", Some(EntityType::Proc), Some("%/bin/tar%")),
+                ("p1", Some(EntityKind::Process), Some("%/bin/tar%")),
                 &["read"],
-                ("f1", Some(EntityType::File), Some("%/etc/passwd%")),
+                ("f1", Some(EntityKind::File), Some("%/etc/passwd%")),
                 Some("evt1"),
             )
             .event(
                 ("p1", None, None),
                 &["write"],
-                ("f2", Some(EntityType::File), Some("%/tmp/upload.tar%")),
+                ("f2", Some(EntityKind::File), Some("%/tmp/upload.tar%")),
                 Some("evt2"),
             )
             .before("evt1", "evt2")
@@ -187,16 +182,16 @@ mod tests {
     fn builds_paths_and_windows() {
         let q = QueryBuilder::new()
             .path(
-                ("p", Some(EntityType::Proc), None),
+                ("p", Some(EntityKind::Process), None),
                 Some((2, 4)),
                 "read",
-                ("f", Some(EntityType::File), Some("/etc/shadow")),
+                ("f", Some(EntityKind::File), Some("/etc/shadow")),
                 Some("pp1"),
             )
             .event_windowed(
                 ("p", None, None),
                 &["connect"],
-                ("c", Some(EntityType::Ip), None),
+                ("c", Some(EntityKind::Network), None),
                 Some("evt1"),
                 TimeWindow { lo: 0, hi: 1_000 },
             )
@@ -213,9 +208,9 @@ mod tests {
     fn missing_return_panics() {
         QueryBuilder::new()
             .event(
-                ("p", Some(EntityType::Proc), None),
+                ("p", Some(EntityKind::Process), None),
                 &["read"],
-                ("f", Some(EntityType::File), None),
+                ("f", Some(EntityKind::File), None),
                 None,
             )
             .build();

@@ -55,11 +55,6 @@ impl Dbm {
         Dbm { n: clocks, w }
     }
 
-    /// Number of clocks (including the zero clock).
-    pub fn clocks(&self) -> usize {
-        self.n
-    }
-
     /// Adds the constraint `x_i − x_j ≤ bound`, keeping the tighter of
     /// the new and any existing bound.
     pub fn constrain(&mut self, i: usize, j: usize, bound: i128) {

@@ -3,6 +3,7 @@
 use crate::ast::*;
 use crate::error::{Span, TbqlError};
 use crate::lexer::{lex, SpannedTok, Tok};
+use threatraptor_audit::event::Operation;
 
 /// Reserved words that cannot name entities or patterns.
 pub const KEYWORDS: &[&str] = &[
@@ -143,7 +144,7 @@ impl Parser {
             };
             self.expect(Tok::LBracket)?;
             let (last_op, op_span) = self.ident("an operation")?;
-            if operation_object_type(&last_op).is_none() {
+            if last_op.parse::<Operation>().is_err() {
                 return Err(TbqlError::new(
                     op_span,
                     format!("unknown operation `{last_op}`"),
@@ -228,7 +229,7 @@ impl Parser {
         let mut ops = Vec::new();
         loop {
             let (op, span) = self.ident("an operation")?;
-            if operation_object_type(&op).is_none() {
+            if op.parse::<Operation>().is_err() {
                 return Err(TbqlError::new(span, format!("unknown operation `{op}`")));
             }
             ops.push(op);
@@ -243,21 +244,12 @@ impl Parser {
 
     fn entity(&mut self) -> Result<EntityRef, TbqlError> {
         let start = self.peek_span();
-        let ty = match self.peek_ident() {
-            Some("proc") => {
-                self.bump();
-                Some(EntityType::Proc)
-            }
-            Some("file") => {
-                self.bump();
-                Some(EntityType::File)
-            }
-            Some("ip") => {
-                self.bump();
-                Some(EntityType::Ip)
-            }
-            _ => None,
-        };
+        let ty = EntityKind::ALL
+            .into_iter()
+            .find(|kind| self.peek_ident() == Some(kind.keyword()));
+        if ty.is_some() {
+            self.bump();
+        }
         let (id, id_span) = self.name("an entity identifier")?;
         let filter = if *self.peek() == Tok::LBracket {
             Some(self.filter()?)
@@ -437,7 +429,7 @@ mod tests {
             panic!("expected event pattern");
         };
         assert_eq!(e1.id.as_deref(), Some("evt1"));
-        assert_eq!(e1.subject.ty, Some(EntityType::Proc));
+        assert_eq!(e1.subject.ty, Some(EntityKind::Process));
         assert_eq!(e1.subject.id, "p1");
         assert_eq!(
             e1.subject.filter,
@@ -459,7 +451,7 @@ mod tests {
             panic!()
         };
         assert_eq!(e8.ops, vec!["connect".to_string()]);
-        assert_eq!(e8.object.ty, Some(EntityType::Ip));
+        assert_eq!(e8.object.ty, Some(EntityKind::Network));
     }
 
     #[test]

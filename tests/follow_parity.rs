@@ -57,9 +57,11 @@ fn run_key(m: &Match, snapshot: &ShardedStore) -> RunKey {
 }
 
 /// The oracle: a full execution of the plan on every changed snapshot,
-/// delivering the matches whose run identity is not in a never-aged set,
-/// projected as a follow hunt projects them (and, for `distinct`
-/// queries, deduplicated against every row delivered before).
+/// delivering the matches whose run identity is not in a never-aged set.
+/// It renders their rows itself, from each match's bindings and
+/// `Entity::attr`, sharing no projection code with the engine; for
+/// `distinct` queries it sorts and deduplicates them, then drops every
+/// row delivered before.
 struct Oracle {
     plan: Arc<CachedPlan>,
     seen: HashSet<RunKey>,
@@ -97,11 +99,24 @@ impl Oracle {
             .into_iter()
             .filter(|m| self.seen.insert(run_key(m, snapshot)))
             .collect();
-        let (columns, mut rows) = engine.project(cq, &fresh);
+        let mut rows: Vec<Vec<String>> = fresh
+            .iter()
+            .map(|m| {
+                cq.returns
+                    .iter()
+                    .map(|(var, attr)| {
+                        let entity = snapshot.entity(m.bindings[var]);
+                        entity.attr(attr).unwrap_or_else(|| "<none>".into())
+                    })
+                    .collect()
+            })
+            .collect();
         if cq.distinct {
+            rows.sort();
+            rows.dedup();
             rows.retain(|r| self.known.insert(r.clone()));
         }
-        self.columns = columns;
+        self.columns = cq.returns.iter().map(|(v, a)| format!("{v}.{a}")).collect();
         self.rows.extend(rows.iter().cloned());
         let new_matches = fresh.len();
         self.matches.extend(fresh);
