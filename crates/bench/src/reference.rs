@@ -102,8 +102,7 @@ pub fn sql_equivalent(aq: &AnalyzedQuery) -> String {
                 }
             }
             Pattern::Path(p) => {
-                let min = p.min_hops.unwrap_or(1);
-                let max = p.max_hops.unwrap_or(4);
+                let (min, max) = aq.shapes[i].hops();
                 let mut cte = String::new();
                 write!(
                     cte,
@@ -127,14 +126,15 @@ pub fn sql_equivalent(aq: &AnalyzedQuery) -> String {
     }
 
     // Temporal relationships.
-    for (a, b) in &aq.before {
+    for &(a, b) in &aq.before {
+        let (a, b) = (&aq.pattern_ids[a], &aq.pattern_ids[b]);
         wheres.push(format!("{a}.\"end\" < {b}.start"));
     }
 
     let select: Vec<String> = aq
         .returns
         .iter()
-        .map(|(var, attr)| format!("{var}.{attr}"))
+        .map(|(var, field)| format!("{var}.{}", field.name()))
         .collect();
     let mut sql = String::new();
     for cte in &recursive {
@@ -192,8 +192,7 @@ pub fn cypher_equivalent(aq: &AnalyzedQuery) -> String {
                 declared.push(&p.subject.id);
                 let o = node(&p.object.id, &mut declared, aq);
                 declared.push(&p.object.id);
-                let min = p.min_hops.unwrap_or(1);
-                let max = p.max_hops.unwrap_or(4);
+                let (min, max) = aq.shapes[i].hops();
                 matches.push(format!("{id} = {s}-[*{min}..{max}]->{o}"));
                 wheres.push(format!("last(relationships({id})).op = '{}'", p.last_op));
                 wheres.push(format!(
@@ -209,14 +208,15 @@ pub fn cypher_equivalent(aq: &AnalyzedQuery) -> String {
             wheres.push(cypher_expr(var, f));
         }
     }
-    for (a, b) in &aq.before {
+    for &(a, b) in &aq.before {
+        let (a, b) = (&aq.pattern_ids[a], &aq.pattern_ids[b]);
         wheres.push(format!("{a}.end < {b}.start"));
     }
 
     let returns: Vec<String> = aq
         .returns
         .iter()
-        .map(|(var, attr)| format!("{var}.{attr}"))
+        .map(|(var, field)| format!("{var}.{}", field.name()))
         .collect();
     format!(
         "MATCH {}\nWHERE {}\nRETURN {}{};",

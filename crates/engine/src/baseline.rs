@@ -15,7 +15,7 @@
 //! is its subject postings (events ascend by start time, postings by
 //! position).
 
-use crate::compile::{compile, CompiledPattern, CompiledShape};
+use crate::compile::{compile, CompiledPattern};
 use crate::error::EngineError;
 use crate::exec::{expand_paths, run_hunt, scan_events, MAX_PATH_MATCHES};
 use crate::idset::IdSet;
@@ -24,7 +24,7 @@ use crate::result::HuntResult;
 use threatraptor_audit::entity::EntityId;
 use threatraptor_audit::event::Operation;
 use threatraptor_storage::store::{AuditStore, EventShard};
-use threatraptor_tbql::analyze::analyze;
+use threatraptor_tbql::analyze::{analyze, PatternShape};
 use threatraptor_tbql::parser::parse_query;
 
 /// A comparison strategy.
@@ -71,16 +71,16 @@ pub fn hunt(store: &AuditStore, tbql: &str, baseline: Baseline) -> Result<HuntRe
         // Nothing is retained, so every scan starts at position 0.
         &mut |pat, subjects, objects, _| {
             let rows = match (&pat.shape, baseline) {
-                (CompiledShape::Event { ops }, Baseline::GraphOnly) => {
+                (PatternShape::Event { ops }, Baseline::GraphOnly) => {
                     event_via_graph(shard, pat, ops, subjects, objects)
                 }
-                (CompiledShape::Event { ops }, _) => {
+                (PatternShape::Event { ops }, _) => {
                     scan_events(shard, ops, subjects, objects, pat.window)
                 }
-                (CompiledShape::Path { .. }, Baseline::RelationalOnly) => {
+                (PatternShape::Path { .. }, Baseline::RelationalOnly) => {
                     path_via_sql(shard, pat, subjects, objects)
                 }
-                (CompiledShape::Path { .. }, _) => path_via_graph(shard, pat, subjects, objects),
+                (PatternShape::Path { .. }, _) => path_via_graph(shard, pat, subjects, objects),
             };
             let per_shard = vec![rows.len()];
             (rows, per_shard, 0)
@@ -199,7 +199,7 @@ fn search_from(
     path: &mut Vec<usize>,
     out: &mut Vec<PatternRow>,
 ) {
-    let CompiledShape::Path {
+    let PatternShape::Path {
         min_hops,
         max_hops,
         last_op,
@@ -353,7 +353,7 @@ mod tests {
             .unwrap()
             .patterns
             .remove(0);
-        pat.shape = CompiledShape::Path {
+        pat.shape = PatternShape::Path {
             min_hops,
             max_hops,
             last_op,

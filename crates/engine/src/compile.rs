@@ -6,21 +6,21 @@
 //! data path needs: the typed [`EntityFilter`] of each variable (its
 //! merged TBQL filters with attribute names resolved to entity fields,
 //! evaluated on the entity catalog; an attribute the variable's kind
-//! lacks is an [`EngineError`]), and the pattern's shape — the typed
-//! [`Operation`]s an event pattern admits, or a path's hop bounds and
-//! final-hop operation — which the event scan and the path expansion
-//! probe the shards' postings with. The SQL and Cypher texts the paper's
-//! conciseness comparison counts are rendered from the TBQL AST by
-//! `threatraptor_bench::reference`.
+//! lacks is an [`EngineError`]), and the pattern's [`PatternShape`] —
+//! the typed operations an event pattern admits, or a path's hop bounds
+//! and final-hop operation, as analysis resolved them — which the event
+//! scan and the path expansion probe the shards' postings with. The SQL
+//! and Cypher texts the paper's conciseness comparison counts are
+//! rendered from the TBQL AST by `threatraptor_bench::reference`.
 //!
 //! Compilation also assigns **slots**: every entity variable gets a
 //! position in [`CompiledQuery::vars`], every pattern is its own slot
-//! (its declaration index), and `before` pairs and the return clause are
-//! pre-resolved to slot indices, each returned attribute also to the
-//! audit schema's [`Field`] it renders. The executor's partial matches
-//! are flat tuples indexed by these slots (the crate's `join` module);
-//! names only reappear when a delivered [`Match`](crate::Match) is
-//! materialized.
+//! (its declaration index). Analysis already resolved `before` pairs to
+//! pattern indices and return items to the audit schema's [`Field`]s;
+//! compile adds each returned variable's slot. The executor's partial
+//! matches are flat tuples indexed by these slots (the crate's `join`
+//! module); names only reappear when a delivered [`Match`](crate::Match)
+//! is materialized.
 //!
 //! A compiled query also carries its [`ResolveMemo`]: each variable's
 //! resolved entity ids, filled by the first execution that needs them
@@ -30,10 +30,9 @@ use crate::error::EngineError;
 use crate::exec::ResolveMemo;
 use crate::filter::EntityFilter;
 use threatraptor_audit::entity::Field;
-use threatraptor_audit::event::Operation;
 use threatraptor_sync::Arc;
-use threatraptor_tbql::analyze::AnalyzedQuery;
-use threatraptor_tbql::ast::{Pattern, TimeWindow};
+use threatraptor_tbql::analyze::{AnalyzedQuery, PatternShape};
+use threatraptor_tbql::ast::TimeWindow;
 use threatraptor_tbql::lint::{lint, LintReport};
 
 /// A compiled pattern ready for execution.
@@ -52,7 +51,7 @@ pub struct CompiledPattern {
     /// Slot of the object variable (index into [`CompiledQuery::vars`]).
     pub object_slot: usize,
     /// Execution shape.
-    pub shape: CompiledShape,
+    pub shape: PatternShape,
     /// Optional time window.
     pub window: Option<TimeWindow>,
     /// DBM-tightened feasible time range, present only when strictly
@@ -66,25 +65,6 @@ pub struct CompiledPattern {
     pub score: i64,
 }
 
-/// Execution shape of a compiled pattern.
-#[derive(Debug, Clone)]
-pub enum CompiledShape {
-    /// Single event: operation alternatives.
-    Event {
-        /// Admitted operations, in the query's order.
-        ops: Vec<Operation>,
-    },
-    /// Variable-length path.
-    Path {
-        /// Minimum hops.
-        min_hops: u32,
-        /// Maximum hops.
-        max_hops: u32,
-        /// Final-hop operation.
-        last_op: Operation,
-    },
-}
-
 /// A fully compiled query. Clones share one [`ResolveMemo`].
 #[derive(Debug, Clone)]
 pub struct CompiledQuery {
@@ -94,14 +74,12 @@ pub struct CompiledQuery {
     /// [`CompiledQuery::var_filters`]): crate-private, so no caller can
     /// change a filter under a filled memo.
     pub(crate) var_filters: Vec<EntityFilter>,
-    /// Temporal `before` pairs (pattern ids).
-    pub before: Vec<(String, String)>,
     /// Return projection `(var, attr)`.
     pub returns: Vec<(String, String)>,
     /// Entity variables in slot order (sorted by name).
     pub vars: Vec<String>,
-    /// [`CompiledQuery::before`] resolved to pattern slots (declaration
-    /// indices), pair for pair.
+    /// Temporal `before` pairs `(earlier, later)` as pattern slots
+    /// (declaration indices).
     pub before_slots: Vec<(usize, usize)>,
     /// Per [`CompiledQuery::returns`] column, the variable slot it reads
     /// and the field it renders.
@@ -130,14 +108,6 @@ pub fn compile_with_lint(aq: &AnalyzedQuery) -> Result<(CompiledQuery, LintRepor
     Ok((cq, report))
 }
 
-/// Parses an operation name. Analysis validates names against the TBQL
-/// vocabulary, so an unknown one is a vocabulary mismatch with the audit
-/// layer, reported as an error rather than a panic.
-fn operation(name: &str) -> Result<Operation, EngineError> {
-    name.parse()
-        .map_err(|e| EngineError::Execution(format!("{e}")))
-}
-
 /// Builds the plan for a query the lint pass accepted.
 fn compile_feasible(aq: &AnalyzedQuery, report: &LintReport) -> Result<CompiledQuery, EngineError> {
     // `entities` is a BTreeMap, so slot order is name order.
@@ -151,10 +121,6 @@ fn compile_feasible(aq: &AnalyzedQuery, report: &LintReport) -> Result<CompiledQ
         vars.binary_search_by(|v| v.as_str().cmp(var))
             .map_err(|_| EngineError::Execution(format!("untyped variable `{var}`")))
     };
-    let pattern_slot = |id: &str| -> Result<usize, EngineError> {
-        aq.pattern_index(id)
-            .ok_or_else(|| EngineError::Execution(format!("unknown pattern `{id}`")))
-    };
 
     let mut patterns = Vec::with_capacity(aq.query.patterns.len());
     for (i, pat) in aq.query.patterns.iter().enumerate() {
@@ -162,34 +128,13 @@ fn compile_feasible(aq: &AnalyzedQuery, report: &LintReport) -> Result<CompiledQ
         let subject_var = pat.subject().id.clone();
         let object_var = pat.object().id.clone();
         let (subject_slot, object_slot) = (var_slot(&subject_var)?, var_slot(&object_var)?);
-        let (shape, window, max_len) = match pat {
-            Pattern::Event(e) => {
-                let ops = e
-                    .ops
-                    .iter()
-                    .map(|o| operation(o))
-                    .collect::<Result<_, _>>()?;
-                (CompiledShape::Event { ops }, e.window, 1u32)
-            }
-            Pattern::Path(p) => {
-                let min = p.min_hops.unwrap_or(1);
-                let max = p.max_hops.unwrap_or(min.max(4));
-                (
-                    CompiledShape::Path {
-                        min_hops: min,
-                        max_hops: max,
-                        last_op: operation(&p.last_op)?,
-                    },
-                    p.window,
-                    max,
-                )
-            }
-        };
+        let shape = aq.shapes[i].clone();
+        let window = pat.window();
         let score = crate::score::pruning_score(
             &aq.entities[&subject_var],
             &aq.entities[&object_var],
             window,
-            max_len,
+            shape.hops().1,
         );
         // Keep the DBM bounds only when strictly tighter than the
         // pattern's own window (which the scan already enforces).
@@ -211,27 +156,21 @@ fn compile_feasible(aq: &AnalyzedQuery, report: &LintReport) -> Result<CompiledQ
         });
     }
 
-    let before_slots = aq
-        .before
-        .iter()
-        .map(|(a, b)| Ok((pattern_slot(a)?, pattern_slot(b)?)))
-        .collect::<Result<_, EngineError>>()?;
     let return_fields = aq
         .returns
         .iter()
-        .map(|(var, attr)| {
-            let slot = var_slot(var)?;
-            let field = var_filters[slot].kind.field(attr);
-            Ok((slot, field.map_err(EngineError::Execution)?))
-        })
+        .map(|(var, field)| Ok((var_slot(var)?, *field)))
         .collect::<Result<_, EngineError>>()?;
     Ok(CompiledQuery {
         patterns,
         var_filters,
-        before: aq.before.clone(),
-        returns: aq.returns.clone(),
+        returns: aq
+            .returns
+            .iter()
+            .map(|(var, field)| (var.clone(), field.name().to_string()))
+            .collect(),
         vars,
-        before_slots,
+        before_slots: aq.before.clone(),
         return_fields,
         distinct: aq.distinct,
         memo: Arc::default(),
@@ -263,6 +202,7 @@ impl CompiledQuery {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use threatraptor_audit::event::Operation;
     use threatraptor_tbql::analyze::analyze;
     use threatraptor_tbql::parser::{parse_query, FIG2_TBQL};
 
@@ -279,7 +219,7 @@ mod tests {
         let score = |id: &str| cq.patterns.iter().find(|p| p.id == id).unwrap().score;
         assert_eq!(score("evt1"), score("evt2"));
         assert!(score("evt8") > score("evt1"));
-        assert_eq!(cq.before.len(), 7);
+        assert_eq!(cq.before_slots.len(), 7);
         assert!(cq.distinct);
         assert_eq!(cq.returns.len(), 9);
     }
@@ -349,27 +289,14 @@ mod tests {
         let cq = compiled(
             "proc p read || write file f as e1 proc p ~>(1~2)[execute] file g as e2 return p",
         );
-        let CompiledShape::Event { ops } = &cq.patterns[0].shape else {
+        let PatternShape::Event { ops } = &cq.patterns[0].shape else {
             panic!("e1 is an event pattern");
         };
         assert_eq!(ops, &[Operation::Read, Operation::Write]);
-        let CompiledShape::Path { last_op, .. } = &cq.patterns[1].shape else {
+        let PatternShape::Path { last_op, .. } = &cq.patterns[1].shape else {
             panic!("e2 is a path pattern");
         };
         assert_eq!(*last_op, Operation::Execute);
-
-        // An operation name analysis accepted but the audit layer does not
-        // know is a typed error, not a panic.
-        let mut aq = analyze(&parse_query("proc p read file f as e1 return p").unwrap()).unwrap();
-        let Pattern::Event(e) = &mut aq.query.patterns[0] else {
-            unreachable!()
-        };
-        e.ops = vec!["teleport".into()];
-        let err = compile(&aq).unwrap_err();
-        assert!(
-            matches!(&err, EngineError::Execution(m) if m.contains("teleport")),
-            "{err:?}"
-        );
     }
 
     #[test]

@@ -29,7 +29,7 @@
 //! frozen surface: every hunt, whatever its store, runs the same scan,
 //! path expansion, feasible-range clamp and row order.
 
-use crate::compile::{compile, CompiledPattern, CompiledQuery, CompiledShape};
+use crate::compile::{compile, CompiledPattern, CompiledQuery};
 use crate::error::EngineError;
 use crate::filter::EntityFilter;
 use crate::idset::IdSet;
@@ -46,7 +46,7 @@ use threatraptor_storage::postings::EventPostings;
 use threatraptor_storage::sharded::ShardedStore;
 use threatraptor_storage::store::EventShard;
 use threatraptor_sync::{Arc, Mutex, MutexGuard, PoisonError, Weak};
-use threatraptor_tbql::analyze::analyze;
+use threatraptor_tbql::analyze::{analyze, PatternShape};
 use threatraptor_tbql::ast::{Query, TimeWindow};
 use threatraptor_tbql::parser::parse_query;
 
@@ -650,7 +650,7 @@ pub(crate) fn expand_paths<'a, P: Deref<Target = [u32]>>(
     subject_index: impl Fn(EntityId) -> P,
     event_at: impl Fn(usize) -> &'a Event,
 ) -> Vec<PatternRow> {
-    let CompiledShape::Path {
+    let PatternShape::Path {
         min_hops,
         max_hops,
         last_op,

@@ -11,13 +11,13 @@
 
 use std::fmt::Write as _;
 
-use crate::compile::{compile, CompiledQuery, CompiledShape};
+use crate::compile::{compile, CompiledQuery};
 use crate::error::EngineError;
 use crate::exec::ExecMode;
 use crate::join::Schedule;
 use crate::result::{HuntResult, HuntStats};
 use crate::sharded::ShardedEngine;
-use threatraptor_tbql::analyze::analyze;
+use threatraptor_tbql::analyze::{analyze, PatternShape};
 use threatraptor_tbql::ast::Query;
 use threatraptor_tbql::parser::parse_query;
 use threatraptor_tbql::printer::{print_pattern, print_query};
@@ -217,11 +217,11 @@ pub(crate) fn plan_report(query: &Query, cq: &CompiledQuery, shards: usize) -> E
         .map(|(i, step)| {
             let pat = &cq.patterns[step.pat];
             let shape = match &pat.shape {
-                CompiledShape::Event { ops } => {
+                PatternShape::Event { ops } => {
                     let ops: Vec<String> = ops.iter().map(ToString::to_string).collect();
                     format!("event[{}]", ops.join("|"))
                 }
-                CompiledShape::Path {
+                PatternShape::Path {
                     min_hops,
                     max_hops,
                     last_op,

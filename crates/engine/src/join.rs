@@ -20,7 +20,7 @@
 //! means an empty key and a single chain — the cross product through the
 //! same code.
 
-use crate::compile::{CompiledPattern, CompiledQuery, CompiledShape};
+use crate::compile::{CompiledPattern, CompiledQuery};
 use crate::idset::IdSet;
 use crate::result::Match;
 use std::collections::HashMap;
@@ -90,10 +90,7 @@ impl Layout {
     fn new(cq: &CompiledQuery) -> Layout {
         let mut wit_off = vec![0];
         for pat in &cq.patterns {
-            let width = match pat.shape {
-                CompiledShape::Event { .. } => 1,
-                CompiledShape::Path { max_hops, .. } => max_hops as usize,
-            };
+            let width = pat.shape.hops().1 as usize;
             wit_off.push(wit_off[wit_off.len() - 1] + width);
         }
         Layout {

@@ -26,8 +26,9 @@
 //! comparison [`baseline`]s of the efficiency experiments.
 //!
 //! The read path is **slot-compiled**: [`compile`] gives every entity
-//! variable and every pattern a slot and pre-resolves `before` pairs and
-//! the return clause to slot indices, so a partial match is a flat tuple
+//! variable and every pattern a slot (semantic analysis has already
+//! resolved `before` pairs to pattern indices and returned attributes to
+//! typed fields), so a partial match is a flat tuple
 //! (entity id per variable, `(start, end)` and witness positions per
 //! pattern) rather than three name-keyed maps. One pattern's data query
 //! *resolves* its entity filters — narrowed to the ids earlier
@@ -43,7 +44,8 @@
 //! Modules:
 //! * [`compile`] — analyzed TBQL → the executor's plan: per-variable
 //!   typed entity filters, per-pattern shape (typed operations, hop
-//!   bounds), pruning scores, DBM bounds and slot assignment;
+//!   bounds, as analysis resolved them), pruning scores, DBM bounds and
+//!   slot assignment;
 //! * [`filter`] — the typed entity filter a variable's TBQL filters
 //!   lower to: the audit schema's fields resolved at compile, evaluated
 //!   on a borrowed entity, rendered as SQL for EXPLAIN;

@@ -104,16 +104,6 @@ pub fn evaluate(entities: &[Entity], events: &[Event], aq: &AnalyzedQuery) -> Hu
             }
         })
         .collect();
-    let before: Vec<(usize, usize)> = aq
-        .before
-        .iter()
-        .map(|(a, b)| {
-            (
-                aq.pattern_index(a).expect("a pattern"),
-                aq.pattern_index(b).expect("a pattern"),
-            )
-        })
-        .collect();
 
     // Nested loops in declaration order: extend every partial match by
     // every witness of the next pattern, keeping the consistent ones.
@@ -135,7 +125,8 @@ pub fn evaluate(entities: &[Entity], events: &[Event], aq: &AnalyzedQuery) -> Hu
                 let mut chosen = chosen.clone();
                 chosen.push(w);
                 // The `before` pairs whose later pattern is this one.
-                if before
+                if aq
+                    .before
                     .iter()
                     .filter(|&&(a, b)| a.max(b) == i)
                     .all(|&(a, b)| chosen[a].end < chosen[b].start)
@@ -174,9 +165,9 @@ pub fn evaluate(entities: &[Entity], events: &[Event], aq: &AnalyzedQuery) -> Hu
         .map(|m| {
             aq.returns
                 .iter()
-                .map(|(var, attr)| {
+                .map(|(var, field)| {
                     entities[m.bindings[var].index()]
-                        .attr(attr)
+                        .attr(field.name())
                         .unwrap_or_else(|| "<none>".into())
                 })
                 .collect()
@@ -190,7 +181,7 @@ pub fn evaluate(entities: &[Entity], events: &[Event], aq: &AnalyzedQuery) -> Hu
         columns: aq
             .returns
             .iter()
-            .map(|(var, attr)| format!("{var}.{attr}"))
+            .map(|(var, field)| format!("{var}.{}", field.name()))
             .collect(),
         rows,
         matches,

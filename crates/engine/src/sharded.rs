@@ -26,7 +26,7 @@
 //! Concurrency lives one level up: the hunt server runs many hunts at
 //! once on its worker pool, each scanning its shards in a plain loop.
 
-use crate::compile::{compile, CompiledPattern, CompiledQuery, CompiledShape};
+use crate::compile::{compile, CompiledPattern, CompiledQuery};
 use crate::error::EngineError;
 use crate::exec::{expand_paths, run_hunt, scan_events, ExecMode};
 use crate::idset::IdSet;
@@ -37,7 +37,7 @@ use std::rc::Rc;
 use threatraptor_audit::entity::EntityId;
 use threatraptor_audit::event::Operation;
 use threatraptor_storage::sharded::ShardedStore;
-use threatraptor_tbql::analyze::analyze;
+use threatraptor_tbql::analyze::{analyze, PatternShape};
 use threatraptor_tbql::ast::Query;
 use threatraptor_tbql::parser::parse_query;
 
@@ -114,10 +114,10 @@ impl<'s> ShardedEngine<'s> {
     ) -> (Vec<PatternRow>, Vec<usize>, usize) {
         let shard_of = |r: &PatternRow| self.store.locate(r.events.first()).0;
         let (mut rows, mut per_shard) = match &pat.shape {
-            CompiledShape::Event { ops } => {
+            PatternShape::Event { ops } => {
                 self.scatter_event_pattern(ops, pat, subjects, objects, min_pos)
             }
-            CompiledShape::Path { .. } => {
+            PatternShape::Path { .. } => {
                 let mut rows = self.path_over_shards(pat, subjects, objects);
                 if min_pos > 0 {
                     rows.retain(|r| r.events.positions().iter().any(|&p| p >= min_pos));

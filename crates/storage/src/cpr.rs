@@ -125,7 +125,7 @@ impl CprMachine {
         }
         self.seq += 1;
         let seq = self.seq;
-        let key: RunKey = (ev.subject, ev.op, ev.object).into_run_key();
+        let key: RunKey = (ev.subject, ev.object, ev.op);
 
         if ev.op.cpr_mergeable() {
             if let Some((acc, last_seq)) = self.open.get_mut(&key) {
@@ -403,17 +403,6 @@ impl IncrementalReducer {
     /// Total events appended so far (the `before` of [`ReductionStats`]).
     pub fn appended(&self) -> usize {
         self.before
-    }
-}
-
-/// Helper converting the natural tuple order into the run key layout.
-trait IntoRunKey {
-    fn into_run_key(self) -> RunKey;
-}
-
-impl IntoRunKey for (EntityId, Operation, EntityId) {
-    fn into_run_key(self) -> RunKey {
-        (self.0, self.2, self.1)
     }
 }
 

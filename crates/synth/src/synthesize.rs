@@ -146,10 +146,7 @@ pub fn synthesize_with_plan(
                     fresh_obj.then_some(obj_ty),
                     obj_filter.as_deref(),
                 );
-                builder = match window {
-                    Some(w) => builder.event_windowed(subj_spec, &ops, obj_spec, Some(&name), w),
-                    None => builder.event(subj_spec, &ops, obj_spec, Some(&name)),
-                };
+                builder = builder.event(subj_spec, &ops, obj_spec, Some(&name), window);
             }
             EdgeShape::Path { min, max, last_op } => {
                 let subj_spec = (

@@ -8,6 +8,10 @@
 //! (ordering cycles, empty or conflicting windows) is checked by the
 //! [`dbm`](crate::dbm) closure in the [`lint`](mod@crate::lint) pass, which
 //! runs as part of plan compilation.
+//!
+//! Names are resolved here once, and later stages read the result:
+//! [`AnalyzedQuery`] holds each pattern's [`PatternShape`], each `before`
+//! pair as pattern indices and each return item as a schema [`Field`].
 
 use crate::ast::*;
 use crate::error::{Span, TbqlError};
@@ -26,6 +30,38 @@ pub struct EntityInfo {
     pub filters: Vec<Expr>,
 }
 
+/// What a pattern matches, resolved against the audit schema.
+#[derive(Debug, Clone, PartialEq)]
+pub enum PatternShape {
+    /// Single event: operation alternatives.
+    Event {
+        /// Admitted operations, in the query's order.
+        ops: Vec<Operation>,
+    },
+    /// Variable-length path.
+    Path {
+        /// Minimum hops (default 1).
+        min_hops: u32,
+        /// Maximum hops (default `max(min_hops, 4)`).
+        max_hops: u32,
+        /// Final-hop operation.
+        last_op: Operation,
+    },
+}
+
+impl PatternShape {
+    /// The fewest and most events one witness chains: `(1, 1)` for an
+    /// event pattern.
+    pub fn hops(&self) -> (u32, u32) {
+        match *self {
+            PatternShape::Event { .. } => (1, 1),
+            PatternShape::Path {
+                min_hops, max_hops, ..
+            } => (min_hops, max_hops),
+        }
+    }
+}
+
 /// A validated, desugared query.
 #[derive(Debug, Clone, PartialEq)]
 pub struct AnalyzedQuery {
@@ -34,23 +70,21 @@ pub struct AnalyzedQuery {
     /// Pattern ids, parallel to `query.patterns` (auto-named `evtN` when
     /// the source omitted `as`).
     pub pattern_ids: Vec<String>,
+    /// Pattern shapes, parallel to `query.patterns`.
+    pub shapes: Vec<PatternShape>,
     /// Entity table.
     pub entities: BTreeMap<String, EntityInfo>,
     /// Temporal constraints normalized to `before` pairs
-    /// `(earlier, later)`.
-    pub before: Vec<(String, String)>,
-    /// Return items with default attributes filled in.
-    pub returns: Vec<(String, String)>,
+    /// `(earlier, later)` of indices into `pattern_ids`, one per
+    /// constraint of `query.temporal`, in its order.
+    pub before: Vec<(usize, usize)>,
+    /// Return items `(variable, field)`, default attributes filled in.
+    pub returns: Vec<(String, Field)>,
     /// Whether the projection deduplicates.
     pub distinct: bool,
 }
 
 impl AnalyzedQuery {
-    /// Index of a pattern by id.
-    pub fn pattern_index(&self, id: &str) -> Option<usize> {
-        self.pattern_ids.iter().position(|p| p == id)
-    }
-
     /// A normalized textual signature of the query's semantics: pattern
     /// shapes, entity types and merged filters, temporal pairs, and
     /// projection — independent of cosmetic source choices (repeated
@@ -103,13 +137,18 @@ impl AnalyzedQuery {
             )
             .expect("write to String");
         }
-        let mut before = self.before.clone();
+        let ids = &self.pattern_ids;
+        let mut before: Vec<_> = self
+            .before
+            .iter()
+            .map(|&(a, b)| (&ids[a], &ids[b]))
+            .collect();
         before.sort();
         for (a, b) in before {
             writeln!(s, "before {a} {b}").expect("write to String");
         }
-        writeln!(s, "return distinct={} {:?}", self.distinct, self.returns)
-            .expect("write to String");
+        let returns: Vec<_> = self.returns.iter().map(|(v, f)| (v, f.name())).collect();
+        writeln!(s, "return distinct={} {returns:?}", self.distinct).expect("write to String");
         s
     }
 }
@@ -120,9 +159,10 @@ fn field(kind: EntityKind, attr: &str, span: Span) -> Result<Field, TbqlError> {
     kind.field(attr).map_err(|e| TbqlError::new(span, e))
 }
 
-/// The object kind of an operation name the auditing layer knows.
-fn object_kind(op: &str) -> Option<EntityKind> {
-    op.parse().ok().map(Operation::object_kind)
+/// The operation `name` names, or the schema's error at `span`.
+fn operation(name: &str, span: Span) -> Result<Operation, TbqlError> {
+    name.parse::<Operation>()
+        .map_err(|e| TbqlError::new(span, e.to_string()))
 }
 
 /// Runs semantic analysis.
@@ -180,6 +220,7 @@ pub fn analyze(query: &Query) -> Result<AnalyzedQuery, TbqlError> {
         }
     };
 
+    let mut shapes = Vec::with_capacity(query.patterns.len());
     for pat in &query.patterns {
         // Subjects are processes (events originate from processes).
         let subj = pat.subject();
@@ -195,26 +236,37 @@ pub fn analyze(query: &Query) -> Result<AnalyzedQuery, TbqlError> {
 
         // Objects follow the operation's object type.
         let obj = pat.object();
-        let op_ty = match pat {
+        let (shape, op_ty) = match pat {
             Pattern::Event(e) => {
-                let mut tys = e.ops.iter().filter_map(|o| object_kind(o));
-                let first = tys
-                    .next()
-                    .ok_or_else(|| TbqlError::new(e.span, "event pattern has no operations"))?;
-                for t in tys {
-                    if t != first {
-                        return Err(TbqlError::new(
-                            e.span,
-                            "operation alternatives must share one object type \
-                             (e.g. `read || write`, not `read || connect`)",
-                        ));
-                    }
+                let ops: Vec<Operation> = e
+                    .ops
+                    .iter()
+                    .map(|o| operation(o, e.span))
+                    .collect::<Result<_, _>>()?;
+                let first = ops
+                    .first()
+                    .ok_or_else(|| TbqlError::new(e.span, "event pattern has no operations"))?
+                    .object_kind();
+                if ops.iter().any(|o| o.object_kind() != first) {
+                    return Err(TbqlError::new(
+                        e.span,
+                        "operation alternatives must share one object type \
+                         (e.g. `read || write`, not `read || connect`)",
+                    ));
                 }
-                first
+                (PatternShape::Event { ops }, first)
             }
-            Pattern::Path(p) => object_kind(&p.last_op).ok_or_else(|| {
-                TbqlError::new(p.span, format!("unknown operation `{}`", p.last_op))
-            })?,
+            Pattern::Path(p) => {
+                let last_op = operation(&p.last_op, p.span)?;
+                let min_hops = p.min_hops.unwrap_or(1);
+                let max_hops = p.max_hops.unwrap_or(min_hops.max(4));
+                let shape = PatternShape::Path {
+                    min_hops,
+                    max_hops,
+                    last_op,
+                };
+                (shape, last_op.object_kind())
+            }
         };
         if let Some(declared) = obj.ty {
             if declared != op_ty {
@@ -231,20 +283,19 @@ pub fn analyze(query: &Query) -> Result<AnalyzedQuery, TbqlError> {
         }
         unify(&obj.id, op_ty, obj.span, &mut types)?;
 
-        // Path bounds sanity.
-        if let Pattern::Path(p) = pat {
-            let min = p.min_hops.unwrap_or(1);
-            let max = p.max_hops.unwrap_or(min.max(4));
-            if min == 0 {
-                return Err(TbqlError::new(p.span, "path minimum length must be ≥ 1"));
-            }
-            if max < min {
-                return Err(TbqlError::new(
-                    p.span,
-                    format!("path bounds reversed ({min}~{max})"),
-                ));
-            }
+        // Path bounds sanity (an event pattern's `(1, 1)` passes).
+        let (min, max) = shape.hops();
+        if min == 0 {
+            return Err(TbqlError::new(
+                pat.span(),
+                "path minimum length must be ≥ 1",
+            ));
         }
+        if max < min {
+            let message = format!("path bounds reversed ({min}~{max})");
+            return Err(TbqlError::new(pat.span(), message));
+        }
+        shapes.push(shape);
     }
 
     // 3. Filters: expand sugar, validate attributes, coerce numerics.
@@ -271,27 +322,27 @@ pub fn analyze(query: &Query) -> Result<AnalyzedQuery, TbqlError> {
 
     // 4. Temporal constraints: normalize to before-pairs and check
     //    references. Cycle/feasibility checking is the lint pass's DBM.
-    let mut before: Vec<(String, String)> = Vec::new();
+    let mut before = Vec::with_capacity(query.temporal.len());
     for tc in &query.temporal {
-        for side in [&tc.left, &tc.right] {
-            if !pattern_ids.contains(side) {
-                return Err(TbqlError::new(
+        let index = |side: &str| {
+            pattern_ids.iter().position(|p| p == side).ok_or_else(|| {
+                TbqlError::new(
                     tc.span,
                     format!("temporal constraint references unknown pattern `{side}`"),
-                ));
-            }
-        }
-        if tc.left == tc.right {
+                )
+            })
+        };
+        let (left, right) = (index(&tc.left)?, index(&tc.right)?);
+        if left == right {
             return Err(TbqlError::new(
                 tc.span,
                 format!("pattern `{}` cannot precede itself", tc.left),
             ));
         }
-        let pair = match tc.rel {
-            TemporalRel::Before => (tc.left.clone(), tc.right.clone()),
-            TemporalRel::After => (tc.right.clone(), tc.left.clone()),
-        };
-        before.push(pair);
+        before.push(match tc.rel {
+            TemporalRel::Before => (left, right),
+            TemporalRel::After => (right, left),
+        });
     }
 
     // 5. Return clause.
@@ -307,12 +358,13 @@ pub fn analyze(query: &Query) -> Result<AnalyzedQuery, TbqlError> {
             Some(a) => field(info.ty, a, item.span)?,
             None => info.ty.default_field(),
         };
-        returns.push((item.entity.clone(), attr.name().to_string()));
+        returns.push((item.entity.clone(), attr));
     }
 
     Ok(AnalyzedQuery {
         query: query.clone(),
         pattern_ids,
+        shapes,
         entities,
         before,
         returns,
@@ -426,12 +478,13 @@ mod tests {
             }]
         );
         // Returns filled with default attributes.
-        assert!(a.returns.contains(&("p1".into(), "exename".into())));
-        assert!(a.returns.contains(&("f1".into(), "name".into())));
-        assert!(a.returns.contains(&("i1".into(), "dstip".into())));
+        assert!(a.returns.contains(&("p1".into(), Field::Exename)));
+        assert!(a.returns.contains(&("f1".into(), Field::Name)));
+        assert!(a.returns.contains(&("i1".into(), Field::DstIp)));
         assert!(a.distinct);
-        assert_eq!(a.before.len(), 7);
-        assert_eq!(a.pattern_index("evt8"), Some(7));
+        // `evt1 before evt2, …, evt7 before evt8`, as pattern indices.
+        assert_eq!(a.before, (0..7).map(|i| (i, i + 1)).collect::<Vec<_>>());
+        assert_eq!(a.pattern_ids[7], "evt8");
     }
 
     #[test]
@@ -512,7 +565,7 @@ mod tests {
         let a = analyzed(
             "proc p read file f as e1 proc p write file g as e2 with e2 after e1 return p",
         );
-        assert_eq!(a.before, vec![("e1".to_string(), "e2".to_string())]);
+        assert_eq!(a.before, vec![(0, 1)]);
     }
 
     #[test]
@@ -533,6 +586,61 @@ mod tests {
         assert!(err.message.contains("≥ 1"));
         let err = analyze_err("proc p ~>(4~2)[read] file f return p");
         assert!(err.message.contains("reversed"));
+    }
+
+    #[test]
+    fn shapes_record_typed_operations_and_hop_defaults() {
+        let a = analyzed(
+            "proc p read || write file f as e1 proc p ~>[execute] file g as e2 \
+             proc p ~>(6~9)[read] file h as e3 return p",
+        );
+        assert_eq!(
+            a.shapes,
+            [
+                PatternShape::Event {
+                    ops: vec![Operation::Read, Operation::Write]
+                },
+                PatternShape::Path {
+                    min_hops: 1,
+                    max_hops: 4,
+                    last_op: Operation::Execute
+                },
+                PatternShape::Path {
+                    min_hops: 6,
+                    max_hops: 9,
+                    last_op: Operation::Read
+                },
+            ]
+        );
+    }
+
+    /// The parser rejects unknown operation names, so only a built query
+    /// reaches analysis with one; any alternative naming one is an error.
+    fn built_with_ops(ops: &[&str]) -> Result<AnalyzedQuery, TbqlError> {
+        let q = crate::builder::QueryBuilder::new()
+            .event(
+                ("p", Some(EntityKind::Process), None),
+                ops,
+                ("f", Some(EntityKind::File), None),
+                Some("e1"),
+                None,
+            )
+            .return_entities(false, &["p"])
+            .build();
+        analyze(&q)
+    }
+
+    #[test]
+    fn unknown_operation_alternative_rejected() {
+        let err = built_with_ops(&["read", "teleport"]).unwrap_err();
+        assert_eq!(err.message, "unknown operation `teleport`");
+        assert!(built_with_ops(&["read", "write"]).is_ok());
+    }
+
+    #[test]
+    fn unknown_only_operation_rejected() {
+        let err = built_with_ops(&["teleport"]).unwrap_err();
+        assert_eq!(err.message, "unknown operation `teleport`");
     }
 
     #[test]

@@ -192,6 +192,14 @@ impl Pattern {
             Pattern::Path(p) => p.span,
         }
     }
+
+    /// Optional time window.
+    pub fn window(&self) -> Option<TimeWindow> {
+        match self {
+            Pattern::Event(e) => e.window,
+            Pattern::Path(p) => p.window,
+        }
+    }
 }
 
 /// Temporal relations in the `with` clause.
@@ -316,7 +324,7 @@ mod tests {
                 }
             }
             let returns = analyzed(&query(kind, "", "x")).unwrap().returns;
-            assert_eq!(returns, [("x".into(), kind.default_field().name().into())]);
+            assert_eq!(returns, [("x".into(), kind.default_field())]);
         }
         assert_eq!(EntityKind::Network.default_field(), Field::DstIp);
         let err = analyzed(r#"proc p[name = "x"] read file f return p"#).unwrap_err();

@@ -15,13 +15,15 @@ use crate::error::Span;
 ///         &["read"],
 ///         ("f1", Some(EntityKind::File), Some("%/etc/passwd%")),
 ///         Some("evt1"),
+///         None, // no time window
 ///     )
-///     .before("evt1", "evt1") // constraints are free-form here;
+///     .before("evt1", "evt1") // names are free-form here;
 ///     .return_entities(true, &["p1", "f1"])
 ///     .build();
 /// assert_eq!(q.pattern_count(), 1);
-/// // semantic checks happen in `analyze`
-/// assert!(threatraptor_tbql::analyze(&q).is_err());
+/// // `analyze` resolves them, and operation names, and rejects this one
+/// let err = threatraptor_tbql::analyze(&q).unwrap_err();
+/// assert_eq!(err.message, "pattern `evt1` cannot precede itself");
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct QueryBuilder {
@@ -48,40 +50,21 @@ impl QueryBuilder {
         QueryBuilder::default()
     }
 
-    /// Appends an event pattern.
+    /// Appends an event pattern, with an optional time window.
     pub fn event(
         mut self,
         subject: EntitySpec<'_>,
         ops: &[&str],
         object: EntitySpec<'_>,
         name: Option<&str>,
+        window: Option<TimeWindow>,
     ) -> Self {
         self.patterns.push(Pattern::Event(EventPattern {
             id: name.map(str::to_string),
             subject: entity(subject),
             ops: ops.iter().map(|s| s.to_string()).collect(),
             object: entity(object),
-            window: None,
-            span: Span::default(),
-        }));
-        self
-    }
-
-    /// Appends an event pattern with a time window.
-    pub fn event_windowed(
-        mut self,
-        subject: EntitySpec<'_>,
-        ops: &[&str],
-        object: EntitySpec<'_>,
-        name: Option<&str>,
-        window: TimeWindow,
-    ) -> Self {
-        self.patterns.push(Pattern::Event(EventPattern {
-            id: name.map(str::to_string),
-            subject: entity(subject),
-            ops: ops.iter().map(|s| s.to_string()).collect(),
-            object: entity(object),
-            window: Some(window),
+            window,
             span: Span::default(),
         }));
         self
@@ -162,12 +145,14 @@ mod tests {
                 &["read"],
                 ("f1", Some(EntityKind::File), Some("%/etc/passwd%")),
                 Some("evt1"),
+                None,
             )
             .event(
                 ("p1", None, None),
                 &["write"],
                 ("f2", Some(EntityKind::File), Some("%/tmp/upload.tar%")),
                 Some("evt2"),
+                None,
             )
             .before("evt1", "evt2")
             .return_entities(true, &["p1", "f1", "f2"])
@@ -188,12 +173,12 @@ mod tests {
                 ("f", Some(EntityKind::File), Some("/etc/shadow")),
                 Some("pp1"),
             )
-            .event_windowed(
+            .event(
                 ("p", None, None),
                 &["connect"],
                 ("c", Some(EntityKind::Network), None),
                 Some("evt1"),
-                TimeWindow { lo: 0, hi: 1_000 },
+                Some(TimeWindow { lo: 0, hi: 1_000 }),
             )
             .return_entities(false, &["p", "f", "c"])
             .build();
@@ -211,6 +196,7 @@ mod tests {
                 ("p", Some(EntityKind::Process), None),
                 &["read"],
                 ("f", Some(EntityKind::File), None),
+                None,
                 None,
             )
             .build();

@@ -12,7 +12,8 @@
 //!   (exactly the executor's residual-filter semantics),
 //! * `a before b` ⇒ `end_a < start_b`, i.e. `end_a − start_b ≤ −1`
 //!   (timestamps are integral nanoseconds, so strict `<` tightens to a
-//!   non-strict bound one unit lower).
+//!   non-strict bound one unit lower). Analysis hands the pairs over as
+//!   pattern indices ([`AnalyzedQuery::before`]).
 //!
 //! The Floyd–Warshall closure of the constraint graph answers two
 //! questions the compiler wants before any shard is scanned:
@@ -27,7 +28,6 @@
 //! [`ShardedEngine`]: ../../threatraptor_engine/struct.ShardedEngine.html
 
 use crate::analyze::AnalyzedQuery;
-use crate::ast::Pattern;
 
 /// Weight used for "no constraint" entries. Chosen so that
 /// `INF + INF` cannot overflow `i128` and any `x < INF` survives one
@@ -176,24 +176,17 @@ fn build(aq: &AnalyzedQuery, skip: Option<usize>) -> Dbm {
         // start_i ≤ end_i and start_i ≥ 0.
         dbm.constrain(s, e, 0);
         dbm.constrain(0, s, 0);
-        let window = match pat {
-            Pattern::Event(ev) => ev.window,
-            Pattern::Path(pp) => pp.window,
-        };
-        if let Some(w) = window {
+        if let Some(w) = pat.window() {
             // start_i ≥ lo  ⇔  0 − start_i ≤ −lo
             dbm.constrain(0, s, -(w.lo as i128));
             // end_i ≤ hi  ⇔  end_i − 0 ≤ hi
             dbm.constrain(e, 0, w.hi as i128);
         }
     }
-    for (k, (a, b)) in aq.before.iter().enumerate() {
+    for (k, &(ia, ib)) in aq.before.iter().enumerate() {
         if skip == Some(k) {
             continue;
         }
-        let (Some(ia), Some(ib)) = (aq.pattern_index(a), aq.pattern_index(b)) else {
-            continue;
-        };
         // end_a < start_b  ⇔  end_a − start_b ≤ −1 over integral ns.
         dbm.constrain(end_clock(ia), start_clock(ib), -1);
     }
@@ -222,10 +215,7 @@ pub fn analyze_temporal(aq: &AnalyzedQuery) -> TemporalAnalysis {
     // A `before` constraint is redundant when the closure of the system
     // *without* it already implies end_a − start_b ≤ −1.
     let mut redundant_before = Vec::new();
-    for (k, (a, b)) in aq.before.iter().enumerate() {
-        let (Some(ia), Some(ib)) = (aq.pattern_index(a), aq.pattern_index(b)) else {
-            continue;
-        };
+    for (k, &(ia, ib)) in aq.before.iter().enumerate() {
         let mut probe = build(aq, Some(k));
         if probe.close() && probe.bound(end_clock(ia), start_clock(ib)) <= -1 {
             redundant_before.push(k);

@@ -20,7 +20,7 @@
 //! and never block execution.
 
 use crate::analyze::AnalyzedQuery;
-use crate::ast::{CmpOp, EntityRef, Expr, Lit, Pattern, TemporalRel};
+use crate::ast::{CmpOp, EntityRef, Expr, Lit, TemporalRel};
 use crate::dbm::{analyze_temporal, TemporalAnalysis};
 use crate::error::{render_with_source, Span};
 use std::collections::{BTreeMap, HashSet};
@@ -144,11 +144,7 @@ fn lint_temporal(aq: &AnalyzedQuery, temporal: &TemporalAnalysis, out: &mut Vec<
         // clause for ordering/window conflicts.
         let mut empty_window = false;
         for (i, pat) in aq.query.patterns.iter().enumerate() {
-            let window = match pat {
-                Pattern::Event(e) => e.window,
-                Pattern::Path(p) => p.window,
-            };
-            if let Some(w) = window {
+            if let Some(w) = pat.window() {
                 if w.lo > w.hi {
                     empty_window = true;
                     out.push(Diagnostic {
@@ -431,11 +427,9 @@ fn lint_dead_patterns(aq: &AnalyzedQuery, out: &mut Vec<Diagnostic>) {
             }
         }
     }
-    for (a, b) in &aq.before {
-        if let (Some(ia), Some(ib)) = (aq.pattern_index(a), aq.pattern_index(b)) {
-            adj[ia].push(ib);
-            adj[ib].push(ia);
-        }
+    for &(a, b) in &aq.before {
+        adj[a].push(b);
+        adj[b].push(a);
     }
     // Seed liveness from patterns mentioning a returned entity.
     let returned: HashSet<&str> = aq.returns.iter().map(|(v, _)| v.as_str()).collect();

@@ -1,6 +1,13 @@
-//! Generators shared by the integration tests.
+//! Generators and helpers shared by the integration tests.
+
+// Each test binary that includes this module uses a part of it.
+#![allow(dead_code)]
 
 use proptest::prelude::*;
+use threatraptor_audit::entity::EntityId;
+use threatraptor_audit::event::Operation;
+use threatraptor_engine::Match;
+use threatraptor_storage::ShardedStore;
 
 /// A strategy over well-formed TBQL source covering event and path
 /// patterns, multi-op alternation, entity filters, windows, temporal
@@ -65,4 +72,34 @@ pub fn arb_tbql() -> impl Strategy<Value = String> {
                 }
             },
         )
+}
+
+/// A match as `FollowHunt` identifies it: sorted bindings plus, per
+/// pattern, each witness's CPR run identity (entity pair, operation, run
+/// start) in the snapshot it came from.
+pub type RunKey = (
+    Vec<(String, EntityId)>,
+    Vec<(String, Vec<(EntityId, EntityId, Operation, u64)>)>,
+);
+
+/// The run identity of `m`, a match found in `snapshot`.
+pub fn run_key(m: &Match, snapshot: &ShardedStore) -> RunKey {
+    let mut bindings: Vec<_> = m.bindings.iter().map(|(v, &e)| (v.clone(), e)).collect();
+    bindings.sort();
+    let mut events: Vec<_> = m
+        .events
+        .iter()
+        .map(|(p, hops)| {
+            let runs = hops
+                .iter()
+                .map(|&pos| {
+                    let e = snapshot.event_at(pos);
+                    (e.subject, e.object, e.op, e.start)
+                })
+                .collect();
+            (p.clone(), runs)
+        })
+        .collect();
+    events.sort();
+    (bindings, events)
 }

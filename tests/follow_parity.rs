@@ -12,11 +12,12 @@
 //! retained partials, delivered-match witnesses, and distinct-row
 //! history all drop to zero.
 
+mod common;
+
+use common::{run_key, RunKey};
 use proptest::prelude::*;
 use std::collections::HashSet;
 use std::sync::Arc;
-use threatraptor_audit::entity::EntityId;
-use threatraptor_audit::event::Operation;
 use threatraptor_audit::sim::scenario::{AttackKind, ScenarioBuilder};
 use threatraptor_engine::{ExecMode, Match, ShardedEngine};
 use threatraptor_service::{CachedPlan, FollowHunt, PlanCache};
@@ -26,34 +27,6 @@ use threatraptor_tbql::parser::FIG2_TBQL;
 fn hunt(tbql: &str) -> FollowHunt {
     let (plan, _) = PlanCache::new().plan(tbql).unwrap();
     FollowHunt::new(plan, ExecMode::Scheduled, 1)
-}
-
-/// A match's run identity: its bindings plus, per pattern, the entity
-/// pair, operation and run start of each witness.
-type RunKey = (
-    Vec<(String, EntityId)>,
-    Vec<(String, Vec<(EntityId, EntityId, Operation, u64)>)>,
-);
-
-fn run_key(m: &Match, snapshot: &ShardedStore) -> RunKey {
-    let mut bindings: Vec<_> = m.bindings.iter().map(|(v, &e)| (v.clone(), e)).collect();
-    bindings.sort();
-    let mut events: Vec<_> = m
-        .events
-        .iter()
-        .map(|(p, hops)| {
-            let runs = hops
-                .iter()
-                .map(|&pos| {
-                    let e = snapshot.event_at(pos);
-                    (e.subject, e.object, e.op, e.start)
-                })
-                .collect();
-            (p.clone(), runs)
-        })
-        .collect();
-    events.sort();
-    (bindings, events)
 }
 
 /// The oracle: a full execution of the plan on every changed snapshot,

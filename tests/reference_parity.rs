@@ -30,15 +30,14 @@
 
 mod common;
 
-use common::arb_tbql;
+use common::{arb_tbql, run_key, RunKey};
 use proptest::prelude::*;
 use std::collections::HashSet;
 use threatraptor::audit::entity::{Entity, EntityId, EntityKind};
-use threatraptor::audit::event::{Event, EventId, Operation};
+use threatraptor::audit::event::{Event, EventId};
 use threatraptor::prelude::*;
 use threatraptor_audit::parser::ParsedLog;
 use threatraptor_engine::compile::compile;
-use threatraptor_engine::result::Match;
 use threatraptor_engine::{reference, DeltaState, EngineError};
 use threatraptor_service::PlanCache;
 use threatraptor_storage::CompactionPolicy;
@@ -347,35 +346,6 @@ struct StreamShape {
     seals: u32,
     compact: bool,
     entities_ahead: usize,
-}
-
-/// A delivered or reference match as `FollowHunt` identifies it: sorted
-/// bindings plus, per pattern, each witness's CPR run identity (entity
-/// pair, operation, run start) in the snapshot it came from.
-type RunKey = (
-    Vec<(String, EntityId)>,
-    Vec<(String, Vec<(EntityId, EntityId, Operation, u64)>)>,
-);
-
-fn run_key(m: &Match, snapshot: &ShardedStore) -> RunKey {
-    let mut bindings: Vec<_> = m.bindings.iter().map(|(v, &e)| (v.clone(), e)).collect();
-    bindings.sort();
-    let mut events: Vec<_> = m
-        .events
-        .iter()
-        .map(|(p, hops)| {
-            let runs = hops
-                .iter()
-                .map(|&pos| {
-                    let e = snapshot.event_at(pos);
-                    (e.subject, e.object, e.op, e.start)
-                })
-                .collect();
-            (p.clone(), runs)
-        })
-        .collect();
-    events.sort();
-    (bindings, events)
 }
 
 /// Streams `log` into a store shaped by `shape`, polling a `FollowHunt`
