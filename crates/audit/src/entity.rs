@@ -89,7 +89,7 @@ impl fmt::Display for EntityKind {
 
 /// An entity attribute: one column of the auditing layer's entity
 /// tables, under the name TBQL filters and returns it by.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Field {
     /// Process `exename`.
     Exename,

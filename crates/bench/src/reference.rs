@@ -12,8 +12,8 @@
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use threatraptor_audit::entity::EntityKind;
-use threatraptor_tbql::analyze::AnalyzedQuery;
-use threatraptor_tbql::ast::{CmpOp, Expr, Lit, Pattern};
+use threatraptor_tbql::analyze::{AnalyzedQuery, Cond};
+use threatraptor_tbql::ast::{CmpOp, Lit, Pattern};
 
 fn table_of(ty: EntityKind) -> &'static str {
     match ty {
@@ -38,9 +38,9 @@ fn sql_lit(l: &Lit) -> String {
     }
 }
 
-fn sql_expr(var: &str, e: &Expr) -> String {
-    match e {
-        Expr::Cmp { attr, op, value } => {
+fn sql_expr(var: &str, c: &Cond) -> String {
+    match c {
+        Cond::Cmp { field, op, value } => {
             let op_text = match op {
                 CmpOp::Like => "LIKE",
                 CmpOp::Eq => "=",
@@ -50,14 +50,14 @@ fn sql_expr(var: &str, e: &Expr) -> String {
                 CmpOp::Gt => ">",
                 CmpOp::Ge => ">=",
             };
-            format!("{var}.{attr} {op_text} {}", sql_lit(value))
+            format!("{var}.{} {op_text} {}", field.name(), sql_lit(value))
         }
-        Expr::And(legs) => legs
+        Cond::And(legs) => legs
             .iter()
             .map(|l| format!("({})", sql_expr(var, l)))
             .collect::<Vec<_>>()
             .join(" AND "),
-        Expr::Or(legs) => legs
+        Cond::Or(legs) => legs
             .iter()
             .map(|l| format!("({})", sql_expr(var, l)))
             .collect::<Vec<_>>()
@@ -227,12 +227,12 @@ pub fn cypher_equivalent(aq: &AnalyzedQuery) -> String {
     )
 }
 
-fn cypher_expr(var: &str, e: &Expr) -> String {
-    match e {
-        Expr::Cmp { attr, op, value } => match (op, value) {
+fn cypher_expr(var: &str, c: &Cond) -> String {
+    match c {
+        Cond::Cmp { field, op, value } => match (op, value) {
             (CmpOp::Like, Lit::Str(s)) => {
                 // `%x%` → CONTAINS, `%x` → ENDS WITH, `x%` → STARTS WITH.
-                let inner = s.trim_matches('%');
+                let (attr, inner) = (field.name(), s.trim_matches('%'));
                 if s.starts_with('%') && s.ends_with('%') {
                     format!("{var}.{attr} CONTAINS '{inner}'")
                 } else if s.starts_with('%') {
@@ -253,15 +253,15 @@ fn cypher_expr(var: &str, e: &Expr) -> String {
                     CmpOp::Ge => ">=",
                     CmpOp::Like => "=~",
                 };
-                format!("{var}.{attr} {op_text} {}", sql_lit(value))
+                format!("{var}.{} {op_text} {}", field.name(), sql_lit(value))
             }
         },
-        Expr::And(legs) => legs
+        Cond::And(legs) => legs
             .iter()
             .map(|l| format!("({})", cypher_expr(var, l)))
             .collect::<Vec<_>>()
             .join(" AND "),
-        Expr::Or(legs) => legs
+        Cond::Or(legs) => legs
             .iter()
             .map(|l| format!("({})", cypher_expr(var, l)))
             .collect::<Vec<_>>()

@@ -3,21 +3,22 @@
 //! The paper compiles each pattern to "a SQL data query which joins
 //! entity tables with event table", or to a Cypher query for a path
 //! pattern (§II-F). Here each pattern compiles to what the executor's one
-//! data path needs: the typed [`EntityFilter`] of each variable (its
-//! merged TBQL filters with attribute names resolved to entity fields,
-//! evaluated on the entity catalog; an attribute the variable's kind
-//! lacks is an [`EngineError`]), and the pattern's [`PatternShape`] —
-//! the typed operations an event pattern admits, or a path's hop bounds
-//! and final-hop operation, as analysis resolved them — which the event
-//! scan and the path expansion probe the shards' postings with. The SQL
-//! and Cypher texts the paper's conciseness comparison counts are
-//! rendered from the TBQL AST by `threatraptor_bench::reference`.
+//! data path needs: the [`EntityFilter`] of each variable (its merged
+//! TBQL filters as analysis typed them, evaluated on the entity
+//! catalog), and the pattern's [`PatternShape`] — the typed operations
+//! an event pattern admits, or a path's hop bounds and final-hop
+//! operation, as analysis resolved them — which the event scan and the
+//! path expansion probe the shards' postings with. The SQL and Cypher
+//! texts the paper's conciseness comparison counts are rendered from the
+//! analyzed query by `threatraptor_bench::reference`.
 //!
 //! Compilation also assigns **slots**: every entity variable gets a
 //! position in [`CompiledQuery::vars`], every pattern is its own slot
 //! (its declaration index). Analysis already resolved `before` pairs to
-//! pattern indices and return items to the audit schema's [`Field`]s;
-//! compile adds each returned variable's slot. The executor's partial
+//! pattern indices, return items to the audit schema's [`Field`]s and
+//! filters to typed conditions; compile adds each endpoint's and each
+//! returned variable's slot. It fails only on the lint pass's errors
+//! ([`EngineError::Infeasible`]). The executor's partial
 //! matches are flat tuples indexed by these slots (the crate's `join`
 //! module); names only reappear when a delivered [`Match`](crate::Match)
 //! is materialized.
@@ -104,22 +105,26 @@ pub fn compile_with_lint(aq: &AnalyzedQuery) -> Result<(CompiledQuery, LintRepor
     if report.has_errors() {
         return Err(EngineError::Infeasible(report.errors().cloned().collect()));
     }
-    let cq = compile_feasible(aq, &report)?;
+    let cq = compile_feasible(aq, &report);
     Ok((cq, report))
 }
 
 /// Builds the plan for a query the lint pass accepted.
-fn compile_feasible(aq: &AnalyzedQuery, report: &LintReport) -> Result<CompiledQuery, EngineError> {
+fn compile_feasible(aq: &AnalyzedQuery, report: &LintReport) -> CompiledQuery {
     // `entities` is a BTreeMap, so slot order is name order.
     let vars: Vec<String> = aq.entities.keys().cloned().collect();
     let var_filters = aq
         .entities
         .values()
-        .map(|info| EntityFilter::lower(info.ty, &info.filters))
-        .collect::<Result<Vec<_>, _>>()?;
-    let var_slot = |var: &str| -> Result<usize, EngineError> {
+        .map(|info| EntityFilter {
+            kind: info.ty,
+            filters: info.filters.clone(),
+        })
+        .collect();
+    // Analysis types every pattern endpoint and every returned variable.
+    let var_slot = |var: &str| {
         vars.binary_search_by(|v| v.as_str().cmp(var))
-            .map_err(|_| EngineError::Execution(format!("untyped variable `{var}`")))
+            .expect("analysis typed every variable")
     };
 
     let mut patterns = Vec::with_capacity(aq.query.patterns.len());
@@ -127,7 +132,7 @@ fn compile_feasible(aq: &AnalyzedQuery, report: &LintReport) -> Result<CompiledQ
         let id = aq.pattern_ids[i].clone();
         let subject_var = pat.subject().id.clone();
         let object_var = pat.object().id.clone();
-        let (subject_slot, object_slot) = (var_slot(&subject_var)?, var_slot(&object_var)?);
+        let (subject_slot, object_slot) = (var_slot(&subject_var), var_slot(&object_var));
         let shape = aq.shapes[i].clone();
         let window = pat.window();
         let score = crate::score::pruning_score(
@@ -159,9 +164,9 @@ fn compile_feasible(aq: &AnalyzedQuery, report: &LintReport) -> Result<CompiledQ
     let return_fields = aq
         .returns
         .iter()
-        .map(|(var, field)| Ok((var_slot(var)?, *field)))
-        .collect::<Result<_, EngineError>>()?;
-    Ok(CompiledQuery {
+        .map(|(var, field)| (var_slot(var), *field))
+        .collect();
+    CompiledQuery {
         patterns,
         var_filters,
         returns: aq
@@ -174,7 +179,7 @@ fn compile_feasible(aq: &AnalyzedQuery, report: &LintReport) -> Result<CompiledQ
         return_fields,
         distinct: aq.distinct,
         memo: Arc::default(),
-    })
+    }
 }
 
 impl CompiledQuery {
@@ -224,64 +229,20 @@ mod tests {
         assert_eq!(cq.returns.len(), 9);
     }
 
+    /// Slots carry their variable's kind and its filters, one per
+    /// mention filter, as analysis typed them.
     #[test]
-    fn expr_to_predicate_covers_ops() {
-        use crate::filter::Cond;
+    fn slots_carry_kind_and_merged_filters() {
         use threatraptor_audit::entity::EntityKind;
-        use threatraptor_tbql::ast::{CmpOp, Expr, Lit};
-        let cmp = |attr: &str, op, value| Expr::Cmp {
-            attr: attr.into(),
-            op,
-            value,
-        };
-        let lower = |e: &Expr| Cond::lower(EntityKind::Process, e).unwrap();
-        assert_eq!(
-            lower(&cmp("pid", CmpOp::Ge, Lit::Int(10))),
-            Cond::Cmp(Field::Pid, CmpOp::Ge, Lit::Int(10))
-        );
-        // `like` keeps its pattern; an integer pattern becomes its text.
-        assert_eq!(
-            lower(&cmp("pid", CmpOp::Like, Lit::Int(42))),
-            Cond::Like(Field::Pid, "42".into())
-        );
-        let e = Expr::Or(vec![
-            cmp("owner", CmpOp::Eq, Lit::Str("root".into())),
-            cmp("exename", CmpOp::Like, Lit::Str("%sh".into())),
-        ]);
-        assert_eq!(
-            lower(&e),
-            Cond::Or(vec![
-                Cond::Cmp(Field::Owner, CmpOp::Eq, Lit::Str("root".into())),
-                Cond::Like(Field::Exename, "%sh".into()),
-            ])
-        );
-        // Slots carry their variable's kind and merged filter.
-        let cq = compiled(r#"proc p["%sh"] read file f as e1 proc p[pid = 7] read f return p"#);
+        let src = r#"proc p["%sh"] read file f as e1 proc p[pid = 7] read f return p"#;
+        let aq = analyze(&parse_query(src).unwrap()).unwrap();
+        let cq = compile(&aq).unwrap();
         assert_eq!(cq.vars, ["f", "p"]);
         assert_eq!(cq.var_filters[0].kind, EntityKind::File);
-        assert_eq!(cq.var_filters[0].cond, Cond::True);
+        assert!(cq.var_filters[0].filters.is_empty());
         assert_eq!(cq.var_filters[1].kind, EntityKind::Process);
-        assert!(matches!(&cq.var_filters[1].cond, Cond::And(legs) if legs.len() == 2));
-    }
-
-    /// An attribute analysis accepted but the variable's kind lacks is a
-    /// typed compile error, not a panic at resolve time.
-    #[test]
-    fn invalid_filter_attributes_are_typed_errors() {
-        let mut aq =
-            analyze(&parse_query(r#"proc p[exename = "/bin/sh"] read file f return p"#).unwrap())
-                .unwrap();
-        let threatraptor_tbql::ast::Expr::Cmp { attr, .. } =
-            &mut aq.entities.get_mut("p").unwrap().filters[0]
-        else {
-            panic!("a comparison filter");
-        };
-        *attr = "dstip".into();
-        let err = compile(&aq).unwrap_err();
-        assert!(
-            matches!(&err, EngineError::Execution(m) if m.contains("`dstip`")),
-            "{err:?}"
-        );
+        assert_eq!(cq.var_filters[1].filters, aq.entities["p"].filters);
+        assert_eq!(cq.var_filters[1].filters.len(), 2);
     }
 
     #[test]

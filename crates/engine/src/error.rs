@@ -12,8 +12,6 @@ pub enum EngineError {
     /// The lint pass proved the query can never match (error-level
     /// diagnostics: temporal infeasibility, contradictory filters).
     Infeasible(Vec<Diagnostic>),
-    /// The query references something the store cannot serve.
-    Execution(String),
 }
 
 impl fmt::Display for EngineError {
@@ -30,7 +28,6 @@ impl fmt::Display for EngineError {
                 }
                 Ok(())
             }
-            EngineError::Execution(m) => write!(f, "execution error: {m}"),
         }
     }
 }
@@ -52,8 +49,6 @@ mod tests {
     fn display_variants() {
         let e = EngineError::from(TbqlError::new(Span::new(0, 1), "bad"));
         assert!(e.to_string().contains("semantic"));
-        let e = EngineError::Execution("boom".into());
-        assert!(e.to_string().contains("boom"));
         let e = EngineError::Infeasible(vec![Diagnostic {
             code: "E001",
             severity: threatraptor_tbql::lint::Severity::Error,

@@ -393,7 +393,7 @@ pub(crate) fn resolve_from(
         for &pos in &positions[first..] {
             // The id is `base + pos`: an unfiltered variable never reads
             // its entities.
-            if filter.cond.eval(&entities[pos as usize]) {
+            if filter.holds(&entities[pos as usize]) {
                 out.insert(EntityId((base + pos as usize) as u32));
             }
         }

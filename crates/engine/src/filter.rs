@@ -1,124 +1,26 @@
 //! Typed entity filters: what an entity variable's TBQL filters compile
 //! to, evaluated directly on the catalog's entities.
 //!
-//! [`compile`](crate::compile) lowers the conjunction of every filter on a
-//! variable to an [`EntityFilter`]: the kind of entity the variable binds
-//! and a [`Cond`] tree whose attribute names are resolved, once, to the
-//! audit schema's typed [`Field`]s. An attribute the kind lacks is a
-//! typed compile error, with the schema's message. The executor evaluates
-//! the tree on a borrowed [`Entity`], reading its fields as [`Cell`]s and
-//! allocating nothing.
+//! Semantic analysis already resolved every filter attribute to the
+//! audit schema's typed [`Field`](threatraptor_audit::entity::Field): a
+//! filter is a [`Cond`]. [`compile`](crate::compile) gathers a
+//! variable's filters, one per mention, into an [`EntityFilter`] beside
+//! the kind of entity the variable binds. The executor evaluates the
+//! analysis tree on a borrowed [`Entity`], reading its fields as
+//! [`Cell`]s and allocating nothing.
 //!
 //! The semantics are SQL's over the paper's entity tables (§II-B), and
 //! the reference evaluator's ([`crate::reference`]): integer fields
 //! compare as integers and every other attribute as a string, an integer
 //! ordering before any string; `like` is SQL `LIKE`, reading an integer
-//! field as its decimal text.
+//! field, or an integer pattern, as its decimal text.
 //! EXPLAIN renders a filter as the SQL boolean expression it stands for
 //! ([`EntityFilter::to_sql`]).
 
-use crate::error::EngineError;
 use std::cmp::Ordering;
-use threatraptor_audit::entity::{Cell, Entity, EntityKind, Field};
-use threatraptor_tbql::ast::{CmpOp, Expr, Lit};
-
-/// A filter tree over typed fields.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Cond {
-    /// No constraint.
-    True,
-    /// `field <op> literal`; the operator is never [`CmpOp::Like`].
-    Cmp(Field, CmpOp, Lit),
-    /// `field LIKE pattern` (`%`/`_` wildcards).
-    Like(Field, String),
-    /// Conjunction.
-    And(Vec<Cond>),
-    /// Disjunction.
-    Or(Vec<Cond>),
-}
-
-impl Cond {
-    /// Lowers a TBQL filter expression over an entity of `kind`.
-    pub(crate) fn lower(kind: EntityKind, expr: &Expr) -> Result<Cond, EngineError> {
-        let lower_all = |legs: &[Expr]| {
-            legs.iter()
-                .map(|e| Cond::lower(kind, e))
-                .collect::<Result<Vec<_>, _>>()
-        };
-        match expr {
-            Expr::And(legs) => Ok(Cond::And(lower_all(legs)?)),
-            Expr::Or(legs) => Ok(Cond::Or(lower_all(legs)?)),
-            Expr::Cmp { attr, op, value } => {
-                let field = kind.field(attr).map_err(EngineError::Execution)?;
-                Ok(match (op, value) {
-                    (CmpOp::Like, Lit::Str(pattern)) => Cond::Like(field, pattern.clone()),
-                    (CmpOp::Like, Lit::Int(i)) => Cond::Like(field, i.to_string()),
-                    _ => Cond::Cmp(field, *op, value.clone()),
-                })
-            }
-        }
-    }
-
-    /// Whether `entity` satisfies the tree (false for a field the entity
-    /// lacks).
-    pub(crate) fn eval(&self, entity: &Entity) -> bool {
-        match self {
-            Cond::True => true,
-            Cond::Cmp(field, op, lit) => field.read(entity).is_some_and(|cell| {
-                let order = match (cell, lit) {
-                    (Cell::Int(a), Lit::Int(b)) => i64::from(a).cmp(b),
-                    // Equality tests lengths before bytes: most strings
-                    // of a large scan are then never read.
-                    (Cell::Str(a), Lit::Str(b)) if matches!(op, CmpOp::Eq | CmpOp::Ne) => {
-                        return (a == b) == (*op == CmpOp::Eq);
-                    }
-                    (Cell::Str(a), Lit::Str(b)) => a.cmp(b.as_str()),
-                    (Cell::Int(_), Lit::Str(_)) => Ordering::Less,
-                    (Cell::Str(_), Lit::Int(_)) => Ordering::Greater,
-                };
-                match op {
-                    CmpOp::Eq => order.is_eq(),
-                    CmpOp::Ne => order.is_ne(),
-                    CmpOp::Lt => order.is_lt(),
-                    CmpOp::Le => order.is_le(),
-                    CmpOp::Gt => order.is_gt(),
-                    CmpOp::Ge => order.is_ge(),
-                    CmpOp::Like => unreachable!("`lower` makes every `like` a `Cond::Like`"),
-                }
-            }),
-            Cond::Like(field, pattern) => match field.read(entity) {
-                Some(Cell::Str(s)) => like_match(pattern, s),
-                Some(Cell::Int(i)) => like_match(pattern, decimal(i, &mut [0; 10])),
-                None => false,
-            },
-            Cond::And(legs) => legs.iter().all(|leg| leg.eval(entity)),
-            Cond::Or(legs) => legs.iter().any(|leg| leg.eval(entity)),
-        }
-    }
-
-    /// The SQL boolean expression, columns prefixed by `alias.`.
-    fn sql(&self, alias: &str) -> String {
-        let join = |legs: &[Cond], joiner: &str| {
-            legs.iter()
-                .map(|leg| format!("({})", leg.sql(alias)))
-                .collect::<Vec<_>>()
-                .join(joiner)
-        };
-        match self {
-            Cond::True => "TRUE".to_string(),
-            Cond::Cmp(field, op, Lit::Int(i)) => {
-                format!("{alias}.{} {} {i}", field.name(), op.text())
-            }
-            Cond::Cmp(field, op, Lit::Str(s)) => {
-                let quoted = s.replace('\'', "''");
-                format!("{alias}.{} {} '{quoted}'", field.name(), op.text())
-            }
-            Cond::Like(field, pattern) => format!("{alias}.{} LIKE '{pattern}'", field.name()),
-            Cond::And(legs) => join(legs, " AND "),
-            Cond::Or(legs) => join(legs, " OR "),
-        }
-    }
-}
+use threatraptor_audit::entity::{Cell, Entity, EntityKind};
+use threatraptor_tbql::analyze::Cond;
+use threatraptor_tbql::ast::{CmpOp, Lit};
 
 /// An entity variable's filter: the kind of entity it binds and the
 /// conjunction of every filter on it.
@@ -126,50 +28,130 @@ impl Cond {
 pub struct EntityFilter {
     /// The kind of entity the variable binds.
     pub kind: EntityKind,
-    /// The merged filter tree.
-    pub cond: Cond,
+    /// The variable's filters, one per mention filter, as analysis typed
+    /// them; all must hold.
+    pub filters: Vec<Cond>,
 }
 
 impl EntityFilter {
-    /// Lowers the filters on a variable of `kind`: none is [`Cond::True`],
-    /// one is itself, more are their [`Cond::And`].
-    pub(crate) fn lower(kind: EntityKind, filters: &[Expr]) -> Result<EntityFilter, EngineError> {
-        let mut legs = filters
-            .iter()
-            .map(|e| Cond::lower(kind, e))
-            .collect::<Result<Vec<_>, _>>()?;
-        let cond = match legs.len() {
-            0 => Cond::True,
-            1 => legs.remove(0),
-            _ => Cond::And(legs),
-        };
-        Ok(EntityFilter { kind, cond })
-    }
-
     /// Whether `entity` is of the filter's kind and satisfies it.
     #[inline]
     pub(crate) fn matches(&self, entity: &Entity) -> bool {
-        entity.kind() == self.kind && self.cond.eval(entity)
+        entity.kind() == self.kind && self.holds(entity)
+    }
+
+    /// Whether `entity` satisfies every filter (false for a field the
+    /// entity lacks).
+    #[inline]
+    pub(crate) fn holds(&self, entity: &Entity) -> bool {
+        self.filters.iter().all(|cond| eval(cond, entity))
     }
 
     /// The filter as a SQL boolean expression over the variable's entity
-    /// table aliased `alias` (`TRUE` when unconstrained; string literals
-    /// quoted with `'` doubled).
+    /// table aliased `alias`: `TRUE` when unconstrained, one filter as
+    /// itself, more as their parenthesized `AND` (string literals quoted
+    /// with `'` doubled).
     pub fn to_sql(&self, alias: &str) -> String {
-        self.cond.sql(alias)
+        match self.filters.as_slice() {
+            [] => "TRUE".to_string(),
+            [one] => sql(one, alias),
+            legs => join_sql(legs, alias, " AND "),
+        }
     }
 }
 
+/// Whether `entity` satisfies `cond` (false for a field the entity
+/// lacks).
+fn eval(cond: &Cond, entity: &Entity) -> bool {
+    match cond {
+        Cond::And(legs) => legs.iter().all(|leg| eval(leg, entity)),
+        Cond::Or(legs) => legs.iter().any(|leg| eval(leg, entity)),
+        Cond::Cmp {
+            field,
+            op: CmpOp::Like,
+            value,
+        } => field.read(entity).is_some_and(|cell| {
+            let (mut pattern_buf, mut text_buf) = ([0; 20], [0; 20]);
+            let pattern = match value {
+                Lit::Str(s) => s.as_str(),
+                Lit::Int(i) => decimal(*i, &mut pattern_buf),
+            };
+            let text = match cell {
+                Cell::Str(s) => s,
+                Cell::Int(i) => decimal(i.into(), &mut text_buf),
+            };
+            like_match(pattern, text)
+        }),
+        Cond::Cmp { field, op, value } => field.read(entity).is_some_and(|cell| {
+            let order = match (cell, value) {
+                (Cell::Int(a), Lit::Int(b)) => i64::from(a).cmp(b),
+                // Equality tests lengths before bytes: most strings
+                // of a large scan are then never read.
+                (Cell::Str(a), Lit::Str(b)) if matches!(op, CmpOp::Eq | CmpOp::Ne) => {
+                    return (a == b) == (*op == CmpOp::Eq);
+                }
+                (Cell::Str(a), Lit::Str(b)) => a.cmp(b.as_str()),
+                (Cell::Int(_), Lit::Str(_)) => Ordering::Less,
+                (Cell::Str(_), Lit::Int(_)) => Ordering::Greater,
+            };
+            match op {
+                CmpOp::Eq => order.is_eq(),
+                CmpOp::Ne => order.is_ne(),
+                CmpOp::Lt => order.is_lt(),
+                CmpOp::Le => order.is_le(),
+                CmpOp::Gt => order.is_gt(),
+                CmpOp::Ge => order.is_ge(),
+                CmpOp::Like => unreachable!("matched by the arm above"),
+            }
+        }),
+    }
+}
+
+/// The SQL boolean expression of `cond`, columns prefixed by `alias.`.
+fn sql(cond: &Cond, alias: &str) -> String {
+    match cond {
+        Cond::Cmp { field, op, value } => {
+            let value = match (op, value) {
+                (CmpOp::Like, Lit::Str(pattern)) => format!("'{pattern}'"),
+                (CmpOp::Like, Lit::Int(i)) => format!("'{i}'"),
+                (_, Lit::Int(i)) => i.to_string(),
+                (_, Lit::Str(s)) => format!("'{}'", s.replace('\'', "''")),
+            };
+            let op = if *op == CmpOp::Like {
+                "LIKE"
+            } else {
+                op.text()
+            };
+            format!("{alias}.{} {op} {value}", field.name())
+        }
+        Cond::And(legs) => join_sql(legs, alias, " AND "),
+        Cond::Or(legs) => join_sql(legs, alias, " OR "),
+    }
+}
+
+/// `legs` as parenthesized SQL joined by `joiner`.
+fn join_sql(legs: &[Cond], alias: &str, joiner: &str) -> String {
+    legs.iter()
+        .map(|leg| format!("({})", sql(leg, alias)))
+        .collect::<Vec<_>>()
+        .join(joiner)
+}
+
 /// `n` in decimal, written into the tail of `buf`.
-fn decimal(mut n: u32, buf: &mut [u8; 10]) -> &str {
+fn decimal(n: i64, buf: &mut [u8; 20]) -> &str {
     let mut at = buf.len();
+    let mut rest = n.unsigned_abs();
     loop {
         at -= 1;
-        buf[at] = b'0' + (n % 10) as u8;
-        n /= 10;
-        if n == 0 {
+        buf[at] = b'0' + (rest % 10) as u8;
+        rest /= 10;
+        if rest == 0 {
             break;
         }
+    }
+    if n < 0 {
+        at -= 1;
+        buf[at] = b'-';
     }
     std::str::from_utf8(&buf[at..]).unwrap_or_default()
 }
@@ -246,14 +228,10 @@ mod tests {
     use super::*;
     use crate::reference::{holds, like};
     use proptest::prelude::*;
-    use threatraptor_audit::entity::{EntityId, FileEntity, NetworkEntity, ProcessEntity};
+    use threatraptor_audit::entity::{EntityId, Field, FileEntity, NetworkEntity, ProcessEntity};
 
-    fn cmp(attr: &str, op: CmpOp, value: Lit) -> Expr {
-        Expr::Cmp {
-            attr: attr.into(),
-            op,
-            value,
-        }
+    fn cmp(field: Field, op: CmpOp, value: Lit) -> Cond {
+        Cond::Cmp { field, op, value }
     }
 
     fn process(pid: u32, exename: &str, owner: &str) -> Entity {
@@ -267,11 +245,16 @@ mod tests {
         })
     }
 
-    /// Whether the filters `exprs` on a process variable admit `entity`.
-    fn admits(exprs: &[Expr], entity: &Entity) -> bool {
-        EntityFilter::lower(EntityKind::Process, exprs)
-            .unwrap()
-            .matches(entity)
+    fn filter(kind: EntityKind, filters: &[Cond]) -> EntityFilter {
+        EntityFilter {
+            kind,
+            filters: filters.to_vec(),
+        }
+    }
+
+    /// Whether the filters `conds` on a process variable admit `entity`.
+    fn admits(conds: &[Cond], entity: &Entity) -> bool {
+        filter(EntityKind::Process, conds).matches(entity)
     }
 
     #[test]
@@ -280,9 +263,9 @@ mod tests {
             process(100, "/bin/sh", "root"),
             process(5000, "/bin/tar", "www"),
         );
-        let root = [cmp("owner", CmpOp::Eq, Lit::Str("root".into()))];
+        let root = [cmp(Field::Owner, CmpOp::Eq, Lit::Str("root".into()))];
         assert!(admits(&root, &sh) && !admits(&root, &tar));
-        let big = [cmp("pid", CmpOp::Gt, Lit::Int(1000))];
+        let big = [cmp(Field::Pid, CmpOp::Gt, Lit::Int(1000))];
         assert!(!admits(&big, &sh) && admits(&big, &tar));
         // A filter never admits an entity of another kind.
         let file = Entity::File(FileEntity {
@@ -298,31 +281,41 @@ mod tests {
             process(100, "/bin/sh", "root"),
             process(5000, "/bin/tar", "www"),
         );
-        let both = [Expr::And(vec![
-            cmp("owner", CmpOp::Eq, Lit::Str("www".into())),
-            cmp("pid", CmpOp::Ge, Lit::Int(5000)),
+        let both = [Cond::And(vec![
+            cmp(Field::Owner, CmpOp::Eq, Lit::Str("www".into())),
+            cmp(Field::Pid, CmpOp::Ge, Lit::Int(5000)),
         ])];
         assert!(!admits(&both, &sh) && admits(&both, &tar));
-        let either = [Expr::Or(vec![
-            cmp("owner", CmpOp::Eq, Lit::Str("root".into())),
-            cmp("owner", CmpOp::Eq, Lit::Str("www".into())),
+        let either = [Cond::Or(vec![
+            cmp(Field::Owner, CmpOp::Eq, Lit::Str("root".into())),
+            cmp(Field::Owner, CmpOp::Eq, Lit::Str("www".into())),
         ])];
         assert!(admits(&either, &sh) && admits(&either, &tar));
-        let not_sh = [cmp("exename", CmpOp::Ne, Lit::Str("/bin/sh".into()))];
+        let not_sh = [cmp(Field::Exename, CmpOp::Ne, Lit::Str("/bin/sh".into()))];
         assert!(!admits(&not_sh, &sh) && admits(&not_sh, &tar));
     }
 
     /// Zero filters are `TRUE`, one is itself, more are a conjunction.
     #[test]
     fn and_simplification() {
-        let lower = |exprs: &[Expr]| EntityFilter::lower(EntityKind::File, exprs).unwrap().cond;
-        let eq = cmp("name", CmpOp::Eq, Lit::Str("/etc/passwd".into()));
-        let leaf = Cond::Cmp(Field::Name, CmpOp::Eq, Lit::Str("/etc/passwd".into()));
-        assert_eq!(lower(&[]), Cond::True);
-        assert_eq!(lower(std::slice::from_ref(&eq)), leaf);
+        let passwd = Entity::File(FileEntity {
+            id: EntityId(1),
+            name: "/etc/passwd".into(),
+        });
+        let eq = cmp(Field::Name, CmpOp::Eq, Lit::Str("/etc/passwd".into()));
+        let ne = cmp(Field::Name, CmpOp::Ne, Lit::Str("/etc/passwd".into()));
+        let file = |conds: &[Cond]| filter(EntityKind::File, conds);
+        assert!(file(&[]).matches(&passwd));
+        assert_eq!(file(&[]).to_sql("f"), "TRUE");
+        assert!(file(std::slice::from_ref(&eq)).matches(&passwd));
         assert_eq!(
-            lower(&[eq.clone(), eq]),
-            Cond::And(vec![leaf.clone(), leaf])
+            file(std::slice::from_ref(&eq)).to_sql("f"),
+            "f.name = '/etc/passwd'"
+        );
+        assert!(!file(&[eq.clone(), ne]).matches(&passwd));
+        assert_eq!(
+            file(&[eq.clone(), eq]).to_sql("f"),
+            "(f.name = '/etc/passwd') AND (f.name = '/etc/passwd')"
         );
     }
 
@@ -332,48 +325,53 @@ mod tests {
             process(100, "/bin/sh", "root"),
             process(5000, "/bin/tar", "www"),
         );
-        let fifty = [cmp("pid", CmpOp::Like, Lit::Str("50%".into()))];
+        let fifty = [cmp(Field::Pid, CmpOp::Like, Lit::Str("50%".into()))];
         assert!(admits(&fifty, &tar) && !admits(&fifty, &sh));
         // An integer pattern reads as its text.
-        let hundred = [cmp("pid", CmpOp::Like, Lit::Int(100))];
+        let hundred = [cmp(Field::Pid, CmpOp::Like, Lit::Int(100))];
         assert!(admits(&hundred, &sh) && !admits(&hundred, &tar));
-        assert_eq!(decimal(0, &mut [0; 10]), "0");
-        assert_eq!(decimal(u32::MAX, &mut [0; 10]), "4294967295");
+        let shell = [cmp(Field::Exename, CmpOp::Like, Lit::Int(-1))];
+        assert!(!admits(&shell, &sh));
+        assert_eq!(decimal(0, &mut [0; 20]), "0");
+        assert_eq!(decimal(u32::MAX.into(), &mut [0; 20]), "4294967295");
+        assert_eq!(decimal(-7, &mut [0; 20]), "-7");
+        assert_eq!(decimal(i64::MIN, &mut [0; 20]), i64::MIN.to_string());
+        assert_eq!(decimal(i64::MAX, &mut [0; 20]), i64::MAX.to_string());
     }
 
     /// An integer sorts below any string, whichever side holds it.
     #[test]
     fn value_ordering() {
         let sh = process(100, "/bin/sh", "root");
-        let holds = |attr: &str, op, value| admits(&[cmp(attr, op, value)], &sh);
-        assert!(holds("pid", CmpOp::Lt, Lit::Int(101)));
-        assert!(holds("owner", CmpOp::Lt, Lit::Str("www".into())));
-        assert!(holds("owner", CmpOp::Gt, Lit::Int(42)));
-        assert!(holds("owner", CmpOp::Gt, Lit::Int(i64::MAX)));
-        assert!(holds("pid", CmpOp::Lt, Lit::Str("x".into())));
-        assert!(holds("pid", CmpOp::Lt, Lit::Str(String::new())));
-        assert!(!holds("pid", CmpOp::Eq, Lit::Str("100".into())));
+        let holds = |field, op, value| admits(&[cmp(field, op, value)], &sh);
+        assert!(holds(Field::Pid, CmpOp::Lt, Lit::Int(101)));
+        assert!(holds(Field::Owner, CmpOp::Lt, Lit::Str("www".into())));
+        assert!(holds(Field::Owner, CmpOp::Gt, Lit::Int(42)));
+        assert!(holds(Field::Owner, CmpOp::Gt, Lit::Int(i64::MAX)));
+        assert!(holds(Field::Pid, CmpOp::Lt, Lit::Str("x".into())));
+        assert!(holds(Field::Pid, CmpOp::Lt, Lit::Str(String::new())));
+        assert!(!holds(Field::Pid, CmpOp::Eq, Lit::Str("100".into())));
     }
 
     /// EXPLAIN's filter text: `TRUE`, parenthesized legs, doubled `'`.
     #[test]
     fn sql_rendering() {
-        let sql = |kind, exprs: &[Expr]| EntityFilter::lower(kind, exprs).unwrap().to_sql("v");
+        let sql = |kind, conds: &[Cond]| filter(kind, conds).to_sql("v");
         assert_eq!(sql(EntityKind::Network, &[]), "TRUE");
         let compound = [
-            cmp("owner", CmpOp::Eq, Lit::Str("root".into())),
-            Expr::Or(vec![
-                cmp("exename", CmpOp::Like, Lit::Str("%/bin/tar%".into())),
-                cmp("pid", CmpOp::Ge, Lit::Int(10)),
+            cmp(Field::Owner, CmpOp::Eq, Lit::Str("root".into())),
+            Cond::Or(vec![
+                cmp(Field::Exename, CmpOp::Like, Lit::Str("%/bin/tar%".into())),
+                cmp(Field::Pid, CmpOp::Ge, Lit::Int(10)),
             ]),
         ];
         assert_eq!(
             sql(EntityKind::Process, &compound),
             "(v.owner = 'root') AND ((v.exename LIKE '%/bin/tar%') OR (v.pid >= 10))"
         );
-        let quoted = [cmp("name", CmpOp::Ne, Lit::Str("o'brien".into()))];
+        let quoted = [cmp(Field::Name, CmpOp::Ne, Lit::Str("o'brien".into()))];
         assert_eq!(sql(EntityKind::File, &quoted), "v.name != 'o''brien'");
-        let port = [cmp("dstport", CmpOp::Like, Lit::Int(44))];
+        let port = [cmp(Field::DstPort, CmpOp::Like, Lit::Int(44))];
         assert_eq!(sql(EntityKind::Network, &port), "v.dstport LIKE '44'");
     }
 
@@ -414,13 +412,22 @@ mod tests {
         assert!(like_match("%a", "%ba"));
     }
 
-    /// Attribute names per kind, all ten.
-    const ATTRS: [(EntityKind, &[&str]); 3] = [
-        (EntityKind::Process, &["pid", "exename", "cmdline", "owner"]),
-        (EntityKind::File, &["name"]),
+    /// Fields per kind, all ten.
+    const ATTRS: [(EntityKind, &[Field]); 3] = [
+        (
+            EntityKind::Process,
+            &[Field::Pid, Field::Exename, Field::Cmdline, Field::Owner],
+        ),
+        (EntityKind::File, &[Field::Name]),
         (
             EntityKind::Network,
-            &["srcip", "srcport", "dstip", "dstport", "protocol"],
+            &[
+                Field::SrcIp,
+                Field::SrcPort,
+                Field::DstIp,
+                Field::DstPort,
+                Field::Protocol,
+            ],
         ),
     ];
 
@@ -501,14 +508,14 @@ mod tests {
             .collect()
     }
 
-    /// Whether the typed filter and the reference agree on `exprs` (the
+    /// Whether the typed filter and the reference agree on `conds` (the
     /// filters of a variable of `kind`) for every entity in `entities`.
-    fn agree(kind: EntityKind, exprs: &[Expr], entities: &[Entity]) -> Result<(), String> {
-        let filter = EntityFilter::lower(kind, exprs).map_err(|e| e.to_string())?;
+    fn agree(kind: EntityKind, conds: &[Cond], entities: &[Entity]) -> Result<(), String> {
+        let filter = filter(kind, conds);
         for entity in entities {
-            let want = entity.kind() == kind && exprs.iter().all(|e| holds(e, entity));
+            let want = entity.kind() == kind && conds.iter().all(|c| holds(c, entity));
             if filter.matches(entity) != want {
-                return Err(format!("{exprs:?} on {entity:?}: reference says {want}"));
+                return Err(format!("{conds:?} on {entity:?}: reference says {want}"));
             }
         }
         Ok(())
@@ -522,11 +529,11 @@ mod tests {
     fn every_leaf_agrees_with_the_reference() {
         let entities = pool();
         let mut leaves = 0;
-        for (kind, attrs) in ATTRS {
-            for attr in attrs {
+        for (kind, fields) in ATTRS {
+            for &field in fields {
                 for op in OPS {
                     for lit in literals() {
-                        agree(kind, &[cmp(attr, op, lit)], &entities).unwrap();
+                        agree(kind, &[cmp(field, op, lit)], &entities).unwrap();
                         leaves += 1;
                     }
                 }
@@ -537,7 +544,7 @@ mod tests {
 
     /// `tree` builds an `And`/`Or` tree over `leaves`: 2 or 3 legs per
     /// node and the connective picked by the next bits of `shape`.
-    fn tree(leaves: &[Expr], shape: &mut u64) -> Expr {
+    fn tree(leaves: &[Cond], shape: &mut u64) -> Cond {
         if leaves.len() == 1 {
             return leaves[0].clone();
         }
@@ -550,9 +557,9 @@ mod tests {
         let size = leaves.len().div_ceil(arity);
         let legs = leaves.chunks(size).map(|c| tree(c, shape)).collect();
         if and {
-            Expr::And(legs)
+            Cond::And(legs)
         } else {
-            Expr::Or(legs)
+            Cond::Or(legs)
         }
     }
 
@@ -570,18 +577,18 @@ mod tests {
             shape in any::<u64>(),
             spec in prop::collection::vec((0u8..3, any::<u8>()), 0..40),
         ) {
-            let (kind, attrs) = ATTRS[kind];
+            let (kind, fields) = ATTRS[kind];
             let lits = literals();
-            let leaves: Vec<Expr> = raw
+            let leaves: Vec<Cond> = raw
                 .iter()
                 .map(|&(a, op, l)| {
-                    let attr = attrs[usize::from(a) % attrs.len()];
-                    cmp(attr, OPS[op], lits[usize::from(l) % lits.len()].clone())
+                    let field = fields[usize::from(a) % fields.len()];
+                    cmp(field, OPS[op], lits[usize::from(l) % lits.len()].clone())
                 })
                 .collect();
             let mut shape = shape;
             // The merged filters of a variable mentioned twice.
-            let exprs = match split % leaves.len() {
+            let conds = match split % leaves.len() {
                 0 => vec![tree(&leaves, &mut shape)],
                 at => vec![tree(&leaves[..at], &mut shape), tree(&leaves[at..], &mut shape)],
             };
@@ -590,7 +597,7 @@ mod tests {
                 .enumerate()
                 .map(|(id, &(kind, attr))| entity(id, kind, attr))
                 .collect();
-            prop_assert_eq!(agree(kind, &exprs, &entities), Ok(()));
+            prop_assert_eq!(agree(kind, &conds, &entities), Ok(()));
         }
 
         /// Multi-byte text and patterns (2-, 3- and 4-byte characters)

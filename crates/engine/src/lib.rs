@@ -27,8 +27,9 @@
 //!
 //! The read path is **slot-compiled**: [`compile`] gives every entity
 //! variable and every pattern a slot (semantic analysis has already
-//! resolved `before` pairs to pattern indices and returned attributes to
-//! typed fields), so a partial match is a flat tuple
+//! resolved `before` pairs to pattern indices, returned attributes to
+//! typed fields and filters to typed conditions, so compile looks up no
+//! name and fails only on lint errors), so a partial match is a flat tuple
 //! (entity id per variable, `(start, end)` and witness positions per
 //! pattern) rather than three name-keyed maps. One pattern's data query
 //! *resolves* its entity filters — narrowed to the ids earlier
@@ -43,12 +44,12 @@
 //!
 //! Modules:
 //! * [`compile`] — analyzed TBQL → the executor's plan: per-variable
-//!   typed entity filters, per-pattern shape (typed operations, hop
-//!   bounds, as analysis resolved them), pruning scores, DBM bounds and
-//!   slot assignment;
-//! * [`filter`] — the typed entity filter a variable's TBQL filters
-//!   lower to: the audit schema's fields resolved at compile, evaluated
-//!   on a borrowed entity, rendered as SQL for EXPLAIN;
+//!   entity filters, per-pattern shape (typed operations, hop bounds),
+//!   all as analysis resolved them, pruning scores, DBM bounds and slot
+//!   assignment;
+//! * [`filter`] — a variable's entity filter: its kind and the
+//!   conditions analysis typed, evaluated on a borrowed entity, rendered
+//!   as SQL for EXPLAIN;
 //! * [`score`] — pruning scores;
 //! * [`exec`] — the scheduler: entity resolution through the plan's
 //!   [`exec::ResolveMemo`], the event scan, path expansion, the one

@@ -42,8 +42,8 @@ use std::cmp::Ordering;
 use std::collections::HashMap;
 use threatraptor_audit::entity::{Entity, EntityId};
 use threatraptor_audit::event::Event;
-use threatraptor_tbql::analyze::AnalyzedQuery;
-use threatraptor_tbql::ast::{CmpOp, Expr, Lit, PathPattern, Pattern, TimeWindow};
+use threatraptor_tbql::analyze::{AnalyzedQuery, Cond};
+use threatraptor_tbql::ast::{CmpOp, Lit, PathPattern, Pattern, TimeWindow};
 
 /// One way to witness a pattern: its endpoints, its events' positions
 /// and its time span.
@@ -233,12 +233,12 @@ fn in_window(window: Option<TimeWindow>, ev: &Event) -> bool {
     window.is_none_or(|w| ev.start >= w.lo && ev.end <= w.hi)
 }
 
-/// Whether `entity` satisfies the filter `expr`.
-pub(crate) fn holds(expr: &Expr, entity: &Entity) -> bool {
-    let (attr, op, value) = match expr {
-        Expr::And(legs) => return legs.iter().all(|leg| holds(leg, entity)),
-        Expr::Or(legs) => return legs.iter().any(|leg| holds(leg, entity)),
-        Expr::Cmp { attr, op, value } => (attr, *op, value),
+/// Whether `entity` satisfies the filter `cond`.
+pub(crate) fn holds(cond: &Cond, entity: &Entity) -> bool {
+    let (attr, op, value) = match cond {
+        Cond::And(legs) => return legs.iter().all(|leg| holds(leg, entity)),
+        Cond::Or(legs) => return legs.iter().any(|leg| holds(leg, entity)),
+        Cond::Cmp { field, op, value } => (field.name(), *op, value),
     };
     let Some(text) = entity.attr(attr) else {
         return false;
@@ -249,7 +249,7 @@ pub(crate) fn holds(expr: &Expr, entity: &Entity) -> bool {
             Lit::Int(i) => like(&i.to_string(), &text),
         };
     }
-    let numeric = ["pid", "srcport", "dstport"].contains(&attr.as_str());
+    let numeric = ["pid", "srcport", "dstport"].contains(&attr);
     let order = match (numeric, value) {
         (true, Lit::Int(i)) => text.parse::<i64>().expect("a numeric attribute").cmp(i),
         (true, Lit::Str(_)) => Ordering::Less,

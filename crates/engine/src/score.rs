@@ -12,16 +12,16 @@
 //! equality constraints earn a bonus over wildcard (`LIKE`) constraints —
 //! an exact IP pins far fewer rows than a substring match.
 
-use threatraptor_tbql::analyze::EntityInfo;
-use threatraptor_tbql::ast::{CmpOp, Expr, TimeWindow};
+use threatraptor_tbql::analyze::{Cond, EntityInfo};
+use threatraptor_tbql::ast::{CmpOp, TimeWindow};
 
-/// Counts `(total constraints, equality constraints)` in an expression.
-fn expr_counts(e: &Expr) -> (i64, i64) {
-    match e {
-        Expr::Cmp { op, .. } => (1, i64::from(*op == CmpOp::Eq)),
-        Expr::And(legs) | Expr::Or(legs) => legs
+/// Counts `(total constraints, equality constraints)` in a filter.
+fn cond_counts(c: &Cond) -> (i64, i64) {
+    match c {
+        Cond::Cmp { op, .. } => (1, i64::from(*op == CmpOp::Eq)),
+        Cond::And(legs) | Cond::Or(legs) => legs
             .iter()
-            .map(expr_counts)
+            .map(cond_counts)
             .fold((0, 0), |(a, b), (c, d)| (a + c, b + d)),
     }
 }
@@ -43,7 +43,7 @@ pub fn pruning_score(
     let mut equalities = 0i64;
     for info in [subject, object] {
         for f in &info.filters {
-            let (c, e) = expr_counts(f);
+            let (c, e) = cond_counts(f);
             constraints += c;
             equalities += e;
         }

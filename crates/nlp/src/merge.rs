@@ -157,43 +157,25 @@ fn merge_by(mentions: &[Ioc], mut same: impl FnMut(usize, usize) -> bool) -> Ioc
             }
         }
     }
-    // Canonical representative per class: the longest text (most
-    // specific); ties broken by earliest appearance.
-    let mut class_best: std::collections::HashMap<usize, usize> = std::collections::HashMap::new();
-    for i in 0..n {
-        let root = dsu.find(i);
-        let entry = class_best.entry(root).or_insert(i);
-        let better = mentions[i].text.len() > mentions[*entry].text.len();
-        if better {
-            *entry = i;
-        }
-    }
-    // Stable canon ordering: by first mention index of the class.
-    let mut classes: Vec<(usize, usize)> = class_best.iter().map(|(&r, &b)| (r, b)).collect();
-    classes.sort_by_key(|&(root, _)| {
-        (0..n)
-            .find(|&i| {
-                dsu.parent[i] == root || {
-                    // parent may be un-compressed; compare via find on a clone
-                    // is overkill — roots are already compressed by the loop
-                    // above.
-                    false
-                }
-            })
-            .unwrap_or(root)
-    });
-    let mut canon = Vec::with_capacity(classes.len());
-    let mut root_to_canon: std::collections::HashMap<usize, usize> =
-        std::collections::HashMap::new();
-    for (root, best) in classes {
-        root_to_canon.insert(root, canon.len());
-        canon.push(mentions[best].clone());
-    }
+    // One pass in mention order: a class's canonical id is the rank of
+    // its first mention, its representative its longest (most specific)
+    // text, the earliest on ties.
+    let mut root_canon: Vec<Option<usize>> = vec![None; n];
+    let mut best: Vec<usize> = Vec::new();
     let mention_canon = (0..n)
-        .map(|i| CanonId(root_to_canon[&dsu.find(i)]))
+        .map(|i| {
+            let k = *root_canon[dsu.find(i)].get_or_insert_with(|| {
+                best.push(i);
+                best.len() - 1
+            });
+            if mentions[i].text.len() > mentions[best[k]].text.len() {
+                best[k] = i;
+            }
+            CanonId(k)
+        })
         .collect();
     IocTable {
-        canon,
+        canon: best.into_iter().map(|i| mentions[i].clone()).collect(),
         mention_canon,
     }
 }
@@ -417,6 +399,44 @@ mod tests {
             let (fast, oracle) = (merge(&mentions), merge_pairwise(&mentions));
             prop_assert_eq!(&fast.canon, &oracle.canon);
             prop_assert_eq!(&fast.mention_canon, &oracle.mention_canon);
+        }
+
+        /// `merge_by`'s table rules, for any partition of the mentions:
+        /// canon `k` is the `k`-th class by first mention, a class is
+        /// represented by its longest text (the earliest on ties), and
+        /// `mention_canon[i]` is the class of mention `i`.
+        #[test]
+        fn merge_by_table_rules(
+            spec in prop::collection::vec((0usize..5, 0usize..4), 0..16),
+        ) {
+            // Mention `i` has class label `spec[i].0`, a text of length
+            // `spec[i].1`, and `start == i` to tell tied texts apart.
+            let mentions: Vec<Ioc> = spec
+                .iter()
+                .enumerate()
+                .map(|(i, &(_, len))| Ioc { start: i, ..ioc(&"a".repeat(len), IocType::FilePath) })
+                .collect();
+            let t = merge_by(&mentions, |i, j| spec[i].0 == spec[j].0);
+            let mut labels: Vec<usize> = Vec::new();
+            for &(label, _) in &spec {
+                if !labels.contains(&label) {
+                    labels.push(label);
+                }
+            }
+            prop_assert_eq!(t.len(), labels.len());
+            for (k, &label) in labels.iter().enumerate() {
+                let mut best: Option<usize> = None;
+                for (i, &(l, len)) in spec.iter().enumerate() {
+                    if l == label && best.is_none_or(|b| len > spec[b].1) {
+                        best = Some(i);
+                    }
+                }
+                prop_assert_eq!(t.canon[k].start, best.unwrap());
+            }
+            for (i, &(label, _)) in spec.iter().enumerate() {
+                let k = labels.iter().position(|&l| l == label).unwrap();
+                prop_assert_eq!(t.mention_canon[i], CanonId(k));
+            }
         }
     }
 }

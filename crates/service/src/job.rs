@@ -56,7 +56,9 @@ pub enum ServiceError {
     /// lint diagnostics: temporal infeasibility, contradictory filters).
     /// Rejected at compile time, before any rows are scanned.
     Infeasible(Vec<Diagnostic>),
-    /// Parsing, analysis, compilation, or execution failed.
+    /// Parsing or semantic analysis failed ([`EngineError::Semantic`]):
+    /// compile fails only as [`ServiceError::Infeasible`], and execution
+    /// does not fail.
     Engine(EngineError),
     /// The worker executing the job panicked; carries the panic payload
     /// rendered as text. The worker itself survives (panic isolation in
@@ -145,7 +147,7 @@ mod tests {
 
     #[test]
     fn infeasible_engine_errors_map_to_infeasible() {
-        use threatraptor_tbql::error::Span;
+        use threatraptor_tbql::error::{Span, TbqlError};
         use threatraptor_tbql::lint::Severity;
         let diag = Diagnostic {
             code: "E001",
@@ -159,7 +161,10 @@ mod tests {
         assert!(text.contains("static analysis"), "{text}");
         assert!(text.contains("E001"), "{text}");
         // Non-infeasible engine errors keep the Engine wrapper.
-        let e = ServiceError::from(EngineError::Execution("boom".into()));
+        let e = ServiceError::from(EngineError::Semantic(TbqlError::new(
+            Span::new(0, 4),
+            "boom",
+        )));
         assert!(matches!(e, ServiceError::Engine(_)));
     }
 }

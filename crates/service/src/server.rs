@@ -976,9 +976,10 @@ fn dispatch_loop(
                             })
                             .is_ok()
                 }
-                // The plan compiled at registration; an execution error
-                // here is unrecoverable for this query. Dropping the
-                // entry disconnects the subscriber, which is the signal.
+                // The plan compiled at registration and execution does
+                // not fail, so no engine error arises here; the arm exists
+                // because `FollowHunt::poll` returns a `Result`. Dropping
+                // the entry would disconnect the subscriber.
                 Err(_) => false,
             }
         });

@@ -11,7 +11,8 @@
 //!
 //! Names are resolved here once, and later stages read the result:
 //! [`AnalyzedQuery`] holds each pattern's [`PatternShape`], each `before`
-//! pair as pattern indices and each return item as a schema [`Field`].
+//! pair as pattern indices, each return item as a schema [`Field`] and
+//! each filter as a [`Cond`] over schema fields.
 
 use crate::ast::*;
 use crate::error::{Span, TbqlError};
@@ -24,10 +25,29 @@ use threatraptor_audit::event::Operation;
 pub struct EntityInfo {
     /// Resolved entity type.
     pub ty: EntityKind,
-    /// Conjunction of all filters attached to any mention, normalized
-    /// (sugar expanded, `=`-with-wildcards rewritten to `like`, numeric
-    /// literals coerced).
-    pub filters: Vec<Expr>,
+    /// Conjunction of all filters attached to any mention, one per
+    /// mention filter, normalized (sugar expanded, `=`-with-wildcards
+    /// rewritten to `like`, numeric literals coerced).
+    pub filters: Vec<Cond>,
+}
+
+/// A filter with its attribute resolved: an [`Expr`] over the audit
+/// schema's [`Field`]s.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Cond {
+    /// `field <op> value`; the operator may be [`CmpOp::Like`].
+    Cmp {
+        /// The attribute compared.
+        field: Field,
+        /// Comparison operator.
+        op: CmpOp,
+        /// Literal operand.
+        value: Lit,
+    },
+    /// Conjunction.
+    And(Vec<Cond>),
+    /// Disjunction.
+    Or(Vec<Cond>),
 }
 
 /// What a pattern matches, resolved against the audit schema.
@@ -372,8 +392,8 @@ pub fn analyze(query: &Query) -> Result<AnalyzedQuery, TbqlError> {
     })
 }
 
-/// Expands filter sugar and validates attribute names.
-fn normalize_filter(filter: &Filter, ty: EntityKind, span: Span) -> Result<Expr, TbqlError> {
+/// Expands filter sugar and resolves attribute names to fields.
+fn normalize_filter(filter: &Filter, ty: EntityKind, span: Span) -> Result<Cond, TbqlError> {
     match filter {
         Filter::Default(s) => {
             let op = if s.contains('%') || s.contains('_') {
@@ -381,8 +401,8 @@ fn normalize_filter(filter: &Filter, ty: EntityKind, span: Span) -> Result<Expr,
             } else {
                 CmpOp::Eq
             };
-            Ok(Expr::Cmp {
-                attr: ty.default_field().name().to_string(),
+            Ok(Cond::Cmp {
+                field: ty.default_field(),
                 op,
                 value: Lit::Str(s.clone()),
             })
@@ -391,17 +411,17 @@ fn normalize_filter(filter: &Filter, ty: EntityKind, span: Span) -> Result<Expr,
     }
 }
 
-fn normalize_expr(expr: &Expr, ty: EntityKind, span: Span) -> Result<Expr, TbqlError> {
+fn normalize_expr(expr: &Expr, ty: EntityKind, span: Span) -> Result<Cond, TbqlError> {
     match expr {
         Expr::Cmp { attr, op, value } => {
-            let numeric = field(ty, attr, span)?.is_numeric();
+            let field = field(ty, attr, span)?;
             // `=` with wildcards means pattern matching.
             let op = match (op, value) {
                 (CmpOp::Eq, Lit::Str(s)) if s.contains('%') || s.contains('_') => CmpOp::Like,
                 _ => *op,
             };
             // Numeric attribute literals coerce to integers.
-            let value = if numeric {
+            let value = if field.is_numeric() {
                 match value {
                     Lit::Str(s) => match s.parse::<i64>() {
                         Ok(v) => Lit::Int(v),
@@ -418,18 +438,14 @@ fn normalize_expr(expr: &Expr, ty: EntityKind, span: Span) -> Result<Expr, TbqlE
             } else {
                 value.clone()
             };
-            Ok(Expr::Cmp {
-                attr: attr.clone(),
-                op,
-                value,
-            })
+            Ok(Cond::Cmp { field, op, value })
         }
-        Expr::And(legs) => Ok(Expr::And(
+        Expr::And(legs) => Ok(Cond::And(
             legs.iter()
                 .map(|l| normalize_expr(l, ty, span))
                 .collect::<Result<_, _>>()?,
         )),
-        Expr::Or(legs) => Ok(Expr::Or(
+        Expr::Or(legs) => Ok(Cond::Or(
             legs.iter()
                 .map(|l| normalize_expr(l, ty, span))
                 .collect::<Result<_, _>>()?,
@@ -462,8 +478,8 @@ mod tests {
         // p1's default filter expanded to a LIKE on exename.
         assert_eq!(
             a.entities["p1"].filters,
-            vec![Expr::Cmp {
-                attr: "exename".into(),
+            vec![Cond::Cmp {
+                field: Field::Exename,
                 op: CmpOp::Like,
                 value: Lit::Str("%/bin/tar%".into())
             }]
@@ -471,8 +487,8 @@ mod tests {
         // i1's exact IP stays an equality.
         assert_eq!(
             a.entities["i1"].filters,
-            vec![Expr::Cmp {
-                attr: "dstip".into(),
+            vec![Cond::Cmp {
+                field: Field::DstIp,
                 op: CmpOp::Eq,
                 value: Lit::Str("192.168.29.128".into())
             }]
@@ -536,8 +552,8 @@ mod tests {
         let a = analyzed(r#"proc p[pid = "42"] read file f return p"#);
         assert_eq!(
             a.entities["p"].filters,
-            vec![Expr::Cmp {
-                attr: "pid".into(),
+            vec![Cond::Cmp {
+                field: Field::Pid,
                 op: CmpOp::Eq,
                 value: Lit::Int(42)
             }]
@@ -641,6 +657,33 @@ mod tests {
     fn unknown_only_operation_rejected() {
         let err = built_with_ops(&["teleport"]).unwrap_err();
         assert_eq!(err.message, "unknown operation `teleport`");
+    }
+
+    /// Every filter shape resolves to its typed form: default-attribute
+    /// sugar, numeric coercion, an integer `like` pattern and `||` trees.
+    #[test]
+    fn filters_resolve_to_typed_conditions() {
+        let a = analyzed(
+            r#"proc p["%sh"] read file f as e1 proc p[pid = "42"] read f as e2
+               proc p[pid like 42 || (owner = "root" && exename != "/bin/sh")] write f
+               return p"#,
+        );
+        let cmp = |field, op, value| Cond::Cmp { field, op, value };
+        assert_eq!(
+            a.entities["p"].filters,
+            [
+                cmp(Field::Exename, CmpOp::Like, Lit::Str("%sh".into())),
+                cmp(Field::Pid, CmpOp::Eq, Lit::Int(42)),
+                Cond::Or(vec![
+                    cmp(Field::Pid, CmpOp::Like, Lit::Int(42)),
+                    Cond::And(vec![
+                        cmp(Field::Owner, CmpOp::Eq, Lit::Str("root".into())),
+                        cmp(Field::Exename, CmpOp::Ne, Lit::Str("/bin/sh".into())),
+                    ]),
+                ]),
+            ]
+        );
+        assert!(a.entities["f"].filters.is_empty());
     }
 
     #[test]

@@ -19,11 +19,12 @@
 //! ride along with the compiled plan (the plan cache stores the report)
 //! and never block execution.
 
-use crate::analyze::AnalyzedQuery;
-use crate::ast::{CmpOp, EntityRef, Expr, Lit, TemporalRel};
+use crate::analyze::{AnalyzedQuery, Cond};
+use crate::ast::{CmpOp, EntityRef, Lit, TemporalRel};
 use crate::dbm::{analyze_temporal, TemporalAnalysis};
 use crate::error::{render_with_source, Span};
-use std::collections::{BTreeMap, HashSet};
+use std::collections::{HashMap, HashSet};
+use threatraptor_audit::entity::Field;
 
 /// Diagnostic severity.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -199,15 +200,15 @@ fn lint_temporal(aq: &AnalyzedQuery, temporal: &TemporalAnalysis, out: &mut Vec<
     }
 }
 
-/// Flattens a conjunction of filter expressions into its `Cmp` leaves,
+/// Flattens a conjunction of filters into its comparison leaves,
 /// recursing through `And` (an `Or` leg is not a conjunct and is
 /// skipped).
-fn conjunct_cmps<'a>(filters: &'a [Expr], out: &mut Vec<&'a Expr>) {
+fn conjunct_cmps<'a>(filters: &'a [Cond], out: &mut Vec<(Field, CmpOp, &'a Lit)>) {
     for f in filters {
         match f {
-            Expr::Cmp { .. } => out.push(f),
-            Expr::And(legs) => conjunct_cmps(legs, out),
-            Expr::Or(_) => {}
+            Cond::Cmp { field, op, value } => out.push((*field, *op, value)),
+            Cond::And(legs) => conjunct_cmps(legs, out),
+            Cond::Or(_) => {}
         }
     }
 }
@@ -318,22 +319,20 @@ fn lint_filters(aq: &AnalyzedQuery, out: &mut Vec<Diagnostic>) {
         // E002: conjunction of Cmp leaves unsatisfiable.
         let mut cmps = Vec::new();
         conjunct_cmps(&info.filters, &mut cmps);
-        let mut by_attr: BTreeMap<&str, AttrState<'_>> = BTreeMap::new();
-        'outer: for cmp in &cmps {
-            let Expr::Cmp { attr, op, value } = cmp else {
-                continue;
-            };
-            let state = by_attr.entry(attr.as_str()).or_insert_with(AttrState::new);
-            if let Some(detail) = state.add(*op, value) {
+        let mut by_field: HashMap<Field, AttrState<'_>> = HashMap::new();
+        for (field, op, value) in cmps {
+            let state = by_field.entry(field).or_insert_with(AttrState::new);
+            if let Some(detail) = state.add(op, value) {
                 out.push(Diagnostic {
                     code: "E002",
                     severity: Severity::Error,
                     span,
                     message: format!(
-                        "filters on `{var}` can never match: attribute `{attr}` {detail}"
+                        "filters on `{var}` can never match: attribute `{}` {detail}",
+                        field.name()
                     ),
                 });
-                break 'outer;
+                break;
             }
         }
         // W003: a whole filter leg that is always true.
@@ -354,17 +353,17 @@ fn lint_filters(aq: &AnalyzedQuery, out: &mut Vec<Diagnostic>) {
     }
 }
 
-/// `true` when the expression matches every entity.
-fn is_tautology(e: &Expr) -> bool {
-    match e {
-        Expr::Cmp {
+/// `true` when the filter matches every entity.
+fn is_tautology(c: &Cond) -> bool {
+    match c {
+        Cond::Cmp {
             op: CmpOp::Like,
             value: Lit::Str(s),
             ..
         } => !s.is_empty() && s.chars().all(|c| c == '%'),
-        Expr::Cmp { .. } => false,
-        Expr::And(legs) => legs.iter().all(is_tautology),
-        Expr::Or(legs) => legs.iter().any(is_tautology),
+        Cond::Cmp { .. } => false,
+        Cond::And(legs) => legs.iter().all(is_tautology),
+        Cond::Or(legs) => legs.iter().any(is_tautology),
     }
 }
 

@@ -1,17 +1,22 @@
 //! Panic-free input boundaries: byte-level fuzz loops over the two places
 //! untrusted text enters the system, the raw-log feed
-//! ([`LogFeed::by_events`], and so `Parser::parse_line`) and the TBQL
-//! parser ([`parse_query`]). Every input must come back as `Ok` or a
-//! typed error; a panic fails the case, and the proptest shim prints the
-//! generated input. Two input shapes per target: arbitrary bytes read as
-//! lossy UTF-8, and valid text with random bytes spliced in, which gets
-//! past the first field check and into the deeper parsing paths.
+//! ([`LogFeed::by_events`], and so `Parser::parse_line`) and TBQL, whose
+//! every parsed input goes on through semantic analysis ([`analyze`]),
+//! the lint pass and plan compilation ([`compile_with_lint`]). Every
+//! input must come back as `Ok` or a typed error; a panic fails the case,
+//! and the proptest shim prints the generated input. Two input shapes per
+//! target: arbitrary bytes read as lossy UTF-8, and valid text with
+//! random bytes spliced in, which gets past the first field check and
+//! into the deeper parsing paths.
 
 use proptest::prelude::*;
 use std::sync::OnceLock;
 use threatraptor_audit::sim::scenario::{AttackKind, ScenarioBuilder};
 use threatraptor_audit::LogFeed;
 use threatraptor_bench::cases::{DB_EXFIL_TBQL, MALWARE_DROP_TBQL, PASSWORD_CRACK_TBQL};
+use threatraptor_engine::compile::compile_with_lint;
+use threatraptor_engine::EngineError;
+use threatraptor_tbql::analyze::analyze;
 use threatraptor_tbql::parser::{parse_query, FIG2_TBQL, MAX_NESTING};
 
 /// Drains a feed over `raw` cut every `n` events. The feed ends at its
@@ -40,12 +45,39 @@ fn splice(text: &str, at: u64, cut: u64, bytes: &[u8]) -> String {
     String::from_utf8_lossy(&out).into_owned()
 }
 
-/// Parses `src`, rendering any error against it as a caller would: the
-/// error's span must fall on char boundaries of the source.
-fn parse_and_render(src: &str) {
-    if let Err(e) = parse_query(src) {
-        e.render(src);
+/// Parses, analyzes, lints and compiles `src`, rendering each stage's
+/// error or diagnostics against it as a caller would: their spans must
+/// fall on char boundaries of the source. Compile fails only on the lint
+/// pass's errors, as [`EngineError::Infeasible`].
+fn check_query(src: &str) -> Result<(), TestCaseError> {
+    let query = match parse_query(src) {
+        Ok(query) => query,
+        Err(e) => {
+            e.render(src);
+            return Ok(());
+        }
+    };
+    let aq = match analyze(&query) {
+        Ok(aq) => aq,
+        Err(e) => {
+            e.render(src);
+            return Ok(());
+        }
+    };
+    match compile_with_lint(&aq) {
+        Ok((_, report)) => {
+            prop_assert!(!report.has_errors(), "compiled despite lint errors");
+            report.render(src);
+        }
+        Err(EngineError::Infeasible(diags)) => {
+            prop_assert!(!diags.is_empty(), "infeasible without a diagnostic");
+            for d in &diags {
+                d.render(src);
+            }
+        }
+        Err(e) => prop_assert!(false, "compile failed with {e:?}"),
     }
+    Ok(())
 }
 
 /// A few hundred lines of a simulated log with an attack in it: every
@@ -70,7 +102,7 @@ const QUERIES: [&str; 5] = [
     PASSWORD_CRACK_TBQL,
     MALWARE_DROP_TBQL,
     DB_EXFIL_TBQL,
-    r#"proc p[exe_name like "%sh%" && (pid > 3 || pid <= 2)] ~>(1~3)[write] file f as flow
+    r#"proc p[exename like "%sh%" && (pid > 3 || pid <= 2)] ~>(1~3)[write] file f as flow
        return distinct p, f.name // a comment"#,
 ];
 
@@ -104,7 +136,7 @@ proptest! {
     fn tbql_parser_survives_arbitrary_bytes(
         bytes in prop::collection::vec(any::<u8>(), 0..2048),
     ) {
-        parse_and_render(&String::from_utf8_lossy(&bytes));
+        check_query(&String::from_utf8_lossy(&bytes))?;
     }
 
     #[test]
@@ -114,18 +146,36 @@ proptest! {
         cut in any::<u64>(),
         bytes in prop::collection::vec(any::<u8>(), 0..16),
     ) {
-        parse_and_render(&splice(QUERIES[query], at, cut, &bytes));
+        check_query(&splice(QUERIES[query], at, cut, &bytes))?;
     }
 }
 
-/// The splice loops start from text the parsers accept.
+/// The splice loops start from text the parsers accept, and every TBQL
+/// seed analyzes and compiles, so spliced inputs reach every stage.
 #[test]
 fn splice_seeds_parse() {
     for query in QUERIES {
-        parse_query(query).unwrap_or_else(|e| panic!("{e}\n{query}"));
+        let parsed = parse_query(query).unwrap_or_else(|e| panic!("{e}\n{query}"));
+        let aq = analyze(&parsed).unwrap_or_else(|e| panic!("{e}\n{query}"));
+        compile_with_lint(&aq).unwrap_or_else(|e| panic!("{e}\n{query}"));
     }
     let raw = raw_lines().join("\n");
     assert!(LogFeed::by_events(&raw, 50).all(|chunk| chunk.is_ok()));
+}
+
+/// Each stage's error is a typed value `check_query` accepts: a parse
+/// error, an analysis error, and compile's lint rejections (E001, E002).
+#[test]
+fn every_stage_fails_typed() {
+    for src in [
+        "proc p read",
+        r#"proc p[name = "x"] read file f return p"#,
+        "proc p read file f as e1 proc p write file g as e2 \
+         with e1 before e2, e2 before e1 return p",
+        "proc p[pid = 1 && pid = 2] read file f return p",
+    ] {
+        check_query(src).unwrap_or_else(|e| panic!("{e}\n{src}"));
+    }
 }
 
 /// A lone non-ASCII letter: the lexer read each UTF-8 byte as a char of
