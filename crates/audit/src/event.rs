@@ -172,11 +172,27 @@ impl FromStr for Operation {
     type Err = UnknownOperation;
 
     fn from_str(s: &str) -> Result<Self, Self::Err> {
-        Operation::ALL
-            .iter()
-            .copied()
-            .find(|op| op.name() == s)
-            .ok_or_else(|| UnknownOperation(s.to_string()))
+        Ok(match s {
+            "read" => Operation::Read,
+            "write" => Operation::Write,
+            "open" => Operation::Open,
+            "close" => Operation::Close,
+            "execute" => Operation::Execute,
+            "rename" => Operation::Rename,
+            "unlink" => Operation::Unlink,
+            "chmod" => Operation::Chmod,
+            "chown" => Operation::Chown,
+            "mmap" => Operation::Mmap,
+            "fork" => Operation::Fork,
+            "clone" => Operation::Clone,
+            "kill" => Operation::Kill,
+            "setuid" => Operation::Setuid,
+            "connect" => Operation::Connect,
+            "accept" => Operation::Accept,
+            "send" => Operation::Send,
+            "recv" => Operation::Recv,
+            _ => return Err(UnknownOperation(s.to_string())),
+        })
     }
 }
 

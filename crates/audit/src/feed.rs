@@ -3,12 +3,15 @@
 //!
 //! The paper's deployment tails a live Sysdig capture; this reproduction
 //! replays a raw log document *as if* it were live: a [`LogFeed`] walks
-//! the text line by line through the ordinary streaming [`Parser`] and
-//! yields a [`LogChunk`] every `n` events. Entity ids and event ids are
-//! identical to a one-shot [`Parser::parse_document`] of the same text —
-//! the feed only changes *when* data becomes visible, never what it is.
+//! the text with the parser's own line walker (the one
+//! [`Parser::parse_document`] drains), hands each record line to the
+//! ordinary streaming [`Parser`], and yields a [`LogChunk`] every `n`
+//! events. Entity ids and event ids are identical to a one-shot
+//! [`Parser::parse_document`] of the same text — the feed only changes
+//! *when* data becomes visible, never what it is. It validates nothing
+//! itself: a malformed line's [`ParseError`] comes from the parser.
 
-use crate::parser::{LogChunk, ParseError, Parser};
+use crate::parser::{LogChunk, ParseError, Parser, Records};
 
 /// An iterator of [`LogChunk`]s over a raw log document: a chunk every
 /// `n` events (the last chunk may be shorter).
@@ -17,8 +20,7 @@ use crate::parser::{LogChunk, ParseError, Parser};
 #[derive(Debug)]
 pub struct LogFeed<'a> {
     parser: Parser,
-    lines: std::str::Lines<'a>,
-    lineno: usize,
+    records: Records<'a>,
     /// Events per chunk.
     n: usize,
     done: bool,
@@ -29,8 +31,7 @@ impl<'a> LogFeed<'a> {
     pub fn by_events(raw: &'a str, n: usize) -> LogFeed<'a> {
         LogFeed {
             parser: Parser::new(),
-            lines: raw.lines(),
-            lineno: 0,
+            records: Records::new(raw),
             n: n.max(1),
             done: false,
         }
@@ -44,19 +45,8 @@ impl Iterator for LogFeed<'_> {
         if self.done {
             return None;
         }
-        loop {
-            let Some(line) = self.lines.next() else {
-                // End of input: flush whatever is pending, once.
-                self.done = true;
-                let chunk = self.parser.take_chunk();
-                return (!chunk.is_empty()).then_some(Ok(chunk));
-            };
-            self.lineno += 1;
-            let trimmed = line.trim_end();
-            if trimmed.is_empty() || trimmed.starts_with('#') {
-                continue;
-            }
-            if let Err(e) = self.parser.parse_line(trimmed, self.lineno) {
+        for (lineno, line) in self.records.by_ref() {
+            if let Err(e) = self.parser.parse_line(line, lineno) {
                 self.done = true;
                 return Some(Err(e));
             }
@@ -64,6 +54,10 @@ impl Iterator for LogFeed<'_> {
                 return Some(Ok(self.parser.take_chunk()));
             }
         }
+        // End of input: flush whatever is pending, once.
+        self.done = true;
+        let chunk = self.parser.take_chunk();
+        (!chunk.is_empty()).then_some(Ok(chunk))
     }
 }
 

@@ -9,9 +9,30 @@
 //!   within a scenario, but the pair is future-proof;
 //! * files are keyed by absolute path;
 //! * network connections are keyed by the full 5-tuple.
+//!
+//! One line walker, `Records`, turns a document into numbered record
+//! lines for both [`Parser::parse_document`] and [`crate::feed::LogFeed`]:
+//! it splits at `\n` or `\r\n`, trims trailing (Unicode) whitespace, and
+//! skips blank and `#` lines while still counting them. Everything else
+//! is checked per line by [`Parser::parse_line`], which scans the line's
+//! bytes once, cutting at tabs (and the object spec at `|`) into slices
+//! of the line: the field count, each number (by `str::parse`, so `+5`
+//! is a number and an overflow is an error), `end ≥ start`, the
+//! operation name, the tag, and the object spec's kind, its agreement
+//! with the operation, its part count, pid and ports. A line that fails
+//! a check yields a [`ParseError`] with its line number and adds no
+//! event.
+//!
+//! The three interning maps keep std's keyed (SipHash) hasher: paths,
+//! executable names and command lines come from the audited processes,
+//! so with an unkeyed hash such a process could choose keys that collide
+//! and slow parsing down for everyone. A lookup that hits allocates
+//! nothing, and a line whose subject is the previous line's skips the
+//! lookup.
 
-use crate::entity::{Entity, EntityId, FileEntity, NetworkEntity, ProcessEntity};
+use crate::entity::{Entity, EntityId, EntityKind, FileEntity, NetworkEntity, ProcessEntity};
 use crate::event::{AttackTag, Event, EventId, Operation};
+use crate::rawlog::push_decimal;
 use std::collections::HashMap;
 use std::fmt;
 
@@ -98,6 +119,9 @@ pub struct Parser {
     /// a parser over an endless log holds one chunk, not the log.
     out: ParsedLog,
     proc_ids: HashMap<(u32, u64), EntityId>,
+    /// The process `intern_process` saw last: a process issues its system
+    /// calls in runs, so most lines repeat the previous line's subject.
+    last_proc: Option<((u32, u64), EntityId)>,
     file_ids: HashMap<String, EntityId>,
     /// Keyed by the rendered 5-tuple (see [`Parser::intern_network`]).
     net_ids: HashMap<String, EntityId>,
@@ -119,13 +143,8 @@ impl Parser {
     /// lines starting with `#` are skipped. Fails fast on the first
     /// malformed line.
     pub fn parse_document(mut self, text: &str) -> Result<ParsedLog, ParseError> {
-        for (idx, line) in text.lines().enumerate() {
-            let lineno = idx + 1;
-            let trimmed = line.trim_end();
-            if trimmed.is_empty() || trimmed.starts_with('#') {
-                continue;
-            }
-            self.parse_line(trimmed, lineno)?;
+        for (lineno, line) in Records::new(text) {
+            self.parse_line(line, lineno)?;
         }
         Ok(self.out)
     }
@@ -138,9 +157,12 @@ impl Parser {
     /// Takes everything parsed since the last chunk: all pending entities
     /// and all pending events.
     pub fn take_chunk(&mut self) -> LogChunk {
+        // A feed cuts chunks of one size, so the next chunk's events get
+        // room for as many as this one holds instead of regrowing.
+        let room = self.out.events.len();
         let chunk = LogChunk {
             new_entities: std::mem::take(&mut self.out.entities),
-            events: std::mem::take(&mut self.out.events),
+            events: std::mem::replace(&mut self.out.events, Vec::with_capacity(room)),
         };
         self.taken_entities += chunk.new_entities.len();
         self.taken_events += chunk.events.len();
@@ -157,42 +179,38 @@ impl Parser {
             line: lineno,
             message,
         };
-        let Some(fields) = split_exact::<11>(line.split('\t')) else {
+        let (fields, count) = cut::<11>(line, b'\t');
+        if count != 11 {
             return Err(err(format!(
-                "expected 11 tab-separated fields, got {}",
-                line.split('\t').count()
+                "expected 11 tab-separated fields, got {count}"
             )));
-        };
-        let start: u64 = fields[0]
+        }
+        let [start, end, pid, exe, owner, pstart, cmdline, op, spec, bytes, tag] = fields;
+        let start: u64 = start
             .parse()
-            .map_err(|_| err(format!("bad start timestamp `{}`", fields[0])))?;
-        let end: u64 = fields[1]
+            .map_err(|_| err(format!("bad start timestamp `{start}`")))?;
+        let end: u64 = end
             .parse()
-            .map_err(|_| err(format!("bad end timestamp `{}`", fields[1])))?;
+            .map_err(|_| err(format!("bad end timestamp `{end}`")))?;
         if end < start {
             return Err(err(format!(
                 "event ends ({end}) before it starts ({start})"
             )));
         }
-        let pid: u32 = fields[2]
+        let pid: u32 = pid.parse().map_err(|_| err(format!("bad pid `{pid}`")))?;
+        let pstart: u64 = pstart
             .parse()
-            .map_err(|_| err(format!("bad pid `{}`", fields[2])))?;
-        let exe = fields[3];
-        let owner = fields[4];
-        let pstart: u64 = fields[5]
+            .map_err(|_| err(format!("bad process start time `{pstart}`")))?;
+        let op: Operation = op
             .parse()
-            .map_err(|_| err(format!("bad process start time `{}`", fields[5])))?;
-        let cmdline = fields[6];
-        let op: Operation = fields[7]
+            .map_err(|_| err(format!("unknown operation `{op}`")))?;
+        let bytes: u64 = bytes
             .parse()
-            .map_err(|_| err(format!("unknown operation `{}`", fields[7])))?;
-        let bytes: u64 = fields[9]
-            .parse()
-            .map_err(|_| err(format!("bad byte count `{}`", fields[9])))?;
-        let tag = parse_tag(fields[10]).map_err(err)?;
+            .map_err(|_| err(format!("bad byte count `{bytes}`")))?;
+        let tag = parse_tag(tag).map_err(err)?;
 
         let subject = self.intern_process(pid, exe, owner, cmdline, pstart);
-        let object = self.parse_object(fields[8], op, lineno)?;
+        let object = self.parse_object(spec, op, lineno)?;
 
         let id = EventId((self.taken_events + self.out.events.len()) as u32);
         self.out.events.push(Event {
@@ -219,25 +237,26 @@ impl Parser {
             line: lineno,
             message,
         };
-        let mut rest = spec.split('|');
-        let kind = rest.next().unwrap_or("");
+        let (parts, count) = cut::<6>(spec, b'|');
+        let [kind, a, b, c, d, e] = parts;
         match kind {
             "F" => {
-                if op.object_kind() != crate::entity::EntityKind::File {
+                if op.object_kind() != EntityKind::File {
                     return Err(err(format!("operation `{op}` cannot target a file")));
                 }
-                let Some([path]) = split_exact(rest) else {
+                if count != 2 {
                     return Err(err(format!("bad file objspec `{spec}`")));
-                };
-                Ok(self.intern_file(path))
+                }
+                Ok(self.intern_file(a))
             }
             "P" => {
-                if op.object_kind() != crate::entity::EntityKind::Process {
+                if op.object_kind() != EntityKind::Process {
                     return Err(err(format!("operation `{op}` cannot target a process")));
                 }
-                let Some([pid, exe, owner, pstart, cmdline]) = split_exact(rest) else {
+                if count != 6 {
                     return Err(err(format!("bad process objspec `{spec}`")));
-                };
+                }
+                let (pid, exe, owner, pstart, cmdline) = (a, b, c, d, e);
                 let pid: u32 = pid
                     .parse()
                     .map_err(|_| err(format!("bad object pid `{pid}`")))?;
@@ -247,12 +266,13 @@ impl Parser {
                 Ok(self.intern_process(pid, exe, owner, cmdline, pstart))
             }
             "N" => {
-                if op.object_kind() != crate::entity::EntityKind::Network {
+                if op.object_kind() != EntityKind::Network {
                     return Err(err(format!("operation `{op}` cannot target a connection")));
                 }
-                let Some([src_ip, src_port, dst_ip, dst_port, proto]) = split_exact(rest) else {
+                if count != 6 {
                     return Err(err(format!("bad network objspec `{spec}`")));
-                };
+                }
+                let (src_ip, src_port, dst_ip, dst_port, proto) = (a, b, c, d, e);
                 let src_port: u16 = src_port
                     .parse()
                     .map_err(|_| err(format!("bad source port `{src_port}`")))?;
@@ -273,19 +293,29 @@ impl Parser {
         cmdline: &str,
         start_time: u64,
     ) -> EntityId {
-        if let Some(&id) = self.proc_ids.get(&(pid, start_time)) {
-            return id;
+        let key = (pid, start_time);
+        if let Some((last, id)) = self.last_proc {
+            if last == key {
+                return id;
+            }
         }
-        let id = self.next_entity_id();
-        self.out.entities.push(Entity::Process(ProcessEntity {
-            id,
-            pid,
-            exename: exe.to_string(),
-            cmdline: cmdline.to_string(),
-            owner: owner.to_string(),
-            start_time,
-        }));
-        self.proc_ids.insert((pid, start_time), id);
+        let id = match self.proc_ids.get(&key) {
+            Some(&id) => id,
+            None => {
+                let id = self.next_entity_id();
+                self.out.entities.push(Entity::Process(ProcessEntity {
+                    id,
+                    pid,
+                    exename: exe.to_string(),
+                    cmdline: cmdline.to_string(),
+                    owner: owner.to_string(),
+                    start_time,
+                }));
+                self.proc_ids.insert(key, id);
+                id
+            }
+        };
+        self.last_proc = Some((key, id));
         id
     }
 
@@ -311,17 +341,21 @@ impl Parser {
         protocol: &str,
     ) -> EntityId {
         // The 5-tuple rendered with `|` between its parts is as unique as
-        // the tuple (the parts came out of a split on `|`), and a reused
+        // the tuple (the parts came out of a cut at `|`), and a reused
         // buffer makes the common case — a known connection — a lookup
         // by `&str` with no allocation.
-        use fmt::Write;
-        self.net_key.clear();
-        write!(
-            self.net_key,
-            "{src_ip}|{src_port}|{dst_ip}|{dst_port}|{protocol}"
-        )
-        .expect("writing to a String cannot fail");
-        if let Some(&id) = self.net_ids.get(self.net_key.as_str()) {
+        let key = &mut self.net_key;
+        key.clear();
+        key.push_str(src_ip);
+        key.push('|');
+        push_decimal(key, src_port.into());
+        key.push('|');
+        key.push_str(dst_ip);
+        key.push('|');
+        push_decimal(key, dst_port.into());
+        key.push('|');
+        key.push_str(protocol);
+        if let Some(&id) = self.net_ids.get(key.as_str()) {
             return id;
         }
         let id = self.next_entity_id();
@@ -338,15 +372,85 @@ impl Parser {
     }
 }
 
-/// The `N` parts of `parts`, or `None` when there are fewer or more.
-fn split_exact<'a, const N: usize>(
-    mut parts: impl Iterator<Item = &'a str>,
-) -> Option<[&'a str; N]> {
-    let mut out = [""; N];
-    for slot in &mut out {
-        *slot = parts.next()?;
+/// The lines of a raw log document that hold records, each with its
+/// 1-based line number: [`str::lines`] (so a line ends at `\n` or
+/// `\r\n`), trailing whitespace trimmed, and blank lines and `#`
+/// comments skipped but counted. [`Parser::parse_document`] and
+/// [`crate::feed::LogFeed`] both walk a document with it.
+#[derive(Debug, Clone)]
+pub(crate) struct Records<'a> {
+    lines: std::str::Lines<'a>,
+    lineno: usize,
+}
+
+impl<'a> Records<'a> {
+    pub(crate) fn new(text: &'a str) -> Records<'a> {
+        Records {
+            lines: text.lines(),
+            lineno: 0,
+        }
     }
-    parts.next().is_none().then_some(out)
+}
+
+impl<'a> Iterator for Records<'a> {
+    type Item = (usize, &'a str);
+
+    fn next(&mut self) -> Option<(usize, &'a str)> {
+        for line in self.lines.by_ref() {
+            self.lineno += 1;
+            let line = line.trim_end();
+            if !line.is_empty() && !line.starts_with('#') {
+                return Some((self.lineno, line));
+            }
+        }
+        None
+    }
+}
+
+/// Cuts `text` at every `sep` byte in one pass: the first `N` parts (the
+/// rest `""`), and how many parts there are in all. `sep` is ASCII, so
+/// each cut falls on a char boundary and the parts are slices of `text`
+/// that need no UTF-8 check of their own. The scan reads eight bytes at a
+/// time and finds the separators among them with word arithmetic.
+fn cut<const N: usize>(text: &str, sep: u8) -> ([&str; N], usize) {
+    const HIGH: u64 = 0x8080_8080_8080_8080;
+    let mut parts = [""; N];
+    let mut count = 0;
+    let mut from = 0;
+    let mut cut_at = |at: usize| {
+        if let Some(part) = parts.get_mut(count) {
+            *part = &text[from..at];
+        }
+        count += 1;
+        from = at + 1;
+    };
+    let seps = u64::from_ne_bytes([sep; 8]);
+    let mut words = text.as_bytes().chunks_exact(8);
+    let mut base = 0;
+    for word in words.by_ref() {
+        let mut bytes = [0; 8];
+        bytes.copy_from_slice(word);
+        // A byte of `x` is zero exactly where `word` holds `sep`; `hits`
+        // gets that byte's high bit. Adding 0x7f to a byte's low seven
+        // bits never carries into the next byte, so there are no false
+        // hits.
+        let x = u64::from_le_bytes(bytes) ^ seps;
+        let mut hits = !(((x & !HIGH).wrapping_add(!HIGH)) | x) & HIGH;
+        while hits != 0 {
+            cut_at(base + hits.trailing_zeros() as usize / 8);
+            hits &= hits - 1;
+        }
+        base += 8;
+    }
+    for (i, &byte) in words.remainder().iter().enumerate() {
+        if byte == sep {
+            cut_at(base + i);
+        }
+    }
+    if let Some(part) = parts.get_mut(count) {
+        *part = &text[from..];
+    }
+    (parts, count + 1)
 }
 
 fn parse_tag(field: &str) -> Result<Option<AttackTag>, String> {
@@ -573,5 +677,124 @@ mod tests {
         let line = "1\t2\t1\t/bin/ls\troot\t0\t/bin/ls\tconnect\tN|1.2.3.4|80\t0\t-";
         let err = Parser::new().parse_document(line).unwrap_err();
         assert!(err.message.contains("bad network objspec"));
+    }
+
+    /// A well-formed `read` line by `/bin/ls` of `/tmp/a`.
+    const READ_LINE: &str = "1\t2\t1\t/bin/ls\troot\t0\t/bin/ls\tread\tF|/tmp/a\t0\t-";
+
+    fn parse_err(doc: &str) -> ParseError {
+        Parser::new().parse_document(doc).unwrap_err()
+    }
+
+    #[test]
+    fn crlf_lines_parse_like_lf_lines() {
+        let lf = encode_lines(&[
+            file_read(10, "/bin/cat", "/etc/hosts", 1000),
+            file_read(11, "/bin/ls", "/tmp/a", 2000),
+        ]);
+        let crlf = lf.replace('\n', "\r\n");
+        let a = Parser::new().parse_document(&lf).unwrap();
+        let b = Parser::new().parse_document(&crlf).unwrap();
+        assert_eq!((a.entities, a.events), (b.entities, b.events));
+    }
+
+    #[test]
+    fn trailing_unicode_whitespace_is_trimmed() {
+        for space in ["\u{3000}", "\u{a0}", " \u{a0}\u{3000}\t"] {
+            let log = Parser::new()
+                .parse_document(&format!("{READ_LINE}{space}\n"))
+                .unwrap();
+            assert_eq!(log.events.len(), 1, "{space:?}");
+            assert_eq!(log.events[0].tag, None);
+        }
+    }
+
+    #[test]
+    fn trimmed_trailing_tab_reports_ten_fields() {
+        // An empty tag field: trimming takes its tab, leaving ten fields.
+        let line = "1\t2\t1\t/bin/ls\troot\t0\t/bin/ls\tread\tF|/tmp/a\t0\t";
+        let err = parse_err(line);
+        assert_eq!(err.message, "expected 11 tab-separated fields, got 10");
+    }
+
+    #[test]
+    fn field_count_is_reported_exactly() {
+        let ten = READ_LINE.rsplit_once('\t').unwrap().0;
+        assert_eq!(
+            parse_err(ten).message,
+            "expected 11 tab-separated fields, got 10"
+        );
+        let twelve = format!("{READ_LINE}\textra");
+        assert_eq!(
+            parse_err(&twelve).message,
+            "expected 11 tab-separated fields, got 12"
+        );
+        assert_eq!(
+            parse_err("a\tb\tc\td\te\tf\tg\th\ti\tj\tk\tl\tm\tn").message,
+            "expected 11 tab-separated fields, got 14"
+        );
+    }
+
+    #[test]
+    fn plus_signed_timestamp_is_accepted() {
+        let log = Parser::new()
+            .parse_document("+5\t7\t1\t/bin/ls\troot\t0\t/bin/ls\tread\tF|/tmp/a\t0\t-")
+            .unwrap();
+        assert_eq!((log.events[0].start, log.events[0].end), (5, 7));
+    }
+
+    #[test]
+    fn zero_padded_port_is_the_same_connection() {
+        let conn = |sport: &str, start: u64| {
+            format!(
+                "{start}\t{start}\t1\t/bin/nc\troot\t0\tnc\tconnect\t\
+                 N|10.0.0.1|{sport}|10.0.0.2|443|tcp\t0\t-\n"
+            )
+        };
+        let doc = conn("0080", 1) + &conn("80", 2);
+        let log = Parser::new().parse_document(&doc).unwrap();
+        assert_eq!(log.entity_counts(), (0, 1, 1));
+        assert_eq!(log.events[0].object, log.events[1].object);
+        let net = log.entity(log.events[0].object).as_network().unwrap();
+        assert_eq!(net.src_port, 80);
+    }
+
+    #[test]
+    fn out_of_range_port_is_rejected() {
+        let line =
+            "1\t2\t1\t/bin/nc\troot\t0\tnc\tconnect\tN|10.0.0.1|65536|10.0.0.2|443|tcp\t0\t-";
+        assert_eq!(parse_err(line).message, "bad source port `65536`");
+        let line = "1\t2\t1\t/bin/nc\troot\t0\tnc\tconnect\tN|10.0.0.1|80|10.0.0.2|-1|tcp\t0\t-";
+        assert_eq!(parse_err(line).message, "bad destination port `-1`");
+    }
+
+    #[test]
+    fn skipped_lines_count_toward_line_numbers() {
+        let doc = format!("# header\n\n   \n{READ_LINE}\r\n#\nnot a record\n");
+        let err = parse_err(&doc);
+        assert_eq!(err.line, 6);
+        assert_eq!(
+            err.to_string(),
+            "line 6: expected 11 tab-separated fields, got 1"
+        );
+    }
+
+    #[test]
+    fn non_ascii_text_is_kept_byte_for_byte() {
+        let exe = "/usr/bin/naïve-ß";
+        let cmdline = "naïve --名前 \u{a0}ok";
+        let path = "/tmp/日本語 ファイル\u{3000}x";
+        let line = format!("1\t2\t7\t{exe}\tjosé\t0\t{cmdline}\twrite\tF|{path}\t3\t-");
+        let log = Parser::new().parse_document(&line).unwrap();
+        let subject = log.entity(log.events[0].subject).as_process().unwrap();
+        assert_eq!(
+            (subject.exename.as_str(), subject.owner.as_str()),
+            (exe, "josé")
+        );
+        assert_eq!(subject.cmdline, cmdline);
+        assert_eq!(
+            log.entity(log.events[0].object).as_file().unwrap().name,
+            path
+        );
     }
 }

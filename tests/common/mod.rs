@@ -3,9 +3,13 @@
 // Each test binary that includes this module uses a part of it.
 #![allow(dead_code)]
 
+pub mod spec_parser;
+
 use proptest::prelude::*;
+use std::sync::OnceLock;
 use threatraptor_audit::entity::EntityId;
 use threatraptor_audit::event::Operation;
+use threatraptor_audit::sim::scenario::{AttackKind, ScenarioBuilder};
 use threatraptor_engine::Match;
 use threatraptor_storage::ShardedStore;
 
@@ -102,4 +106,31 @@ pub fn run_key(m: &Match, snapshot: &ShardedStore) -> RunKey {
         .collect();
     events.sort();
     (bindings, events)
+}
+
+/// Replaces `cut` bytes of `text` at `at` (both taken modulo the length)
+/// with `bytes`, reading the result back as lossy UTF-8.
+pub fn splice(text: &str, at: u64, cut: u64, bytes: &[u8]) -> String {
+    let mut out = text.as_bytes().to_vec();
+    let at = (at % (out.len() as u64 + 1)) as usize;
+    let end = at + (cut % 8) as usize;
+    out.splice(at..end.min(out.len()), bytes.iter().copied());
+    String::from_utf8_lossy(&out).into_owned()
+}
+
+/// A few hundred lines of a simulated log with an attack in it: every
+/// operation and object kind the parser handles.
+pub fn raw_lines() -> &'static [String] {
+    static LINES: OnceLock<Vec<String>> = OnceLock::new();
+    LINES.get_or_init(|| {
+        ScenarioBuilder::new()
+            .seed(7)
+            .attacks(&[AttackKind::DataLeakage, AttackKind::PasswordCrack])
+            .target_events(300)
+            .build()
+            .raw
+            .lines()
+            .map(str::to_owned)
+            .collect()
+    })
 }

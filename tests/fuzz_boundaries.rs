@@ -9,9 +9,10 @@
 //! random bytes spliced in, which gets past the first field check and
 //! into the deeper parsing paths.
 
+mod common;
+
+use common::{raw_lines, splice};
 use proptest::prelude::*;
-use std::sync::OnceLock;
-use threatraptor_audit::sim::scenario::{AttackKind, ScenarioBuilder};
 use threatraptor_audit::LogFeed;
 use threatraptor_bench::cases::{DB_EXFIL_TBQL, MALWARE_DROP_TBQL, PASSWORD_CRACK_TBQL};
 use threatraptor_engine::compile::compile_with_lint;
@@ -33,16 +34,6 @@ fn drain(raw: &str, n: usize) -> Result<(), TestCaseError> {
         prop_assert!(items <= bound, "{items} items from {bound} lines");
     }
     Ok(())
-}
-
-/// Replaces `cut` bytes of `text` at `at` (both taken modulo the length)
-/// with `bytes`, reading the result back as lossy UTF-8.
-fn splice(text: &str, at: u64, cut: u64, bytes: &[u8]) -> String {
-    let mut out = text.as_bytes().to_vec();
-    let at = (at % (out.len() as u64 + 1)) as usize;
-    let end = at + (cut % 8) as usize;
-    out.splice(at..end.min(out.len()), bytes.iter().copied());
-    String::from_utf8_lossy(&out).into_owned()
 }
 
 /// Parses, analyzes, lints and compiles `src`, rendering each stage's
@@ -78,23 +69,6 @@ fn check_query(src: &str) -> Result<(), TestCaseError> {
         Err(e) => prop_assert!(false, "compile failed with {e:?}"),
     }
     Ok(())
-}
-
-/// A few hundred lines of a simulated log with an attack in it: every
-/// operation and object kind the parser handles.
-fn raw_lines() -> &'static [String] {
-    static LINES: OnceLock<Vec<String>> = OnceLock::new();
-    LINES.get_or_init(|| {
-        ScenarioBuilder::new()
-            .seed(7)
-            .attacks(&[AttackKind::DataLeakage, AttackKind::PasswordCrack])
-            .target_events(300)
-            .build()
-            .raw
-            .lines()
-            .map(str::to_owned)
-            .collect()
-    })
 }
 
 const QUERIES: [&str; 5] = [
