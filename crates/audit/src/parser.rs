@@ -32,7 +32,7 @@
 
 use crate::entity::{Entity, EntityId, EntityKind, FileEntity, NetworkEntity, ProcessEntity};
 use crate::event::{AttackTag, Event, EventId, Operation};
-use crate::rawlog::push_decimal;
+use crate::rawlog::push_connection;
 use std::collections::HashMap;
 use std::fmt;
 
@@ -238,8 +238,7 @@ impl Parser {
             message,
         };
         let (parts, count) = cut::<6>(spec, b'|');
-        let [kind, a, b, c, d, e] = parts;
-        match kind {
+        match parts[0] {
             "F" => {
                 if op.object_kind() != EntityKind::File {
                     return Err(err(format!("operation `{op}` cannot target a file")));
@@ -247,7 +246,7 @@ impl Parser {
                 if count != 2 {
                     return Err(err(format!("bad file objspec `{spec}`")));
                 }
-                Ok(self.intern_file(a))
+                Ok(self.intern_file(parts[1]))
             }
             "P" => {
                 if op.object_kind() != EntityKind::Process {
@@ -256,7 +255,7 @@ impl Parser {
                 if count != 6 {
                     return Err(err(format!("bad process objspec `{spec}`")));
                 }
-                let (pid, exe, owner, pstart, cmdline) = (a, b, c, d, e);
+                let [_, pid, exe, owner, pstart, cmdline] = parts;
                 let pid: u32 = pid
                     .parse()
                     .map_err(|_| err(format!("bad object pid `{pid}`")))?;
@@ -272,7 +271,7 @@ impl Parser {
                 if count != 6 {
                     return Err(err(format!("bad network objspec `{spec}`")));
                 }
-                let (src_ip, src_port, dst_ip, dst_port, proto) = (a, b, c, d, e);
+                let [_, src_ip, src_port, dst_ip, dst_port, proto] = parts;
                 let src_port: u16 = src_port
                     .parse()
                     .map_err(|_| err(format!("bad source port `{src_port}`")))?;
@@ -344,18 +343,16 @@ impl Parser {
         // the tuple (the parts came out of a cut at `|`), and a reused
         // buffer makes the common case — a known connection — a lookup
         // by `&str` with no allocation.
-        let key = &mut self.net_key;
-        key.clear();
-        key.push_str(src_ip);
-        key.push('|');
-        push_decimal(key, src_port.into());
-        key.push('|');
-        key.push_str(dst_ip);
-        key.push('|');
-        push_decimal(key, dst_port.into());
-        key.push('|');
-        key.push_str(protocol);
-        if let Some(&id) = self.net_ids.get(key.as_str()) {
+        self.net_key.clear();
+        push_connection(
+            &mut self.net_key,
+            src_ip,
+            src_port,
+            dst_ip,
+            dst_port,
+            protocol,
+        );
+        if let Some(&id) = self.net_ids.get(self.net_key.as_str()) {
             return id;
         }
         let id = self.next_entity_id();
@@ -377,18 +374,12 @@ impl Parser {
 /// `\r\n`), trailing whitespace trimmed, and blank lines and `#`
 /// comments skipped but counted. [`Parser::parse_document`] and
 /// [`crate::feed::LogFeed`] both walk a document with it.
-#[derive(Debug, Clone)]
-pub(crate) struct Records<'a> {
-    lines: std::str::Lines<'a>,
-    lineno: usize,
-}
+#[derive(Debug)]
+pub(crate) struct Records<'a>(std::iter::Enumerate<std::str::Lines<'a>>);
 
 impl<'a> Records<'a> {
     pub(crate) fn new(text: &'a str) -> Records<'a> {
-        Records {
-            lines: text.lines(),
-            lineno: 0,
-        }
+        Records(text.lines().enumerate())
     }
 }
 
@@ -396,14 +387,10 @@ impl<'a> Iterator for Records<'a> {
     type Item = (usize, &'a str);
 
     fn next(&mut self) -> Option<(usize, &'a str)> {
-        for line in self.lines.by_ref() {
-            self.lineno += 1;
-            let line = line.trim_end();
-            if !line.is_empty() && !line.starts_with('#') {
-                return Some((self.lineno, line));
-            }
-        }
-        None
+        self.0
+            .by_ref()
+            .map(|(index, line)| (index + 1, line.trim_end()))
+            .find(|(_, line)| !line.is_empty() && !line.starts_with('#'))
     }
 }
 

@@ -118,15 +118,7 @@ impl RawRecord {
                 protocol,
             } => {
                 out.push_str("N|");
-                out.push_str(src_ip);
-                out.push('|');
-                push_decimal(out, (*src_port).into());
-                out.push('|');
-                out.push_str(dst_ip);
-                out.push('|');
-                push_decimal(out, (*dst_port).into());
-                out.push('|');
-                out.push_str(protocol);
+                push_connection(out, src_ip, *src_port, dst_ip, *dst_port, protocol);
             }
         }
         out.push('\t');
@@ -160,9 +152,30 @@ impl RawProc {
     }
 }
 
+/// Appends a connection's 5-tuple to `out` as a network objspec writes
+/// it after `N|`: `src_ip|src_port|dst_ip|dst_port|protocol`.
+pub(crate) fn push_connection(
+    out: &mut String,
+    src_ip: &str,
+    src_port: u16,
+    dst_ip: &str,
+    dst_port: u16,
+    protocol: &str,
+) {
+    out.push_str(src_ip);
+    out.push('|');
+    push_decimal(out, src_port.into());
+    out.push('|');
+    out.push_str(dst_ip);
+    out.push('|');
+    push_decimal(out, dst_port.into());
+    out.push('|');
+    out.push_str(protocol);
+}
+
 /// Appends `value` in decimal to `out`, as `write!(out, "{value}")` does,
 /// without going through `fmt`.
-pub(crate) fn push_decimal(out: &mut String, mut value: u64) {
+fn push_decimal(out: &mut String, mut value: u64) {
     let mut digits = [0u8; 20];
     let mut at = digits.len();
     loop {
