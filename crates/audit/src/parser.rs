@@ -343,16 +343,10 @@ impl Parser {
         // the tuple (the parts came out of a cut at `|`), and a reused
         // buffer makes the common case — a known connection — a lookup
         // by `&str` with no allocation.
-        self.net_key.clear();
-        push_connection(
-            &mut self.net_key,
-            src_ip,
-            src_port,
-            dst_ip,
-            dst_port,
-            protocol,
-        );
-        if let Some(&id) = self.net_ids.get(self.net_key.as_str()) {
+        let key = &mut self.net_key;
+        key.clear();
+        push_connection(key, src_ip, src_port, dst_ip, dst_port, protocol);
+        if let Some(&id) = self.net_ids.get(key.as_str()) {
             return id;
         }
         let id = self.next_entity_id();
