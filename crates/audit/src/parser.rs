@@ -21,7 +21,8 @@
 //! operation name, the tag, and the object spec's kind, its agreement
 //! with the operation, its part count, pid and ports. A line that fails
 //! a check yields a [`ParseError`] with its line number and adds no
-//! event.
+//! event (a line rejected for its object spec has already interned its
+//! subject; a feed ends at the error, so no chunk carries it).
 //!
 //! The three interning maps keep std's keyed (SipHash) hasher: paths,
 //! executable names and command lines come from the audited processes,
