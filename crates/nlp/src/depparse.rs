@@ -33,14 +33,14 @@ fn parse_tagged(tokens: Vec<Token>, tags: Vec<PosTag>) -> DepTree {
         };
     }
     let runs = p.nominal_runs();
-    p.attach_verb_chain(&runs);
+    p.attach_verb_chain();
     let verbs = p.verb_heads();
     let root = p.pick_root(&verbs, &runs);
     p.attach_clauses(&verbs, root);
     p.attach_np_internals(&runs);
     p.attach_appositions(&runs);
-    p.attach_prepositions(&runs, &verbs);
-    p.attach_conjunctions(&runs, &verbs);
+    p.attach_prepositions(&runs);
+    p.attach_conjunctions(&runs);
     p.attach_subjects(&verbs, &runs);
     p.attach_objects(&verbs, &runs);
     p.attach_punct_and_rest(root);
@@ -115,7 +115,7 @@ impl ParserState {
 
     /// AUX tokens attach to the nearest following verb (aux/auxpass);
     /// infinitival `to` attaches as mark; `not` as advmod.
-    fn attach_verb_chain(&mut self, _runs: &[Run]) {
+    fn attach_verb_chain(&mut self) {
         for i in 0..self.n() {
             match self.tags[i] {
                 PosTag::Aux => {
@@ -283,7 +283,7 @@ impl ParserState {
     /// Prepositions attach to the nearest preceding verb (else nominal
     /// head, else root); their object is the head of the next nominal
     /// run. Passive `by` becomes agent.
-    fn attach_prepositions(&mut self, runs: &[Run], _verbs: &[usize]) {
+    fn attach_prepositions(&mut self, runs: &[Run]) {
         for i in 0..self.n() {
             if self.tags[i] != PosTag::Adp || self.heads[i].is_some() {
                 continue;
@@ -317,7 +317,7 @@ impl ParserState {
     }
 
     /// Coordinators attach as cc; nominal conjuncts to the left conjunct.
-    fn attach_conjunctions(&mut self, runs: &[Run], _verbs: &[usize]) {
+    fn attach_conjunctions(&mut self, runs: &[Run]) {
         for i in 0..self.n() {
             if self.tags[i] != PosTag::Conj || self.heads[i].is_some() {
                 continue;
