@@ -70,7 +70,17 @@
 //! Queries with unbounded patterns retain partials and distinct-row
 //! history indefinitely (their semantics require it); `seen` still ages.
 //!
+//! ## Telemetry
+//!
+//! An attached hunt counts its work (`follow_*_total`) as it polls. It
+//! keeps no gauge: the retained partials and the size of the running
+//! result are read from the hunt when they are scraped, and
+//! [`HuntServer::metrics`] sums them over the standing queries it holds
+//! (`follow_partials_retained`, `follow_result_matches`), so a query
+//! that is dropped leaves nothing behind to take back.
+//!
 //! [`StreamFrontier`]: threatraptor_storage::StreamFrontier
+//! [`HuntServer::metrics`]: crate::server::HuntServer::metrics
 
 use crate::cache::CachedPlan;
 use crate::job::ServiceError;
@@ -80,7 +90,7 @@ use std::time::{Duration, Instant};
 use threatraptor_audit::entity::EntityId;
 use threatraptor_engine::result::{DeltaStats, HuntStats};
 use threatraptor_engine::{DeltaState, ExecMode, HuntResult, ShardedEngine};
-use threatraptor_obs::{Counter, Gauge, Registry};
+use threatraptor_obs::{Counter, Registry};
 use threatraptor_storage::ShardedStore;
 
 /// Writes the stable identity of a match into `key` as one flat word
@@ -180,13 +190,6 @@ struct FollowObs {
     /// `follow_dedup_aged_total`: dedup entries (`seen` witnesses and,
     /// on a drained query, distinct-row history) aged out.
     dedup_aged: Arc<Counter>,
-    /// `follow_partials_retained`: retained partial bindings right now,
-    /// summed over every hunt sharing the registry. Each hunt adds the
-    /// change in its own count and takes its share back when dropped.
-    partials_retained: Arc<Gauge>,
-    /// `follow_result_matches`: matches held in running results (which
-    /// only grow) right now, summed like `follow_partials_retained`.
-    result_matches: Arc<Gauge>,
     /// `follow_pattern_rows_total{pattern=...}`: rows fetched per
     /// pattern, one `(pattern id, counter)` per compiled pattern.
     pattern_rows: Vec<(String, Arc<Counter>)>,
@@ -241,10 +244,6 @@ pub struct FollowHunt {
     polls: usize,
     /// Telemetry handles, when attached.
     obs: Option<FollowObs>,
-    /// This hunt's share of the `follow_partials_retained` gauge.
-    reported_partials: usize,
-    /// This hunt's share of the `follow_result_matches` gauge.
-    reported_matches: usize,
 }
 
 impl FollowHunt {
@@ -263,8 +262,6 @@ impl FollowHunt {
             last_raw: None,
             polls: 0,
             obs: None,
-            reported_partials: 0,
-            reported_matches: 0,
         }
     }
 
@@ -308,8 +305,6 @@ impl FollowHunt {
             invalidated: registry.counter("follow_invalidated_total"),
             partials_aged: registry.counter("follow_partials_aged_total"),
             dedup_aged: registry.counter("follow_dedup_aged_total"),
-            partials_retained: registry.gauge("follow_partials_retained"),
-            result_matches: registry.gauge("follow_result_matches"),
             pattern_rows,
         });
     }
@@ -439,12 +434,6 @@ impl FollowHunt {
             }
             obs.partials_aged.add(aged_partials as u64);
             obs.dedup_aged.add(aged_dedup as u64);
-            let retained = self.retained_partials();
-            obs.partials_retained
-                .add(retained as i64 - self.reported_partials as i64);
-            self.reported_partials = retained;
-            obs.result_matches.add(new_matches as i64);
-            self.reported_matches += new_matches;
             for p in &out.stats.patterns {
                 if let Some((_, rows)) = obs.pattern_rows.iter().find(|(id, _)| *id == p.pattern) {
                     rows.add(p.total_rows() as u64);
@@ -459,17 +448,6 @@ impl FollowHunt {
             elapsed: t0.elapsed(),
             delta: out.stats.delta,
         })
-    }
-}
-
-impl Drop for FollowHunt {
-    /// Takes this hunt's shares back out of the shared
-    /// `follow_partials_retained` and `follow_result_matches` gauges.
-    fn drop(&mut self) {
-        if let Some(obs) = &self.obs {
-            obs.partials_retained.add(-(self.reported_partials as i64));
-            obs.result_matches.add(-(self.reported_matches as i64));
-        }
     }
 }
 

@@ -34,12 +34,20 @@
 //! [`IngestService::snapshot`] builds at most once per epoch, so every
 //! caller at one epoch shares one open-window indexing pass.
 //!
+//! Telemetry: the stream writes no metrics, and this service is its one
+//! writer. Each append and seal records its stage time and counts what
+//! the store returned (`storage_*_total`: raw events, seals, compactions,
+//! entity rows indexed). The `storage_*` state gauges are set from the
+//! stream's accessors when they are read, by [`IngestService::metrics`]:
+//! they are current as of each `metrics()` call, and a
+//! `registry().snapshot()` taken directly sees them as of the last one.
+//!
 //! [`HuntServer`]: crate::server::HuntServer
 
 use crate::cache::{CacheStats, PlanCache, DEFAULT_PLAN_CAPACITY};
 use std::time::{Duration, Instant};
 use threatraptor_audit::parser::LogChunk;
-use threatraptor_obs::{Histogram, MetricsSnapshot, Registry};
+use threatraptor_obs::{Counter, Gauge, Histogram, MetricsSnapshot, Registry};
 use threatraptor_storage::cpr::ReductionStats;
 use threatraptor_storage::{AppendOutcome, SealPolicy, ShardedStore, StreamingStore};
 use threatraptor_sync::atomic::{AtomicU64, Ordering};
@@ -66,8 +74,20 @@ impl IngestConfig {
     }
 }
 
-/// The ingest path's stage timers, `serve_stage_ns{stage=…}`, resolved
-/// once when the service is built.
+/// The stream's state gauges, set from its accessors by
+/// [`IngestService::metrics`] in this order.
+const STATE_GAUGES: [&str; 7] = [
+    "storage_open_events",
+    "storage_sealed_shards",
+    "storage_stored_events",
+    "storage_entities",
+    "storage_entity_generations",
+    "storage_event_bytes",
+    "storage_entity_bytes",
+];
+
+/// The ingest path's stage timers, `serve_stage_ns{stage=…}`, and the
+/// stream's counters and gauges, resolved once when the service is built.
 #[derive(Debug)]
 struct IngestObs {
     /// `ingest_append`: one whole append under the write lock.
@@ -80,6 +100,17 @@ struct IngestObs {
     seal: Arc<Histogram>,
     /// `snapshot_build`: one snapshot built, lock plus open-window indexing.
     snapshot_build: Arc<Histogram>,
+    /// `storage_raw_events_total`: raw events appended, pre-CPR.
+    raw_events: Arc<Counter>,
+    /// `storage_seals_total`: shards sealed, by the policy or by hand.
+    seals: Arc<Counter>,
+    /// `storage_compactions_total`: adjacent sealed-shard merges.
+    compactions: Arc<Counter>,
+    /// `storage_entity_rows_indexed_total`: entities indexed into catalog
+    /// generations, generation merges included.
+    entity_rows_indexed: Arc<Counter>,
+    /// The [`STATE_GAUGES`], in order.
+    state: [Arc<Gauge>; 7],
 }
 
 impl IngestObs {
@@ -91,7 +122,19 @@ impl IngestObs {
             compact: stage("compact"),
             seal: stage("seal"),
             snapshot_build: stage("snapshot_build"),
+            raw_events: registry.counter("storage_raw_events_total"),
+            seals: registry.counter("storage_seals_total"),
+            compactions: registry.counter("storage_compactions_total"),
+            entity_rows_indexed: registry.counter("storage_entity_rows_indexed_total"),
+            state: STATE_GAUGES.map(|name| registry.gauge(name)),
         }
+    }
+
+    /// Counts `seals` new shards, and the merges they caused: the sealed
+    /// shard count went from `before` to `after`.
+    fn count_seals(&self, seals: usize, before: usize, after: usize) {
+        self.seals.add(seals as u64);
+        self.compactions.add((before + seals - after) as u64);
     }
 }
 
@@ -147,8 +190,9 @@ pub struct IngestService {
     /// closes the check-then-wait race in [`IngestService::wait_epoch_newer`].
     gate: Mutex<()>,
     gate_cond: Condvar,
-    /// This service's metric registry: the stream, the plan cache, and
-    /// the owning server's jobs and standing queries record here.
+    /// This service's metric registry: the service itself (the stream's
+    /// metrics), the plan cache, and the owning server's jobs and
+    /// standing queries record here.
     /// Per-instance so co-hosted services — per-tenant deployments —
     /// keep separate telemetry.
     registry: Arc<Registry>,
@@ -159,11 +203,9 @@ impl IngestService {
     /// An empty service with a fresh plan cache.
     pub fn new(config: IngestConfig) -> IngestService {
         let registry = Arc::new(Registry::new());
-        let mut stream = StreamingStore::new(true, config.policy);
-        stream.attach_metrics(&registry);
         let cache = PlanCache::with_capacity(DEFAULT_PLAN_CAPACITY, &registry);
         IngestService {
-            stream: RwLock::new(stream),
+            stream: RwLock::new(StreamingStore::new(true, config.policy)),
             cache,
             epoch: AtomicU64::new(0),
             snapshot: Mutex::new(None),
@@ -183,8 +225,25 @@ impl IngestService {
 
     /// A point-in-time snapshot of every metric recorded by this
     /// service: storage counters, cache counters, hunt/serve stage
-    /// timings, follow-hunt totals.
+    /// timings, follow-hunt totals. The `storage_*` state gauges are set
+    /// here, from the stream as it is now.
     pub fn metrics(&self) -> MetricsSnapshot {
+        let values = {
+            let stream = self.stream.read().unwrap_or_else(PoisonError::into_inner);
+            let catalog = stream.catalog();
+            [
+                stream.open_len(),
+                stream.sealed_count(),
+                stream.event_count(),
+                catalog.len(),
+                catalog.generations().len(),
+                stream.sealed_bytes(),
+                catalog.heap_bytes(),
+            ]
+        };
+        for (gauge, value) in self.obs.state.iter().zip(values) {
+            gauge.set(value as i64);
+        }
         self.registry.snapshot()
     }
 
@@ -192,15 +251,21 @@ impl IngestService {
     /// epoch waiters. One append is one epoch, whatever it sealed.
     pub fn append(&self, chunk: &LogChunk) -> AppendOutcome {
         let start = Instant::now();
-        let outcome = {
+        let (outcome, before, after) = {
             let mut stream = self.stream.write().unwrap_or_else(PoisonError::into_inner);
+            let before = stream.sealed_count();
             let outcome = stream.append(chunk);
             // ordering: Release publishes the chunk to lock-free epoch()
             // readers; bumping under the write lock keeps the two in step.
             self.epoch.fetch_add(1, Ordering::Release);
-            outcome
+            (outcome, before, stream.sealed_count())
         };
         self.obs.append.record_duration(start.elapsed());
+        self.obs.raw_events.add(outcome.appended as u64);
+        self.obs
+            .entity_rows_indexed
+            .add(outcome.entity_rows_indexed as u64);
+        self.obs.count_seals(outcome.sealed, before, after);
         if outcome.new_entities > 0 {
             self.obs
                 .entity_extend
@@ -217,16 +282,18 @@ impl IngestService {
     /// shard. Returns whether anything was sealed.
     pub fn seal(&self) -> bool {
         let start = Instant::now();
-        let sealed = {
+        let (sealed, before, after) = {
             let mut stream = self.stream.write().unwrap_or_else(PoisonError::into_inner);
+            let before = stream.sealed_count();
             let sealed = stream.seal().is_some();
             if sealed {
                 // ordering: Release, as in append().
                 self.epoch.fetch_add(1, Ordering::Release);
             }
-            sealed
+            (sealed, before, stream.sealed_count())
         };
         self.obs.seal.record_duration(start.elapsed());
+        self.obs.count_seals(usize::from(sealed), before, after);
         if sealed {
             self.poke();
         }
@@ -385,6 +452,57 @@ mod tests {
         let got = ShardedEngine::new(&snapshot).hunt(FIG2_TBQL).unwrap();
         let want = ShardedEngine::new(&batch).hunt(FIG2_TBQL).unwrap();
         assert_eq!(got.rows, want.rows);
+    }
+
+    #[test]
+    fn storage_metrics_equal_the_stream_when_read() {
+        use threatraptor_storage::CompactionPolicy;
+        let sc = scenario();
+        let service = IngestService::new(IngestConfig::default());
+        // The service builds its stream without compaction; swap in a
+        // compacting one so merges happen under its counters too.
+        *service.stream.write().unwrap() = StreamingStore::new(true, SealPolicy::events(300))
+            .with_compaction(CompactionPolicy::max_shards(3));
+        let (mut sealed, mut rows, mut manual) = (0, 0, 0);
+        for chunk in LogFeed::by_events(&sc.raw, 250) {
+            let outcome = service.append(&chunk.unwrap());
+            sealed += outcome.sealed;
+            rows += outcome.entity_rows_indexed;
+            manual += usize::from(service.seal());
+        }
+        assert!(manual > 0, "manual seals must have sealed something");
+        assert!(!service.seal(), "the stable prefix is gone");
+        let seals = (sealed + manual) as u64;
+
+        let metrics = service.metrics();
+        let status = service.status();
+        let stream = service.stream.read().unwrap();
+        let gauge = |name| metrics.gauge(name).map(|v| v as usize);
+        let counter = |name| metrics.counter(name).unwrap();
+        assert_eq!(gauge("storage_open_events"), Some(status.open_events));
+        assert_eq!(gauge("storage_sealed_shards"), Some(status.sealed_shards));
+        assert_eq!(gauge("storage_stored_events"), Some(status.total_events));
+        assert_eq!(gauge("storage_entities"), Some(status.entities));
+        let catalog = stream.catalog();
+        assert_eq!(
+            gauge("storage_entity_generations"),
+            Some(catalog.generations().len())
+        );
+        assert_eq!(gauge("storage_event_bytes"), Some(stream.sealed_bytes()));
+        assert_eq!(gauge("storage_entity_bytes"), Some(catalog.heap_bytes()));
+
+        assert_eq!(
+            counter("storage_raw_events_total"),
+            status.reduction.before as u64
+        );
+        assert_eq!(counter("storage_entity_rows_indexed_total"), rows as u64);
+        assert!(rows >= status.entities);
+        // Every seal is a shard now, or was merged into one.
+        assert_eq!(counter("storage_seals_total"), seals);
+        let compactions = counter("storage_compactions_total");
+        assert!(compactions > 0, "max 3 shards must have compacted");
+        assert_eq!(compactions, seals - status.sealed_shards as u64);
+        assert!(status.sealed_shards <= 3);
     }
 
     #[test]

@@ -20,7 +20,7 @@
 
 use crossbeam::channel::{bounded, Receiver, Sender};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use threatraptor_obs::{Counter, Gauge, Registry};
+use threatraptor_obs::{Gauge, Registry};
 use threatraptor_sync::thread::JoinHandle;
 use threatraptor_sync::{Arc, Mutex, PoisonError};
 
@@ -34,46 +34,31 @@ pub enum SubmitError {
     Shutdown,
 }
 
-/// Registry handles for pool telemetry, shared by every worker thread.
-#[derive(Debug, Clone)]
-struct PoolObs {
-    /// `job_queue_depth`: tasks enqueued but not yet picked up.
-    queue_depth: Arc<Gauge>,
-    /// `pool_tasks_completed_total`: tasks a worker finished (panicking
-    /// tasks count — the worker survived and completed the dispatch).
-    completed: Arc<Counter>,
-    /// `pool_rejected_total`: submissions refused (pool shut down).
-    rejected: Arc<Counter>,
-}
-
 /// A fixed-size pool of detached worker threads behind a bounded queue.
 #[derive(Debug)]
 pub struct WorkerPool {
     /// `None` once shut down; dropping the sender disconnects the queue.
     tx: Mutex<Option<Sender<Task>>>,
     handles: Mutex<Vec<JoinHandle<()>>>,
-    obs: PoolObs,
+    /// `job_queue_depth`: tasks enqueued but not yet picked up, shared
+    /// by every worker thread.
+    queue_depth: Arc<Gauge>,
 }
 
 impl WorkerPool {
     /// Spawns `workers` detached threads (clamped to ≥ 1) sharing one
     /// queue of at most `queue_capacity` pending tasks (clamped to ≥ 1).
-    /// Pool telemetry goes to `registry`: a `job_queue_depth` gauge plus
-    /// `pool_tasks_completed_total` and `pool_rejected_total` counters,
-    /// resolved here because the worker threads capture their handles
-    /// at spawn time.
+    /// Pool telemetry goes to `registry`: a `job_queue_depth` gauge,
+    /// resolved here because the worker threads capture it at spawn
+    /// time. Completions and rejections are the submitter's to count.
     pub fn new(workers: usize, queue_capacity: usize, registry: &Registry) -> WorkerPool {
-        let obs = PoolObs {
-            queue_depth: registry.gauge("job_queue_depth"),
-            completed: registry.counter("pool_tasks_completed_total"),
-            rejected: registry.counter("pool_rejected_total"),
-        };
+        let queue_depth = registry.gauge("job_queue_depth");
         let workers = workers.max(1);
         let (tx, rx) = bounded::<Task>(queue_capacity.max(1));
         let handles = (0..workers)
             .map(|i| {
                 let rx: Receiver<Task> = rx.clone();
-                let obs = obs.clone();
+                let queue_depth = Arc::clone(&queue_depth);
                 threatraptor_sync::thread::Builder::new()
                     .name(format!("hunt-worker-{i}"))
                     .spawn(move || {
@@ -81,11 +66,10 @@ impl WorkerPool {
                         // sender is dropped, then disconnects — exactly
                         // the graceful-shutdown order we want.
                         while let Ok(task) = rx.recv() {
-                            obs.queue_depth.dec();
+                            queue_depth.dec();
                             // A panicking task must not kill the worker:
                             // the pool serves unrelated tenants.
                             let _ = catch_unwind(AssertUnwindSafe(task));
-                            obs.completed.inc();
                         }
                     })
                     .expect("spawning a worker thread")
@@ -94,7 +78,7 @@ impl WorkerPool {
         WorkerPool {
             tx: Mutex::new(Some(tx)),
             handles: Mutex::new(handles),
-            obs,
+            queue_depth,
         }
     }
 
@@ -108,24 +92,18 @@ impl WorkerPool {
             .lock()
             .unwrap_or_else(PoisonError::into_inner)
             .clone();
-        let outcome = match tx {
-            Some(tx) => {
-                // Count the task as queued before the (possibly
-                // blocking) send so the gauge covers backpressured
-                // producers too; rolled back on failure.
-                self.obs.queue_depth.inc();
-                let sent = tx.send(task).map_err(|_| SubmitError::Shutdown);
-                if sent.is_err() {
-                    self.obs.queue_depth.dec();
-                }
-                sent
-            }
-            None => Err(SubmitError::Shutdown),
+        let Some(tx) = tx else {
+            return Err(SubmitError::Shutdown);
         };
-        if outcome.is_err() {
-            self.obs.rejected.inc();
+        // Count the task as queued before the (possibly blocking) send
+        // so the gauge covers backpressured producers too; rolled back
+        // on failure.
+        self.queue_depth.inc();
+        let sent = tx.send(task).map_err(|_| SubmitError::Shutdown);
+        if sent.is_err() {
+            self.queue_depth.dec();
         }
-        outcome
+        sent
     }
 
     /// Graceful shutdown: stops accepting tasks, lets queued tasks drain,
@@ -221,12 +199,19 @@ mod tests {
         let registry = Registry::new();
         let pool = WorkerPool::new(1, 2, &registry);
         let (block_tx, block_rx) = crossbeam::channel::bounded::<()>(1);
+        let done = Arc::new(AtomicUsize::new(0));
+        let d = Arc::clone(&done);
         // Occupy the worker so queued tasks pile up measurably.
         pool.submit(Box::new(move || {
             let _ = block_rx.recv();
+            d.fetch_add(1, Ordering::SeqCst);
         }))
         .unwrap();
-        pool.submit(Box::new(|| {})).unwrap();
+        let d = Arc::clone(&done);
+        pool.submit(Box::new(move || {
+            d.fetch_add(1, Ordering::SeqCst);
+        }))
+        .unwrap();
         let depth = registry.gauge("job_queue_depth").get();
         assert!(
             (1..=2).contains(&depth),
@@ -237,12 +222,11 @@ mod tests {
         assert_eq!(pool.submit(Box::new(|| {})), Err(SubmitError::Shutdown));
         let snap = registry.snapshot();
         assert_eq!(snap.gauge("job_queue_depth"), Some(0), "drained");
-        let completed = snap.counter("pool_tasks_completed_total").unwrap();
-        assert!(completed >= 2, "both real tasks completed");
-        assert_eq!(
-            snap.counter("pool_rejected_total"),
-            Some(1),
-            "the post-shutdown probe"
+        // Completions are the tasks' own to report; the pool counts none.
+        assert_eq!(done.load(Ordering::SeqCst), 2, "both real tasks completed");
+        assert!(
+            snap.samples.iter().all(|s| !s.name.starts_with("pool_")),
+            "the server counts completions and rejections"
         );
     }
 }

@@ -645,11 +645,31 @@ impl HuntServer {
     /// histograms, job-queue telemetry, and follow-delivery counters.
     /// Render it with [`MetricsSnapshot::to_prometheus`] or
     /// [`MetricsSnapshot::to_json`].
+    ///
+    /// State gauges are set here, from the state as it is now: the
+    /// `follow_*` and dispatcher gauges below, and the `storage_*` ones
+    /// in [`IngestService::metrics`]. A `registry().snapshot()` taken
+    /// directly sees them as of the last `metrics()` call.
     pub fn metrics(&self) -> MetricsSnapshot {
         let registry = self.ingest.registry();
+        let (subscriptions, partials, matches) = {
+            let follows = self.follows.lock().unwrap_or_else(PoisonError::into_inner);
+            let hunts = || follows.iter().map(|entry| &entry.hunt);
+            (
+                follows.len(),
+                hunts().map(FollowHunt::retained_partials).sum::<usize>(),
+                hunts()
+                    .map(|hunt| hunt.result().map_or(0, |r| r.matches.len()))
+                    .sum::<usize>(),
+            )
+        };
         registry
             .gauge("follow_subscriptions")
-            .set(self.follow_count() as i64);
+            .set(subscriptions as i64);
+        registry
+            .gauge("follow_partials_retained")
+            .set(partials as i64);
+        registry.gauge("follow_result_matches").set(matches as i64);
         // How far the follow dispatcher trails the stream: ingested
         // epochs minus the last epoch fanned out (0 when caught up).
         let lag = self
@@ -915,7 +935,6 @@ fn dispatch_loop(
     // every other server metric.
     let registry = ingest.registry();
     let epochs = registry.counter("follow_epochs_total");
-    let deliveries = registry.counter("follow_deliveries_total");
     let delivery_ns = registry.histogram("follow_delivery_ns");
     let dispatch_ns = registry.histogram_labeled("serve_stage_ns", &[("stage", "epoch_dispatch")]);
     // Start from the epoch captured at *construction*, not from a fresh
@@ -972,7 +991,6 @@ fn dispatch_loop(
                                 // Delivery latency: epoch observation →
                                 // delta on the subscriber's channel.
                                 delivery_ns.record_duration(started.elapsed());
-                                deliveries.inc();
                             })
                             .is_ok()
                 }
@@ -1482,9 +1500,9 @@ mod tests {
         assert!(metrics.gauge("follow_partials_retained").is_some());
     }
 
-    /// Every standing query shares the server's registry, so the
-    /// retained-partials gauge is the sum over all of them, and an
-    /// unfollowed query takes its share out.
+    /// The retained-partials gauge is the sum over every registered
+    /// standing query when read, so an unfollowed query's share leaves
+    /// with it.
     #[test]
     fn partials_gauge_sums_every_standing_query() {
         let sc = scenario();
@@ -1546,6 +1564,54 @@ mod tests {
         assert_eq!(gauge(), held_a);
         server.shutdown();
         assert_eq!(gauge(), 0);
+    }
+
+    /// The state gauges are read from the server when scraped: with no
+    /// standing query left, and again after shutdown, each reads 0.
+    #[test]
+    fn state_gauges_read_zero_after_unfollow_and_shutdown() {
+        let sc = scenario();
+        let server = server();
+        let (a, _) = server.follow(FIG2_TBQL).unwrap();
+        let (b, _) = server
+            .follow("proc p read file f as e1 proc p write file g as e2 return p, f, g")
+            .unwrap();
+        let mut handles = Vec::new();
+        for chunk in LogFeed::by_events(&sc.raw, 800) {
+            server.append(&chunk.unwrap());
+            handles.push(server.submit(HuntJob::tbql(FIG2_TBQL)));
+        }
+        assert!(server.wait_caught_up(Duration::from_secs(60)));
+        let gauges = || {
+            let snap = server.metrics();
+            [
+                "follow_partials_retained",
+                "follow_result_matches",
+                "follow_subscriptions",
+                "job_queue_depth",
+            ]
+            .map(|name| snap.gauge(name).unwrap_or_else(|| panic!("{name}")))
+        };
+        let [partials, matches, subscriptions, _] = gauges();
+        assert!(partials > 0 && matches > 0, "{partials} {matches}");
+        assert_eq!(subscriptions, 2);
+
+        assert!(server.unfollow(a.id()) && server.unfollow(b.id()));
+        for handle in &handles {
+            assert!(handle.wait().outcome.is_ok());
+        }
+        assert_eq!(gauges(), [0; 4], "no standing query, no queued job");
+
+        // Jobs accepted just before shutdown drain, and shutdown drops
+        // every standing query still registered.
+        let (_c, _) = server.follow(FIG2_TBQL).unwrap();
+        let late: Vec<_> = (0..4)
+            .map(|_| server.submit(HuntJob::tbql(FIG2_TBQL)))
+            .collect();
+        assert_ne!(gauges()[2], 0);
+        server.shutdown();
+        assert!(late.iter().all(|h| h.wait().outcome.is_ok()));
+        assert_eq!(gauges(), [0; 4], "after shutdown");
     }
 
     /// Every snapshot caller shares the ingest service's per-epoch

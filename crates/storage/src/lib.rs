@@ -36,6 +36,10 @@
 //!
 //! The crate spawns no threads and keeps no atomics: building is a plain
 //! loop, and change counting belongs to whoever serializes the appends.
+//! It writes no telemetry either. An append returns what it did and what
+//! it took in a [`stream::AppendOutcome`], and the stream's state is read
+//! through its accessors; the service layer, the one writer of metrics,
+//! records both.
 
 pub mod catalog;
 pub mod cpr;

@@ -35,9 +35,12 @@
 //!   snapshot — a later append builds new catalog generations beside the
 //!   ones the snapshot holds.
 //!
-//! The store keeps no change counter and spawns no threads: whoever owns
-//! it and serializes its appends (the service layer's ingest front-end)
-//! counts the epochs and decides when a snapshot is stale.
+//! The store keeps no change counter, spawns no threads and writes no
+//! metrics: whoever owns it and serializes its appends (the service
+//! layer's ingest front-end) counts the epochs, decides when a snapshot
+//! is stale, and records telemetry from each [`AppendOutcome`] and from
+//! the accessors ([`StreamingStore::sealed_count`],
+//! [`StreamingStore::sealed_bytes`], …) read when it is scraped.
 //!
 //! Global invariants are inherited from the batch path: entity ids are
 //! assigned by the parser in first-appearance order and never change, and
@@ -57,7 +60,6 @@ use std::time::{Duration, Instant};
 use threatraptor_audit::entity::Entity;
 use threatraptor_audit::event::Event;
 use threatraptor_audit::parser::LogChunk;
-use threatraptor_obs::{Counter, Gauge, Registry};
 use threatraptor_sync::Arc;
 
 /// When to freeze the open window into an immutable shard: after a
@@ -127,44 +129,13 @@ pub struct AppendOutcome {
     pub new_entities: usize,
     /// Shards sealed by this call (auto-sealing under the policy).
     pub sealed: usize,
+    /// Entity rows written into catalog generations by this call:
+    /// the new entities plus any generations merged under them.
+    pub entity_rows_indexed: usize,
     /// Time spent indexing the new entities into the catalog.
     pub entity_extend: Duration,
     /// Time spent compacting sealed shards (zero when none ran).
     pub compact: Duration,
-}
-
-/// Registry handles for stream-level telemetry; attached once via
-/// [`StreamingStore::attach_metrics`] so the hot append path pays one
-/// `Option` check plus a few relaxed atomics, never a registry lookup.
-#[derive(Debug, Clone)]
-struct StreamObs {
-    /// `storage_appends_total`: append calls.
-    appends: Arc<Counter>,
-    /// `storage_raw_events_total`: raw events fed in, pre-CPR.
-    raw_events: Arc<Counter>,
-    /// `storage_seals_total`: shards frozen.
-    seals: Arc<Counter>,
-    /// `storage_compactions_total`: adjacent sealed-shard merges.
-    compactions: Arc<Counter>,
-    /// `storage_open_events`: current open-window size (reduced).
-    open_events: Arc<Gauge>,
-    /// `storage_sealed_shards`: current sealed shard count.
-    sealed_shards: Arc<Gauge>,
-    /// `storage_stored_events`: total stored events (post-CPR).
-    stored_events: Arc<Gauge>,
-    /// `storage_entities`: entities registered so far.
-    entities: Arc<Gauge>,
-    /// `storage_entity_rows_indexed_total`: entities indexed into catalog
-    /// generations, generation merges included.
-    entity_rows_indexed: Arc<Counter>,
-    /// `storage_entity_generations`: current catalog generation count.
-    entity_generations: Arc<Gauge>,
-    /// `storage_event_bytes`: heap bytes of the sealed shards' events
-    /// and postings ([`EventShard::heap_bytes`]).
-    event_bytes: Arc<Gauge>,
-    /// `storage_entity_bytes`: heap bytes of the catalog's generations
-    /// ([`EntityCatalog::heap_bytes`]).
-    entity_bytes: Arc<Gauge>,
 }
 
 /// The detached ingredients of a snapshot, extracted under any lock the
@@ -221,8 +192,6 @@ pub struct StreamingStore {
     sealed_events: usize,
     /// Sum of the sealed shards' [`EventShard::heap_bytes`].
     sealed_bytes: usize,
-    /// Telemetry handles, when attached.
-    obs: Option<StreamObs>,
 }
 
 impl StreamingStore {
@@ -236,7 +205,6 @@ impl StreamingStore {
             sealed: Vec::new(),
             sealed_events: 0,
             sealed_bytes: 0,
-            obs: None,
         }
     }
 
@@ -244,44 +212,6 @@ impl StreamingStore {
     pub fn with_compaction(mut self, compaction: CompactionPolicy) -> StreamingStore {
         self.compaction = compaction;
         self
-    }
-
-    /// Attaches stream telemetry to `registry`: `storage_*` counters
-    /// and gauges updated on every append and seal. Gauges are synced
-    /// to the store's current state immediately.
-    pub fn attach_metrics(&mut self, registry: &Registry) {
-        let obs = StreamObs {
-            appends: registry.counter("storage_appends_total"),
-            raw_events: registry.counter("storage_raw_events_total"),
-            seals: registry.counter("storage_seals_total"),
-            compactions: registry.counter("storage_compactions_total"),
-            open_events: registry.gauge("storage_open_events"),
-            sealed_shards: registry.gauge("storage_sealed_shards"),
-            stored_events: registry.gauge("storage_stored_events"),
-            entities: registry.gauge("storage_entities"),
-            entity_rows_indexed: registry.counter("storage_entity_rows_indexed_total"),
-            entity_generations: registry.gauge("storage_entity_generations"),
-            event_bytes: registry.gauge("storage_event_bytes"),
-            entity_bytes: registry.gauge("storage_entity_bytes"),
-        };
-        self.obs = Some(obs);
-        self.sync_gauges();
-    }
-
-    /// Updates the state gauges to match the store. Cheap (seven
-    /// relaxed stores and a sum over the catalog's few generations);
-    /// no-op when telemetry is not attached.
-    fn sync_gauges(&self) {
-        if let Some(obs) = &self.obs {
-            obs.open_events.set(self.reducer.open_len() as i64);
-            obs.sealed_shards.set(self.sealed.len() as i64);
-            obs.stored_events.set(self.event_count() as i64);
-            obs.entities.set(self.catalog.len() as i64);
-            obs.entity_generations
-                .set(self.catalog.generations().len() as i64);
-            obs.event_bytes.set(self.sealed_bytes as i64);
-            obs.entity_bytes.set(self.catalog.heap_bytes() as i64);
-        }
     }
 
     /// Appends a parsed chunk (new entities + events), then auto-seals
@@ -298,7 +228,7 @@ impl StreamingStore {
     pub fn append_batch(&mut self, new_entities: &[Entity], events: &[Event]) -> AppendOutcome {
         let t_extend = Instant::now();
         // Validates the id sequence before mutating anything.
-        let rows_indexed = self.catalog.extend(new_entities);
+        let entity_rows_indexed = self.catalog.extend(new_entities);
         let entity_extend = t_extend.elapsed();
         debug_assert!(events.iter().all(
             |e| e.subject.index() < self.catalog.len() && e.object.index() < self.catalog.len()
@@ -316,16 +246,11 @@ impl StreamingStore {
             compact += spent;
             sealed += 1;
         }
-        if let Some(obs) = &self.obs {
-            obs.appends.inc();
-            obs.raw_events.add(events.len() as u64);
-            obs.entity_rows_indexed.add(rows_indexed as u64);
-        }
-        self.sync_gauges();
         AppendOutcome {
             appended: events.len(),
             new_entities: new_entities.len(),
             sealed,
+            entity_rows_indexed,
             entity_extend,
             compact,
         }
@@ -350,10 +275,6 @@ impl StreamingStore {
         self.sealed_bytes += shard.heap_bytes();
         self.sealed.push(Arc::clone(&shard));
         let compact = self.maybe_compact();
-        if let Some(obs) = &self.obs {
-            obs.seals.inc();
-        }
-        self.sync_gauges();
         Some((shard, compact))
     }
 
@@ -381,9 +302,6 @@ impl StreamingStore {
                 self.sealed_bytes + merged.heap_bytes() - a.heap_bytes() - b.heap_bytes();
             self.sealed[i] = merged;
             self.sealed.remove(i + 1);
-            if let Some(obs) = &self.obs {
-                obs.compactions.inc();
-            }
         }
         t0.elapsed()
     }
@@ -434,6 +352,12 @@ impl StreamingStore {
     /// Total stored events: sealed plus open window.
     pub fn event_count(&self) -> usize {
         self.sealed_events + self.reducer.open_len()
+    }
+
+    /// Heap bytes of the sealed shards' events and postings: the sum of
+    /// their [`EventShard::heap_bytes`], kept as shards seal and merge.
+    pub fn sealed_bytes(&self) -> usize {
+        self.sealed_bytes
     }
 
     /// All entities registered so far, with their per-kind positions.
@@ -633,19 +557,16 @@ mod tests {
             .target_events(3_000)
             .build()
             .raw;
-        let registry = Registry::new();
         let mut store = StreamingStore::new(true, SealPolicy::events(300));
-        store.attach_metrics(&registry);
         // A snapshot held across every append: plain copy-on-write would
         // clone the entities once per chunk.
         let mut held = Vec::new();
+        let mut rows = 0;
         for chunk in threatraptor_audit::LogFeed::by_events(&raw, 50) {
-            store.append(&chunk.unwrap());
+            rows += store.append(&chunk.unwrap()).entity_rows_indexed;
             held.push((store.catalog().len(), store.snapshot()));
         }
         let n = store.catalog().len() as f64;
-        let snap = registry.snapshot();
-        let rows = snap.counter("storage_entity_rows_indexed_total").unwrap();
         assert!(
             held.len() as f64 > 2.0 * n.log2(),
             "many more appends than levels"
@@ -654,8 +575,7 @@ mod tests {
             rows as f64 <= n * (2.0 + n.log2()),
             "{rows} rows for {n} entities"
         );
-        let generations = snap.gauge("storage_entity_generations").unwrap();
-        assert_eq!(generations as usize, store.catalog().generations().len());
+        let generations = store.catalog().generations().len();
         assert!(generations as f64 <= n.log2() + 1.0);
         // Every held snapshot still sees exactly the entities of its time.
         for (seen, snapshot) in &held {
@@ -664,58 +584,42 @@ mod tests {
     }
 
     #[test]
-    fn attached_metrics_track_appends_and_seals() {
+    fn append_outcomes_track_appends_and_seals() {
         let log = scenario_log(2_000);
-        let registry = Registry::new();
         let mut store = StreamingStore::new(true, SealPolicy::events(200));
-        store.attach_metrics(&registry);
-        replay(&log, &mut store, 100);
+        let mut outcomes = vec![store.append_batch(&log.entities, &[])];
+        for batch in log.events.chunks(100) {
+            outcomes.push(store.append_batch(&[], batch));
+        }
+        let sum = |field: fn(&AppendOutcome) -> usize| outcomes.iter().map(field).sum::<usize>();
 
-        let snap = registry.snapshot();
         // One entity-registration append plus one per event chunk.
-        let chunks = log.events.chunks(100).len() as u64;
-        assert_eq!(snap.counter("storage_appends_total"), Some(1 + chunks));
-        assert_eq!(
-            snap.counter("storage_raw_events_total"),
-            Some(log.events.len() as u64)
-        );
-        assert_eq!(
-            snap.counter("storage_seals_total"),
-            Some(store.sealed_count() as u64)
-        );
-        assert_eq!(
-            snap.gauge("storage_open_events"),
-            Some(store.open_len() as i64)
-        );
-        assert_eq!(
-            snap.gauge("storage_sealed_shards"),
-            Some(store.sealed_count() as i64)
-        );
-        assert_eq!(
-            snap.gauge("storage_stored_events"),
-            Some(store.event_count() as i64)
-        );
-        assert_eq!(
-            snap.gauge("storage_entities"),
-            Some(store.catalog().len() as i64)
-        );
+        assert_eq!(outcomes.len(), 1 + log.events.chunks(100).len());
+        assert_eq!(sum(|o| o.appended), log.events.len());
+        assert_eq!(store.reduction().before, log.events.len());
+        // No compaction policy: every seal is still a shard.
+        assert!(store.sealed_count() > 0);
+        assert_eq!(sum(|o| o.sealed), store.sealed_count());
+        // The state accessors describe what a snapshot holds.
+        let snapshot = store.snapshot();
+        let (open, sealed) = snapshot.shards().split_last().expect("an open shard");
+        assert_eq!(store.open_len(), open.event_count());
+        assert_eq!(store.sealed_count(), sealed.len());
+        assert_eq!(store.event_count(), snapshot.event_count());
+        assert_eq!(store.catalog().len(), log.entities.len());
         // All entities arrived in one append: one generation, each row
         // indexed once.
-        assert_eq!(
-            snap.counter("storage_entity_rows_indexed_total"),
-            Some(log.entities.len() as u64)
-        );
-        assert_eq!(snap.gauge("storage_entity_generations"), Some(1));
+        assert_eq!(sum(|o| o.new_entities), log.entities.len());
+        assert_eq!(sum(|o| o.entity_rows_indexed), log.entities.len());
+        assert_eq!(store.catalog().generations().len(), 1);
     }
 
     #[test]
-    fn byte_gauges_equal_the_sum_over_a_snapshots_shards() {
+    fn sealed_bytes_equal_the_sum_over_a_snapshots_shards() {
         let log = scenario_log(3_000);
         for use_cpr in [false, true] {
-            let registry = Registry::new();
             let mut store = StreamingStore::new(use_cpr, SealPolicy::events(200))
                 .with_compaction(CompactionPolicy::max_shards(4));
-            store.attach_metrics(&registry);
             replay(&log, &mut store, 64);
             // Without CPR no run is open: a manual seal leaves only the
             // events at the high-water start in the open window.
@@ -723,22 +627,20 @@ mod tests {
             let snapshot = store.snapshot();
             let (open, sealed) = snapshot.shards().split_last().expect("an open shard");
             let sealed: usize = sealed.iter().map(|s| s.heap_bytes()).sum();
-            let snap = registry.snapshot();
-            assert_eq!(snap.gauge("storage_event_bytes"), Some(sealed as i64));
+            assert_eq!(store.sealed_bytes(), sealed);
             if !use_cpr {
                 let max_start = log.events.iter().map(|e| e.start).max();
                 assert!(open.event_count() > 0);
                 assert!(open.events.iter().all(|e| Some(e.start) == max_start));
             }
-            let entity_bytes = snap.gauge("storage_entity_bytes").unwrap();
-            assert_eq!(entity_bytes as usize, store.catalog().heap_bytes());
+            let entity_bytes = store.catalog().heap_bytes();
             let per_generation: usize = store
                 .catalog()
                 .generations()
                 .iter()
                 .map(|g| g.heap_bytes())
                 .sum();
-            assert_eq!(entity_bytes as usize, per_generation);
+            assert_eq!(entity_bytes, per_generation);
             assert!(entity_bytes > 0 && sealed > 0);
         }
     }

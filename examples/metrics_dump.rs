@@ -56,14 +56,25 @@ fn main() {
 
     // The snapshot must carry every lifecycle family this run exercised.
     for name in [
-        "storage_appends_total",
+        "storage_raw_events_total",
         "plan_cache_hits_total",
         "jobs_completed_total",
-        "follow_deliveries_total",
     ] {
         assert!(
             snapshot.counter(name).is_some_and(|v| v > 0),
             "expected non-zero counter {name}"
+        );
+    }
+    // A stage's count is its histogram's count: appends and deliveries.
+    for (name, labels) in [
+        ("serve_stage_ns", &[("stage", "ingest_append")][..]),
+        ("follow_delivery_ns", &[]),
+    ] {
+        assert!(
+            snapshot
+                .histogram(name, labels)
+                .is_some_and(|h| h.count > 0),
+            "expected samples in {name}{labels:?}"
         );
     }
     assert!(

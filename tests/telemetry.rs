@@ -168,16 +168,19 @@ fn one_server_run_populates_every_lifecycle_family() {
     }
 
     // -- storage counters ----------------------------------------------
-    assert!(snapshot.counter("storage_appends_total").unwrap() > 0);
+    // An append's count is its stage histogram's count.
+    let appends = snapshot
+        .histogram("serve_stage_ns", &[("stage", "ingest_append")])
+        .unwrap();
+    assert!(appends.count > 0);
     assert!(snapshot.counter("storage_raw_events_total").unwrap() >= 8_000);
     assert!(snapshot.gauge("storage_sealed_shards").unwrap() > 0);
 
     // -- follow-path telemetry -----------------------------------------
     assert_eq!(snapshot.gauge("follow_subscriptions"), Some(1));
-    let deliveries = snapshot.counter("follow_deliveries_total").unwrap();
-    assert!(deliveries > 0, "deltas were pushed");
+    // One sample per delivery: the histogram's count is the count.
     let delivery = snapshot.histogram("follow_delivery_ns", &[]).unwrap();
-    assert_eq!(delivery.count, deliveries, "one sample per delivery");
+    assert!(delivery.count > 0, "deltas were pushed");
     assert!(delivery.p50 > 0 && delivery.p50 <= delivery.p99);
     assert!(snapshot.counter("follow_polls_total").unwrap() > 0);
     assert!(snapshot.counter("follow_rows_scanned_total").unwrap() > 0);
